@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -68,7 +69,10 @@ def cmd_mirror(args, scenario: Scenario) -> None:
     stack = optics.make_quarter_wave_stack(
         cfg["n_high"], cfg["n_low"], cfg["pairs"], cfg["design_wavelength_nm"],
         cfg["termination"], substrate_index=cfg["n_substrate"])
-    wls = np.arange(cfg["wl_min_nm"], cfg["wl_max_nm"] + 1e-9, cfg["wl_step_nm"])
+    step = cfg["wl_step_nm"]
+    if not (math.isfinite(step) and step > 0):
+        raise ConfigError(f"[mirror] wl_step_nm must be positive and finite, got {step}")
+    wls = np.arange(cfg["wl_min_nm"], cfg["wl_max_nm"] + 1e-9, step)
     curve = optics.reflectance(stack, wls)
     write_csv(out / "mirror_reflectance.csv", scenario,
               ["wavelength_nm", "reflectance"],

@@ -14,6 +14,16 @@ vacuum wavelength lam is
 and for the full sequence M = M_1 ... M_m (ambient-adjacent layer first),
 the amplitude reflectance is r = (n0 B - C)/(n0 B + C) with
 (B, C) = M (1, n_s).
+
+One kernel, :func:`_transfer_matrix`, evaluates that product for every
+optics entry point. It loops over layers only; each step is elementwise
+over whole numpy arrays of wavelengths (or of thicknesses, for a gap
+scan) and the result is the four matrix elements as arrays. Spectra,
+stopband scans and resonance walks are single array calls; the scalar
+functions pass it a single wavelength. Every layer matrix has
+det M = cos^2 + sin^2 = 1, also for complex (absorbing) indices, so every
+product has det 1 and its inverse is [[m11, -m01], [-m10, m00]]: the gap
+field is recovered from the entry-face field without a linear solve.
 """
 from __future__ import annotations
 
@@ -179,59 +189,95 @@ def _parse_index(token: str) -> complex:
     return complex(token)
 
 
-def _characteristic_matrix(layers, lam: float) -> np.ndarray:
-    M = np.eye(2, dtype=complex)
+def _check_wavelength(lam: float) -> None:
+    if not (math.isfinite(lam) and lam > 0):
+        raise OpticsError(f"wavelength must be positive and finite, got {lam}")
+
+
+def _matmul(a, b):
+    """2x2 product of matrices held as (m00, m01, m10, m11) element arrays."""
+    a00, a01, a10, a11 = a
+    b00, b01, b10, b11 = b
+    return (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
+            a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
+
+
+def _transfer_matrix(layers, lam):
+    """Characteristic matrix M_1 ... M_m of ``layers`` as (m00, m01, m10, m11).
+
+    ``lam`` and the layer thicknesses may be scalars or arrays; every step
+    works elementwise on their broadcast shape, so the only Python loop is
+    over the layers. Callers validate their inputs first.
+    """
+    shape = np.shape(lam)
+    m = (np.ones(shape, complex), np.zeros(shape, complex),
+         np.zeros(shape, complex), np.ones(shape, complex))
     for n, d in layers:
         delta = 2.0 * np.pi * n * d / lam
         c, s = np.cos(delta), np.sin(delta)
-        M = M @ np.array([[c, 1j * s / n], [1j * n * s, c]])
-    return M
+        m = _matmul(m, (c, 1j * s / n, 1j * n * s, c))
+    return m
+
+
+def _coefficients(m, n0, ns):
+    """Amplitude (r, t) of the structure with characteristic matrix ``m``."""
+    m00, m01, m10, m11 = m
+    b = m00 + m01 * ns
+    c = m10 + m11 * ns
+    return (n0 * b - c) / (n0 * b + c), 2.0 * n0 / (n0 * b + c)
+
+
+def _power(layers, n0, ns, lam):
+    """Reflectance and transmittance of ``layers`` between n0 and ns at ``lam``."""
+    r, t = _coefficients(_transfer_matrix(layers, lam), n0, ns)
+    return np.abs(r) ** 2, np.abs(t) ** 2 * ns.real / n0.real
 
 
 def amplitude_coefficients(stack: LayerStack, lam: float) -> tuple[complex, complex]:
     """Amplitude reflection and transmission coefficients (r, t) at ``lam``."""
-    if not (math.isfinite(lam) and lam > 0):
-        raise OpticsError(f"wavelength must be positive and finite, got {lam}")
-    n0, ns = stack.ambient_index, stack.substrate_index
-    M = _characteristic_matrix(stack.layers, lam)
-    B = M[0, 0] + M[0, 1] * ns
-    C = M[1, 0] + M[1, 1] * ns
-    r = (n0 * B - C) / (n0 * B + C)
-    t = 2.0 * n0 / (n0 * B + C)
-    return r, t
+    _check_wavelength(lam)
+    return _coefficients(_transfer_matrix(stack.layers, lam),
+                         stack.ambient_index, stack.substrate_index)
 
 
 def reflectance_at(stack: LayerStack, lam: float) -> float:
-    r, _ = amplitude_coefficients(stack, lam)
-    return float(abs(r) ** 2)
+    _check_wavelength(lam)
+    return float(_power(stack.layers, stack.ambient_index, stack.substrate_index, lam)[0])
 
 
 def transmittance_at(stack: LayerStack, lam: float) -> float:
-    _, t = amplitude_coefficients(stack, lam)
-    n0, ns = stack.ambient_index, stack.substrate_index
-    return float(abs(t) ** 2 * ns.real / n0.real)
+    _check_wavelength(lam)
+    return float(_power(stack.layers, stack.ambient_index, stack.substrate_index, lam)[1])
 
 
 def reflectance(stack: LayerStack, wavelengths_nm) -> SpectralCurve:
     """Reflectance spectrum R(lam) of the stack at normal incidence."""
     wls = _validated_wavelengths(wavelengths_nm)
-    return SpectralCurve(tuple(wls), tuple(reflectance_at(stack, w) for w in wls))
+    refl, _ = _power(stack.layers, stack.ambient_index, stack.substrate_index, wls)
+    return SpectralCurve(wls, refl)
 
 
 def transmittance(stack: LayerStack, wavelengths_nm) -> SpectralCurve:
     """Transmittance spectrum; for lossless stacks R + T = 1."""
     wls = _validated_wavelengths(wavelengths_nm)
-    return SpectralCurve(tuple(wls), tuple(transmittance_at(stack, w) for w in wls))
+    _, trans = _power(stack.layers, stack.ambient_index, stack.substrate_index, wls)
+    return SpectralCurve(wls, trans)
 
 
-def _validated_wavelengths(wavelengths_nm) -> list[float]:
-    wls = [float(w) for w in np.atleast_1d(np.asarray(wavelengths_nm, dtype=float))]
-    if len(wls) == 0:
+def _validated_wavelengths(wavelengths_nm) -> np.ndarray:
+    wls = np.atleast_1d(np.asarray(wavelengths_nm, dtype=float))
+    if wls.size == 0:
         raise OpticsError("wavelength list must not be empty")
-    for w in wls:
-        if not math.isfinite(w) or w <= 0:
-            raise OpticsError(f"wavelengths must be positive and finite, got {w}")
+    bad = ~(np.isfinite(wls) & (wls > 0))
+    if bad.any():
+        raise OpticsError(f"wavelengths must be positive and finite, got {wls[bad][0]}")
     return wls
+
+
+def _interior_maxima(vals: np.ndarray) -> np.ndarray:
+    """Indices i of interior samples with vals[i-1] <= vals[i] > vals[i+1]."""
+    mid = vals[1:-1]
+    return np.flatnonzero((mid >= vals[:-2]) & (mid > vals[2:])) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +368,9 @@ def stopband(
     if not 0.0 < threshold_reflectance <= 1.0:
         raise OpticsError(f"threshold must be in (0, 1], got {threshold_reflectance}")
     lo, hi = wavelength_range_nm
-    wls = np.linspace(lo, hi, samples)
-    refl = np.array([reflectance_at(stack, w) for w in wls])
+    wls = _validated_wavelengths(np.linspace(lo, hi, samples))
+    layers, n0, ns = stack.layers, stack.ambient_index, stack.substrate_index
+    refl, _ = _power(layers, n0, ns, wls)
     if anchor_nm is None:
         i0 = int(np.argmax(refl))
     else:
@@ -333,10 +380,10 @@ def stopband(
 
     def crossing(i_in: int, i_out: int) -> float:
         a, b = wls[i_in], wls[i_out]
-        fa = reflectance_at(stack, a) - threshold_reflectance
+        fa = _power(layers, n0, ns, a)[0] - threshold_reflectance
         for _ in range(80):
             m = 0.5 * (a + b)
-            fm = reflectance_at(stack, m) - threshold_reflectance
+            fm = _power(layers, n0, ns, m)[0] - threshold_reflectance
             if (fa >= 0) == (fm >= 0):
                 a, fa = m, fm
             else:
@@ -369,27 +416,26 @@ def calibrated_lossy_stack(stack: LayerStack, target_reflectance: float, lam: fl
     if target_reflectance == r_ideal:
         return stack
 
-    def with_k(k: float) -> LayerStack:
-        return LayerStack(
-            stack.ambient_index,
-            tuple((complex(n.real, n.imag - k), d) for n, d in stack.layers),
-            stack.substrate_index,
-        )
+    def with_k(k: float) -> tuple[tuple[complex, float], ...]:
+        return tuple((complex(n.real, n.imag - k), d) for n, d in stack.layers)
+
+    def refl(k: float) -> float:
+        return _power(with_k(k), stack.ambient_index, stack.substrate_index, lam)[0]
 
     lo_k, hi_k = 0.0, 1e-6
-    while reflectance_at(with_k(hi_k), lam) > target_reflectance:
+    while refl(hi_k) > target_reflectance:
         hi_k *= 2.0
         if hi_k > 1.0:
             raise OpticsError("could not bracket the extinction for the requested loss")
     for _ in range(200):
         mid = 0.5 * (lo_k + hi_k)
-        if reflectance_at(with_k(mid), lam) > target_reflectance:
+        if refl(mid) > target_reflectance:
             lo_k = mid
         else:
             hi_k = mid
         if hi_k - lo_k < 1e-16:
             break
-    return with_k(0.5 * (lo_k + hi_k))
+    return LayerStack(stack.ambient_index, with_k(0.5 * (lo_k + hi_k)), stack.substrate_index)
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +449,7 @@ def _cavity_stack(mirror_a: LayerStack, gap_nm: float, mirror_b: LayerStack,
     Both mirrors are defined facing the gap (their ambient side); the
     probe enters through mirror A's substrate.
     """
-    if gap_nm <= 0:
-        raise OpticsError(f"gap must be positive, got {gap_nm}")
+    _check_gaps(gap_nm)
     layers = tuple(reversed(mirror_a.layers)) + ((gap_index, gap_nm),) + mirror_b.layers
     return LayerStack(mirror_a.substrate_index, layers, mirror_b.substrate_index)
 
@@ -412,6 +457,12 @@ def _cavity_stack(mirror_a: LayerStack, gap_nm: float, mirror_b: LayerStack,
 def cavity_transmission_at(mirror_a: LayerStack, gap_nm: float, mirror_b: LayerStack,
                            lam: float) -> float:
     return transmittance_at(_cavity_stack(mirror_a, gap_nm, mirror_b), lam)
+
+
+# The half-maximum walk of cavity_spectrum takes at most _WALK_STEPS steps
+# of one sample spacing, evaluated _WALK_CHUNK points per kernel call.
+_WALK_STEPS = 200000
+_WALK_CHUNK = 512
 
 
 def cavity_spectrum(
@@ -429,35 +480,44 @@ def cavity_spectrum(
     crossings and Q = center/FWHM. ``found=False`` when no interior peak
     exists in the sampled range.
     """
-    curve = transmittance(_cavity_stack(mirror_a, gap_nm, mirror_b), wavelengths_nm)
+    if report_near_nm is not None:
+        _check_wavelength(report_near_nm)
+    full = _cavity_stack(mirror_a, gap_nm, mirror_b)
+    curve = transmittance(full, wavelengths_nm)
     wls, vals = curve.as_arrays()
-    peaks = [i for i in range(1, len(vals) - 1)
-             if vals[i] >= vals[i - 1] and vals[i] > vals[i + 1]]
-    if not peaks:
+    peaks = _interior_maxima(vals)
+    if peaks.size == 0:
         return curve, ResonanceReport(found=False)
     if report_near_nm is None:
-        ipk = max(peaks, key=lambda i: vals[i])
+        ipk = peaks[np.argmax(vals[peaks])]
     else:
-        ipk = min(peaks, key=lambda i: abs(wls[i] - report_near_nm))
+        ipk = peaks[np.argmin(np.abs(wls[peaks] - report_near_nm))]
 
     # refine the peak and walk out to the half-max crossings
-    def t_of(lam: float) -> float:
-        return cavity_transmission_at(mirror_a, gap_nm, mirror_b, lam)
+    def t_of(lam):
+        return _power(full.layers, full.ambient_index, full.substrate_index, lam)[1]
 
     center = golden_section_maximize(t_of, wls[max(ipk - 1, 0)], wls[min(ipk + 1, len(wls) - 1)],
                                      tol=1e-5)
-    peak_t = t_of(center)
+    peak_t = float(t_of(center))
     half = peak_t / 2.0
 
     def half_crossing(direction: int) -> float | None:
         step = (wls[1] - wls[0]) if len(wls) > 1 else 0.01
         lam = center
-        for _ in range(200000):
-            nxt = lam + direction * step
-            if nxt < wls[0] - 50 or nxt > wls[-1] + 50:
-                return None
-            if t_of(nxt) <= half:
-                a, b = (lam, nxt) if direction > 0 else (nxt, lam)
+        for taken in range(0, _WALK_STEPS, _WALK_CHUNK):
+            # the walk lam, lam + step, ... accumulated by repeated addition
+            # (as a one-step-at-a-time walk would), evaluated a chunk at a time
+            steps = np.full(min(_WALK_CHUNK, _WALK_STEPS - taken) + 1, direction * step)
+            steps[0] = lam
+            pts = np.add.accumulate(steps)[1:]
+            # the points are monotone, so those within the bound are a prefix
+            inside = int(np.count_nonzero((pts >= wls[0] - 50) & (pts <= wls[-1] + 50)))
+            below = np.flatnonzero(t_of(pts[:inside]) <= half)
+            if below.size:
+                k = below[0]
+                prev = pts[k - 1] if k else lam
+                a, b = (prev, pts[k]) if direction > 0 else (pts[k], prev)
                 for _ in range(80):
                     m = 0.5 * (a + b)
                     if (t_of(m) > half) == (direction > 0):
@@ -465,7 +525,9 @@ def cavity_spectrum(
                     else:
                         b = m
                 return 0.5 * (a + b)
-            lam = nxt
+            if inside < pts.size:
+                return None
+            lam = pts[-1]
         return None
 
     lo = half_crossing(-1)
@@ -483,36 +545,57 @@ def cavity_spectrum(
 # intracavity field and penetration depth
 # ---------------------------------------------------------------------------
 
-def _gap_wave_amplitudes(mirror_a: LayerStack, gap_nm: float, mirror_b: LayerStack,
-                         lam: float) -> tuple[complex, complex]:
-    """Forward/backward field amplitudes inside the gap for unit incidence.
+def _check_gaps(gap_nm) -> None:
+    gaps = np.asarray(gap_nm, dtype=float)
+    if not np.all(np.isfinite(gaps) & (gaps > 0)):
+        raise OpticsError(f"gap must be positive and finite, got {gap_nm}")
 
-    The (E, H) field vector just inside the entry medium is propagated
-    through mirror A by inverting its characteristic matrix; in the
-    index-1 gap the wave decomposes as a e^{ikz} + b e^{-ikz}.
+
+def _gap_waves(mirror_a: LayerStack, mirror_b: LayerStack, lam: float):
+    """Function of the gap length giving the gap's forward/backward amplitudes.
+
+    The mirror matrices are formed once at ``lam``; the returned function
+    takes one gap length or an array of them and forms M_a M_gap M_b over
+    it. The (E, H) field vector just inside the entry medium, for unit
+    incidence, is carried through mirror A by the det = 1 inverse of its
+    matrix; in the index-1 gap the wave decomposes as a e^{ikz} + b e^{-ikz}.
     """
-    full = _cavity_stack(mirror_a, gap_nm, mirror_b)
-    r, _ = amplitude_coefficients(full, lam)
-    n_in = full.ambient_index
-    eh = np.array([1.0 + r, n_in * (1.0 - r)], dtype=complex)
-    m_a = _characteristic_matrix(tuple(reversed(mirror_a.layers)), lam)
-    eh = np.linalg.solve(m_a, eh)
-    a = (eh[0] + eh[1]) / 2.0
-    b = (eh[0] - eh[1]) / 2.0
-    return a, b
+    m_a = _transfer_matrix(tuple(reversed(mirror_a.layers)), lam)
+    m_b = _transfer_matrix(mirror_b.layers, lam)
+    n_in = mirror_a.substrate_index
+
+    def waves(gap_nm):
+        m = _matmul(_matmul(m_a, _transfer_matrix(((1.0, gap_nm),), lam)), m_b)
+        r, _ = _coefficients(m, n_in, mirror_b.substrate_index)
+        e, h = 1.0 + r, n_in * (1.0 - r)
+        e, h = m_a[3] * e - m_a[1] * h, m_a[0] * h - m_a[2] * e
+        return (e + h) / 2.0, (e - h) / 2.0
+
+    return waves
 
 
-def peak_intracavity_intensity(mirror_a: LayerStack, gap_nm: float, mirror_b: LayerStack,
-                               lam: float) -> float:
-    """Maximum standing-wave |E|^2 in the gap, for unit incident amplitude."""
-    a, b = _gap_wave_amplitudes(mirror_a, gap_nm, mirror_b, lam)
-    return float((abs(a) + abs(b)) ** 2)
+def _peak_intensity(waves) -> np.ndarray:
+    a, b = waves
+    return (np.abs(a) + np.abs(b)) ** 2
+
+
+def peak_intracavity_intensity(mirror_a: LayerStack, gap_nm, mirror_b: LayerStack,
+                               lam: float):
+    """Maximum standing-wave |E|^2 in the gap, for unit incident amplitude.
+
+    ``gap_nm`` may be an array of gap lengths; the result then has its shape.
+    """
+    _check_wavelength(lam)
+    _check_gaps(gap_nm)
+    return _peak_intensity(_gap_waves(mirror_a, mirror_b, lam)(np.asarray(gap_nm, float)))[()]
 
 
 def intracavity_field(mirror_a: LayerStack, gap_nm: float, mirror_b: LayerStack,
                       lam: float, samples: int = 801) -> FieldProfile:
     """Standing-wave intensity profile across the gap, normalized to peak 1."""
-    a, b = _gap_wave_amplitudes(mirror_a, gap_nm, mirror_b, lam)
+    _check_wavelength(lam)
+    _check_gaps(gap_nm)
+    a, b = _gap_waves(mirror_a, mirror_b, lam)(gap_nm)
     z = np.linspace(0.0, gap_nm, samples)
     k = 2.0 * np.pi / lam
     inten = np.abs(a * np.exp(1j * k * z) + b * np.exp(-1j * k * z)) ** 2
@@ -559,19 +642,19 @@ def resonant_gap(
     q = longitudinal_order
     if q < 1:
         raise OpticsError(f"longitudinal order must be >= 1, got {q}")
+    _check_wavelength(lam)
     center = q * lam / 2.0
     lo = max(center - 0.55 * lam, 0.05 * lam)
     hi = center + 0.55 * lam
+    waves = _gap_waves(mirror_a, mirror_b, lam)
 
-    def intensity(gap: float) -> float:
-        return peak_intracavity_intensity(mirror_a, gap, mirror_b, lam)
+    def intensity(gap):
+        return _peak_intensity(waves(gap))
 
     grid = np.linspace(lo, hi, 1600)
-    vals = np.array([intensity(g) for g in grid])
-    maxima = [i for i in range(1, len(grid) - 1)
-              if vals[i] >= vals[i - 1] and vals[i] > vals[i + 1]]
+    vals = intensity(grid)
     candidates = []
-    for i in maxima:
+    for i in _interior_maxima(vals):
         gap = golden_section_maximize(intensity, grid[i - 1], grid[i + 1], tol=tol_nm)
         profile = intracavity_field(mirror_a, gap, mirror_b, lam,
                                     samples=max(int(gap / (lam / 50.0)), 200))

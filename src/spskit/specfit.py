@@ -148,27 +148,53 @@ class G2Fit:
 # shared least-squares driver
 # ---------------------------------------------------------------------------
 
+class _BudgetSpent(Exception):
+    """The residual-evaluation budget of one fit is used up."""
+
+
 def _run_fit(model, x, y, p0, names, weights=None, bounds=None) -> FitResult:
+    """Least-squares fit allowed MAX_ITERATIONS * (len(p0) + 1) residual
+    evaluations, finite-difference Jacobian columns included.
+
+    The budget is counted here, not by scipy, because which evaluations
+    scipy counts against ``max_nfev`` differs between its versions.
+    """
     w = np.ones_like(y) if weights is None else weights
+    budget = MAX_ITERATIONS * (len(p0) + 1)
+    calls = 0
+    best_cost, best_p = math.inf, np.asarray(p0, dtype=float)
 
     def residuals(p):
-        return (model(x, *p) - y) * w
+        nonlocal calls, best_cost, best_p
+        if calls == budget:
+            raise _BudgetSpent
+        calls += 1
+        res = (model(x, *p) - y) * w
+        cost = float(res @ res)
+        if cost < best_cost:
+            best_cost, best_p = cost, p.copy()
+        return res
 
     kwargs = dict(
         xtol=STEP_TOLERANCE,
         ftol=1e-12,
         gtol=1e-12,
-        max_nfev=MAX_ITERATIONS * (len(p0) + 1),
+        max_nfev=budget,
     )
-    if bounds is None:
-        result = least_squares(residuals, p0, method="lm", **kwargs)
-    else:
-        result = least_squares(residuals, p0, method="trf", bounds=bounds, **kwargs)
+    try:
+        if bounds is None:
+            result = least_squares(residuals, p0, method="lm", **kwargs)
+        else:
+            result = least_squares(residuals, p0, method="trf", bounds=bounds, **kwargs)
+    except _BudgetSpent:
+        result = None
+    # scipy stops itself (status 0) where its max_nfev counts every
+    # evaluation; the last iterate is the best point evaluated in budget
+    if result is None or (not result.success and result.status == 0):
+        raise FitError(f"fit did not converge within {MAX_ITERATIONS} iterations",
+                       last_params=dict(zip(names, (float(v) for v in best_p))))
 
     params = dict(zip(names, (float(v) for v in result.x)))
-    if not result.success and result.status == 0:
-        raise FitError(
-            f"fit did not converge within {MAX_ITERATIONS} iterations", last_params=params)
 
     stderr = _covariance_stderr(result.jac, result.fun, names)
     return FitResult(

@@ -7,11 +7,14 @@ tagged-states security model; the analysis lives in the decisions ledger.
 They are asserted faithfully rather than loosened.
 """
 import filecmp
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import spskit
 from spskit.reproduce import run_all
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
@@ -122,13 +125,17 @@ class TestCriterion9Fab:
 
 class TestCriterion10Determinism:
     def test_reproduce_twice_is_byte_identical(self, tmp_path):
+        # the child imports the same spskit sources as this process
+        env = dict(os.environ)
+        src = str(Path(spskit.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         outputs = []
         for run in ("first", "second"):
             outdir = tmp_path / run
             result = subprocess.run(
                 [sys.executable, "-m", "spskit.cli", "--outdir", str(outdir),
                  "reproduce", "--draws", "5"],
-                capture_output=True, text=True, check=False)
+                capture_output=True, text=True, check=False, env=env)
             assert result.returncode == 0, result.stderr
             outputs.append(sorted(p for p in outdir.iterdir()))
         names_a = [p.name for p in outputs[0]]

@@ -111,6 +111,22 @@ class TestCli:
         assert payload["exit_code"] == 1
         assert "not found" in payload["message"]
 
+    def test_zero_wavelength_step_is_a_validation_error(self, tmp_path, capsys):
+        code = main(["--set", "mirror.wl_step_nm=0", "--error-json",
+                     "--outdir", str(tmp_path), "mirror"])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert payload["exit_code"] == 1
+        assert "wl_step_nm" in payload["message"]
+
+    def test_nan_cavity_wavelength_names_the_wavelength(self, tmp_path, capsys):
+        code = main(["--set", "cavity.wavelength_nm=nan", "--error-json",
+                     "--outdir", str(tmp_path), "cavity"])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert payload["exit_code"] == 1
+        assert payload["message"].startswith("wavelength must be positive and finite")
+
     def test_cavity_outputs(self, tmp_path):
         code = main(["--outdir", str(tmp_path), "cavity"])
         assert code == 0

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,14 +15,17 @@ from spskit.optics import (
     cavity_spectrum,
     intracavity_field,
     make_quarter_wave_stack,
+    peak_intracavity_intensity,
     penetration_depth,
     quarter_wave_peak_reflectance,
     reflectance,
     reflectance_at,
     resonant_gap,
     stopband,
+    transmittance,
     transmittance_at,
 )
+from spskit.cli import main
 
 N_H, N_L, N_SUB = 2.135, 1.521, 1.5255
 LAM0 = 565.0
@@ -132,15 +138,80 @@ class TestReflectance:
 
 
 @st.composite
-def random_stacks(draw):
+def random_stacks(draw, lossy=False):
     n_layers = draw(st.integers(min_value=0, max_value=8))
+    extinction = st.floats(min_value=0.0, max_value=0.05) if lossy else st.just(0.0)
     layers = tuple(
-        (draw(st.floats(min_value=1.0, max_value=3.5)),
+        (complex(draw(st.floats(min_value=1.0, max_value=3.5)), -draw(extinction)),
          draw(st.floats(min_value=10.0, max_value=400.0)))
         for _ in range(n_layers))
     ambient = draw(st.floats(min_value=1.0, max_value=2.0))
     substrate = draw(st.floats(min_value=1.0, max_value=2.5))
     return LayerStack(ambient, layers, substrate)
+
+
+wavelength_arrays = st.lists(st.floats(min_value=300.0, max_value=900.0),
+                             min_size=1, max_size=25).map(np.unique)
+
+
+def reference_power(stack, lam):
+    """(R, T) from an explicit 2x2 matrix product at one wavelength: the
+    per-wavelength formulation the array kernel replaced."""
+    m = np.eye(2, dtype=complex)
+    for n, d in stack.layers:
+        delta = 2.0 * np.pi * n * d / lam
+        m = m @ np.array([[np.cos(delta), 1j * np.sin(delta) / n],
+                          [1j * n * np.sin(delta), np.cos(delta)]])
+    n0, ns = stack.ambient_index, stack.substrate_index
+    b, c = m @ np.array([1.0, ns])
+    r = (n0 * b - c) / (n0 * b + c)
+    t = 2.0 * n0 / (n0 * b + c)
+    return abs(r) ** 2, abs(t) ** 2 * ns.real / n0.real
+
+
+class TestArrayKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(st.booleans().flatmap(lambda lossy: random_stacks(lossy=lossy)), wavelength_arrays)
+    def test_array_spectra_match_scalar_and_reference(self, stack, wls):
+        refl = reflectance(stack, wls).values
+        trans = transmittance(stack, wls).values
+        for lam, r, t in zip(wls, refl, trans):
+            assert abs(r - reflectance_at(stack, lam)) <= 1e-12
+            assert abs(t - transmittance_at(stack, lam)) <= 1e-12
+            r_ref, t_ref = reference_power(stack, lam)
+            assert abs(r - r_ref) <= 1e-12
+            assert abs(t - t_ref) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_stacks(), wavelength_arrays)
+    def test_lossless_array_energy_conservation(self, stack, wls):
+        total = (np.array(reflectance(stack, wls).values)
+                 + np.array(transmittance(stack, wls).values))
+        assert np.max(np.abs(total - 1.0)) < 1e-10
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_stacks(), wavelength_arrays)
+    def test_lossless_array_reflects_alike_from_both_sides(self, stack, wls):
+        front = np.array(reflectance(stack, wls).values)
+        back = np.array(reflectance(stack.reversed(), wls).values)
+        assert np.max(np.abs(front - back)) < 1e-10
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.booleans().flatmap(lambda lossy: random_stacks(lossy=lossy)),
+           st.booleans().flatmap(lambda lossy: random_stacks(lossy=lossy)),
+           st.floats(min_value=300.0, max_value=900.0),
+           st.lists(st.floats(min_value=20.0, max_value=3000.0), min_size=1, max_size=25))
+    def test_array_gap_scan_matches_single_gaps(self, mirror_a, mirror_b, lam, gaps):
+        scan = peak_intracavity_intensity(mirror_a, np.array(gaps), mirror_b, lam)
+        assert scan.shape == (len(gaps),)
+        for gap, value in zip(gaps, scan):
+            single = peak_intracavity_intensity(mirror_a, gap, mirror_b, lam)
+            assert value == pytest.approx(single, rel=1e-12)
+
+    def test_bad_gap_rejected(self, low_terminated):
+        with pytest.raises(OpticsError, match="gap"):
+            peak_intracavity_intensity(low_terminated, np.array([100.0, np.nan]),
+                                       low_terminated, LAM0)
 
 
 class TestStackProperties:
@@ -294,3 +365,27 @@ class TestFieldAndPenetration:
         none = LayerStack(1.0, (), 1.0)
         with pytest.raises(ResonanceSearchError, match="bracket"):
             resonant_gap(none, none, 3, LAM0)
+
+
+class TestGoldenScalars:
+    """Default-scenario refined scalars, pinned to 1e-9 relative against
+    values recorded from the per-wavelength transfer-matrix implementation."""
+
+    GOLDEN = json.loads((Path(__file__).parent / "golden_optics.json").read_text())
+
+    def test_mirror_report(self, tmp_path):
+        assert main(["--outdir", str(tmp_path), "mirror"]) == 0
+        report = json.loads((tmp_path / "mirror_report.json").read_text())
+        gold = self.GOLDEN["mirror"]
+        assert report["reflectance_at_design_wavelength"] == pytest.approx(
+            gold["reflectance_at_design_wavelength"], rel=1e-9)
+        assert report["stopband_nm"] == pytest.approx(gold["stopband_nm"], rel=1e-9)
+
+    def test_cavity_report(self, tmp_path):
+        assert main(["--outdir", str(tmp_path), "cavity"]) == 0
+        report = json.loads((tmp_path / "cavity_report.json").read_text())
+        gold = self.GOLDEN["cavity"]
+        for key in ("resonant_gap_nm", "penetration_depth_nm"):
+            assert report[key] == pytest.approx(gold[key], rel=1e-9), key
+        for key, value in gold["resonance"].items():
+            assert report["resonance"][key] == pytest.approx(value, rel=1e-9), key

@@ -120,6 +120,24 @@ class TestLorentzianFit:
             fit_lorentzian(series(x, y))
         assert "center_nm" in excinfo.value.last_params
 
+    @pytest.mark.parametrize("bounds", [None, ([0.0, 0.0], [np.inf, np.inf])])
+    def test_budget_counts_every_residual_evaluation(self, monkeypatch, bounds):
+        # the cap is MAX_ITERATIONS * (len(p0) + 1) evaluations, Jacobian
+        # columns included, whichever scipy method runs the fit
+        monkeypatch.setattr(specfit_module, "MAX_ITERATIONS", 2)
+        x = np.linspace(0.0, 5.0, 50)
+        y = 3.0 * np.exp(-x / 1.5)
+        evaluations = []
+
+        def model(xv, amp, tau):
+            evaluations.append((amp, tau))
+            return amp * np.exp(-xv / tau)
+
+        with pytest.raises(FitError) as excinfo:
+            specfit_module._run_fit(model, x, y, [0.5, 8.0], ["amp", "tau"], bounds=bounds)
+        assert len(evaluations) == 2 * 3
+        assert set(excinfo.value.last_params) == {"amp", "tau"}
+
     def test_report_has_parenthetical_format(self):
         rng = np.random.default_rng(11)
         x = np.linspace(540, 590, 301)
