@@ -21,7 +21,7 @@ from .reproduce import run_all
 
 VALIDATION_ERRORS = (ConfigError, optics.OpticsError, cavitymode.CavityError,
                      emitter.PhotophysicsError, specfit.SeriesError, qkd.QkdError,
-                     fab.FabError, ValueError)
+                     fab.FabError, ValueError, OSError)
 NUMERICAL_ERRORS = (specfit.FitError, qkd.NoCrossingError, qkd.NoPositiveRateError,
                     optics.ResonanceSearchError)
 
@@ -207,14 +207,15 @@ def cmd_emitter(args, scenario: Scenario) -> None:
         "rate_convention": "plain frequency (Hz); see module docs",
         "spectral_overlap_at_zero_detuning": 1.0,
     }
-    write_json(out / "emitter_report.json", scenario, payload)
-
     gs, kappas, grid = emitter.indistinguishability_map(
         gamma, gamma_star,
         coupling_range=(ecfg["map_rate_min_hz"], ecfg["map_rate_max_hz"]),
         cavity_range=(ecfg["map_rate_min_hz"], ecfg["map_rate_max_hz"]),
         points=ecfg["map_points"])
-    rows = ((g, k, grid[i, j]) for i, g in enumerate(gs) for j, k in enumerate(kappas))
+    write_json(out / "emitter_report.json", scenario, payload)
+    kappa_list = kappas.tolist()
+    rows = ((g, k, v) for g, row in zip(gs.tolist(), grid.tolist())
+            for k, v in zip(kappa_list, row))
     write_csv(out / "indistinguishability_map.csv", scenario,
               ["g_Hz", "kappa_Hz", "indistinguishability"], rows)
     print(f"emitter: F_eff {f_eff:.3f}, QE {eta:.3f}, I_cav "
@@ -275,6 +276,9 @@ def cmd_qkd(args, scenario: Scenario) -> None:
         misalignment_error=qcfg["misalignment_error"],
         error_correction_inefficiency=qcfg["error_correction_inefficiency"],
         sifting_factor=qcfg["sifting_factor"])
+    if qcfg["channel"] not in ("fiber", "freespace"):
+        raise ConfigError(
+            f"[qkd] channel must be 'fiber' or 'freespace', got {qcfg['channel']!r}")
     if qcfg["channel"] == "fiber":
         channel = qkd.ChannelModel(kind="fiber",
                                    attenuation_db_per_km=qcfg["attenuation_db_per_km"])
@@ -302,7 +306,7 @@ def cmd_qkd(args, scenario: Scenario) -> None:
     }
     sweep_arg = args.sweep or (f"{qcfg['sweep_start_km']}:{qcfg['sweep_stop_km']}"
                                f":{qcfg['sweep_step_km']}")
-    start, stop, step = (float(v) for v in sweep_arg.split(":"))
+    start, stop, step = _sweep_range(sweep_arg)
     distances = np.arange(start, stop + step / 2, step)
     rows = qkd.sweep(sources, channel, detector, distances)
     columns = ["distance_km", "loss_db", "rate_sps", "rate_ideal", "rate_wcs",
@@ -337,6 +341,21 @@ def cmd_qkd(args, scenario: Scenario) -> None:
     write_json(out / "qkd_crossings.json", scenario, payload)
     print(f"qkd: {len(rows)} sweep rows -> {out / 'qkd_rates.csv'}; "
           f"crossings: {crossings}")
+
+
+def _sweep_range(text: str) -> tuple[float, float, float]:
+    """start, stop, step (km) of a ``start:stop:step`` sweep."""
+    try:
+        start, stop, step = (float(v) for v in text.split(":"))
+    except ValueError:
+        raise ConfigError(f"sweep must be start:stop:step in km, got {text!r}") from None
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ConfigError(f"sweep start, stop and step must be finite, got {text!r}")
+    if step <= 0:
+        raise ConfigError(f"sweep step must be positive, got {step:g} km")
+    if stop < start:
+        raise ConfigError(f"sweep stop must not be below its start, got {text!r}")
+    return start, stop, step
 
 
 def cmd_fab(args, scenario: Scenario) -> None:
@@ -379,24 +398,43 @@ def cmd_reproduce(args, scenario: Scenario) -> None:
 # entry point
 # ---------------------------------------------------------------------------
 
+def _add_global_options(parser: argparse.ArgumentParser, defaults: bool) -> None:
+    """--config, --set, --outdir and --error-json. The top-level parser
+    holds the defaults; the subcommands take the same options with
+    SUPPRESS defaults, so one not given after the subcommand keeps its
+    value from before it. ``--set`` after the subcommand collects into
+    ``set_after``, applied after the earlier overrides."""
+    def default(value):
+        return value if defaults else argparse.SUPPRESS
+
+    parser.add_argument("--config", default=default(None),
+                        help="scenario file (INI key=value or JSON)")
+    parser.add_argument("--set", action="append", default=default([]),
+                        dest="set" if defaults else "set_after", metavar="SECTION.KEY=VALUE",
+                        help="override a config value (repeatable; wins over the file)")
+    parser.add_argument("--outdir", default=default("out"), help="output directory")
+    parser.add_argument("--error-json", action="store_true", default=default(False),
+                        help="report errors as JSON on stdout")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spskit",
         description="Cavity-enhanced single-photon source design and analysis toolkit")
-    parser.add_argument("--config", help="scenario file (INI key=value or JSON)")
-    parser.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE",
-                        help="override a config value (repeatable; wins over the file)")
-    parser.add_argument("--outdir", default="out", help="output directory")
-    parser.add_argument("--error-json", action="store_true",
-                        help="report errors as JSON on stdout")
+    _add_global_options(parser, defaults=True)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    common = argparse.ArgumentParser(add_help=False)
+    _add_global_options(common, defaults=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("mirror", help="coating reflectance, stopband, AR report")
-    sub.add_parser("cavity", help="cavity spectrum, Q, field profile, penetration depth")
-    sub.add_parser("emitter", help="Purcell chain, efficiency, indistinguishability maps")
+    def add(name: str, **kwargs) -> argparse.ArgumentParser:
+        return sub.add_parser(name, parents=[common], **kwargs)
 
-    p_fit = sub.add_parser("fit", help="fit a measurement CSV; kind read from its header")
+    add("mirror", help="coating reflectance, stopband, AR report")
+    add("cavity", help="cavity spectrum, Q, field profile, penetration depth")
+    add("emitter", help="Purcell chain, efficiency, indistinguishability maps")
+
+    p_fit = add("fit", help="fit a measurement CSV; kind read from its header")
     p_fit.add_argument("--input", required=True, help="two-column CSV with a kind header")
     p_fit.add_argument("--irf", help="instrument response CSV (decay fitting)")
     p_fit.add_argument("--scan-range", type=float, default=0.0,
@@ -404,18 +442,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--snr", type=float, default=None,
                        help="signal-to-noise ratio for background-corrected g2")
 
-    p_qkd = sub.add_parser("qkd", help="key-rate sweeps and crossing search")
+    p_qkd = add("qkd", help="key-rate sweeps and crossing search")
     p_qkd.add_argument("--sweep", help="distance sweep start:stop:step in km")
 
-    p_fab = sub.add_parser("fab", help="dose-map generation or profile fitting")
+    p_fab = add("fab", help="dose-map generation or profile fitting")
     p_fab.add_argument("--profile", help="surface profile CSV (x_um, z_nm) to fit")
 
-    p_rep = sub.add_parser("reproduce", help="run the full reproduction table")
+    p_rep = add("reproduce", help="run the full reproduction table")
     p_rep.add_argument("--draws", type=int, default=100,
                        help="randomized draws per fit round-trip check")
 
-    p_prov = sub.add_parser("provenance", help="print the provenance of every default")
-    del p_prov
+    add("provenance", help="print the provenance of every default")
     return parser
 
 
@@ -434,7 +471,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         scenario = load_scenario(args.config)
-        apply_overrides(scenario, args.set)
+        apply_overrides(scenario, args.set + getattr(args, "set_after", []))
         if args.command == "provenance":
             print(json.dumps(provenance_table(), indent=2, sort_keys=True))
             return 0

@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .constants import linewidth_nm_to_hz, rate_from_lifetime_ps
 
 TWO_PI = 2.0 * math.pi
@@ -76,8 +78,23 @@ class CoupledRates:
     @property
     def transfer_rate(self) -> float:
         """Effective emitter-cavity transfer rate 4 g^2 / (kappa + gamma + gamma*)."""
-        total = self.cavity_rate + self.emission_rate + self.dephasing_rate
-        return 4.0 * self.coupling_rate ** 2 / total
+        return _transfer_rate(self.emission_rate, self.dephasing_rate, self.cavity_rate,
+                              self.coupling_rate)
+
+
+def _transfer_rate(gamma, gamma_star, kappa, g):
+    # g * g, not g ** 2: a float's ** calls pow(), an array's squares
+    return 4.0 * g * g / (kappa + gamma + gamma_star)
+
+
+def _cavity_indistinguishability(gamma, gamma_star, kappa, g):
+    """The coupled-emitter indistinguishability, elementwise over numpy
+    arrays of the four rates broadcast against each other."""
+    transfer = _transfer_rate(gamma, gamma_star, kappa, g)
+    total = kappa + transfer
+    # kappa = transfer = 0 recycles nothing; the 1 only avoids 0/0
+    recycled = kappa * transfer / np.where(total == 0, 1.0, total)
+    return (gamma + recycled) / (gamma + kappa + 2.0 * transfer)
 
 
 @dataclass(frozen=True)
@@ -162,14 +179,8 @@ def indistinguishability_cavity(rates: CoupledRates) -> float:
     transfer rate R = 4 g^2/(kappa + gamma + gamma*). Reduces to
     gamma/(gamma + kappa) as g -> 0.
     """
-    gamma = rates.emission_rate
-    kappa = rates.cavity_rate
-    transfer = rates.transfer_rate
-    if kappa + transfer == 0:
-        recycled = 0.0
-    else:
-        recycled = kappa * transfer / (kappa + transfer)
-    return (gamma + recycled) / (gamma + kappa + 2.0 * transfer)
+    return float(_cavity_indistinguishability(
+        rates.emission_rate, rates.dephasing_rate, rates.cavity_rate, rates.coupling_rate))
 
 
 def kappa_for_target_indistinguishability(
@@ -269,17 +280,16 @@ def indistinguishability_map(
     """Indistinguishability over a log-spaced (g, kappa) grid.
 
     Returns (g values, kappa values, I matrix[i_g, i_kappa]) suitable for
-    the three-column CSV export.
+    the three-column CSV export. The matrix is one broadcast evaluation of
+    the formula of ``indistinguishability_cavity``.
     """
-    import numpy as np
-
+    if points < 2:
+        raise PhotophysicsError(f"map needs at least 2 points per axis, got {points}")
+    CoupledRates(emission_rate, dephasing_rate, 0.0, 0.0)  # validates the fixed rates
     gs = np.logspace(math.log10(coupling_range[0]), math.log10(coupling_range[1]), points)
     kappas = np.logspace(math.log10(cavity_range[0]), math.log10(cavity_range[1]), points)
-    grid = np.empty((points, points))
-    for i, g in enumerate(gs):
-        for j, kappa in enumerate(kappas):
-            grid[i, j] = indistinguishability_cavity(
-                CoupledRates(emission_rate, dephasing_rate, kappa, g))
+    grid = _cavity_indistinguishability(emission_rate, dephasing_rate, kappas[None, :],
+                                        gs[:, None])
     return gs, kappas, grid
 
 

@@ -21,6 +21,21 @@ Q = 1 - (1 - Y_0) e^(-mu t eta) for Poissonian pulses; errors are
 E = (e_0 Y_0 + e_det mu t eta)/Q with e_0 = 1/2. The multiphoton
 probability is g2_0 mu^2 / 2 for a sub-Poissonian source and
 1 - e^(-mu)(1 + mu) for Poissonian pulses.
+
+Evaluation
+----------
+The formulas above are written once, in ``_rates``, which works
+elementwise on numpy arrays of transmittance and intensity broadcast
+against each other; its branches (clamps, tagged-states cut-offs) are
+masks, not ``if`` statements. ``binary_entropy`` is elementwise too.
+The intensity optimizer ``_optimal_mu`` takes a whole array of
+transmittances: its 120-point log pre-scan is one (n_t x 120) call, and
+the golden-section refinement runs in lockstep over all brackets, with
+the update rule and ``tol`` of a scalar search applied per element and
+converged elements frozen. ``sweep`` and the grid scan of
+``find_crossing`` make one such call per source. ``key_rate``,
+``optimize_mu`` and ``effective_rate`` are scalar wrappers over the
+same code, used by the crossing bisection.
 """
 from __future__ import annotations
 
@@ -171,11 +186,16 @@ class CrossingReport:
 # primitives
 # ---------------------------------------------------------------------------
 
-def binary_entropy(x: float) -> float:
-    """Shannon binary entropy H2 in bits; 0 at both endpoints."""
-    if x <= 0.0 or x >= 1.0:
-        return 0.0
-    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+def binary_entropy(x):
+    """Shannon binary entropy H2 in bits, elementwise; 0 at both endpoints.
+
+    A scalar argument gives a float, an array gives an array.
+    """
+    x = np.asarray(x, dtype=float)
+    edge = (x <= 0.0) | (x >= 1.0)
+    p = np.where(edge, 0.5, x)
+    h = np.where(edge, 0.0, -p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p))
+    return h if h.ndim else float(h)
 
 
 def channel_transmittance(channel: ChannelModel) -> float:
@@ -227,110 +247,142 @@ def calibrate_divergence_half_angle(
 # key rates
 # ---------------------------------------------------------------------------
 
-def key_rate(source: SourceModel, channel: ChannelModel, detector: DetectorModel,
-             mu: float | None = None) -> KeyRateResult:
-    """Secret bits per sent signal, clamped at zero.
+def _rates(source: SourceModel, t, detector: DetectorModel, mu) -> KeyRateResult:
+    """Secret bits per sent signal at transmittances ``t`` and intensities
+    ``mu``, elementwise over their broadcast shape; clamped at zero.
 
-    ``mu`` overrides the source intensity (used by the optimizer); the
-    ``below_horizon`` flag marks a clamped negative rate.
+    Every field of the result is an array of that shape; ``below_horizon``
+    marks a clamped negative rate.
     """
-    t = channel_transmittance(channel)
-    return _rate_at_transmittance(source, t, detector, mu)
-
-
-def _rate_at_transmittance(source: SourceModel, t: float, detector: DetectorModel,
-                           mu: float | None = None) -> KeyRateResult:
+    t = np.asarray(t, dtype=float)
+    mu = np.asarray(mu, dtype=float)
     eta = detector.receiver_efficiency
     y0 = detector.dark_count_per_pulse
     e_det = detector.misalignment_error
     f_ec = detector.error_correction_inefficiency
     q_sift = detector.sifting_factor
-    mu_val = source.mean_photons if mu is None else mu
     link = t * eta
 
     if source.kind in ("ideal_sps", "real_sps"):
-        gain = y0 + mu_val * link
+        gain = y0 + mu * link
         g2 = 0.0 if source.kind == "ideal_sps" else source.g2_zero
-        p_multi = g2 * mu_val ** 2 / 2.0
+        p_multi = g2 * mu ** 2 / 2.0
     else:
-        gain = 1.0 - (1.0 - y0) * math.exp(-mu_val * link)
-        p_multi = 1.0 - math.exp(-mu_val) * (1.0 + mu_val)
+        gain = 1.0 - (1.0 - y0) * np.exp(-mu * link)
+        p_multi = 1.0 - np.exp(-mu) * (1.0 + mu)
 
-    if gain <= 0.0:
-        return KeyRateResult(0.0, True, 0.0, 0.5)
-    qber = min((E0_BACKGROUND * y0 + e_det * mu_val * link) / gain, 0.5)
+    # masked elements may divide by zero; np.where discards what they give
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dark = gain <= 0.0
+        qber = np.minimum((E0_BACKGROUND * y0 + e_det * mu * link) / gain, 0.5)
+        if source.kind == "decoy":
+            y1 = y0 + link
+            e1 = (E0_BACKGROUND * y0 + e_det * link) / y1
+            raw = q_sift * (-gain * f_ec * binary_entropy(qber)
+                            + mu * np.exp(-mu) * y1 * (1.0 - binary_entropy(np.minimum(e1, 0.5))))
+            killed = dark
+        else:
+            untagged = (gain - p_multi) / gain
+            phase_error = qber / untagged
+            raw = q_sift * gain * (untagged * (1.0 - binary_entropy(phase_error))
+                                   - f_ec * binary_entropy(qber))
+            killed = dark | (untagged <= 0.0) | (phase_error >= 0.5)
+    return KeyRateResult(
+        rate=np.where(killed | (raw < 0.0), 0.0, raw),
+        below_horizon=killed | (raw <= 0.0),
+        gain=np.where(dark, 0.0, gain),
+        qber=np.where(dark, 0.5, qber),
+    )
 
-    if source.kind == "decoy":
-        y1 = y0 + link
-        e1 = (E0_BACKGROUND * y0 + e_det * link) / y1
-        raw = q_sift * (-gain * f_ec * binary_entropy(qber)
-                        + mu_val * math.exp(-mu_val) * y1 * (1.0 - binary_entropy(min(e1, 0.5))))
-        return KeyRateResult(max(raw, 0.0), raw <= 0.0, gain, qber)
 
-    untagged = (gain - p_multi) / gain
-    if untagged <= 0.0:
-        return KeyRateResult(0.0, True, gain, qber)
-    phase_error = qber / untagged
-    if phase_error >= 0.5:
-        return KeyRateResult(0.0, True, gain, qber)
-    raw = q_sift * gain * (untagged * (1.0 - binary_entropy(phase_error))
-                           - f_ec * binary_entropy(qber))
-    return KeyRateResult(max(raw, 0.0), raw <= 0.0, gain, qber)
+def key_rate(source: SourceModel, channel: ChannelModel, detector: DetectorModel,
+             mu: float | None = None) -> KeyRateResult:
+    """Secret bits per sent signal, clamped at zero.
+
+    ``mu`` overrides the source intensity; the ``below_horizon`` flag
+    marks a clamped negative rate.
+    """
+    r = _rates(source, channel_transmittance(channel), detector,
+               source.mean_photons if mu is None else mu)
+    return KeyRateResult(float(r.rate), bool(r.below_horizon), float(r.gain), float(r.qber))
+
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _optimal_mu(source: SourceModel, t, detector: DetectorModel, *,
+                mu_max: float = 1.5, tol: float = 1e-5) -> tuple[np.ndarray, np.ndarray]:
+    """Best pulse intensity and its rate at every transmittance of ``t``.
+
+    A log-spaced pre-scan brackets each optimum (the positive region can
+    be a narrow sliver at small mu under heavy loss); golden section then
+    refines all brackets in lockstep, each to ``tol``, freezing those that
+    have converged. Where the rate is zero on the whole of (0, mu_max] the
+    intensity is NaN and the rate 0.
+    """
+    t = np.asarray(t, dtype=float)
+
+    def rate_of(mu):
+        return _rates(source, t, detector, mu).rate
+
+    grid = np.logspace(-6, math.log10(mu_max), 120)
+    values = _rates(source, t[:, None], detector, grid).rate
+    best = np.argmax(values, axis=1)
+    alive = values[np.arange(t.size), best] > 0.0
+    lo = np.where(best > 0, grid[best - 1], grid[0] * 0.5)
+    hi = np.where(best < grid.size - 1, grid[np.minimum(best + 1, grid.size - 1)], mu_max)
+
+    c = hi - _INVPHI * (hi - lo)
+    d = lo + _INVPHI * (hi - lo)
+    fc, fd = rate_of(c), rate_of(d)
+    active = hi - lo > tol
+    while active.any():
+        # fc > fd keeps [lo, d], and c becomes the new d; else [c, hi]
+        left = active & (fc > fd)
+        right = active & ~(fc > fd)
+        hi = np.where(left, d, hi)
+        lo = np.where(right, c, lo)
+        c, d = np.where(right, d, c), np.where(left, c, d)
+        fc, fd = np.where(right, fd, fc), np.where(left, fc, fd)
+        probe = np.where(left, hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo))
+        f = rate_of(probe)
+        c, fc = np.where(left, probe, c), np.where(left, f, fc)
+        d, fd = np.where(right, probe, d), np.where(right, f, fd)
+        active = hi - lo > tol
+    mu_star = 0.5 * (lo + hi)
+    return np.where(alive, mu_star, np.nan), np.where(alive, rate_of(mu_star), 0.0)
+
+
+def _effective_rates(source: SourceModel, t, detector: DetectorModel) -> np.ndarray:
+    """Key rates at transmittances ``t`` with the source's mu policy applied."""
+    if source.optimizes_mu:
+        return _optimal_mu(source, t, detector)[1]
+    return _rates(source, t, detector, source.mean_photons).rate
 
 
 def optimize_mu(source: SourceModel, channel: ChannelModel, detector: DetectorModel,
                 *, mu_max: float = 1.5, tol: float = 1e-5) -> tuple[float, float]:
     """Best pulse intensity for a wcs/decoy source at this channel point.
 
-    A log-spaced pre-scan brackets the optimum (the positive region can
-    be a narrow sliver at small mu under heavy loss), then golden-section
-    refines it to ``tol``. Raises NoPositiveRateError when the rate is
-    zero everywhere.
+    The search of ``_optimal_mu`` at one transmittance. Raises
+    NoPositiveRateError when the rate is zero everywhere.
 
     Returns (mu_star, rate_at_mu_star).
     """
     if source.kind not in ("wcs", "decoy"):
         raise QkdError("mu optimization applies to wcs/decoy sources only")
-    t = channel_transmittance(channel)
-
-    def rate_of(mu: float) -> float:
-        return _rate_at_transmittance(source, t, detector, mu).rate
-
-    grid = np.logspace(-6, math.log10(mu_max), 120)
-    values = [rate_of(m) for m in grid]
-    best = int(np.argmax(values))
-    if values[best] <= 0.0:
+    mu, rate = _optimal_mu(source, [channel_transmittance(channel)], detector,
+                           mu_max=mu_max, tol=tol)
+    if math.isnan(mu[0]):
         raise NoPositiveRateError(
             f"no positive rate for {source.kind} on (0, {mu_max}] at this distance")
-    lo = grid[best - 1] if best > 0 else grid[0] * 0.5
-    hi = grid[best + 1] if best < len(grid) - 1 else mu_max
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc, fd = rate_of(c), rate_of(d)
-    while hi - lo > tol:
-        if fc > fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = rate_of(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = rate_of(d)
-    mu_star = 0.5 * (lo + hi)
-    return mu_star, rate_of(mu_star)
+    return float(mu[0]), float(rate[0])
 
 
 def effective_rate(source: SourceModel, channel: ChannelModel,
                    detector: DetectorModel) -> float:
     """Key rate with the source's mu policy applied (optimal or fixed)."""
-    if source.optimizes_mu:
-        try:
-            return optimize_mu(source, channel, detector)[1]
-        except NoPositiveRateError:
-            return 0.0
-    return key_rate(source, channel, detector).rate
+    return float(_effective_rates(source, [channel_transmittance(channel)], detector)[0])
 
 
 def find_crossing(
@@ -346,7 +398,8 @@ def find_crossing(
     """Distance where the two sources' key rates cross, with loss in dB.
 
     Scans the interval for a sign change of rate_a - rate_b (re-optimizing
-    mu per distance for wcs/decoy sources), then bisects. Raises
+    mu per distance for wcs/decoy sources), one array evaluation per
+    source, then bisects with the scalar ``effective_rate``. Raises
     NoCrossingError when no sign change exists in the interval.
     """
     lo, hi = search_interval_km
@@ -359,7 +412,9 @@ def find_crossing(
                 - effective_rate(source_b, ch, detector))
 
     grid = np.linspace(lo, hi, grid_points)
-    values = [diff(d) for d in grid]
+    t = [channel_transmittance(channel.at_distance(d)) for d in grid]
+    values = (_effective_rates(source_a, t, detector)
+              - _effective_rates(source_b, t, detector)).tolist()
     # both rates clamped to zero is equality, not a crossing; bracket the
     # first strict sign change, allowing clamped points in between
     bracket = None
@@ -403,26 +458,24 @@ def sweep(
     """Rate sweep rows for CSV export: one row per distance.
 
     Each row carries the loss in dB, the rate per source label, and the
-    optimized mu for sources that re-optimize per distance.
+    optimized mu for sources that re-optimize per distance (NaN where no
+    intensity gives a positive rate). Each source is one array evaluation
+    over all distances.
     """
-    rows = []
-    for d in distances_km:
-        ch = channel.at_distance(float(d))
-        t = channel_transmittance(ch)
-        row: dict[str, float] = {"distance_km": float(d),
-                                 "loss_db": float(transmittance_to_db(t))}
-        for label, src in sources.items():
-            if src.optimizes_mu:
-                try:
-                    mu_star, rate = optimize_mu(src, ch, detector)
-                except NoPositiveRateError:
-                    mu_star, rate = math.nan, 0.0
-                row[f"rate_{label}"] = rate
-                row[f"mu_{label}"] = mu_star
-            else:
-                row[f"rate_{label}"] = key_rate(src, ch, detector).rate
-        rows.append(row)
-    return rows
+    distances = [float(d) for d in distances_km]
+    t = [channel_transmittance(channel.at_distance(d)) for d in distances]
+    columns: dict[str, list[float]] = {
+        "distance_km": distances,
+        "loss_db": [float(transmittance_to_db(v)) for v in t],
+    }
+    for label, src in sources.items():
+        if src.optimizes_mu:
+            mu_star, rate = _optimal_mu(src, t, detector)
+            columns[f"rate_{label}"] = rate.tolist()
+            columns[f"mu_{label}"] = mu_star.tolist()
+        else:
+            columns[f"rate_{label}"] = _rates(src, t, detector, src.mean_photons).rate.tolist()
+    return [dict(zip(columns, row)) for row in zip(*columns.values())]
 
 
 SECURITY_FORMULAS = """\

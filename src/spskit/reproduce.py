@@ -296,11 +296,9 @@ def check_qkd(report: ReproductionReport) -> None:
                not math.isnan(loss) and abs(loss - 8.82) <= 0.15 * 8.82,
                note="tagged-states bound places it lower; see ledger")
 
-    distances = np.arange(0.0, 200.5, 5.0)
-    rates = {}
-    for label, src in (("real", real), ("ideal", ideal), ("wcs", wcs), ("decoy", decoy)):
-        rates[label] = np.array([qkd.effective_rate(src, fiber.at_distance(d), detector)
-                                 for d in distances])
+    sources = {"real": real, "ideal": ideal, "wcs": wcs, "decoy": decoy}
+    rows = qkd.sweep(sources, fiber, detector, np.arange(0.0, 200.5, 5.0))
+    rates = {label: np.array([row[f"rate_{label}"] for row in rows]) for label in sources}
     sps_ge_wcs = np.all(rates["real"] >= rates["wcs"] - 1e-15)
     worst_gap = float(np.max(rates["wcs"] - rates["real"]))
     report.add("8b", "real source >= wcs at every sampled distance (worst wcs-sps gap)",

@@ -6,6 +6,11 @@ data and uniform weights for spectra, parameter uncertainties from the
 Jacobian-based covariance at the optimum. Every fitter round-trips: a
 curve generated from the model with known parameters plus bounded noise
 is recovered within the documented tolerance.
+
+``scipy.optimize`` is imported by the first fit, not with the module, so
+``import spskit`` and the subcommands that never fit load numpy only.
+Each fit passes ``x_scale`` explicitly ('jac' for unbounded 'lm' fits,
+1 for bounded 'trf' fits), since scipy 1.16 changed the 'lm' default.
 """
 from __future__ import annotations
 
@@ -14,7 +19,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 MAX_ITERATIONS = 200
 STEP_TOLERANCE = 1e-10
@@ -159,6 +163,8 @@ def _run_fit(model, x, y, p0, names, weights=None, bounds=None) -> FitResult:
     The budget is counted here, not by scipy, because which evaluations
     scipy counts against ``max_nfev`` differs between its versions.
     """
+    from scipy.optimize import least_squares
+
     w = np.ones_like(y) if weights is None else weights
     budget = MAX_ITERATIONS * (len(p0) + 1)
     calls = 0
@@ -183,9 +189,10 @@ def _run_fit(model, x, y, p0, names, weights=None, bounds=None) -> FitResult:
     )
     try:
         if bounds is None:
-            result = least_squares(residuals, p0, method="lm", **kwargs)
+            result = least_squares(residuals, p0, method="lm", x_scale="jac", **kwargs)
         else:
-            result = least_squares(residuals, p0, method="trf", bounds=bounds, **kwargs)
+            result = least_squares(residuals, p0, method="trf", bounds=bounds, x_scale=1.0,
+                                   **kwargs)
     except _BudgetSpent:
         result = None
     # scipy stops itself (status 0) where its max_nfev counts every
@@ -588,7 +595,7 @@ def read_series_csv(path) -> MeasurementSeries:
     kind = "spectrum"
     xs, ys = [], []
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line:
                 continue
@@ -598,6 +605,9 @@ def read_series_csv(path) -> MeasurementSeries:
                         kind = token.split("=", 1)[1]
                 continue
             parts = line.split(",")
+            if len(parts) < 2:
+                raise SeriesError(f"{path}, line {lineno}: expected two comma-separated "
+                                  f"columns, got {line!r}")
             try:
                 xs.append(float(parts[0]))
                 ys.append(float(parts[1]))

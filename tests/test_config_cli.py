@@ -1,8 +1,14 @@
+import filecmp
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spskit
 from spskit.cli import main
 from spskit.config import (
     ConfigError,
@@ -210,3 +216,120 @@ class TestCli:
         report = json.loads((tmp_path / "mirror_report.json").read_text())
         assert report["toolkit_version"]
         assert len(report["config_digest"]) == 16
+
+
+def _child_env() -> dict:
+    """Environment for a child that imports the same spskit sources."""
+    env = dict(os.environ)
+    src = str(Path(spskit.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _assert_validation_error(argv, capsys, match: str) -> None:
+    """Exit 1 with a message, in plain and in --error-json mode."""
+    assert main(argv) == 1
+    assert match in capsys.readouterr().err
+    assert main(["--error-json", *argv]) == 1
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert payload["exit_code"] == 1
+    assert match in payload["message"]
+
+
+class TestTypedErrors:
+    @pytest.mark.parametrize("argv", [
+        ["--set", "qkd.sweep_step_km=0", "qkd"],
+        ["qkd", "--sweep", "0:100:0"],
+        ["--set", "qkd.sweep_step_km=-1", "qkd"],
+    ], ids=["set-zero", "sweep-zero", "negative"])
+    def test_sweep_step_must_be_positive(self, tmp_path, capsys, argv):
+        _assert_validation_error(["--outdir", str(tmp_path), *argv], capsys,
+                                 "sweep step must be positive")
+        assert not (tmp_path / "qkd_rates.csv").exists()
+
+    def test_nan_sweep_step(self, tmp_path, capsys):
+        _assert_validation_error(
+            ["--outdir", str(tmp_path), "--set", "qkd.sweep_step_km=nan", "qkd"], capsys,
+            "must be finite")
+
+    def test_malformed_sweep(self, tmp_path, capsys):
+        _assert_validation_error(["--outdir", str(tmp_path), "qkd", "--sweep", "0:100"],
+                                 capsys, "start:stop:step")
+
+    def test_unknown_channel(self, tmp_path, capsys):
+        _assert_validation_error(
+            ["--outdir", str(tmp_path), "--set", "qkd.channel=foo", "qkd"], capsys,
+            "channel must be 'fiber' or 'freespace'")
+
+    @pytest.mark.parametrize("points", [0, 1])
+    def test_map_needs_two_points(self, tmp_path, capsys, points):
+        _assert_validation_error(
+            ["--outdir", str(tmp_path), "--set", f"emitter.map_points={points}", "emitter"],
+            capsys, "at least 2 points")
+        assert not (tmp_path / "indistinguishability_map.csv").exists()
+
+    def test_one_column_row_names_the_line(self, tmp_path, capsys):
+        csv = tmp_path / "line.csv"
+        csv.write_text("# kind=spectrum\nwavelength_nm,counts\n560,10\n561\n562,12\n")
+        _assert_validation_error(["--outdir", str(tmp_path), "fit", "--input", str(csv)],
+                                 capsys, "line 4")
+
+    def test_missing_input_file(self, tmp_path, capsys):
+        _assert_validation_error(
+            ["--outdir", str(tmp_path), "fit", "--input", str(tmp_path / "nope.csv")],
+            capsys, "nope.csv")
+
+    def test_missing_irf_file(self, tmp_path, capsys):
+        t = np.arange(0.0, 4000.0, 8.0)
+        csv = tmp_path / "decay.csv"
+        write_series_csv(csv, MeasurementSeries(tuple(t), tuple(900 * np.exp(-t / 500.0) + 1),
+                                                "decay"), "time_ps", "counts")
+        _assert_validation_error(
+            ["--outdir", str(tmp_path), "fit", "--input", str(csv),
+             "--irf", str(tmp_path / "no_irf.csv")], capsys, "no_irf.csv")
+
+
+class TestGlobalOptionsAfterSubcommand:
+    def test_readme_fab_example_matches_the_leading_form(self, tmp_path):
+        before, after = tmp_path / "before", tmp_path / "after"
+        assert main(["--set", "fab.calibration_nm_per_unit=0.5", "--outdir", str(before),
+                     "fab"]) == 0
+        assert main(["fab", "--set", "fab.calibration_nm_per_unit=0.5",
+                     "--outdir", str(after)]) == 0
+        names = sorted(p.name for p in before.iterdir())
+        assert names == sorted(p.name for p in after.iterdir()) and names
+        for name in names:
+            assert filecmp.cmp(before / name, after / name, shallow=False), name
+
+    def test_overrides_on_both_sides_all_apply(self, tmp_path):
+        assert main(["--set", "fab.calibration_nm_per_unit=0.5", "fab",
+                     "--set", "fab.pitch_nm=30.0", "--outdir", str(tmp_path)]) == 0
+        sidecar = json.loads((tmp_path / "dose_map.bmp.json").read_text())
+        assert sidecar["calibration_nm_per_unit"] == 0.5
+        assert sidecar["pitch_nm"] == 30.0
+
+    def test_error_json_and_config_after_subcommand(self, tmp_path, capsys):
+        code = main(["mirror", "--config", str(tmp_path / "nope.ini"), "--error-json",
+                     "--outdir", str(tmp_path / "out")])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert "not found" in payload["message"]
+
+
+class TestLazyScipy:
+    @pytest.mark.parametrize("code", [
+        "import spskit",
+        "import runpy\n"
+        "sys.argv = ['spskit', '--outdir', OUT, 'mirror']\n"
+        "try:\n"
+        "    runpy.run_module('spskit.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n",
+    ], ids=["import", "cli-mirror"])
+    def test_scipy_optimize_not_loaded(self, tmp_path, code):
+        script = f"import sys\nOUT = {str(tmp_path)!r}\n{code}\n" \
+                 "print('scipy.optimize' in sys.modules, 'spskit' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                text=True, check=False, env=_child_env())
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split()[-2:] == ["False", "True"]

@@ -231,6 +231,26 @@ class TestMapAndTypes:
         # small-g rows: indistinguishability falls with cavity linewidth
         assert np.all(np.diff(grid[0]) < 0)
 
+    @pytest.mark.parametrize("gamma_star", [GAMMA_STAR, 0.0, 1e8])
+    def test_map_is_the_scalar_formula_bit_for_bit(self, gamma_star):
+        gs, kappas, grid = indistinguishability_map(
+            GAMMA, gamma_star, coupling_range=(1e3, 1e14), cavity_range=(1e3, 1e14),
+            points=37)
+        for i, g in enumerate(gs):
+            for j, kappa in enumerate(kappas):
+                scalar = indistinguishability_cavity(
+                    CoupledRates(GAMMA, gamma_star, float(kappa), float(g)))
+                assert grid[i, j] == scalar, (i, j)
+
+    def test_uncoupled_zero_linewidth_cavity_is_the_emitter_alone(self):
+        # kappa = g = 0: nothing is recycled, and 0/0 must not appear
+        assert indistinguishability_cavity(CoupledRates(GAMMA, GAMMA_STAR, 0.0, 0.0)) == 1.0
+
+    @pytest.mark.parametrize("points", [0, 1])
+    def test_map_needs_two_points_per_axis(self, points):
+        with pytest.raises(PhotophysicsError, match="at least 2 points"):
+            indistinguishability_map(GAMMA, GAMMA_STAR, points=points)
+
     def test_photophysics_validation(self):
         with pytest.raises(PhotophysicsError):
             EmitterPhotophysics(free_lifetime_ps=-1.0)

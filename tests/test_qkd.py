@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spskit import qkd
 from spskit.qkd import (
     ChannelModel,
     DetectorModel,
@@ -21,6 +22,7 @@ from spskit.qkd import (
     find_crossing,
     ideal_sps,
     key_rate,
+    KeyRateResult,
     optimize_mu,
     sweep,
 )
@@ -29,6 +31,84 @@ REAL_SPS = SourceModel(kind="real_sps", mean_photons=0.513, g2_zero=0.018)
 WCS = SourceModel(kind="wcs", mean_photons=0.5, mu_mode="optimal")
 DECOY = SourceModel(kind="decoy", mean_photons=0.5, mu_mode="optimal")
 FIBER = ChannelModel(kind="fiber", attenuation_db_per_km=0.21)
+FREESPACE = ChannelModel(kind="freespace")
+
+
+def reference_entropy(x: float) -> float:
+    if x <= 0.0 or x >= 1.0:
+        return 0.0
+    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+
+
+def reference_rate(source: SourceModel, t: float, detector: DetectorModel,
+                   mu: float) -> KeyRateResult:
+    """The key rate at one transmittance in plain Python floats, branch by
+    branch: the scalar formula the array-valued ``_rates`` replaced."""
+    eta = detector.receiver_efficiency
+    y0 = detector.dark_count_per_pulse
+    e_det = detector.misalignment_error
+    f_ec = detector.error_correction_inefficiency
+    q_sift = detector.sifting_factor
+    link = t * eta
+
+    if source.kind in ("ideal_sps", "real_sps"):
+        gain = y0 + mu * link
+        g2 = 0.0 if source.kind == "ideal_sps" else source.g2_zero
+        p_multi = g2 * mu ** 2 / 2.0
+    else:
+        gain = 1.0 - (1.0 - y0) * math.exp(-mu * link)
+        p_multi = 1.0 - math.exp(-mu) * (1.0 + mu)
+
+    if gain <= 0.0:
+        return KeyRateResult(0.0, True, 0.0, 0.5)
+    qber = min((0.5 * y0 + e_det * mu * link) / gain, 0.5)
+
+    if source.kind == "decoy":
+        y1 = y0 + link
+        e1 = (0.5 * y0 + e_det * link) / y1
+        raw = q_sift * (-gain * f_ec * reference_entropy(qber)
+                        + mu * math.exp(-mu) * y1 * (1.0 - reference_entropy(min(e1, 0.5))))
+        return KeyRateResult(max(raw, 0.0), raw <= 0.0, gain, qber)
+
+    untagged = (gain - p_multi) / gain
+    if untagged <= 0.0:
+        return KeyRateResult(0.0, True, gain, qber)
+    phase_error = qber / untagged
+    if phase_error >= 0.5:
+        return KeyRateResult(0.0, True, gain, qber)
+    raw = q_sift * gain * (untagged * (1.0 - reference_entropy(phase_error))
+                           - f_ec * reference_entropy(qber))
+    return KeyRateResult(max(raw, 0.0), raw <= 0.0, gain, qber)
+
+
+def reference_golden_mu(source: SourceModel, t: float, detector: DetectorModel,
+                        mu_max: float = 1.5, tol: float = 1e-5) -> float:
+    """Scalar golden-section search for the best intensity at one
+    transmittance; NaN when no intensity gives a positive rate."""
+    def rate_of(mu):
+        return float(qkd._rates(source, t, detector, mu).rate)
+
+    grid = np.logspace(-6, math.log10(mu_max), 120)
+    values = qkd._rates(source, t, detector, grid).rate.tolist()  # elementwise pre-scan
+    best = int(np.argmax(values))
+    if values[best] <= 0.0:
+        return math.nan
+    lo = grid[best - 1] if best > 0 else grid[0] * 0.5
+    hi = grid[best + 1] if best < len(grid) - 1 else mu_max
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = hi - invphi * (hi - lo)
+    d = lo + invphi * (hi - lo)
+    fc, fd = rate_of(c), rate_of(d)
+    while hi - lo > tol:
+        if fc > fd:
+            hi, d, fd = d, c, fc
+            c = hi - invphi * (hi - lo)
+            fc = rate_of(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + invphi * (hi - lo)
+            fd = rate_of(d)
+    return 0.5 * (lo + hi)
 
 
 class TestBinaryEntropy:
@@ -36,6 +116,19 @@ class TestBinaryEntropy:
         assert binary_entropy(0.0) == 0.0
         assert binary_entropy(1.0) == 0.0
         assert binary_entropy(0.5) == 1.0
+
+    def test_endpoints_and_midpoint_elementwise(self):
+        h = binary_entropy(np.array([[0.0, 0.5], [1.0, 0.5]]))
+        assert isinstance(h, np.ndarray) and h.shape == (2, 2)
+        assert h.tolist() == [[0.0, 1.0], [0.0, 1.0]]
+        assert isinstance(binary_entropy(0.25), float)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.floats(min_value=-0.5, max_value=1.5), min_size=1, max_size=20))
+    def test_elementwise_matches_scalar(self, xs):
+        h = binary_entropy(np.array(xs))
+        for x, value in zip(xs, h):
+            assert value == pytest.approx(reference_entropy(x), rel=1e-12, abs=1e-15)
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(min_value=0.0, max_value=1.0))
@@ -126,6 +219,89 @@ class TestKeyRate:
             channel = FIBER.at_distance(d)
             assert key_rate(ideal_sps(), channel, GYS_DETECTOR).rate >= \
                 key_rate(REAL_SPS, channel, GYS_DETECTOR).rate - 1e-15
+
+
+def _close(a: float, b: float) -> bool:
+    return abs(a - b) <= 1e-9 * max(abs(a), abs(b)) + 1e-15
+
+
+class TestArrayRates:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(qkd.SOURCE_KINDS),
+        g2=st.floats(0.0, 1.0),
+        eta=st.floats(1e-3, 1.0),
+        y0=st.floats(1e-6, 1e-3),
+        e_det=st.floats(0.0, 0.2),
+        f_ec=st.floats(1.0, 1.6),
+        q_sift=st.floats(0.05, 1.0),
+        ts=st.lists(st.floats(1e-12, 1.0), min_size=1, max_size=8),
+        mus=st.lists(st.floats(1e-6, 1.5), min_size=1, max_size=8),
+    )
+    def test_matches_scalar_reference(self, kind, g2, eta, y0, e_det, f_ec, q_sift, ts, mus):
+        source = SourceModel(kind=kind, mean_photons=min(mus[0], 1.0), g2_zero=g2)
+        detector = DetectorModel(receiver_efficiency=eta, dark_count_per_pulse=y0,
+                                 misalignment_error=e_det,
+                                 error_correction_inefficiency=f_ec, sifting_factor=q_sift)
+        got = qkd._rates(source, np.array(ts)[:, None], detector, np.array(mus))
+        assert got.rate.shape == (len(ts), len(mus))
+        for i, t in enumerate(ts):
+            for j, mu in enumerate(mus):
+                ref = reference_rate(source, t, detector, mu)
+                where = (kind, t, mu)
+                assert _close(got.rate[i, j], ref.rate), where
+                # a raw rate within rounding of zero may clamp on one side only
+                assert got.below_horizon[i, j] == ref.below_horizon or \
+                    max(got.rate[i, j], ref.rate) <= 1e-15, where
+                assert _close(got.gain[i, j], ref.gain), where
+                assert _close(got.qber[i, j], ref.qber), where
+
+    @pytest.mark.parametrize("kind", qkd.SOURCE_KINDS)
+    def test_dark_channel(self, kind):
+        # no link and no dark counts: zero gain, the clamped branch
+        detector = DetectorModel(receiver_efficiency=0.0, dark_count_per_pulse=0.0)
+        source = SourceModel(kind=kind, mean_photons=0.5)
+        got = qkd._rates(source, np.array([0.5, 1.0]), detector, 0.5)
+        assert got.rate.tolist() == [0.0, 0.0]
+        assert got.below_horizon.tolist() == [True, True]
+        assert got.gain.tolist() == [0.0, 0.0]
+        assert got.qber.tolist() == [0.5, 0.5]
+        assert reference_rate(source, 0.5, detector, 0.5) == KeyRateResult(0.0, True, 0.0, 0.5)
+
+    def test_scalar_wrapper_returns_floats(self):
+        result = key_rate(REAL_SPS, FIBER.at_distance(20.0), GYS_DETECTOR)
+        assert type(result.rate) is float and type(result.below_horizon) is bool
+        ref = reference_rate(REAL_SPS, channel_transmittance(FIBER.at_distance(20.0)),
+                             GYS_DETECTOR, REAL_SPS.mean_photons)
+        assert _close(result.rate, ref.rate)
+
+
+class TestLockstepMu:
+    @pytest.mark.parametrize("channel", [FIBER, FREESPACE], ids=["fiber", "freespace"])
+    def test_sweep_mu_bit_equal_to_scalar_golden_section(self, channel):
+        # the default sweep grid, 0:100:0.5 km
+        distances = np.arange(0.0, 100.25, 0.5)
+        rows = sweep({"wcs": WCS, "decoy": DECOY}, channel, GYS_DETECTOR, distances)
+        for row in rows:
+            t = channel_transmittance(channel.at_distance(row["distance_km"]))
+            for label, source in (("wcs", WCS), ("decoy", DECOY)):
+                expected = reference_golden_mu(source, t, GYS_DETECTOR)
+                got = row[f"mu_{label}"]
+                assert got == expected or (math.isnan(got) and math.isnan(expected)), \
+                    (label, row["distance_km"], got, expected)
+                if math.isnan(got):
+                    assert row[f"rate_{label}"] == 0.0
+
+    def test_scalar_optimize_mu_is_the_lockstep_search(self):
+        ts = [channel_transmittance(FIBER.at_distance(d)) for d in (0.0, 17.0, 42.0, 90.0)]
+        mus, rates = qkd._optimal_mu(DECOY, ts, GYS_DETECTOR)
+        for d, mu, rate in zip((0.0, 17.0, 42.0, 90.0), mus, rates):
+            assert optimize_mu(DECOY, FIBER.at_distance(d), GYS_DETECTOR) == (mu, rate)
+
+    def test_empty_transmittance_array(self):
+        mus, rates = qkd._optimal_mu(WCS, [], GYS_DETECTOR)
+        assert mus.shape == rates.shape == (0,)
+        assert sweep({"wcs": WCS}, FIBER, GYS_DETECTOR, []) == []
 
 
 class TestMuOptimization:
