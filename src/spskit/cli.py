@@ -254,6 +254,10 @@ def cmd_fit(args, scenario: Scenario) -> None:
             },
             "uncertainties": gfit.stderr,
             "residual_norm": gfit.residual_norm,
+            "model": gfit.model,
+            "residual_norms": gfit.residual_norms,
+            "iterations": gfit.n_evaluations,
+            "converged": gfit.converged,
         }
         if args.snr is not None:
             payload["fit"]["parameters"]["g2_zero_background_corrected"] = (

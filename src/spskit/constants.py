@@ -20,20 +20,11 @@ def linewidth_nm_to_hz(fwhm_nm: float, center_nm: float) -> float:
     return SPEED_OF_LIGHT_M_PER_S * (fwhm_nm / NM_PER_M) / (center_nm / NM_PER_M) ** 2
 
 
-def linewidth_hz_to_nm(fwhm_hz: float, center_nm: float) -> float:
-    """Inverse of :func:`linewidth_nm_to_hz`."""
-    return fwhm_hz * (center_nm / NM_PER_M) ** 2 / SPEED_OF_LIGHT_M_PER_S * NM_PER_M
-
-
 def rate_from_lifetime_ps(lifetime_ps: float) -> float:
     """Emission rate in Hz from an excited-state lifetime in ps."""
     if lifetime_ps <= 0:
         raise ValueError(f"lifetime must be positive, got {lifetime_ps} ps")
     return PS_PER_S / lifetime_ps
-
-
-def db_to_transmittance(loss_db: float) -> float:
-    return 10.0 ** (-loss_db / 10.0)
 
 
 def transmittance_to_db(t: float) -> float:

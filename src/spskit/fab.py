@@ -275,14 +275,20 @@ def read_profile_csv(path) -> SurfaceProfile:
     """Two-column CSV (x_um, z_nm); header and comment lines are skipped."""
     xs, zs = [], []
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split(",")
             try:
-                xs.append(float(parts[0]))
-                zs.append(float(parts[1]))
+                xv = float(parts[0])
+            except ValueError:
+                continue  # header row
+            try:
+                zv = float(parts[1])
             except (ValueError, IndexError):
-                continue
+                raise FabError(f"{path}, line {lineno}: expected a number in the second "
+                               f"column, got {line!r}") from None
+            xs.append(xv)
+            zs.append(zv)
     return SurfaceProfile(tuple(xs), tuple(zs))

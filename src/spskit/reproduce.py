@@ -180,6 +180,65 @@ def check_indistinguishability(report: ReproductionReport) -> None:
                2.5e-3 <= i_cav <= 1.1e-2)
 
 
+def fit_roundtrip_draw(rng: np.random.Generator) -> dict:
+    """One randomized draw of every fit round trip: each series to fit
+    with the true values it was generated from."""
+    # --- Lorentzian line
+    center = rng.uniform(520.0, 600.0)
+    fwhm = rng.uniform(0.5, 12.0)
+    amp = rng.uniform(50.0, 5000.0)
+    off = rng.uniform(0.0, 0.1) * amp
+    x = np.linspace(center - 6 * fwhm, center + 6 * fwhm, 301)
+    y = specfit.lorentzian(x, center, fwhm, amp, off)
+    y = y + rng.uniform(-0.005, 0.005, x.size) * amp
+    spectrum = specfit.MeasurementSeries(tuple(x), tuple(y))
+
+    # --- lifetime decay through a Gaussian instrument response
+    lifetime = rng.uniform(200.0, 2000.0)
+    t = np.arange(0.0, 12000.0, 16.0)
+    irf_fwhm = rng.uniform(60.0, 160.0)
+    irf_center = rng.uniform(300.0, 600.0)
+    irf = np.exp(-0.5 * ((t - irf_center) / (irf_fwhm / 2.3548)) ** 2)
+    clean = 8000.0 * specfit.convolve_decay(t, lifetime, irf)
+    counts = rng.poisson(np.clip(clean, 0.0, None)).astype(float)
+    decay = specfit.MeasurementSeries(tuple(t), tuple(counts), "decay")
+    irf_series = specfit.MeasurementSeries(tuple(t), tuple(irf), "decay")
+
+    # --- second-order correlation
+    anti = rng.uniform(0.6, 1.0)
+    bunch = rng.uniform(0.0, 0.15)
+    t1 = rng.uniform(300.0, 1200.0)
+    t2 = rng.uniform(4000.0, 9000.0)
+    tau = np.linspace(-30000.0, 30000.0, 1601)
+    g2 = specfit.g2_model(tau, anti, bunch, t1, t2)
+    g2 = g2 + rng.uniform(-0.01, 0.01, tau.size)
+    correlation = specfit.MeasurementSeries(tuple(tau), tuple(g2), "correlation")
+
+    # --- polarization scan
+    dop = rng.uniform(0.3, 0.98)
+    axis = rng.uniform(0.0, 180.0)
+    total = rng.uniform(100.0, 1000.0)
+    # dop = a/(a+2b)  ->  b = a (1-dop)/(2 dop)
+    a = total * dop
+    b = a * (1.0 - dop) / (2.0 * dop)
+    theta = np.linspace(0.0, 360.0, 73)
+    pol = specfit.cos2_model(theta, a, axis, b)
+    pol = pol + rng.uniform(-0.002, 0.002, theta.size) * (a + b)
+    polarization = specfit.MeasurementSeries(tuple(theta), tuple(pol), "polarization")
+
+    # --- background correction inverts the mixing map
+    rho = rng.uniform(0.05, 1.0)
+    g2_true = rng.uniform(0.0, 1.0)
+
+    return {
+        "spectrum": (spectrum, {"center": center, "fwhm": fwhm}),
+        "decay": (decay, irf_series, {"lifetime": lifetime}),
+        "correlation": (correlation, {"anti": anti, "t1": t1}),
+        "polarization": (polarization, {"dop": dop}),
+        "background": (rho, g2_true),
+    }
+
+
 def fit_roundtrip_summary(draws: int = 100) -> dict[str, float]:
     """Worst-case relative recovery errors over seeded randomized draws."""
     rng = np.random.default_rng(RNG_SEED)
@@ -188,69 +247,41 @@ def fit_roundtrip_summary(draws: int = 100) -> dict[str, float]:
              "dop": 0.0, "background_inverse": 0.0}
 
     for _ in range(draws):
-        # --- Lorentzian line
-        center = rng.uniform(520.0, 600.0)
-        fwhm = rng.uniform(0.5, 12.0)
-        amp = rng.uniform(50.0, 5000.0)
-        off = rng.uniform(0.0, 0.1) * amp
-        x = np.linspace(center - 6 * fwhm, center + 6 * fwhm, 301)
-        y = specfit.lorentzian(x, center, fwhm, amp, off)
-        y = y + rng.uniform(-0.005, 0.005, x.size) * amp
-        fit = specfit.fit_lorentzian(specfit.MeasurementSeries(tuple(x), tuple(y)))
+        draw = fit_roundtrip_draw(rng)
+
+        spectrum, truth = draw["spectrum"]
+        fit = specfit.fit_lorentzian(spectrum)
         worst["lorentzian_center"] = max(worst["lorentzian_center"],
-                                         abs(fit.params["center_nm"] - center) / fwhm)
+                                         abs(fit.params["center_nm"] - truth["center"])
+                                         / truth["fwhm"])
         worst["lorentzian_fwhm"] = max(worst["lorentzian_fwhm"],
-                                       abs(fit.params["fwhm_nm"] - fwhm) / fwhm)
+                                       abs(fit.params["fwhm_nm"] - truth["fwhm"])
+                                       / truth["fwhm"])
 
-        # --- lifetime decay through a Gaussian instrument response
-        lifetime = rng.uniform(200.0, 2000.0)
-        t = np.arange(0.0, 12000.0, 16.0)
-        irf_fwhm = rng.uniform(60.0, 160.0)
-        irf_center = rng.uniform(300.0, 600.0)
-        irf = np.exp(-0.5 * ((t - irf_center) / (irf_fwhm / 2.3548)) ** 2)
-        clean = 8000.0 * specfit.convolve_decay(t, lifetime, irf)
-        counts = rng.poisson(np.clip(clean, 0.0, None)).astype(float)
-        fit = specfit.fit_decay_with_irf(
-            specfit.MeasurementSeries(tuple(t), tuple(counts), "decay"),
-            specfit.MeasurementSeries(tuple(t), tuple(irf), "decay"))
+        decay, irf, truth = draw["decay"]
+        fit = specfit.fit_decay_with_irf(decay, irf)
         worst["lifetime"] = max(worst["lifetime"],
-                                abs(fit.params["lifetime_ps"] - lifetime) / lifetime)
+                                abs(fit.params["lifetime_ps"] - truth["lifetime"])
+                                / truth["lifetime"])
 
-        # --- second-order correlation
-        anti = rng.uniform(0.6, 1.0)
-        bunch = rng.uniform(0.0, 0.15)
-        t1 = rng.uniform(300.0, 1200.0)
-        t2 = rng.uniform(4000.0, 9000.0)
-        tau = np.linspace(-30000.0, 30000.0, 1601)
-        g2 = specfit.g2_model(tau, anti, bunch, t1, t2)
-        g2 = g2 + rng.uniform(-0.01, 0.01, tau.size)
-        gfit = specfit.fit_g2(specfit.MeasurementSeries(tuple(tau), tuple(g2), "correlation"))
+        correlation, truth = draw["correlation"]
+        gfit = specfit.fit_g2(correlation)
         worst["g2_antibunching"] = max(worst["g2_antibunching"],
-                                       abs(gfit.antibunching_amplitude - anti) / anti)
+                                       abs(gfit.antibunching_amplitude - truth["anti"])
+                                       / truth["anti"])
         worst["g2_time"] = max(worst["g2_time"],
-                               abs(gfit.antibunching_time_ps - t1) / t1)
+                               abs(gfit.antibunching_time_ps - truth["t1"]) / truth["t1"])
         identity_gap = abs(gfit.g2_zero - (1.0 - gfit.antibunching_amplitude
                                            + gfit.bunching_amplitude))
         worst["g2_identity"] = max(worst["g2_identity"], identity_gap)
 
-        # --- polarization scan
-        dop = rng.uniform(0.3, 0.98)
-        axis = rng.uniform(0.0, 180.0)
-        total = rng.uniform(100.0, 1000.0)
-        # dop = a/(a+2b)  ->  b = a (1-dop)/(2 dop)
-        a = total * dop
-        b = a * (1.0 - dop) / (2.0 * dop)
-        theta = np.linspace(0.0, 360.0, 73)
-        pol = specfit.cos2_model(theta, a, axis, b)
-        pol = pol + rng.uniform(-0.002, 0.002, theta.size) * (a + b)
-        pfit = specfit.fit_polarization(
-            specfit.MeasurementSeries(tuple(theta), tuple(pol), "polarization"))
+        polarization, truth = draw["polarization"]
+        pfit = specfit.fit_polarization(polarization)
         worst["dop"] = max(worst["dop"],
-                           abs(pfit.params["degree_of_polarization"] - dop) / dop)
+                           abs(pfit.params["degree_of_polarization"] - truth["dop"])
+                           / truth["dop"])
 
-        # --- background correction inverts the mixing map
-        rho = rng.uniform(0.05, 1.0)
-        g2_true = rng.uniform(0.0, 1.0)
+        rho, g2_true = draw["background"]
         snr = rho / (1.0 - rho) if rho < 1.0 else math.inf
         mixed = rho ** 2 * g2_true + (1.0 - rho ** 2)
         recovered = specfit.correct_g2_background(mixed, snr)

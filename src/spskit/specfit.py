@@ -1,16 +1,28 @@
 """Nonlinear least-squares fitting of measured data series.
 
-Fitters follow one recipe: damped Gauss-Newton (Levenberg-Marquardt
-style) minimization of weighted residuals, Poisson weights for count
-data and uniform weights for spectra, parameter uncertainties from the
-Jacobian-based covariance at the optimum. Every fitter round-trips: a
-curve generated from the model with known parameters plus bounded noise
-is recovered within the documented tolerance.
+Fitters follow one recipe: minimization of weighted residuals, Poisson
+weights for count data and uniform weights for spectra, parameter
+uncertainties from the Jacobian-based covariance at the optimum. Every
+fitter round-trips: a curve generated from the model with known
+parameters plus bounded noise is recovered within the documented
+tolerance.
 
-``scipy.optimize`` is imported by the first fit, not with the module, so
-``import spskit`` and the subcommands that never fit load numpy only.
-Each fit passes ``x_scale`` explicitly ('jac' for unbounded 'lm' fits,
-1 for bounded 'trf' fits), since scipy 1.16 changed the 'lm' default.
+The minimizer is numpy only: a Levenberg-Marquardt (damped
+Gauss-Newton) iteration after Moré's MINPACK formulation (LNM 630,
+1978). The Jacobian is MINPACK's forward difference (step
+sqrt(eps)*|p|, or sqrt(eps) at p = 0); the parameters are scaled by the
+running maximum of the Jacobian column norms; the damping grows after a
+rejected step and shrinks after an accepted one with the ratio of actual
+to predicted cost reduction (Marquardt's update as refined by Nielsen,
+in place of MINPACK's trust radius). It stops when the relative cost
+reduction and the predicted one both fall below 1e-12, when the scaled
+step falls below STEP_TOLERANCE, or when the scaled gradient vanishes.
+
+Bounds need no second path: each trial point is projected into the box,
+and a parameter on a bound whose descent direction points out of the
+box is held for that iteration. A fit may spend MAX_ITERATIONS * (n + 1)
+residual evaluations for n parameters, Jacobian columns included; that
+count is the reported ``n_evaluations``.
 """
 from __future__ import annotations
 
@@ -129,6 +141,9 @@ class G2Fit:
 
     ``normalization`` is the fitted raw-counts level corresponding to
     g2 = 1; the reported amplitudes refer to the normalized curve.
+    ``model`` names the chosen fit, "with_bunching" or "plain";
+    ``residual_norms`` holds both fits' norms and ``n_evaluations`` their
+    summed residual evaluations.
     """
 
     antibunching_amplitude: float
@@ -137,6 +152,10 @@ class G2Fit:
     bunching_time_ps: float
     stderr: dict[str, float]
     residual_norm: float
+    model: str
+    residual_norms: dict[str, float]
+    n_evaluations: int
+    converged: bool
     normalization: float = 1.0
 
     @property
@@ -152,64 +171,100 @@ class G2Fit:
 # shared least-squares driver
 # ---------------------------------------------------------------------------
 
-class _BudgetSpent(Exception):
-    """The residual-evaluation budget of one fit is used up."""
-
-
 def _run_fit(model, x, y, p0, names, weights=None, bounds=None) -> FitResult:
-    """Least-squares fit allowed MAX_ITERATIONS * (len(p0) + 1) residual
-    evaluations, finite-difference Jacobian columns included.
+    """Levenberg-Marquardt fit of ``model(x, *p)`` to ``y``.
 
-    The budget is counted here, not by scipy, because which evaluations
-    scipy counts against ``max_nfev`` differs between its versions.
+    Allowed MAX_ITERATIONS * (len(p0) + 1) residual evaluations, the
+    forward-difference Jacobian columns included; past that, FitError
+    carries the best point evaluated. ``bounds`` is ``(lower, upper)``.
     """
-    from scipy.optimize import least_squares
-
     w = np.ones_like(y) if weights is None else weights
-    budget = MAX_ITERATIONS * (len(p0) + 1)
+    n = len(p0)
+    if bounds is None:
+        lo, hi = np.full(n, -np.inf), np.full(n, np.inf)
+    else:
+        lo, hi = (np.asarray(b, dtype=float) for b in bounds)
+    budget = MAX_ITERATIONS * (n + 1)
+    ftol = gtol = 1e-12
+    sqrt_eps = math.sqrt(np.finfo(float).eps)
     calls = 0
-    best_cost, best_p = math.inf, np.asarray(p0, dtype=float)
+    p = np.clip(np.asarray(p0, dtype=float), lo, hi)
+    best_cost, best_p = math.inf, p
 
-    def residuals(p):
+    def residuals(q):
         nonlocal calls, best_cost, best_p
         if calls == budget:
-            raise _BudgetSpent
+            raise FitError(f"fit did not converge within {MAX_ITERATIONS} iterations",
+                           last_params=dict(zip(names, (float(v) for v in best_p))))
         calls += 1
-        res = (model(x, *p) - y) * w
+        res = (model(x, *q) - y) * w
         cost = float(res @ res)
         if cost < best_cost:
-            best_cost, best_p = cost, p.copy()
-        return res
+            best_cost, best_p = cost, q
+        return res, cost
 
-    kwargs = dict(
-        xtol=STEP_TOLERANCE,
-        ftol=1e-12,
-        gtol=1e-12,
-        max_nfev=budget,
-    )
-    try:
-        if bounds is None:
-            result = least_squares(residuals, p0, method="lm", x_scale="jac", **kwargs)
-        else:
-            result = least_squares(residuals, p0, method="trf", bounds=bounds, x_scale=1.0,
-                                   **kwargs)
-    except _BudgetSpent:
-        result = None
-    # scipy stops itself (status 0) where its max_nfev counts every
-    # evaluation; the last iterate is the best point evaluated in budget
-    if result is None or (not result.success and result.status == 0):
-        raise FitError(f"fit did not converge within {MAX_ITERATIONS} iterations",
-                       last_params=dict(zip(names, (float(v) for v in best_p))))
+    def jacobian(q, res):
+        # MINPACK's forward step, turned back where it would leave the box
+        h = sqrt_eps * np.abs(q)
+        h[h == 0.0] = sqrt_eps
+        h[q + h > hi] *= -1.0
+        jac = np.empty((res.size, n))
+        for j in range(n):
+            shifted = q.copy()
+            shifted[j] += h[j]
+            jac[:, j] = (residuals(shifted)[0] - res) / h[j]
+        return jac
 
-    params = dict(zip(names, (float(v) for v in result.x)))
+    r, cost = residuals(p)
+    jac = jacobian(p, r)
+    scale = np.zeros(n)
+    damping, growth = 1e-3, 2.0
+    done = False
+    while not done:
+        norms = np.linalg.norm(jac, axis=0)
+        scale = np.maximum(scale, norms)
+        scale[scale == 0.0] = 1.0
+        grad = jac.T @ r
+        # a parameter on a bound whose descent direction leaves the box
+        # stays where it is this iteration
+        free = ~(((p <= lo) & (grad > 0.0)) | ((p >= hi) & (grad < 0.0)))
+        if not np.any(np.abs(grad[free]) > gtol * norms[free] * math.sqrt(cost)):
+            break
+        u, s, vt = np.linalg.svd(jac[:, free] / scale[free], full_matrices=False)
+        ur = u.T @ r
+        x_norm = np.linalg.norm(scale * p)
+        while True:
+            step = np.zeros(n)
+            step[free] = -(vt.T @ (s * ur / (s * s + damping))) / scale[free]
+            trial = np.clip(p + step, lo, hi)
+            step = trial - p
+            r_new, cost_new = residuals(trial)
+            linear = r + jac @ step
+            predicted = cost - float(linear @ linear)
+            actual = cost - cost_new  # NaN for a non-finite trial
+            ratio = actual / predicted if predicted > 0.0 else 0.0
+            small_change = (abs(actual) <= ftol * cost and predicted <= ftol * cost
+                            and ratio <= 2.0)
+            small_step = (np.linalg.norm(scale * step)
+                          <= STEP_TOLERANCE * (STEP_TOLERANCE + x_norm))
+            done = small_change or small_step
+            if ratio > 1e-4:
+                p, r, cost = trial, r_new, cost_new
+                jac = jacobian(p, r)
+                damping *= max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3)
+                growth = 2.0
+                break
+            if done:
+                break
+            damping *= growth
+            growth *= 2.0
 
-    stderr = _covariance_stderr(result.jac, result.fun, names)
     return FitResult(
-        params=params,
-        stderr=stderr,
-        residual_norm=float(np.linalg.norm(result.fun)),
-        n_evaluations=int(result.nfev),
-        converged=bool(result.success),
+        params=dict(zip(names, (float(v) for v in p))),
+        stderr=_covariance_stderr(jac, r, names),
+        residual_norm=math.sqrt(cost),
+        n_evaluations=calls,
+        converged=True,
     )
 
 
@@ -439,25 +494,20 @@ def fit_g2(series: MeasurementSeries, *, tail_fraction: float = 0.25,
     rss_w = max(with_bunching.residual_norm ** 2, 1e-300)
     rss_p = max(plain.residual_norm ** 2, 1e-300)
     use_bunching = n * math.log(rss_w / rss_p) + 4.0 < 0.0
-    if use_bunching:
-        p = with_bunching.params
-        return G2Fit(
-            antibunching_amplitude=p["antibunching_amplitude"],
-            bunching_amplitude=p["bunching_amplitude"],
-            antibunching_time_ps=p["antibunching_time_ps"],
-            bunching_time_ps=p["bunching_time_ps"],
-            stderr=with_bunching.stderr,
-            residual_norm=with_bunching.residual_norm,
-            normalization=p["normalization"],
-        )
-    p = plain.params
+    chosen = with_bunching if use_bunching else plain
+    p = chosen.params
     return G2Fit(
         antibunching_amplitude=p["antibunching_amplitude"],
-        bunching_amplitude=0.0,
+        bunching_amplitude=p["bunching_amplitude"] if use_bunching else 0.0,
         antibunching_time_ps=p["antibunching_time_ps"],
-        bunching_time_ps=span,
-        stderr=plain.stderr,
-        residual_norm=plain.residual_norm,
+        bunching_time_ps=p["bunching_time_ps"] if use_bunching else span,
+        stderr=chosen.stderr,
+        residual_norm=chosen.residual_norm,
+        model="with_bunching" if use_bunching else "plain",
+        residual_norms={"with_bunching": with_bunching.residual_norm,
+                        "plain": plain.residual_norm},
+        n_evaluations=with_bunching.n_evaluations + plain.n_evaluations,
+        converged=with_bunching.converged and plain.converged,
         normalization=p["normalization"],
     )
 
@@ -609,8 +659,14 @@ def read_series_csv(path) -> MeasurementSeries:
                 raise SeriesError(f"{path}, line {lineno}: expected two comma-separated "
                                   f"columns, got {line!r}")
             try:
-                xs.append(float(parts[0]))
-                ys.append(float(parts[1]))
+                xv = float(parts[0])
             except ValueError:
                 continue  # header row
+            try:
+                yv = float(parts[1])
+            except ValueError:
+                raise SeriesError(f"{path}, line {lineno}: expected a number in the second "
+                                  f"column, got {line!r}") from None
+            xs.append(xv)
+            ys.append(yv)
     return MeasurementSeries(tuple(xs), tuple(ys), kind)

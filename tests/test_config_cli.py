@@ -17,7 +17,14 @@ from spskit.config import (
     load_scenario,
     provenance_table,
 )
-from spskit.specfit import MeasurementSeries, lorentzian, write_series_csv
+from spskit.specfit import (
+    MeasurementSeries,
+    convolve_decay,
+    cos2_model,
+    g2_model,
+    lorentzian,
+    write_series_csv,
+)
 
 
 class TestConfig:
@@ -166,6 +173,17 @@ class TestCli:
         assert report["fit"]["parameters"]["fwhm_nm"] == pytest.approx(5.76, rel=1e-3)
         assert 0 <= report["zpl_fraction"] <= 1
 
+    def test_fit_correlation_reports_diagnostics(self, tmp_path):
+        _write_fit_inputs(tmp_path)
+        code = main(["--outdir", str(tmp_path), "fit", "--input",
+                     str(tmp_path / "correlation.csv")])
+        assert code == 0
+        fit = json.loads((tmp_path / "fit_report.json").read_text())["fit"]
+        assert fit["model"] == "with_bunching"
+        assert set(fit["residual_norms"]) == {"with_bunching", "plain"}
+        assert fit["residual_norm"] == fit["residual_norms"]["with_bunching"]
+        assert fit["iterations"] > 0 and fit["converged"] is True
+
     def test_fit_decay_requires_irf(self, tmp_path):
         t = np.arange(0.0, 4000.0, 8.0)
         y = 900 * np.exp(-t / 500.0) + 1
@@ -274,6 +292,21 @@ class TestTypedErrors:
         _assert_validation_error(["--outdir", str(tmp_path), "fit", "--input", str(csv)],
                                  capsys, "line 4")
 
+    @pytest.mark.parametrize("row", ["561,abc", "561,"])
+    def test_non_numeric_second_column_names_the_line(self, tmp_path, capsys, row):
+        csv = tmp_path / "line.csv"
+        csv.write_text(f"# kind=spectrum\nwavelength_nm,counts\n560,10\n{row}\n562,12\n")
+        _assert_validation_error(["--outdir", str(tmp_path), "fit", "--input", str(csv)],
+                                 capsys, "line 4")
+
+    @pytest.mark.parametrize("row", ["0.5,abc", "0.5"])
+    def test_bad_profile_row_names_the_line(self, tmp_path, capsys, row):
+        csv = tmp_path / "profile.csv"
+        csv.write_text(f"x_um,z_nm\n0.0,2400\n{row}\n1.0,2000\n1.5,1500\n")
+        _assert_validation_error(["--outdir", str(tmp_path), "fab", "--profile", str(csv)],
+                                 capsys, "line 3")
+        assert not (tmp_path / "hemisphere_fit.json").exists()
+
     def test_missing_input_file(self, tmp_path, capsys):
         _assert_validation_error(
             ["--outdir", str(tmp_path), "fit", "--input", str(tmp_path / "nope.csv")],
@@ -316,20 +349,48 @@ class TestGlobalOptionsAfterSubcommand:
         assert "not found" in payload["message"]
 
 
+def _write_fit_inputs(folder: Path) -> None:
+    """One small CSV of each series kind, plus an IRF for the decay."""
+    t = np.arange(0.0, 4000.0, 8.0)
+    irf = np.exp(-0.5 * ((t - 400.0) / 40.0) ** 2)
+    decay = 5000.0 * convolve_decay(t, 600.0, irf) + 1.0
+    tau = np.linspace(-20000.0, 20000.0, 801)
+    theta = np.linspace(0.0, 360.0, 73)
+    x = np.linspace(560.0, 572.0, 301)
+    for name, xs, ys, kind in [
+            ("decay", t, decay, "decay"), ("irf", t, irf, "decay"),
+            ("correlation", tau, 140.0 * g2_model(tau, 0.9, 0.05, 600.0, 5000.0),
+             "correlation"),
+            ("spectrum", x, lorentzian(x, 566.0, 0.5, 900.0, 10.0), "spectrum"),
+            ("polarization", theta, cos2_model(theta, 800.0, 30.0, 40.0), "polarization")]:
+        write_series_csv(folder / f"{name}.csv", MeasurementSeries(tuple(xs), tuple(ys), kind))
+
+
 class TestLazyScipy:
-    @pytest.mark.parametrize("code", [
-        "import spskit",
-        "import runpy\n"
-        "sys.argv = ['spskit', '--outdir', OUT, 'mirror']\n"
-        "try:\n"
-        "    runpy.run_module('spskit.cli', run_name='__main__')\n"
-        "except SystemExit as exc:\n"
-        "    assert exc.code == 0, exc.code\n",
-    ], ids=["import", "cli-mirror"])
-    def test_scipy_optimize_not_loaded(self, tmp_path, code):
-        script = f"import sys\nOUT = {str(tmp_path)!r}\n{code}\n" \
-                 "print('scipy.optimize' in sys.modules, 'spskit' in sys.modules)"
+    @pytest.mark.parametrize("argv", [
+        None,
+        ["mirror"],
+        ["fit", "--input", "decay.csv", "--irf", "irf.csv"],
+        ["fit", "--input", "correlation.csv"],
+        ["fit", "--input", "spectrum.csv", "--scan-range", "3.0"],
+        ["fit", "--input", "polarization.csv"],
+    ], ids=["import", "cli-mirror", "fit-decay", "fit-correlation", "fit-spectrum",
+            "fit-polarization"])
+    def test_scipy_optimize_not_loaded(self, tmp_path, argv):
+        code = "import spskit\n"
+        if argv is not None:
+            _write_fit_inputs(tmp_path)
+            argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
+            code = ("import runpy\n"
+                    f"sys.argv = ['spskit', '--outdir', {str(tmp_path)!r}, *{argv!r}]\n"
+                    "try:\n"
+                    "    runpy.run_module('spskit.cli', run_name='__main__')\n"
+                    "except SystemExit as exc:\n"
+                    "    assert exc.code == 0, exc.code\n")
+        script = f"import sys\n{code}\nprint('scipy' in sys.modules, 'spskit' in sys.modules)"
         result = subprocess.run([sys.executable, "-c", script], capture_output=True,
                                 text=True, check=False, env=_child_env())
         assert result.returncode == 0, result.stderr
         assert result.stdout.split()[-2:] == ["False", "True"]
+        if argv is not None and argv[0] == "fit":
+            assert json.loads((tmp_path / "fit_report.json").read_text())["fit"]["converged"]

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import least_squares
 
 import spskit.specfit as specfit_module
+from spskit.reproduce import RNG_SEED, fit_roundtrip_draw
 from spskit.specfit import (
     FitError,
+    FitResult,
     MeasurementSeries,
     SeriesError,
     Sinc2Instrument,
@@ -123,7 +126,7 @@ class TestLorentzianFit:
     @pytest.mark.parametrize("bounds", [None, ([0.0, 0.0], [np.inf, np.inf])])
     def test_budget_counts_every_residual_evaluation(self, monkeypatch, bounds):
         # the cap is MAX_ITERATIONS * (len(p0) + 1) evaluations, Jacobian
-        # columns included, whichever scipy method runs the fit
+        # columns included, bounded or not
         monkeypatch.setattr(specfit_module, "MAX_ITERATIONS", 2)
         x = np.linspace(0.0, 5.0, 50)
         y = 3.0 * np.exp(-x / 1.5)
@@ -298,6 +301,15 @@ class TestPolarizationFit:
         fit = fit_polarization(series(theta, y, "polarization"))
         assert fit.params["degree_of_polarization"] == pytest.approx(1.0, abs=1e-6)
 
+    def test_axis_starting_at_zero(self):
+        # the brightest sample sits at 0 degrees, so the axis starts at
+        # exactly 0 and its Jacobian step must not shrink with it
+        theta = np.linspace(0.0, 360.0, 73)
+        y = cos2_model(theta, 700.0, 1.0, 50.0)
+        fit = fit_polarization(series(theta, y, "polarization"))
+        assert fit.params["axis_deg"] == pytest.approx(1.0, abs=1e-6)
+        assert fit.params["degree_of_polarization"] == pytest.approx(700.0 / 800.0, rel=1e-9)
+
     def test_short_span_rejected(self):
         theta = np.linspace(0.0, 120.0, 25)
         with pytest.raises(SeriesError, match="180"):
@@ -346,3 +358,96 @@ class TestZplFraction:
         spect, params = self.make_spectrum(0.632)
         frac = zpl_fraction(spect, params)
         assert 0.5 < frac < 0.75
+
+
+def scipy_run_fit(model, x, y, p0, names, weights=None, bounds=None) -> FitResult:
+    """Reference solver: scipy's MINPACK 'lm' without bounds and 'trf' with
+    them, at the tolerances and scaling the fits used with scipy."""
+    w = np.ones_like(y) if weights is None else weights
+
+    def residuals(p):
+        return (model(x, *p) - y) * w
+
+    kwargs = dict(xtol=specfit_module.STEP_TOLERANCE, ftol=1e-12, gtol=1e-12,
+                  max_nfev=specfit_module.MAX_ITERATIONS * (len(p0) + 1))
+    if bounds is None:
+        result = least_squares(residuals, p0, method="lm", x_scale="jac", **kwargs)
+    else:
+        result = least_squares(residuals, p0, method="trf", bounds=bounds, x_scale=1.0,
+                               **kwargs)
+    assert result.success, result.message
+    return FitResult(
+        params=dict(zip(names, (float(v) for v in result.x))),
+        stderr=specfit_module._covariance_stderr(result.jac, result.fun, names),
+        residual_norm=float(np.linalg.norm(result.fun)),
+        n_evaluations=int(result.nfev),
+        converged=True,
+    )
+
+
+G2_PARAMETERS = ("antibunching_amplitude", "bunching_amplitude", "antibunching_time_ps",
+                 "bunching_time_ps", "normalization")
+
+
+def fit_draw(kind, draw):
+    """Fit one round-trip draw of ``kind``: (parameters, stderr, residual norm, model)."""
+    if kind == "spectrum":
+        fit = fit_lorentzian(draw["spectrum"][0])
+    elif kind == "decay":
+        fit = fit_decay_with_irf(*draw["decay"][:2])
+    elif kind == "polarization":
+        fit = fit_polarization(draw["polarization"][0])
+    else:
+        g = fit_g2(draw["correlation"][0])
+        return ({k: getattr(g, k) for k in G2_PARAMETERS}, g.stderr, g.residual_norm,
+                g.model)
+    return fit.params, fit.stderr, fit.residual_norm, None
+
+
+@pytest.fixture(scope="module")
+def roundtrip_draws():
+    rng = np.random.default_rng(RNG_SEED)
+    return [fit_roundtrip_draw(rng) for _ in range(20)]
+
+
+class TestSolverMatchesScipy:
+    """The numpy Levenberg-Marquardt solver lands where scipy's does on the
+    reproduction's seeded round-trip draws of every series kind."""
+
+    @pytest.mark.parametrize("kind", ["spectrum", "decay", "correlation", "polarization"])
+    def test_same_fit_as_scipy(self, monkeypatch, roundtrip_draws, kind):
+        for draw in roundtrip_draws:
+            params, _, norm, model = fit_draw(kind, draw)
+            with monkeypatch.context() as patch:
+                patch.setattr(specfit_module, "_run_fit", scipy_run_fit)
+                ref_params, ref_stderr, ref_norm, ref_model = fit_draw(kind, draw)
+            assert norm == pytest.approx(ref_norm, rel=1e-9)
+            assert model == ref_model
+            for name, ref in ref_params.items():
+                # relative, or a small share of the standard error for a
+                # parameter the data leave near zero (a Lorentzian offset)
+                tolerance = 1e-5 * abs(ref) + 1e-4 * ref_stderr.get(name, 0.0)
+                assert abs(params[name] - ref) <= tolerance, (name, params[name], ref)
+
+    @settings(max_examples=60, deadline=None)
+    @given(amp=st.floats(0.1, 10.0), tau=st.floats(0.2, 5.0),
+           amp_box=st.tuples(st.floats(0.05, 10.0), st.floats(0.0, 5.0)),
+           tau_box=st.tuples(st.floats(0.05, 5.0), st.floats(0.0, 5.0)),
+           start=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+    def test_bounded_fit_stays_in_bounds(self, amp, tau, amp_box, tau_box, start):
+        x = np.linspace(0.0, 5.0, 40)
+        y = amp * np.exp(-x / tau)
+        lower = np.array([amp_box[0], tau_box[0]])
+        upper = lower + np.array([amp_box[1], tau_box[1]])
+        p0 = lower + np.array(start) * (upper - lower)
+
+        def model(xv, a, t):
+            return a * np.exp(-xv / t)
+
+        try:
+            params = specfit_module._run_fit(model, x, y, p0, ["amp", "tau"],
+                                             bounds=(lower, upper)).params
+        except FitError as exc:
+            params = exc.last_params
+        values = np.array([params["amp"], params["tau"]])
+        assert np.all(values >= lower) and np.all(values <= upper), (values, lower, upper)
