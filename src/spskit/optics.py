@@ -454,11 +454,6 @@ def _cavity_stack(mirror_a: LayerStack, gap_nm: float, mirror_b: LayerStack,
     return LayerStack(mirror_a.substrate_index, layers, mirror_b.substrate_index)
 
 
-def cavity_transmission_at(mirror_a: LayerStack, gap_nm: float, mirror_b: LayerStack,
-                           lam: float) -> float:
-    return transmittance_at(_cavity_stack(mirror_a, gap_nm, mirror_b), lam)
-
-
 # The half-maximum walk of cavity_spectrum takes at most _WALK_STEPS steps
 # of one sample spacing, evaluated _WALK_CHUNK points per kernel call.
 _WALK_STEPS = 200000

@@ -23,6 +23,21 @@ and a parameter on a bound whose descent direction points out of the
 box is held for that iteration. A fit may spend MAX_ITERATIONS * (n + 1)
 residual evaluations for n parameters, Jacobian columns included; that
 count is the reported ``n_evaluations``.
+
+``_run_fit_batch`` runs this iteration (module ``lsq``) on many
+problems of one model in lockstep, each with its own parameters,
+damping, scale, free mask, bounds, budget and best point, until it
+converges or fails. A round is one model call for every
+problem still searching, and a Jacobian column one call for those that
+need it. Stacked matrix products, axis norms and elementwise arithmetic
+give each problem the bits it gets alone; ``_run_fit`` is the batch of
+one. The ``*_batch`` fitters solve same-length series this way;
+``reproduce`` fits its draws in chunks.
+
+The IRF convolution is the recursion y[n] = a y[n-1] + irf[n],
+a = exp(-dt/tau) (Enderlein and Erdmann, Opt. Commun. 134, 371 (1997)),
+summed in O(N) as a cumulative sum scaled by a^-m within blocks short
+enough to keep the scale in range, plus the carry between blocks.
 """
 from __future__ import annotations
 
@@ -31,6 +46,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from . import lsq
 
 MAX_ITERATIONS = 200
 STEP_TOLERANCE = 1e-10
@@ -51,17 +68,22 @@ class SeriesError(ValueError):
 SERIES_KINDS = ("spectrum", "decay", "correlation", "polarization")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementSeries:
-    """A measured (x, y) series; x strictly increasing, y finite."""
+    """A measured (x, y) series; x strictly increasing, y finite.
 
-    x: tuple[float, ...]
-    y: tuple[float, ...]
+    x and y are held as read-only float64 arrays.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
     kind: str = "spectrum"
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        y = np.asarray(self.y, dtype=float)
+        x = np.array(self.x, dtype=float)
+        y = np.array(self.y, dtype=float)
+        if x.ndim != 1 or y.ndim != 1:
+            raise SeriesError("x and y must be one-dimensional")
         if x.size != y.size:
             raise SeriesError("x and y must have equal length")
         if x.size < 2:
@@ -72,11 +94,12 @@ class MeasurementSeries:
             raise SeriesError("series samples must be finite")
         if self.kind not in SERIES_KINDS:
             raise SeriesError(f"kind must be one of {SERIES_KINDS}, got {self.kind!r}")
-        object.__setattr__(self, "x", tuple(float(v) for v in x))
-        object.__setattr__(self, "y", tuple(float(v) for v in y))
+        x.flags.writeable = y.flags.writeable = False
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.array(self.x), np.array(self.y)
+        return self.x, self.y
 
 
 @dataclass
@@ -172,100 +195,40 @@ class G2Fit:
 # ---------------------------------------------------------------------------
 
 def _run_fit(model, x, y, p0, names, weights=None, bounds=None) -> FitResult:
-    """Levenberg-Marquardt fit of ``model(x, *p)`` to ``y``.
+    """Levenberg-Marquardt fit of ``model(x, *p)`` to ``y``: the batch of one.
 
     Allowed MAX_ITERATIONS * (len(p0) + 1) residual evaluations, the
     forward-difference Jacobian columns included; past that, FitError
     carries the best point evaluated. ``bounds`` is ``(lower, upper)``.
     """
-    w = np.ones_like(y) if weights is None else weights
-    n = len(p0)
-    if bounds is None:
-        lo, hi = np.full(n, -np.inf), np.full(n, np.inf)
-    else:
-        lo, hi = (np.asarray(b, dtype=float) for b in bounds)
-    budget = MAX_ITERATIONS * (n + 1)
-    ftol = gtol = 1e-12
-    sqrt_eps = math.sqrt(np.finfo(float).eps)
-    calls = 0
-    p = np.clip(np.asarray(p0, dtype=float), lo, hi)
-    best_cost, best_p = math.inf, p
+    return _one(_run_fit_batch(model, x, np.asarray(y, dtype=float)[None], [p0], names,
+                               weights=None if weights is None else weights[None],
+                               bounds=bounds))
 
-    def residuals(q):
-        nonlocal calls, best_cost, best_p
-        if calls == budget:
-            raise FitError(f"fit did not converge within {MAX_ITERATIONS} iterations",
-                           last_params=dict(zip(names, (float(v) for v in best_p))))
-        calls += 1
-        res = (model(x, *q) - y) * w
-        cost = float(res @ res)
-        if cost < best_cost:
-            best_cost, best_p = cost, q
-        return res, cost
 
-    def jacobian(q, res):
-        # MINPACK's forward step, turned back where it would leave the box
-        h = sqrt_eps * np.abs(q)
-        h[h == 0.0] = sqrt_eps
-        h[q + h > hi] *= -1.0
-        jac = np.empty((res.size, n))
-        for j in range(n):
-            shifted = q.copy()
-            shifted[j] += h[j]
-            jac[:, j] = (residuals(shifted)[0] - res) / h[j]
-        return jac
+def _one(outcomes: list):
+    """The single outcome of a batch of one; a FitError is raised."""
+    (outcome,) = outcomes
+    if isinstance(outcome, FitError):
+        raise outcome
+    return outcome
 
-    r, cost = residuals(p)
-    jac = jacobian(p, r)
-    scale = np.zeros(n)
-    damping, growth = 1e-3, 2.0
-    done = False
-    while not done:
-        norms = np.linalg.norm(jac, axis=0)
-        scale = np.maximum(scale, norms)
-        scale[scale == 0.0] = 1.0
-        grad = jac.T @ r
-        # a parameter on a bound whose descent direction leaves the box
-        # stays where it is this iteration
-        free = ~(((p <= lo) & (grad > 0.0)) | ((p >= hi) & (grad < 0.0)))
-        if not np.any(np.abs(grad[free]) > gtol * norms[free] * math.sqrt(cost)):
-            break
-        u, s, vt = np.linalg.svd(jac[:, free] / scale[free], full_matrices=False)
-        ur = u.T @ r
-        x_norm = np.linalg.norm(scale * p)
-        while True:
-            step = np.zeros(n)
-            step[free] = -(vt.T @ (s * ur / (s * s + damping))) / scale[free]
-            trial = np.clip(p + step, lo, hi)
-            step = trial - p
-            r_new, cost_new = residuals(trial)
-            linear = r + jac @ step
-            predicted = cost - float(linear @ linear)
-            actual = cost - cost_new  # NaN for a non-finite trial
-            ratio = actual / predicted if predicted > 0.0 else 0.0
-            small_change = (abs(actual) <= ftol * cost and predicted <= ftol * cost
-                            and ratio <= 2.0)
-            small_step = (np.linalg.norm(scale * step)
-                          <= STEP_TOLERANCE * (STEP_TOLERANCE + x_norm))
-            done = small_change or small_step
-            if ratio > 1e-4:
-                p, r, cost = trial, r_new, cost_new
-                jac = jacobian(p, r)
-                damping *= max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3)
-                growth = 2.0
-                break
-            if done:
-                break
-            damping *= growth
-            growth *= 2.0
 
-    return FitResult(
-        params=dict(zip(names, (float(v) for v in p))),
-        stderr=_covariance_stderr(jac, r, names),
-        residual_norm=math.sqrt(cost),
-        n_evaluations=calls,
-        converged=True,
-    )
+def _run_fit_batch(model, x, y, p0, names, weights=None, bounds=None) -> list:
+    """Levenberg-Marquardt fits of one model to B problems in lockstep
+    (``lsq.levenberg_marquardt``): per problem its FitResult or the
+    FitError that ended it."""
+
+    def outcome(converged, p, jac, r, cost, calls):
+        params = dict(zip(names, map(float, p)))
+        if not converged:
+            return FitError(f"fit did not converge within {MAX_ITERATIONS} iterations",
+                            last_params=params)
+        return FitResult(params, _covariance_stderr(jac, r, names), math.sqrt(cost), calls,
+                         converged=True)
+
+    return [outcome(*o) for o in lsq.levenberg_marquardt(
+        model, x, y, p0, weights, bounds, MAX_ITERATIONS, STEP_TOLERANCE)]
 
 
 def _covariance_stderr(jac, residual, names) -> dict[str, float]:
@@ -282,8 +245,10 @@ def _covariance_stderr(jac, residual, names) -> dict[str, float]:
 
 
 def _uniform_spacing(x: np.ndarray, context: str) -> float:
+    # CSVs carry 10 significant digits, which round a sample by up to
+    # 5e-10 |x| and so spread the spacings by up to 2e-9 max|x|
     dx = np.diff(x)
-    if dx.max() - dx.min() > 1e-6 * dx.mean():
+    if dx.max() - dx.min() > 1e-6 * dx.mean() + 2e-9 * np.abs(x).max():
         raise SeriesError(f"{context} requires a uniform x grid")
     return float(dx.mean())
 
@@ -328,7 +293,11 @@ class Sinc2Instrument:
 
 def lorentzian_with_instrument(x, center, fwhm, amplitude, offset,
                                instrument: Sinc2Instrument | None):
-    """Lorentzian convolved with the instrument kernel on the grid of x."""
+    """Lorentzian convolved with the instrument kernel on the grid of x.
+
+    With the instrument, x is one grid; the parameters may be columns,
+    one row of the result per row of parameters.
+    """
     x = np.asarray(x, dtype=float)
     if instrument is None:
         return lorentzian(x, center, fwhm, amplitude, offset)
@@ -339,8 +308,8 @@ def lorentzian_with_instrument(x, center, fwhm, amplitude, offset,
     x_pad = np.concatenate([
         x[0] + dx * np.arange(-pad, 0), x, x[-1] + dx * np.arange(1, pad + 1)])
     clean = lorentzian(x_pad, center, fwhm, amplitude, 0.0)
-    conv = np.convolve(clean, kern, mode="same")[pad:pad + len(x)]
-    return conv + offset
+    conv = [np.convolve(row, kern, mode="same") for row in clean.reshape(-1, len(x_pad))]
+    return np.reshape(conv, clean.shape)[..., pad:pad + len(x)] + offset
 
 
 def fit_lorentzian(series: MeasurementSeries,
@@ -355,35 +324,80 @@ def fit_lorentzian(series: MeasurementSeries,
 
     Returns parameters center_nm, fwhm_nm, amplitude, offset.
     """
-    x, y = series.as_arrays()
-    if len(x) < 8:
-        raise SeriesError("need at least 8 samples spanning the peak")
-    offset0 = float(np.percentile(y, 10))
-    amp0 = float(y.max() - offset0)
-    center0 = float(x[np.argmax(y)])
-    above = x[y > offset0 + amp0 / 2]
-    fwhm0 = float(above[-1] - above[0]) if len(above) >= 2 else (x[-1] - x[0]) / 4
+    return _one(fit_lorentzian_batch([series], instrument))
+
+
+def fit_lorentzian_batch(spectra, instrument: Sinc2Instrument | None = None) -> list:
+    """``fit_lorentzian`` of same-length spectra (on one grid, with an
+    instrument) in one lockstep solve; a failed fit gives its FitError."""
+    starts = []
+    for series in spectra:
+        x, y = series.as_arrays()
+        if len(x) < 8:
+            raise SeriesError("need at least 8 samples spanning the peak")
+        offset0 = float(np.percentile(y, 10))
+        amp0 = float(y.max() - offset0)
+        above = x[y > offset0 + amp0 / 2]
+        fwhm0 = float(above[-1] - above[0]) if len(above) >= 2 else (x[-1] - x[0]) / 4
+        starts.append((x, y, [float(x[np.argmax(y)]), fwhm0, amp0, offset0]))
 
     def model(xv, center, fwhm, amplitude, offset):
         return lorentzian_with_instrument(xv, center, abs(fwhm), amplitude, offset, instrument)
 
-    return _run_fit(model, x, y, [center0, fwhm0, amp0, offset0],
-                    ["center_nm", "fwhm_nm", "amplitude", "offset"])
+    return _run_fit_batch(model, *map(np.array, zip(*starts)),
+                          ["center_nm", "fwhm_nm", "amplitude", "offset"])
 
 
 # ---------------------------------------------------------------------------
 # lifetime decay with instrument response
 # ---------------------------------------------------------------------------
 
-def convolve_decay(t: np.ndarray, lifetime: float, irf_counts: np.ndarray) -> np.ndarray:
+# Each row sums its recursion in blocks of at most _BLOCK_MAX samples,
+# over which the scale a^-m grows by at most e^_BLOCK_EXPONENT.
+_BLOCK_MAX = 256
+_BLOCK_EXPONENT = 32.0
+
+
+def convolve_decay(t: np.ndarray, lifetime, irf_counts: np.ndarray) -> np.ndarray:
     """Discrete convolution of a causal exponential decay with the IRF.
 
     Both are defined on the same uniform grid; the IRF is normalized to
     unit sum so the result keeps the decay's amplitude scale.
+    ``irf_counts`` may be a (k, N) stack with ``lifetime`` a (k, 1)
+    column, one decay per row, each as if alone. O(N) per row by the
+    recursion y[n] = a y[n-1] + irf[n], a = exp(-dt/lifetime).
     """
-    decay = np.exp(-(t - t[0]) / lifetime)
-    irf = irf_counts / irf_counts.sum()
-    return np.convolve(irf, decay)[: len(t)]
+    t = np.asarray(t, dtype=float)
+    irf = np.asarray(irf_counts, dtype=float)
+    irf = irf / irf.sum(axis=-1, keepdims=True)
+    rate = (t[-1] - t[0]) / max(len(t) - 1, 1) / np.asarray(lifetime, dtype=float)
+    shape = np.broadcast_shapes(irf.shape, np.shape(rate))
+    rows = np.broadcast_to(irf, shape).reshape(-1, shape[-1])
+    rate = np.broadcast_to(rate, shape[:-1] + (1,)).reshape(-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        octave = np.nan_to_num(np.floor(np.log2(_BLOCK_EXPONENT / rate)))
+    # a power of two set by the row's own rate
+    length = np.minimum(2.0 ** np.clip(octave, 0, math.log2(_BLOCK_MAX)), shape[-1])
+    out = np.empty(rows.shape)
+    for block in np.unique(length).astype(int):
+        sel = length == block
+        out[sel] = _decay_blocks(rows[sel], rate[sel], block)
+    return out.reshape(shape)
+
+
+def _decay_blocks(irf: np.ndarray, rate: np.ndarray, block: int) -> np.ndarray:
+    """y[n] = a y[n-1] + irf[n] per row, a = exp(-rate), in blocks of ``block``."""
+    k, n = irf.shape
+    z = np.zeros((k, -(-n // block) * block))
+    z[:, :n] = irf
+    z = z.reshape(k, -1, block)
+    m_rate = np.arange(block) * rate[:, None]
+    # within a block y[j] = a^j sum_{m<=j} a^-m irf[m], then the carry in
+    y = np.exp(-m_rate)[:, None] * np.cumsum(z * np.exp(m_rate)[:, None], axis=-1)
+    carry = np.exp(-(m_rate + rate[:, None]))
+    for b in range(1, y.shape[1]):
+        y[:, b] += carry * y[:, b - 1, -1:]
+    return y.reshape(k, -1)[:, :n]
 
 
 def fit_decay_with_irf(series: MeasurementSeries, irf: MeasurementSeries) -> FitResult:
@@ -393,29 +407,42 @@ def fit_decay_with_irf(series: MeasurementSeries, irf: MeasurementSeries) -> Fit
     Poisson weighting; warns (and flags) when the fitted lifetime
     collapses to the grid spacing, where the problem is ill-conditioned.
     """
-    t, y = series.as_arrays()
+    return _one(fit_decay_with_irf_batch([series], [irf]))
+
+
+def fit_decay_with_irf_batch(decays, irfs) -> list:
+    """``fit_decay_with_irf`` of decays on one time grid, each with its IRF,
+    in one lockstep solve; a failed fit gives its FitError."""
+    t = decays[0].x
     dt = _uniform_spacing(t, "decay fitting")
-    t_irf, y_irf = irf.as_arrays()
-    if len(t_irf) != len(t) or not np.allclose(t_irf, t):
-        y_irf = np.interp(t, t_irf, y_irf, left=0.0, right=0.0)
-    if y_irf.sum() <= 0:
-        raise SeriesError("instrument response has no weight on the data grid")
+    starts = []
+    for series, irf in zip(decays, irfs):
+        if not np.array_equal(series.x, t):
+            raise SeriesError("a batch of decays needs one time grid")
+        y = series.y
+        t_irf, y_irf = irf.as_arrays()
+        if len(t_irf) != len(t) or not np.allclose(t_irf, t):
+            y_irf = np.interp(t, t_irf, y_irf, left=0.0, right=0.0)
+        if y_irf.sum() <= 0:
+            raise SeriesError("instrument response has no weight on the data grid")
+        starts.append((y, y_irf, [max((t[-1] - t[0]) / 5.0, 2 * dt), float(y.max())]))
+    y, y_irf, p0 = map(np.array, zip(*starts))
 
-    tau0 = max((t[-1] - t[0]) / 5.0, 2 * dt)
-    amp0 = float(y.max())
+    def model(irf_rows, lifetime, amplitude):
+        return amplitude * convolve_decay(t, abs(lifetime), irf_rows)
 
-    def model(tv, lifetime, amplitude):
-        return amplitude * convolve_decay(tv, abs(lifetime), y_irf)
-
-    result = _run_fit(model, t, y, [tau0, amp0], ["lifetime_ps", "amplitude"],
-                      weights=poisson_weights(y))
-    result.params["lifetime_ps"] = abs(result.params["lifetime_ps"])
-    if result.params["lifetime_ps"] < 2.0 * dt:
-        msg = (f"fitted lifetime {result.params['lifetime_ps']:.3g} ps is within "
-               f"2x the grid spacing {dt:.3g} ps; estimate is ill-conditioned")
-        warnings.warn(msg, stacklevel=2)
-        result.warnings.append(msg)
-    return result
+    outcomes = _run_fit_batch(model, y_irf, y, p0, ["lifetime_ps", "amplitude"],
+                              weights=poisson_weights(y))
+    for result in outcomes:
+        if isinstance(result, FitError):
+            continue
+        result.params["lifetime_ps"] = abs(result.params["lifetime_ps"])
+        if result.params["lifetime_ps"] < 2.0 * dt:
+            msg = (f"fitted lifetime {result.params['lifetime_ps']:.3g} ps is within "
+                   f"2x the grid spacing {dt:.3g} ps; estimate is ill-conditioned")
+            warnings.warn(msg, stacklevel=3)
+            result.warnings.append(msg)
+    return outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -428,17 +455,13 @@ def g2_model(tau, anti_amp, bunch_amp, anti_time, bunch_time):
     return 1.0 - anti_amp * a + bunch_amp * b
 
 
-def fit_g2(series: MeasurementSeries, *, tail_fraction: float = 0.25,
-           min_tail_points: int = 8) -> G2Fit:
-    """Fit the antibunching/bunching correlation model.
+G2_NAMES = ["antibunching_amplitude", "bunching_amplitude",
+            "antibunching_time_ps", "bunching_time_ps", "normalization"]
+_G2_PLAIN = [0, 2, 4]  # the parameters of the fit without bunching
 
-    The normalization level (raw counts at g2 = 1) is a free fit
-    parameter seeded from the mean of the outermost ``tail_fraction`` of
-    delay samples; fitting it avoids the baseline bias that a pure
-    tail average picks up from slow bunching. Raises when the tails hold
-    fewer than ``min_tail_points`` samples. g2(0) = 1 - A + B holds
-    exactly by construction of the returned fit.
-    """
+
+def _g2_start(series: MeasurementSeries, tail_fraction: float, min_tail_points: int) -> tuple:
+    """(tau, y, weights or None, start, lower and upper bounds) of the fit with bunching."""
     tau, y = series.as_arrays()
     span = np.abs(tau).max()
     tail = np.abs(tau) >= (1.0 - tail_fraction) * span
@@ -458,13 +481,6 @@ def fit_g2(series: MeasurementSeries, *, tail_fraction: float = 0.25,
     t10 = float(tau[dip + recover[0]] - tau[dip]) / math.log(2.0) if len(recover) else span / 10
     t10 = max(t10, span / 200.0)
     bunch0 = float(np.clip(yn.max() - 1.0, 1e-3, 1.0))
-
-    def scaled_model(tv, anti, bunch, t_anti, t_bunch, level):
-        return level * g2_model(tv, anti, bunch, t_anti, t_bunch)
-
-    def scaled_model_no_bunching(tv, anti, t_anti, level):
-        return level * g2_model(tv, anti, 0.0, t_anti, 1.0)
-
     # the bunching time is confined between the antibunching recovery
     # scale (below which the two exponentials cancel along a flat ridge)
     # and twice the window (beyond which bunching is just a baseline
@@ -472,22 +488,55 @@ def fit_g2(series: MeasurementSeries, *, tail_fraction: float = 0.25,
     t2_lo = min(3.0 * t10, 0.5 * span)
     t2_hi = 2.0 * span
     weights = poisson_weights(y) if baseline0 > 10.0 else None  # raw counts only
-    with_bunching = _run_fit(
-        scaled_model, tau, y,
-        [anti0, bunch0, t10, math.sqrt(t2_lo * t2_hi), baseline0],
-        ["antibunching_amplitude", "bunching_amplitude",
-         "antibunching_time_ps", "bunching_time_ps", "normalization"],
-        weights=weights,
-        bounds=([0.0, 0.0, 1e-9, t2_lo, 1e-12],
-                [2.0, 2.0, np.inf, t2_hi, np.inf]),
-    )
-    plain = _run_fit(
-        scaled_model_no_bunching, tau, y,
-        [anti0, t10, baseline0],
-        ["antibunching_amplitude", "antibunching_time_ps", "normalization"],
-        weights=weights,
-        bounds=([0.0, 1e-9, 1e-12], [2.0, np.inf, np.inf]),
-    )
+    return (tau, y, weights, [anti0, bunch0, t10, math.sqrt(t2_lo * t2_hi), baseline0],
+            [0.0, 0.0, 1e-9, t2_lo, 1e-12], [2.0, 2.0, np.inf, t2_hi, np.inf])
+
+
+def _g2_with_bunching(tv, anti, bunch, t_anti, t_bunch, level):
+    return level * g2_model(tv, anti, bunch, t_anti, t_bunch)
+
+
+def _g2_plain(tv, anti, t_anti, level):
+    return level * g2_model(tv, anti, 0.0, t_anti, 1.0)
+
+
+def fit_g2(series: MeasurementSeries, *, tail_fraction: float = 0.25,
+           min_tail_points: int = 8) -> G2Fit:
+    """Fit the antibunching/bunching correlation model.
+
+    The normalization level (raw counts at g2 = 1) is a free fit
+    parameter seeded from the mean of the outermost ``tail_fraction`` of
+    delay samples; fitting it avoids the baseline bias that a pure
+    tail average picks up from slow bunching. Raises when the tails hold
+    fewer than ``min_tail_points`` samples. g2(0) = 1 - A + B holds
+    exactly by construction of the returned fit.
+    """
+    return _one(fit_g2_batch([series], tail_fraction=tail_fraction,
+                             min_tail_points=min_tail_points))
+
+
+def fit_g2_batch(correlations, *, tail_fraction: float = 0.25,
+                 min_tail_points: int = 8) -> list:
+    """``fit_g2`` of same-length correlations, one lockstep solve per
+    model; a failed fit gives its (first) FitError."""
+    tau, y, weights, p0, lower, upper = zip(*(
+        _g2_start(s, tail_fraction, min_tail_points) for s in correlations))
+    weights = None if all(w is None for w in weights) else np.array(
+        [np.ones_like(v) if w is None else w for v, w in zip(y, weights)])
+    y, p0, lower, upper = map(np.array, (y, p0, lower, upper))
+    with_bunching = _run_fit_batch(_g2_with_bunching, np.array(tau), y, p0, G2_NAMES,
+                                   weights=weights, bounds=(lower, upper))
+    plain = _run_fit_batch(_g2_plain, np.array(tau), y, p0[:, _G2_PLAIN],
+                           [G2_NAMES[i] for i in _G2_PLAIN], weights=weights,
+                           bounds=(lower[:, _G2_PLAIN], upper[:, _G2_PLAIN]))
+    return [_g2_choose(*fits) for fits in zip(with_bunching, plain, tau)]
+
+
+def _g2_choose(with_bunching, plain, tau):
+    """The G2Fit of the model the data support, or the first FitError."""
+    for outcome in (with_bunching, plain):
+        if isinstance(outcome, FitError):
+            return outcome
     # Akaike-style penalty for the two extra parameters:
     # n ln(rss_w/rss_p) + 2*2 < 0
     n = len(tau)
@@ -500,7 +549,7 @@ def fit_g2(series: MeasurementSeries, *, tail_fraction: float = 0.25,
         antibunching_amplitude=p["antibunching_amplitude"],
         bunching_amplitude=p["bunching_amplitude"] if use_bunching else 0.0,
         antibunching_time_ps=p["antibunching_time_ps"],
-        bunching_time_ps=p["bunching_time_ps"] if use_bunching else span,
+        bunching_time_ps=p["bunching_time_ps"] if use_bunching else np.abs(tau).max(),
         stderr=chosen.stderr,
         residual_norm=chosen.residual_norm,
         model="with_bunching" if use_bunching else "plain",
@@ -544,28 +593,38 @@ def fit_polarization(series: MeasurementSeries) -> FitResult:
     a cos^2(theta - theta0) + b. Constant data returns DOP = 0 with a
     ``flat_fit`` warning flag instead of failing.
     """
-    theta, y = series.as_arrays()
-    if theta[-1] - theta[0] < 180.0:
-        raise SeriesError("polarization scan must span at least 180 degrees")
+    return _one(fit_polarization_batch([series]))
 
-    if np.ptp(y) < 1e-12 * max(abs(y.max()), 1.0):
-        result = FitResult(
-            params={"amplitude": 0.0, "axis_deg": 0.0, "offset": float(y.mean()),
-                    "degree_of_polarization": 0.0},
+
+def fit_polarization_batch(scans) -> list:
+    """``fit_polarization`` of same-length scans in one lockstep solve; a
+    failed fit gives its FitError."""
+    outcomes, starts = [], []
+    for scan in scans:
+        theta, y = scan.as_arrays()
+        if theta[-1] - theta[0] < 180.0:
+            raise SeriesError("polarization scan must span at least 180 degrees")
+        spread = float(np.ptp(y))
+        flat = spread < 1e-12 * max(abs(y.max()), 1.0)
+        outcomes.append(FitResult(
+            params={"amplitude": 0.0, "axis_deg": 0.0, "offset": float(y.mean())},
             stderr={}, residual_norm=0.0, n_evaluations=0, converged=True,
-            warnings=["flat_fit: constant signal, polarization undefined"])
-        return result
-
-    amp0 = float(np.ptp(y))
-    off0 = float(y.min())
-    axis0 = float(theta[np.argmax(y)] % 180.0)
-    result = _run_fit(cos2_model, theta, y, [amp0, axis0, off0],
-                      ["amplitude", "axis_deg", "offset"])
-    a = abs(result.params["amplitude"])
-    b = max(result.params["offset"], 0.0)
-    result.params["degree_of_polarization"] = a / (a + 2.0 * b) if a + 2.0 * b > 0 else 0.0
-    result.params["axis_deg"] = result.params["axis_deg"] % 180.0
-    return result
+            warnings=["flat_fit: constant signal, polarization undefined"]) if flat else None)
+        if not flat:
+            starts.append((theta, y, [spread, float(theta[np.argmax(y)] % 180.0),
+                                      float(y.min())]))
+    if starts:
+        solved = iter(_run_fit_batch(cos2_model, *map(np.array, zip(*starts)),
+                                     ["amplitude", "axis_deg", "offset"]))
+        outcomes = [next(solved) if o is None else o for o in outcomes]
+    for result in outcomes:
+        if isinstance(result, FitError):
+            continue
+        a = abs(result.params["amplitude"])
+        b = max(result.params["offset"], 0.0)
+        result.params["degree_of_polarization"] = a / (a + 2.0 * b) if a + 2.0 * b > 0 else 0.0
+        result.params["axis_deg"] = result.params["axis_deg"] % 180.0
+    return outcomes
 
 
 def saturation_model(power, saturation_power, max_rate):
@@ -637,7 +696,7 @@ def write_series_csv(path, series: MeasurementSeries, x_name: str = "x", y_name:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# kind={series.kind}\n")
         fh.write(f"{x_name},{y_name}\n")
-        for xv, yv in zip(series.x, series.y):
+        for xv, yv in zip(series.x.tolist(), series.y.tolist()):
             fh.write(f"{xv:.10g},{yv:.10g}\n")
 
 
@@ -669,4 +728,4 @@ def read_series_csv(path) -> MeasurementSeries:
                                   f"column, got {line!r}") from None
             xs.append(xv)
             ys.append(yv)
-    return MeasurementSeries(tuple(xs), tuple(ys), kind)
+    return MeasurementSeries(xs, ys, kind)

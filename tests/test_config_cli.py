@@ -184,6 +184,25 @@ class TestCli:
         assert fit["residual_norm"] == fit["residual_norms"]["with_bunching"]
         assert fit["iterations"] > 0 and fit["converged"] is True
 
+    def test_fit_decay_read_back_from_its_own_csv(self, tmp_path):
+        # 10 significant digits of 0..12288 in 8192 bins jitter the spacing
+        t = np.linspace(0.0, 12288.0, 8192)
+        irf = np.exp(-0.5 * ((t - 400.0) / 40.0) ** 2)
+        y = np.random.default_rng(8).poisson(8000.0 * convolve_decay(t, 900.0, irf)) + 0.0
+        write_series_csv(tmp_path / "decay.csv", MeasurementSeries(t, y, "decay"))
+        write_series_csv(tmp_path / "irf.csv", MeasurementSeries(t, irf, "decay"))
+        assert main(["--outdir", str(tmp_path), "fit", "--input", str(tmp_path / "decay.csv"),
+                     "--irf", str(tmp_path / "irf.csv")]) == 0
+        fit = json.loads((tmp_path / "fit_report.json").read_text())["fit"]
+        assert fit["parameters"]["lifetime_ps"] == pytest.approx(900.0, rel=0.03)
+
+    def test_fit_spectrum_with_scan_range_read_back_from_its_own_csv(self, tmp_path):
+        x = np.linspace(560.1234567, 571.9876543, 4001)
+        y = lorentzian(x, 566.0, 0.8, 1000.0, 5.0)
+        write_series_csv(tmp_path / "line.csv", MeasurementSeries(x, y, "spectrum"))
+        assert main(["--outdir", str(tmp_path), "fit", "--input", str(tmp_path / "line.csv"),
+                     "--scan-range", "2.0"]) == 0
+
     def test_fit_decay_requires_irf(self, tmp_path):
         t = np.arange(0.0, 4000.0, 8.0)
         y = 900 * np.exp(-t / 500.0) + 1

@@ -2,12 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import least_squares
 
+import spskit.reproduce as reproduce_module
 import spskit.specfit as specfit_module
-from spskit.reproduce import RNG_SEED, fit_roundtrip_draw
+from spskit.reproduce import (
+    RNG_SEED,
+    fit_roundtrip_draw,
+    fit_roundtrip_fits,
+    fit_roundtrip_summary,
+)
 from spskit.specfit import (
     FitError,
     FitResult,
@@ -35,6 +41,11 @@ def series(x, y, kind="spectrum"):
     return MeasurementSeries(tuple(x), tuple(y), kind)
 
 
+def reference_decay(t, lifetime, irf):
+    """The IRF convolution as a direct sum over the exponential's samples."""
+    return np.convolve(irf / irf.sum(), np.exp(-(t - t[0]) / lifetime))[: len(t)]
+
+
 class TestSeriesValidation:
     def test_rejects_unsorted_x(self):
         with pytest.raises(SeriesError):
@@ -51,6 +62,21 @@ class TestSeriesValidation:
     def test_rejects_unknown_kind(self):
         with pytest.raises(SeriesError):
             series([1.0, 2.0], [0.0, 0.0], "sideband")
+
+    def test_series_holds_read_only_arrays(self):
+        s = series([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
+        x, y = s.as_arrays()
+        assert x.dtype == y.dtype == np.float64
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+
+    def test_uniform_grid_allows_csv_rounding_only(self):
+        t = np.linspace(0.0, 12288.0, 8192)
+        rounded = np.array([float(f"{v:.10g}") for v in t])
+        assert specfit_module._uniform_spacing(rounded, "test") == pytest.approx(12288.0 / 8191)
+        jittered = t + 1e-4 * 1.5 * np.random.default_rng(2).uniform(-1.0, 1.0, t.size)
+        with pytest.raises(SeriesError, match="uniform"):
+            specfit_module._uniform_spacing(jittered, "test")
 
     def test_csv_round_trip(self, tmp_path):
         s = series(np.linspace(0, 10, 21), np.arange(21.0), "decay")
@@ -200,6 +226,31 @@ class TestDecayFit:
         with pytest.warns(UserWarning, match="ill-conditioned"):
             fit = fit_decay_with_irf(series(t, clean, "decay"), series(t, irf, "decay"))
         assert fit.warnings
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(2, 8192), log_ratio=st.floats(math.log(0.01), math.log(5000.0)),
+           dt=st.floats(0.5, 50.0), lead=st.floats(0.0, 0.5), trail=st.floats(0.0, 0.49),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(n=8192, log_ratio=math.log(5000.0), dt=16.0, lead=0.0, trail=0.0, seed=1)
+    @example(n=8192, log_ratio=math.log(0.01), dt=16.0, lead=0.3, trail=0.3, seed=2)
+    @example(n=257, log_ratio=math.log(8.0), dt=1.0, lead=0.0, trail=0.2, seed=3)
+    def test_recursion_matches_direct_convolution(self, n, log_ratio, dt, lead, trail, seed):
+        # tau/dt from 0.01 to 5000: blocks from one sample to 256, whose
+        # boundaries fall inside the longer series
+        rng = np.random.default_rng(seed)
+        t = dt * np.arange(n)
+        irf = rng.random(n)
+        irf[: int(lead * n)] = 0.0
+        irf[n - int(trail * n):] = 0.0 if int(trail * n) else irf[n:]
+        lifetime = dt * math.exp(log_ratio)
+        expected = reference_decay(t, lifetime, irf)
+        got = convolve_decay(t, lifetime, irf)
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+        # a row of a stack, beside rows of other lifetimes, is the single call
+        other = rng.random(n)
+        stack = convolve_decay(t, np.array([[3.0 * lifetime], [lifetime], [lifetime / 7.0]]),
+                               np.stack([other, irf, other]))
+        assert np.array_equal(stack[1], got)
 
     def test_irf_resampled_onto_data_grid(self):
         decay, irf = self.make_decay(897.0)
@@ -385,6 +436,22 @@ def scipy_run_fit(model, x, y, p0, names, weights=None, bounds=None) -> FitResul
     )
 
 
+def one_by_one(run_fit):
+    """A stand-in for ``specfit._run_fit_batch`` that solves each problem of
+    the batch alone with ``run_fit``."""
+    def run_batch(model, x, y, p0, names, weights=None, bounds=None):
+        x, y, p0 = (np.asarray(v, dtype=float) for v in (x, y, p0))
+        outcomes = []
+        for i in range(len(y)):
+            w = None if weights is None else np.broadcast_to(weights, y.shape)[i]
+            box = None if bounds is None else tuple(
+                np.broadcast_to(np.asarray(b, dtype=float), p0.shape)[i] for b in bounds)
+            outcomes.append(run_fit(model, x if x.ndim == 1 else x[i], y[i], list(p0[i]),
+                                    names, w, box))
+        return outcomes
+    return run_batch
+
+
 G2_PARAMETERS = ("antibunching_amplitude", "bunching_amplitude", "antibunching_time_ps",
                  "bunching_time_ps", "normalization")
 
@@ -418,9 +485,17 @@ class TestSolverMatchesScipy:
     def test_same_fit_as_scipy(self, monkeypatch, roundtrip_draws, kind):
         for draw in roundtrip_draws:
             params, _, norm, model = fit_draw(kind, draw)
+            solved = []
+
+            def counted_scipy_run_fit(*args):
+                solved.append(args[4])
+                return scipy_run_fit(*args)
+
             with monkeypatch.context() as patch:
-                patch.setattr(specfit_module, "_run_fit", scipy_run_fit)
+                patch.setattr(specfit_module, "_run_fit_batch", one_by_one(counted_scipy_run_fit))
                 ref_params, ref_stderr, ref_norm, ref_model = fit_draw(kind, draw)
+            # the reference ran once per fit: a g2 fit fits two models
+            assert len(solved) == (2 if kind == "correlation" else 1)
             assert norm == pytest.approx(ref_norm, rel=1e-9)
             assert model == ref_model
             for name, ref in ref_params.items():
@@ -451,3 +526,82 @@ class TestSolverMatchesScipy:
             params = exc.last_params
         values = np.array([params["amp"], params["tau"]])
         assert np.all(values >= lower) and np.all(values <= upper), (values, lower, upper)
+
+
+def decay_with_offset(xv, amp, tau, off):
+    return amp * np.exp(-xv / tau) + off
+
+
+class TestLockstepSolver:
+    """A problem solved in a batch gets the bits it gets alone."""
+
+    NAMES = ["amp", "tau", "off"]
+
+    @staticmethod
+    def problems():
+        x = np.linspace(0.0, 6.0, 60)
+        truths = [(3.0, 1.5, 0.2), (2.0, 0.7, -0.1), (5.0, 2.5, 0.0), (1.0, 1.0, 0.5),
+                  (4.0, 0.3, 0.1), (2.5, 4.0, 0.3)]
+        rng = np.random.default_rng(17)
+        y = np.array([decay_with_offset(x, *truth) + rng.normal(0.0, 0.01, x.size)
+                      for truth in truths])
+        p0 = np.array([[1.0, 1.0, 0.0], [1.0, 3.0, 0.0], [9.0, 0.5, 1.0], [0.5, 0.5, 0.0],
+                       [0.2, 8.0, -1.0], [1.0, 1.0, 0.0]])
+        # per-problem boxes: problem 1 ends with its offset on the lower
+        # bound 0, problem 3 on its own upper bound 0.4
+        lower = np.array([[0.0, 0.1, -1.0], [0.0, 0.1, 0.0], [0.0, 0.1, -1.0],
+                          [0.0, 1.2, -1.0], [0.0, 0.1, -1.0], [0.0, 0.1, -1.0]])
+        upper = np.array([[10.0, 10.0, 1.0]] * 6)
+        upper[3, 2] = 0.4
+        return x, y, p0, 1.0 / (0.05 + np.abs(y)), lower, upper
+
+    @pytest.mark.parametrize("max_iterations,failing", [(200, set()), (16, {1, 4})])
+    def test_shuffled_batches_equal_each_problem_alone(self, monkeypatch, max_iterations,
+                                                       failing):
+        # at 16 iterations (64 evaluations) problems 1 and 4 run out of
+        # budget while their neighbours converge
+        monkeypatch.setattr(specfit_module, "MAX_ITERATIONS", max_iterations)
+        x, y, p0, w, lower, upper = self.problems()
+        alone = [specfit_module._run_fit_batch(
+            decay_with_offset, x, y[i:i + 1], p0[i:i + 1], self.NAMES, weights=w[i:i + 1],
+            bounds=(lower[i:i + 1], upper[i:i + 1]))[0] for i in range(len(y))]
+        for seed in (0, 1, 3):
+            order = np.random.default_rng(seed).permutation(len(y))
+            batch = specfit_module._run_fit_batch(decay_with_offset, x, y[order], p0[order],
+                                                  self.NAMES, weights=w[order],
+                                                  bounds=(lower[order], upper[order]))
+            for got, i in zip(batch, order):
+                assert isinstance(got, FitError) == (i in failing)
+                assert type(got) is type(alone[i])
+                if i in failing:
+                    assert got.last_params == alone[i].last_params
+                    continue
+                assert got.params == alone[i].params
+                assert got.stderr == alone[i].stderr
+                assert (got.n_evaluations, got.residual_norm) == (alone[i].n_evaluations,
+                                                                  alone[i].residual_norm)
+        if not failing:
+            assert alone[1].params["off"] == 0.0 and alone[3].params["off"] == 0.4
+
+    def test_batch_fitters_equal_single_fits(self, roundtrip_draws):
+        draws = roundtrip_draws[:10]
+        for draw, fits in zip(draws, fit_roundtrip_fits(draws)):
+            assert fits["spectrum"] == fit_lorentzian(draw["spectrum"][0])
+            assert fits["decay"] == fit_decay_with_irf(*draw["decay"][:2])
+            assert fits["correlation"] == fit_g2(draw["correlation"][0])
+            assert fits["polarization"] == fit_polarization(draw["polarization"][0])
+
+    def test_summary_does_not_depend_on_the_chunk(self, monkeypatch):
+        # 13 draws: full chunks and a partial one, against batches of one
+        chunked = fit_roundtrip_summary(13)
+        monkeypatch.setattr(reproduce_module, "FIT_CHUNK", 1)
+        assert fit_roundtrip_summary(13) == chunked
+
+    def test_fit_error_surfaces_from_the_summary(self, monkeypatch):
+        monkeypatch.setattr(specfit_module, "MAX_ITERATIONS", 1)
+        rng = np.random.default_rng(RNG_SEED)
+        with pytest.raises(FitError) as first:
+            fit_lorentzian(fit_roundtrip_draw(rng)["spectrum"][0])
+        with pytest.raises(FitError) as excinfo:
+            fit_roundtrip_summary(3)
+        assert excinfo.value.last_params == first.value.last_params
