@@ -14,8 +14,18 @@ lsq         the Levenberg-Marquardt solver behind them, many fits in lockstep
 qkd         BB84 key rates for single-photon, weak-coherent, and decoy
             sources over fiber and free-space channels
 fab         hemisphere dose maps (BMP export) and surface-profile fitting
+
+``import spskit`` loads none of them, nor numpy; each loads on first use.
 """
 
 __version__ = "0.1.0"
 
-from . import cavitymode, config, constants, emitter, fab, optics, qkd, specfit  # noqa: F401,E402
+_SUBMODULES = ("cavitymode", "cli", "config", "constants", "emitter", "errors", "fab",
+               "lsq", "optics", "qkd", "reproduce", "specfit")
+
+
+def __getattr__(name: str):
+    if name not in _SUBMODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+    return importlib.import_module(f"{__name__}.{name}")

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 validation error, 2 numerical failure
 (non-convergence, no crossing, no resonance). ``--error-json`` switches
-error reporting to machine-readable JSON on stdout.
+error reporting to machine-readable JSON on stdout. Each subcommand
+imports the modules it runs, so a call loads only those.
 """
 from __future__ import annotations
 
@@ -14,34 +15,29 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, cavitymode, emitter, fab, optics, qkd, specfit
+from . import __version__
 from .config import ConfigError, Scenario, apply_overrides, load_scenario, provenance_table
-from .constants import linewidth_nm_to_hz, rate_from_lifetime_ps
-from .reproduce import run_all
+from .errors import NumericalError
 
-VALIDATION_ERRORS = (ConfigError, optics.OpticsError, cavitymode.CavityError,
-                     emitter.PhotophysicsError, specfit.SeriesError, qkd.QkdError,
-                     fab.FabError, ValueError, OSError)
-NUMERICAL_ERRORS = (specfit.FitError, qkd.NoCrossingError, qkd.NoPositiveRateError,
-                    optics.ResonanceSearchError)
+# every module's validation error subclasses ValueError
+VALIDATION_ERRORS = (ValueError, OSError)
+# rows formatted per str.format call; bounds the text held at once
+CSV_BLOCK_ROWS = 2048
 
 
 def _stamp(scenario: Scenario) -> str:
     return f"spskit {__version__} config={scenario.digest()}"
 
 
-def write_csv(path: Path, scenario: Scenario, columns: list[str], rows) -> None:
+def write_csv(path: Path, scenario: Scenario, columns: list[str], rows: np.ndarray) -> None:
+    """``rows`` is a 2-D float array; each value is written as ``{:.10g}``."""
+    line = ",".join(["{:.10g}"] * rows.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# {_stamp(scenario)}\n")
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.10g}"
-    return str(v)
+        for start in range(0, len(rows), CSV_BLOCK_ROWS):
+            block = rows[start:start + CSV_BLOCK_ROWS]
+            fh.write((line * len(block)).format(*block.ravel().tolist()))
 
 
 def write_json(path: Path, scenario: Scenario, payload: dict) -> None:
@@ -64,6 +60,7 @@ def _outdir(args) -> Path:
 # ---------------------------------------------------------------------------
 
 def cmd_mirror(args, scenario: Scenario) -> None:
+    from . import optics
     cfg = scenario["mirror"]
     out = _outdir(args)
     stack = optics.make_quarter_wave_stack(
@@ -76,7 +73,7 @@ def cmd_mirror(args, scenario: Scenario) -> None:
     curve = optics.reflectance(stack, wls)
     write_csv(out / "mirror_reflectance.csv", scenario,
               ["wavelength_nm", "reflectance"],
-              zip(curve.wavelengths_nm, curve.values))
+              np.column_stack([curve.wavelengths_nm, curve.values]))
     (out / "mirror_stack.txt").write_text(
         f"# {_stamp(scenario)}\n" + stack.to_text(), encoding="utf-8")
 
@@ -109,6 +106,7 @@ def cmd_mirror(args, scenario: Scenario) -> None:
 
 
 def cmd_cavity(args, scenario: Scenario) -> None:
+    from . import cavitymode, optics
     mcfg, ccfg = scenario["mirror"], scenario["cavity"]
     out = _outdir(args)
     lam = ccfg["wavelength_nm"]
@@ -123,7 +121,7 @@ def cmd_cavity(args, scenario: Scenario) -> None:
     field = optics.intracavity_field(low_stack, gap_low, low_stack, lam)
     write_csv(out / "cavity_field.csv", scenario,
               ["position_nm", "normalized_intensity"],
-              zip(field.positions_nm, field.intensity))
+              np.column_stack([field.positions_nm, field.intensity]))
 
     # spectrum from loss-calibrated mirrors at the measured reflectivity,
     # at the device gap q*lam/2 - 2*penetration
@@ -137,7 +135,7 @@ def cmd_cavity(args, scenario: Scenario) -> None:
     curve, res = optics.cavity_spectrum(lossy, gap, lossy, wls, report_near_nm=lam)
     write_csv(out / "cavity_spectrum.csv", scenario,
               ["wavelength_nm", "transmission"],
-              zip(curve.wavelengths_nm, curve.values))
+              np.column_stack([curve.wavelengths_nm, curve.values]))
 
     config = cavitymode.CavityConfig(
         radius_of_curvature_um=ccfg["radius_of_curvature_um"],
@@ -167,6 +165,8 @@ def cmd_cavity(args, scenario: Scenario) -> None:
 
 
 def cmd_emitter(args, scenario: Scenario) -> None:
+    from . import cavitymode, emitter
+    from .constants import linewidth_nm_to_hz, rate_from_lifetime_ps
     ecfg, ccfg = scenario["emitter"], scenario["cavity"]
     out = _outdir(args)
     config = cavitymode.CavityConfig(
@@ -213,16 +213,16 @@ def cmd_emitter(args, scenario: Scenario) -> None:
         cavity_range=(ecfg["map_rate_min_hz"], ecfg["map_rate_max_hz"]),
         points=ecfg["map_points"])
     write_json(out / "emitter_report.json", scenario, payload)
-    kappa_list = kappas.tolist()
-    rows = ((g, k, v) for g, row in zip(gs.tolist(), grid.tolist())
-            for k, v in zip(kappa_list, row))
+    g_col, kappa_col = np.meshgrid(gs, kappas, indexing="ij")
     write_csv(out / "indistinguishability_map.csv", scenario,
-              ["g_Hz", "kappa_Hz", "indistinguishability"], rows)
+              ["g_Hz", "kappa_Hz", "indistinguishability"],
+              np.column_stack([g_col.ravel(), kappa_col.ravel(), grid.ravel()]))
     print(f"emitter: F_eff {f_eff:.3f}, QE {eta:.3f}, I_cav "
           f"{payload['cavity_indistinguishability']:.3e}")
 
 
 def cmd_fit(args, scenario: Scenario) -> None:
+    from . import specfit
     out = _outdir(args)
     series = specfit.read_series_csv(args.input)
     fcfg = scenario["fit"]
@@ -272,6 +272,7 @@ def cmd_fit(args, scenario: Scenario) -> None:
 
 
 def cmd_qkd(args, scenario: Scenario) -> None:
+    from . import qkd
     qcfg = scenario["qkd"]
     out = _outdir(args)
     detector = qkd.DetectorModel(
@@ -315,11 +316,10 @@ def cmd_qkd(args, scenario: Scenario) -> None:
     rows = qkd.sweep(sources, channel, detector, distances)
     columns = ["distance_km", "loss_db", "rate_sps", "rate_ideal", "rate_wcs",
                "rate_decoy", "mu_wcs", "mu_decoy"]
+    # a source at fixed mu has no mu column
     write_csv(out / "qkd_rates.csv", scenario, columns,
-              ([row["distance_km"], row["loss_db"], row["rate_sps"], row["rate_ideal"],
-                row["rate_wcs"], row["rate_decoy"],
-                row.get("mu_wcs", qcfg["mu_fixed"]),
-                row.get("mu_decoy", qcfg["mu_fixed"])] for row in rows))
+              np.column_stack([[row.get(c, qcfg["mu_fixed"]) for row in rows]
+                               for c in columns]))
 
     crossings = {}
     for label, other in (("sps_vs_decoy", sources["decoy"]), ("sps_vs_wcs", sources["wcs"])):
@@ -363,6 +363,7 @@ def _sweep_range(text: str) -> tuple[float, float, float]:
 
 
 def cmd_fab(args, scenario: Scenario) -> None:
+    from . import fab
     fcfg = scenario["fab"]
     out = _outdir(args)
     if args.profile:
@@ -383,6 +384,7 @@ def cmd_fab(args, scenario: Scenario) -> None:
 
 
 def cmd_reproduce(args, scenario: Scenario) -> None:
+    from .reproduce import run_all
     out = _outdir(args)
     report = run_all(draws=args.draws)
     table = report.table()
@@ -481,7 +483,7 @@ def main(argv=None) -> int:
             return 0
         COMMANDS[args.command](args, scenario)
         return 0
-    except NUMERICAL_ERRORS as exc:
+    except NumericalError as exc:
         _report_error(args, exc, 2)
         return 2
     except VALIDATION_ERRORS as exc:

@@ -32,12 +32,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import NumericalError
+
 
 class OpticsError(ValueError):
     """Invalid optical structure or probe parameters."""
 
 
-class ResonanceSearchError(RuntimeError):
+class ResonanceSearchError(NumericalError):
     """The resonance search bracket contains no suitable maximum."""
 
 

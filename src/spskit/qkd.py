@@ -45,6 +45,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import transmittance_to_db
+from .errors import NumericalError
 
 SOURCE_KINDS = ("ideal_sps", "real_sps", "wcs", "decoy")
 DIVERGENCE_MODELS = ("gaussian_farfield", "friis", "calibrated")
@@ -56,11 +57,11 @@ class QkdError(ValueError):
     """Invalid QKD scenario parameters."""
 
 
-class NoPositiveRateError(RuntimeError):
+class NoPositiveRateError(NumericalError):
     """The key rate is zero over the whole optimization domain."""
 
 
-class NoCrossingError(RuntimeError):
+class NoCrossingError(NumericalError):
     """The rate difference does not change sign on the search interval."""
 
 

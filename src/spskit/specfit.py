@@ -48,12 +48,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lsq
+from .errors import NumericalError
 
 MAX_ITERATIONS = 200
 STEP_TOLERANCE = 1e-10
 
 
-class FitError(RuntimeError):
+class FitError(NumericalError):
     """Fit could not be performed or did not converge."""
 
     def __init__(self, message: str, last_params: dict | None = None):
@@ -395,8 +396,16 @@ def _decay_blocks(irf: np.ndarray, rate: np.ndarray, block: int) -> np.ndarray:
     # within a block y[j] = a^j sum_{m<=j} a^-m irf[m], then the carry in
     y = np.exp(-m_rate)[:, None] * np.cumsum(z * np.exp(m_rate)[:, None], axis=-1)
     carry = np.exp(-(m_rate + rate[:, None]))
-    for b in range(1, y.shape[1]):
-        y[:, b] += carry * y[:, b - 1, -1:]
+    if block < _BLOCK_MAX:
+        # a short block has a^block < e^-16, so a block's last value takes
+        # the last values of two blocks before it, all that passes 2^-69
+        ends = y[:, :, -1].copy()
+        for i in (1, 2):
+            ends[:, i:] += np.exp(-i * block * rate)[:, None] * y[:, :-i, -1]
+        y[:, 1:] += carry[:, None] * ends[:, :-1, None]
+    else:
+        for b in range(1, y.shape[1]):
+            y[:, b] += carry * y[:, b - 1, -1:]
     return y.reshape(k, -1)[:, :n]
 
 

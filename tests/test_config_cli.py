@@ -1,5 +1,7 @@
 import filecmp
+import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,9 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import spskit
-from spskit.cli import main
+from spskit import cli
+from spskit.cli import CSV_BLOCK_ROWS, main
 from spskit.config import (
     ConfigError,
     apply_overrides,
@@ -385,6 +390,32 @@ def _write_fit_inputs(folder: Path) -> None:
         write_series_csv(folder / f"{name}.csv", MeasurementSeries(tuple(xs), tuple(ys), kind))
 
 
+def _cli_code(folder: Path, argv: list[str]) -> str:
+    """Python code that runs the CLI on argv as ``python -m spskit.cli`` does,
+    with the fit inputs written to folder and the outputs put there."""
+    _write_fit_inputs(folder)
+    argv = [str(folder / a) if a.endswith(".csv") else a for a in argv]
+    return ("import runpy\n"
+            f"sys.argv = ['spskit', '--outdir', {str(folder)!r}, *{argv!r}]\n"
+            "try:\n"
+            "    runpy.run_module('spskit.cli', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n")
+
+
+def _modules_after(code: str) -> set[str]:
+    """The names in sys.modules of a fresh interpreter after it runs code."""
+    script = f"import sys\n{code}\nprint(*sorted(sys.modules))"
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                            text=True, check=False, env=_child_env())
+    assert result.returncode == 0, result.stderr
+    return set(result.stdout.splitlines()[-1].split())
+
+
+def _submodules(modules: set[str]) -> set[str]:
+    return {m.split(".", 1)[1] for m in modules if m.startswith("spskit.")}
+
+
 class TestLazyScipy:
     @pytest.mark.parametrize("argv", [
         None,
@@ -396,20 +427,102 @@ class TestLazyScipy:
     ], ids=["import", "cli-mirror", "fit-decay", "fit-correlation", "fit-spectrum",
             "fit-polarization"])
     def test_scipy_optimize_not_loaded(self, tmp_path, argv):
-        code = "import spskit\n"
-        if argv is not None:
-            _write_fit_inputs(tmp_path)
-            argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
-            code = ("import runpy\n"
-                    f"sys.argv = ['spskit', '--outdir', {str(tmp_path)!r}, *{argv!r}]\n"
-                    "try:\n"
-                    "    runpy.run_module('spskit.cli', run_name='__main__')\n"
-                    "except SystemExit as exc:\n"
-                    "    assert exc.code == 0, exc.code\n")
-        script = f"import sys\n{code}\nprint('scipy' in sys.modules, 'spskit' in sys.modules)"
-        result = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                                text=True, check=False, env=_child_env())
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.split()[-2:] == ["False", "True"]
+        modules = _modules_after("import spskit\n" if argv is None
+                                 else _cli_code(tmp_path, argv))
+        assert "scipy" not in modules
+        assert "spskit" in modules
         if argv is not None and argv[0] == "fit":
             assert json.loads((tmp_path / "fit_report.json").read_text())["fit"]["converged"]
+
+
+class TestImportsPerCommand:
+    """Which modules a call loads; never how long it takes."""
+
+    def test_import_spskit_loads_no_submodule_and_no_numpy(self):
+        modules = _modules_after("import spskit\n")
+        assert "numpy" not in modules
+        assert _submodules(modules) == set()
+
+    def test_submodules_load_on_first_use(self):
+        modules = _modules_after("import spskit\nassert spskit.qkd.sweep and spskit.errors\n")
+        assert _submodules(modules) == {"constants", "errors", "qkd"}
+        with pytest.raises(AttributeError, match="no attribute 'nope'"):
+            spskit.nope  # noqa: B018
+
+    def test_every_module_is_reachable_as_an_attribute(self):
+        files = {p.stem for p in Path(spskit.__file__).parent.glob("*.py")} - {"__init__"}
+        assert set(spskit._SUBMODULES) == files
+
+    @pytest.mark.parametrize("argv, unused", [
+        (["mirror"], {"specfit", "lsq", "qkd", "fab", "emitter", "reproduce"}),
+        (["fit", "--input", "polarization.csv"],
+         {"optics", "qkd", "fab", "emitter", "reproduce"}),
+        (["fit", "--input", "decay.csv", "--irf", "irf.csv"],
+         {"optics", "qkd", "fab", "emitter", "reproduce"}),
+    ], ids=["mirror", "fit-polarization", "fit-decay"])
+    def test_command_loads_only_what_it_runs(self, tmp_path, argv, unused):
+        loaded = _submodules(_modules_after(_cli_code(tmp_path, argv)))
+        assert loaded & unused == set()
+        assert loaded
+
+    def test_reproduce_loads_every_module(self, tmp_path):
+        loaded = _submodules(_modules_after(_cli_code(tmp_path, ["reproduce", "--draws", "2"])))
+        # cli itself runs as __main__
+        assert loaded == set(spskit._SUBMODULES) - {"cli"}
+
+
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.5e-310,
+                  2.2250738585072014e-308, 1e300, -1e300, 1.0, 123456789012.5]
+
+
+class TestCsvWriter:
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(values=st.lists(st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats()),
+                           min_size=1, max_size=64),
+           n_rows=st.sampled_from([0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
+                                   CSV_BLOCK_ROWS + 1]),
+           n_cols=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+    @example(values=SPECIAL_FLOATS, n_rows=CSV_BLOCK_ROWS + 1, n_cols=3, seed=0)
+    def test_every_cell_is_its_own_format(self, tmp_path, values, n_rows, n_cols, seed):
+        rows = np.random.default_rng(seed).choice(np.array(values), size=(n_rows, n_cols))
+        path = tmp_path / "table.csv"
+        columns = [f"c{i}" for i in range(n_cols)]
+        cli.write_csv(path, default_scenario(), columns, rows)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert lines[0].startswith("# spskit ")
+        assert lines[1] == ",".join(columns) + "\n"
+        assert lines[2:] == [",".join(f"{v:.10g}" for v in row) + "\n"
+                             for row in rows.tolist()]
+
+
+NUMERICAL_ERRORS = [("specfit", "FitError"), ("qkd", "NoCrossingError"),
+                    ("qkd", "NoPositiveRateError"), ("optics", "ResonanceSearchError")]
+VALIDATION_ERRORS = [("config", "ConfigError"), ("optics", "OpticsError"),
+                     ("cavitymode", "CavityError"), ("emitter", "PhotophysicsError"),
+                     ("specfit", "SeriesError"), ("qkd", "QkdError"), ("fab", "FabError")]
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("error_json", [False, True], ids=["text", "json"])
+    @pytest.mark.parametrize("module, name, code", [
+        *(pytest.param(module, name, 2, id=name) for module, name in NUMERICAL_ERRORS),
+        *(pytest.param(module, name, 1, id=name) for module, name in VALIDATION_ERRORS),
+    ])
+    def test_error_class_sets_the_exit_code(self, tmp_path, capsys, monkeypatch,
+                                            module, name, code, error_json):
+        error = getattr(importlib.import_module(f"spskit.{module}"), name)
+
+        def fail(args, scenario):
+            raise error("injected failure")
+
+        monkeypatch.setitem(cli.COMMANDS, "mirror", fail)
+        argv = ["--outdir", str(tmp_path), "mirror", *(["--error-json"] if error_json else [])]
+        assert main(argv) == code
+        out, err = capsys.readouterr()
+        assert "Traceback" not in out + err
+        if error_json:
+            assert json.loads(out) == {"error": name, "message": "injected failure",
+                                       "exit_code": code}
+        else:
+            assert (out, err) == ("", "error: injected failure\n")
