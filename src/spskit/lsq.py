@@ -1,8 +1,29 @@
 """Levenberg-Marquardt least squares for many problems of one model in lockstep.
 
-The iteration, its stopping tests, bounds and budget are the ones the
-``specfit`` docstring documents; a problem's fit does not depend on the
-batch it runs in. ``specfit`` turns the outcomes into its fit results.
+A damped Gauss-Newton iteration after Moré's MINPACK formulation (LNM
+630, 1978). The Jacobian is MINPACK's forward difference (step
+sqrt(eps)*|p|, or sqrt(eps) at p = 0); the parameters are scaled by the
+running maximum of the Jacobian column norms; the damping grows after a
+rejected step and shrinks after an accepted one with the ratio of actual
+to predicted cost reduction (Marquardt's update as refined by Nielsen,
+in place of MINPACK's trust radius). It stops when the relative cost
+reduction and the predicted one both fall below 1e-12, when the scaled
+step falls below ``step_tolerance``, or when the scaled gradient
+vanishes.
+
+Bounds need no second path: each trial point is projected into the box,
+and a parameter on a bound whose descent direction points out of the
+box is held for that iteration. A problem may spend
+max_iterations * (n + 1) residual evaluations for n parameters, Jacobian
+columns included.
+
+Each problem has its own parameters, damping, scale, free mask, bounds,
+budget and best point, until it converges or fails. A round is one model
+call for every problem still searching, and a Jacobian column one call
+for those that need it. Stacked matrix products, axis norms and
+elementwise arithmetic give each problem the bits it gets alone, so a
+problem's fit does not depend on the batch it runs in. ``specfit`` turns
+the outcomes into its fit results.
 """
 from __future__ import annotations
 

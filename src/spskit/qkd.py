@@ -32,10 +32,10 @@ The intensity optimizer ``_optimal_mu`` takes a whole array of
 transmittances: its 120-point log pre-scan is one (n_t x 120) call, and
 the golden-section refinement runs in lockstep over all brackets, with
 the update rule and ``tol`` of a scalar search applied per element and
-converged elements frozen. ``sweep`` and the grid scan of
-``find_crossing`` make one such call per source. ``key_rate``,
-``optimize_mu`` and ``effective_rate`` are scalar wrappers over the
-same code, used by the crossing bisection.
+converged elements frozen. ``sweep``, the grid scan of ``find_crossing``
+and each batch of its bisection levels make one such call per source.
+``key_rate``, ``optimize_mu`` and ``effective_rate`` are scalar wrappers
+over the same code.
 """
 from __future__ import annotations
 
@@ -309,6 +309,8 @@ def key_rate(source: SourceModel, channel: ChannelModel, detector: DetectorModel
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# bisection levels of find_crossing per array call, 2^CROSSING_LEVELS - 1 distances
+CROSSING_LEVELS = 5
 
 
 def _optimal_mu(source: SourceModel, t, detector: DetectorModel, *,
@@ -400,22 +402,21 @@ def find_crossing(
 
     Scans the interval for a sign change of rate_a - rate_b (re-optimizing
     mu per distance for wcs/decoy sources), one array evaluation per
-    source, then bisects with the scalar ``effective_rate``. Raises
-    NoCrossingError when no sign change exists in the interval.
+    source, then bisects to ``tol_km``: the midpoints of the next
+    CROSSING_LEVELS levels, evaluated in one such call and walked step by
+    step, give the bits of one distance at a time. Raises NoCrossingError
+    when no sign change exists in the interval.
     """
     lo, hi = search_interval_km
     if hi <= lo:
         raise QkdError("search interval must satisfy lo < hi")
 
-    def diff(d: float) -> float:
-        ch = channel.at_distance(d)
-        return (effective_rate(source_a, ch, detector)
-                - effective_rate(source_b, ch, detector))
+    def diff(distances) -> np.ndarray:
+        t = [channel_transmittance(channel.at_distance(d)) for d in distances]
+        return _effective_rates(source_a, t, detector) - _effective_rates(source_b, t, detector)
 
     grid = np.linspace(lo, hi, grid_points)
-    t = [channel_transmittance(channel.at_distance(d)) for d in grid]
-    values = (_effective_rates(source_a, t, detector)
-              - _effective_rates(source_b, t, detector)).tolist()
+    values = diff(grid).tolist()
     # both rates clamped to zero is equality, not a crossing; bracket the
     # first strict sign change, allowing clamped points in between
     bracket = None
@@ -424,22 +425,29 @@ def find_crossing(
         if v == 0.0:
             continue
         if prev is not None and values[prev] * v < 0:
-            bracket = (grid[prev], grid[i])
+            bracket = (grid[prev], grid[i], values[prev])
             break
         prev = i
     if bracket is None:
         raise NoCrossingError(
             f"no crossing in interval [{lo}, {hi}] km: rate difference keeps one sign")
 
-    a, b = bracket
-    fa = diff(a)
+    a, b, fa = bracket
     while b - a > tol_km:
-        m = 0.5 * (a + b)
-        fm = diff(m)
-        if fm != 0.0 and (fm > 0) == (fa > 0):
-            a, fa = m, fm
-        else:
-            b = m
+        # level k of the bisection tree: the 2^k midpoints of its subintervals
+        ends, tree = np.array([a, b]), []
+        for _ in range(CROSSING_LEVELS):
+            tree.append(0.5 * (ends[:-1] + ends[1:]))
+            ends = np.insert(ends, np.arange(1, ends.size), tree[-1])
+        values, node = diff(np.concatenate(tree)).tolist(), 0
+        for k in range(CROSSING_LEVELS):
+            if b - a <= tol_km:
+                break
+            m, fm = tree[k][node], values[2 ** k - 1 + node]
+            if fm != 0.0 and (fm > 0) == (fa > 0):
+                a, fa, node = m, fm, 2 * node + 1
+            else:
+                b, node = m, 2 * node
     d_cross = 0.5 * (a + b)
     ch = channel.at_distance(d_cross)
     t = channel_transmittance(ch)

@@ -180,6 +180,12 @@ def check_indistinguishability(report: ReproductionReport) -> None:
                2.5e-3 <= i_cav <= 1.1e-2)
 
 
+# fixed grids over immutable buffers: every draw's series holds these, not copies
+DECAY_GRID, DELAY_GRID, ANGLE_GRID = (np.frombuffer(grid.tobytes()) for grid in (
+    np.arange(0.0, 12000.0, 16.0), np.linspace(-30000.0, 30000.0, 1601),
+    np.linspace(0.0, 360.0, 73)))
+
+
 def fit_roundtrip_draw(rng: np.random.Generator) -> dict:
     """One randomized draw of every fit round trip: each series to fit
     with the true values it was generated from."""
@@ -195,7 +201,7 @@ def fit_roundtrip_draw(rng: np.random.Generator) -> dict:
 
     # --- lifetime decay through a Gaussian instrument response
     lifetime = rng.uniform(200.0, 2000.0)
-    t = np.arange(0.0, 12000.0, 16.0)
+    t = DECAY_GRID
     irf_fwhm = rng.uniform(60.0, 160.0)
     irf_center = rng.uniform(300.0, 600.0)
     irf = np.exp(-0.5 * ((t - irf_center) / (irf_fwhm / 2.3548)) ** 2)
@@ -209,7 +215,7 @@ def fit_roundtrip_draw(rng: np.random.Generator) -> dict:
     bunch = rng.uniform(0.0, 0.15)
     t1 = rng.uniform(300.0, 1200.0)
     t2 = rng.uniform(4000.0, 9000.0)
-    tau = np.linspace(-30000.0, 30000.0, 1601)
+    tau = DELAY_GRID
     g2 = specfit.g2_model(tau, anti, bunch, t1, t2)
     g2 = g2 + rng.uniform(-0.01, 0.01, tau.size)
     correlation = specfit.MeasurementSeries(tau, g2, "correlation")
@@ -221,7 +227,7 @@ def fit_roundtrip_draw(rng: np.random.Generator) -> dict:
     # dop = a/(a+2b)  ->  b = a (1-dop)/(2 dop)
     a = total * dop
     b = a * (1.0 - dop) / (2.0 * dop)
-    theta = np.linspace(0.0, 360.0, 73)
+    theta = ANGLE_GRID
     pol = specfit.cos2_model(theta, a, axis, b)
     pol = pol + rng.uniform(-0.002, 0.002, theta.size) * (a + b)
     polarization = specfit.MeasurementSeries(theta, pol, "polarization")
@@ -245,9 +251,11 @@ def fit_roundtrip_fits(draws: list[dict]) -> list[dict]:
     def column(kind, i=0):
         return [draw[kind][i] for draw in draws]
 
+    correlations = column("correlation")
     fits = {"spectrum": specfit.fit_lorentzian_batch(column("spectrum")),
             "decay": specfit.fit_decay_with_irf_batch(column("decay"), column("decay", 1)),
-            "correlation": specfit.fit_g2_batch(column("correlation")),
+            "correlation": [fit for i in range(0, len(draws), G2_CHUNK)
+                            for fit in specfit.fit_g2_batch(correlations[i:i + G2_CHUNK])],
             "polarization": specfit.fit_polarization_batch(column("polarization"))}
     per_draw = [dict(zip(fits, outcomes)) for outcomes in zip(*fits.values())]
     for fit in (fit for outcomes in per_draw for fit in outcomes.values()):
@@ -256,9 +264,10 @@ def fit_roundtrip_fits(draws: list[dict]) -> list[dict]:
     return per_draw
 
 
-# Draws fitted together: more share each solver round; six keep the peak
-# memory where fitting one draw at a time had it.
-FIT_CHUNK = 6
+# Draws generated and fitted together: more share each solver round. The g2
+# fits, the memory peak, gain nothing past six a batch, so run six at a time.
+FIT_CHUNK = 12
+G2_CHUNK = 6
 
 
 def fit_roundtrip_summary(draws: int = 100) -> dict[str, float]:
@@ -307,6 +316,7 @@ def fit_roundtrip_summary(draws: int = 100) -> dict[str, float]:
             recovered = specfit.correct_g2_background(mixed, snr)
             worst["background_inverse"] = max(worst["background_inverse"],
                                               abs(recovered - g2_true))
+        del chunk, draw, fits  # the next chunk is drawn with none of this one alive
 
     return worst
 

@@ -7,32 +7,11 @@ fitter round-trips: a curve generated from the model with known
 parameters plus bounded noise is recovered within the documented
 tolerance.
 
-The minimizer is numpy only: a Levenberg-Marquardt (damped
-Gauss-Newton) iteration after Moré's MINPACK formulation (LNM 630,
-1978). The Jacobian is MINPACK's forward difference (step
-sqrt(eps)*|p|, or sqrt(eps) at p = 0); the parameters are scaled by the
-running maximum of the Jacobian column norms; the damping grows after a
-rejected step and shrinks after an accepted one with the ratio of actual
-to predicted cost reduction (Marquardt's update as refined by Nielsen,
-in place of MINPACK's trust radius). It stops when the relative cost
-reduction and the predicted one both fall below 1e-12, when the scaled
-step falls below STEP_TOLERANCE, or when the scaled gradient vanishes.
-
-Bounds need no second path: each trial point is projected into the box,
-and a parameter on a bound whose descent direction points out of the
-box is held for that iteration. A fit may spend MAX_ITERATIONS * (n + 1)
-residual evaluations for n parameters, Jacobian columns included; that
-count is the reported ``n_evaluations``.
-
-``_run_fit_batch`` runs this iteration (module ``lsq``) on many
-problems of one model in lockstep, each with its own parameters,
-damping, scale, free mask, bounds, budget and best point, until it
-converges or fails. A round is one model call for every
-problem still searching, and a Jacobian column one call for those that
-need it. Stacked matrix products, axis norms and elementwise arithmetic
-give each problem the bits it gets alone; ``_run_fit`` is the batch of
-one. The ``*_batch`` fitters solve same-length series this way;
-``reproduce`` fits its draws in chunks.
+The minimizer is the numpy-only Levenberg-Marquardt iteration of module
+``lsq``. A fit may spend MAX_ITERATIONS * (n + 1) residual evaluations
+for n parameters, the reported ``n_evaluations``. ``_run_fit_batch``
+solves many problems of one model in lockstep, each with the bits it
+gets alone; ``_run_fit`` is the batch of one.
 
 The IRF convolution is the recursion y[n] = a y[n-1] + irf[n],
 a = exp(-dt/tau) (Enderlein and Erdmann, Opt. Commun. 134, 371 (1997)),
@@ -73,7 +52,8 @@ SERIES_KINDS = ("spectrum", "decay", "correlation", "polarization")
 class MeasurementSeries:
     """A measured (x, y) series; x strictly increasing, y finite.
 
-    x and y are held as read-only float64 arrays.
+    x and y are held as read-only float64 copies, but for an x over an
+    immutable bytes buffer, which is shared.
     """
 
     x: np.ndarray
@@ -81,7 +61,9 @@ class MeasurementSeries:
     kind: str = "spectrum"
 
     def __post_init__(self):
-        x = np.array(self.x, dtype=float)
+        x = self.x
+        if not (isinstance(x, np.ndarray) and isinstance(x.base, bytes) and x.dtype == float):
+            x = np.array(x, dtype=float)
         y = np.array(self.y, dtype=float)
         if x.ndim != 1 or y.ndim != 1:
             raise SeriesError("x and y must be one-dimensional")
@@ -458,10 +440,37 @@ def fit_decay_with_irf_batch(decays, irfs) -> list:
 # second-order correlation
 # ---------------------------------------------------------------------------
 
-def g2_model(tau, anti_amp, bunch_amp, anti_time, bunch_time):
-    a = np.exp(-np.abs(tau) / anti_time)
-    b = np.exp(-np.abs(tau) / bunch_time)
-    return 1.0 - anti_amp * a + bunch_amp * b
+def _decay(tau, time):
+    d = -np.abs(tau) / time
+    return np.exp(d, out=d)
+
+
+def _decay_memo():
+    """``_decay`` for one solve, keeping the last three results by grid
+    object and time bits: a Jacobian column steps one time at a time."""
+    memo: dict = {}
+
+    def decay(tau, time):
+        key = (id(tau), np.shape(time), np.asarray(time).tobytes())
+        entry = memo.pop(key, None)
+        if entry is None:
+            if len(memo) == 3:
+                del memo[next(iter(memo))]
+            entry = (tau, _decay(tau, time))  # held, tau keeps its id
+        memo[key] = entry
+        return entry[1]
+
+    return decay
+
+
+def g2_model(tau, anti_amp, bunch_amp, anti_time, bunch_time, *, decay=_decay):
+    """g2(tau) = 1 - A exp(-|tau|/t1) + B exp(-|tau|/t2) on an array tau,
+    summed in place in that order. ``decay(tau, t)`` gives exp(-|tau|/t);
+    a fit passes a ``_decay_memo``, which computes each t once per solve."""
+    g = anti_amp * decay(tau, anti_time)
+    np.subtract(1.0, g, out=g)
+    g += bunch_amp * decay(tau, bunch_time)
+    return g
 
 
 G2_NAMES = ["antibunching_amplitude", "bunching_amplitude",
@@ -501,14 +510,6 @@ def _g2_start(series: MeasurementSeries, tail_fraction: float, min_tail_points: 
             [0.0, 0.0, 1e-9, t2_lo, 1e-12], [2.0, 2.0, np.inf, t2_hi, np.inf])
 
 
-def _g2_with_bunching(tv, anti, bunch, t_anti, t_bunch, level):
-    return level * g2_model(tv, anti, bunch, t_anti, t_bunch)
-
-
-def _g2_plain(tv, anti, t_anti, level):
-    return level * g2_model(tv, anti, 0.0, t_anti, 1.0)
-
-
 def fit_g2(series: MeasurementSeries, *, tail_fraction: float = 0.25,
            min_tail_points: int = 8) -> G2Fit:
     """Fit the antibunching/bunching correlation model.
@@ -533,9 +534,21 @@ def fit_g2_batch(correlations, *, tail_fraction: float = 0.25,
     weights = None if all(w is None for w in weights) else np.array(
         [np.ones_like(v) if w is None else w for v, w in zip(y, weights)])
     y, p0, lower, upper = map(np.array, (y, p0, lower, upper))
-    with_bunching = _run_fit_batch(_g2_with_bunching, np.array(tau), y, p0, G2_NAMES,
+    # one grid for all: no stack, one memo key
+    grid = tau[0] if all(np.array_equal(v, tau[0]) for v in tau) else np.array(tau)
+    decay = _decay_memo()
+
+    def g2_with_bunching(tv, anti, bunch, t_anti, t_bunch, level):
+        g = g2_model(tv, anti, bunch, t_anti, t_bunch, decay=decay)
+        g *= level
+        return g
+
+    def g2_plain(tv, anti, t_anti, level):
+        return g2_with_bunching(tv, anti, 0.0, t_anti, 1.0, level)
+
+    with_bunching = _run_fit_batch(g2_with_bunching, grid, y, p0, G2_NAMES,
                                    weights=weights, bounds=(lower, upper))
-    plain = _run_fit_batch(_g2_plain, np.array(tau), y, p0[:, _G2_PLAIN],
+    plain = _run_fit_batch(g2_plain, grid, y, p0[:, _G2_PLAIN],
                            [G2_NAMES[i] for i in _G2_PLAIN], weights=weights,
                            bounds=(lower[:, _G2_PLAIN], upper[:, _G2_PLAIN]))
     return [_g2_choose(*fits) for fits in zip(with_bunching, plain, tau)]

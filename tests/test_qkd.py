@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spskit import qkd
+from spskit.constants import transmittance_to_db
 from spskit.qkd import (
     ChannelModel,
     DetectorModel,
@@ -369,6 +370,88 @@ class TestCrossing:
     def test_bad_interval_rejected(self):
         with pytest.raises(QkdError):
             find_crossing(REAL_SPS, DECOY, FIBER, GYS_DETECTOR, (50.0, 10.0))
+
+
+def sequential_crossing(source_a, source_b, channel, detector, interval, tol_km):
+    """The crossing as found by the array scan of ``find_crossing``, then
+    bisecting one distance at a time, each step through the scalar
+    ``effective_rate``: what ``find_crossing`` must reproduce bit for bit."""
+    lo, hi = interval
+    grid = np.linspace(lo, hi, 200)
+    t = [channel_transmittance(channel.at_distance(d)) for d in grid]
+    values = (qkd._effective_rates(source_a, t, detector)
+              - qkd._effective_rates(source_b, t, detector)).tolist()
+    prev = None
+    for i, v in enumerate(values):
+        if v == 0.0:
+            continue
+        if prev is not None and values[prev] * v < 0:
+            a, b = grid[prev], grid[i]
+            break
+        prev = i
+
+    def diff(d):
+        ch = channel.at_distance(d)
+        return effective_rate(source_a, ch, detector) - effective_rate(source_b, ch, detector)
+
+    fa = diff(a)
+    while b - a > tol_km:
+        m = 0.5 * (a + b)
+        fm = diff(m)
+        if fm != 0.0 and (fm > 0) == (fa > 0):
+            a, fa = m, fm
+        else:
+            b = m
+    d = 0.5 * (a + b)
+    ch = channel.at_distance(d)
+    return (float(d), transmittance_to_db(channel_transmittance(ch)),
+            effective_rate(source_a, ch, detector))
+
+
+CALIBRATED_SPACE = ChannelModel(
+    kind="freespace", divergence_model="calibrated",
+    divergence_half_angle_rad=calibrate_divergence_half_angle(0.05, 0.60, 8.82, 630.0))
+
+
+class TestCrossingExactness:
+    """The lockstep bisection levels give the sequential bisection's bits."""
+
+    @pytest.mark.parametrize("tol_km", [1e-1, 1e-3, 1e-6])
+    @pytest.mark.parametrize("channel,source_b,interval", [
+        (FIBER, DECOY, (1.0, 120.0)),
+        (FIBER, WCS, (1.0, 120.0)),
+        (FIBER, DECOY, (20.0, 200.0)),
+        (CALIBRATED_SPACE, DECOY, (10.0, 1500.0)),
+        (CALIBRATED_SPACE, WCS, (300.0, 700.0)),
+        (FREESPACE, DECOY, (10.0, 1500.0)),
+    ], ids=["fiber-decoy", "fiber-wcs", "fiber-decoy-far", "space-decoy", "space-wcs",
+            "farfield-decoy"])
+    def test_same_bits_as_sequential(self, channel, source_b, interval, tol_km):
+        report = find_crossing(REAL_SPS, source_b, channel, GYS_DETECTOR, interval,
+                               tol_km=tol_km)
+        expected = sequential_crossing(REAL_SPS, source_b, channel, GYS_DETECTOR, interval,
+                                       tol_km)
+        assert (report.distance_km, report.loss_db, report.rate) == expected
+
+    @pytest.mark.parametrize("tol_km", [1e-1, 1e-3, 1e-6])
+    @pytest.mark.parametrize("sources", [(REAL_SPS, DECOY), (DECOY, REAL_SPS)],
+                             ids=["real-first", "decoy-first"])
+    def test_clamped_zero_differences_in_the_bracket(self, monkeypatch, sources, tol_km):
+        # both rates clamped to zero from 20 to 26 km, past the 24.5 km
+        # crossing: the scan brackets the zeros, and bisection must treat
+        # each zero midpoint as the far side, as one step at a time does
+        real_rates = qkd._effective_rates
+        near, far = (channel_transmittance(FIBER.at_distance(d)) for d in (20.0, 26.0))
+
+        def clamped(source, t, detector):
+            t = np.asarray(t, dtype=float)
+            return np.where((t < near) & (t > far), 0.0, real_rates(source, t, detector))
+
+        monkeypatch.setattr(qkd, "_effective_rates", clamped)
+        report = find_crossing(*sources, FIBER, GYS_DETECTOR, (1.0, 120.0), tol_km=tol_km)
+        expected = sequential_crossing(*sources, FIBER, GYS_DETECTOR, (1.0, 120.0), tol_km)
+        assert (report.distance_km, report.loss_db, report.rate) == expected
+        assert report.distance_km == pytest.approx(20.0, abs=tol_km)
 
 
 class TestSweep:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from spskit.specfit import (
     cos2_model,
     fit_decay_with_irf,
     fit_g2,
+    fit_g2_batch,
     fit_lorentzian,
     fit_polarization,
     format_with_uncertainty,
@@ -69,6 +71,20 @@ class TestSeriesValidation:
         assert x.dtype == y.dtype == np.float64
         with pytest.raises(ValueError):
             x[0] = 0.0
+
+    def test_only_an_immutable_grid_is_held_without_a_copy(self):
+        # a read-only view can alias a writeable base: that x is copied
+        base = np.linspace(0.0, 1.0, 5)
+        view = base.view()
+        view.flags.writeable = False
+        held = MeasurementSeries(view, base).x
+        base[0] = -1.0
+        assert held[0] == 0.0 and held is not view
+        frozen = np.frombuffer(np.linspace(0.0, 1.0, 5).tobytes())
+        assert MeasurementSeries(frozen, frozen).x is frozen
+        draw = fit_roundtrip_draw(np.random.default_rng(RNG_SEED))
+        assert draw["decay"][0].x is draw["decay"][1].x is reproduce_module.DECAY_GRID
+        assert draw["correlation"][0].x is reproduce_module.DELAY_GRID
 
     def test_uniform_grid_allows_csv_rounding_only(self):
         t = np.linspace(0.0, 12288.0, 8192)
@@ -293,6 +309,24 @@ class TestG2Fit:
                        fit.bunching_amplitude, fit.antibunching_time_ps,
                        fit.bunching_time_ps)
         assert far[0] == pytest.approx(1.0, abs=1e-9)
+
+    def test_successive_batches_on_other_grids_fit_as_alone(self):
+        # two grids of one length and span with the same starting times (a
+        # dip faster than the sampling starts at span/200): an exponential
+        # computed on one grid must never serve the other
+        u = np.linspace(-1.0, 1.0, 1201)
+        grids = [30000.0 * u, 30000.0 * np.sinh(2.0 * u) / np.sinh(2.0)]
+        noise = np.random.default_rng(4).uniform(-0.01, 0.01, u.size)
+        a, b = (series(tau, g2_model(tau, 0.9, 0.05, 50.0, 6000.0) + noise, "correlation")
+                for tau in grids)
+        starts = [specfit_module._g2_start(s, 0.25, 8)[3] for s in (a, b)]
+        assert starts[0][2:4] == starts[1][2:4]
+        fit_b = fit_g2_batch([b])
+        assert fit_g2_batch([b]) == fit_b
+        fit_a = fit_g2_batch([a])
+        assert fit_g2_batch([b]) == fit_b
+        assert fit_g2_batch([a]) == fit_a
+        assert fit_g2_batch([a, b]) == fit_a + fit_b
 
     def test_short_tails_rejected(self):
         tau = np.linspace(-500.0, 500.0, 9)
@@ -592,10 +626,29 @@ class TestLockstepSolver:
             assert fits["polarization"] == fit_polarization(draw["polarization"][0])
 
     def test_summary_does_not_depend_on_the_chunk(self, monkeypatch):
-        # 13 draws: full chunks and a partial one, against batches of one
-        chunked = fit_roundtrip_summary(13)
-        monkeypatch.setattr(reproduce_module, "FIT_CHUNK", 1)
-        assert fit_roundtrip_summary(13) == chunked
+        # 13 draws: full chunks and partial ones, the shared chunk and the
+        # g2 sub-batch each of 1, 5 and 13
+        expected = fit_roundtrip_summary(13)
+        for chunk in (1, 5, 13):
+            for g2_chunk in (1, 5, 13):
+                monkeypatch.setattr(reproduce_module, "FIT_CHUNK", chunk)
+                monkeypatch.setattr(reproduce_module, "G2_CHUNK", g2_chunk)
+                assert fit_roundtrip_summary(13) == expected, (chunk, g2_chunk)
+
+    def test_chunk_fits_stay_within_their_memory_budget(self):
+        # the fits of one reproduce chunk, traced after a first untraced
+        # pass: 1.37 MB with numpy 2.4, which sets the chunk sizes; the
+        # budget of 1.72 MB leaves a quarter on top
+        rng = np.random.default_rng(RNG_SEED)
+        chunk = [fit_roundtrip_draw(rng) for _ in range(reproduce_module.FIT_CHUNK)]
+        fit_roundtrip_fits(chunk)
+        tracemalloc.start()
+        try:
+            fit_roundtrip_fits(chunk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_720_000, peak
 
     def test_fit_error_surfaces_from_the_summary(self, monkeypatch):
         monkeypatch.setattr(specfit_module, "MAX_ITERATIONS", 1)
