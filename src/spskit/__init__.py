@@ -14,6 +14,8 @@ lsq         the Levenberg-Marquardt solver behind them, many fits in lockstep
 qkd         BB84 key rates for single-photon, weak-coherent, and decoy
             sources over fiber and free-space channels
 fab         hemisphere dose maps (BMP export) and surface-profile fitting
+pipeline    scenario to models: the chains the CLI writes and reproduce checks
+reproduce   the reproduction table, on the scenario the CLI loads
 
 ``import spskit`` loads none of them, nor numpy; each loads on first use.
 """
@@ -21,7 +23,7 @@ fab         hemisphere dose maps (BMP export) and surface-profile fitting
 __version__ = "0.1.0"
 
 _SUBMODULES = ("cavitymode", "cli", "config", "constants", "emitter", "errors", "fab",
-               "lsq", "optics", "qkd", "reproduce", "specfit")
+               "lsq", "optics", "pipeline", "qkd", "reproduce", "specfit")
 
 
 def __getattr__(name: str):

@@ -60,12 +60,10 @@ def _outdir(args) -> Path:
 # ---------------------------------------------------------------------------
 
 def cmd_mirror(args, scenario: Scenario) -> None:
-    from . import optics
+    from . import optics, pipeline
     cfg = scenario["mirror"]
     out = _outdir(args)
-    stack = optics.make_quarter_wave_stack(
-        cfg["n_high"], cfg["n_low"], cfg["pairs"], cfg["design_wavelength_nm"],
-        cfg["termination"], substrate_index=cfg["n_substrate"])
+    stack = pipeline.mirror_stack(scenario, cfg["termination"])
     step = cfg["wl_step_nm"]
     if not (math.isfinite(step) and step > 0):
         raise ConfigError(f"[mirror] wl_step_nm must be positive and finite, got {step}")
@@ -106,109 +104,30 @@ def cmd_mirror(args, scenario: Scenario) -> None:
 
 
 def cmd_cavity(args, scenario: Scenario) -> None:
-    from . import cavitymode, optics
-    mcfg, ccfg = scenario["mirror"], scenario["cavity"]
+    from . import pipeline
     out = _outdir(args)
-    lam = ccfg["wavelength_nm"]
-    q = ccfg["longitudinal_order"]
-
-    # penetration depth from the deposited (low-index-terminated) coating
-    low_stack = optics.make_quarter_wave_stack(
-        mcfg["n_high"], mcfg["n_low"], mcfg["pairs"], mcfg["design_wavelength_nm"],
-        "low", substrate_index=mcfg["n_substrate"])
-    gap_low = optics.resonant_gap(low_stack, low_stack, q, lam)
-    xi = optics.penetration_depth(q, lam, gap_low)
-    field = optics.intracavity_field(low_stack, gap_low, low_stack, lam)
+    field, curve, payload = pipeline.cavity(scenario)
     write_csv(out / "cavity_field.csv", scenario,
               ["position_nm", "normalized_intensity"],
               np.column_stack([field.positions_nm, field.intensity]))
-
-    # spectrum from loss-calibrated mirrors at the measured reflectivity,
-    # at the device gap q*lam/2 - 2*penetration
-    high_stack = optics.make_quarter_wave_stack(
-        mcfg["n_high"], mcfg["n_low"], mcfg["pairs"], mcfg["design_wavelength_nm"],
-        "high", substrate_index=mcfg["n_substrate"])
-    lossy = optics.calibrated_lossy_stack(
-        high_stack, ccfg["effective_mirror_reflectivity"], lam)
-    gap = q * lam / 2.0 - 2.0 * xi
-    wls = np.linspace(lam - 1.5, lam + 1.5, 3001)
-    curve, res = optics.cavity_spectrum(lossy, gap, lossy, wls, report_near_nm=lam)
     write_csv(out / "cavity_spectrum.csv", scenario,
               ["wavelength_nm", "transmission"],
               np.column_stack([curve.wavelengths_nm, curve.values]))
-
-    config = cavitymode.CavityConfig(
-        radius_of_curvature_um=ccfg["radius_of_curvature_um"],
-        longitudinal_order=q, design_wavelength_nm=lam,
-        penetration_depth_nm=xi, mirror_reflectivity=ccfg["mirror_reflectivity"],
-        tuning_slope_nm_per_v=ccfg["tuning_slope_nm_per_v"],
-        max_voltage_v=ccfg["max_voltage_v"])
-    fsr, fin, linewidth = cavitymode.fsr_finesse_linewidth(
-        config, include_penetration=ccfg["include_penetration"])
-    payload = {
-        "resonant_gap_nm": gap,
-        "penetration_depth_nm": xi,
-        "antinode_count": field.antinode_count(),
-        "resonance": {
-            "found": res.found, "center_nm": res.center_nm, "fwhm_nm": res.fwhm_nm,
-            "quality_factor": res.quality_factor,
-            "peak_transmission": res.peak_transmission,
-        },
-        "mode_volume_lambda3": cavitymode.mode_volume(config),
-        "fsr_hz": fsr, "finesse": fin, "linewidth_hz": linewidth,
-        "airy_quality_factor": cavitymode.quality_factor(
-            config, include_penetration=ccfg["include_penetration"]),
-    }
     write_json(out / "cavity_report.json", scenario, payload)
-    print(f"cavity: gap {gap:.2f} nm, penetration {xi:.1f} nm, "
-          f"Q {res.quality_factor:.0f}, FWHM {res.fwhm_nm:.4f} nm")
+    res = payload["resonance"]
+    print(f"cavity: gap {payload['resonant_gap_nm']:.2f} nm, "
+          f"penetration {payload['penetration_depth_nm']:.1f} nm, "
+          f"Q {res['quality_factor']:.0f}, FWHM {res['fwhm_nm']:.4f} nm")
 
 
 def cmd_emitter(args, scenario: Scenario) -> None:
-    from . import cavitymode, emitter
-    from .constants import linewidth_nm_to_hz, rate_from_lifetime_ps
-    ecfg, ccfg = scenario["emitter"], scenario["cavity"]
+    from . import emitter, pipeline
+    from .constants import rate_from_lifetime_ps
+    ecfg = scenario["emitter"]
     out = _outdir(args)
-    config = cavitymode.CavityConfig(
-        radius_of_curvature_um=ccfg["radius_of_curvature_um"],
-        longitudinal_order=ccfg["longitudinal_order"],
-        design_wavelength_nm=ecfg["zpl_wavelength_nm"],
-        penetration_depth_nm=ccfg["penetration_depth_nm"],
-        mirror_reflectivity=ccfg["mirror_reflectivity"],
-        tuning_slope_nm_per_v=ccfg["tuning_slope_nm_per_v"])
-    volume = cavitymode.mode_volume(config)
-    chain = emitter.purcell_chain(
-        ecfg["zpl_wavelength_nm"], ecfg["cavity_fwhm_nm"], ecfg["free_linewidth_nm"],
-        volume, ecfg["lifetime_ratio"], ecfg["mirror_purcell"])
-    q_eff, f_eff = chain.effective_quality_factor, chain.effective_purcell_factor
-    eta = chain.quantum_efficiency
-
-    gamma = rate_from_lifetime_ps(ecfg["free_lifetime_ps"])
-    gamma_star = ecfg["dephasing_rate_hz"]
-    kappa = linewidth_nm_to_hz(ecfg["cavity_fwhm_nm"], ecfg["zpl_wavelength_nm"])
-    phys = emitter.EmitterPhotophysics(
-        zpl_wavelength_nm=ecfg["zpl_wavelength_nm"],
-        free_linewidth_nm=ecfg["free_linewidth_nm"],
-        free_lifetime_ps=ecfg["free_lifetime_ps"],
-        zpl_fraction=ecfg["zpl_fraction"],
-        degree_of_polarization=ecfg["dop"])
-    rates = emitter.rates_for_emitter_in_cavity(phys, ecfg["cavity_fwhm_nm"], f_eff)
-    payload = {
-        "mode_volume_lambda3": volume,
-        "effective_quality_factor": q_eff,
-        "effective_purcell_factor": f_eff,
-        "quantum_efficiency": eta,
-        "free_space_indistinguishability": emitter.indistinguishability_free(
-            gamma, gamma_star),
-        "cavity_indistinguishability": emitter.indistinguishability_cavity(rates),
-        "kappa_for_90pct_indistinguishability_hz":
-            emitter.kappa_for_target_indistinguishability(gamma, gamma_star, 1e5, 0.9),
-        "coupling": emitter.coupling_report(f_eff, kappa, gamma),
-        "rate_convention": "plain frequency (Hz); see module docs",
-        "spectral_overlap_at_zero_detuning": 1.0,
-    }
+    payload = pipeline.emitter(scenario)
     gs, kappas, grid = emitter.indistinguishability_map(
-        gamma, gamma_star,
+        rate_from_lifetime_ps(ecfg["free_lifetime_ps"]), ecfg["dephasing_rate_hz"],
         coupling_range=(ecfg["map_rate_min_hz"], ecfg["map_rate_max_hz"]),
         cavity_range=(ecfg["map_rate_min_hz"], ecfg["map_rate_max_hz"]),
         points=ecfg["map_points"])
@@ -217,8 +136,9 @@ def cmd_emitter(args, scenario: Scenario) -> None:
     write_csv(out / "indistinguishability_map.csv", scenario,
               ["g_Hz", "kappa_Hz", "indistinguishability"],
               np.column_stack([g_col.ravel(), kappa_col.ravel(), grid.ravel()]))
-    print(f"emitter: F_eff {f_eff:.3f}, QE {eta:.3f}, I_cav "
-          f"{payload['cavity_indistinguishability']:.3e}")
+    print(f"emitter: F_eff {payload['effective_purcell_factor']:.3f}, "
+          f"QE {payload['quantum_efficiency']:.3f}, "
+          f"I_cav {payload['cavity_indistinguishability']:.3e}")
 
 
 def cmd_fit(args, scenario: Scenario) -> None:
@@ -272,43 +192,11 @@ def cmd_fit(args, scenario: Scenario) -> None:
 
 
 def cmd_qkd(args, scenario: Scenario) -> None:
-    from . import qkd
+    from . import pipeline, qkd
     qcfg = scenario["qkd"]
     out = _outdir(args)
-    detector = qkd.DetectorModel(
-        receiver_efficiency=qcfg["receiver_efficiency"],
-        dark_count_per_pulse=qcfg["dark_count_per_pulse"],
-        misalignment_error=qcfg["misalignment_error"],
-        error_correction_inefficiency=qcfg["error_correction_inefficiency"],
-        sifting_factor=qcfg["sifting_factor"])
-    if qcfg["channel"] not in ("fiber", "freespace"):
-        raise ConfigError(
-            f"[qkd] channel must be 'fiber' or 'freespace', got {qcfg['channel']!r}")
-    if qcfg["channel"] == "fiber":
-        channel = qkd.ChannelModel(kind="fiber",
-                                   attenuation_db_per_km=qcfg["attenuation_db_per_km"])
-    else:
-        half_angle = None
-        if qcfg["divergence_model"] == "calibrated":
-            half_angle = qkd.calibrate_divergence_half_angle(
-                qcfg["transmit_aperture_m"], qcfg["receive_aperture_m"],
-                qcfg["calibration_loss_db"], qcfg["calibration_distance_km"])
-        channel = qkd.ChannelModel(
-            kind="freespace", transmit_aperture_m=qcfg["transmit_aperture_m"],
-            receive_aperture_m=qcfg["receive_aperture_m"],
-            wavelength_nm=scenario["emitter"]["zpl_wavelength_nm"],
-            divergence_model=qcfg["divergence_model"],
-            divergence_half_angle_rad=half_angle)
-
-    mu_mode = qcfg["mu_mode"]
-    sources = {
-        "sps": qkd.SourceModel(kind="real_sps", mean_photons=qcfg["source_efficiency"],
-                               g2_zero=qcfg["g2_zero"]),
-        "ideal": qkd.ideal_sps(),
-        "wcs": qkd.SourceModel(kind="wcs", mean_photons=qcfg["mu_fixed"], mu_mode=mu_mode),
-        "decoy": qkd.SourceModel(kind="decoy", mean_photons=qcfg["mu_fixed"],
-                                 mu_mode=mu_mode),
-    }
+    detector, channel, sources = pipeline.qkd_models(
+        scenario, qcfg["channel"], qcfg["divergence_model"])
     sweep_arg = args.sweep or (f"{qcfg['sweep_start_km']}:{qcfg['sweep_stop_km']}"
                                f":{qcfg['sweep_step_km']}")
     start, stop, step = _sweep_range(sweep_arg)
@@ -332,7 +220,7 @@ def cmd_qkd(args, scenario: Scenario) -> None:
             crossings[label] = {"result": f"no crossing: {exc}"}
     payload = {
         "channel": qcfg["channel"],
-        "mu_mode": mu_mode,
+        "mu_mode": qcfg["mu_mode"],
         "crossings": crossings,
         "security_model": qkd.SECURITY_FORMULAS.splitlines(),
     }
@@ -385,8 +273,8 @@ def cmd_fab(args, scenario: Scenario) -> None:
 
 def cmd_reproduce(args, scenario: Scenario) -> None:
     from .reproduce import run_all
+    report = run_all(scenario, draws=args.draws)
     out = _outdir(args)
-    report = run_all(draws=args.draws)
     table = report.table()
     (out / "reproduce_table.txt").write_text(
         f"# {_stamp(scenario)}\n{table}\n", encoding="utf-8")

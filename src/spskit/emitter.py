@@ -293,10 +293,25 @@ def indistinguishability_map(
     return gs, kappas, grid
 
 
-def saturation_rate(power: float, saturation_power: float, max_rate: float) -> float:
+def _saturation(power, saturation_power, max_rate):
     """Two-level saturation: detected rate = R_inf * P / (P + P_sat)."""
+    return max_rate * power / (power + saturation_power)
+
+
+def saturation_rate(power: float, saturation_power: float, max_rate: float) -> float:
+    """The detected rate at ``power`` of the two-level saturation curve."""
     if power < 0:
         raise PhotophysicsError(f"power must be non-negative, got {power}")
     if saturation_power <= 0:
         raise PhotophysicsError(f"saturation power must be positive, got {saturation_power}")
-    return max_rate * power / (power + saturation_power)
+    return _saturation(power, saturation_power, max_rate)
+
+
+def fit_saturation(power, rate):
+    """Poisson-weighted fit of the saturation curve: saturation_power, max_rate."""
+    from .specfit import SeriesError, _run_fit, poisson_weights
+    p, r = np.asarray(power, dtype=float), np.asarray(rate, dtype=float)
+    if p.size != r.size or p.size < 4:
+        raise SeriesError("need at least 4 (power, rate) samples")
+    return _run_fit(_saturation, p, r, [float(np.median(p)), float(r.max()) * 2.0],
+                    ["saturation_power", "max_rate"], weights=poisson_weights(r))

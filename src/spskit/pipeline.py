@@ -1,0 +1,144 @@
+"""Scenario to models, shared by the CLI subcommands, which write the
+data, and ``reproduce``, which checks it. Each function imports the
+modules it runs, so a call loads only those.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from .config import ConfigError, Scenario
+
+
+def mirror_stack(scenario: Scenario, termination: str):
+    """The scenario's quarter-wave coating with ``termination`` outermost."""
+    from . import optics
+    cfg = scenario["mirror"]
+    return optics.make_quarter_wave_stack(
+        cfg["n_high"], cfg["n_low"], cfg["pairs"], cfg["design_wavelength_nm"],
+        termination, substrate_index=cfg["n_substrate"])
+
+
+def cavity(scenario: Scenario) -> tuple:
+    """The field profile, the transmission spectrum and the cavity report."""
+    from . import cavitymode, optics
+    ccfg = scenario["cavity"]
+    lam, q = ccfg["wavelength_nm"], ccfg["longitudinal_order"]
+
+    # penetration depth from the deposited (low-index-terminated) coating
+    low_stack = mirror_stack(scenario, "low")
+    gap_low = optics.resonant_gap(low_stack, low_stack, q, lam)
+    xi = optics.penetration_depth(q, lam, gap_low)
+    field = optics.intracavity_field(low_stack, gap_low, low_stack, lam)
+
+    # spectrum from loss-calibrated mirrors at the measured reflectivity,
+    # at the device gap q*lam/2 - 2*penetration
+    lossy = optics.calibrated_lossy_stack(
+        mirror_stack(scenario, "high"), ccfg["effective_mirror_reflectivity"], lam)
+    gap = q * lam / 2.0 - 2.0 * xi
+    wls = np.linspace(lam - 1.5, lam + 1.5, 3001)
+    curve, res = optics.cavity_spectrum(lossy, gap, lossy, wls, report_near_nm=lam)
+
+    config = cavitymode.CavityConfig(
+        radius_of_curvature_um=ccfg["radius_of_curvature_um"],
+        longitudinal_order=q, design_wavelength_nm=lam,
+        penetration_depth_nm=xi, mirror_reflectivity=ccfg["mirror_reflectivity"],
+        tuning_slope_nm_per_v=ccfg["tuning_slope_nm_per_v"],
+        max_voltage_v=ccfg["max_voltage_v"])
+    fsr, fin, linewidth = cavitymode.fsr_finesse_linewidth(
+        config, include_penetration=ccfg["include_penetration"])
+    report = {
+        "resonant_gap_nm": gap,
+        "penetration_depth_nm": xi,
+        "antinode_count": field.antinode_count(),
+        "resonance": {
+            "found": res.found, "center_nm": res.center_nm, "fwhm_nm": res.fwhm_nm,
+            "quality_factor": res.quality_factor,
+            "peak_transmission": res.peak_transmission,
+        },
+        "mode_volume_lambda3": cavitymode.mode_volume(config),
+        "fsr_hz": fsr, "finesse": fin, "linewidth_hz": linewidth,
+        "airy_quality_factor": cavitymode.quality_factor(
+            config, include_penetration=ccfg["include_penetration"]),
+    }
+    return field, curve, report
+
+
+def emitter(scenario: Scenario) -> dict:
+    """The emitter report: Purcell chain, efficiency, indistinguishability."""
+    from . import cavitymode, emitter
+    from .constants import linewidth_nm_to_hz, rate_from_lifetime_ps
+    ecfg, ccfg = scenario["emitter"], scenario["cavity"]
+    config = cavitymode.CavityConfig(
+        radius_of_curvature_um=ccfg["radius_of_curvature_um"],
+        longitudinal_order=ccfg["longitudinal_order"],
+        design_wavelength_nm=ecfg["zpl_wavelength_nm"],
+        penetration_depth_nm=ccfg["penetration_depth_nm"],
+        mirror_reflectivity=ccfg["mirror_reflectivity"],
+        tuning_slope_nm_per_v=ccfg["tuning_slope_nm_per_v"])
+    volume = cavitymode.mode_volume(config)
+    chain = emitter.purcell_chain(
+        ecfg["zpl_wavelength_nm"], ecfg["cavity_fwhm_nm"], ecfg["free_linewidth_nm"],
+        volume, ecfg["lifetime_ratio"], ecfg["mirror_purcell"])
+    f_eff = chain.effective_purcell_factor
+
+    gamma = rate_from_lifetime_ps(ecfg["free_lifetime_ps"])
+    gamma_star = ecfg["dephasing_rate_hz"]
+    kappa = linewidth_nm_to_hz(ecfg["cavity_fwhm_nm"], ecfg["zpl_wavelength_nm"])
+    phys = emitter.EmitterPhotophysics(
+        zpl_wavelength_nm=ecfg["zpl_wavelength_nm"],
+        free_linewidth_nm=ecfg["free_linewidth_nm"],
+        free_lifetime_ps=ecfg["free_lifetime_ps"],
+        zpl_fraction=ecfg["zpl_fraction"],
+        degree_of_polarization=ecfg["dop"])
+    rates = emitter.rates_for_emitter_in_cavity(phys, ecfg["cavity_fwhm_nm"], f_eff)
+    return {
+        "mode_volume_lambda3": volume,
+        "effective_quality_factor": chain.effective_quality_factor,
+        "effective_purcell_factor": f_eff,
+        "quantum_efficiency": chain.quantum_efficiency,
+        "free_space_indistinguishability": emitter.indistinguishability_free(gamma, gamma_star),
+        "cavity_indistinguishability": emitter.indistinguishability_cavity(rates),
+        "kappa_for_90pct_indistinguishability_hz":
+            emitter.kappa_for_target_indistinguishability(gamma, gamma_star, 1e5, 0.9),
+        "coupling": emitter.coupling_report(f_eff, kappa, gamma),
+        "rate_convention": "plain frequency (Hz); see module docs",
+        "spectral_overlap_at_zero_detuning": 1.0,
+    }
+
+
+def qkd_models(scenario: Scenario, channel: str, divergence_model: str | None = None) -> tuple:
+    """The detector, the ``channel`` link and the sources sps, ideal, wcs
+    and decoy; a free-space link spreads by ``divergence_model``."""
+    from . import qkd
+    qcfg = scenario["qkd"]
+    detector = qkd.DetectorModel(
+        receiver_efficiency=qcfg["receiver_efficiency"],
+        dark_count_per_pulse=qcfg["dark_count_per_pulse"],
+        misalignment_error=qcfg["misalignment_error"],
+        error_correction_inefficiency=qcfg["error_correction_inefficiency"],
+        sifting_factor=qcfg["sifting_factor"])
+    if channel not in ("fiber", "freespace"):
+        raise ConfigError(f"[qkd] channel must be 'fiber' or 'freespace', got {channel!r}")
+    if channel == "fiber":
+        link = qkd.ChannelModel(kind="fiber", attenuation_db_per_km=qcfg["attenuation_db_per_km"])
+    else:
+        half_angle = None
+        if divergence_model == "calibrated":
+            half_angle = qkd.calibrate_divergence_half_angle(
+                qcfg["transmit_aperture_m"], qcfg["receive_aperture_m"],
+                qcfg["calibration_loss_db"], qcfg["calibration_distance_km"])
+        link = qkd.ChannelModel(
+            kind="freespace", transmit_aperture_m=qcfg["transmit_aperture_m"],
+            receive_aperture_m=qcfg["receive_aperture_m"],
+            wavelength_nm=scenario["emitter"]["zpl_wavelength_nm"],
+            divergence_model=divergence_model, divergence_half_angle_rad=half_angle)
+
+    mu_mode = qcfg["mu_mode"]
+    sources = {
+        "sps": qkd.SourceModel(kind="real_sps", mean_photons=qcfg["source_efficiency"],
+                               g2_zero=qcfg["g2_zero"]),
+        "ideal": qkd.ideal_sps(),
+        "wcs": qkd.SourceModel(kind="wcs", mean_photons=qcfg["mu_fixed"], mu_mode=mu_mode),
+        "decoy": qkd.SourceModel(kind="decoy", mean_photons=qcfg["mu_fixed"], mu_mode=mu_mode),
+    }
+    return detector, link, sources

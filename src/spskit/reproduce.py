@@ -1,8 +1,9 @@
 """End-to-end reproduction of the headline numbers the toolkit models.
 
-Each check computes a quantity through the public API and compares it
-against its reference value at a pinned tolerance. The same table backs
-the ``reproduce`` CLI subcommand and the acceptance test module. All
+Each check compares a quantity of the scenario ``spskit reproduce`` loads
+with its target at a pinned tolerance; 1a/1b, 2, 3a, 4, 5a and 6a/6b/6d
+read what ``mirror``, ``cavity`` and ``emitter`` write, through
+``pipeline``. Targets and each check's probe inputs stay literals. All
 randomness is seeded, so two runs produce identical results.
 """
 from __future__ import annotations
@@ -12,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import cavitymode, emitter, fab, optics, qkd, specfit
+from . import cavitymode, emitter, fab, optics, pipeline, qkd, specfit
+from .config import ConfigError, Scenario
 from .constants import rate_from_lifetime_ps
 
 RNG_SEED = 20190565
@@ -51,117 +53,89 @@ class ReproductionReport:
 
 
 # ---------------------------------------------------------------------------
-# shared scenario pieces
-# ---------------------------------------------------------------------------
-
-N_HIGH, N_LOW, N_SUBSTRATE = 2.135, 1.521, 1.5255
-DESIGN_WL = 565.0
-LINE_WL = 565.85
-PAIRS = 9
-MEASURED_R = 0.992
-CAVITY_FWHM_NM = 0.224
-EMITTER_FWHM_NM = 5.76
-FREE_LIFETIME_PS = 897.0
-DEPHASING_HZ = 5.41e12
-MODE_ORDER = 8
-
-
-def mirror_stack(termination: str) -> optics.LayerStack:
-    return optics.make_quarter_wave_stack(
-        N_HIGH, N_LOW, PAIRS, DESIGN_WL, termination, substrate_index=N_SUBSTRATE)
-
-
-def cavity_config() -> cavitymode.CavityConfig:
-    return cavitymode.CavityConfig(
-        radius_of_curvature_um=2.7, longitudinal_order=MODE_ORDER,
-        design_wavelength_nm=LINE_WL, penetration_depth_nm=122.0,
-        mirror_reflectivity=MEASURED_R, tuning_slope_nm_per_v=102.0)
-
-
-# ---------------------------------------------------------------------------
 # criterion implementations
 # ---------------------------------------------------------------------------
 
-def check_coating(report: ReproductionReport) -> None:
-    stack = mirror_stack("high")
-    r_tmm = optics.reflectance_at(stack, DESIGN_WL)
+def check_coating(report: ReproductionReport, scenario: Scenario) -> None:
+    cfg = scenario["mirror"]
+    lam0 = cfg["design_wavelength_nm"]
+    stack = pipeline.mirror_stack(scenario, cfg["termination"])
+    r_tmm = optics.reflectance_at(stack, lam0)
     report.add("1a", "coating reflectance at design wavelength", r_tmm,
                "[0.992, 0.999]", 0.992 <= r_tmm <= 0.999)
 
     r_closed = optics.quarter_wave_peak_reflectance(
-        N_HIGH, N_LOW, PAIRS, "high", n_substrate=N_SUBSTRATE)
+        cfg["n_high"], cfg["n_low"], cfg["pairs"], cfg["termination"],
+        n_substrate=cfg["n_substrate"])
     report.add("1b", "closed-form oracle vs transfer matrix (abs diff)",
                abs(r_tmm - r_closed), "<= 1e-4", abs(r_tmm - r_closed) <= 1e-4)
 
-    band = optics.stopband(stack, 0.8, anchor_nm=DESIGN_WL)
+    band = optics.stopband(stack, 0.8, anchor_nm=lam0)
     edge = band[0] if band else math.nan
     report.add("1c", "stopband lower edge (R >= 0.80 band)", edge,
                "504 +- 5 nm", band is not None and abs(edge - 504.0) <= 5.0,
                note="0.99-threshold edge documented separately")
-    band99 = optics.stopband(stack, 0.99, anchor_nm=DESIGN_WL)
+    band99 = optics.stopband(stack, 0.99, anchor_nm=lam0)
     if band99:
         report.add("1c'", "stopband lower edge at the 0.99 threshold (informational)",
                    band99[0], "reported only", True,
                    note="does not reproduce the 504 nm constraint; see ledger")
 
 
-def check_cavity_spectrum(report: ReproductionReport) -> None:
-    # device gap: q half-waves of effective length minus the field leakage
-    # into each mirror, with the leakage taken from the deposited coating
-    deposited = mirror_stack("low")
-    gap_dep = optics.resonant_gap(deposited, deposited, MODE_ORDER, LINE_WL)
-    xi = optics.penetration_depth(MODE_ORDER, LINE_WL, gap_dep)
-    gap = MODE_ORDER * LINE_WL / 2.0 - 2.0 * xi
-
-    # mirrors at the measured effective reflectivity (loss-calibrated)
-    lossy = optics.calibrated_lossy_stack(mirror_stack("high"), MEASURED_R, LINE_WL)
-    wls = np.linspace(LINE_WL - 1.5, LINE_WL + 1.5, 3001)
-    _, res = optics.cavity_spectrum(lossy, gap, lossy, wls, report_near_nm=LINE_WL)
-    report.add("2a", "cavity transmission FWHM", res.fwhm_nm, "0.169 nm +- 10%",
-               res.found and abs(res.fwhm_nm - 0.169) <= 0.1 * 0.169)
-    report.add("2b", "cavity quality factor", res.quality_factor, "3345 +- 10%",
-               res.found and abs(res.quality_factor - 3345) <= 0.1 * 3345)
+def check_cavity_spectrum(report: ReproductionReport, scenario: Scenario) -> dict:
+    """Checks the ``cavity`` subcommand's resonance; returns its report."""
+    _, _, cavity = pipeline.cavity(scenario)
+    res = cavity["resonance"]
+    report.add("2a", "cavity transmission FWHM", res["fwhm_nm"], "0.169 nm +- 10%",
+               res["found"] and abs(res["fwhm_nm"] - 0.169) <= 0.1 * 0.169)
+    report.add("2b", "cavity quality factor", res["quality_factor"], "3345 +- 10%",
+               res["found"] and abs(res["quality_factor"] - 3345) <= 0.1 * 3345)
+    return cavity
 
 
-def check_penetration_depth(report: ReproductionReport) -> None:
-    stack = mirror_stack("low")  # deposited termination faces the gap
-    gaps = {}
-    for q in (5, 8):
-        gaps[q] = optics.resonant_gap(stack, stack, q, LINE_WL)
-    xi8 = optics.penetration_depth(8, LINE_WL, gaps[8])
-    xi5 = optics.penetration_depth(5, LINE_WL, gaps[5])
-    report.add("3a", "1-D penetration depth at q=8", xi8, "122 nm +- 25%",
-               abs(xi8 - 122.0) <= 0.25 * 122.0)
-    report.add("3b", "penetration depth q=5 vs q=8 (rel diff)",
-               abs(xi5 - xi8) / xi8, "<= 1%", abs(xi5 - xi8) <= 0.01 * xi8)
+def check_penetration_depth(report: ReproductionReport, scenario: Scenario,
+                            cavity: dict) -> None:
+    ccfg = scenario["cavity"]
+    q, lam = ccfg["longitudinal_order"], ccfg["wavelength_nm"]
+    xi = cavity["penetration_depth_nm"]
+    stack = pipeline.mirror_stack(scenario, "low")  # deposited termination faces the gap
+    xi5 = optics.penetration_depth(5, lam, optics.resonant_gap(stack, stack, 5, lam))
+    report.add("3a", f"1-D penetration depth at q={q}", xi, "122 nm +- 25%",
+               abs(xi - 122.0) <= 0.25 * 122.0)
+    report.add("3b", f"penetration depth q=5 vs q={q} (rel diff)",
+               abs(xi5 - xi) / xi, "<= 1%", abs(xi5 - xi) <= 0.01 * xi)
 
 
-def check_mode_volume(report: ReproductionReport) -> None:
-    vol = cavitymode.mode_volume(cavity_config())
+def check_mode_volume(report: ReproductionReport, cavity: dict) -> None:
+    vol = cavity["mode_volume_lambda3"]
     report.add("4", "Gaussian mode volume (units of wavelength^3)", vol,
                "1.76 +- 3%", abs(vol - 1.76) <= 0.03 * 1.76)
 
 
-def check_purcell_chain(report: ReproductionReport) -> None:
-    vol = cavitymode.mode_volume(cavity_config())
-    _, f_eff = emitter.effective_purcell(LINE_WL, CAVITY_FWHM_NM, EMITTER_FWHM_NM, vol)
+def check_purcell_chain(report: ReproductionReport, scenario: Scenario) -> dict:
+    """Checks the ``emitter`` subcommand's Purcell factor; returns its report."""
+    emitted = pipeline.emitter(scenario)
+    f_eff = emitted["effective_purcell_factor"]
     report.add("5a", "effective Purcell factor", f_eff, "4.07 +- 2%",
                abs(f_eff - 4.07) <= 0.02 * 4.07)
-    eta = emitter.quantum_efficiency(2.29, 4.07, 1.68)
+    ecfg = scenario["emitter"]
+    eta = emitter.quantum_efficiency(ecfg["lifetime_ratio"], 4.07, ecfg["mirror_purcell"])
     report.add("5b", "quantum efficiency", eta, "0.513 +- 0.005",
                abs(eta - 0.513) <= 0.005)
+    return emitted
 
 
-def check_indistinguishability(report: ReproductionReport) -> None:
-    gamma = rate_from_lifetime_ps(FREE_LIFETIME_PS)
-    i_free = emitter.indistinguishability_free(gamma, DEPHASING_HZ)
-    exact = gamma / (gamma + DEPHASING_HZ)
+def check_indistinguishability(report: ReproductionReport, scenario: Scenario,
+                               emitted: dict) -> None:
+    ecfg = scenario["emitter"]
+    gamma = rate_from_lifetime_ps(ecfg["free_lifetime_ps"])
+    i_free = emitted["free_space_indistinguishability"]
+    exact = gamma / (gamma + ecfg["dephasing_rate_hz"])
     report.add("6a", "free-space indistinguishability", i_free,
                "2.06e-4 (exact to formula)",
                math.isclose(i_free, exact, rel_tol=1e-12) and abs(i_free - 2.06e-4) < 5e-7)
 
-    kappa_threshold = emitter.kappa_for_target_indistinguishability(
-        gamma, DEPHASING_HZ, 1e5, 0.9)
+    kappa_threshold = emitted["kappa_for_90pct_indistinguishability_hz"]
     report.add("6b", "cavity linewidth for 90% indistinguishability (Hz)",
                kappa_threshold, "124 MHz +- 2%",
                abs(kappa_threshold - 124e6) <= 0.02 * 124e6)
@@ -170,11 +144,7 @@ def check_indistinguishability(report: ReproductionReport) -> None:
     report.add("6c", "free spectral range at that linewidth, R=99.95% (Hz)",
                fsr, "779 GHz +- 1%", abs(fsr - 779e9) <= 0.01 * 779e9)
 
-    vol = cavitymode.mode_volume(cavity_config())
-    _, f_eff = emitter.effective_purcell(LINE_WL, CAVITY_FWHM_NM, EMITTER_FWHM_NM, vol)
-    phys = emitter.EmitterPhotophysics()
-    rates = emitter.rates_for_emitter_in_cavity(phys, CAVITY_FWHM_NM, f_eff)
-    i_cav = emitter.indistinguishability_cavity(rates)
+    i_cav = emitted["cavity_indistinguishability"]
     report.add("6d", "cavity-coupled indistinguishability", i_cav,
                "[2.5e-3, 1.1e-2] (coupling rate not measured)",
                2.5e-3 <= i_cav <= 1.1e-2)
@@ -339,13 +309,9 @@ def check_fit_roundtrips(report: ReproductionReport, draws: int = 100) -> None:
                "< 1e-12", worst["background_inverse"] < 1e-12)
 
 
-def check_qkd(report: ReproductionReport) -> None:
-    detector = qkd.GYS_DETECTOR
-    fiber = qkd.ChannelModel(kind="fiber", attenuation_db_per_km=0.21)
-    real = qkd.SourceModel(kind="real_sps", mean_photons=0.513, g2_zero=0.018)
-    ideal = qkd.ideal_sps()
-    wcs = qkd.SourceModel(kind="wcs", mean_photons=0.5, mu_mode="optimal")
-    decoy = qkd.SourceModel(kind="decoy", mean_photons=0.5, mu_mode="optimal")
+def check_qkd(report: ReproductionReport, scenario: Scenario) -> None:
+    detector, fiber, sources = pipeline.qkd_models(scenario, "fiber")
+    real, decoy = sources["sps"], sources["decoy"]
 
     try:
         crossing = qkd.find_crossing(real, decoy, fiber, detector, (1.0, 120.0))
@@ -357,24 +323,22 @@ def check_qkd(report: ReproductionReport) -> None:
                not math.isnan(loss) and abs(loss - 8.82) <= 0.15 * 8.82,
                note="tagged-states bound places it lower; see ledger")
 
-    sources = {"real": real, "ideal": ideal, "wcs": wcs, "decoy": decoy}
     rows = qkd.sweep(sources, fiber, detector, np.arange(0.0, 200.5, 5.0))
     rates = {label: np.array([row[f"rate_{label}"] for row in rows]) for label in sources}
-    sps_ge_wcs = np.all(rates["real"] >= rates["wcs"] - 1e-15)
-    worst_gap = float(np.max(rates["wcs"] - rates["real"]))
+    sps_ge_wcs = np.all(rates["sps"] >= rates["wcs"] - 1e-15)
+    worst_gap = float(np.max(rates["wcs"] - rates["sps"]))
     report.add("8b", "real source >= wcs at every sampled distance (worst wcs-sps gap)",
                worst_gap, "<= 0", sps_ge_wcs,
                note="violated in the narrow band where the tagged bound kills the source")
-    ideal_ge_real = np.all(rates["ideal"] >= rates["real"] - 1e-15)
+    ideal_ge_real = np.all(rates["ideal"] >= rates["sps"] - 1e-15)
     report.add("8c", "ideal source >= real source everywhere",
-               float(np.max(rates["real"] - rates["ideal"])), "<= 0", ideal_ge_real)
+               float(np.max(rates["sps"] - rates["ideal"])), "<= 0", ideal_ge_real)
     monotone = all(np.all(np.diff(r) <= 1e-9) for r in rates.values())
     report.add("8d", "all rates monotone non-increasing in distance",
                0.0 if monotone else 1.0, "monotone", monotone)
 
-    theta = qkd.calibrate_divergence_half_angle(0.05, 0.60, 8.82, 630.0)
-    space = qkd.ChannelModel(kind="freespace", divergence_model="calibrated",
-                             divergence_half_angle_rad=theta)
+    _, space, _ = pipeline.qkd_models(scenario, "freespace", "calibrated")
+    theta = space.divergence_half_angle_rad
     t630 = qkd.channel_transmittance(space.at_distance(630.0))
     loss630 = -10 * math.log10(t630)
     report.add("8e", "calibrated free-space model: loss at 630 km (dB)",
@@ -391,7 +355,7 @@ def check_qkd(report: ReproductionReport) -> None:
                note="same tagged-states bound as 8a; see ledger")
 
     # gaussian-diffraction reference point for the same loss
-    gauss = qkd.ChannelModel(kind="freespace", divergence_model="gaussian_farfield")
+    _, gauss, _ = pipeline.qkd_models(scenario, "freespace", "gaussian_farfield")
     d_lo, d_hi = 1.0, 5000.0
     for _ in range(200):
         mid = 0.5 * (d_lo + d_hi)
@@ -405,35 +369,40 @@ def check_qkd(report: ReproductionReport) -> None:
                note="the 630 km mapping needs the calibrated divergence model")
 
 
-def check_fab(report: ReproductionReport) -> None:
+def check_fab(report: ReproductionReport, scenario: Scenario) -> None:
+    fcfg = scenario["fab"]
     calibration = 0.5
-    dose = fab.hemisphere_dose_map(2.7, 2.7, 20.0, calibration)
-    radius_nm, aperture_nm = 2700.0, 2700.0
+    dose = fab.hemisphere_dose_map(fcfg["radius_um"], fcfg["aperture_um"], fcfg["pitch_nm"],
+                                   calibration)
     coords = (np.arange(dose.width) - dose.width // 2) * dose.pitch_nm
     xx, yy = np.meshgrid(coords, coords)
-    target = fab.hemisphere_depth_nm(np.hypot(xx, yy), radius_nm, aperture_nm)
+    target = fab.hemisphere_depth_nm(np.hypot(xx, yy), fcfg["radius_um"] * 1000.0,
+                                     fcfg["aperture_um"] * 1000.0)
     err = np.max(np.abs(dose.depth_nm() - target))
     report.add("9a", "dose map decode error (nm)", err,
                f"<= one quantum ({calibration} nm)", err <= calibration / 2 + 1e-12)
 
     rng = np.random.default_rng(RNG_SEED)
     rough = fab.synthetic_hemisphere_profile(2.7, 2.4, 301, roughness_nm=0.5, rng=rng)
-    result = fab.fit_hemisphere_profile(rough)
+    result = fab.fit_hemisphere_profile(
+        rough, edge_exclusion_fraction=fcfg["edge_exclusion_fraction"])
     report.add("9b", "hemisphere radius recovery at 0.5 nm roughness (um)",
                result["radius_um"], "2.7 +- 1%", abs(result["radius_um"] - 2.7) <= 0.027)
     report.add("9c", "rms deviation classifies as ideal (< 1 nm)",
                result["rms_nm"], "< 1 nm", result["rms_nm"] < 1.0)
 
 
-def run_all(draws: int = 100) -> ReproductionReport:
+def run_all(scenario: Scenario, draws: int = 100) -> ReproductionReport:
+    if draws < 1:
+        raise ConfigError(f"reproduce needs at least one fit draw, got --draws {draws}")
     report = ReproductionReport()
-    check_coating(report)
-    check_cavity_spectrum(report)
-    check_penetration_depth(report)
-    check_mode_volume(report)
-    check_purcell_chain(report)
-    check_indistinguishability(report)
+    check_coating(report, scenario)
+    cavity = check_cavity_spectrum(report, scenario)
+    check_penetration_depth(report, scenario, cavity)
+    check_mode_volume(report, cavity)
+    emitted = check_purcell_chain(report, scenario)
+    check_indistinguishability(report, scenario, emitted)
     check_fit_roundtrips(report, draws)
-    check_qkd(report)
-    check_fab(report)
+    check_qkd(report, scenario)
+    check_fab(report, scenario)
     return report

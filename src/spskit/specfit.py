@@ -649,26 +649,6 @@ def fit_polarization_batch(scans) -> list:
     return outcomes
 
 
-def saturation_model(power, saturation_power, max_rate):
-    return max_rate * power / (power + saturation_power)
-
-
-def fit_saturation(power, rate) -> FitResult:
-    """Fit the two-level saturation curve R_inf P/(P + P_sat).
-
-    Returns parameters saturation_power and max_rate.
-    """
-    p = np.asarray(power, dtype=float)
-    r = np.asarray(rate, dtype=float)
-    if p.size != r.size or p.size < 4:
-        raise SeriesError("need at least 4 (power, rate) samples")
-    p_sat0 = float(np.median(p))
-    r_inf0 = float(r.max()) * 2.0
-    return _run_fit(saturation_model, p, r, [p_sat0, r_inf0],
-                    ["saturation_power", "max_rate"],
-                    weights=poisson_weights(r))
-
-
 # ---------------------------------------------------------------------------
 # emission-line fraction
 # ---------------------------------------------------------------------------

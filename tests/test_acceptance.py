@@ -7,6 +7,7 @@ tagged-states security model; the analysis lives in the decisions ledger.
 They are asserted faithfully rather than loosened.
 """
 import filecmp
+import json
 import os
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import spskit
+from spskit.config import default_scenario
 from spskit.reproduce import run_all
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
@@ -22,7 +24,7 @@ pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
 @pytest.fixture(scope="module")
 def report():
-    return run_all(draws=100)
+    return run_all(default_scenario(), draws=100)
 
 
 def _assert_checks(report, ids):
@@ -144,3 +146,17 @@ class TestCriterion10Determinism:
         for a, b in zip(outputs[0], outputs[1]):
             assert filecmp.cmp(a, b, shallow=False), f"{a.name} differs between runs"
         print("[PASS] 10   reproduce twice -> byte-identical outputs")
+
+
+class TestGoldenReproduce:
+    """Every check at --draws 5 on the defaults, pinned to 1e-9 relative
+    against the values recorded when ``reproduce`` held its own copy of
+    the scenario constants; values of zero or round-off size to 1e-12."""
+
+    GOLDEN = json.loads((Path(__file__).parent / "golden_reproduce.json").read_text())
+
+    def test_every_check_matches(self):
+        computed = {c.cid: c.computed for c in run_all(default_scenario(), draws=5).checks}
+        assert computed.keys() == self.GOLDEN.keys()
+        for cid, value in self.GOLDEN.items():
+            assert computed[cid] == pytest.approx(value, rel=1e-9, abs=1e-12), cid

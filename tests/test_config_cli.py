@@ -303,6 +303,14 @@ class TestTypedErrors:
             ["--outdir", str(tmp_path), "--set", "qkd.channel=foo", "qkd"], capsys,
             "channel must be 'fiber' or 'freespace'")
 
+    @pytest.mark.parametrize("draws", [0, -3])
+    def test_reproduce_needs_a_draw(self, tmp_path, capsys, draws):
+        outdir = tmp_path / "out"
+        _assert_validation_error(
+            ["--outdir", str(outdir), "reproduce", "--draws", str(draws)], capsys,
+            f"got --draws {draws}")
+        assert not outdir.exists()
+
     @pytest.mark.parametrize("points", [0, 1])
     def test_map_needs_two_points(self, tmp_path, capsys, points):
         _assert_validation_error(
@@ -344,6 +352,49 @@ class TestTypedErrors:
         _assert_validation_error(
             ["--outdir", str(tmp_path), "fit", "--input", str(csv),
              "--irf", str(tmp_path / "no_irf.csv")], capsys, "no_irf.csv")
+
+
+class TestReproduceReadsTheSubcommands:
+    """The coating, cavity and emitter checks of ``reproduce`` are the
+    values the subcommands write under the same ``--set``s, bit for bit."""
+
+    CHECKED = {
+        "1a": ("mirror", lambda r: r["reflectance_at_design_wavelength"]),
+        "1b": ("mirror", lambda r: abs(r["reflectance_at_design_wavelength"]
+                                       - r["closed_form_reflectance"])),
+        "2a": ("cavity", lambda r: r["resonance"]["fwhm_nm"]),
+        "2b": ("cavity", lambda r: r["resonance"]["quality_factor"]),
+        "3a": ("cavity", lambda r: r["penetration_depth_nm"]),
+        "4": ("cavity", lambda r: r["mode_volume_lambda3"]),
+        "5a": ("emitter", lambda r: r["effective_purcell_factor"]),
+        "6a": ("emitter", lambda r: r["free_space_indistinguishability"]),
+        "6b": ("emitter", lambda r: r["kappa_for_90pct_indistinguishability_hz"]),
+        "6d": ("emitter", lambda r: r["cavity_indistinguishability"]),
+    }
+
+    @pytest.mark.parametrize("overrides", [
+        [],
+        ["mirror.pairs=10", "cavity.wavelength_nm=565.0", "emitter.cavity_fwhm_nm=0.3"],
+    ], ids=["defaults", "overrides"])
+    def test_checks_equal_the_subcommand_reports(self, tmp_path, overrides):
+        sets = [arg for item in overrides for arg in ("--set", item)]
+        reports = {}
+        for command in ("mirror", "cavity", "emitter", "reproduce"):
+            extra = ["--draws", "1"] if command == "reproduce" else []
+            assert main([*sets, "--outdir", str(tmp_path), command, *extra]) == 0
+            reports[command] = json.loads(
+                (tmp_path / f"{command}_report.json").read_text())
+        digests = {r["config_digest"] for r in reports.values()}
+        assert len(digests) == 1
+        computed = {c["id"]: c["computed"] for c in reports["reproduce"]["checks"]}
+        for cid, (command, value) in self.CHECKED.items():
+            assert computed[cid] == value(reports[command]), cid
+        # 3b compares the depth at the scenario's order with cavity's at order 5
+        assert main([*sets, "--set", "cavity.longitudinal_order=5",
+                     "--outdir", str(tmp_path), "cavity"]) == 0
+        xi5 = json.loads((tmp_path / "cavity_report.json").read_text())["penetration_depth_nm"]
+        xi = reports["cavity"]["penetration_depth_nm"]
+        assert computed["3b"] == abs(xi5 - xi) / xi
 
 
 class TestGlobalOptionsAfterSubcommand:
@@ -459,7 +510,10 @@ class TestImportsPerCommand:
          {"optics", "qkd", "fab", "emitter", "reproduce"}),
         (["fit", "--input", "decay.csv", "--irf", "irf.csv"],
          {"optics", "qkd", "fab", "emitter", "reproduce"}),
-    ], ids=["mirror", "fit-polarization", "fit-decay"])
+        (["cavity"], {"specfit", "lsq", "qkd", "fab", "emitter", "reproduce"}),
+        (["emitter"], {"optics", "specfit", "lsq", "qkd", "fab", "reproduce"}),
+        (["qkd"], {"optics", "specfit", "lsq", "fab", "emitter", "reproduce"}),
+    ], ids=["mirror", "fit-polarization", "fit-decay", "cavity", "emitter", "qkd"])
     def test_command_loads_only_what_it_runs(self, tmp_path, argv, unused):
         loaded = _submodules(_modules_after(_cli_code(tmp_path, argv)))
         assert loaded & unused == set()

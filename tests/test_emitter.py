@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spskit import specfit
 from spskit.emitter import (
     CoupledRates,
     EmitterPhotophysics,
@@ -13,6 +12,7 @@ from spskit.emitter import (
     coupling_from_purcell,
     coupling_report,
     effective_purcell,
+    fit_saturation,
     indistinguishability_cavity,
     indistinguishability_free,
     indistinguishability_map,
@@ -218,7 +218,7 @@ class TestSaturation:
         power = np.linspace(0.01, 3.0, 40)
         rate = np.array([saturation_rate(p, p_sat, r_inf) for p in power])
         rate = rate * (1.0 + rng.uniform(-0.002, 0.002, rate.size))
-        fit = specfit.fit_saturation(power, rate)
+        fit = fit_saturation(power, rate)
         assert fit.params["saturation_power"] == pytest.approx(p_sat, rel=0.01)
         assert fit.params["max_rate"] == pytest.approx(r_inf, rel=0.01)
 
