@@ -10,7 +10,7 @@ cavitymode  Gaussian-mode geometry, FSR/finesse/linewidth, piezo tuning,
 emitter     Purcell enhancement, quantum efficiency, indistinguishability
 specfit     least-squares fitters for spectra, decays, correlations,
             polarization scans
-lsq         the Levenberg-Marquardt solver behind them, many fits in lockstep
+lsq         the separable least-squares solver behind them, many fits in lockstep
 qkd         BB84 key rates for single-photon, weak-coherent, and decoy
             sources over fiber and free-space channels
 fab         hemisphere dose maps (BMP export) and surface-profile fitting

@@ -75,14 +75,9 @@ class CoupledRates:
             if getattr(self, name) < 0:
                 raise PhotophysicsError(f"{name} must be non-negative")
 
-    @property
-    def transfer_rate(self) -> float:
-        """Effective emitter-cavity transfer rate 4 g^2 / (kappa + gamma + gamma*)."""
-        return _transfer_rate(self.emission_rate, self.dephasing_rate, self.cavity_rate,
-                              self.coupling_rate)
-
 
 def _transfer_rate(gamma, gamma_star, kappa, g):
+    """Effective emitter-cavity transfer rate 4 g^2 / (kappa + gamma + gamma*)."""
     # g * g, not g ** 2: a float's ** calls pow(), an array's squares
     return 4.0 * g * g / (kappa + gamma + gamma_star)
 
@@ -309,9 +304,11 @@ def saturation_rate(power: float, saturation_power: float, max_rate: float) -> f
 
 def fit_saturation(power, rate):
     """Poisson-weighted fit of the saturation curve: saturation_power, max_rate."""
-    from .specfit import SeriesError, _run_fit, poisson_weights
+    from .specfit import Separable, SeriesError, _one, _run_fit_batch, poisson_weights
     p, r = np.asarray(power, dtype=float), np.asarray(rate, dtype=float)
     if p.size != r.size or p.size < 4:
         raise SeriesError("need at least 4 (power, rate) samples")
-    return _run_fit(_saturation, p, r, [float(np.median(p)), float(r.max()) * 2.0],
-                    ["saturation_power", "max_rate"], weights=poisson_weights(r))
+    curve = Separable(lambda pv, p_sat: (_saturation(pv, p_sat, 1.0),),
+                      ["saturation_power", "max_rate"])
+    return _one(_run_fit_batch(curve, p, r[None], [[float(np.median(p))]],
+                               weights=poisson_weights(r)[None]))

@@ -176,28 +176,6 @@ def write_bmp(path, dose_map: DoseMap, metadata: dict | None = None) -> None:
         fh.write("\n")
 
 
-def read_bmp(path) -> np.ndarray:
-    """Read back a 24-bit BMP written by :func:`write_bmp` as (h, w, 3) RGB."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    magic, _size, _r1, _r2, offset = struct.unpack_from("<2sIHHI", data, 0)
-    if magic != b"BM":
-        raise FabError("not a BMP file")
-    hdr_size, w, h, _planes, bpp = struct.unpack_from("<IiiHH", data, 14)[:5]
-    if bpp != 24 or hdr_size != 40:
-        raise FabError("only the uncompressed 24-bit layout is supported")
-    row_bytes = w * 3
-    pad = (4 - row_bytes % 4) % 4
-    rows = []
-    pos = offset
-    for _ in range(abs(h)):
-        row = np.frombuffer(data, dtype=np.uint8, count=row_bytes, offset=pos).reshape(w, 3)
-        rows.append(row[:, ::-1])  # BGR -> RGB
-        pos += row_bytes + pad
-    img = np.stack(rows[::-1] if h > 0 else rows)
-    return img
-
-
 # ---------------------------------------------------------------------------
 # profile fitting
 # ---------------------------------------------------------------------------

@@ -247,11 +247,6 @@ def reflectance_at(stack: LayerStack, lam: float) -> float:
     return float(_power(stack.layers, stack.ambient_index, stack.substrate_index, lam)[0])
 
 
-def transmittance_at(stack: LayerStack, lam: float) -> float:
-    _check_wavelength(lam)
-    return float(_power(stack.layers, stack.ambient_index, stack.substrate_index, lam)[1])
-
-
 def reflectance(stack: LayerStack, wavelengths_nm) -> SpectralCurve:
     """Reflectance spectrum R(lam) of the stack at normal incidence."""
     wls = _validated_wavelengths(wavelengths_nm)
@@ -574,17 +569,6 @@ def _gap_waves(mirror_a: LayerStack, mirror_b: LayerStack, lam: float):
 def _peak_intensity(waves) -> np.ndarray:
     a, b = waves
     return (np.abs(a) + np.abs(b)) ** 2
-
-
-def peak_intracavity_intensity(mirror_a: LayerStack, gap_nm, mirror_b: LayerStack,
-                               lam: float):
-    """Maximum standing-wave |E|^2 in the gap, for unit incident amplitude.
-
-    ``gap_nm`` may be an array of gap lengths; the result then has its shape.
-    """
-    _check_wavelength(lam)
-    _check_gaps(gap_nm)
-    return _peak_intensity(_gap_waves(mirror_a, mirror_b, lam)(np.asarray(gap_nm, float)))[()]
 
 
 def intracavity_field(mirror_a: LayerStack, gap_nm: float, mirror_b: LayerStack,

@@ -1,4 +1,4 @@
-"""Nonlinear least-squares fitting of measured data series.
+"""Least-squares fitting of measured data series.
 
 Fitters follow one recipe: minimization of weighted residuals, Poisson
 weights for count data and uniform weights for spectra, parameter
@@ -7,11 +7,11 @@ fitter round-trips: a curve generated from the model with known
 parameters plus bounded noise is recovered within the documented
 tolerance.
 
-The minimizer is the numpy-only Levenberg-Marquardt iteration of module
-``lsq``. A fit may spend MAX_ITERATIONS * (n + 1) residual evaluations
-for n parameters, the reported ``n_evaluations``. ``_run_fit_batch``
-solves many problems of one model in lockstep, each with the bits it
-gets alone; ``_run_fit`` is the batch of one.
+Every model is ``Separable``, linear in its amplitudes, offsets and level
+for given nonlinear parameters theta, and is fitted by the
+variable-projection solver of module ``lsq`` (see there what
+``n_evaluations`` counts). ``_run_fit_batch`` solves many problems of one
+model in lockstep, each with the bits it gets alone.
 
 The IRF convolution is the recursion y[n] = a y[n-1] + irf[n],
 a = exp(-dt/tau) (Enderlein and Erdmann, Opt. Commun. 134, 371 (1997)),
@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -177,16 +179,21 @@ class G2Fit:
 # shared least-squares driver
 # ---------------------------------------------------------------------------
 
-def _run_fit(model, x, y, p0, names, weights=None, bounds=None) -> FitResult:
-    """Levenberg-Marquardt fit of ``model(x, *p)`` to ``y``: the batch of one.
+class Separable(NamedTuple):
+    """The sum of the columns of ``basis(x, *theta)`` weighted by c. The
+    named parameters are theta then c, or ``params(theta, c)`` of stacks of
+    both (a row per problem), with ``model(x, *params)`` the model in them."""
 
-    Allowed MAX_ITERATIONS * (len(p0) + 1) residual evaluations, the
-    forward-difference Jacobian columns included; past that, FitError
-    carries the best point evaluated. ``bounds`` is ``(lower, upper)``.
-    """
-    return _one(_run_fit_batch(model, x, np.asarray(y, dtype=float)[None], [p0], names,
-                               weights=None if weights is None else weights[None],
-                               bounds=bounds))
+    basis: Callable
+    names: Sequence[str]
+    params: Callable | None = None
+    model: Callable | None = None
+
+    def named(self, theta, c) -> np.ndarray:
+        return np.hstack([theta, c]) if self.params is None else self.params(theta, c)
+
+    def full_model(self, m: int) -> Callable:  # for m nonlinear parameters
+        return self.model or (lambda x, *p: sum(map(np.multiply, p[m:], self.basis(x, *p[:m]))))
 
 
 def _one(outcomes: list):
@@ -197,21 +204,36 @@ def _one(outcomes: list):
     return outcome
 
 
-def _run_fit_batch(model, x, y, p0, names, weights=None, bounds=None) -> list:
-    """Levenberg-Marquardt fits of one model to B problems in lockstep
-    (``lsq.levenberg_marquardt``): per problem its FitResult or the
-    FitError that ended it."""
+def _run_fit_batch(fit: Separable, x, y, theta0, weights=None, bounds=None,
+                   constraints=None) -> list:
+    """``lsq.levenberg_marquardt`` fits of one model to B problems: per
+    problem its FitResult, or the FitError with the best point seen. The
+    uncertainties take the Jacobian of the model in the named parameters."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.ndim == 2 and (x == x[0]).all():
+        x = x[0].copy()  # rows that are all equal reach the model as that one row
+    outcomes = lsq.levenberg_marquardt(fit.basis, x, y, theta0, weights, bounds,
+                                       MAX_ITERATIONS, STEP_TOLERANCE, constraints)
+    theta, c = (np.array([o[k] for o in outcomes]) for k in (1, 2))
+    params, ok = fit.named(theta, c), np.array([o[0] for o in outcomes])
+    if ok.any():
+        model, x_ok = fit.full_model(theta.shape[1]), x if x.ndim == 1 else x[ok]
+        w = 1.0 if weights is None else np.broadcast_to(weights, y.shape)[ok]
 
-    def outcome(converged, p, jac, r, cost, calls):
-        params = dict(zip(names, map(float, p)))
-        if not converged:
-            return FitError(f"fit did not converge within {MAX_ITERATIONS} iterations",
-                            last_params=params)
-        return FitResult(params, _covariance_stderr(jac, r, names), math.sqrt(cost), calls,
-                         converged=True)
+        def residual(q):  # parameters as scalars for one problem, columns for more
+            return (model(x_ok, *(q[0] if len(q) == 1 else q.T[:, :, None])) - y[ok]) * w
 
-    return [outcome(*o) for o in lsq.levenberg_marquardt(
-        model, x, y, p0, weights, bounds, MAX_ITERATIONS, STEP_TOLERANCE)]
+        r = residual(params[ok])
+        jac = np.stack(list(lsq.forward_columns(residual, params[ok], r)), axis=-1)
+        stderr = (_covariance_stderr(j, res, fit.names) for j, res in zip(jac, r))
+    results = []
+    for (converged, *_, cost, calls), p in zip(outcomes, params):
+        named = dict(zip(fit.names, map(float, p)))
+        results.append(FitResult(named, next(stderr), math.sqrt(cost), calls, converged=True)
+                       if converged else
+                       FitError(f"fit did not converge within {MAX_ITERATIONS} iterations",
+                                last_params=named))
+    return results
 
 
 def _covariance_stderr(jac, residual, names) -> dict[str, float]:
@@ -322,13 +344,13 @@ def fit_lorentzian_batch(spectra, instrument: Sinc2Instrument | None = None) -> 
         amp0 = float(y.max() - offset0)
         above = x[y > offset0 + amp0 / 2]
         fwhm0 = float(above[-1] - above[0]) if len(above) >= 2 else (x[-1] - x[0]) / 4
-        starts.append((x, y, [float(x[np.argmax(y)]), fwhm0, amp0, offset0]))
+        starts.append((x, y, [float(x[np.argmax(y)]), fwhm0]))
 
-    def model(xv, center, fwhm, amplitude, offset):
-        return lorentzian_with_instrument(xv, center, abs(fwhm), amplitude, offset, instrument)
+    def basis(xv, center, fwhm):
+        return lorentzian_with_instrument(xv, center, abs(fwhm), 1.0, 0.0, instrument), 1.0
 
-    return _run_fit_batch(model, *map(np.array, zip(*starts)),
-                          ["center_nm", "fwhm_nm", "amplitude", "offset"])
+    return _run_fit_batch(Separable(basis, ["center_nm", "fwhm_nm", "amplitude", "offset"]),
+                          *map(np.array, zip(*starts)))
 
 
 # ---------------------------------------------------------------------------
@@ -416,13 +438,13 @@ def fit_decay_with_irf_batch(decays, irfs) -> list:
             y_irf = np.interp(t, t_irf, y_irf, left=0.0, right=0.0)
         if y_irf.sum() <= 0:
             raise SeriesError("instrument response has no weight on the data grid")
-        starts.append((y, y_irf, [max((t[-1] - t[0]) / 5.0, 2 * dt), float(y.max())]))
+        starts.append((y, y_irf, [max((t[-1] - t[0]) / 5.0, 2 * dt)]))
     y, y_irf, p0 = map(np.array, zip(*starts))
 
-    def model(irf_rows, lifetime, amplitude):
-        return amplitude * convolve_decay(t, abs(lifetime), irf_rows)
+    def basis(irf_rows, lifetime):
+        return (convolve_decay(t, abs(lifetime), irf_rows),)
 
-    outcomes = _run_fit_batch(model, y_irf, y, p0, ["lifetime_ps", "amplitude"],
+    outcomes = _run_fit_batch(Separable(basis, ["lifetime_ps", "amplitude"]), y_irf, y, p0,
                               weights=poisson_weights(y))
     for result in outcomes:
         if isinstance(result, FitError):
@@ -445,41 +467,43 @@ def _decay(tau, time):
     return np.exp(d, out=d)
 
 
-def _decay_memo():
-    """``_decay`` for one solve, keeping the last three results by grid
-    object and time bits: a Jacobian column steps one time at a time."""
-    memo: dict = {}
-
-    def decay(tau, time):
-        key = (id(tau), np.shape(time), np.asarray(time).tobytes())
-        entry = memo.pop(key, None)
-        if entry is None:
-            if len(memo) == 3:
-                del memo[next(iter(memo))]
-            entry = (tau, _decay(tau, time))  # held, tau keeps its id
-        memo[key] = entry
-        return entry[1]
-
-    return decay
-
-
-def g2_model(tau, anti_amp, bunch_amp, anti_time, bunch_time, *, decay=_decay):
+def g2_model(tau, anti_amp, bunch_amp, anti_time, bunch_time):
     """g2(tau) = 1 - A exp(-|tau|/t1) + B exp(-|tau|/t2) on an array tau,
-    summed in place in that order. ``decay(tau, t)`` gives exp(-|tau|/t);
-    a fit passes a ``_decay_memo``, which computes each t once per solve."""
-    g = anti_amp * decay(tau, anti_time)
+    summed in place in that order."""
+    g = anti_amp * _decay(tau, anti_time)
     np.subtract(1.0, g, out=g)
-    g += bunch_amp * decay(tau, bunch_time)
+    g += bunch_amp * _decay(tau, bunch_time)
     return g
+
+
+def _g2_basis(tv, t_anti, t_bunch=None):
+    """1, -exp(-|tau|/t1) and exp(-|tau|/t2), weighted by level, level*A
+    and level*B."""
+    anti = _decay(tv, t_anti)
+    np.negative(anti, out=anti)
+    return (1.0, anti) if t_bunch is None else (1.0, anti, _decay(tv, t_bunch))
 
 
 G2_NAMES = ["antibunching_amplitude", "bunching_amplitude",
             "antibunching_time_ps", "bunching_time_ps", "normalization"]
-_G2_PLAIN = [0, 2, 4]  # the parameters of the fit without bunching
+_G2_WITH_BUNCHING = Separable(
+    _g2_basis, G2_NAMES,
+    lambda t, c: np.column_stack([c[:, 1] / c[:, 0], c[:, 2] / c[:, 0], t, c[:, 0]]),
+    lambda tv, anti, bunch, t_anti, t_bunch, level: level * g2_model(tv, anti, bunch, t_anti,
+                                                                     t_bunch))
+_G2_PLAIN = Separable(
+    _g2_basis, [G2_NAMES[i] for i in (0, 2, 4)],
+    lambda t, c: np.column_stack([c[:, 1] / c[:, 0], t, c[:, 0]]),
+    lambda tv, anti, t_anti, level: level * g2_model(tv, anti, 0.0, t_anti, 1.0))
+# 0 <= A, B <= 2 and level >= 1e-12 as C c >= d on c = (level, level A,
+# level B); the plain fit takes the first three rows
+_G2_BOX = (np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [2.0, -1.0, 0.0],
+                     [0.0, 0.0, 1.0], [2.0, 0.0, -1.0]]), np.array([1e-12, 0.0, 0.0, 0.0, 0.0]))
 
 
 def _g2_start(series: MeasurementSeries, tail_fraction: float, min_tail_points: int) -> tuple:
-    """(tau, y, weights or None, start, lower and upper bounds) of the fit with bunching."""
+    """(tau, y, weights or None, start, lower and upper bounds) of the times
+    (t1, t2) of the fit with bunching."""
     tau, y = series.as_arrays()
     span = np.abs(tau).max()
     tail = np.abs(tau) >= (1.0 - tail_fraction) * span
@@ -498,7 +522,6 @@ def _g2_start(series: MeasurementSeries, tail_fraction: float, min_tail_points: 
     recover = np.where(yn[dip:] > 1.0 - anti0 / 2.0)[0]
     t10 = float(tau[dip + recover[0]] - tau[dip]) / math.log(2.0) if len(recover) else span / 10
     t10 = max(t10, span / 200.0)
-    bunch0 = float(np.clip(yn.max() - 1.0, 1e-3, 1.0))
     # the bunching time is confined between the antibunching recovery
     # scale (below which the two exponentials cancel along a flat ridge)
     # and twice the window (beyond which bunching is just a baseline
@@ -506,8 +529,7 @@ def _g2_start(series: MeasurementSeries, tail_fraction: float, min_tail_points: 
     t2_lo = min(3.0 * t10, 0.5 * span)
     t2_hi = 2.0 * span
     weights = poisson_weights(y) if baseline0 > 10.0 else None  # raw counts only
-    return (tau, y, weights, [anti0, bunch0, t10, math.sqrt(t2_lo * t2_hi), baseline0],
-            [0.0, 0.0, 1e-9, t2_lo, 1e-12], [2.0, 2.0, np.inf, t2_hi, np.inf])
+    return tau, y, weights, [t10, math.sqrt(t2_lo * t2_hi)], [1e-9, t2_lo], [np.inf, t2_hi]
 
 
 def fit_g2(series: MeasurementSeries, *, tail_fraction: float = 0.25,
@@ -534,23 +556,11 @@ def fit_g2_batch(correlations, *, tail_fraction: float = 0.25,
     weights = None if all(w is None for w in weights) else np.array(
         [np.ones_like(v) if w is None else w for v, w in zip(y, weights)])
     y, p0, lower, upper = map(np.array, (y, p0, lower, upper))
-    # one grid for all: no stack, one memo key
-    grid = tau[0] if all(np.array_equal(v, tau[0]) for v in tau) else np.array(tau)
-    decay = _decay_memo()
-
-    def g2_with_bunching(tv, anti, bunch, t_anti, t_bunch, level):
-        g = g2_model(tv, anti, bunch, t_anti, t_bunch, decay=decay)
-        g *= level
-        return g
-
-    def g2_plain(tv, anti, t_anti, level):
-        return g2_with_bunching(tv, anti, 0.0, t_anti, 1.0, level)
-
-    with_bunching = _run_fit_batch(g2_with_bunching, grid, y, p0, G2_NAMES,
-                                   weights=weights, bounds=(lower, upper))
-    plain = _run_fit_batch(g2_plain, grid, y, p0[:, _G2_PLAIN],
-                           [G2_NAMES[i] for i in _G2_PLAIN], weights=weights,
-                           bounds=(lower[:, _G2_PLAIN], upper[:, _G2_PLAIN]))
+    with_bunching = _run_fit_batch(_G2_WITH_BUNCHING, tau, y, p0, weights=weights,
+                                   bounds=(lower, upper), constraints=_G2_BOX)
+    plain = _run_fit_batch(_G2_PLAIN, tau, y, p0[:, :1], weights=weights,
+                           bounds=(lower[:, :1], upper[:, :1]),
+                           constraints=(_G2_BOX[0][:3, :2], _G2_BOX[1][:3]))
     return [_g2_choose(*fits) for fits in zip(with_bunching, plain, tau)]
 
 
@@ -608,44 +618,49 @@ def cos2_model(theta_deg, amplitude, axis_deg, offset):
     return amplitude * np.cos(rad) ** 2 + offset
 
 
+def _cos2_params(_, c):
+    half = np.hypot(c[:, 1], c[:, 2])
+    return np.column_stack([2.0 * half, np.degrees(np.arctan2(c[:, 2], c[:, 1])) / 2.0 % 180.0,
+                            c[:, 0] - half])
+
+
+# a cos^2(theta - theta0) + b = c0 + c1 cos 2theta + c2 sin 2theta
+_COS2 = Separable(lambda theta: (1.0, np.cos(np.radians(2.0 * theta)),
+                                 np.sin(np.radians(2.0 * theta))),
+                  ["amplitude", "axis_deg", "offset"], _cos2_params, cos2_model)
+
+
 def fit_polarization(series: MeasurementSeries) -> FitResult:
     """Fit a cos^2 polarization scan; reports the degree of polarization.
 
-    DOP = (I_max - I_min)/(I_max + I_min) = a/(a + 2 b) for the fitted
-    a cos^2(theta - theta0) + b. Constant data returns DOP = 0 with a
-    ``flat_fit`` warning flag instead of failing.
+    One linear solve for a cos^2(theta - theta0) + b, then DOP =
+    (I_max - I_min)/(I_max + I_min) = a/(a + 2 b). Constant data returns
+    DOP = 0 with a ``flat_fit`` warning flag instead of failing.
     """
     return _one(fit_polarization_batch([series]))
 
 
 def fit_polarization_batch(scans) -> list:
-    """``fit_polarization`` of same-length scans in one lockstep solve; a
-    failed fit gives its FitError."""
-    outcomes, starts = [], []
+    """``fit_polarization`` of same-length scans in one stacked solve."""
+    outcomes, fitted = [], []
     for scan in scans:
         theta, y = scan.as_arrays()
         if theta[-1] - theta[0] < 180.0:
             raise SeriesError("polarization scan must span at least 180 degrees")
-        spread = float(np.ptp(y))
-        flat = spread < 1e-12 * max(abs(y.max()), 1.0)
+        flat = float(np.ptp(y)) < 1e-12 * max(abs(y.max()), 1.0)
         outcomes.append(FitResult(
             params={"amplitude": 0.0, "axis_deg": 0.0, "offset": float(y.mean())},
             stderr={}, residual_norm=0.0, n_evaluations=0, converged=True,
             warnings=["flat_fit: constant signal, polarization undefined"]) if flat else None)
         if not flat:
-            starts.append((theta, y, [spread, float(theta[np.argmax(y)] % 180.0),
-                                      float(y.min())]))
-    if starts:
-        solved = iter(_run_fit_batch(cos2_model, *map(np.array, zip(*starts)),
-                                     ["amplitude", "axis_deg", "offset"]))
+            fitted.append((theta, y))
+    if fitted:
+        solved = iter(_run_fit_batch(_COS2, *map(np.array, zip(*fitted)),
+                                     np.empty((len(fitted), 0))))
         outcomes = [next(solved) if o is None else o for o in outcomes]
     for result in outcomes:
-        if isinstance(result, FitError):
-            continue
-        a = abs(result.params["amplitude"])
-        b = max(result.params["offset"], 0.0)
+        a, b = result.params["amplitude"], max(result.params["offset"], 0.0)
         result.params["degree_of_polarization"] = a / (a + 2.0 * b) if a + 2.0 * b > 0 else 0.0
-        result.params["axis_deg"] = result.params["axis_deg"] % 180.0
     return outcomes
 
 
@@ -693,14 +708,6 @@ def zpl_fraction(series: MeasurementSeries, line_fit: FitResult | dict,
 # ---------------------------------------------------------------------------
 # series I/O
 # ---------------------------------------------------------------------------
-
-def write_series_csv(path, series: MeasurementSeries, x_name: str = "x", y_name: str = "y"):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# kind={series.kind}\n")
-        fh.write(f"{x_name},{y_name}\n")
-        for xv, yv in zip(series.x.tolist(), series.y.tolist()):
-            fh.write(f"{xv:.10g},{yv:.10g}\n")
-
 
 def read_series_csv(path) -> MeasurementSeries:
     kind = "spectrum"

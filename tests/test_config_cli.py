@@ -28,8 +28,8 @@ from spskit.specfit import (
     cos2_model,
     g2_model,
     lorentzian,
-    write_series_csv,
 )
+from test_specfit import write_series_csv
 
 
 class TestConfig:

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -10,11 +11,29 @@ from spskit.fab import (
     fit_hemisphere_profile,
     hemisphere_depth_nm,
     hemisphere_dose_map,
-    read_bmp,
     read_profile_csv,
     synthetic_hemisphere_profile,
     write_bmp,
 )
+
+
+def read_bmp(path) -> np.ndarray:
+    """Read back a 24-bit BMP written by ``write_bmp`` as (h, w, 3) RGB."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    magic, _size, _r1, _r2, offset = struct.unpack_from("<2sIHHI", data, 0)
+    assert magic == b"BM"
+    hdr_size, w, h, _planes, bpp = struct.unpack_from("<IiiHH", data, 14)[:5]
+    assert bpp == 24 and hdr_size == 40
+    row_bytes = w * 3
+    pad = (4 - row_bytes % 4) % 4
+    rows = []
+    pos = offset
+    for _ in range(abs(h)):
+        row = np.frombuffer(data, dtype=np.uint8, count=row_bytes, offset=pos).reshape(w, 3)
+        rows.append(row[:, ::-1])  # BGR -> RGB
+        pos += row_bytes + pad
+    return np.stack(rows[::-1] if h > 0 else rows)
 
 
 class TestDepthProfile:

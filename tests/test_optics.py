@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spskit import optics
 from spskit.optics import (
     LayerStack,
     OpticsError,
@@ -15,7 +16,6 @@ from spskit.optics import (
     cavity_spectrum,
     intracavity_field,
     make_quarter_wave_stack,
-    peak_intracavity_intensity,
     penetration_depth,
     quarter_wave_peak_reflectance,
     reflectance,
@@ -23,12 +23,26 @@ from spskit.optics import (
     resonant_gap,
     stopband,
     transmittance,
-    transmittance_at,
 )
 from spskit.cli import main
 
 N_H, N_L, N_SUB = 2.135, 1.521, 1.5255
 LAM0 = 565.0
+
+
+def transmittance_at(stack: LayerStack, lam: float) -> float:
+    """T of the stack at one wavelength, by the scalar transfer-matrix path."""
+    return float(optics._power(stack.layers, stack.ambient_index, stack.substrate_index, lam)[1])
+
+
+def peak_intracavity_intensity(mirror_a: LayerStack, gap_nm, mirror_b: LayerStack,
+                               lam: float):
+    """Maximum standing-wave |E|^2 in the gap, for unit incident amplitude;
+    ``gap_nm`` may be an array of gap lengths, and the result then has its
+    shape."""
+    optics._check_gaps(gap_nm)
+    waves = optics._gap_waves(mirror_a, mirror_b, lam)(np.asarray(gap_nm, float))
+    return optics._peak_intensity(waves)[()]
 
 
 def admittance_oracle(layer_indices, n_substrate, n_ambient=1.0):

@@ -34,9 +34,17 @@ from spskit.specfit import (
     lorentzian,
     lorentzian_with_instrument,
     read_series_csv,
-    write_series_csv,
     zpl_fraction,
 )
+
+
+def write_series_csv(path, series: MeasurementSeries, x_name: str = "x", y_name: str = "y"):
+    """A series as the CSV that ``read_series_csv`` reads, 10 significant digits."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# kind={series.kind}\n")
+        fh.write(f"{x_name},{y_name}\n")
+        for xv, yv in zip(series.x.tolist(), series.y.tolist()):
+            fh.write(f"{xv:.10g},{yv:.10g}\n")
 
 
 def series(x, y, kind="spectrum"):
@@ -165,22 +173,26 @@ class TestLorentzianFit:
             fit_lorentzian(series(x, y))
         assert "center_nm" in excinfo.value.last_params
 
-    @pytest.mark.parametrize("bounds", [None, ([0.0, 0.0], [np.inf, np.inf])])
+    @pytest.mark.parametrize("bounds", [None, ([0.0], [np.inf])])
     def test_budget_counts_every_residual_evaluation(self, monkeypatch, bounds):
-        # the cap is MAX_ITERATIONS * (len(p0) + 1) evaluations, Jacobian
-        # columns included, bounded or not
+        # the cap is MAX_ITERATIONS * (m + 1) evaluations for m nonlinear
+        # parameters, Jacobian columns included, bounded or not (the
+        # bounded fit also holds its amplitude at or above 0)
         monkeypatch.setattr(specfit_module, "MAX_ITERATIONS", 2)
         x = np.linspace(0.0, 5.0, 50)
         y = 3.0 * np.exp(-x / 1.5)
         evaluations = []
 
-        def model(xv, amp, tau):
-            evaluations.append((amp, tau))
-            return amp * np.exp(-xv / tau)
+        def basis(xv, tau):
+            evaluations.append(tau)
+            return (np.exp(-xv / tau),)
 
+        fit = specfit_module.Separable(basis, ["tau", "amp"])
         with pytest.raises(FitError) as excinfo:
-            specfit_module._run_fit(model, x, y, [0.5, 8.0], ["amp", "tau"], bounds=bounds)
-        assert len(evaluations) == 2 * 3
+            specfit_module._one(specfit_module._run_fit_batch(
+                fit, x, y[None], [[8.0]], bounds=bounds,
+                constraints=None if bounds is None else ([[1.0]], [0.0])))
+        assert len(evaluations) == 2 * 2
         assert set(excinfo.value.last_params) == {"amp", "tau"}
 
     def test_report_has_parenthetical_format(self):
@@ -320,13 +332,38 @@ class TestG2Fit:
         a, b = (series(tau, g2_model(tau, 0.9, 0.05, 50.0, 6000.0) + noise, "correlation")
                 for tau in grids)
         starts = [specfit_module._g2_start(s, 0.25, 8)[3] for s in (a, b)]
-        assert starts[0][2:4] == starts[1][2:4]
+        assert starts[0] == starts[1]
         fit_b = fit_g2_batch([b])
         assert fit_g2_batch([b]) == fit_b
         fit_a = fit_g2_batch([a])
         assert fit_g2_batch([b]) == fit_b
         assert fit_g2_batch([a]) == fit_a
         assert fit_g2_batch([a, b]) == fit_a + fit_b
+
+    @pytest.mark.parametrize("plain", [False, True])
+    def test_start_holding_the_antibunching_amplitude_at_zero(self, plain):
+        # from t1 = 1e5 ps, twice the window, the constraint A >= 0 holds A
+        # at 0 and the projected cost does not depend on t1; the fit must
+        # still reach the optimum it reaches from the true times
+        tau = np.linspace(-50000.0, 50000.0, 801)
+        y = np.random.default_rng(5).poisson(
+            200.0 * g2_model(tau, 0.7, 0.4, 2000.0, 15000.0)).astype(float)
+        fit = specfit_module._G2_PLAIN if plain else specfit_module._G2_WITH_BUNCHING
+        cons = specfit_module._G2_BOX
+        cons = (cons[0][:3, :2], cons[1][:3]) if plain else cons
+        m = 1 if plain else 2
+
+        def solve(theta0):
+            return specfit_module._one(specfit_module._run_fit_batch(
+                fit, tau, y[None], [theta0[:m]], weights=specfit_module.poisson_weights(y)[None],
+                bounds=([1e-9, 9000.0][:m], [np.inf, 1e5][:m]), constraints=cons))
+
+        got, ref = solve([1e5, 30000.0]), solve([2000.0, 15000.0])
+        assert got.params["antibunching_amplitude"] > 0.3
+        assert got.residual_norm == pytest.approx(ref.residual_norm, rel=1e-9)
+        for name, value in ref.params.items():
+            assert got.params[name] == pytest.approx(value, rel=1e-5,
+                                                     abs=1e-4 * ref.stderr[name])
 
     def test_short_tails_rejected(self):
         tau = np.linspace(-500.0, 500.0, 9)
@@ -387,8 +424,7 @@ class TestPolarizationFit:
         assert fit.params["degree_of_polarization"] == pytest.approx(1.0, abs=1e-6)
 
     def test_axis_starting_at_zero(self):
-        # the brightest sample sits at 0 degrees, so the axis starts at
-        # exactly 0 and its Jacobian step must not shrink with it
+        # the brightest sample sits at 0 degrees, one degree off the axis
         theta = np.linspace(0.0, 360.0, 73)
         y = cos2_model(theta, 700.0, 1.0, 50.0)
         fit = fit_polarization(series(theta, y, "polarization"))
@@ -445,43 +481,82 @@ class TestZplFraction:
         assert 0.5 < frac < 0.75
 
 
-def scipy_run_fit(model, x, y, p0, names, weights=None, bounds=None) -> FitResult:
-    """Reference solver: scipy's MINPACK 'lm' without bounds and 'trf' with
-    them, at the tolerances and scaling the fits used with scipy."""
+# The box of the named linear parameters that the fitters' constraints on
+# their coefficients encode; every other one is free.
+LINEAR_BOX = {"antibunching_amplitude": (0.0, 2.0), "bunching_amplitude": (0.0, 2.0),
+              "normalization": (1e-12, np.inf)}
+
+
+def scipy_run_fit(fit, x, y, theta0, weights=None, bounds=None) -> FitResult:
+    """Reference solver on the full model in every named parameter: scipy's
+    MINPACK 'lm' without bounds and 'trf' with them, at the tolerances and
+    scaling the fits used with scipy. It starts from theta0 and the
+    coefficients that solve the linear least squares there, within the
+    box of theta and of ``LINEAR_BOX``."""
     w = np.ones_like(y) if weights is None else weights
+    columns = np.broadcast_arrays(*fit.basis(x, *theta0), y)[:-1]
+    coef = np.linalg.lstsq(np.transpose(columns) * w[:, None], y * w, rcond=None)[0]
+    p0 = fit.named(np.array([theta0]), coef[None])[0]
+    lower, upper = (np.array([LINEAR_BOX.get(name, (-np.inf, np.inf))[side] for name in fit.names])
+                    for side in (0, 1))
+    if bounds is not None:
+        at = [list(p0).index(t) for t in theta0]
+        lower[at], upper[at] = bounds
+    box = None if np.isinf(lower).all() and np.isinf(upper).all() else (lower, upper)
+
+    model = fit.full_model(len(theta0))
 
     def residuals(p):
         return (model(x, *p) - y) * w
 
     kwargs = dict(xtol=specfit_module.STEP_TOLERANCE, ftol=1e-12, gtol=1e-12,
                   max_nfev=specfit_module.MAX_ITERATIONS * (len(p0) + 1))
-    if bounds is None:
+    if box is None:
         result = least_squares(residuals, p0, method="lm", x_scale="jac", **kwargs)
     else:
-        result = least_squares(residuals, p0, method="trf", bounds=bounds, x_scale=1.0,
-                               **kwargs)
+        result = least_squares(residuals, np.clip(p0, lower, upper), method="trf", bounds=box,
+                               x_scale=1.0, **kwargs)
     assert result.success, result.message
     return FitResult(
-        params=dict(zip(names, (float(v) for v in result.x))),
-        stderr=specfit_module._covariance_stderr(result.jac, result.fun, names),
+        params=dict(zip(fit.names, (float(v) for v in result.x))),
+        stderr=specfit_module._covariance_stderr(result.jac, result.fun, fit.names),
         residual_norm=float(np.linalg.norm(result.fun)),
         n_evaluations=int(result.nfev),
         converged=True,
     )
 
 
+def scipy_polarization(scan) -> tuple:
+    """Reference polarization fit: scipy's MINPACK 'lm' on the cos^2 model
+    from the brightest sample; (parameters with the DOP, stderr, norm)."""
+    theta, y = scan.as_arrays()
+    result = least_squares(lambda p: cos2_model(theta, *p) - y,
+                           [np.ptp(y), theta[np.argmax(y)] % 180.0, y.min()], method="lm",
+                           x_scale="jac", xtol=specfit_module.STEP_TOLERANCE, ftol=1e-12,
+                           gtol=1e-12)
+    assert result.success, result.message
+    names = ["amplitude", "axis_deg", "offset"]
+    a, axis, b = result.x
+    if a < 0.0:  # the same curve, with the axis a quarter turn on
+        a, axis, b = -a, axis + 90.0, b + a
+    params = {"amplitude": a, "axis_deg": axis % 180.0, "offset": b,
+              "degree_of_polarization": a / (a + 2.0 * max(b, 0.0))}
+    return (params, specfit_module._covariance_stderr(result.jac, result.fun, names),
+            float(np.linalg.norm(result.fun)))
+
+
 def one_by_one(run_fit):
     """A stand-in for ``specfit._run_fit_batch`` that solves each problem of
     the batch alone with ``run_fit``."""
-    def run_batch(model, x, y, p0, names, weights=None, bounds=None):
-        x, y, p0 = (np.asarray(v, dtype=float) for v in (x, y, p0))
+    def run_batch(fit, x, y, theta0, weights=None, bounds=None, constraints=None):
+        x, y, theta0 = (np.asarray(v, dtype=float) for v in (x, y, theta0))
         outcomes = []
         for i in range(len(y)):
             w = None if weights is None else np.broadcast_to(weights, y.shape)[i]
             box = None if bounds is None else tuple(
-                np.broadcast_to(np.asarray(b, dtype=float), p0.shape)[i] for b in bounds)
-            outcomes.append(run_fit(model, x if x.ndim == 1 else x[i], y[i], list(p0[i]),
-                                    names, w, box))
+                np.broadcast_to(np.asarray(b, dtype=float), theta0.shape)[i] for b in bounds)
+            outcomes.append(run_fit(fit, x if x.ndim == 1 else x[i], y[i], list(theta0[i]),
+                                    w, box))
         return outcomes
     return run_batch
 
@@ -517,19 +592,28 @@ class TestSolverMatchesScipy:
 
     @pytest.mark.parametrize("kind", ["spectrum", "decay", "correlation", "polarization"])
     def test_same_fit_as_scipy(self, monkeypatch, roundtrip_draws, kind):
+        # the separable fits against scipy on the full model; the closed-form
+        # polarization fit against scipy's Levenberg-Marquardt one
         for draw in roundtrip_draws:
             params, _, norm, model = fit_draw(kind, draw)
-            solved = []
+            if kind == "polarization":
+                ref_params, ref_stderr, ref_norm = scipy_polarization(draw["polarization"][0])
+                ref_model = None
+                assert params["degree_of_polarization"] == pytest.approx(
+                    ref_params["degree_of_polarization"], rel=1e-9)
+            else:
+                solved = []
 
-            def counted_scipy_run_fit(*args):
-                solved.append(args[4])
-                return scipy_run_fit(*args)
+                def counted_scipy_run_fit(*args):
+                    solved.append(args[0].names)
+                    return scipy_run_fit(*args)
 
-            with monkeypatch.context() as patch:
-                patch.setattr(specfit_module, "_run_fit_batch", one_by_one(counted_scipy_run_fit))
-                ref_params, ref_stderr, ref_norm, ref_model = fit_draw(kind, draw)
-            # the reference ran once per fit: a g2 fit fits two models
-            assert len(solved) == (2 if kind == "correlation" else 1)
+                with monkeypatch.context() as patch:
+                    patch.setattr(specfit_module, "_run_fit_batch",
+                                  one_by_one(counted_scipy_run_fit))
+                    ref_params, ref_stderr, ref_norm, ref_model = fit_draw(kind, draw)
+                # the reference ran once per fit: a g2 fit fits two models
+                assert len(solved) == (2 if kind == "correlation" else 1)
             assert norm == pytest.approx(ref_norm, rel=1e-9)
             assert model == ref_model
             for name, ref in ref_params.items():
@@ -550,12 +634,12 @@ class TestSolverMatchesScipy:
         upper = lower + np.array([amp_box[1], tau_box[1]])
         p0 = lower + np.array(start) * (upper - lower)
 
-        def model(xv, a, t):
-            return a * np.exp(-xv / t)
-
+        fit = specfit_module.Separable(lambda xv, t: (np.exp(-xv / t),), ["tau", "amp"])
         try:
-            params = specfit_module._run_fit(model, x, y, p0, ["amp", "tau"],
-                                             bounds=(lower, upper)).params
+            # tau is the nonlinear parameter, the amplitude box C c >= d
+            params = specfit_module._one(specfit_module._run_fit_batch(
+                fit, x, y[None], [p0[1:]], bounds=(lower[1:], upper[1:]),
+                constraints=([[1.0], [-1.0]], [lower[0], -upper[0]]))).params
         except FitError as exc:
             params = exc.last_params
         values = np.array([params["amp"], params["tau"]])
@@ -566,10 +650,14 @@ def decay_with_offset(xv, amp, tau, off):
     return amp * np.exp(-xv / tau) + off
 
 
+# amp and off are the coefficients of exp(-x/tau) and 1
+DECAY_WITH_OFFSET = specfit_module.Separable(
+    lambda xv, tau: (np.exp(-xv / tau), 1.0), ["amp", "tau", "off"],
+    lambda t, c: np.column_stack([c[:, 0], t, c[:, 1]]), decay_with_offset)
+
+
 class TestLockstepSolver:
     """A problem solved in a batch gets the bits it gets alone."""
-
-    NAMES = ["amp", "tau", "off"]
 
     @staticmethod
     def problems():
@@ -579,6 +667,8 @@ class TestLockstepSolver:
         rng = np.random.default_rng(17)
         y = np.array([decay_with_offset(x, *truth) + rng.normal(0.0, 0.01, x.size)
                       for truth in truths])
+        # problem 1 starts at tau = 3, where amp and off are both held on
+        # their bounds 0 and the projected cost does not depend on tau
         p0 = np.array([[1.0, 1.0, 0.0], [1.0, 3.0, 0.0], [9.0, 0.5, 1.0], [0.5, 0.5, 0.0],
                        [0.2, 8.0, -1.0], [1.0, 1.0, 0.0]])
         # per-problem boxes: problem 1 ends with its offset on the lower
@@ -589,21 +679,28 @@ class TestLockstepSolver:
         upper[3, 2] = 0.4
         return x, y, p0, 1.0 / (0.05 + np.abs(y)), lower, upper
 
-    @pytest.mark.parametrize("max_iterations,failing", [(200, set()), (16, {1, 4})])
+    @pytest.mark.parametrize("max_iterations,failing", [(200, set()), (16, {1})])
     def test_shuffled_batches_equal_each_problem_alone(self, monkeypatch, max_iterations,
                                                        failing):
-        # at 16 iterations (64 evaluations) problems 1 and 4 run out of
-        # budget while their neighbours converge
+        # at 16 iterations (32 evaluations for the one nonlinear parameter)
+        # problem 1 runs out of budget while its neighbours converge
         monkeypatch.setattr(specfit_module, "MAX_ITERATIONS", max_iterations)
         x, y, p0, w, lower, upper = self.problems()
+        # tau is the nonlinear parameter; the boxes of amp and off are
+        # C c >= d on the coefficients (amp, off)
+        theta0, bounds = p0[:, 1:2], (lower[:, 1:2], upper[:, 1:2])
+        cons = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+        floor = np.column_stack([lower[:, 0], -upper[:, 0], lower[:, 2], -upper[:, 2]])
         alone = [specfit_module._run_fit_batch(
-            decay_with_offset, x, y[i:i + 1], p0[i:i + 1], self.NAMES, weights=w[i:i + 1],
-            bounds=(lower[i:i + 1], upper[i:i + 1]))[0] for i in range(len(y))]
+            DECAY_WITH_OFFSET, x, y[i:i + 1], theta0[i:i + 1], weights=w[i:i + 1],
+            bounds=(bounds[0][i:i + 1], bounds[1][i:i + 1]), constraints=(cons, floor[i:i + 1]))[0]
+            for i in range(len(y))]
         for seed in (0, 1, 3):
             order = np.random.default_rng(seed).permutation(len(y))
-            batch = specfit_module._run_fit_batch(decay_with_offset, x, y[order], p0[order],
-                                                  self.NAMES, weights=w[order],
-                                                  bounds=(lower[order], upper[order]))
+            batch = specfit_module._run_fit_batch(DECAY_WITH_OFFSET, x, y[order], theta0[order],
+                                                  weights=w[order],
+                                                  bounds=(bounds[0][order], bounds[1][order]),
+                                                  constraints=(cons, floor[order]))
             for got, i in zip(batch, order):
                 assert isinstance(got, FitError) == (i in failing)
                 assert type(got) is type(alone[i])
@@ -616,6 +713,27 @@ class TestLockstepSolver:
                                                                   alone[i].residual_norm)
         if not failing:
             assert alone[1].params["off"] == 0.0 and alone[3].params["off"] == 0.4
+            # from tau = 3 problem 1 reaches the optimum it reaches from tau = 1
+            ref = specfit_module._run_fit_batch(
+                DECAY_WITH_OFFSET, x, y[1:2], [[1.0]], weights=w[1:2],
+                bounds=(bounds[0][1:2], bounds[1][1:2]), constraints=(cons, floor[1:2]))[0]
+            assert alone[1].residual_norm == pytest.approx(ref.residual_norm, rel=1e-9)
+            assert alone[1].params["tau"] == pytest.approx(ref.params["tau"], rel=1e-5)
+
+    def test_stacked_svd_gives_each_matrix_its_own_bits(self):
+        # the solver takes one np.linalg.svd of the stack of scaled Jacobians
+        # that share a free mask; a problem's bits must not depend on its
+        # neighbours, which rests on the LAPACK build
+        rng = np.random.default_rng(23)
+        for n_prob, n_rows, n_cols in [(2, 5, 1), (6, 1601, 2), (12, 301, 2), (12, 1700, 1),
+                                       (5, 60, 3)]:
+            stack = rng.normal(size=(n_prob, n_rows, n_cols)) * 10.0 ** rng.uniform(
+                -6.0, 6.0, (n_prob, 1, n_cols))
+            u, s, vt = np.linalg.svd(stack, full_matrices=False)
+            for i, matrix in enumerate(stack):
+                for alone, stacked in zip(np.linalg.svd(matrix, full_matrices=False),
+                                          (u[i], s[i], vt[i])):
+                    assert np.array_equal(alone, stacked), (n_prob, n_rows, n_cols, i)
 
     def test_batch_fitters_equal_single_fits(self, roundtrip_draws):
         draws = roundtrip_draws[:10]
