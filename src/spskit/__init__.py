@@ -11,6 +11,7 @@ emitter     Purcell enhancement, quantum efficiency, indistinguishability
 specfit     least-squares fitters for spectra, decays, correlations,
             polarization scans
 lsq         the separable least-squares solver behind them, many fits in lockstep
+search      bracketed searches: bisection and golden-section maximization
 qkd         BB84 key rates for single-photon, weak-coherent, and decoy
             sources over fiber and free-space channels
 fab         hemisphere dose maps (BMP export) and surface-profile fitting
@@ -23,7 +24,7 @@ reproduce   the reproduction table, on the scenario the CLI loads
 __version__ = "0.1.0"
 
 _SUBMODULES = ("cavitymode", "cli", "config", "constants", "emitter", "errors", "fab",
-               "lsq", "optics", "pipeline", "qkd", "reproduce", "specfit")
+               "lsq", "optics", "pipeline", "qkd", "reproduce", "search", "specfit")
 
 
 def __getattr__(name: str):

@@ -53,8 +53,6 @@ SCHEMA: dict[str, dict[str, Setting]] = {
         "radius_of_curvature_um": _s(2.7, float, "milled hemisphere radius"),
         "longitudinal_order": _s(8, int, "operating mode order"),
         "wavelength_nm": _s(565.85, float, "emitter line center"),
-        "penetration_depth_nm": _s(122.0, float,
-                                   "reported field penetration per mirror"),
         "mirror_reflectivity": _s(0.992, float, "measured coating reflectivity"),
         "effective_mirror_reflectivity": _s(0.992, float,
                                             "loss-calibrated reflectivity used for the "

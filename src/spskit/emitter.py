@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import search
 from .constants import linewidth_nm_to_hz, rate_from_lifetime_ps
 
 TWO_PI = 2.0 * math.pi
@@ -203,15 +204,8 @@ def kappa_for_target_indistinguishability(
     if not (v_hi <= target <= v_lo):
         raise PhotophysicsError(
             f"target {target} not bracketed: I({lo:g})={v_lo:.4g}, I({hi:g})={v_hi:.4g}")
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        if value(mid) >= target:
-            lo = mid
-        else:
-            hi = mid
-        if hi / lo < 1.0 + 1e-12:
-            break
-    return math.sqrt(lo * hi)
+    return float(search.bisect(lambda kappa: value(kappa) >= target, lo, hi, tol=1e-12,
+                               geometric=True))
 
 
 def coupling_from_purcell(effective_purcell_factor: float, cavity_rate: float,

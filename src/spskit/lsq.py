@@ -54,7 +54,8 @@ def levenberg_marquardt(basis, x, y, p0, weights, bounds, max_iterations: int,
     on theta and d of ``constraints = (C, d)``, for C c >= d with d
     finite, one row per problem or one for all, or None. Returns per
     problem (converged, theta, c, residuals, cost, evaluations); one out
-    of budget has only its best theta and c.
+    of budget has only its best theta and c, and one whose start has a
+    non-finite cost is not converged.
     """
     y = np.asarray(y, dtype=float)
     p = np.array(p0, dtype=float)
@@ -128,8 +129,8 @@ def levenberg_marquardt(basis, x, y, p0, weights, bounds, max_iterations: int,
     def finish(i):
         if cost[i] < sampled[i] and not jac[i].any(axis=0).all():
             ending.append(i)  # its cost is flat in some parameter: ``restart``
-        else:
-            outcome[i] = (True, p[i], coef[i], r[i], cost[i], calls[i])
+        else:  # a trial never has a non-finite cost: only a start can
+            outcome[i] = (math.isfinite(cost[i]), p[i], coef[i], r[i], cost[i], calls[i])
 
     def restart():
         """The problems that finished where their cost is flat in some

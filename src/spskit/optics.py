@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import search
 from .errors import NumericalError
 
 
@@ -376,18 +377,8 @@ def stopband(
         return None
 
     def crossing(i_in: int, i_out: int) -> float:
-        a, b = wls[i_in], wls[i_out]
-        fa = _power(layers, n0, ns, a)[0] - threshold_reflectance
-        for _ in range(80):
-            m = 0.5 * (a + b)
-            fm = _power(layers, n0, ns, m)[0] - threshold_reflectance
-            if (fa >= 0) == (fm >= 0):
-                a, fa = m, fm
-            else:
-                b = m
-            if abs(b - a) < 1e-6:
-                break
-        return 0.5 * (a + b)
+        return search.bisect(lambda m: _power(layers, n0, ns, m)[0] >= threshold_reflectance,
+                             wls[i_in], wls[i_out], tol=1e-6)
 
     i = i0
     while i > 0 and refl[i - 1] >= threshold_reflectance:
@@ -419,20 +410,13 @@ def calibrated_lossy_stack(stack: LayerStack, target_reflectance: float, lam: fl
     def refl(k: float) -> float:
         return _power(with_k(k), stack.ambient_index, stack.substrate_index, lam)[0]
 
-    lo_k, hi_k = 0.0, 1e-6
+    hi_k = 1e-6
     while refl(hi_k) > target_reflectance:
         hi_k *= 2.0
         if hi_k > 1.0:
             raise OpticsError("could not bracket the extinction for the requested loss")
-    for _ in range(200):
-        mid = 0.5 * (lo_k + hi_k)
-        if refl(mid) > target_reflectance:
-            lo_k = mid
-        else:
-            hi_k = mid
-        if hi_k - lo_k < 1e-16:
-            break
-    return LayerStack(stack.ambient_index, with_k(0.5 * (lo_k + hi_k)), stack.substrate_index)
+    k = search.bisect(lambda m: refl(m) > target_reflectance, 0.0, hi_k, tol=1e-16)
+    return LayerStack(stack.ambient_index, with_k(k), stack.substrate_index)
 
 
 # ---------------------------------------------------------------------------
@@ -489,8 +473,8 @@ def cavity_spectrum(
     def t_of(lam):
         return _power(full.layers, full.ambient_index, full.substrate_index, lam)[1]
 
-    center = golden_section_maximize(t_of, wls[max(ipk - 1, 0)], wls[min(ipk + 1, len(wls) - 1)],
-                                     tol=1e-5)
+    center = search.golden_max(t_of, wls[max(ipk - 1, 0)], wls[min(ipk + 1, len(wls) - 1)],
+                               tol=1e-5)
     peak_t = float(t_of(center))
     half = peak_t / 2.0
 
@@ -508,15 +492,7 @@ def cavity_spectrum(
             below = np.flatnonzero(t_of(pts[:inside]) <= half)
             if below.size:
                 k = below[0]
-                prev = pts[k - 1] if k else lam
-                a, b = (prev, pts[k]) if direction > 0 else (pts[k], prev)
-                for _ in range(80):
-                    m = 0.5 * (a + b)
-                    if (t_of(m) > half) == (direction > 0):
-                        a = m
-                    else:
-                        b = m
-                return 0.5 * (a + b)
+                return search.bisect(lambda m: t_of(m) > half, pts[k - 1] if k else lam, pts[k])
             if inside < pts.size:
                 return None
             lam = pts[-1]
@@ -586,24 +562,6 @@ def intracavity_field(mirror_a: LayerStack, gap_nm: float, mirror_b: LayerStack,
     return FieldProfile(tuple(float(x) for x in z), tuple(float(x) for x in inten / peak))
 
 
-def golden_section_maximize(f, a: float, b: float, tol: float = 0.01) -> float:
-    """Classic golden-section maximization of f on [a, b]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 def resonant_gap(
     mirror_a: LayerStack,
     mirror_b: LayerStack,
@@ -636,7 +594,7 @@ def resonant_gap(
     vals = intensity(grid)
     candidates = []
     for i in _interior_maxima(vals):
-        gap = golden_section_maximize(intensity, grid[i - 1], grid[i + 1], tol=tol_nm)
+        gap = search.golden_max(intensity, grid[i - 1], grid[i + 1], tol=tol_nm)
         profile = intracavity_field(mirror_a, gap, mirror_b, lam,
                                     samples=max(int(gap / (lam / 50.0)), 200))
         candidates.append((gap, profile.antinode_count()))

@@ -68,14 +68,11 @@ def emitter(scenario: Scenario) -> dict:
     from . import cavitymode, emitter
     from .constants import linewidth_nm_to_hz, rate_from_lifetime_ps
     ecfg, ccfg = scenario["emitter"], scenario["cavity"]
-    config = cavitymode.CavityConfig(
+    # the mode volume reads the geometry alone
+    volume = cavitymode.mode_volume(cavitymode.CavityConfig(
         radius_of_curvature_um=ccfg["radius_of_curvature_um"],
         longitudinal_order=ccfg["longitudinal_order"],
-        design_wavelength_nm=ecfg["zpl_wavelength_nm"],
-        penetration_depth_nm=ccfg["penetration_depth_nm"],
-        mirror_reflectivity=ccfg["mirror_reflectivity"],
-        tuning_slope_nm_per_v=ccfg["tuning_slope_nm_per_v"])
-    volume = cavitymode.mode_volume(config)
+        design_wavelength_nm=ecfg["zpl_wavelength_nm"]))
     chain = emitter.purcell_chain(
         ecfg["zpl_wavelength_nm"], ecfg["cavity_fwhm_nm"], ecfg["free_linewidth_nm"],
         volume, ecfg["lifetime_ratio"], ecfg["mirror_purcell"])

@@ -30,10 +30,9 @@ against each other; its branches (clamps, tagged-states cut-offs) are
 masks, not ``if`` statements. ``binary_entropy`` is elementwise too.
 The intensity optimizer ``_optimal_mu`` takes a whole array of
 transmittances: its 120-point log pre-scan is one (n_t x 120) call, and
-the golden-section refinement runs in lockstep over all brackets, with
-the update rule and ``tol`` of a scalar search applied per element and
-converged elements frozen. ``sweep``, the grid scan of ``find_crossing``
-and each batch of its bisection levels make one such call per source.
+``search.golden_max`` refines all brackets in lockstep. ``sweep``, the
+grid scan of ``find_crossing`` and each batch of its bisection levels
+make one such call per source.
 ``key_rate``, ``optimize_mu`` and ``effective_rate`` are scalar wrappers
 over the same code.
 """
@@ -44,6 +43,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import search
 from .constants import transmittance_to_db
 from .errors import NumericalError
 
@@ -308,7 +308,6 @@ def key_rate(source: SourceModel, channel: ChannelModel, detector: DetectorModel
     return KeyRateResult(float(r.rate), bool(r.below_horizon), float(r.gain), float(r.qber))
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # bisection levels of find_crossing per array call, 2^CROSSING_LEVELS - 1 distances
 CROSSING_LEVELS = 5
 
@@ -318,10 +317,9 @@ def _optimal_mu(source: SourceModel, t, detector: DetectorModel, *,
     """Best pulse intensity and its rate at every transmittance of ``t``.
 
     A log-spaced pre-scan brackets each optimum (the positive region can
-    be a narrow sliver at small mu under heavy loss); golden section then
-    refines all brackets in lockstep, each to ``tol``, freezing those that
-    have converged. Where the rate is zero on the whole of (0, mu_max] the
-    intensity is NaN and the rate 0.
+    be a narrow sliver at small mu under heavy loss), and golden section
+    refines each bracket to ``tol``. Where the rate is zero on the whole of
+    (0, mu_max] the intensity is NaN and the rate 0.
     """
     t = np.asarray(t, dtype=float)
 
@@ -335,24 +333,7 @@ def _optimal_mu(source: SourceModel, t, detector: DetectorModel, *,
     lo = np.where(best > 0, grid[best - 1], grid[0] * 0.5)
     hi = np.where(best < grid.size - 1, grid[np.minimum(best + 1, grid.size - 1)], mu_max)
 
-    c = hi - _INVPHI * (hi - lo)
-    d = lo + _INVPHI * (hi - lo)
-    fc, fd = rate_of(c), rate_of(d)
-    active = hi - lo > tol
-    while active.any():
-        # fc > fd keeps [lo, d], and c becomes the new d; else [c, hi]
-        left = active & (fc > fd)
-        right = active & ~(fc > fd)
-        hi = np.where(left, d, hi)
-        lo = np.where(right, c, lo)
-        c, d = np.where(right, d, c), np.where(left, c, d)
-        fc, fd = np.where(right, fd, fc), np.where(left, fc, fd)
-        probe = np.where(left, hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo))
-        f = rate_of(probe)
-        c, fc = np.where(left, probe, c), np.where(left, f, fc)
-        d, fd = np.where(right, probe, d), np.where(right, f, fd)
-        active = hi - lo > tol
-    mu_star = 0.5 * (lo + hi)
+    mu_star = search.golden_max(rate_of, lo, hi, tol)
     return np.where(alive, mu_star, np.nan), np.where(alive, rate_of(mu_star), 0.0)
 
 
@@ -402,10 +383,10 @@ def find_crossing(
 
     Scans the interval for a sign change of rate_a - rate_b (re-optimizing
     mu per distance for wcs/decoy sources), one array evaluation per
-    source, then bisects to ``tol_km``: the midpoints of the next
-    CROSSING_LEVELS levels, evaluated in one such call and walked step by
-    step, give the bits of one distance at a time. Raises NoCrossingError
-    when no sign change exists in the interval.
+    source, then bisects to ``tol_km``, or until the bracket's ends are
+    adjacent floats, judging CROSSING_LEVELS levels of midpoints per such
+    call. Raises NoCrossingError when no sign change exists in the
+    interval.
     """
     lo, hi = search_interval_km
     if hi <= lo:
@@ -433,22 +414,12 @@ def find_crossing(
             f"no crossing in interval [{lo}, {hi}] km: rate difference keeps one sign")
 
     a, b, fa = bracket
-    while b - a > tol_km:
-        # level k of the bisection tree: the 2^k midpoints of its subintervals
-        ends, tree = np.array([a, b]), []
-        for _ in range(CROSSING_LEVELS):
-            tree.append(0.5 * (ends[:-1] + ends[1:]))
-            ends = np.insert(ends, np.arange(1, ends.size), tree[-1])
-        values, node = diff(np.concatenate(tree)).tolist(), 0
-        for k in range(CROSSING_LEVELS):
-            if b - a <= tol_km:
-                break
-            m, fm = tree[k][node], values[2 ** k - 1 + node]
-            if fm != 0.0 and (fm > 0) == (fa > 0):
-                a, fa, node = m, fm, 2 * node + 1
-            else:
-                b, node = m, 2 * node
-    d_cross = 0.5 * (a + b)
+
+    def same_side(distances) -> np.ndarray:  # a midpoint on a's side of the crossing
+        fm = diff(distances)
+        return (fm != 0.0) & ((fm > 0) == (fa > 0))
+
+    d_cross = search.bisect(same_side, a, b, tol=tol_km, levels=CROSSING_LEVELS)
     ch = channel.at_distance(d_cross)
     t = channel_transmittance(ch)
     return CrossingReport(

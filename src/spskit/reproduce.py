@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import cavitymode, emitter, fab, optics, pipeline, qkd, specfit
+from . import cavitymode, emitter, fab, optics, pipeline, qkd, search, specfit
 from .config import ConfigError, Scenario
 from .constants import rate_from_lifetime_ps
 
@@ -356,16 +356,11 @@ def check_qkd(report: ReproductionReport, scenario: Scenario) -> None:
 
     # gaussian-diffraction reference point for the same loss
     _, gauss, _ = pipeline.qkd_models(scenario, "freespace", "gaussian_farfield")
-    d_lo, d_hi = 1.0, 5000.0
-    for _ in range(200):
-        mid = 0.5 * (d_lo + d_hi)
-        if -10 * math.log10(qkd.channel_transmittance(gauss.at_distance(mid))) < 8.82:
-            d_lo = mid
-        else:
-            d_hi = mid
+    d_loss = search.bisect(
+        lambda d: -10 * math.log10(qkd.channel_transmittance(gauss.at_distance(d))) < 8.82,
+        1.0, 5000.0)
     report.add("8g", "far-field Gaussian model: distance of the 8.82 dB loss (km)",
-               0.5 * (d_lo + d_hi), "~115 km (diffraction-only reference)",
-               abs(0.5 * (d_lo + d_hi) - 115.0) <= 10.0,
+               d_loss, "~115 km (diffraction-only reference)", abs(d_loss - 115.0) <= 10.0,
                note="the 630 km mapping needs the calibrated divergence model")
 
 

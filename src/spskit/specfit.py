@@ -231,7 +231,8 @@ def _run_fit_batch(fit: Separable, x, y, theta0, weights=None, bounds=None,
         named = dict(zip(fit.names, map(float, p)))
         results.append(FitResult(named, next(stderr), math.sqrt(cost), calls, converged=True)
                        if converged else
-                       FitError(f"fit did not converge within {MAX_ITERATIONS} iterations",
+                       FitError(f"fit did not converge within {MAX_ITERATIONS} iterations"
+                                if cost is None else f"fit start has a non-finite cost ({cost})",
                                 last_params=named))
     return results
 

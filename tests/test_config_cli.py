@@ -166,6 +166,16 @@ class TestCli:
         assert lines[1] == "g_Hz,kappa_Hz,indistinguishability"
         assert len(lines) == 2 + 16 * 16
 
+    def test_emitter_ignores_the_cavity_keys_it_does_not_read(self, tmp_path):
+        # the emitter's mode volume reads only the cavity's radius and order
+        bodies = {}
+        for name, sets in (("default", []), ("set", ["--set", "cavity.mirror_reflectivity=1.5"])):
+            assert main([*sets, "--set", "emitter.map_points=16", "--outdir",
+                         str(tmp_path / name), "emitter"]) == 0
+            bodies[name] = json.loads((tmp_path / name / "emitter_report.json").read_text())
+            del bodies[name]["config_digest"]
+        assert bodies["set"] == bodies["default"]
+
     def test_fit_spectrum(self, tmp_path):
         x = np.linspace(545, 585, 401)
         y = lorentzian(x, 565.85, 5.76, 1200.0, 12.0)
@@ -293,6 +303,12 @@ class TestTypedErrors:
         _assert_validation_error(
             ["--outdir", str(tmp_path), "--set", "qkd.sweep_step_km=nan", "qkd"], capsys,
             "must be finite")
+
+    def test_penetration_depth_is_not_a_setting(self, tmp_path, capsys):
+        # the cavity computes it from the coating
+        _assert_validation_error(
+            ["--outdir", str(tmp_path), "--set", "cavity.penetration_depth_nm=50", "emitter"],
+            capsys, "unknown key")
 
     def test_malformed_sweep(self, tmp_path, capsys):
         _assert_validation_error(["--outdir", str(tmp_path), "qkd", "--sweep", "0:100"],
@@ -496,7 +512,7 @@ class TestImportsPerCommand:
 
     def test_submodules_load_on_first_use(self):
         modules = _modules_after("import spskit\nassert spskit.qkd.sweep and spskit.errors\n")
-        assert _submodules(modules) == {"constants", "errors", "qkd"}
+        assert _submodules(modules) == {"constants", "errors", "qkd", "search"}
         with pytest.raises(AttributeError, match="no attribute 'nope'"):
             spskit.nope  # noqa: B018
 
@@ -507,9 +523,9 @@ class TestImportsPerCommand:
     @pytest.mark.parametrize("argv, unused", [
         (["mirror"], {"specfit", "lsq", "qkd", "fab", "emitter", "reproduce"}),
         (["fit", "--input", "polarization.csv"],
-         {"optics", "qkd", "fab", "emitter", "reproduce"}),
+         {"optics", "qkd", "fab", "emitter", "reproduce", "search"}),
         (["fit", "--input", "decay.csv", "--irf", "irf.csv"],
-         {"optics", "qkd", "fab", "emitter", "reproduce"}),
+         {"optics", "qkd", "fab", "emitter", "reproduce", "search"}),
         (["cavity"], {"specfit", "lsq", "qkd", "fab", "emitter", "reproduce"}),
         (["emitter"], {"optics", "specfit", "lsq", "qkd", "fab", "reproduce"}),
         (["qkd"], {"optics", "specfit", "lsq", "fab", "emitter", "reproduce"}),

@@ -371,6 +371,23 @@ class TestCrossing:
         with pytest.raises(QkdError):
             find_crossing(REAL_SPS, DECOY, FIBER, GYS_DETECTOR, (50.0, 10.0))
 
+    @pytest.mark.parametrize("tol_km", [0.0, 1e-15])
+    def test_tolerance_below_the_float_spacing_ends(self, monkeypatch, tol_km):
+        # floats near 24.5 km are 3.6e-15 km apart: the bisection must stop
+        # once its ends are adjacent, not repeat the same midpoint forever
+        real_rates, calls = qkd._effective_rates, []
+
+        def counted(source, t, detector):
+            calls.append(source)
+            if len(calls) > 200:
+                raise RuntimeError("find_crossing keeps evaluating")
+            return real_rates(source, t, detector)
+
+        monkeypatch.setattr(qkd, "_effective_rates", counted)
+        report = find_crossing(REAL_SPS, DECOY, FIBER, GYS_DETECTOR, (1.0, 120.0),
+                               tol_km=tol_km)
+        assert report.distance_km == 24.536431234941126
+
 
 def sequential_crossing(source_a, source_b, channel, detector, interval, tol_km):
     """The crossing as found by the array scan of ``find_crossing``, then

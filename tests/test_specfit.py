@@ -9,6 +9,7 @@ from scipy.optimize import least_squares
 
 import spskit.reproduce as reproduce_module
 import spskit.specfit as specfit_module
+from spskit import lsq
 from spskit.reproduce import (
     RNG_SEED,
     fit_roundtrip_draw,
@@ -719,6 +720,24 @@ class TestLockstepSolver:
                 bounds=(bounds[0][1:2], bounds[1][1:2]), constraints=(cons, floor[1:2]))[0]
             assert alone[1].residual_norm == pytest.approx(ref.residual_norm, rel=1e-9)
             assert alone[1].params["tau"] == pytest.approx(ref.params["tau"], rel=1e-5)
+
+    def test_non_finite_start_cost_fails_the_fit(self):
+        # at tau = 1e-4 the column exp(-x/tau) underflows to 0 on x >= 0.1:
+        # the normal equations are singular and the start cost is NaN
+        x = np.linspace(0.1, 5.0, 50)
+        y = 3.0 * np.exp(-x / 1.5)
+        fit = specfit_module.Separable(lambda xv, tau: (np.exp(-xv / tau),), ["tau", "amp"])
+        (outcome,) = lsq.levenberg_marquardt(fit.basis, x, y[None], [[1e-4]], None, None,
+                                            specfit_module.MAX_ITERATIONS,
+                                            specfit_module.STEP_TOLERANCE)
+        assert outcome[0] is False
+        with pytest.raises(FitError, match="non-finite cost"):
+            specfit_module._one(specfit_module._run_fit_batch(fit, x, y[None], [[1e-4]]))
+        # a neighbour in the batch still gets the fit it gets alone
+        batch = specfit_module._run_fit_batch(fit, x, np.stack([y, y]), [[1e-4], [1.0]])
+        assert isinstance(batch[0], FitError)
+        assert batch[1] == specfit_module._run_fit_batch(fit, x, y[None], [[1.0]])[0]
+        assert batch[1].params["tau"] == pytest.approx(1.5)
 
     def test_stacked_svd_gives_each_matrix_its_own_bits(self):
         # the solver takes one np.linalg.svd of the stack of scaled Jacobians
