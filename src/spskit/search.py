@@ -60,8 +60,6 @@ def golden_max(f, lo, hi, tol: float):
     """Golden-section maximum of ``f`` on each bracket [lo, hi], to ``tol``;
     ``f`` takes one probe per bracket at once."""
     lo, hi = np.asarray(lo), np.asarray(hi)
-    # a scalar bracket selects as a scalar search would, cheaper than np.where
-    pick = np.where if lo.ndim else (lambda cond, x, y: x if cond else y)
     c = hi - INVPHI * (hi - lo)
     d = lo + INVPHI * (hi - lo)
     fc, fd = f(c[()]), f(d[()])
@@ -70,13 +68,13 @@ def golden_max(f, lo, hi, tol: float):
         # fc > fd keeps [lo, d], and c becomes the new d; else [c, hi]
         left = active & (fc > fd)
         right = active & ~left
-        hi = pick(left, d, hi)
-        lo = pick(right, c, lo)
-        c, d = pick(right, d, c), pick(left, c, d)
-        fc, fd = pick(right, fd, fc), pick(left, fc, fd)
-        probe = pick(left, hi - INVPHI * (hi - lo), lo + INVPHI * (hi - lo))
+        hi = np.where(left, d, hi)
+        lo = np.where(right, c, lo)
+        c, d = np.where(right, d, c), np.where(left, c, d)
+        fc, fd = np.where(right, fd, fc), np.where(left, fc, fd)
+        probe = np.where(left, hi - INVPHI * (hi - lo), lo + INVPHI * (hi - lo))
         fp = f(probe[()])
-        c, fc = pick(left, probe, c), pick(left, fp, fc)
-        d, fd = pick(right, probe, d), pick(right, fp, fd)
+        c, fc = np.where(left, probe, c), np.where(left, fp, fc)
+        d, fd = np.where(right, probe, d), np.where(right, fp, fd)
         active = hi - lo > tol
     return (0.5 * (lo + hi))[()]
