@@ -26,98 +26,91 @@ class Setting:
     required: bool = False
 
 
-def _s(default, kind, provenance, required=False) -> Setting:
-    return Setting(default, kind, provenance, required)
-
-
 SCHEMA: dict[str, dict[str, Setting]] = {
     "mirror": {
-        "n_high": _s(2.135, float, "ellipsometry of sputtered TiO2 at 565 nm"),
-        "n_low": _s(1.521, float, "ellipsometry of sputtered SiO2 at 565 nm"),
-        "n_substrate": _s(1.5255, float,
-                          "inverted from the 4.33% bare glass-air reflection"),
-        "ar_index": _s(1.390, float, "ellipsometry of MgF2 at 565 nm"),
-        "pairs": _s(9, int, "deposited mirror period count"),
-        "design_wavelength_nm": _s(565.0, float, "coating design wavelength"),
-        "termination": _s("high", str,
-                          "outermost-layer material; 'high' matches the measured "
-                          "reflectivity class, 'low' the deposited termination"),
-        "stopband_threshold": _s(0.8, float,
-                                 "reflectivity level whose band edge matches the "
-                                 "504 nm excitation constraint"),
-        "wl_min_nm": _s(420.0, float, "scan range"),
-        "wl_max_nm": _s(760.0, float, "scan range"),
-        "wl_step_nm": _s(0.5, float, "scan step"),
+        "n_high": Setting(2.135, float, "ellipsometry of sputtered TiO2 at 565 nm"),
+        "n_low": Setting(1.521, float, "ellipsometry of sputtered SiO2 at 565 nm"),
+        "n_substrate": Setting(1.5255, float,
+                               "inverted from the 4.33% bare glass-air reflection"),
+        "ar_index": Setting(1.390, float, "ellipsometry of MgF2 at 565 nm"),
+        "pairs": Setting(9, int, "deposited mirror period count"),
+        "design_wavelength_nm": Setting(565.0, float, "coating design wavelength"),
+        "termination": Setting("high", str,
+                               "outermost-layer material; 'high' matches the measured "
+                               "reflectivity class, 'low' the deposited termination"),
+        "stopband_threshold": Setting(0.8, float,
+                                      "reflectivity level whose band edge matches the "
+                                      "504 nm excitation constraint"),
+        "wl_min_nm": Setting(420.0, float, "scan range"),
+        "wl_max_nm": Setting(760.0, float, "scan range"),
+        "wl_step_nm": Setting(0.5, float, "scan step"),
     },
     "cavity": {
-        "radius_of_curvature_um": _s(2.7, float, "milled hemisphere radius"),
-        "longitudinal_order": _s(8, int, "operating mode order"),
-        "wavelength_nm": _s(565.85, float, "emitter line center"),
-        "mirror_reflectivity": _s(0.992, float, "measured coating reflectivity"),
-        "effective_mirror_reflectivity": _s(0.992, float,
-                                            "loss-calibrated reflectivity used for the "
-                                            "transfer-matrix cavity"),
-        "tuning_slope_nm_per_v": _s(102.0, float, "measured polymer compression slope"),
-        "max_voltage_v": _s(10.0, float, "safe piezo drive range"),
-        "include_penetration": _s(True, bool, "length convention for the free spectral range"),
+        "radius_of_curvature_um": Setting(2.7, float, "milled hemisphere radius"),
+        "longitudinal_order": Setting(8, int, "operating mode order"),
+        "wavelength_nm": Setting(565.85, float, "emitter line center"),
+        "mirror_reflectivity": Setting(0.992, float, "measured coating reflectivity"),
+        "effective_mirror_reflectivity": Setting(0.992, float,
+                                                 "loss-calibrated reflectivity used for the "
+                                                 "transfer-matrix cavity"),
+        "include_penetration": Setting(True, bool,
+                                       "length convention for the free spectral range"),
     },
     "emitter": {
-        "zpl_wavelength_nm": _s(565.85, float, "measured line center"),
-        "free_linewidth_nm": _s(5.76, float, "measured free-space FWHM"),
-        "free_lifetime_ps": _s(897.0, float, "measured excited-state lifetime"),
-        "zpl_fraction": _s(0.632, float, "measured fraction emitted into the line"),
-        "dop": _s(0.904, float, "measured degree of polarization"),
-        "cavity_fwhm_nm": _s(0.224, float, "measured cavity-filtered linewidth"),
-        "mirror_purcell": _s(1.68, float,
-                             "mirror-induced enhancement, external field-solver input"),
-        "lifetime_ratio": _s(2.29, float, "measured free-space to cavity lifetime ratio"),
-        "dephasing_rate_hz": _s(5.41e12, float,
-                                "free-space linewidth expressed as a plain frequency"),
-        "map_points": _s(200, int, "indistinguishability map resolution"),
-        "map_rate_min_hz": _s(1e6, float, "map axis lower bound"),
-        "map_rate_max_hz": _s(1e12, float, "map axis upper bound"),
+        "zpl_wavelength_nm": Setting(565.85, float, "measured line center"),
+        "free_linewidth_nm": Setting(5.76, float, "measured free-space FWHM"),
+        "free_lifetime_ps": Setting(897.0, float, "measured excited-state lifetime"),
+        "cavity_fwhm_nm": Setting(0.224, float, "measured cavity-filtered linewidth"),
+        "mirror_purcell": Setting(1.68, float,
+                                  "mirror-induced enhancement, external field-solver input"),
+        "lifetime_ratio": Setting(2.29, float, "measured free-space to cavity lifetime ratio"),
+        "dephasing_rate_hz": Setting(5.41e12, float,
+                                     "free-space linewidth expressed as a plain frequency"),
+        "map_points": Setting(200, int, "indistinguishability map resolution"),
+        "map_rate_min_hz": Setting(1e6, float, "map axis lower bound"),
+        "map_rate_max_hz": Setting(1e12, float, "map axis upper bound"),
     },
     "qkd": {
-        "source_efficiency": _s(0.513, float, "source quantum efficiency"),
-        "g2_zero": _s(0.018, float, "measured photon-number purity"),
-        "channel": _s("fiber", str, "fiber or freespace"),
-        "attenuation_db_per_km": _s(0.21, float, "reference fiber loss"),
-        "receiver_efficiency": _s(0.045, float, "reference receiver efficiency"),
-        "dark_count_per_pulse": _s(1.7e-6, float, "reference dark-count probability"),
-        "misalignment_error": _s(0.033, float, "reference misalignment error"),
-        "error_correction_inefficiency": _s(1.22, float, "reference EC inefficiency"),
-        "sifting_factor": _s(0.5, float, "basis sifting"),
-        "mu_mode": _s("optimal", str, "per-distance optimization or fixed intensity"),
-        "mu_fixed": _s(0.5, float, "intensity when mu_mode=fixed"),
-        "sweep_start_km": _s(0.0, float, "sweep range"),
-        "sweep_stop_km": _s(100.0, float, "sweep range"),
-        "sweep_step_km": _s(0.5, float, "sweep step"),
-        "transmit_aperture_m": _s(0.05, float, "transmitter telescope"),
-        "receive_aperture_m": _s(0.60, float, "receiver telescope"),
-        "divergence_model": _s("gaussian_farfield", str,
-                               "free-space beam spread model"),
-        "calibration_loss_db": _s(8.82, float,
-                                  "loss pinned to the calibration distance"),
-        "calibration_distance_km": _s(630.0, float,
-                                      "distance at which the calibrated model places "
-                                      "the pinned loss"),
+        "source_efficiency": Setting(0.513, float, "source quantum efficiency"),
+        "g2_zero": Setting(0.018, float, "measured photon-number purity"),
+        "channel": Setting("fiber", str, "fiber or freespace"),
+        "attenuation_db_per_km": Setting(0.21, float, "reference fiber loss"),
+        "receiver_efficiency": Setting(0.045, float, "reference receiver efficiency"),
+        "dark_count_per_pulse": Setting(1.7e-6, float, "reference dark-count probability"),
+        "misalignment_error": Setting(0.033, float, "reference misalignment error"),
+        "error_correction_inefficiency": Setting(1.22, float, "reference EC inefficiency"),
+        "sifting_factor": Setting(0.5, float, "basis sifting"),
+        "mu_mode": Setting("optimal", str, "per-distance optimization or fixed intensity"),
+        "mu_fixed": Setting(0.5, float, "intensity when mu_mode=fixed"),
+        "sweep_start_km": Setting(0.0, float, "sweep range"),
+        "sweep_stop_km": Setting(100.0, float, "sweep range"),
+        "sweep_step_km": Setting(0.5, float, "sweep step"),
+        "transmit_aperture_m": Setting(0.05, float, "transmitter telescope"),
+        "receive_aperture_m": Setting(0.60, float, "receiver telescope"),
+        "divergence_model": Setting("gaussian_farfield", str,
+                                    "free-space beam spread model"),
+        "calibration_loss_db": Setting(8.82, float,
+                                       "loss pinned to the calibration distance"),
+        "calibration_distance_km": Setting(630.0, float,
+                                           "distance at which the calibrated model places "
+                                           "the pinned loss"),
     },
     "fit": {
-        "scan_range_per_nm": _s(0.0, float,
-                                "instrument sinc^2 kernel scale; 0 disables the kernel "
-                                "(free parameter, not a reconstructed constant)"),
-        "contaminant_cutoff_nm": _s(580.0, float,
-                                    "emission beyond this is surface contamination"),
+        "scan_range_per_nm": Setting(0.0, float,
+                                     "instrument sinc^2 kernel scale; 0 disables the kernel "
+                                     "(free parameter, not a reconstructed constant)"),
+        "contaminant_cutoff_nm": Setting(580.0, float,
+                                         "emission beyond this is surface contamination"),
     },
     "fab": {
-        "radius_um": _s(2.7, float, "target hemisphere radius"),
-        "aperture_um": _s(2.7, float, "milled aperture"),
-        "pitch_nm": _s(20.0, float, "pixel pitch"),
-        "calibration_nm_per_unit": _s(None, float,
-                                      "dose-to-depth calibration; must be supplied, "
-                                      "never defaulted", required=True),
-        "edge_exclusion_fraction": _s(0.10, float,
-                                      "profile rim fraction excluded from fitting"),
+        "radius_um": Setting(2.7, float, "target hemisphere radius"),
+        "aperture_um": Setting(2.7, float, "milled aperture"),
+        "pitch_nm": Setting(20.0, float, "pixel pitch"),
+        "calibration_nm_per_unit": Setting(None, float,
+                                           "dose-to-depth calibration; must be supplied, "
+                                           "never defaulted", required=True),
+        "edge_exclusion_fraction": Setting(0.10, float,
+                                           "profile rim fraction excluded from fitting"),
     },
 }
 

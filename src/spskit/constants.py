@@ -1,8 +1,7 @@
 """Physical constants and unit conversions used across the toolkit.
 
 All wavelengths are vacuum wavelengths in nm unless a key name says
-otherwise; rates are plain frequencies in Hz (cycles/s), switchable to
-angular where a function takes a convention argument.
+otherwise; rates are plain frequencies in Hz (cycles/s).
 """
 from __future__ import annotations
 

@@ -9,10 +9,9 @@ FWHM linewidth expressed in Hz, and the cavity rate is the cavity FWHM
 in Hz. This is the one convention that simultaneously reproduces the
 free-space indistinguishability of ~2e-4, the 124 MHz cavity-linewidth
 threshold for 90% indistinguishability, and the 779 GHz free-spectral-
-range chain. An angular-frequency convention (all rates multiplied by
-2 pi) is available where functions take a ``convention`` argument;
-indistinguishability values are invariant under the choice because the
-formulas are ratios of rates.
+range chain. Indistinguishability values are invariant under scaling
+every rate by 2 pi (angular frequency) because the formulas are ratios
+of rates.
 """
 from __future__ import annotations
 
@@ -22,42 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import search
-from .constants import linewidth_nm_to_hz, rate_from_lifetime_ps
 
 TWO_PI = 2.0 * math.pi
-
-_CONVENTIONS = ("plain", "angular")
 
 
 class PhotophysicsError(ValueError):
     """Invalid photophysical parameters."""
-
-
-@dataclass(frozen=True)
-class EmitterPhotophysics:
-    """Measured free-space properties of the emitter."""
-
-    zpl_wavelength_nm: float = 565.85
-    free_linewidth_nm: float = 5.76
-    free_lifetime_ps: float = 897.0
-    zpl_fraction: float = 0.632
-    degree_of_polarization: float = 0.904
-
-    def __post_init__(self):
-        for name in ("zpl_wavelength_nm", "free_linewidth_nm", "free_lifetime_ps"):
-            if getattr(self, name) <= 0:
-                raise PhotophysicsError(f"{name} must be positive")
-        for name in ("zpl_fraction", "degree_of_polarization"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise PhotophysicsError(f"{name} must lie in [0, 1]")
-
-    @property
-    def emission_rate_hz(self) -> float:
-        return rate_from_lifetime_ps(self.free_lifetime_ps)
-
-    @property
-    def dephasing_rate_hz(self) -> float:
-        return linewidth_nm_to_hz(self.free_linewidth_nm, self.zpl_wavelength_nm)
 
 
 @dataclass(frozen=True)
@@ -234,28 +203,6 @@ def coupling_report(effective_purcell_factor: float, cavity_rate_hz: float,
         "coupling_rate_angular_rad_per_s": g_angular,
         "coupling_rate_angular_over_2pi_hz": g_angular / TWO_PI,
     }
-
-
-def rates_for_emitter_in_cavity(
-    emitter: EmitterPhotophysics,
-    cavity_fwhm_nm: float,
-    effective_purcell_factor: float,
-    *,
-    convention: str = "plain",
-) -> CoupledRates:
-    """Assemble the rate quadruple for the measured emitter in the cavity.
-
-    The coupling rate is derived from the effective Purcell factor since
-    it is not measured directly.
-    """
-    if convention not in _CONVENTIONS:
-        raise PhotophysicsError(f"convention must be one of {_CONVENTIONS}")
-    scale = 1.0 if convention == "plain" else TWO_PI
-    gamma = emitter.emission_rate_hz * scale
-    gamma_star = emitter.dephasing_rate_hz * scale
-    kappa = linewidth_nm_to_hz(cavity_fwhm_nm, emitter.zpl_wavelength_nm) * scale
-    g = coupling_from_purcell(effective_purcell_factor, kappa, gamma)
-    return CoupledRates(gamma, gamma_star, kappa, g)
 
 
 def indistinguishability_map(

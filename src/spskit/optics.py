@@ -82,28 +82,6 @@ class LayerStack:
         lines.append(f"substrate {_fmt_index(self.substrate_index)}")
         return "\n".join(lines) + "\n"
 
-    @staticmethod
-    def from_text(text: str) -> "LayerStack":
-        """Parse the format written by :meth:`to_text`."""
-        ambient = substrate = None
-        layers = []
-        for raw in text.splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if parts[0] == "ambient":
-                ambient = _parse_index(parts[1])
-            elif parts[0] == "substrate":
-                substrate = _parse_index(parts[1])
-            else:
-                if len(parts) != 2:
-                    raise OpticsError(f"bad layer line: {raw!r}")
-                layers.append((_parse_index(parts[0]), float(parts[1])))
-        if ambient is None or substrate is None:
-            raise OpticsError("stack text must declare ambient and substrate lines")
-        return LayerStack(ambient, tuple(layers), substrate)
-
 
 @dataclass(frozen=True)
 class SpectralCurve:
@@ -186,10 +164,6 @@ def _check_index(n, name: str) -> None:
 
 def _fmt_index(n: complex) -> str:
     return repr(n.real) if n.imag == 0 else f"{n.real!r}{n.imag:+.17g}j"
-
-
-def _parse_index(token: str) -> complex:
-    return complex(token)
 
 
 def _check_wavelength(lam: float) -> None:

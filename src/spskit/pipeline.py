@@ -41,9 +41,7 @@ def cavity(scenario: Scenario) -> tuple:
     config = cavitymode.CavityConfig(
         radius_of_curvature_um=ccfg["radius_of_curvature_um"],
         longitudinal_order=q, design_wavelength_nm=lam,
-        penetration_depth_nm=xi, mirror_reflectivity=ccfg["mirror_reflectivity"],
-        tuning_slope_nm_per_v=ccfg["tuning_slope_nm_per_v"],
-        max_voltage_v=ccfg["max_voltage_v"])
+        penetration_depth_nm=xi, mirror_reflectivity=ccfg["mirror_reflectivity"])
     fsr, fin, linewidth = cavitymode.fsr_finesse_linewidth(
         config, include_penetration=ccfg["include_penetration"])
     report = {
@@ -68,26 +66,26 @@ def emitter(scenario: Scenario) -> dict:
     from . import cavitymode, emitter
     from .constants import linewidth_nm_to_hz, rate_from_lifetime_ps
     ecfg, ccfg = scenario["emitter"], scenario["cavity"]
+    zpl = ecfg["zpl_wavelength_nm"]
     # the mode volume reads the geometry alone
     volume = cavitymode.mode_volume(cavitymode.CavityConfig(
         radius_of_curvature_um=ccfg["radius_of_curvature_um"],
         longitudinal_order=ccfg["longitudinal_order"],
-        design_wavelength_nm=ecfg["zpl_wavelength_nm"]))
+        design_wavelength_nm=zpl))
     chain = emitter.purcell_chain(
-        ecfg["zpl_wavelength_nm"], ecfg["cavity_fwhm_nm"], ecfg["free_linewidth_nm"],
-        volume, ecfg["lifetime_ratio"], ecfg["mirror_purcell"])
+        zpl, ecfg["cavity_fwhm_nm"], ecfg["free_linewidth_nm"], volume,
+        ecfg["lifetime_ratio"], ecfg["mirror_purcell"])
     f_eff = chain.effective_purcell_factor
 
     gamma = rate_from_lifetime_ps(ecfg["free_lifetime_ps"])
     gamma_star = ecfg["dephasing_rate_hz"]
-    kappa = linewidth_nm_to_hz(ecfg["cavity_fwhm_nm"], ecfg["zpl_wavelength_nm"])
-    phys = emitter.EmitterPhotophysics(
-        zpl_wavelength_nm=ecfg["zpl_wavelength_nm"],
-        free_linewidth_nm=ecfg["free_linewidth_nm"],
-        free_lifetime_ps=ecfg["free_lifetime_ps"],
-        zpl_fraction=ecfg["zpl_fraction"],
-        degree_of_polarization=ecfg["dop"])
-    rates = emitter.rates_for_emitter_in_cavity(phys, ecfg["cavity_fwhm_nm"], f_eff)
+    kappa = linewidth_nm_to_hz(ecfg["cavity_fwhm_nm"], zpl)
+    # the coupled rates take their dephasing from the free-space linewidth,
+    # not from dephasing_rate_hz, which the free-space value and the 90 %
+    # kappa search read
+    rates = emitter.CoupledRates(
+        gamma, linewidth_nm_to_hz(ecfg["free_linewidth_nm"], zpl), kappa,
+        emitter.coupling_from_purcell(f_eff, kappa, gamma))
     return {
         "mode_volume_lambda3": volume,
         "effective_quality_factor": chain.effective_quality_factor,

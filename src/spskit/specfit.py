@@ -170,10 +170,6 @@ class G2Fit:
     def g2_zero(self) -> float:
         return 1.0 - self.antibunching_amplitude + self.bunching_amplitude
 
-    @property
-    def lifetime_proxy_ps(self) -> float:
-        return self.antibunching_time_ps
-
 
 # ---------------------------------------------------------------------------
 # shared least-squares driver

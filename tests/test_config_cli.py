@@ -1,5 +1,6 @@
 import filecmp
 import importlib
+import importlib.util
 import json
 import math
 import os
@@ -304,11 +305,24 @@ class TestTypedErrors:
             ["--outdir", str(tmp_path), "--set", "qkd.sweep_step_km=nan", "qkd"], capsys,
             "must be finite")
 
-    def test_penetration_depth_is_not_a_setting(self, tmp_path, capsys):
-        # the cavity computes it from the coating
+    # the cavity computes the penetration depth from the coating; the others
+    # changed no output
+    @pytest.mark.parametrize("key", [
+        "cavity.penetration_depth_nm", "cavity.tuning_slope_nm_per_v", "cavity.max_voltage_v",
+        "emitter.zpl_fraction", "emitter.dop"])
+    def test_unread_key_is_not_a_setting(self, tmp_path, capsys, key):
         _assert_validation_error(
-            ["--outdir", str(tmp_path), "--set", "cavity.penetration_depth_nm=50", "emitter"],
-            capsys, "unknown key")
+            ["--outdir", str(tmp_path), "--set", f"{key}=50", "emitter"], capsys, "unknown key")
+
+    @pytest.mark.parametrize("setting, match", [
+        ("emitter.free_lifetime_ps=-5", "lifetime must be positive, got -5.0 ps"),
+        ("emitter.free_linewidth_nm=0", "all Purcell inputs must be positive"),
+        ("emitter.zpl_wavelength_nm=-1", "math domain error"),
+    ], ids=["lifetime", "linewidth", "wavelength"])
+    def test_non_positive_emitter_input(self, tmp_path, capsys, setting, match):
+        _assert_validation_error(
+            ["--outdir", str(tmp_path), "--set", setting, "emitter"], capsys, match)
+        assert not (tmp_path / "emitter_report.json").exists()
 
     def test_malformed_sweep(self, tmp_path, capsys):
         _assert_validation_error(["--outdir", str(tmp_path), "qkd", "--sweep", "0:100"],
@@ -539,6 +553,22 @@ class TestImportsPerCommand:
         loaded = _submodules(_modules_after(_cli_code(tmp_path, ["reproduce", "--draws", "2"])))
         # cli itself runs as __main__
         assert loaded == set(spskit._SUBMODULES) - {"cli"}
+
+
+class TestTracedNames:
+    def test_every_traced_name_exists(self):
+        # the benchmark's traced pass patches these by attribute; read them
+        # from its own file, which imports only the standard library
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        names = [(module, attr) for module, attr, _ in [*tracing.SPANS, *tracing.COUNTED]]
+        assert names
+        missing = [f"{module}.{attr}" for module, attr in names
+                   if not callable(getattr(importlib.import_module(f"spskit.{module}"), attr,
+                                           None))]
+        assert missing == []
 
 
 SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.5e-310,

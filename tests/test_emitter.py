@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from spskit.emitter import (
     CoupledRates,
-    EmitterPhotophysics,
     PhotophysicsError,
     coupling_from_purcell,
     coupling_report,
@@ -19,7 +19,6 @@ from spskit.emitter import (
     kappa_for_target_indistinguishability,
     purcell_chain,
     quantum_efficiency,
-    rates_for_emitter_in_cavity,
     saturation_rate,
 )
 
@@ -146,21 +145,14 @@ class TestIndistinguishabilityCavity:
                   for k in (1e7, 1e8, 1e9, 1e10)]
         assert all(b < a for a, b in zip(values, values[1:]))
 
-    def test_paper_scenario_band(self):
-        phys = EmitterPhotophysics()
-        _, f_eff = effective_purcell(565.85, 0.224, 5.76, 1.7568)
-        value = indistinguishability_cavity(
-            rates_for_emitter_in_cavity(phys, 0.224, f_eff))
-        assert 2.5e-3 <= value <= 1.1e-2
-
     def test_convention_invariance(self):
-        phys = EmitterPhotophysics()
+        # the formula is a ratio of rates: angular frequencies give the same value
         _, f_eff = effective_purcell(565.85, 0.224, 5.76, 1.7568)
-        plain = indistinguishability_cavity(
-            rates_for_emitter_in_cavity(phys, 0.224, f_eff, convention="plain"))
-        angular = indistinguishability_cavity(
-            rates_for_emitter_in_cavity(phys, 0.224, f_eff, convention="angular"))
-        assert plain == pytest.approx(angular, rel=1e-12)
+        kappa = 2.106e11
+        plain = CoupledRates(GAMMA, GAMMA_STAR, kappa, coupling_from_purcell(f_eff, kappa, GAMMA))
+        angular = CoupledRates(*(2.0 * math.pi * rate for rate in astuple(plain)))
+        assert indistinguishability_cavity(plain) == pytest.approx(
+            indistinguishability_cavity(angular), rel=1e-12)
 
 
 class TestKappaThreshold:
@@ -250,16 +242,6 @@ class TestMapAndTypes:
     def test_map_needs_two_points_per_axis(self, points):
         with pytest.raises(PhotophysicsError, match="at least 2 points"):
             indistinguishability_map(GAMMA, GAMMA_STAR, points=points)
-
-    def test_photophysics_validation(self):
-        with pytest.raises(PhotophysicsError):
-            EmitterPhotophysics(free_lifetime_ps=-1.0)
-        with pytest.raises(PhotophysicsError):
-            EmitterPhotophysics(zpl_fraction=1.4)
-        phys = EmitterPhotophysics()
-        assert phys.emission_rate_hz == pytest.approx(GAMMA, rel=1e-12)
-        # the linewidth-to-frequency conversion at the line center
-        assert phys.dephasing_rate_hz == pytest.approx(5.39e12, rel=2e-3)
 
     def test_coupled_rates_validation(self):
         with pytest.raises(PhotophysicsError):

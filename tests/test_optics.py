@@ -241,9 +241,14 @@ class TestStackProperties:
             reflectance_at(stack.reversed(), lam), abs=1e-10)
 
     def test_text_round_trip(self, high_terminated):
-        text = high_terminated.to_text()
-        back = LayerStack.from_text(text)
-        assert back == high_terminated
+        # mirror_stack.txt: an ambient line, one "index thickness" line per
+        # layer, a substrate line; complex() reads every index back exactly
+        stack = LayerStack(1.0, ((2.135 - 1.7e-3j, 66.17), *high_terminated.layers), N_SUB)
+        first, *middle, last = stack.to_text().splitlines()
+        (tag_a, ambient), (tag_s, substrate) = first.split(), last.split()
+        assert (tag_a, tag_s) == ("ambient", "substrate")
+        layers = tuple((complex(n), float(d)) for n, d in map(str.split, middle))
+        assert LayerStack(complex(ambient), layers, complex(substrate)) == stack
 
 
 class TestAntireflection:

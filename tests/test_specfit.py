@@ -302,7 +302,6 @@ class TestG2Fit:
         fit = fit_g2(self.synthetic(0.949, 0.0, 837.0, noise=0.004))
         assert fit.g2_zero == pytest.approx(0.051, abs=0.01)
         assert fit.antibunching_time_ps == pytest.approx(837.0, rel=0.05)
-        assert fit.lifetime_proxy_ps == fit.antibunching_time_ps
 
     def test_cavity_dip(self):
         fit = fit_g2(self.synthetic(0.982, 0.0, 366.0, noise=0.003))
