@@ -32,6 +32,9 @@ class CavityConfig:
     def __post_init__(self):
         if self.longitudinal_order < 1:
             raise CavityError(f"longitudinal order must be >= 1, got {self.longitudinal_order}")
+        if not (math.isfinite(self.design_wavelength_nm) and self.design_wavelength_nm > 0):
+            raise CavityError(f"design wavelength must be positive and finite, "
+                              f"got {self.design_wavelength_nm}")
         if not 0.0 < self.mirror_reflectivity < 1.0:
             raise CavityError(
                 f"mirror reflectivity must be in (0, 1), got {self.mirror_reflectivity}")

@@ -68,10 +68,9 @@ def cmd_mirror(args, scenario: Scenario) -> None:
     if not (math.isfinite(step) and step > 0):
         raise ConfigError(f"[mirror] wl_step_nm must be positive and finite, got {step}")
     wls = np.arange(cfg["wl_min_nm"], cfg["wl_max_nm"] + 1e-9, step)
-    curve = optics.reflectance(stack, wls)
     write_csv(out / "mirror_reflectance.csv", scenario,
               ["wavelength_nm", "reflectance"],
-              np.column_stack([curve.wavelengths_nm, curve.values]))
+              np.column_stack([wls, optics.reflectance(stack, wls)]))
     (out / "mirror_stack.txt").write_text(
         f"# {_stamp(scenario)}\n" + stack.to_text(), encoding="utf-8")
 
@@ -82,8 +81,6 @@ def cmd_mirror(args, scenario: Scenario) -> None:
     bare = optics.LayerStack(1.0, (), cfg["n_substrate"])
     ar = optics.LayerStack(
         1.0, ((cfg["ar_index"], lam0 / (4 * cfg["ar_index"])),), cfg["n_substrate"])
-    ar_band = np.arange(450.0, 700.0, 1.0)
-    ar_curve = optics.reflectance(ar, ar_band)
     payload = {
         "reflectance_at_design_wavelength": optics.reflectance_at(stack, lam0),
         "closed_form_reflectance": optics.quarter_wave_peak_reflectance(
@@ -95,7 +92,8 @@ def cmd_mirror(args, scenario: Scenario) -> None:
             cfg["n_high"], cfg["n_low"]),
         "bare_interface_reflectance": optics.reflectance_at(bare, lam0),
         "ar_coated_reflectance_at_design": optics.reflectance_at(ar, lam0),
-        "ar_coated_reflectance_band_average": float(np.mean(ar_curve.values)),
+        "ar_coated_reflectance_band_average": float(np.mean(
+            optics.reflectance(ar, np.arange(450.0, 700.0, 1.0)))),
         "ar_band_nm": [450.0, 700.0],
     }
     write_json(out / "mirror_report.json", scenario, payload)
@@ -106,13 +104,13 @@ def cmd_mirror(args, scenario: Scenario) -> None:
 def cmd_cavity(args, scenario: Scenario) -> None:
     from . import pipeline
     out = _outdir(args)
-    field, curve, payload = pipeline.cavity(scenario)
+    field, wls, transmission, payload = pipeline.cavity(scenario)
     write_csv(out / "cavity_field.csv", scenario,
               ["position_nm", "normalized_intensity"],
               np.column_stack([field.positions_nm, field.intensity]))
     write_csv(out / "cavity_spectrum.csv", scenario,
               ["wavelength_nm", "transmission"],
-              np.column_stack([curve.wavelengths_nm, curve.values]))
+              np.column_stack([wls, transmission]))
     write_json(out / "cavity_report.json", scenario, payload)
     res = payload["resonance"]
     print(f"cavity: gap {payload['resonant_gap_nm']:.2f} nm, "
@@ -255,7 +253,8 @@ def cmd_fab(args, scenario: Scenario) -> None:
     fcfg = scenario["fab"]
     out = _outdir(args)
     if args.profile:
-        profile = fab.read_profile_csv(args.profile)
+        from . import specfit
+        profile = specfit.read_series_csv(args.profile)
         result = fab.fit_hemisphere_profile(
             profile, edge_exclusion_fraction=fcfg["edge_exclusion_fraction"])
         result["classified_ideal_hemisphere"] = bool(result["rms_nm"] < 1.0)
@@ -340,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_qkd.add_argument("--sweep", help="distance sweep start:stop:step in km")
 
     p_fab = add("fab", help="dose-map generation or profile fitting")
-    p_fab.add_argument("--profile", help="surface profile CSV (x_um, z_nm) to fit")
+    p_fab.add_argument("--profile", help="surface profile measurement CSV (x_um, z_nm) to fit")
 
     p_rep = add("reproduce", help="run the full reproduction table")
     p_rep.add_argument("--draws", type=int, default=100,

@@ -1,5 +1,5 @@
 """Cavity-QED photophysics of the emitter: Purcell enhancement, quantum
-efficiency, photon indistinguishability, and saturation.
+efficiency and photon indistinguishability.
 
 Rate convention
 ---------------
@@ -228,28 +228,3 @@ def indistinguishability_map(
                                         gs[:, None])
     return gs, kappas, grid
 
-
-def _saturation(power, saturation_power, max_rate):
-    """Two-level saturation: detected rate = R_inf * P / (P + P_sat)."""
-    return max_rate * power / (power + saturation_power)
-
-
-def saturation_rate(power: float, saturation_power: float, max_rate: float) -> float:
-    """The detected rate at ``power`` of the two-level saturation curve."""
-    if power < 0:
-        raise PhotophysicsError(f"power must be non-negative, got {power}")
-    if saturation_power <= 0:
-        raise PhotophysicsError(f"saturation power must be positive, got {saturation_power}")
-    return _saturation(power, saturation_power, max_rate)
-
-
-def fit_saturation(power, rate):
-    """Poisson-weighted fit of the saturation curve: saturation_power, max_rate."""
-    from .specfit import Separable, SeriesError, _one, _run_fit_batch, poisson_weights
-    p, r = np.asarray(power, dtype=float), np.asarray(rate, dtype=float)
-    if p.size != r.size or p.size < 4:
-        raise SeriesError("need at least 4 (power, rate) samples")
-    curve = Separable(lambda pv, p_sat: (_saturation(pv, p_sat, 1.0),),
-                      ["saturation_power", "max_rate"])
-    return _one(_run_fit_batch(curve, p, r[None], [[float(np.median(p))]],
-                               weights=poisson_weights(r)[None]))

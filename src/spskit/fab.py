@@ -1,6 +1,10 @@
 """Focused-ion-beam fabrication support: RGB dose-rate pixel maps for
 hemispherical milling and circle-arc fitting of measured surface profiles.
 
+A surface profile is a ``specfit.MeasurementSeries`` with x the lateral
+position in um and y the height z in nm. Only the profile code paths
+import ``specfit``; the dose map loads no fitting module.
+
 Depth-to-color encoding is linear with a required calibration constant
 (depth removed per RGB unit); values overflow blue -> green -> red, so
 the encodable depth ceiling is 765 calibration quanta.
@@ -42,26 +46,6 @@ class DoseMap:
         """Decode the map back to a depth field in nm."""
         units = self.pixels.astype(np.int64).sum(axis=2)
         return units * self.calibration_nm_per_unit
-
-
-@dataclass(frozen=True)
-class SurfaceProfile:
-    """Measured height profile along one axis: x in um, z in nm."""
-
-    x_um: tuple[float, ...]
-    z_nm: tuple[float, ...]
-
-    def __post_init__(self):
-        x = np.asarray(self.x_um, dtype=float)
-        z = np.asarray(self.z_nm, dtype=float)
-        if x.size != z.size:
-            raise FabError("x and z must have equal length")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(z))):
-            raise FabError("profile samples must be finite")
-        if np.any(np.diff(x) <= 0):
-            raise FabError("x must be strictly increasing")
-        object.__setattr__(self, "x_um", tuple(float(v) for v in x))
-        object.__setattr__(self, "z_nm", tuple(float(v) for v in z))
 
 
 def hemisphere_depth_nm(r_nm: np.ndarray, radius_nm: float, aperture_nm: float) -> np.ndarray:
@@ -181,19 +165,19 @@ def write_bmp(path, dose_map: DoseMap, metadata: dict | None = None) -> None:
 # ---------------------------------------------------------------------------
 
 def fit_hemisphere_profile(
-    profile: SurfaceProfile,
+    profile,
     *,
     edge_exclusion_fraction: float = 0.10,
 ) -> dict[str, float]:
-    """Least-squares circle-arc fit of a surface profile.
+    """Least-squares circle-arc fit of a surface profile, a
+    ``MeasurementSeries`` of x in um and z in nm.
 
     Fits (x - x0)^2 + (z - z0)^2 = R^2 by the algebraic (Kasa) least
     squares, after dropping the outermost ``edge_exclusion_fraction`` of
     the lateral extent on each side (milled shapes deviate at the rim).
     Returns radius_um, center_offset_um, center_height_nm, rms_nm.
     """
-    x_um = np.asarray(profile.x_um, dtype=float)
-    z_nm = np.asarray(profile.z_nm, dtype=float)
+    x_um, z_nm = profile.as_arrays()
     if x_um.size < 10:
         raise FabError("need at least 10 profile points spanning the curved region")
 
@@ -236,8 +220,10 @@ def synthetic_hemisphere_profile(
     roughness_nm: float = 0.0,
     center_offset_um: float = 0.0,
     rng: np.random.Generator | None = None,
-) -> SurfaceProfile:
-    """Ideal concave cross-section plus optional Gaussian roughness."""
+):
+    """Ideal concave cross-section plus optional Gaussian roughness, as a
+    ``MeasurementSeries`` of (x_um, z_nm)."""
+    from .specfit import MeasurementSeries
     radius_nm = radius_um * 1e3
     aperture_nm = aperture_um * 1e3
     x_nm = np.linspace(-aperture_nm / 2.0, aperture_nm / 2.0, n_points)
@@ -246,27 +232,4 @@ def synthetic_hemisphere_profile(
         rng = rng or np.random.default_rng()
         z = z + rng.normal(0.0, roughness_nm, size=z.shape)
     x_um = x_nm / 1e3 + center_offset_um
-    return SurfaceProfile(tuple(x_um), tuple(z))
-
-
-def read_profile_csv(path) -> SurfaceProfile:
-    """Two-column CSV (x_um, z_nm); header and comment lines are skipped."""
-    xs, zs = [], []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            try:
-                xv = float(parts[0])
-            except ValueError:
-                continue  # header row
-            try:
-                zv = float(parts[1])
-            except (ValueError, IndexError):
-                raise FabError(f"{path}, line {lineno}: expected a number in the second "
-                               f"column, got {line!r}") from None
-            xs.append(xv)
-            zs.append(zv)
-    return SurfaceProfile(tuple(xs), tuple(zs))
+    return MeasurementSeries(x_um, z)

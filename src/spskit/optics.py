@@ -20,7 +20,9 @@ optics entry point. It loops over layers only; each step is elementwise
 over whole numpy arrays of wavelengths (or of thicknesses, for a gap
 scan) and the result is the four matrix elements as arrays. Spectra,
 stopband scans and resonance walks are single array calls; the scalar
-functions pass it a single wavelength. Every layer matrix has
+functions pass it a single wavelength. A spectrum is a plain float array,
+one value per wavelength passed in (strictly increasing); a field profile
+holds its positions and intensities as arrays. Every layer matrix has
 det M = cos^2 + sin^2 = 1, also for complex (absorbing) indices, so every
 product has det 1 and its inverse is [[m11, -m01], [-m10, m00]]: the gap
 field is recovered from the entry-face field without a linear solve.
@@ -83,43 +85,17 @@ class LayerStack:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class SpectralCurve:
-    """Sampled spectrum: strictly increasing wavelengths, finite values."""
-
-    wavelengths_nm: tuple[float, ...]
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        w = np.asarray(self.wavelengths_nm, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if w.size == 0:
-            raise OpticsError("spectral curve needs at least one sample")
-        if w.size != v.size:
-            raise OpticsError("wavelengths and values must have equal length")
-        if not np.all(np.isfinite(w)) or not np.all(np.isfinite(v)):
-            raise OpticsError("spectral curve samples must be finite")
-        if np.any(np.diff(w) <= 0):
-            raise OpticsError("wavelengths must be strictly increasing")
-        object.__setattr__(self, "wavelengths_nm", tuple(float(x) for x in w))
-        object.__setattr__(self, "values", tuple(float(x) for x in v))
-
-    def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.array(self.wavelengths_nm), np.array(self.values)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FieldProfile:
     """Standing-wave intensity along the cavity axis, normalized to peak 1."""
 
-    positions_nm: tuple[float, ...]
-    intensity: tuple[float, ...]
+    positions_nm: np.ndarray
+    intensity: np.ndarray
 
     def __post_init__(self):
-        inten = np.asarray(self.intensity, dtype=float)
-        if np.any(inten < 0):
+        if np.any(self.intensity < 0):
             raise OpticsError("intensity must be non-negative")
-        if abs(inten.max() - 1.0) > 1e-9:
+        if abs(self.intensity.max() - 1.0) > 1e-9:
             raise OpticsError("intensity must be normalized to peak 1")
 
     def antinode_count(self, min_height: float = 0.5) -> int:
@@ -129,14 +105,10 @@ class FieldProfile:
         for a low-index-terminated mirror the outermost antinode sits at
         the mirror surface itself.
         """
-        inten = np.asarray(self.intensity)
-        count = 0
-        for i in range(len(inten)):
-            left_ok = i == 0 or inten[i] >= inten[i - 1]
-            right_ok = i == len(inten) - 1 or inten[i] >= inten[i + 1]
-            if left_ok and right_ok and inten[i] > min_height:
-                count += 1
-        return count
+        inten = self.intensity
+        padded = np.concatenate(([-np.inf], inten, [-np.inf]))
+        peaks = (inten >= padded[:-2]) & (inten >= padded[2:]) & (inten > min_height)
+        return int(np.count_nonzero(peaks))
 
 
 @dataclass(frozen=True)
@@ -222,18 +194,26 @@ def reflectance_at(stack: LayerStack, lam: float) -> float:
     return float(_power(stack.layers, stack.ambient_index, stack.substrate_index, lam)[0])
 
 
-def reflectance(stack: LayerStack, wavelengths_nm) -> SpectralCurve:
-    """Reflectance spectrum R(lam) of the stack at normal incidence."""
-    wls = _validated_wavelengths(wavelengths_nm)
-    refl, _ = _power(stack.layers, stack.ambient_index, stack.substrate_index, wls)
-    return SpectralCurve(wls, refl)
+def reflectance(stack: LayerStack, wavelengths_nm) -> np.ndarray:
+    """Reflectance R(lam) of the stack at normal incidence, one value per
+    wavelength."""
+    return _spectrum(stack, wavelengths_nm, 0)
 
 
-def transmittance(stack: LayerStack, wavelengths_nm) -> SpectralCurve:
-    """Transmittance spectrum; for lossless stacks R + T = 1."""
+def transmittance(stack: LayerStack, wavelengths_nm) -> np.ndarray:
+    """Transmittance at each wavelength; for lossless stacks R + T = 1."""
+    return _spectrum(stack, wavelengths_nm, 1)
+
+
+def _spectrum(stack: LayerStack, wavelengths_nm, which: int) -> np.ndarray:
+    """R (``which`` 0) or T (1) over strictly increasing wavelengths."""
     wls = _validated_wavelengths(wavelengths_nm)
-    _, trans = _power(stack.layers, stack.ambient_index, stack.substrate_index, wls)
-    return SpectralCurve(wls, trans)
+    values = _power(stack.layers, stack.ambient_index, stack.substrate_index, wls)[which]
+    if not np.all(np.isfinite(values)):
+        raise OpticsError("spectral curve samples must be finite")
+    if np.any(np.diff(wls) <= 0):
+        raise OpticsError("wavelengths must be strictly increasing")
+    return values
 
 
 def _validated_wavelengths(wavelengths_nm) -> np.ndarray:
@@ -422,8 +402,8 @@ def cavity_spectrum(
     wavelengths_nm,
     *,
     report_near_nm: float | None = None,
-) -> tuple[SpectralCurve, ResonanceReport]:
-    """Cavity transmission spectrum plus a resonance report.
+) -> tuple[np.ndarray, ResonanceReport]:
+    """Cavity transmission at each wavelength plus a resonance report.
 
     The report describes the transmission peak nearest ``report_near_nm``
     (default: the global maximum), with FWHM from interpolated half-max
@@ -433,11 +413,11 @@ def cavity_spectrum(
     if report_near_nm is not None:
         _check_wavelength(report_near_nm)
     full = _cavity_stack(mirror_a, gap_nm, mirror_b)
-    curve = transmittance(full, wavelengths_nm)
-    wls, vals = curve.as_arrays()
+    vals = transmittance(full, wavelengths_nm)
+    wls = _validated_wavelengths(wavelengths_nm)
     peaks = _interior_maxima(vals)
     if peaks.size == 0:
-        return curve, ResonanceReport(found=False)
+        return vals, ResonanceReport(found=False)
     if report_near_nm is None:
         ipk = peaks[np.argmax(vals[peaks])]
     else:
@@ -475,12 +455,12 @@ def cavity_spectrum(
     lo = half_crossing(-1)
     hi = half_crossing(+1)
     if lo is None or hi is None:
-        return curve, ResonanceReport(found=True, center_nm=center, fwhm_nm=math.nan,
-                                      quality_factor=math.nan, peak_transmission=peak_t)
+        return vals, ResonanceReport(found=True, center_nm=center, fwhm_nm=math.nan,
+                                     quality_factor=math.nan, peak_transmission=peak_t)
     fwhm = hi - lo
-    return curve, ResonanceReport(found=True, center_nm=float(center), fwhm_nm=float(fwhm),
-                                  quality_factor=float(center / fwhm),
-                                  peak_transmission=float(peak_t))
+    return vals, ResonanceReport(found=True, center_nm=float(center), fwhm_nm=float(fwhm),
+                                 quality_factor=float(center / fwhm),
+                                 peak_transmission=float(peak_t))
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +513,7 @@ def intracavity_field(mirror_a: LayerStack, gap_nm: float, mirror_b: LayerStack,
     peak = inten.max()
     if peak <= 0:
         raise OpticsError("vanishing intracavity field")
-    return FieldProfile(tuple(float(x) for x in z), tuple(float(x) for x in inten / peak))
+    return FieldProfile(z, inten / peak)
 
 
 def resonant_gap(

@@ -19,7 +19,8 @@ def mirror_stack(scenario: Scenario, termination: str):
 
 
 def cavity(scenario: Scenario) -> tuple:
-    """The field profile, the transmission spectrum and the cavity report."""
+    """The field profile, the spectrum's wavelengths and transmission, and
+    the cavity report."""
     from . import cavitymode, optics
     ccfg = scenario["cavity"]
     lam, q = ccfg["wavelength_nm"], ccfg["longitudinal_order"]
@@ -36,7 +37,7 @@ def cavity(scenario: Scenario) -> tuple:
         mirror_stack(scenario, "high"), ccfg["effective_mirror_reflectivity"], lam)
     gap = q * lam / 2.0 - 2.0 * xi
     wls = np.linspace(lam - 1.5, lam + 1.5, 3001)
-    curve, res = optics.cavity_spectrum(lossy, gap, lossy, wls, report_near_nm=lam)
+    transmission, res = optics.cavity_spectrum(lossy, gap, lossy, wls, report_near_nm=lam)
 
     config = cavitymode.CavityConfig(
         radius_of_curvature_um=ccfg["radius_of_curvature_um"],
@@ -58,7 +59,7 @@ def cavity(scenario: Scenario) -> tuple:
         "airy_quality_factor": cavitymode.quality_factor(
             config, include_penetration=ccfg["include_penetration"]),
     }
-    return field, curve, report
+    return field, wls, transmission, report
 
 
 def emitter(scenario: Scenario) -> dict:

@@ -84,7 +84,7 @@ def check_coating(report: ReproductionReport, scenario: Scenario) -> None:
 
 def check_cavity_spectrum(report: ReproductionReport, scenario: Scenario) -> dict:
     """Checks the ``cavity`` subcommand's resonance; returns its report."""
-    _, _, cavity = pipeline.cavity(scenario)
+    *_, cavity = pipeline.cavity(scenario)
     res = cavity["resonance"]
     report.add("2a", "cavity transmission FWHM", res["fwhm_nm"], "0.169 nm +- 10%",
                res["found"] and abs(res["fwhm_nm"] - 0.169) <= 0.1 * 0.169)

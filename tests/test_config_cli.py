@@ -256,7 +256,7 @@ class TestCli:
         csv = tmp_path / "profile.csv"
         with open(csv, "w") as fh:
             fh.write("x_um,z_nm\n")
-            for x, z in zip(profile.x_um, profile.z_nm):
+            for x, z in zip(profile.x, profile.y):
                 fh.write(f"{x:.12g},{z:.12g}\n")
         code = main(["--outdir", str(tmp_path), "fab", "--profile", str(csv)])
         assert code == 0
@@ -300,6 +300,11 @@ class TestTypedErrors:
                                  "sweep step must be positive")
         assert not (tmp_path / "qkd_rates.csv").exists()
 
+    def test_overflowing_mirror_index(self, tmp_path, capsys):
+        _assert_validation_error(
+            ["--outdir", str(tmp_path), "--set", "mirror.n_high=1e300", "mirror"], capsys,
+            "spectral curve samples must be finite")
+
     def test_nan_sweep_step(self, tmp_path, capsys):
         _assert_validation_error(
             ["--outdir", str(tmp_path), "--set", "qkd.sweep_step_km=nan", "qkd"], capsys,
@@ -317,7 +322,8 @@ class TestTypedErrors:
     @pytest.mark.parametrize("setting, match", [
         ("emitter.free_lifetime_ps=-5", "lifetime must be positive, got -5.0 ps"),
         ("emitter.free_linewidth_nm=0", "all Purcell inputs must be positive"),
-        ("emitter.zpl_wavelength_nm=-1", "math domain error"),
+        ("emitter.zpl_wavelength_nm=-1",
+         "design wavelength must be positive and finite, got -1.0"),
     ], ids=["lifetime", "linewidth", "wavelength"])
     def test_non_positive_emitter_input(self, tmp_path, capsys, setting, match):
         _assert_validation_error(
@@ -455,7 +461,9 @@ class TestGlobalOptionsAfterSubcommand:
 
 
 def _write_fit_inputs(folder: Path) -> None:
-    """One small CSV of each series kind, plus an IRF for the decay."""
+    """One small CSV of each series kind, plus an IRF for the decay and a
+    hemisphere profile for ``fab --profile``."""
+    from spskit.fab import synthetic_hemisphere_profile
     t = np.arange(0.0, 4000.0, 8.0)
     irf = np.exp(-0.5 * ((t - 400.0) / 40.0) ** 2)
     decay = 5000.0 * convolve_decay(t, 600.0, irf) + 1.0
@@ -467,7 +475,8 @@ def _write_fit_inputs(folder: Path) -> None:
             ("correlation", tau, 140.0 * g2_model(tau, 0.9, 0.05, 600.0, 5000.0),
              "correlation"),
             ("spectrum", x, lorentzian(x, 566.0, 0.5, 900.0, 10.0), "spectrum"),
-            ("polarization", theta, cos2_model(theta, 800.0, 30.0, 40.0), "polarization")]:
+            ("polarization", theta, cos2_model(theta, 800.0, 30.0, 40.0), "polarization"),
+            ("profile", *synthetic_hemisphere_profile(2.7, 2.4, 101).as_arrays(), "spectrum")]:
         write_series_csv(folder / f"{name}.csv", MeasurementSeries(tuple(xs), tuple(ys), kind))
 
 
@@ -543,7 +552,11 @@ class TestImportsPerCommand:
         (["cavity"], {"specfit", "lsq", "qkd", "fab", "emitter", "reproduce"}),
         (["emitter"], {"optics", "specfit", "lsq", "qkd", "fab", "reproduce"}),
         (["qkd"], {"optics", "specfit", "lsq", "fab", "emitter", "reproduce"}),
-    ], ids=["mirror", "fit-polarization", "fit-decay", "cavity", "emitter", "qkd"])
+        (["--set", "fab.calibration_nm_per_unit=0.5", "fab"],
+         {"optics", "specfit", "lsq", "qkd", "emitter", "reproduce", "search"}),
+        (["fab", "--profile", "profile.csv"], {"optics", "qkd", "emitter", "reproduce", "search"}),
+    ], ids=["mirror", "fit-polarization", "fit-decay", "cavity", "emitter", "qkd", "fab",
+            "fab-profile"])
     def test_command_loads_only_what_it_runs(self, tmp_path, argv, unused):
         loaded = _submodules(_modules_after(_cli_code(tmp_path, argv)))
         assert loaded & unused == set()

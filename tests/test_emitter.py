@@ -12,14 +12,12 @@ from spskit.emitter import (
     coupling_from_purcell,
     coupling_report,
     effective_purcell,
-    fit_saturation,
     indistinguishability_cavity,
     indistinguishability_free,
     indistinguishability_map,
     kappa_for_target_indistinguishability,
     purcell_chain,
     quantum_efficiency,
-    saturation_rate,
 )
 
 GAMMA = 1.0 / 897e-12       # emission rate of the 897 ps emitter
@@ -195,24 +193,6 @@ class TestCoupling:
             2 * math.pi * report["coupling_rate_plain_hz"], rel=1e-12)
         assert report["coupling_rate_angular_over_2pi_hz"] == pytest.approx(
             report["coupling_rate_plain_hz"], rel=1e-12)
-
-
-class TestSaturation:
-    def test_half_saturation(self):
-        assert saturation_rate(2.0, 2.0, 1e6) == pytest.approx(5e5)
-
-    def test_zero_power(self):
-        assert saturation_rate(0.0, 2.0, 1e6) == 0.0
-
-    def test_round_trip_with_fitter(self):
-        rng = np.random.default_rng(7)
-        p_sat, r_inf = 0.35, 8.4e5
-        power = np.linspace(0.01, 3.0, 40)
-        rate = np.array([saturation_rate(p, p_sat, r_inf) for p in power])
-        rate = rate * (1.0 + rng.uniform(-0.002, 0.002, rate.size))
-        fit = fit_saturation(power, rate)
-        assert fit.params["saturation_power"] == pytest.approx(p_sat, rel=0.01)
-        assert fit.params["max_rate"] == pytest.approx(r_inf, rel=0.01)
 
 
 class TestMapAndTypes:

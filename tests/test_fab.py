@@ -1,17 +1,19 @@
+import json
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from spskit import specfit
+from spskit.cli import main
 from spskit.fab import (
     FabError,
-    SurfaceProfile,
     encode_depth_units,
     fit_hemisphere_profile,
     hemisphere_depth_nm,
     hemisphere_dose_map,
-    read_profile_csv,
     synthetic_hemisphere_profile,
     write_bmp,
 )
@@ -158,8 +160,7 @@ class TestProfileFit:
         assert fit["rms_nm"] < 1.0  # classifies as ideal
 
     def test_collinear_points_rejected(self):
-        x = tuple(np.linspace(-1.0, 1.0, 20))
-        profile = SurfaceProfile(x, tuple(np.zeros(20)))
+        profile = specfit.MeasurementSeries(np.linspace(-1.0, 1.0, 20), np.zeros(20))
         with pytest.raises(FabError, match="degenerate|collinear"):
             fit_hemisphere_profile(profile)
 
@@ -173,8 +174,25 @@ class TestProfileFit:
         path = tmp_path / "profile.csv"
         with open(path, "w") as fh:
             fh.write("x_um,z_nm\n")
-            for x, z in zip(profile.x_um, profile.z_nm):
+            for x, z in zip(profile.x.tolist(), profile.y.tolist()):
                 fh.write(f"{x!r},{z!r}\n")
-        back = read_profile_csv(path)
-        assert np.allclose(back.x_um, profile.x_um)
-        assert np.allclose(back.z_nm, profile.z_nm)
+        back = specfit.read_series_csv(path)
+        assert np.allclose(back.x, profile.x)
+        assert np.allclose(back.y, profile.y)
+
+    def test_cli_fit_of_rough_profile_matches_golden(self, tmp_path):
+        # recorded from the CSV reader and fitter that profiles had before
+        # they became measurement series
+        gold = json.loads((Path(__file__).parent / "golden_optics.json").read_text())
+        profile = synthetic_hemisphere_profile(2.7, 2.4, 301, roughness_nm=0.5,
+                                               rng=np.random.default_rng(20261018))
+        path = tmp_path / "profile.csv"
+        path.write_text("x_um,z_nm\n" + "".join(
+            f"{x!r},{z!r}\n" for x, z in zip(profile.x.tolist(), profile.y.tolist())))
+        assert main(["--outdir", str(tmp_path), "fab", "--profile", str(path)]) == 0
+        report = json.loads((tmp_path / "hemisphere_fit.json").read_text())
+        for key, value in gold["hemisphere_fit"].items():
+            if isinstance(value, float):
+                assert report[key] == pytest.approx(value, rel=1e-12), key
+            else:
+                assert report[key] == value, key

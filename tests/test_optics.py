@@ -128,12 +128,19 @@ class TestReflectance:
 
     def test_empty_stack_matched_media(self):
         stack = LayerStack(1.5, (), 1.5)
-        curve = reflectance(stack, [400.0, 565.0, 700.0])
-        assert all(v == pytest.approx(0.0, abs=1e-14) for v in curve.values)
+        refl = reflectance(stack, [400.0, 565.0, 700.0])
+        assert refl.shape == (3,)
+        assert all(v == pytest.approx(0.0, abs=1e-14) for v in refl)
 
     def test_empty_wavelengths_rejected(self, high_terminated):
         with pytest.raises(OpticsError, match="empty"):
             reflectance(high_terminated, [])
+
+    @pytest.mark.parametrize("wls", [[600.0, 500.0], [565.0, 565.0]])
+    def test_unordered_wavelengths_rejected(self, high_terminated, wls):
+        for spectrum in (reflectance, transmittance):
+            with pytest.raises(OpticsError, match="strictly increasing"):
+                spectrum(high_terminated, wls)
 
     def test_energy_conservation(self, high_terminated):
         for lam in np.linspace(420, 760, 40):
@@ -187,8 +194,8 @@ class TestArrayKernel:
     @settings(max_examples=60, deadline=None)
     @given(st.booleans().flatmap(lambda lossy: random_stacks(lossy=lossy)), wavelength_arrays)
     def test_array_spectra_match_scalar_and_reference(self, stack, wls):
-        refl = reflectance(stack, wls).values
-        trans = transmittance(stack, wls).values
+        refl = reflectance(stack, wls)
+        trans = transmittance(stack, wls)
         for lam, r, t in zip(wls, refl, trans):
             assert abs(r - reflectance_at(stack, lam)) <= 1e-12
             assert abs(t - transmittance_at(stack, lam)) <= 1e-12
@@ -199,15 +206,14 @@ class TestArrayKernel:
     @settings(max_examples=60, deadline=None)
     @given(random_stacks(), wavelength_arrays)
     def test_lossless_array_energy_conservation(self, stack, wls):
-        total = (np.array(reflectance(stack, wls).values)
-                 + np.array(transmittance(stack, wls).values))
+        total = reflectance(stack, wls) + transmittance(stack, wls)
         assert np.max(np.abs(total - 1.0)) < 1e-10
 
     @settings(max_examples=60, deadline=None)
     @given(random_stacks(), wavelength_arrays)
     def test_lossless_array_reflects_alike_from_both_sides(self, stack, wls):
-        front = np.array(reflectance(stack, wls).values)
-        back = np.array(reflectance(stack.reversed(), wls).values)
+        front = reflectance(stack, wls)
+        back = reflectance(stack.reversed(), wls)
         assert np.max(np.abs(front - back)) < 1e-10
 
     @settings(max_examples=40, deadline=None)
@@ -399,6 +405,9 @@ class TestGoldenScalars:
         assert report["reflectance_at_design_wavelength"] == pytest.approx(
             gold["reflectance_at_design_wavelength"], rel=1e-9)
         assert report["stopband_nm"] == pytest.approx(gold["stopband_nm"], rel=1e-9)
+        # recorded before spectra became plain arrays
+        assert report["ar_coated_reflectance_band_average"] == pytest.approx(
+            gold["ar_coated_reflectance_band_average"], rel=1e-12)
 
     def test_cavity_report(self, tmp_path):
         assert main(["--outdir", str(tmp_path), "cavity"]) == 0
