@@ -104,10 +104,10 @@ def cmd_mirror(args, scenario: Scenario) -> None:
 def cmd_cavity(args, scenario: Scenario) -> None:
     from . import pipeline
     out = _outdir(args)
-    field, wls, transmission, payload = pipeline.cavity(scenario)
+    positions, intensity, wls, transmission, payload = pipeline.cavity(scenario)
     write_csv(out / "cavity_field.csv", scenario,
               ["position_nm", "normalized_intensity"],
-              np.column_stack([field.positions_nm, field.intensity]))
+              np.column_stack([positions, intensity]))
     write_csv(out / "cavity_spectrum.csv", scenario,
               ["wavelength_nm", "transmission"],
               np.column_stack([wls, transmission]))
@@ -146,11 +146,8 @@ def cmd_fit(args, scenario: Scenario) -> None:
     fcfg = scenario["fit"]
     payload: dict = {"input": str(args.input), "kind": series.kind}
     if series.kind == "spectrum":
-        instrument = None
-        if args.scan_range or fcfg["scan_range_per_nm"]:
-            instrument = specfit.Sinc2Instrument(
-                args.scan_range or fcfg["scan_range_per_nm"])
-        fit = specfit.fit_lorentzian(series, instrument)
+        scan_range = args.scan_range or fcfg["scan_range_per_nm"] or None
+        fit = specfit.fit_lorentzian(series, scan_range)
         payload["fit"] = fit.as_dict()
         payload["zpl_fraction"] = specfit.zpl_fraction(
             series, fit, default_cutoff_nm=fcfg["contaminant_cutoff_nm"])
@@ -210,10 +207,8 @@ def cmd_qkd(args, scenario: Scenario) -> None:
     crossings = {}
     for label, other in (("sps_vs_decoy", sources["decoy"]), ("sps_vs_wcs", sources["wcs"])):
         try:
-            rep = qkd.find_crossing(sources["sps"], other, channel, detector,
-                                    (max(start, 0.5), max(stop, 1.0)))
-            crossings[label] = {"distance_km": rep.distance_km, "loss_db": rep.loss_db,
-                                "rate": rep.rate}
+            crossings[label] = qkd.find_crossing(sources["sps"], other, channel, detector,
+                                                 (max(start, 0.5), max(stop, 1.0)))
         except (qkd.NoCrossingError, qkd.NoPositiveRateError) as exc:
             crossings[label] = {"result": f"no crossing: {exc}"}
     payload = {

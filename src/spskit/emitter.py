@@ -12,6 +12,10 @@ threshold for 90% indistinguishability, and the 779 GHz free-spectral-
 range chain. Indistinguishability values are invariant under scaling
 every rate by 2 pi (angular frequency) because the formulas are ratios
 of rates.
+
+Results are plain values: ``purcell_chain`` returns the three numbers of
+the emitter report (effective Q, effective Purcell factor, quantum
+efficiency) as a dict under their report names.
 """
 from __future__ import annotations
 
@@ -62,22 +66,6 @@ def _cavity_indistinguishability(gamma, gamma_star, kappa, g):
     return (gamma + recycled) / (gamma + kappa + 2.0 * transfer)
 
 
-@dataclass(frozen=True)
-class PurcellReport:
-    effective_quality_factor: float
-    effective_purcell_factor: float
-    lifetime_ratio: float
-    mirror_purcell_factor: float
-    quantum_efficiency: float
-
-    def __post_init__(self):
-        if self.effective_quality_factor <= 0:
-            raise PhotophysicsError("effective quality factor must be positive")
-        if not 0.0 <= self.quantum_efficiency <= 1.0:
-            raise PhotophysicsError(
-                f"unphysical quantum efficiency {self.quantum_efficiency:.4g}")
-
-
 def effective_purcell(
     wavelength_nm: float,
     cavity_fwhm_nm: float,
@@ -120,12 +108,17 @@ def purcell_chain(
     mode_volume_lambda3: float,
     lifetime_ratio: float,
     mirror_purcell_factor: float,
-) -> PurcellReport:
-    """Full enhancement chain: effective Q, Purcell factor, and efficiency."""
+) -> dict[str, float]:
+    """Full enhancement chain as the report's ``effective_quality_factor``,
+    ``effective_purcell_factor`` and ``quantum_efficiency``; raises when
+    the efficiency falls outside [0, 1]."""
     q_eff, f_eff = effective_purcell(wavelength_nm, cavity_fwhm_nm, emitter_fwhm_nm,
                                      mode_volume_lambda3)
     eta = quantum_efficiency(lifetime_ratio, f_eff, mirror_purcell_factor)
-    return PurcellReport(q_eff, f_eff, lifetime_ratio, mirror_purcell_factor, eta)
+    if not 0.0 <= eta <= 1.0:
+        raise PhotophysicsError(f"unphysical quantum efficiency {eta:.4g}")
+    return {"effective_quality_factor": q_eff, "effective_purcell_factor": f_eff,
+            "quantum_efficiency": eta}
 
 
 def indistinguishability_free(emission_rate: float, dephasing_rate: float) -> float:

@@ -20,9 +20,10 @@ optics entry point. It loops over layers only; each step is elementwise
 over whole numpy arrays of wavelengths (or of thicknesses, for a gap
 scan) and the result is the four matrix elements as arrays. Spectra,
 stopband scans and resonance walks are single array calls; the scalar
-functions pass it a single wavelength. A spectrum is a plain float array,
-one value per wavelength passed in (strictly increasing); a field profile
-holds its positions and intensities as arrays. Every layer matrix has
+functions pass it a single wavelength. Results are plain values: a
+spectrum is a float array, one value per wavelength passed in (strictly
+increasing); a field profile is a pair of arrays, positions and
+intensities; a resonance report is a dict. Every layer matrix has
 det M = cos^2 + sin^2 = 1, also for complex (absorbing) indices, so every
 product has det 1 and its inverse is [[m11, -m01], [-m10, m00]]: the gap
 field is recovered from the entry-face field without a linear solve.
@@ -83,43 +84,6 @@ class LayerStack:
         lines += [f"{_fmt_index(n)} {d!r}" for n, d in self.layers]
         lines.append(f"substrate {_fmt_index(self.substrate_index)}")
         return "\n".join(lines) + "\n"
-
-
-@dataclass(frozen=True, eq=False)
-class FieldProfile:
-    """Standing-wave intensity along the cavity axis, normalized to peak 1."""
-
-    positions_nm: np.ndarray
-    intensity: np.ndarray
-
-    def __post_init__(self):
-        if np.any(self.intensity < 0):
-            raise OpticsError("intensity must be non-negative")
-        if abs(self.intensity.max() - 1.0) > 1e-9:
-            raise OpticsError("intensity must be normalized to peak 1")
-
-    def antinode_count(self, min_height: float = 0.5) -> int:
-        """Count standing-wave antinodes (local maxima above ``min_height``).
-
-        Boundary samples count when they exceed their single neighbor:
-        for a low-index-terminated mirror the outermost antinode sits at
-        the mirror surface itself.
-        """
-        inten = self.intensity
-        padded = np.concatenate(([-np.inf], inten, [-np.inf]))
-        peaks = (inten >= padded[:-2]) & (inten >= padded[2:]) & (inten > min_height)
-        return int(np.count_nonzero(peaks))
-
-
-@dataclass(frozen=True)
-class ResonanceReport:
-    """Transmission-peak summary for a cavity spectrum."""
-
-    found: bool
-    center_nm: float = math.nan
-    fwhm_nm: float = math.nan
-    quality_factor: float = math.nan
-    peak_transmission: float = math.nan
 
 
 # ---------------------------------------------------------------------------
@@ -402,13 +366,16 @@ def cavity_spectrum(
     wavelengths_nm,
     *,
     report_near_nm: float | None = None,
-) -> tuple[np.ndarray, ResonanceReport]:
+) -> tuple[np.ndarray, dict]:
     """Cavity transmission at each wavelength plus a resonance report.
 
-    The report describes the transmission peak nearest ``report_near_nm``
-    (default: the global maximum), with FWHM from interpolated half-max
-    crossings and Q = center/FWHM. ``found=False`` when no interior peak
-    exists in the sampled range.
+    The report is a dict of ``found``, ``center_nm``, ``fwhm_nm``,
+    ``quality_factor`` and ``peak_transmission`` for the transmission
+    peak nearest ``report_near_nm`` (default: the global maximum), with
+    FWHM from refined half-max crossings and Q = center/FWHM. With no
+    interior peak in the sampled range ``found`` is False and the other
+    values are NaN; a peak whose transmission stays above half its
+    maximum has NaN FWHM and Q.
     """
     if report_near_nm is not None:
         _check_wavelength(report_near_nm)
@@ -417,7 +384,8 @@ def cavity_spectrum(
     wls = _validated_wavelengths(wavelengths_nm)
     peaks = _interior_maxima(vals)
     if peaks.size == 0:
-        return vals, ResonanceReport(found=False)
+        return vals, {"found": False, "center_nm": math.nan, "fwhm_nm": math.nan,
+                      "quality_factor": math.nan, "peak_transmission": math.nan}
     if report_near_nm is None:
         ipk = peaks[np.argmax(vals[peaks])]
     else:
@@ -454,13 +422,9 @@ def cavity_spectrum(
 
     lo = half_crossing(-1)
     hi = half_crossing(+1)
-    if lo is None or hi is None:
-        return vals, ResonanceReport(found=True, center_nm=center, fwhm_nm=math.nan,
-                                     quality_factor=math.nan, peak_transmission=peak_t)
-    fwhm = hi - lo
-    return vals, ResonanceReport(found=True, center_nm=float(center), fwhm_nm=float(fwhm),
-                                 quality_factor=float(center / fwhm),
-                                 peak_transmission=float(peak_t))
+    fwhm = math.nan if lo is None or hi is None else hi - lo
+    return vals, {"found": True, "center_nm": float(center), "fwhm_nm": float(fwhm),
+                  "quality_factor": float(center / fwhm), "peak_transmission": peak_t}
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +466,9 @@ def _peak_intensity(waves) -> np.ndarray:
 
 
 def intracavity_field(mirror_a: LayerStack, gap_nm: float, mirror_b: LayerStack,
-                      lam: float, samples: int = 801) -> FieldProfile:
-    """Standing-wave intensity profile across the gap, normalized to peak 1."""
+                      lam: float, samples: int = 801) -> tuple[np.ndarray, np.ndarray]:
+    """Standing-wave intensity across the gap, normalized to peak 1, as
+    (positions_nm, intensity)."""
     _check_wavelength(lam)
     _check_gaps(gap_nm)
     a, b = _gap_waves(mirror_a, mirror_b, lam)(gap_nm)
@@ -513,7 +478,19 @@ def intracavity_field(mirror_a: LayerStack, gap_nm: float, mirror_b: LayerStack,
     peak = inten.max()
     if peak <= 0:
         raise OpticsError("vanishing intracavity field")
-    return FieldProfile(z, inten / peak)
+    return z, inten / peak
+
+
+def antinode_count(intensity: np.ndarray, min_height: float = 0.5) -> int:
+    """Count standing-wave antinodes (local maxima above ``min_height``).
+
+    Boundary samples count when they exceed their single neighbor:
+    for a low-index-terminated mirror the outermost antinode sits at
+    the mirror surface itself.
+    """
+    padded = np.concatenate(([-np.inf], intensity, [-np.inf]))
+    peaks = (intensity >= padded[:-2]) & (intensity >= padded[2:]) & (intensity > min_height)
+    return int(np.count_nonzero(peaks))
 
 
 def resonant_gap(
@@ -549,9 +526,9 @@ def resonant_gap(
     candidates = []
     for i in _interior_maxima(vals):
         gap = search.golden_max(intensity, grid[i - 1], grid[i + 1], tol=tol_nm)
-        profile = intracavity_field(mirror_a, gap, mirror_b, lam,
-                                    samples=max(int(gap / (lam / 50.0)), 200))
-        candidates.append((gap, profile.antinode_count()))
+        _, inten = intracavity_field(mirror_a, gap, mirror_b, lam,
+                                     samples=max(int(gap / (lam / 50.0)), 200))
+        candidates.append((gap, antinode_count(inten)))
     for gap, n_anti in candidates:
         if n_anti == q:
             return float(gap)

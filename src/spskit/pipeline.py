@@ -19,8 +19,8 @@ def mirror_stack(scenario: Scenario, termination: str):
 
 
 def cavity(scenario: Scenario) -> tuple:
-    """The field profile, the spectrum's wavelengths and transmission, and
-    the cavity report."""
+    """The field's positions and intensity, the spectrum's wavelengths and
+    transmission, and the cavity report."""
     from . import cavitymode, optics
     ccfg = scenario["cavity"]
     lam, q = ccfg["wavelength_nm"], ccfg["longitudinal_order"]
@@ -29,7 +29,7 @@ def cavity(scenario: Scenario) -> tuple:
     low_stack = mirror_stack(scenario, "low")
     gap_low = optics.resonant_gap(low_stack, low_stack, q, lam)
     xi = optics.penetration_depth(q, lam, gap_low)
-    field = optics.intracavity_field(low_stack, gap_low, low_stack, lam)
+    positions, intensity = optics.intracavity_field(low_stack, gap_low, low_stack, lam)
 
     # spectrum from loss-calibrated mirrors at the measured reflectivity,
     # at the device gap q*lam/2 - 2*penetration
@@ -37,7 +37,8 @@ def cavity(scenario: Scenario) -> tuple:
         mirror_stack(scenario, "high"), ccfg["effective_mirror_reflectivity"], lam)
     gap = q * lam / 2.0 - 2.0 * xi
     wls = np.linspace(lam - 1.5, lam + 1.5, 3001)
-    transmission, res = optics.cavity_spectrum(lossy, gap, lossy, wls, report_near_nm=lam)
+    transmission, resonance = optics.cavity_spectrum(lossy, gap, lossy, wls,
+                                                     report_near_nm=lam)
 
     config = cavitymode.CavityConfig(
         radius_of_curvature_um=ccfg["radius_of_curvature_um"],
@@ -48,18 +49,14 @@ def cavity(scenario: Scenario) -> tuple:
     report = {
         "resonant_gap_nm": gap,
         "penetration_depth_nm": xi,
-        "antinode_count": field.antinode_count(),
-        "resonance": {
-            "found": res.found, "center_nm": res.center_nm, "fwhm_nm": res.fwhm_nm,
-            "quality_factor": res.quality_factor,
-            "peak_transmission": res.peak_transmission,
-        },
+        "antinode_count": optics.antinode_count(intensity),
+        "resonance": resonance,
         "mode_volume_lambda3": cavitymode.mode_volume(config),
         "fsr_hz": fsr, "finesse": fin, "linewidth_hz": linewidth,
         "airy_quality_factor": cavitymode.quality_factor(
             config, include_penetration=ccfg["include_penetration"]),
     }
-    return field, wls, transmission, report
+    return positions, intensity, wls, transmission, report
 
 
 def emitter(scenario: Scenario) -> dict:
@@ -76,7 +73,7 @@ def emitter(scenario: Scenario) -> dict:
     chain = emitter.purcell_chain(
         zpl, ecfg["cavity_fwhm_nm"], ecfg["free_linewidth_nm"], volume,
         ecfg["lifetime_ratio"], ecfg["mirror_purcell"])
-    f_eff = chain.effective_purcell_factor
+    f_eff = chain["effective_purcell_factor"]
 
     gamma = rate_from_lifetime_ps(ecfg["free_lifetime_ps"])
     gamma_star = ecfg["dephasing_rate_hz"]
@@ -89,9 +86,7 @@ def emitter(scenario: Scenario) -> dict:
         emitter.coupling_from_purcell(f_eff, kappa, gamma))
     return {
         "mode_volume_lambda3": volume,
-        "effective_quality_factor": chain.effective_quality_factor,
-        "effective_purcell_factor": f_eff,
-        "quantum_efficiency": chain.quantum_efficiency,
+        **chain,
         "free_space_indistinguishability": emitter.indistinguishability_free(gamma, gamma_star),
         "cavity_indistinguishability": emitter.indistinguishability_cavity(rates),
         "kappa_for_90pct_indistinguishability_hz":

@@ -33,8 +33,9 @@ transmittances: its 120-point log pre-scan is one (n_t x 120) call, and
 ``search.golden_max`` refines all brackets in lockstep. ``sweep``, the
 grid scan of ``find_crossing`` and each batch of its bisection levels
 make one such call per source.
-``key_rate``, ``optimize_mu`` and ``effective_rate`` are scalar wrappers
-over the same code.
+``optimize_mu`` and ``effective_rate`` are scalar wrappers over the same
+code. Results are plain values: rates are floats or arrays, and
+``find_crossing`` returns the dict that the crossing report writes.
 """
 from __future__ import annotations
 
@@ -165,24 +166,6 @@ class DetectorModel:
             raise QkdError("error correction inefficiency must be >= 1")
 
 
-GYS_DETECTOR = DetectorModel()
-
-
-@dataclass(frozen=True)
-class KeyRateResult:
-    rate: float
-    below_horizon: bool
-    gain: float
-    qber: float
-
-
-@dataclass(frozen=True)
-class CrossingReport:
-    distance_km: float
-    loss_db: float
-    rate: float
-
-
 # ---------------------------------------------------------------------------
 # primitives
 # ---------------------------------------------------------------------------
@@ -248,13 +231,9 @@ def calibrate_divergence_half_angle(
 # key rates
 # ---------------------------------------------------------------------------
 
-def _rates(source: SourceModel, t, detector: DetectorModel, mu) -> KeyRateResult:
+def _rates(source: SourceModel, t, detector: DetectorModel, mu) -> np.ndarray:
     """Secret bits per sent signal at transmittances ``t`` and intensities
-    ``mu``, elementwise over their broadcast shape; clamped at zero.
-
-    Every field of the result is an array of that shape; ``below_horizon``
-    marks a clamped negative rate.
-    """
+    ``mu``, elementwise over their broadcast shape; clamped at zero."""
     t = np.asarray(t, dtype=float)
     mu = np.asarray(mu, dtype=float)
     eta = detector.receiver_efficiency
@@ -288,24 +267,7 @@ def _rates(source: SourceModel, t, detector: DetectorModel, mu) -> KeyRateResult
             raw = q_sift * gain * (untagged * (1.0 - binary_entropy(phase_error))
                                    - f_ec * binary_entropy(qber))
             killed = dark | (untagged <= 0.0) | (phase_error >= 0.5)
-    return KeyRateResult(
-        rate=np.where(killed | (raw < 0.0), 0.0, raw),
-        below_horizon=killed | (raw <= 0.0),
-        gain=np.where(dark, 0.0, gain),
-        qber=np.where(dark, 0.5, qber),
-    )
-
-
-def key_rate(source: SourceModel, channel: ChannelModel, detector: DetectorModel,
-             mu: float | None = None) -> KeyRateResult:
-    """Secret bits per sent signal, clamped at zero.
-
-    ``mu`` overrides the source intensity; the ``below_horizon`` flag
-    marks a clamped negative rate.
-    """
-    r = _rates(source, channel_transmittance(channel), detector,
-               source.mean_photons if mu is None else mu)
-    return KeyRateResult(float(r.rate), bool(r.below_horizon), float(r.gain), float(r.qber))
+    return np.where(killed | (raw < 0.0), 0.0, raw)
 
 
 # bisection levels of find_crossing per array call, 2^CROSSING_LEVELS - 1 distances
@@ -324,10 +286,10 @@ def _optimal_mu(source: SourceModel, t, detector: DetectorModel, *,
     t = np.asarray(t, dtype=float)
 
     def rate_of(mu):
-        return _rates(source, t, detector, mu).rate
+        return _rates(source, t, detector, mu)
 
     grid = np.logspace(-6, math.log10(mu_max), 120)
-    values = _rates(source, t[:, None], detector, grid).rate
+    values = _rates(source, t[:, None], detector, grid)
     best = np.argmax(values, axis=1)
     alive = values[np.arange(t.size), best] > 0.0
     lo = np.where(best > 0, grid[best - 1], grid[0] * 0.5)
@@ -341,7 +303,7 @@ def _effective_rates(source: SourceModel, t, detector: DetectorModel) -> np.ndar
     """Key rates at transmittances ``t`` with the source's mu policy applied."""
     if source.optimizes_mu:
         return _optimal_mu(source, t, detector)[1]
-    return _rates(source, t, detector, source.mean_photons).rate
+    return _rates(source, t, detector, source.mean_photons)
 
 
 def optimize_mu(source: SourceModel, channel: ChannelModel, detector: DetectorModel,
@@ -378,8 +340,9 @@ def find_crossing(
     *,
     grid_points: int = 200,
     tol_km: float = 1e-3,
-) -> CrossingReport:
-    """Distance where the two sources' key rates cross, with loss in dB.
+) -> dict[str, float]:
+    """Distance where the two sources' key rates cross, as a dict of
+    ``distance_km``, ``loss_db`` and ``rate`` (source a's rate there).
 
     Scans the interval for a sign change of rate_a - rate_b (re-optimizing
     mu per distance for wcs/decoy sources), one array evaluation per
@@ -422,11 +385,8 @@ def find_crossing(
     d_cross = search.bisect(same_side, a, b, tol=tol_km, levels=CROSSING_LEVELS)
     ch = channel.at_distance(d_cross)
     t = channel_transmittance(ch)
-    return CrossingReport(
-        distance_km=float(d_cross),
-        loss_db=float(transmittance_to_db(t)),
-        rate=float(effective_rate(source_a, ch, detector)),
-    )
+    return {"distance_km": float(d_cross), "loss_db": float(transmittance_to_db(t)),
+            "rate": float(effective_rate(source_a, ch, detector))}
 
 
 def sweep(
@@ -454,7 +414,7 @@ def sweep(
             columns[f"rate_{label}"] = rate.tolist()
             columns[f"mu_{label}"] = mu_star.tolist()
         else:
-            columns[f"rate_{label}"] = _rates(src, t, detector, src.mean_photons).rate.tolist()
+            columns[f"rate_{label}"] = _rates(src, t, detector, src.mean_photons).tolist()
     return [dict(zip(columns, row)) for row in zip(*columns.values())]
 
 

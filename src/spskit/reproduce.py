@@ -314,8 +314,7 @@ def check_qkd(report: ReproductionReport, scenario: Scenario) -> None:
     real, decoy = sources["sps"], sources["decoy"]
 
     try:
-        crossing = qkd.find_crossing(real, decoy, fiber, detector, (1.0, 120.0))
-        loss = crossing.loss_db
+        loss = qkd.find_crossing(real, decoy, fiber, detector, (1.0, 120.0))["loss_db"]
     except qkd.NoCrossingError:
         loss = math.nan
     report.add("8a", "fiber crossing loss, real source vs optimized decoy (dB)",
@@ -345,8 +344,7 @@ def check_qkd(report: ReproductionReport, scenario: Scenario) -> None:
                loss630, "8.82 dB (calibration contract)", abs(loss630 - 8.82) < 1e-6,
                note=f"calibrated half angle {theta:.4e} rad")
     try:
-        space_crossing = qkd.find_crossing(real, decoy, space, detector, (10.0, 1500.0))
-        sloss = space_crossing.loss_db
+        sloss = qkd.find_crossing(real, decoy, space, detector, (10.0, 1500.0))["loss_db"]
     except qkd.NoCrossingError:
         sloss = math.nan
     report.add("8f", "free-space crossing loss, real source vs decoy (dB)",

@@ -11,7 +11,9 @@ Every model is ``Separable``, linear in its amplitudes, offsets and level
 for given nonlinear parameters theta, and is fitted by the
 variable-projection solver of module ``lsq`` (see there what
 ``n_evaluations`` counts). ``_run_fit_batch`` solves many problems of one
-model in lockstep, each with the bits it gets alone.
+model in lockstep, each with the bits it gets alone. The sinc^2
+instrument of a Lorentzian fit is given by its scan range alone, a
+float in 1/nm (None for no instrument).
 
 The IRF convolution is the recursion y[n] = a y[n-1] + irf[n],
 a = exp(-dt/tau) (Enderlein and Erdmann, Opt. Commun. 134, 371 (1997)),
@@ -270,32 +272,24 @@ def lorentzian(x, center, fwhm, amplitude, offset=0.0):
     return amplitude * half ** 2 / ((x - center) ** 2 + half ** 2) + offset
 
 
-@dataclass(frozen=True)
-class Sinc2Instrument:
-    """Instrument line shape of a truncated interferometer scan.
+def _sinc2_kernel(scan_range: float, dx: float, n_data: int) -> np.ndarray:
+    """Instrument line shape of a truncated interferometer scan, normalized
+    to unit sum on 2*(n_data//2)+1 taps of spacing dx.
 
     The kernel is sinc^2(scan_range * x) (numpy sinc convention), with
     first zeros at +-1/scan_range; scan_range has units of 1/x and is
     proportional to the maximum optical path difference of the scan.
     scan_range -> infinity collapses the kernel to a delta.
     """
-
-    scan_range_per_nm: float
-
-    def __post_init__(self):
-        if self.scan_range_per_nm <= 0:
-            raise SeriesError("scan range must be positive")
-
-    def kernel(self, dx: float, n_data: int) -> np.ndarray:
-        half_n = max(1, n_data // 2)
-        offsets = np.arange(-half_n, half_n + 1) * dx
-        k = np.sinc(self.scan_range_per_nm * offsets) ** 2
-        return k / k.sum()
+    half_n = max(1, n_data // 2)
+    offsets = np.arange(-half_n, half_n + 1) * dx
+    k = np.sinc(scan_range * offsets) ** 2
+    return k / k.sum()
 
 
-def lorentzian_with_instrument(x, center, fwhm, amplitude, offset,
-                               instrument: Sinc2Instrument | None):
-    """Lorentzian convolved with the instrument kernel on the grid of x.
+def lorentzian_with_instrument(x, center, fwhm, amplitude, offset, instrument: float | None):
+    """Lorentzian convolved with the sinc^2 kernel of scan range
+    ``instrument`` (1/nm) on the grid of x; None convolves nothing.
 
     With the instrument, x is one grid; the parameters may be columns,
     one row of the result per row of parameters.
@@ -305,7 +299,7 @@ def lorentzian_with_instrument(x, center, fwhm, amplitude, offset,
         return lorentzian(x, center, fwhm, amplitude, offset)
     dx = _uniform_spacing(x, "instrument convolution")
     # pad so edge samples see the full kernel support
-    kern = instrument.kernel(dx, len(x))
+    kern = _sinc2_kernel(instrument, dx, len(x))
     pad = len(kern) // 2
     x_pad = np.concatenate([
         x[0] + dx * np.arange(-pad, 0), x, x[-1] + dx * np.arange(1, pad + 1)])
@@ -314,24 +308,26 @@ def lorentzian_with_instrument(x, center, fwhm, amplitude, offset,
     return np.reshape(conv, clean.shape)[..., pad:pad + len(x)] + offset
 
 
-def fit_lorentzian(series: MeasurementSeries,
-                   instrument: Sinc2Instrument | None = None) -> FitResult:
+def fit_lorentzian(series: MeasurementSeries, instrument: float | None = None) -> FitResult:
     """Fit a Lorentzian line, optionally deconvolving the sinc^2 instrument.
 
     Parameters
     ----------
     series : spectrum-kind series with at least 8 samples spanning the peak
-    instrument : optional finite-scan kernel; the fitted FWHM is then the
-        deconvolved (physical) linewidth.
+    instrument : optional scan range (1/nm, finite and positive) of the
+        finite-scan kernel; the fitted FWHM is then the deconvolved
+        (physical) linewidth.
 
     Returns parameters center_nm, fwhm_nm, amplitude, offset.
     """
     return _one(fit_lorentzian_batch([series], instrument))
 
 
-def fit_lorentzian_batch(spectra, instrument: Sinc2Instrument | None = None) -> list:
+def fit_lorentzian_batch(spectra, instrument: float | None = None) -> list:
     """``fit_lorentzian`` of same-length spectra (on one grid, with an
     instrument) in one lockstep solve; a failed fit gives its FitError."""
+    if instrument is not None and not (math.isfinite(instrument) and instrument > 0):
+        raise SeriesError(f"scan range must be positive and finite, got {instrument}")
     starts = []
     for series in spectra:
         x, y = series.as_arrays()

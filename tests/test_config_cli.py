@@ -330,6 +330,29 @@ class TestTypedErrors:
             ["--outdir", str(tmp_path), "--set", setting, "emitter"], capsys, match)
         assert not (tmp_path / "emitter_report.json").exists()
 
+    def test_unphysical_quantum_efficiency(self, tmp_path, capsys):
+        _assert_validation_error(
+            ["--outdir", str(tmp_path), "--set", "emitter.lifetime_ratio=0.5", "emitter"],
+            capsys, "unphysical quantum efficiency -0.1333")
+        assert not (tmp_path / "emitter_report.json").exists()
+
+    @pytest.mark.parametrize("argv, shown", [
+        (["--scan-range", "nan"], "nan"),
+        (["--scan-range", "inf"], "inf"),
+        (["--scan-range", "-1"], "-1.0"),
+        (["--set", "fit.scan_range_per_nm=nan"], "nan"),
+    ], ids=["nan", "inf", "negative", "set-nan"])
+    def test_bad_scan_range(self, tmp_path, capsys, argv, shown):
+        # bad input, rejected before the fit starts: exit 1, not a failed fit
+        x = np.linspace(560.0, 572.0, 301)
+        line = tmp_path / "line.csv"
+        write_series_csv(line, MeasurementSeries(x, lorentzian(x, 566.0, 0.5, 900.0, 10.0),
+                                                 "spectrum"))
+        _assert_validation_error(
+            ["--outdir", str(tmp_path), "fit", "--input", str(line), *argv], capsys,
+            f"scan range must be positive and finite, got {shown}")
+        assert not (tmp_path / "fit_report.json").exists()
+
     def test_malformed_sweep(self, tmp_path, capsys):
         _assert_validation_error(["--outdir", str(tmp_path), "qkd", "--sweep", "0:100"],
                                  capsys, "start:stop:step")

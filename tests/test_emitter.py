@@ -1,11 +1,14 @@
+import json
 import math
 from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spskit.cli import main
 from spskit.emitter import (
     CoupledRates,
     PhotophysicsError,
@@ -75,9 +78,23 @@ class TestQuantumEfficiency:
 
     def test_full_chain_report(self):
         chain = purcell_chain(565.85, 0.224, 5.76, 1.7568, 2.29, 1.68)
-        assert chain.effective_purcell_factor == pytest.approx(4.09, abs=0.01)
-        assert 0.0 <= chain.quantum_efficiency <= 1.0
-        assert chain.quantum_efficiency == pytest.approx(0.509, abs=2e-3)
+        assert chain.keys() == {"effective_quality_factor", "effective_purcell_factor",
+                                "quantum_efficiency"}
+        assert chain["effective_quality_factor"] == effective_purcell(
+            565.85, 0.224, 5.76, 1.7568)[0]
+        assert chain["effective_purcell_factor"] == pytest.approx(4.09, abs=0.01)
+        assert 0.0 <= chain["quantum_efficiency"] <= 1.0
+        assert chain["quantum_efficiency"] == pytest.approx(0.509, abs=2e-3)
+
+
+def test_emitter_report_matches_golden(tmp_path):
+    """The default ``emitter`` report's Purcell chain, pinned to 1e-12
+    relative against values recorded when the chain was a record."""
+    gold = json.loads((Path(__file__).parent / "golden_optics.json").read_text())["emitter"]
+    assert main(["--outdir", str(tmp_path), "emitter"]) == 0
+    report = json.loads((tmp_path / "emitter_report.json").read_text())
+    for key, value in gold.items():
+        assert report[key] == pytest.approx(value, rel=1e-12), key
 
 
 class TestIndistinguishabilityFree:

@@ -12,6 +12,7 @@ from spskit.optics import (
     OpticsError,
     ResonanceSearchError,
     analytic_stopband_fractional_width,
+    antinode_count,
     calibrated_lossy_stack,
     cavity_spectrum,
     intracavity_field,
@@ -316,8 +317,8 @@ class TestCavitySpectrum:
         wls = np.linspace(LAM0 - 0.8, LAM0 + 0.8, 1601)
         _, res = cavity_spectrum(low_terminated, gap, low_terminated, wls,
                                  report_near_nm=LAM0)
-        assert res.found
-        assert res.peak_transmission == pytest.approx(1.0, abs=1e-3)
+        assert res["found"]
+        assert res["peak_transmission"] == pytest.approx(1.0, abs=1e-3)
 
     def test_doubling_pairs_narrows_the_resonance(self):
         fwhms = []
@@ -327,15 +328,30 @@ class TestCavitySpectrum:
             gap = resonant_gap(mirror, mirror, 4, LAM0)
             wls = np.linspace(LAM0 - 4.0, LAM0 + 4.0, 4001)
             _, res = cavity_spectrum(mirror, gap, mirror, wls, report_near_nm=LAM0)
-            assert res.found
-            fwhms.append(res.fwhm_nm)
+            assert res["found"]
+            fwhms.append(res["fwhm_nm"])
         assert fwhms[1] < fwhms[0]
 
     def test_no_resonance_reports_empty(self, low_terminated):
         # probe far outside any resonance of a short cavity
         wls = np.linspace(LAM0 - 0.2, LAM0 + 0.2, 101)
         _, res = cavity_spectrum(low_terminated, 0.3 * LAM0, low_terminated, wls)
-        assert not res.found
+        assert res["found"] is False
+        for key in ("center_nm", "fwhm_nm", "quality_factor", "peak_transmission"):
+            assert np.isnan(res[key]), key
+
+    def test_peak_above_half_maximum_has_no_fwhm(self):
+        # two single-layer reflectors: the transmission never falls to half
+        # its peak, so the peak is found but its FWHM and Q are undefined
+        mirror = LayerStack(1.0, ((1.5, 90.0),), 1.5)
+        wls = np.linspace(560.0, 572.0, 1201)
+        _, res = cavity_spectrum(mirror, 2000.0, mirror, wls, report_near_nm=566.0)
+        assert res.keys() == {"found", "center_nm", "fwhm_nm", "quality_factor",
+                              "peak_transmission"}
+        assert res["found"] is True
+        assert res["center_nm"] == pytest.approx(571.4285720758626, rel=1e-12)
+        assert np.isnan(res["fwhm_nm"]) and np.isnan(res["quality_factor"])
+        assert res["peak_transmission"] == 1.0
 
     def test_lossy_calibration_hits_target(self, high_terminated):
         lossy = calibrated_lossy_stack(high_terminated, 0.992, LAM0)
@@ -379,10 +395,18 @@ class TestFieldAndPenetration:
         lam = 565.85
         for q in (5, 8):
             gap = resonant_gap(low_terminated, low_terminated, q, lam)
-            profile = intracavity_field(low_terminated, gap, low_terminated, lam)
-            assert profile.antinode_count() == q
-            assert max(profile.intensity) == pytest.approx(1.0, abs=1e-12)
-            assert min(profile.intensity) >= 0.0
+            positions, intensity = intracavity_field(low_terminated, gap, low_terminated, lam)
+            assert positions[0] == 0.0 and positions[-1] == gap
+            assert antinode_count(intensity) == q
+            assert max(intensity) == pytest.approx(1.0, abs=1e-12)
+            assert min(intensity) >= 0.0
+
+    def test_antinode_count_rule(self):
+        # a sample counts when it is >= both neighbours and above min_height;
+        # a boundary sample has one neighbour; each plateau sample counts
+        intensity = np.array([0.8, 0.3, 0.9, 0.9, 0.1, 0.4, 0.7])
+        assert antinode_count(intensity) == 4
+        assert antinode_count(intensity, min_height=0.75) == 3
 
     def test_search_failure_reports_bracket(self):
         # index-matched "mirrors" reflect nothing: the intensity is flat in

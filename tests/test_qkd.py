@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spskit import qkd
+from spskit.cli import main
 from spskit.constants import transmittance_to_db
 from spskit.qkd import (
     ChannelModel,
     DetectorModel,
-    GYS_DETECTOR,
     NoCrossingError,
     NoPositiveRateError,
     QkdError,
@@ -22,8 +24,6 @@ from spskit.qkd import (
     effective_rate,
     find_crossing,
     ideal_sps,
-    key_rate,
-    KeyRateResult,
     optimize_mu,
     sweep,
 )
@@ -33,6 +33,8 @@ WCS = SourceModel(kind="wcs", mean_photons=0.5, mu_mode="optimal")
 DECOY = SourceModel(kind="decoy", mean_photons=0.5, mu_mode="optimal")
 FIBER = ChannelModel(kind="fiber", attenuation_db_per_km=0.21)
 FREESPACE = ChannelModel(kind="freespace")
+# the Gobby-Yuan-Shields fiber receiver, which the model's defaults follow
+GYS_DETECTOR = DetectorModel()
 
 
 def reference_entropy(x: float) -> float:
@@ -42,7 +44,7 @@ def reference_entropy(x: float) -> float:
 
 
 def reference_rate(source: SourceModel, t: float, detector: DetectorModel,
-                   mu: float) -> KeyRateResult:
+                   mu: float) -> float:
     """The key rate at one transmittance in plain Python floats, branch by
     branch: the scalar formula the array-valued ``_rates`` replaced."""
     eta = detector.receiver_efficiency
@@ -61,7 +63,7 @@ def reference_rate(source: SourceModel, t: float, detector: DetectorModel,
         p_multi = 1.0 - math.exp(-mu) * (1.0 + mu)
 
     if gain <= 0.0:
-        return KeyRateResult(0.0, True, 0.0, 0.5)
+        return 0.0
     qber = min((0.5 * y0 + e_det * mu * link) / gain, 0.5)
 
     if source.kind == "decoy":
@@ -69,17 +71,17 @@ def reference_rate(source: SourceModel, t: float, detector: DetectorModel,
         e1 = (0.5 * y0 + e_det * link) / y1
         raw = q_sift * (-gain * f_ec * reference_entropy(qber)
                         + mu * math.exp(-mu) * y1 * (1.0 - reference_entropy(min(e1, 0.5))))
-        return KeyRateResult(max(raw, 0.0), raw <= 0.0, gain, qber)
+        return max(raw, 0.0)
 
     untagged = (gain - p_multi) / gain
     if untagged <= 0.0:
-        return KeyRateResult(0.0, True, gain, qber)
+        return 0.0
     phase_error = qber / untagged
     if phase_error >= 0.5:
-        return KeyRateResult(0.0, True, gain, qber)
+        return 0.0
     raw = q_sift * gain * (untagged * (1.0 - reference_entropy(phase_error))
                            - f_ec * reference_entropy(qber))
-    return KeyRateResult(max(raw, 0.0), raw <= 0.0, gain, qber)
+    return max(raw, 0.0)
 
 
 def reference_golden_mu(source: SourceModel, t: float, detector: DetectorModel,
@@ -87,10 +89,10 @@ def reference_golden_mu(source: SourceModel, t: float, detector: DetectorModel,
     """Scalar golden-section search for the best intensity at one
     transmittance; NaN when no intensity gives a positive rate."""
     def rate_of(mu):
-        return float(qkd._rates(source, t, detector, mu).rate)
+        return float(qkd._rates(source, t, detector, mu))
 
     grid = np.logspace(-6, math.log10(mu_max), 120)
-    values = qkd._rates(source, t, detector, grid).rate.tolist()  # elementwise pre-scan
+    values = qkd._rates(source, t, detector, grid).tolist()  # elementwise pre-scan
     best = int(np.argmax(values))
     if values[best] <= 0.0:
         return math.nan
@@ -192,21 +194,19 @@ class TestKeyRate:
         detector = DetectorModel(receiver_efficiency=1.0, dark_count_per_pulse=0.0,
                                  misalignment_error=0.0,
                                  error_correction_inefficiency=1.0, sifting_factor=0.5)
-        result = key_rate(ideal_sps(), FIBER.at_distance(0.0), detector)
-        assert result.rate == pytest.approx(0.5, rel=1e-12)
+        rate = effective_rate(ideal_sps(), FIBER.at_distance(0.0), detector)
+        assert rate == pytest.approx(0.5, rel=1e-12)
 
     def test_dark_count_dominated_cutoff(self):
         # deep loss: errors pinned at 1/2 by dark counts, no key
-        result = key_rate(REAL_SPS, FIBER.at_distance(400.0), GYS_DETECTOR)
-        assert result.rate == 0.0
-        assert result.below_horizon
+        assert effective_rate(REAL_SPS, FIBER.at_distance(400.0), GYS_DETECTOR) == 0.0
 
     def test_unit_efficiency_zero_g2_equals_ideal(self):
         tuned = SourceModel(kind="real_sps", mean_photons=1.0, g2_zero=0.0)
         for d in (0.0, 10.0, 30.0, 60.0, 120.0):
             channel = FIBER.at_distance(d)
-            assert key_rate(tuned, channel, GYS_DETECTOR).rate == pytest.approx(
-                key_rate(ideal_sps(), channel, GYS_DETECTOR).rate, rel=1e-12)
+            assert effective_rate(tuned, channel, GYS_DETECTOR) == pytest.approx(
+                effective_rate(ideal_sps(), channel, GYS_DETECTOR), rel=1e-12)
 
     def test_rates_monotone_non_increasing(self):
         distances = np.linspace(0.0, 150.0, 151)
@@ -218,8 +218,8 @@ class TestKeyRate:
     def test_ideal_dominates_real(self):
         for d in np.linspace(0.0, 150.0, 76):
             channel = FIBER.at_distance(d)
-            assert key_rate(ideal_sps(), channel, GYS_DETECTOR).rate >= \
-                key_rate(REAL_SPS, channel, GYS_DETECTOR).rate - 1e-15
+            assert effective_rate(ideal_sps(), channel, GYS_DETECTOR) >= \
+                effective_rate(REAL_SPS, channel, GYS_DETECTOR) - 1e-15
 
 
 def _close(a: float, b: float) -> bool:
@@ -245,17 +245,10 @@ class TestArrayRates:
                                  misalignment_error=e_det,
                                  error_correction_inefficiency=f_ec, sifting_factor=q_sift)
         got = qkd._rates(source, np.array(ts)[:, None], detector, np.array(mus))
-        assert got.rate.shape == (len(ts), len(mus))
+        assert got.shape == (len(ts), len(mus))
         for i, t in enumerate(ts):
             for j, mu in enumerate(mus):
-                ref = reference_rate(source, t, detector, mu)
-                where = (kind, t, mu)
-                assert _close(got.rate[i, j], ref.rate), where
-                # a raw rate within rounding of zero may clamp on one side only
-                assert got.below_horizon[i, j] == ref.below_horizon or \
-                    max(got.rate[i, j], ref.rate) <= 1e-15, where
-                assert _close(got.gain[i, j], ref.gain), where
-                assert _close(got.qber[i, j], ref.qber), where
+                assert _close(got[i, j], reference_rate(source, t, detector, mu)), (kind, t, mu)
 
     @pytest.mark.parametrize("kind", qkd.SOURCE_KINDS)
     def test_dark_channel(self, kind):
@@ -263,18 +256,15 @@ class TestArrayRates:
         detector = DetectorModel(receiver_efficiency=0.0, dark_count_per_pulse=0.0)
         source = SourceModel(kind=kind, mean_photons=0.5)
         got = qkd._rates(source, np.array([0.5, 1.0]), detector, 0.5)
-        assert got.rate.tolist() == [0.0, 0.0]
-        assert got.below_horizon.tolist() == [True, True]
-        assert got.gain.tolist() == [0.0, 0.0]
-        assert got.qber.tolist() == [0.5, 0.5]
-        assert reference_rate(source, 0.5, detector, 0.5) == KeyRateResult(0.0, True, 0.0, 0.5)
+        assert got.tolist() == [0.0, 0.0]
+        assert reference_rate(source, 0.5, detector, 0.5) == 0.0
 
     def test_scalar_wrapper_returns_floats(self):
-        result = key_rate(REAL_SPS, FIBER.at_distance(20.0), GYS_DETECTOR)
-        assert type(result.rate) is float and type(result.below_horizon) is bool
+        rate = effective_rate(REAL_SPS, FIBER.at_distance(20.0), GYS_DETECTOR)
+        assert type(rate) is float
         ref = reference_rate(REAL_SPS, channel_transmittance(FIBER.at_distance(20.0)),
                              GYS_DETECTOR, REAL_SPS.mean_photons)
-        assert _close(result.rate, ref.rate)
+        assert _close(rate, ref)
 
 
 class TestLockstepMu:
@@ -312,8 +302,8 @@ class TestMuOptimization:
         channel = FIBER.at_distance(distance)
         mu_star, rate_star = optimize_mu(source, channel, GYS_DETECTOR)
         grid = np.linspace(1e-6, 1.5, 10000)
-        rates = [key_rate(source, channel, GYS_DETECTOR, mu=m).rate for m in grid]
-        assert rate_star >= max(rates) - 1e-12
+        rates = qkd._rates(source, channel_transmittance(channel), GYS_DETECTOR, grid)
+        assert rate_star >= rates.max() - 1e-12
 
     def test_decoy_optimum_insensitive_to_distance(self):
         mus = [optimize_mu(DECOY, FIBER.at_distance(d), GYS_DETECTOR)[0]
@@ -347,11 +337,12 @@ class TestMuOptimization:
 class TestCrossing:
     def test_real_vs_decoy_crossing_exists_and_loss_is_linear(self):
         report = find_crossing(REAL_SPS, DECOY, FIBER, GYS_DETECTOR, (1.0, 120.0))
-        assert report.loss_db == pytest.approx(
-            report.distance_km * 0.21, abs=1e-9)
+        assert report.keys() == {"distance_km", "loss_db", "rate"}
+        assert report["loss_db"] == pytest.approx(
+            report["distance_km"] * 0.21, abs=1e-9)
         # the tagged-states bound puts the crossing in the mid-20s km
-        assert 15.0 < report.distance_km < 35.0
-        assert report.rate > 0.0
+        assert 15.0 < report["distance_km"] < 35.0
+        assert report["rate"] > 0.0
 
     def test_ideal_never_crossed_by_real(self):
         with pytest.raises(NoCrossingError, match="no crossing"):
@@ -365,7 +356,7 @@ class TestCrossing:
         space = ChannelModel(kind="freespace", divergence_model="calibrated",
                              divergence_half_angle_rad=theta)
         space_report = find_crossing(REAL_SPS, DECOY, space, GYS_DETECTOR, (10.0, 1500.0))
-        assert space_report.loss_db == pytest.approx(fiber_report.loss_db, abs=0.02)
+        assert space_report["loss_db"] == pytest.approx(fiber_report["loss_db"], abs=0.02)
 
     def test_bad_interval_rejected(self):
         with pytest.raises(QkdError):
@@ -386,7 +377,7 @@ class TestCrossing:
         monkeypatch.setattr(qkd, "_effective_rates", counted)
         report = find_crossing(REAL_SPS, DECOY, FIBER, GYS_DETECTOR, (1.0, 120.0),
                                tol_km=tol_km)
-        assert report.distance_km == 24.536431234941126
+        assert report["distance_km"] == 24.536431234941126
 
 
 def sequential_crossing(source_a, source_b, channel, detector, interval, tol_km):
@@ -448,7 +439,7 @@ class TestCrossingExactness:
                                tol_km=tol_km)
         expected = sequential_crossing(REAL_SPS, source_b, channel, GYS_DETECTOR, interval,
                                        tol_km)
-        assert (report.distance_km, report.loss_db, report.rate) == expected
+        assert (report["distance_km"], report["loss_db"], report["rate"]) == expected
 
     @pytest.mark.parametrize("tol_km", [1e-1, 1e-3, 1e-6])
     @pytest.mark.parametrize("sources", [(REAL_SPS, DECOY), (DECOY, REAL_SPS)],
@@ -467,8 +458,22 @@ class TestCrossingExactness:
         monkeypatch.setattr(qkd, "_effective_rates", clamped)
         report = find_crossing(*sources, FIBER, GYS_DETECTOR, (1.0, 120.0), tol_km=tol_km)
         expected = sequential_crossing(*sources, FIBER, GYS_DETECTOR, (1.0, 120.0), tol_km)
-        assert (report.distance_km, report.loss_db, report.rate) == expected
-        assert report.distance_km == pytest.approx(20.0, abs=tol_km)
+        assert (report["distance_km"], report["loss_db"], report["rate"]) == expected
+        assert report["distance_km"] == pytest.approx(20.0, abs=tol_km)
+
+
+class TestGoldenCrossings:
+    def test_default_fiber_crossings(self, tmp_path):
+        """The default ``qkd`` run's crossing report, pinned to 1e-12
+        relative against values recorded when each crossing was a record."""
+        gold = json.loads((Path(__file__).parent / "golden_optics.json").read_text())
+        assert main(["--outdir", str(tmp_path), "qkd"]) == 0
+        crossings = json.loads((tmp_path / "qkd_crossings.json").read_text())["crossings"]
+        assert crossings.keys() == gold["qkd_fiber_crossings"].keys()
+        for label, expected in gold["qkd_fiber_crossings"].items():
+            assert crossings[label].keys() == expected.keys(), label
+            for key, value in expected.items():
+                assert crossings[label][key] == pytest.approx(value, rel=1e-12), (label, key)
 
 
 class TestSweep:

@@ -21,7 +21,6 @@ from spskit.specfit import (
     FitResult,
     MeasurementSeries,
     SeriesError,
-    Sinc2Instrument,
     convolve_decay,
     correct_g2_background,
     cos2_model,
@@ -133,14 +132,14 @@ class TestLorentzianFit:
         # a 0.224 nm line behind a finite interferometer scan: fitting with
         # the kernel recovers the physical linewidth
         x = np.linspace(565.85 - 3.0, 565.85 + 3.0, 601)
-        instrument = Sinc2Instrument(scan_range_per_nm=3.0)
+        instrument = 3.0  # scan range, 1/nm
         y = lorentzian_with_instrument(x, 565.85, 0.224, 1000.0, 0.0, instrument)
         fit = fit_lorentzian(series(x, y), instrument)
         assert fit.params["fwhm_nm"] == pytest.approx(0.224, rel=0.03)
 
     def test_instrument_broadens_plain_fit(self):
         x = np.linspace(565.85 - 3.0, 565.85 + 3.0, 601)
-        instrument = Sinc2Instrument(scan_range_per_nm=3.0)
+        instrument = 3.0  # scan range, 1/nm
         y = lorentzian_with_instrument(x, 565.85, 0.224, 1000.0, 0.0, instrument)
         plain = fit_lorentzian(series(x, y))
         assert plain.params["fwhm_nm"] > 0.25
@@ -149,7 +148,7 @@ class TestLorentzianFit:
         rng = np.random.default_rng(3)
         x = np.linspace(550, 580, 401)
         y = lorentzian(x, 566.0, 4.0, 500.0, 5.0) + rng.normal(0, 2.0, x.size)
-        wide = fit_lorentzian(series(x, y), Sinc2Instrument(scan_range_per_nm=1e6))
+        wide = fit_lorentzian(series(x, y), 1e6)
         plain = fit_lorentzian(series(x, y))
         for key in ("center_nm", "fwhm_nm", "amplitude", "offset"):
             assert wide.params[key] == pytest.approx(plain.params[key], rel=1e-6)
@@ -157,13 +156,19 @@ class TestLorentzianFit:
     def test_delta_kernel_convolution_is_identity(self):
         x = np.linspace(560, 572, 801)
         clean = lorentzian(x, 566.0, 1.5, 123.0, 7.0)
-        conv = lorentzian_with_instrument(x, 566.0, 1.5, 123.0, 7.0,
-                                          Sinc2Instrument(scan_range_per_nm=1e9))
+        conv = lorentzian_with_instrument(x, 566.0, 1.5, 123.0, 7.0, 1e9)
         assert np.max(np.abs(conv - clean)) < 1e-9 * 123.0
 
     def test_kernel_has_unit_weight(self):
-        kern = Sinc2Instrument(scan_range_per_nm=2.5).kernel(0.01, 600)
+        kern = specfit_module._sinc2_kernel(2.5, 0.01, 600)
         assert kern.sum() == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("scan_range", [math.nan, math.inf, -1.0, 0.0])
+    def test_bad_scan_range_rejected_first(self, scan_range):
+        # checked before the sample count: five samples would fail that too
+        x = np.linspace(560, 570, 5)
+        with pytest.raises(SeriesError, match="scan range must be positive and finite"):
+            fit_lorentzian(series(x, lorentzian(x, 565.0, 2.0, 10.0)), scan_range)
 
     def test_nonconvergence_carries_last_iterate(self, monkeypatch):
         monkeypatch.setattr(specfit_module, "MAX_ITERATIONS", 1)
