@@ -146,7 +146,9 @@ def cmd_fit(args, scenario: Scenario) -> None:
     fcfg = scenario["fit"]
     payload: dict = {"input": str(args.input), "kind": series.kind}
     if series.kind == "spectrum":
-        scan_range = args.scan_range or fcfg["scan_range_per_nm"] or None
+        # an explicit 0 switches the instrument off over the scenario's value
+        scan_range = (fcfg["scan_range_per_nm"] if args.scan_range is None
+                      else args.scan_range) or None
         fit = specfit.fit_lorentzian(series, scan_range)
         payload["fit"] = fit.as_dict()
         payload["zpl_fraction"] = specfit.zpl_fraction(
@@ -325,8 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = add("fit", help="fit a measurement CSV; kind read from its header")
     p_fit.add_argument("--input", required=True, help="two-column CSV with a kind header")
     p_fit.add_argument("--irf", help="instrument response CSV (decay fitting)")
-    p_fit.add_argument("--scan-range", type=float, default=0.0,
-                       help="sinc^2 instrument scale in 1/nm (spectrum fitting)")
+    p_fit.add_argument("--scan-range", type=float, default=None,
+                       help="sinc^2 instrument scale in 1/nm, 0 for none (spectrum fitting)")
     p_fit.add_argument("--snr", type=float, default=None,
                        help="signal-to-noise ratio for background-corrected g2")
 

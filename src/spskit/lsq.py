@@ -10,27 +10,32 @@ on theta alone. Linear inequalities C c >= d are met by enumerating the
 active sets of that small solve.
 
 The iteration on theta is Moré's MINPACK Levenberg-Marquardt (LNM 630,
-1978): a forward-difference Jacobian (step sqrt(eps)*|p|, or sqrt(eps)
-at p = 0), parameters scaled by the running maximum of its column norms,
-and damping that grows after a rejected step and shrinks after an
-accepted one with the ratio of actual to predicted cost reduction
-(Nielsen's update in place of MINPACK's trust radius). It stops when the
-relative cost reduction and the predicted one both fall below 1e-12,
-when the scaled step falls below ``step_tolerance``, or when the scaled
-gradient vanishes. Bounds on theta need no second path: each trial point
-is projected into the box, and a parameter on a bound whose descent
+1978) on the Jacobian of the projected residual in closed form: the
+model gives each dphi_k/dtheta_j from its columns, and a column of the
+Jacobian is Kaufman's P (sum_k c_k dphi_k/dtheta_j) (BIT 15, 49 (1975)),
+P projecting off the columns the active constraints leave free, plus
+Golub and Pereyra's second term, which costs one dot product more. It is
+formed once per accepted point, from that point's stored columns.
+Parameters are scaled by the running maximum of its column norms, and
+the damping grows after a rejected step and shrinks after an accepted
+one with the ratio of actual to predicted cost reduction (Nielsen's
+update in place of MINPACK's trust radius). It stops when the relative
+cost reduction and the predicted one both fall below 1e-12, when the
+scaled step falls below ``step_tolerance``, or when the scaled gradient
+vanishes. Bounds on theta need no second path: each trial point is
+projected into the box, and a parameter on a bound whose descent
 direction points out of the box is held for that iteration. Where a
-constraint holds the coefficients of a parameter's columns at 0, the
-cost is flat in that parameter and the stopping tests hold anywhere; a
-problem that stops with such a flat Jacobian column samples the
-parameter over decades and restarts from a sample that lowers its cost.
+constraint holds the coefficients of a parameter's columns at 0, its
+Jacobian column is exactly zero and the stopping tests hold anywhere; a
+problem that stops with such a column samples the parameter over decades
+and restarts from a sample that lowers its cost.
 
-An evaluation is one basis call and coefficient solve at one theta; a
-problem may spend max_iterations * (m + 1) of them for m nonlinear
-parameters, Jacobian columns included. Each problem has its own state
-until it converges or fails; a round evaluates every problem still
-searching in one call. Stacked products and decompositions, axis norms
-and elementwise arithmetic give each problem the bits it gets alone.
+An evaluation is one basis call and coefficient solve at one trial
+point; a problem may spend max_iterations of them. Each problem has its
+own state until it converges or fails; a round evaluates every problem
+still searching in one call. Stacked products and decompositions, axis
+norms and elementwise arithmetic give each problem the bits it gets
+alone.
 """
 from __future__ import annotations
 
@@ -40,22 +45,22 @@ import math
 
 import numpy as np
 
-SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
-
-def levenberg_marquardt(basis, x, y, p0, weights, bounds, max_iterations: int,
+def levenberg_marquardt(basis, derivatives, x, y, p0, weights, bounds, max_iterations: int,
                         step_tolerance: float, constraints=None) -> list:
     """Separable Levenberg-Marquardt fits of one model to B problems in lockstep.
 
     ``basis(x, *theta)`` gives the k columns, each one row per problem or
     one for all; theta reaches it as (problems, 1) columns, or as scalars
-    for one problem. ``y`` and ``p0`` (theta's start) hold one row per
-    problem; ``x``, ``weights``, each bound of ``bounds = (lower, upper)``
-    on theta and d of ``constraints = (C, d)``, for C c >= d with d
-    finite, one row per problem or one for all, or None. Returns per
-    problem (converged, theta, c, residuals, cost, evaluations); one out
-    of budget has only its best theta and c, and one whose start has a
-    non-finite cost is not converged.
+    for one problem. ``derivatives(x, columns, *theta)`` gives, from the
+    stacked columns (problems, k, N), a pair (k, dphi_k/dtheta_j) for each
+    theta_j: each theta_j moves one column. ``y`` and ``p0`` (theta's
+    start) hold one row per problem; ``x``, ``weights``, each bound of
+    ``bounds = (lower, upper)`` on theta and d of ``constraints = (C, d)``,
+    for C c >= d with d finite, one row per problem or one for all, or
+    None. Returns per problem (converged, theta, c, residuals, cost,
+    evaluations); one out of budget has only its best theta and c, and one
+    whose start has a non-finite cost is not converged.
     """
     y = np.asarray(y, dtype=float)
     p = np.array(p0, dtype=float)
@@ -65,20 +70,22 @@ def levenberg_marquardt(basis, x, y, p0, weights, bounds, max_iterations: int,
     yw = y if w is None else y * w
     lo, hi = (np.broadcast_to(np.asarray(b, dtype=float), p.shape)
               for b in ((-np.inf, np.inf) if bounds is None else bounds))
+    sets = None  # the active sets of the constraints, for the Jacobian
     if constraints is not None:
         cons = np.asarray(constraints[0], dtype=float)
         floor = np.broadcast_to(np.asarray(constraints[1], dtype=float), (n_prob, len(cons)))
-    budget = max_iterations * (n + 1)
+        sets = _active_sets(_rows(cons))
     ftol = gtol = 1e-12
     p = np.clip(p, lo, hi)
-    # arrays for the iteration, one row per problem; Python scalars for the
-    # bookkeeping, cheaper than numpy for a few problems
-    r, jac, scale = np.empty_like(y), np.empty(y.shape + (n,)), np.zeros((n_prob, n))
-    coef = None  # the coefficients at p, sized by the first basis call
-    # each problem's free mask and the SVD of its scaled free Jacobian
-    # columns, left-aligned: singular values, V^T and U^T r
-    free = [(True,) * n] * n_prob
-    sv, vt, ur = np.zeros((n_prob, n)), np.zeros((n_prob, n, n)), np.zeros((n_prob, n))
+    # arrays for the iteration, one row per problem, the Jacobian as its n
+    # columns; Python scalars for the bookkeeping, cheaper than numpy for a
+    # few problems
+    r, jac, scale = np.empty_like(y), np.empty((n_prob, n, y.shape[1])), np.zeros((n_prob, n))
+    # each problem's free mask and the SVD of its scaled Jacobian with the
+    # columns of held parameters zeroed: singular values, V^T and V^T of
+    # the scaled gradient, D^-1 J^T r with those entries zeroed
+    free = np.ones((n_prob, n), dtype=bool)
+    sv, vt, vg = np.zeros((n_prob, n)), np.zeros((n_prob, n, n)), np.zeros((n_prob, n))
     cost, calls, damping, growth = [0.0] * n_prob, [0] * n_prob, [1e-3] * n_prob, [2.0] * n_prob
     best_cost, best_p, best_c = [math.inf] * n_prob, list(p), [None] * n_prob
     outcome: list = [None] * n_prob
@@ -90,44 +97,39 @@ def levenberg_marquardt(basis, x, y, p0, weights, bounds, max_iterations: int,
         return slice(None) if len(idx) == n_prob else idx
 
     def evaluate(idx, q):
-        """Coefficients, residuals and costs at q, one row per problem of
-        idx; a problem whose budget is spent fails instead, with the best
-        point it saw."""
+        """The costs at q, one row per problem of idx, and the point (q, c,
+        residuals, columns, weighted columns, their Gram matrices, active
+        sets), None when every problem's budget is spent; such a problem
+        fails instead, with the best point it saw."""
         nonlocal rounds
         rounds += 1
-        if rounds > budget:  # a round evaluates a problem at most once
+        if rounds > max_iterations:  # a round evaluates a problem at most once
             for i in idx:
-                if calls[i] == budget and outcome[i] is None:
+                if calls[i] == max_iterations and outcome[i] is None:
                     outcome[i] = (False, best_p[i], best_c[i], None, None, calls[i])
             if all(outcome[i] is not None for i in idx):
-                return None, None, None
+                return None, None
         at = rows(idx)
-        # one problem takes scalars, cheaper for numpy than 1-element columns
-        params = q[0] if len(idx) == 1 else q.T[:, :, None]
-        phi = np.stack(np.broadcast_arrays(*basis(x if x.ndim == 1 else x[at], *params),
-                                           yw[at])[:-1], axis=1)
-        if w is not None:
-            phi = phi * w[at][:, None]
-        c = _coefficients(phi, yw[at], None if constraints is None else (cons, floor[at]))
-        res = (c[:, :, None] * phi).sum(axis=1) - yw[at]
+        cols = _columns(basis, x if x.ndim == 1 else x[at], q, yw[at])
+        phi = cols if w is None else cols * w[at][:, None]
+        c, gram, held = _coefficients(phi, yw[at], None if constraints is None
+                                      else (cons, floor[at]))
+        res = (c[:, None] @ phi)[:, 0] - yw[at]
         costs = np.vecdot(res, res).tolist()  # each row's res @ res, bit for bit
         for k, i in enumerate(idx):
             if outcome[i] is None:
                 calls[i] += 1
                 if costs[k] < best_cost[i]:
                     best_cost[i], best_p[i], best_c[i] = costs[k], q[k], c[k]
-        return c, res, costs
+        return costs, (q, c, res, cols, phi, gram, held)
 
-    def jacobian(idx):
-        """Jacobians at p, one evaluation per column; returns the problems left."""
+    def jacobian(idx, point):
         at = rows(idx)
-        for j, col in enumerate(forward_columns(lambda q: evaluate(idx, q)[1], p[at], r[at],
-                                                hi[at])):
-            jac[at, :, j] = col
-        return [i for i in idx if outcome[i] is None]
+        jac[at] = _jacobian(derivatives, x if x.ndim == 1 else x[at], None if w is None else w[at],
+                            point, sets)
 
     def finish(i):
-        if cost[i] < sampled[i] and not jac[i].any(axis=0).all():
+        if cost[i] < sampled[i] and not jac[i].any(axis=1).all():
             ending.append(i)  # its cost is flat in some parameter: ``restart``
         else:  # a trial never has a non-finite cost: only a start can
             outcome[i] = (math.isfinite(cost[i]), p[i], coef[i], r[i], cost[i], calls[i])
@@ -141,84 +143,73 @@ def levenberg_marquardt(basis, x, y, p0, weights, bounds, max_iterations: int,
         idx, found = sorted(ending), {}
         ending.clear()
         for j, f in itertools.product(range(n), [4.0 ** k for k in range(-6, 7) if k]):
-            sub = [i for i in idx if outcome[i] is None and not jac[i][:, j].any()]
+            sub = [i for i in idx if outcome[i] is None and not jac[i][j].any()]
             if sub:
                 q = p[sub]
                 q[:, j] = np.minimum(np.maximum(q[:, j] * f, lo[sub, j]), hi[sub, j])
-                c, res, costs = evaluate(sub, q)
+                costs, point = evaluate(sub, q)
                 for k, i in enumerate(sub):
-                    if res is not None and costs[k] < found.get(i, (cost[i],))[0]:
-                        found[i] = (costs[k], q[k], c[k], res[k])
+                    if point is not None and costs[k] < found.get(i, (cost[i],))[0]:
+                        found[i] = (costs[k], tuple(a[k] for a in point))
         for i in idx:
             sampled[i] = cost[i]
             if outcome[i] is None and i not in found:
                 finish(i)
         idx = [i for i in idx if outcome[i] is None]
         for i in idx:
-            (cost[i], p[i], coef[i], r[i]), damping[i], growth[i] = found[i], 1e-3, 2.0
-        return prepare(jacobian(idx)) if idx else []
-
-    def groups(idx):
-        """The problems of idx by free mask: positions in idx, state-array
-        index, free columns and their number; slices where all are taken."""
-        by_mask: dict = {}
-        for k, i in enumerate(idx):
-            by_mask.setdefault(free[i], []).append(k)
-        if len(by_mask) == 1:
-            (mask,) = by_mask
-            return [(slice(None), rows(idx), slice(None) if all(mask) else np.array(mask),
-                     sum(mask))]
-        return [(pos, [idx[k] for k in pos], np.array(mask), sum(mask))
-                for mask, pos in by_mask.items()]
+            cost[i], (p[i], coef[i], r[i], *_) = found[i]
+            damping[i], growth[i] = 1e-3, 2.0
+        if idx:
+            jacobian(idx, tuple(map(np.array, zip(*(found[i][1] for i in idx)))))
+        return prepare(idx)
 
     def prepare(idx):
         """Scale, gradient test and SVD at new Jacobians; returns the problems left."""
         if not idx:
             return idx
         at = rows(idx)
-        # np.linalg.norm's sum and the gradient, one problem at a time: no
-        # J-sized square or copy
-        norms = np.sqrt([np.add.reduce(jac[i] * jac[i], axis=0) for i in idx])
-        grad = np.array([jac[i].T @ r[i] for i in idx])
+        # column norms and the gradient one problem at a time: no J-sized
+        # square or copy
+        norms = np.sqrt([np.vecdot(jac[i], jac[i]) for i in idx])
+        grad = np.array([np.vecdot(jac[i], r[i]) for i in idx])
         s = np.maximum(scale[at], norms)
         s[s == 0.0] = 1.0
         scale[at] = s
         q = p[at]
         # a parameter on a bound whose descent direction leaves the box
         # stays where it is this iteration
-        f = ~(((q <= lo[at]) & (grad > 0.0)) | ((q >= hi[at]) & (grad < 0.0)))
+        free[at] = f = ~(((q <= lo[at]) & (grad > 0.0)) | ((q >= hi[at]) & (grad < 0.0)))
+        vg[at] = f * grad / s
         tested = f & (np.abs(grad) > gtol * norms * np.sqrt([cost[i] for i in idx])[:, None])
-        for i, mask, test in zip(idx, f.tolist(), tested.tolist()):
-            free[i] = tuple(mask)
+        for i, test in zip(idx, tested.tolist()):
             if not any(test):  # the scaled gradient vanishes
                 finish(i)
         idx = [i for i in idx if outcome[i] is None and i not in ending]
-        for _, g, cols, k in groups(idx):
-            # one SVD of the stack: each matrix gets the bits it gets alone
-            u, sv[g, :k], vt[g, :k, :k] = np.linalg.svd(
-                jac[g][:, :, cols] / scale[g][:, None, cols], full_matrices=False)
-            ur[g, :k] = (u.transpose(0, 2, 1) @ r[g][:, :, None])[:, :, 0]
+        if idx:
+            at = rows(idx)
+            # R of J D^-1 = Q R has its singular values and V; one QR and
+            # SVD of the stack: each matrix gets the bits it gets alone
+            _, sv[at], vt[at] = np.linalg.svd(np.linalg.qr(
+                (jac[at] * (free[at] / scale[at])[:, :, None]).transpose(0, 2, 1), mode="r"))
+            vg[at] = (vt[at] @ vg[at][:, :, None])[:, :, 0]
         return idx
 
     def attempt(idx):
         """One damped step each; returns the problems still searching."""
         at = rows(idx)
         q = p[at]
-        damp = np.array([damping[i] for i in idx])
-        step = np.zeros(q.shape)
-        for pos, g, cols, k in groups(idx):
-            s = sv[g, :k]
-            filtered = s * ur[g, :k] / (s * s + damp[pos][:, None])
-            where = (pos, cols) if isinstance(pos, slice) else np.ix_(pos, np.arange(n)[cols])
-            step[where] = (-(vt[g, :k, :k].transpose(0, 2, 1) @ filtered[:, :, None])[:, :, 0]
-                           / scale[g][:, cols])
+        s, v_t = sv[at], vt[at]
+        filtered = vg[at] / (s * s + np.array([damping[i] for i in idx])[:, None])
+        step = -(v_t.transpose(0, 2, 1) @ filtered[:, :, None])[:, :, 0] * free[at] / scale[at]
         trial = np.minimum(np.maximum(q + step, lo[at]), hi[at])  # np.clip, less overhead
         step = trial - q
-        c_new, r_new, cost_new = evaluate(idx, trial)
-        if r_new is None:
+        # the reduction |r|^2 - |r + J step|^2 = -2 z.vg - |s z|^2 that the
+        # linear model predicts, z = V^T D step
+        z = (v_t @ (scale[at] * step)[:, :, None])[:, :, 0]
+        predicted = (-2.0 * np.vecdot(z, vg[at]) - np.vecdot(s * z, s * z)).tolist()
+        cost_new, point = evaluate(idx, trial)
+        if point is None:
             return []
-        linear_sq = [float(np.vecdot(lin, lin)) for lin in (r[i] + jac[i] @ step[k]
-                                                            for k, i in enumerate(idx))]
         # the scaled step and point, each row's norm
         step_norm, x_norm = (np.sqrt(np.vecdot(v, v)).tolist()
                              for v in (scale[at] * step, scale[at] * q))
@@ -226,10 +217,9 @@ def levenberg_marquardt(basis, x, y, p0, weights, bounds, max_iterations: int,
         for k, i in enumerate(idx):
             if outcome[i] is not None:  # out of budget
                 continue
-            predicted = cost[i] - linear_sq[k]
             actual = cost[i] - cost_new[k]  # NaN for a non-finite trial
-            ratio = actual / predicted if predicted > 0.0 else 0.0
-            if ((abs(actual) <= ftol * cost[i] and predicted <= ftol * cost[i] and ratio <= 2.0)
+            ratio = actual / predicted[k] if predicted[k] > 0.0 else 0.0
+            if ((abs(actual) <= ftol * cost[i] and predicted[k] <= ftol * cost[i] and ratio <= 2.0)
                     or step_norm[k] <= step_tolerance * (step_tolerance + x_norm[k])):
                 stopped.add(i)
             if ratio > 1e-4:
@@ -246,40 +236,96 @@ def levenberg_marquardt(basis, x, y, p0, weights, bounds, max_iterations: int,
                 growth[i] *= 2.0
                 retry.append(i)
         if moved:
+            if len(moved) < len(idx):  # the rows of the moved, and no other alive
+                point = tuple(a[moved_at] for a in point)
             at = rows(moved)
-            p[at], coef[at], r[at] = trial[moved_at], c_new[moved_at], r_new[moved_at]
-            del r_new
-            moved = jacobian(moved)
+            p[at], coef[at], r[at] = point[:3]
+            jacobian(moved, point)
             for i in stopped.intersection(moved):
                 finish(i)
         return sorted(retry + prepare([i for i in moved if i not in stopped]))
 
     searching = list(range(n_prob))
-    coef, res, costs = evaluate(searching, p)
-    if res is not None:
-        r[:], cost[:] = res, costs
-        searching = prepare(jacobian(searching))
-    while res is not None and (searching or ending):
-        searching = sorted((attempt(searching) if searching else []) + restart())
+    costs, point = evaluate(searching, p)
+    if point is not None:
+        cost[:], coef, r[:] = costs, point[1], point[2]
+        jacobian(searching, point)
+        del point
+        searching = prepare(searching)
+        while searching or ending:
+            searching = sorted((attempt(searching) if searching else []) + restart())
     return outcome
 
 
-def forward_columns(residual, p: np.ndarray, r: np.ndarray, hi=None):
-    """The columns (residual(p + h_j e_j) - r) / h_j of the forward-difference
-    Jacobian at p, one row per problem, r = residual(p), with MINPACK's step
-    h = sqrt(eps)*|p|, or sqrt(eps) at p = 0, turned back where it would
-    pass ``hi``; they end where ``residual`` gives None."""
-    h = SQRT_EPS * np.abs(p)
-    h[h == 0.0] = SQRT_EPS
-    if hi is not None:
-        h[p + h > hi] *= -1.0
-    for j in range(p.shape[1]):
-        q = p.copy()
-        q[:, j] += h[:, j]
-        res = residual(q)
-        if res is None:
-            return
-        yield (res - r) / h[:, j, None]
+def _jacobian(derivatives, x, w, point, sets) -> np.ndarray:
+    """The Jacobians (problems, n, N) of the weighted residuals at a point
+    of ``evaluate`` in ``levenberg_marquardt``, from its columns: each
+    theta_j's v = sum w c_k dphi_k/dtheta_j less Phi_f G_f^-1 (Phi_f^T v +
+    t^T a), with Phi_f = Phi t the columns the active set leaves free
+    (c = t u + e d, ``sets[s]``; all where none is active), G_f their Gram
+    matrix and a = (w dPhi/dtheta_j)^T r."""
+    q, c, res, cols, phi, gram, held = point
+    v, a = _directions(derivatives, x, q, c, cols, w, res)
+    rhs = np.vecdot(phi[:, None], v[:, :, None]) + a  # (problems, n, k)
+    active = set(held.tolist())
+    for s in active:
+        sel = slice(None) if len(active) == 1 else held == s
+        t = np.eye(len(gram[0])) if s < 0 else sets[s][0]
+        b = rhs[sel] @ t
+        u = _solve(np.broadcast_to((t.T @ gram[sel] @ t)[:, None], b.shape + b.shape[-1:]), b)
+        v[sel] -= u @ t.T @ phi[sel]
+    return v
+
+
+def covariance_factors(basis, derivatives, x, y, theta, c, weights) -> np.ndarray:
+    """At solutions (theta, c) for the data y, one row each, a matrix A
+    per problem whose A A^T is the covariance of (theta, c): s^2 (J^T J)^+
+    for the exact weighted Jacobian J = [sum_k c_k dphi_k/dtheta, Phi],
+    s^2 = |r|^2 / (N - n - k) for the weighted residuals r. A is
+    D^-1 V diag(s/sigma), with J D^-1 = U diag(sigma) V^T and D the column
+    norms; singular values below eps max(N, n + k) sigma_0 are cut, as in
+    scipy's ``curve_fit``."""
+    y, theta, c = (np.asarray(a, dtype=float) for a in (y, theta, c))
+    w = None if weights is None else np.broadcast_to(weights, y.shape)
+    cols = _columns(basis, x, theta, y)
+    phi = cols if w is None else cols * w[:, None]
+    res = (c[:, None] @ phi)[:, 0] - (y if w is None else y * w)
+    jt = np.concatenate([_directions(derivatives, x, theta, c, cols, w, res)[0], phi], axis=1)
+    del cols, phi
+    m, size = jt.shape[1:]
+    norms = np.sqrt(np.vecdot(jt, jt))
+    norms[norms == 0.0] = 1.0
+    jt /= norms[:, :, None]
+    # J D^-1 = Q R: R has its singular values and V, and no factor of N rows is kept
+    _, sigma, v_t = np.linalg.svd(np.linalg.qr(jt.transpose(0, 2, 1), mode="r"))
+    kept = sigma > np.finfo(float).eps * max(size, m) * sigma[:, :1]
+    inverse = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=kept)
+    s = np.sqrt(np.vecdot(res, res) / max(size - m, 1))
+    return v_t.transpose(0, 2, 1) * (inverse * s[:, None])[:, None] / norms[:, :, None]
+
+
+def _columns(basis, x, q, like) -> np.ndarray:
+    """The basis columns at q, stacked (problems, k, N) in the shape of
+    ``like`` (problems, N); one problem takes scalars, cheaper for numpy
+    than 1-element columns."""
+    params = q[0] if len(q) == 1 else q.T[:, :, None]
+    return np.stack(np.broadcast_arrays(*basis(x, *params), like)[:-1], axis=1)
+
+
+def _directions(derivatives, x, q, c, cols, w, r) -> tuple:
+    """v = sum_k c_k dphi_k/dtheta_j at q for each theta_j, weighted by w
+    (None for none), (problems, n, N), and a (problems, n, k) holding
+    (w dphi_k/dtheta_j)^T r at [j, k] for the weighted residuals r."""
+    v = np.empty((len(q), q.shape[1], cols.shape[-1]))
+    a = np.zeros((len(q), q.shape[1], cols.shape[1]))
+    params = q[0] if len(q) == 1 else q.T[:, :, None]
+    rw = r if w is None else r * w
+    for j, (k, slope) in enumerate(derivatives(x, cols, *params)):
+        np.multiply(c[:, k, None], slope, out=v[:, j])
+        a[:, j, k] = np.vecdot(slope, rw)
+    if w is not None:
+        v *= w[:, None]
+    return v, a
 
 
 def _coefficients(phi: np.ndarray, y: np.ndarray, constraints=None) -> np.ndarray:
@@ -287,24 +333,29 @@ def _coefficients(phi: np.ndarray, y: np.ndarray, constraints=None) -> np.ndarra
     ``phi`` (problems, k, N) for ``y`` (problems, N), by the normal
     equations; NaN where those are singular. With ``constraints = (C, d)``
     (d one row per problem) the coefficients meet C c >= d: a problem whose
-    unconstrained solution does not gets ``_constrained``'s."""
+    unconstrained solution does not gets ``_constrained``'s. Returns c, the
+    Gram matrices and each problem's active set, its index in
+    ``_active_sets(C)`` or -1 for none."""
     gram = np.vecdot(phi[:, :, None], phi[:, None])
     rhs = np.vecdot(phi, y[:, None])
     c = _solve(gram, rhs)
+    held = np.full(len(c), -1)
     if constraints is not None:
         cons, floor = constraints
         out = ~(np.vecdot(c[:, None], cons) >= floor).all(axis=1)  # NaN where singular
         if out.any():
-            c[out] = _constrained(gram[out], rhs[out], cons, floor[out])
-    return c
+            c[out], held[out] = _constrained(gram[out], rhs[out], cons, floor[out])
+    return c, gram, held
 
 
 def _constrained(gram, rhs, cons, floor):
     """The least-cost c, one per problem, of the minimizers of
     c^T G c - 2 b^T c that hold an active set of the rows of C c >= d
-    with equality and meet every row; NaN where none does."""
+    with equality and meet every row, and the index of that set; NaN and
+    -1 where none does."""
     best, least = np.full(rhs.shape, np.nan), np.full(len(rhs), np.inf)
-    for t, e in _active_sets(tuple(map(tuple, cons.tolist()))):
+    which = np.full(len(rhs), -1)
+    for s, (t, e) in enumerate(_active_sets(_rows(cons))):
         # c = t u + e d meets the active rows for every u
         cand = np.vecdot(floor[:, None], e)
         u = _solve(t.T @ gram @ t, np.vecdot((rhs - (gram @ cand[:, :, None])[:, :, 0])[:, None],
@@ -312,8 +363,12 @@ def _constrained(gram, rhs, cons, floor):
         cand += (t @ u[:, :, None])[:, :, 0]
         cost = np.vecdot(cand, (gram @ cand[:, :, None])[:, :, 0]) - 2.0 * np.vecdot(rhs, cand)
         better = (np.vecdot(cand[:, None], cons) >= floor).all(axis=1) & (cost < least)
-        best[better], least[better] = cand[better], cost[better]
-    return best
+        best[better], least[better], which[better] = cand[better], cost[better], s
+    return best, which
+
+
+def _rows(cons: np.ndarray) -> tuple:  # C as the hashable key of ``_active_sets``
+    return tuple(map(tuple, cons.tolist()))
 
 
 @functools.lru_cache(maxsize=8)

@@ -2,18 +2,18 @@
 
 Fitters follow one recipe: minimization of weighted residuals, Poisson
 weights for count data and uniform weights for spectra, parameter
-uncertainties from the Jacobian-based covariance at the optimum. Every
-fitter round-trips: a curve generated from the model with known
+uncertainties from the covariance of the exact Jacobian at the optimum.
+Every fitter round-trips: a curve generated from the model with known
 parameters plus bounded noise is recovered within the documented
 tolerance.
 
 Every model is ``Separable``, linear in its amplitudes, offsets and level
-for given nonlinear parameters theta, and is fitted by the
-variable-projection solver of module ``lsq`` (see there what
-``n_evaluations`` counts). ``_run_fit_batch`` solves many problems of one
-model in lockstep, each with the bits it gets alone. The sinc^2
-instrument of a Lorentzian fit is given by its scan range alone, a
-float in 1/nm (None for no instrument).
+for given nonlinear parameters theta, with the derivatives of its columns
+in closed form, and is fitted by the variable-projection solver of module
+``lsq`` (see there what ``n_evaluations`` counts). ``_run_fit_batch``
+solves many problems of one model in lockstep, each with the bits it
+gets alone. The sinc^2 instrument of a Lorentzian fit is given by its
+scan range alone, a float in 1/nm (None for no instrument).
 
 The IRF convolution is the recursion y[n] = a y[n-1] + irf[n],
 a = exp(-dt/tau) (Enderlein and Erdmann, Opt. Commun. 134, 371 (1997)),
@@ -178,20 +178,17 @@ class G2Fit:
 # ---------------------------------------------------------------------------
 
 class Separable(NamedTuple):
-    """The sum of the columns of ``basis(x, *theta)`` weighted by c. The
-    named parameters are theta then c, or ``params(theta, c)`` of stacks of
-    both (a row per problem), with ``model(x, *params)`` the model in them."""
+    """The sum of the columns of ``basis(x, *theta)`` weighted by c, with
+    ``derivatives(x, columns, *theta)`` giving each theta_j's (k,
+    dphi_k/dtheta_j) from those columns (see ``lsq.levenberg_marquardt``).
+    The named parameters are theta then c, or the first of
+    ``params(theta, c)`` of stacks of both (a row per problem), whose
+    second is their Jacobian in (theta, c)."""
 
     basis: Callable
+    derivatives: Callable
     names: Sequence[str]
-    params: Callable | None = None
-    model: Callable | None = None
-
-    def named(self, theta, c) -> np.ndarray:
-        return np.hstack([theta, c]) if self.params is None else self.params(theta, c)
-
-    def full_model(self, m: int) -> Callable:  # for m nonlinear parameters
-        return self.model or (lambda x, *p: sum(map(np.multiply, p[m:], self.basis(x, *p[:m]))))
+    params: Callable = lambda theta, c: (np.hstack([theta, c]), None)
 
 
 def _one(outcomes: list):
@@ -206,46 +203,32 @@ def _run_fit_batch(fit: Separable, x, y, theta0, weights=None, bounds=None,
                    constraints=None) -> list:
     """``lsq.levenberg_marquardt`` fits of one model to B problems: per
     problem its FitResult, or the FitError with the best point seen. The
-    uncertainties take the Jacobian of the model in the named parameters."""
+    uncertainties are those of ``lsq.covariance_factors`` in (theta, c),
+    carried to the named parameters by their Jacobian."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.ndim == 2 and (x == x[0]).all():
         x = x[0].copy()  # rows that are all equal reach the model as that one row
-    outcomes = lsq.levenberg_marquardt(fit.basis, x, y, theta0, weights, bounds,
-                                       MAX_ITERATIONS, STEP_TOLERANCE, constraints)
+    outcomes = lsq.levenberg_marquardt(fit.basis, fit.derivatives, x, y, theta0, weights,
+                                       bounds, MAX_ITERATIONS, STEP_TOLERANCE, constraints)
     theta, c = (np.array([o[k] for o in outcomes]) for k in (1, 2))
-    params, ok = fit.named(theta, c), np.array([o[0] for o in outcomes])
+    (params, to_named), ok = fit.params(theta, c), np.array([o[0] for o in outcomes])
     if ok.any():
-        model, x_ok = fit.full_model(theta.shape[1]), x if x.ndim == 1 else x[ok]
-        w = 1.0 if weights is None else np.broadcast_to(weights, y.shape)[ok]
-
-        def residual(q):  # parameters as scalars for one problem, columns for more
-            return (model(x_ok, *(q[0] if len(q) == 1 else q.T[:, :, None])) - y[ok]) * w
-
-        r = residual(params[ok])
-        jac = np.stack(list(lsq.forward_columns(residual, params[ok], r)), axis=-1)
-        stderr = (_covariance_stderr(j, res, fit.names) for j, res in zip(jac, r))
+        factors = lsq.covariance_factors(
+            fit.basis, fit.derivatives, x if x.ndim == 1 else x[ok], y[ok], theta[ok], c[ok],
+            None if weights is None else np.broadcast_to(weights, y.shape)[ok])
+        if to_named is not None:
+            factors = to_named[ok] @ factors
+        stderr = iter(np.sqrt(np.vecdot(factors, factors)).tolist())
     results = []
     for (converged, *_, cost, calls), p in zip(outcomes, params):
         named = dict(zip(fit.names, map(float, p)))
-        results.append(FitResult(named, next(stderr), math.sqrt(cost), calls, converged=True)
+        results.append(FitResult(named, dict(zip(fit.names, next(stderr))), math.sqrt(cost),
+                                 calls, converged=True)
                        if converged else
                        FitError(f"fit did not converge within {MAX_ITERATIONS} iterations"
                                 if cost is None else f"fit start has a non-finite cost ({cost})",
                                 last_params=named))
     return results
-
-
-def _covariance_stderr(jac, residual, names) -> dict[str, float]:
-    m, n = jac.shape
-    dof = max(m - n, 1)
-    s_sq = float(residual @ residual) / dof
-    try:
-        cov = np.linalg.pinv(jac.T @ jac) * s_sq
-        diag = np.clip(np.diag(cov), 0.0, None)
-        errs = np.sqrt(diag)
-    except np.linalg.LinAlgError:
-        errs = np.full(n, np.nan)
-    return dict(zip(names, (float(e) for e in errs)))
 
 
 def _uniform_spacing(x: np.ndarray, context: str) -> float:
@@ -297,15 +280,31 @@ def lorentzian_with_instrument(x, center, fwhm, amplitude, offset, instrument: f
     x = np.asarray(x, dtype=float)
     if instrument is None:
         return lorentzian(x, center, fwhm, amplitude, offset)
+    x_pad, convolve = _instrument(x, instrument)
+    return convolve(lorentzian(x_pad, center, fwhm, amplitude, 0.0)) + offset
+
+
+def _instrument(x: np.ndarray, instrument: float) -> tuple:
+    """The grid x padded so edge samples see the full sinc^2 kernel support,
+    and the convolution of curves on it (one per row) cut back to x."""
     dx = _uniform_spacing(x, "instrument convolution")
-    # pad so edge samples see the full kernel support
     kern = _sinc2_kernel(instrument, dx, len(x))
     pad = len(kern) // 2
     x_pad = np.concatenate([
         x[0] + dx * np.arange(-pad, 0), x, x[-1] + dx * np.arange(1, pad + 1)])
-    clean = lorentzian(x_pad, center, fwhm, amplitude, 0.0)
-    conv = [np.convolve(row, kern, mode="same") for row in clean.reshape(-1, len(x_pad))]
-    return np.reshape(conv, clean.shape)[..., pad:pad + len(x)] + offset
+
+    def convolve(clean):
+        conv = [np.convolve(row, kern, mode="same") for row in clean.reshape(-1, len(x_pad))]
+        return np.reshape(conv, clean.shape)[..., pad:pad + len(x)]
+    return x_pad, convolve
+
+
+def _lorentzian_slopes(x, line, center, fwhm) -> tuple:
+    """d/dcenter and d/dfwhm of the unit-height Lorentzian ``line`` of
+    width |fwhm| on x: 8 u L^2/fwhm^2 and that times u/fwhm, u = x - center."""
+    u = x - center
+    slope = 8.0 * u * line * line / (fwhm * fwhm)
+    return slope, slope * u / fwhm
 
 
 def fit_lorentzian(series: MeasurementSeries, instrument: float | None = None) -> FitResult:
@@ -339,11 +338,22 @@ def fit_lorentzian_batch(spectra, instrument: float | None = None) -> list:
         fwhm0 = float(above[-1] - above[0]) if len(above) >= 2 else (x[-1] - x[0]) / 4
         starts.append((x, y, [float(x[np.argmax(y)]), fwhm0]))
 
+    return _run_fit_batch(_lorentzian_model(instrument), *map(np.array, zip(*starts)))
+
+
+def _lorentzian_model(instrument: float | None) -> Separable:
+    """amplitude L + offset, L the unit-height line behind ``instrument``."""
     def basis(xv, center, fwhm):
         return lorentzian_with_instrument(xv, center, abs(fwhm), 1.0, 0.0, instrument), 1.0
 
-    return _run_fit_batch(Separable(basis, ["center_nm", "fwhm_nm", "amplitude", "offset"]),
-                          *map(np.array, zip(*starts)))
+    def derivatives(xv, cols, center, fwhm):
+        if instrument is None:
+            return ((0, d) for d in _lorentzian_slopes(xv, cols[:, 0], center, fwhm))
+        # the kernel applied to the line's slopes, as to the line
+        x_pad, convolve = _instrument(xv, instrument)
+        line = lorentzian(x_pad, center, abs(fwhm), 1.0, 0.0)
+        return ((0, convolve(d)) for d in _lorentzian_slopes(x_pad, line, center, fwhm))
+    return Separable(basis, derivatives, ["center_nm", "fwhm_nm", "amplitude", "offset"])
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +379,24 @@ def convolve_decay(t: np.ndarray, lifetime, irf_counts: np.ndarray) -> np.ndarra
     irf = np.asarray(irf_counts, dtype=float)
     irf = irf / irf.sum(axis=-1, keepdims=True)
     rate = (t[-1] - t[0]) / max(len(t) - 1, 1) / np.asarray(lifetime, dtype=float)
-    shape = np.broadcast_shapes(irf.shape, np.shape(rate))
-    rows = np.broadcast_to(irf, shape).reshape(-1, shape[-1])
+    return _recursion(irf, rate)
+
+
+def _decay_slope(dt: float, lifetime, decay: np.ndarray) -> np.ndarray:
+    """d/dlifetime of ``decay``, a ``convolve_decay`` by |lifetime| on a grid
+    of spacing dt: the IRF convolved with (t/tau^2) exp(-t/tau), by the
+    recursion w[n] = a w[n-1] + a decay[n-1], with the sign of lifetime."""
+    rate = dt / np.abs(lifetime)
+    shifted = np.zeros(decay.shape)
+    shifted[..., 1:] = np.exp(-rate) * decay[..., :-1]
+    return _recursion(shifted, rate) * (rate / lifetime)
+
+
+def _recursion(rows: np.ndarray, rate) -> np.ndarray:
+    """y[n] = a y[n-1] + rows[n], a = exp(-rate), along the last axis; rate
+    broadcasts against the rows with one value per row."""
+    shape = np.broadcast_shapes(rows.shape, np.shape(rate))
+    rows = np.broadcast_to(rows, shape).reshape(-1, shape[-1])
     rate = np.broadcast_to(rate, shape[:-1] + (1,)).reshape(-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         octave = np.nan_to_num(np.floor(np.log2(_BLOCK_EXPONENT / rate)))
@@ -406,6 +432,14 @@ def _decay_blocks(irf: np.ndarray, rate: np.ndarray, block: int) -> np.ndarray:
     return y.reshape(k, -1)[:, :n]
 
 
+def _decay_model(t: np.ndarray, dt: float) -> Separable:
+    """amplitude (exp(-t/|lifetime|) (x) IRF) on the grid t of spacing dt,
+    with the IRF rows for x."""
+    return Separable(lambda irf, lifetime: (convolve_decay(t, abs(lifetime), irf),),
+                     lambda irf, cols, lifetime: ((0, _decay_slope(dt, lifetime, cols[:, 0])),),
+                     ["lifetime_ps", "amplitude"])
+
+
 def fit_decay_with_irf(series: MeasurementSeries, irf: MeasurementSeries) -> FitResult:
     """Fit amplitude * (exp(-t/tau) (x) IRF) to a single-exponential decay.
 
@@ -433,12 +467,7 @@ def fit_decay_with_irf_batch(decays, irfs) -> list:
             raise SeriesError("instrument response has no weight on the data grid")
         starts.append((y, y_irf, [max((t[-1] - t[0]) / 5.0, 2 * dt)]))
     y, y_irf, p0 = map(np.array, zip(*starts))
-
-    def basis(irf_rows, lifetime):
-        return (convolve_decay(t, abs(lifetime), irf_rows),)
-
-    outcomes = _run_fit_batch(Separable(basis, ["lifetime_ps", "amplitude"]), y_irf, y, p0,
-                              weights=poisson_weights(y))
+    outcomes = _run_fit_batch(_decay_model(t, dt), y_irf, y, p0, weights=poisson_weights(y))
     for result in outcomes:
         if isinstance(result, FitError):
             continue
@@ -477,17 +506,28 @@ def _g2_basis(tv, t_anti, t_bunch=None):
     return (1.0, anti) if t_bunch is None else (1.0, anti, _decay(tv, t_bunch))
 
 
+def _g2_derivatives(tv, cols, t_anti, t_bunch=None):
+    """d/dt of each exponential column: the column times |tau|/t^2."""
+    delay = np.abs(tv)
+    times = (t_anti,) if t_bunch is None else (t_anti, t_bunch)
+    return ((k, cols[:, k] * delay / (time * time)) for k, time in enumerate(times, 1))
+
+
+def _g2_params(t, c):
+    """(A[, B], t1[, t2], level) from c = level (1, A[, B]), and their
+    Jacobian in (t, c), in rows of that order."""
+    (size, n), k = t.shape, c.shape[1]
+    jac = np.zeros((size, n + k, n + k))
+    jac[:, :k - 1, n] = -c[:, 1:] / c[:, :1] ** 2
+    jac[:, :k - 1, n + 1:] = np.eye(k - 1) / c[:, :1, None]
+    jac[:, k - 1:, :n + 1] = np.eye(n + 1)
+    return np.hstack([c[:, 1:] / c[:, :1], t, c[:, :1]]), jac
+
+
 G2_NAMES = ["antibunching_amplitude", "bunching_amplitude",
             "antibunching_time_ps", "bunching_time_ps", "normalization"]
-_G2_WITH_BUNCHING = Separable(
-    _g2_basis, G2_NAMES,
-    lambda t, c: np.column_stack([c[:, 1] / c[:, 0], c[:, 2] / c[:, 0], t, c[:, 0]]),
-    lambda tv, anti, bunch, t_anti, t_bunch, level: level * g2_model(tv, anti, bunch, t_anti,
-                                                                     t_bunch))
-_G2_PLAIN = Separable(
-    _g2_basis, [G2_NAMES[i] for i in (0, 2, 4)],
-    lambda t, c: np.column_stack([c[:, 1] / c[:, 0], t, c[:, 0]]),
-    lambda tv, anti, t_anti, level: level * g2_model(tv, anti, 0.0, t_anti, 1.0))
+_G2_WITH_BUNCHING = Separable(_g2_basis, _g2_derivatives, G2_NAMES, _g2_params)
+_G2_PLAIN = Separable(_g2_basis, _g2_derivatives, [G2_NAMES[i] for i in (0, 2, 4)], _g2_params)
 # 0 <= A, B <= 2 and level >= 1e-12 as C c >= d on c = (level, level A,
 # level B); the plain fit takes the first three rows
 _G2_BOX = (np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [2.0, -1.0, 0.0],
@@ -612,15 +652,21 @@ def cos2_model(theta_deg, amplitude, axis_deg, offset):
 
 
 def _cos2_params(_, c):
+    """(a, theta0, b) from c and their Jacobian in c: a = 2h, theta0 =
+    atan2(c2, c1)/2 in degrees, b = c0 - h, h = hypot(c1, c2)."""
     half = np.hypot(c[:, 1], c[:, 2])
+    u = c[:, 1:] / half[:, None]
+    jac = np.zeros((len(c), 3, 3))
+    jac[:, 0, 1:], jac[:, 2, 0], jac[:, 2, 1:] = 2.0 * u, 1.0, -u
+    jac[:, 1, 1:] = u[:, ::-1] * [-1.0, 1.0] * (90.0 / math.pi / half)[:, None]
     return np.column_stack([2.0 * half, np.degrees(np.arctan2(c[:, 2], c[:, 1])) / 2.0 % 180.0,
-                            c[:, 0] - half])
+                            c[:, 0] - half]), jac
 
 
 # a cos^2(theta - theta0) + b = c0 + c1 cos 2theta + c2 sin 2theta
 _COS2 = Separable(lambda theta: (1.0, np.cos(np.radians(2.0 * theta)),
                                  np.sin(np.radians(2.0 * theta))),
-                  ["amplitude", "axis_deg", "offset"], _cos2_params, cos2_model)
+                  lambda theta, cols: (), ["amplitude", "axis_deg", "offset"], _cos2_params)
 
 
 def fit_polarization(series: MeasurementSeries) -> FitResult:

@@ -219,6 +219,21 @@ class TestCli:
         assert main(["--outdir", str(tmp_path), "fit", "--input", str(tmp_path / "line.csv"),
                      "--scan-range", "2.0"]) == 0
 
+    def test_zero_scan_range_switches_the_scenario_instrument_off(self, tmp_path):
+        # with fit.scan_range_per_nm=2 set, --scan-range 0 writes the fit of
+        # a run with no instrument
+        _write_fit_inputs(tmp_path)
+        fits = {}
+        for name, sets, flags in (("none", [], []),
+                                  ("zero", ["--set", "fit.scan_range_per_nm=2"],
+                                   ["--scan-range", "0"]),
+                                  ("scenario", ["--set", "fit.scan_range_per_nm=2"], [])):
+            assert main([*sets, "--outdir", str(tmp_path / name), "fit", "--input",
+                         str(tmp_path / "spectrum.csv"), *flags]) == 0
+            fits[name] = json.loads((tmp_path / name / "fit_report.json").read_text())["fit"]
+        assert fits["zero"] == fits["none"]
+        assert fits["scenario"]["parameters"] != fits["none"]["parameters"]
+
     def test_fit_decay_requires_irf(self, tmp_path):
         t = np.arange(0.0, 4000.0, 8.0)
         y = 900 * np.exp(-t / 500.0) + 1

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import least_squares
+from scipy.optimize import curve_fit, least_squares
 
 import spskit.reproduce as reproduce_module
 import spskit.specfit as specfit_module
@@ -54,6 +54,12 @@ def series(x, y, kind="spectrum"):
 def reference_decay(t, lifetime, irf):
     """The IRF convolution as a direct sum over the exponential's samples."""
     return np.convolve(irf / irf.sum(), np.exp(-(t - t[0]) / lifetime))[: len(t)]
+
+
+# amp exp(-x/tau): tau is the nonlinear parameter, amp the coefficient
+EXP_DECAY = specfit_module.Separable(lambda xv, tau: (np.exp(-xv / tau),),
+                                     lambda xv, cols, tau: ((0, cols[:, 0] * xv / tau ** 2),),
+                                     ["tau", "amp"])
 
 
 class TestSeriesValidation:
@@ -181,9 +187,9 @@ class TestLorentzianFit:
 
     @pytest.mark.parametrize("bounds", [None, ([0.0], [np.inf])])
     def test_budget_counts_every_residual_evaluation(self, monkeypatch, bounds):
-        # the cap is MAX_ITERATIONS * (m + 1) evaluations for m nonlinear
-        # parameters, Jacobian columns included, bounded or not (the
-        # bounded fit also holds its amplitude at or above 0)
+        # the cap is MAX_ITERATIONS evaluations, one basis call at one trial
+        # point each (the Jacobian takes none), bounded or not (the bounded
+        # fit also holds its amplitude at or above 0)
         monkeypatch.setattr(specfit_module, "MAX_ITERATIONS", 2)
         x = np.linspace(0.0, 5.0, 50)
         y = 3.0 * np.exp(-x / 1.5)
@@ -191,14 +197,14 @@ class TestLorentzianFit:
 
         def basis(xv, tau):
             evaluations.append(tau)
-            return (np.exp(-xv / tau),)
+            return EXP_DECAY.basis(xv, tau)
 
-        fit = specfit_module.Separable(basis, ["tau", "amp"])
+        fit = EXP_DECAY._replace(basis=basis)
         with pytest.raises(FitError) as excinfo:
             specfit_module._one(specfit_module._run_fit_batch(
                 fit, x, y[None], [[8.0]], bounds=bounds,
                 constraints=None if bounds is None else ([[1.0]], [0.0])))
-        assert len(evaluations) == 2 * 2
+        assert len(evaluations) == 2
         assert set(excinfo.value.last_params) == {"amp", "tau"}
 
     def test_report_has_parenthetical_format(self):
@@ -366,9 +372,15 @@ class TestG2Fit:
         got, ref = solve([1e5, 30000.0]), solve([2000.0, 15000.0])
         assert got.params["antibunching_amplitude"] > 0.3
         assert got.residual_norm == pytest.approx(ref.residual_norm, rel=1e-9)
+        # the reference fit's standard errors as the forward-difference
+        # Jacobian gave them, rounded down: the scale of the tolerance
+        stderr = ({"antibunching_amplitude": 0.0482, "antibunching_time_ps": 134.1,
+                   "normalization": 0.759} if plain else
+                  {"antibunching_amplitude": 0.0356, "bunching_amplitude": 0.0305,
+                   "antibunching_time_ps": 212.9, "bunching_time_ps": 2368.0,
+                   "normalization": 2.509})
         for name, value in ref.params.items():
-            assert got.params[name] == pytest.approx(value, rel=1e-5,
-                                                     abs=1e-4 * ref.stderr[name])
+            assert got.params[name] == pytest.approx(value, rel=1e-5, abs=1e-4 * stderr[name])
 
     def test_short_tails_rejected(self):
         tau = np.linspace(-500.0, 500.0, 9)
@@ -492,6 +504,24 @@ LINEAR_BOX = {"antibunching_amplitude": (0.0, 2.0), "bunching_amplitude": (0.0, 
               "normalization": (1e-12, np.inf)}
 
 
+def pinv_stderr(jac, residual, names) -> dict[str, float]:
+    """Standard errors from the pseudo-inverse of the unscaled J^T J, the
+    formula that set the scale of the tolerances below."""
+    m, n = jac.shape
+    s_sq = float(residual @ residual) / max(m - n, 1)
+    errs = np.sqrt(np.clip(np.diag(np.linalg.pinv(jac.T @ jac) * s_sq), 0.0, None))
+    return dict(zip(names, (float(e) for e in errs)))
+
+
+def full_model(fit, m: int):
+    """The model of a ``Separable`` in its named parameters, m of them nonlinear."""
+    if fit is specfit_module._G2_WITH_BUNCHING:
+        return lambda tv, anti, bunch, t1, t2, level: level * g2_model(tv, anti, bunch, t1, t2)
+    if fit is specfit_module._G2_PLAIN:
+        return lambda tv, anti, t1, level: level * g2_model(tv, anti, 0.0, t1, 1.0)
+    return lambda x, *p: sum(map(np.multiply, p[m:], fit.basis(x, *p[:m])))
+
+
 def scipy_run_fit(fit, x, y, theta0, weights=None, bounds=None) -> FitResult:
     """Reference solver on the full model in every named parameter: scipy's
     MINPACK 'lm' without bounds and 'trf' with them, at the tolerances and
@@ -501,7 +531,7 @@ def scipy_run_fit(fit, x, y, theta0, weights=None, bounds=None) -> FitResult:
     w = np.ones_like(y) if weights is None else weights
     columns = np.broadcast_arrays(*fit.basis(x, *theta0), y)[:-1]
     coef = np.linalg.lstsq(np.transpose(columns) * w[:, None], y * w, rcond=None)[0]
-    p0 = fit.named(np.array([theta0]), coef[None])[0]
+    p0 = fit.params(np.array([theta0]), coef[None])[0][0]
     lower, upper = (np.array([LINEAR_BOX.get(name, (-np.inf, np.inf))[side] for name in fit.names])
                     for side in (0, 1))
     if bounds is not None:
@@ -509,7 +539,7 @@ def scipy_run_fit(fit, x, y, theta0, weights=None, bounds=None) -> FitResult:
         lower[at], upper[at] = bounds
     box = None if np.isinf(lower).all() and np.isinf(upper).all() else (lower, upper)
 
-    model = fit.full_model(len(theta0))
+    model = full_model(fit, len(theta0))
 
     def residuals(p):
         return (model(x, *p) - y) * w
@@ -524,7 +554,7 @@ def scipy_run_fit(fit, x, y, theta0, weights=None, bounds=None) -> FitResult:
     assert result.success, result.message
     return FitResult(
         params=dict(zip(fit.names, (float(v) for v in result.x))),
-        stderr=specfit_module._covariance_stderr(result.jac, result.fun, fit.names),
+        stderr=pinv_stderr(result.jac, result.fun, fit.names),
         residual_norm=float(np.linalg.norm(result.fun)),
         n_evaluations=int(result.nfev),
         converged=True,
@@ -546,7 +576,7 @@ def scipy_polarization(scan) -> tuple:
         a, axis, b = -a, axis + 90.0, b + a
     params = {"amplitude": a, "axis_deg": axis % 180.0, "offset": b,
               "degree_of_polarization": a / (a + 2.0 * max(b, 0.0))}
-    return (params, specfit_module._covariance_stderr(result.jac, result.fun, names),
+    return (params, pinv_stderr(result.jac, result.fun, names),
             float(np.linalg.norm(result.fun)))
 
 
@@ -639,11 +669,10 @@ class TestSolverMatchesScipy:
         upper = lower + np.array([amp_box[1], tau_box[1]])
         p0 = lower + np.array(start) * (upper - lower)
 
-        fit = specfit_module.Separable(lambda xv, t: (np.exp(-xv / t),), ["tau", "amp"])
         try:
             # tau is the nonlinear parameter, the amplitude box C c >= d
             params = specfit_module._one(specfit_module._run_fit_batch(
-                fit, x, y[None], [p0[1:]], bounds=(lower[1:], upper[1:]),
+                EXP_DECAY, x, y[None], [p0[1:]], bounds=(lower[1:], upper[1:]),
                 constraints=([[1.0], [-1.0]], [lower[0], -upper[0]]))).params
         except FitError as exc:
             params = exc.last_params
@@ -657,8 +686,7 @@ def decay_with_offset(xv, amp, tau, off):
 
 # amp and off are the coefficients of exp(-x/tau) and 1
 DECAY_WITH_OFFSET = specfit_module.Separable(
-    lambda xv, tau: (np.exp(-xv / tau), 1.0), ["amp", "tau", "off"],
-    lambda t, c: np.column_stack([c[:, 0], t, c[:, 1]]), decay_with_offset)
+    lambda xv, tau: (np.exp(-xv / tau), 1.0), EXP_DECAY.derivatives, ["tau", "amp", "off"])
 
 
 class TestLockstepSolver:
@@ -687,8 +715,8 @@ class TestLockstepSolver:
     @pytest.mark.parametrize("max_iterations,failing", [(200, set()), (16, {1})])
     def test_shuffled_batches_equal_each_problem_alone(self, monkeypatch, max_iterations,
                                                        failing):
-        # at 16 iterations (32 evaluations for the one nonlinear parameter)
-        # problem 1 runs out of budget while its neighbours converge
+        # at 16 evaluations problem 1 runs out of budget while its
+        # neighbours converge
         monkeypatch.setattr(specfit_module, "MAX_ITERATIONS", max_iterations)
         x, y, p0, w, lower, upper = self.problems()
         # tau is the nonlinear parameter; the boxes of amp and off are
@@ -730,9 +758,9 @@ class TestLockstepSolver:
         # the normal equations are singular and the start cost is NaN
         x = np.linspace(0.1, 5.0, 50)
         y = 3.0 * np.exp(-x / 1.5)
-        fit = specfit_module.Separable(lambda xv, tau: (np.exp(-xv / tau),), ["tau", "amp"])
-        (outcome,) = lsq.levenberg_marquardt(fit.basis, x, y[None], [[1e-4]], None, None,
-                                            specfit_module.MAX_ITERATIONS,
+        fit = EXP_DECAY
+        (outcome,) = lsq.levenberg_marquardt(fit.basis, fit.derivatives, x, y[None], [[1e-4]],
+                                            None, None, specfit_module.MAX_ITERATIONS,
                                             specfit_module.STEP_TOLERANCE)
         assert outcome[0] is False
         with pytest.raises(FitError, match="non-finite cost"):
@@ -799,3 +827,169 @@ class TestLockstepSolver:
         with pytest.raises(FitError) as excinfo:
             fit_roundtrip_summary(3)
         assert excinfo.value.last_params == first.value.last_params
+
+
+def columns_at(model, x, theta):
+    """The stacked basis columns (1, k, N) of a ``Separable`` at theta."""
+    return lsq._columns(model.basis, x, np.array([theta], dtype=float),
+                        np.empty((1, np.shape(x)[-1])))
+
+
+def assert_central_differences(function, theta, analytic, rel=1e-6):
+    """``analytic`` (n, ...) against central differences of ``function`` at
+    theta, steps 1e-7 |theta_j|, within rel of each derivative's largest value."""
+    for j, got in enumerate(analytic):
+        h = 1e-7 * abs(theta[j])
+        up, down = (function(np.add(theta, sign * h * np.eye(len(theta))[j]))
+                    for sign in (1.0, -1.0))
+        central = (up - down) / (2.0 * h)
+        scale = np.abs(central).max()
+        assert scale > 0.0
+        assert np.abs(np.broadcast_to(got, central.shape) - central).max() <= rel * scale, j
+
+
+def check_model_slopes(model, x, theta):
+    """Each theta_j moves its one column k, by the model's dphi_k/dtheta_j."""
+    cols = columns_at(model, x, theta)
+    analytic = []
+    for k, slope in model.derivatives(x, cols, *theta):
+        analytic.append(np.zeros_like(cols[0]))
+        analytic[-1][k] = slope
+    assert len(analytic) == len(theta)
+    assert_central_differences(lambda q: columns_at(model, x, q)[0], theta, analytic)
+
+
+class TestJacobians:
+    """The closed-form derivative columns of every model, and the solver's
+    Jacobian of the projected residual, against central differences."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(center=st.floats(563.0, 569.0), fwhm=st.floats(0.3, 5.0), sign=st.sampled_from([-1, 1]),
+           scan_range=st.one_of(st.none(), st.floats(0.5, 5.0)))
+    @example(center=566.0, fwhm=0.224, sign=1, scan_range=3.0)
+    def test_lorentzian(self, center, fwhm, sign, scan_range):
+        # with and without the instrument; the basis takes |fwhm|
+        x = np.linspace(560.0, 572.0, 241)
+        check_model_slopes(specfit_module._lorentzian_model(scan_range), x, [center, sign * fwhm])
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(20, 1500), log_ratio=st.floats(math.log(0.5), math.log(5000.0)),
+           sign=st.sampled_from([-1, 1]), seed=st.integers(0, 2 ** 32 - 1))
+    @example(n=1000, log_ratio=math.log(2.0), sign=1, seed=1)  # blocks of 16 samples
+    @example(n=1000, log_ratio=math.log(600.0), sign=-1, seed=2)  # blocks of 256
+    def test_decay(self, n, log_ratio, sign, seed):
+        # tau/dt from 0.5 to 5000: the short-block and the 256-block
+        # recursions; the basis takes |lifetime|
+        dt = 16.0
+        t = dt * np.arange(n)
+        irf = np.random.default_rng(seed).random(n)
+        check_model_slopes(specfit_module._decay_model(t, dt), irf,
+                           [sign * dt * math.exp(log_ratio)])
+
+    @settings(max_examples=25, deadline=None)
+    @given(t1=st.floats(50.0, 5000.0), t2=st.floats(500.0, 50000.0), plain=st.booleans())
+    def test_g2(self, t1, t2, plain):
+        tau = np.linspace(-30000.0, 30000.0, 601)
+        model = specfit_module._G2_PLAIN if plain else specfit_module._G2_WITH_BUNCHING
+        check_model_slopes(model, tau, [t1] if plain else [t1, t2])
+
+    @staticmethod
+    def point(model, x, y, w, theta, constraints=None):
+        """The solver's point at theta: (q, c, residuals, columns, weighted
+        columns, Gram matrices, active sets), one problem."""
+        q = np.array([theta], dtype=float)
+        cols = lsq._columns(model.basis, x, q, y[None])
+        phi = cols * w
+        c, gram, held = lsq._coefficients(phi, (y * w)[None], constraints)
+        return q, c, (c[:, None] @ phi)[:, 0] - y * w, cols, phi, gram, held
+
+    @pytest.mark.parametrize("plain", [False, True])
+    def test_solver_jacobian_is_the_derivative_of_the_projected_residual(self, plain):
+        # Kaufman's projected columns plus the second Golub-Pereyra term, on
+        # weighted counts, against the residual with c solved at each theta
+        tau = np.linspace(-30000.0, 30000.0, 601)
+        y = np.random.default_rng(3).poisson(
+            300.0 * g2_model(tau, 0.8, 0.2, 900.0, 8000.0)).astype(float)
+        w = specfit_module.poisson_weights(y)
+        model = specfit_module._G2_PLAIN if plain else specfit_module._G2_WITH_BUNCHING
+        theta = [700.0] if plain else [700.0, 12000.0]
+        jac = lsq._jacobian(model.derivatives, tau, w[None],
+                            self.point(model, tau, y, w, theta), None)
+        assert_central_differences(lambda q: self.point(model, tau, y, w, q)[2][0], theta,
+                                   jac[0])
+
+    def test_held_coefficient_gives_an_exactly_zero_column(self):
+        # data whose bunching term is negative: B >= 0 holds level B at 0, and
+        # the column of the bunching time is exactly zero
+        tau = np.linspace(-30000.0, 30000.0, 601)
+        y = 140.0 * g2_model(tau, 0.9, -0.05, 700.0, 6000.0)
+        model, (cons, floor) = specfit_module._G2_WITH_BUNCHING, specfit_module._G2_BOX
+        point = self.point(model, tau, y, np.ones_like(y), [700.0, 6000.0], (cons, floor[None]))
+        assert point[1][0, 2] == 0.0 and point[6][0] >= 0
+        jac = lsq._jacobian(model.derivatives, tau, None, point,
+                            lsq._active_sets(lsq._rows(cons)))
+        assert not jac[0, 1].any() and jac[0, 0].any()
+
+
+def curve_fit_reference(kind, draw) -> tuple:
+    """scipy's ``curve_fit`` on the full model in the named parameters from
+    the fitted ones: (names, fitted stderr, curve_fit's standard errors)."""
+    series, weights = draw[kind][0], None
+    if kind == "correlation":
+        g = fit_g2(series)
+        fit = specfit_module._G2_PLAIN if g.model == "plain" else specfit_module._G2_WITH_BUNCHING
+        names, model = fit.names, full_model(fit, 1 if g.model == "plain" else 2)
+        params, stderr = {k: getattr(g, k) for k in G2_PARAMETERS}, g.stderr
+        weights = specfit_module._g2_start(series, 0.25, 8)[2]
+    else:
+        if kind == "decay":
+            irf = draw["decay"][1]
+            result = fit_decay_with_irf(series, irf)
+            weights = specfit_module.poisson_weights(series.y)
+
+            def model(t, lifetime, amplitude):
+                return amplitude * convolve_decay(t, abs(lifetime), irf.y)
+        elif kind == "spectrum":
+            result = fit_lorentzian(series)
+            model = full_model(specfit_module._lorentzian_model(None), 2)
+        else:
+            result, model = fit_polarization(series), cos2_model
+        params, stderr = result.params, result.stderr
+        names = list(stderr)
+    _, pcov = curve_fit(model, series.x, series.y, p0=[params[name] for name in names],
+                        sigma=None if weights is None else 1.0 / weights, method="trf",
+                        jac="3-point", xtol=1e-15, ftol=1e-15, gtol=1e-15)
+    return names, stderr, np.sqrt(np.diag(pcov))
+
+
+class TestUncertainties:
+    """Standard errors from the exact Jacobian in (theta, c), carried to the
+    named parameters."""
+
+    @pytest.mark.parametrize("kind", ["spectrum", "decay", "correlation", "polarization"])
+    def test_same_stderr_as_curve_fit(self, roundtrip_draws, kind):
+        # curve_fit takes a central-difference Jacobian in the named
+        # parameters; measured agreement is within 1e-5 relative
+        for draw in roundtrip_draws:
+            names, stderr, reference = curve_fit_reference(kind, draw)
+            for name, ref in zip(names, reference):
+                assert stderr[name] == pytest.approx(ref, rel=1e-4), (kind, name)
+
+    def test_bunching_time_uncertainty_of_reproduce_draw_28(self):
+        # the 28th draw of the reproduction: the unscaled pseudo-inverse
+        # gave 0.0025 ps for a bunching time of 9.19 ns
+        rng = np.random.default_rng(RNG_SEED)
+        draw = [fit_roundtrip_draw(rng) for _ in range(28)][-1]
+        fit = fit_g2(draw["correlation"][0])
+        assert fit.model == "with_bunching"
+        assert fit.bunching_time_ps == pytest.approx(9193.0, rel=1e-3)
+        assert 1e3 <= fit.stderr["bunching_time_ps"] < 1e4
+
+
+def test_evaluations_of_the_first_twelve_draws():
+    # trial points only: the forward-difference Jacobian and the uncertainty
+    # pass of the parent commit took these fits to 924 evaluations
+    rng = np.random.default_rng(RNG_SEED)
+    fits = fit_roundtrip_fits([fit_roundtrip_draw(rng) for _ in range(12)])
+    total = sum(fit.n_evaluations for draw in fits for fit in draw.values())
+    assert total == 406 and total < 924
