@@ -10,32 +10,34 @@ on theta alone. Linear inequalities C c >= d are met by enumerating the
 active sets of that small solve.
 
 The iteration on theta is Moré's MINPACK Levenberg-Marquardt (LNM 630,
-1978) on the Jacobian of the projected residual in closed form: the
-model gives each dphi_k/dtheta_j from its columns, and a column of the
-Jacobian is Kaufman's P (sum_k c_k dphi_k/dtheta_j) (BIT 15, 49 (1975)),
-P projecting off the columns the active constraints leave free, plus
-Golub and Pereyra's second term, which costs one dot product more. It is
-formed once per accepted point, from that point's stored columns.
-Parameters are scaled by the running maximum of its column norms, and
-the damping grows after a rejected step and shrinks after an accepted
-one with the ratio of actual to predicted cost reduction (Nielsen's
-update in place of MINPACK's trust radius). It stops when the relative
-cost reduction and the predicted one both fall below 1e-12, when the
-scaled step falls below ``step_tolerance``, or when the scaled gradient
-vanishes. Bounds on theta need no second path: each trial point is
-projected into the box, and a parameter on a bound whose descent
-direction points out of the box is held for that iteration. Where a
-constraint holds the coefficients of a parameter's columns at 0, its
-Jacobian column is exactly zero and the stopping tests hold anywhere; a
-problem that stops with such a column samples the parameter over decades
-and restarts from a sample that lowers its cost.
+1978) on the Jacobian of the projected residual in closed form, formed
+once per accepted point from its columns and the model's dphi_k/dtheta_j:
+Kaufman's P (sum_k c_k dphi_k/dtheta_j) (BIT 15, 49 (1975)), P projecting
+off the columns the active constraints leave free, plus Golub and
+Pereyra's second term, one dot product more. Parameters are scaled by
+the running maximum of their column norms; the damping grows after a
+rejected step and shrinks after an accepted one with the ratio of actual
+to predicted cost reduction (Nielsen's update in place of MINPACK's
+trust radius). It stops when the relative cost reduction and the
+predicted one both fall below 1e-12, when the scaled step falls below
+``step_tolerance``, or when the scaled gradient vanishes. Each trial
+point is projected into the box of the bounds on theta, and a parameter
+on a bound whose descent direction points out of the box is held for
+that iteration. Where a constraint holds the coefficients of a
+parameter's columns at 0, its Jacobian column is exactly zero and the
+stopping tests hold anywhere; a problem that stops with such a column
+samples the parameter over decades and restarts from a sample that
+lowers its cost.
 
 An evaluation is one basis call and coefficient solve at one trial
 point; a problem may spend max_iterations of them. Each problem has its
 own state until it converges or fails; a round evaluates every problem
-still searching in one call. Stacked products and decompositions, axis
-norms and elementwise arithmetic give each problem the bits it gets
-alone.
+still searching in one call, so a batch takes the rounds of its longest
+fit. A round costs a few hundred numpy calls whatever the batch's width;
+memory bounds the width, about ten N-vectors per problem within a round
+(columns, residuals, the Jacobian and its projection) and none between
+rounds. Stacked products and decompositions, axis norms and elementwise
+arithmetic give each problem the bits it gets alone.
 """
 from __future__ import annotations
 
@@ -58,9 +60,9 @@ def levenberg_marquardt(basis, derivatives, x, y, p0, weights, bounds, max_itera
     start) hold one row per problem; ``x``, ``weights``, each bound of
     ``bounds = (lower, upper)`` on theta and d of ``constraints = (C, d)``,
     for C c >= d with d finite, one row per problem or one for all, or
-    None. Returns per problem (converged, theta, c, residuals, cost,
-    evaluations); one out of budget has only its best theta and c, and one
-    whose start has a non-finite cost is not converged.
+    None. Returns per problem (converged, theta, c, cost, evaluations); one
+    out of budget has only its best theta and c, and one whose start has a
+    non-finite cost is not converged.
     """
     y = np.asarray(y, dtype=float)
     p = np.array(p0, dtype=float)
@@ -77,14 +79,13 @@ def levenberg_marquardt(basis, derivatives, x, y, p0, weights, bounds, max_itera
         sets = _active_sets(_rows(cons))
     ftol = gtol = 1e-12
     p = np.clip(p, lo, hi)
-    # arrays for the iteration, one row per problem, the Jacobian as its n
-    # columns; Python scalars for the bookkeeping, cheaper than numpy for a
-    # few problems
-    r, jac, scale = np.empty_like(y), np.empty((n_prob, n, y.shape[1])), np.zeros((n_prob, n))
-    # each problem's free mask and the SVD of its scaled Jacobian with the
-    # columns of held parameters zeroed: singular values, V^T and V^T of
-    # the scaled gradient, D^-1 J^T r with those entries zeroed
-    free = np.ones((n_prob, n), dtype=bool)
+    # arrays for the iteration, one row per problem; Python scalars for the
+    # bookkeeping, cheaper than numpy for a few problems. Each problem's
+    # scale, free mask, parameters whose Jacobian column is exactly zero,
+    # and the SVD of its scaled Jacobian with the columns of held
+    # parameters zeroed: singular values, V^T and V^T of the scaled
+    # gradient, D^-1 J^T r with those entries zeroed
+    scale, free, flat = (np.full((n_prob, n), v) for v in (0.0, True, False))
     sv, vt, vg = np.zeros((n_prob, n)), np.zeros((n_prob, n, n)), np.zeros((n_prob, n))
     cost, calls, damping, growth = [0.0] * n_prob, [0] * n_prob, [1e-3] * n_prob, [2.0] * n_prob
     best_cost, best_p, best_c = [math.inf] * n_prob, list(p), [None] * n_prob
@@ -94,7 +95,7 @@ def levenberg_marquardt(basis, derivatives, x, y, p0, weights, bounds, max_itera
     rounds = 0
 
     def rows(idx):  # index of sorted problems: a slice (a view) for all
-        return slice(None) if len(idx) == n_prob else idx
+        return slice(None) if len(idx) == n_prob else np.array(idx)
 
     def evaluate(idx, q):
         """The costs at q, one row per problem of idx, and the point (q, c,
@@ -106,15 +107,16 @@ def levenberg_marquardt(basis, derivatives, x, y, p0, weights, bounds, max_itera
         if rounds > max_iterations:  # a round evaluates a problem at most once
             for i in idx:
                 if calls[i] == max_iterations and outcome[i] is None:
-                    outcome[i] = (False, best_p[i], best_c[i], None, None, calls[i])
+                    outcome[i] = (False, best_p[i], best_c[i], None, calls[i])
             if all(outcome[i] is not None for i in idx):
                 return None, None
         at = rows(idx)
-        cols = _columns(basis, x if x.ndim == 1 else x[at], q, yw[at])
+        data = yw[at]
+        cols = _columns(basis, x if x.ndim == 1 else x[at], q, data)
         phi = cols if w is None else cols * w[at][:, None]
-        c, gram, held = _coefficients(phi, yw[at], None if constraints is None
+        c, gram, held = _coefficients(phi, data, None if constraints is None
                                       else (cons, floor[at]))
-        res = (c[:, None] @ phi)[:, 0] - yw[at]
+        res = (c[:, None] @ phi)[:, 0] - data
         costs = np.vecdot(res, res).tolist()  # each row's res @ res, bit for bit
         for k, i in enumerate(idx):
             if outcome[i] is None:
@@ -123,16 +125,20 @@ def levenberg_marquardt(basis, derivatives, x, y, p0, weights, bounds, max_itera
                     best_cost[i], best_p[i], best_c[i] = costs[k], q[k], c[k]
         return costs, (q, c, res, cols, phi, gram, held)
 
-    def jacobian(idx, point):
+    def accept(idx, point):
+        """Moves the problems idx to the point's rows: their Jacobians and J^T r."""
         at = rows(idx)
-        jac[at] = _jacobian(derivatives, x if x.ndim == 1 else x[at], None if w is None else w[at],
-                            point, sets)
+        p[at], coef[at] = point[:2]
+        jac = _jacobian(derivatives, x if x.ndim == 1 else x[at], None if w is None else w[at],
+                        point, sets)
+        flat[at] = ~jac.any(axis=2)
+        return jac, np.vecdot(jac, point[2][:, None])
 
     def finish(i):
-        if cost[i] < sampled[i] and not jac[i].any(axis=1).all():
+        if cost[i] < sampled[i] and flat[i].any():
             ending.append(i)  # its cost is flat in some parameter: ``restart``
         else:  # a trial never has a non-finite cost: only a start can
-            outcome[i] = (math.isfinite(cost[i]), p[i], coef[i], r[i], cost[i], calls[i])
+            outcome[i] = (math.isfinite(cost[i]), p[i], coef[i], cost[i], calls[i])
 
     def restart():
         """The problems that finished where their cost is flat in some
@@ -143,7 +149,7 @@ def levenberg_marquardt(basis, derivatives, x, y, p0, weights, bounds, max_itera
         idx, found = sorted(ending), {}
         ending.clear()
         for j, f in itertools.product(range(n), [4.0 ** k for k in range(-6, 7) if k]):
-            sub = [i for i in idx if outcome[i] is None and not jac[i][j].any()]
+            sub = [i for i in idx if outcome[i] is None and flat[i, j]]
             if sub:
                 q = p[sub]
                 q[:, j] = np.minimum(np.maximum(q[:, j] * f, lo[sub, j]), hi[sub, j])
@@ -157,21 +163,17 @@ def levenberg_marquardt(basis, derivatives, x, y, p0, weights, bounds, max_itera
                 finish(i)
         idx = [i for i in idx if outcome[i] is None]
         for i in idx:
-            cost[i], (p[i], coef[i], r[i], *_) = found[i]
-            damping[i], growth[i] = 1e-3, 2.0
-        if idx:
-            jacobian(idx, tuple(map(np.array, zip(*(found[i][1] for i in idx)))))
-        return prepare(idx)
+            cost[i], damping[i], growth[i] = found[i][0], 1e-3, 2.0
+        return idx and prepare(idx, *accept(idx, tuple(map(np.array,
+                                                          zip(*(found[i][1] for i in idx))))))
 
-    def prepare(idx):
-        """Scale, gradient test and SVD at new Jacobians; returns the problems left."""
+    def prepare(idx, jac, grad):
+        """Scale, gradient test and SVD at the new Jacobians of the problems
+        idx, one row each, scaled in place; returns the problems left."""
         if not idx:
             return idx
         at = rows(idx)
-        # column norms and the gradient one problem at a time: no J-sized
-        # square or copy
-        norms = np.sqrt([np.vecdot(jac[i], jac[i]) for i in idx])
-        grad = np.array([np.vecdot(jac[i], r[i]) for i in idx])
+        norms = np.sqrt(np.vecdot(jac, jac))
         s = np.maximum(scale[at], norms)
         s[s == 0.0] = 1.0
         scale[at] = s
@@ -184,35 +186,35 @@ def levenberg_marquardt(basis, derivatives, x, y, p0, weights, bounds, max_itera
         for i, test in zip(idx, tested.tolist()):
             if not any(test):  # the scaled gradient vanishes
                 finish(i)
-        idx = [i for i in idx if outcome[i] is None and i not in ending]
+        left = [k for k, i in enumerate(idx) if outcome[i] is None and i not in ending]
+        if len(left) < len(idx):
+            idx, jac = [idx[k] for k in left], jac[left]
         if idx:
             at = rows(idx)
+            jac *= (free[at] / scale[at])[:, :, None]
             # R of J D^-1 = Q R has its singular values and V; one QR and
             # SVD of the stack: each matrix gets the bits it gets alone
-            _, sv[at], vt[at] = np.linalg.svd(np.linalg.qr(
-                (jac[at] * (free[at] / scale[at])[:, :, None]).transpose(0, 2, 1), mode="r"))
+            _, sv[at], vt[at] = np.linalg.svd(np.linalg.qr(jac.transpose(0, 2, 1), mode="r"))
             vg[at] = (vt[at] @ vg[at][:, :, None])[:, :, 0]
         return idx
 
     def attempt(idx):
         """One damped step each; returns the problems still searching."""
         at = rows(idx)
-        q = p[at]
-        s, v_t = sv[at], vt[at]
-        filtered = vg[at] / (s * s + np.array([damping[i] for i in idx])[:, None])
-        step = -(v_t.transpose(0, 2, 1) @ filtered[:, :, None])[:, :, 0] * free[at] / scale[at]
+        q, s, v_t, d, g = p[at], sv[at], vt[at], scale[at], vg[at]
+        filtered = g / (s * s + np.array([damping[i] for i in idx])[:, None])
+        step = -(v_t.transpose(0, 2, 1) @ filtered[:, :, None])[:, :, 0] * free[at] / d
         trial = np.minimum(np.maximum(q + step, lo[at]), hi[at])  # np.clip, less overhead
-        step = trial - q
+        scaled = d * (trial - q)
         # the reduction |r|^2 - |r + J step|^2 = -2 z.vg - |s z|^2 that the
         # linear model predicts, z = V^T D step
-        z = (v_t @ (scale[at] * step)[:, :, None])[:, :, 0]
-        predicted = (-2.0 * np.vecdot(z, vg[at]) - np.vecdot(s * z, s * z)).tolist()
+        z = (v_t @ scaled[:, :, None])[:, :, 0]
+        predicted = (-2.0 * np.vecdot(z, g) - np.vecdot(s * z, s * z)).tolist()
         cost_new, point = evaluate(idx, trial)
         if point is None:
             return []
         # the scaled step and point, each row's norm
-        step_norm, x_norm = (np.sqrt(np.vecdot(v, v)).tolist()
-                             for v in (scale[at] * step, scale[at] * q))
+        step_norm, x_norm = (np.sqrt(np.vecdot(v, v)).tolist() for v in (scaled, d * q))
         retry, moved, moved_at, stopped = [], [], [], set()
         for k, i in enumerate(idx):
             if outcome[i] is not None:  # out of budget
@@ -235,25 +237,29 @@ def levenberg_marquardt(basis, derivatives, x, y, p0, weights, bounds, max_itera
                 damping[i] *= growth[i]
                 growth[i] *= 2.0
                 retry.append(i)
-        if moved:
-            if len(moved) < len(idx):  # the rows of the moved, and no other alive
-                point = tuple(a[moved_at] for a in point)
-            at = rows(moved)
-            p[at], coef[at], r[at] = point[:3]
-            jacobian(moved, point)
-            for i in stopped.intersection(moved):
-                finish(i)
-        return sorted(retry + prepare([i for i in moved if i not in stopped]))
+        if not moved:
+            return retry
+        if len(moved) < len(idx):  # the rows of the moved, the columns once
+            cols = point[3][moved_at]  # (phi is cols when unweighted)
+            point = tuple(cols if a is point[3] else a[moved_at] for a in point)
+        jac, grad = accept(moved, point)
+        del point  # before the QR copies the Jacobian
+        for i in stopped.intersection(moved):
+            finish(i)
+        if stopped:
+            kept = [k for k, i in enumerate(moved) if i not in stopped]
+            moved, jac, grad = [moved[k] for k in kept], jac[kept], grad[kept]
+        return sorted(retry + prepare(moved, jac, grad))
 
     searching = list(range(n_prob))
     costs, point = evaluate(searching, p)
     if point is not None:
-        cost[:], coef, r[:] = costs, point[1], point[2]
-        jacobian(searching, point)
+        cost[:], coef = costs, np.empty_like(point[1])
+        searching = prepare(searching, *accept(searching, point))
         del point
-        searching = prepare(searching)
         while searching or ending:
-            searching = sorted((attempt(searching) if searching else []) + restart())
+            searching = sorted((attempt(searching) if searching else [])
+                               + (restart() if ending else []))
     return outcome
 
 
@@ -263,18 +269,19 @@ def _jacobian(derivatives, x, w, point, sets) -> np.ndarray:
     theta_j's v = sum w c_k dphi_k/dtheta_j less Phi_f G_f^-1 (Phi_f^T v +
     t^T a), with Phi_f = Phi t the columns the active set leaves free
     (c = t u + e d, ``sets[s]``; all where none is active), G_f their Gram
-    matrix and a = (w dPhi/dtheta_j)^T r."""
+    matrix and a = (w dPhi/dtheta_j)^T r. v is built in place: the
+    projection is one product with Phi for every active set."""
     q, c, res, cols, phi, gram, held = point
-    v, a = _directions(derivatives, x, q, c, cols, w, res)
-    rhs = np.vecdot(phi[:, None], v[:, :, None]) + a  # (problems, n, k)
+    jac, a = _directions(derivatives, x, q, c, cols, w, res)
+    rhs = np.vecdot(phi[:, None], jac[:, :, None]) + a  # (problems, n, k)
+    proj = np.empty(rhs.shape)  # each problem's G_f^-1 (Phi_f^T v + t^T a) t^T
     active = set(held.tolist())
     for s in active:
         sel = slice(None) if len(active) == 1 else held == s
         t = np.eye(len(gram[0])) if s < 0 else sets[s][0]
-        b = rhs[sel] @ t
-        u = _solve(np.broadcast_to((t.T @ gram[sel] @ t)[:, None], b.shape + b.shape[-1:]), b)
-        v[sel] -= u @ t.T @ phi[sel]
-    return v
+        proj[sel] = _solve((t.T @ gram[sel] @ t)[:, None], rhs[sel] @ t) @ t.T
+    jac -= proj @ phi
+    return jac
 
 
 def covariance_factors(basis, derivatives, x, y, theta, c, weights) -> np.ndarray:
@@ -284,15 +291,23 @@ def covariance_factors(basis, derivatives, x, y, theta, c, weights) -> np.ndarra
     s^2 = |r|^2 / (N - n - k) for the weighted residuals r. A is
     D^-1 V diag(s/sigma), with J D^-1 = U diag(sigma) V^T and D the column
     norms; singular values below eps max(N, n + k) sigma_0 are cut, as in
-    scipy's ``curve_fit``."""
+    scipy's ``curve_fit``. Problems are taken in blocks of at most 2^15
+    Jacobian elements, each as if alone, as the QR copies its input."""
     y, theta, c = (np.asarray(a, dtype=float) for a in (y, theta, c))
     w = None if weights is None else np.broadcast_to(weights, y.shape)
-    cols = _columns(basis, x, theta, y)
-    phi = cols if w is None else cols * w[:, None]
+    (n_prob, size), n, m = y.shape, theta.shape[1], theta.shape[1] + c.shape[1]
+    rows = max(1, 2 ** 15 // (size * m))
+    if n_prob > rows:
+        return np.concatenate([covariance_factors(
+            basis, derivatives, x if x.ndim == 1 else x[i:i + rows], y[i:i + rows],
+            theta[i:i + rows], c[i:i + rows], None if w is None else w[i:i + rows])
+            for i in range(0, n_prob, rows)])
+    jt = np.empty((n_prob, m, size))  # J^T, built in place
+    phi = _columns(basis, x, theta, y, out=jt[:, n:])
+    _directions(derivatives, x, theta, c, phi, w, None, out=jt[:, :n])
+    if w is not None:
+        phi *= w[:, None]
     res = (c[:, None] @ phi)[:, 0] - (y if w is None else y * w)
-    jt = np.concatenate([_directions(derivatives, x, theta, c, cols, w, res)[0], phi], axis=1)
-    del cols, phi
-    m, size = jt.shape[1:]
     norms = np.sqrt(np.vecdot(jt, jt))
     norms[norms == 0.0] = 1.0
     jt /= norms[:, :, None]
@@ -304,25 +319,32 @@ def covariance_factors(basis, derivatives, x, y, theta, c, weights) -> np.ndarra
     return v_t.transpose(0, 2, 1) * (inverse * s[:, None])[:, None] / norms[:, :, None]
 
 
-def _columns(basis, x, q, like) -> np.ndarray:
+def _columns(basis, x, q, like, out=None) -> np.ndarray:
     """The basis columns at q, stacked (problems, k, N) in the shape of
-    ``like`` (problems, N); one problem takes scalars, cheaper for numpy
-    than 1-element columns."""
-    params = q[0] if len(q) == 1 else q.T[:, :, None]
-    return np.stack(np.broadcast_arrays(*basis(x, *params), like)[:-1], axis=1)
+    ``like`` (problems, N), into ``out`` if given; one problem takes
+    scalars, cheaper for numpy than 1-element columns."""
+    cols = basis(x, *(q[0] if len(q) == 1 else q.T[:, :, None]))
+    out = np.empty((len(q), len(cols), like.shape[-1])) if out is None else out
+    for j, col in enumerate(cols):
+        out[:, j] = col
+    return out
 
 
-def _directions(derivatives, x, q, c, cols, w, r) -> tuple:
+def _directions(derivatives, x, q, c, cols, w, r, out=None) -> tuple:
     """v = sum_k c_k dphi_k/dtheta_j at q for each theta_j, weighted by w
-    (None for none), (problems, n, N), and a (problems, n, k) holding
-    (w dphi_k/dtheta_j)^T r at [j, k] for the weighted residuals r."""
-    v = np.empty((len(q), q.shape[1], cols.shape[-1]))
+    (None for none), (problems, n, N), into ``out`` if given, and a
+    (problems, n, k) holding (w dphi_k/dtheta_j)^T r at [j, k] for the
+    weighted residuals r (None for none)."""
+    v = np.empty((len(q), q.shape[1], cols.shape[-1])) if out is None else out
     a = np.zeros((len(q), q.shape[1], cols.shape[1]))
     params = q[0] if len(q) == 1 else q.T[:, :, None]
-    rw = r if w is None else r * w
-    for j, (k, slope) in enumerate(derivatives(x, cols, *params)):
+    rw = r if w is None or r is None else r * w
+    j = 0  # no enumerate: its reused result would hold the last slope
+    for k, slope in derivatives(x, cols, *params):
         np.multiply(c[:, k, None], slope, out=v[:, j])
-        a[:, j, k] = np.vecdot(slope, rw)
+        a[:, j, k] = 0.0 if r is None else np.vecdot(slope, rw)
+        j += 1
+        del slope  # before the next one is made
     if w is not None:
         v *= w[:, None]
     return v, a
@@ -396,11 +418,12 @@ def _active_sets(cons: tuple) -> list:
 
 
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a^-1 b for stacks of small systems, b one vector each: each system
-    gets the bits it gets alone, and NaN when singular."""
+    """a^-1 b for stacks of small systems a broadcast against b, one vector
+    each: each gets the bits it gets alone, and NaN when singular."""
     try:
         return np.linalg.solve(a, b[..., None])[..., 0]
     except np.linalg.LinAlgError:
+        a = np.broadcast_to(a, b.shape + b.shape[-1:])
         out = np.full(b.shape, np.nan)
         ok = np.linalg.slogdet(a)[0] != 0.0  # the factorization solve takes
         out[ok] = np.linalg.solve(a[ok], b[ok][..., None])[..., 0]

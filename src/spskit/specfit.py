@@ -399,13 +399,14 @@ def _recursion(rows: np.ndarray, rate) -> np.ndarray:
     rows = np.broadcast_to(rows, shape).reshape(-1, shape[-1])
     rate = np.broadcast_to(rate, shape[:-1] + (1,)).reshape(-1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        octave = np.nan_to_num(np.floor(np.log2(_BLOCK_EXPONENT / rate)))
-    # a power of two set by the row's own rate
-    length = np.minimum(2.0 ** np.clip(octave, 0, math.log2(_BLOCK_MAX)), shape[-1])
-    out = np.empty(rows.shape)
-    for block in np.unique(length).astype(int):
-        sel = length == block
-        out[sel] = _decay_blocks(rows[sel], rate[sel], block)
+        octave = np.floor(np.log2(_BLOCK_EXPONENT / rate))
+    # a power of two set by the row's own rate, 1 where its octave is NaN
+    length = np.minimum(2.0 ** np.where(octave > 0.0, np.minimum(octave, math.log2(_BLOCK_MAX)),
+                                        0.0), shape[-1])
+    out, blocks = np.empty(rows.shape), set(length.tolist())
+    for block in blocks:
+        sel = slice(None) if len(blocks) == 1 else length == block  # no copies for one
+        out[sel] = _decay_blocks(rows[sel], rate[sel], int(block))
     return out.reshape(shape)
 
 
@@ -509,8 +510,10 @@ def _g2_basis(tv, t_anti, t_bunch=None):
 def _g2_derivatives(tv, cols, t_anti, t_bunch=None):
     """d/dt of each exponential column: the column times |tau|/t^2."""
     delay = np.abs(tv)
-    times = (t_anti,) if t_bunch is None else (t_anti, t_bunch)
-    return ((k, cols[:, k] * delay / (time * time)) for k, time in enumerate(times, 1))
+    for k, time in enumerate((t_anti,) if t_bunch is None else (t_anti, t_bunch), 1):
+        slope = cols[:, k] * delay
+        yield k, np.divide(slope, time * time, out=slope)
+        del slope  # one N-vector per problem at a time
 
 
 def _g2_params(t, c):

@@ -1,3 +1,4 @@
+import collections
 import math
 import tracemalloc
 
@@ -772,12 +773,13 @@ class TestLockstepSolver:
         assert batch[1].params["tau"] == pytest.approx(1.5)
 
     def test_stacked_svd_gives_each_matrix_its_own_bits(self):
-        # the solver takes one np.linalg.svd of the stack of scaled Jacobians
-        # that share a free mask; a problem's bits must not depend on its
-        # neighbours, which rests on the LAPACK build
+        # the solver and the covariance each take one np.linalg.svd of the
+        # stack of every problem's R factor (below), whatever its free mask;
+        # a problem's bits must not depend on its neighbours, which rests on
+        # the LAPACK build
         rng = np.random.default_rng(23)
         for n_prob, n_rows, n_cols in [(2, 5, 1), (6, 1601, 2), (12, 301, 2), (12, 1700, 1),
-                                       (5, 60, 3)]:
+                                       (5, 60, 3), (12, 2, 2), (12, 5, 5)]:
             stack = rng.normal(size=(n_prob, n_rows, n_cols)) * 10.0 ** rng.uniform(
                 -6.0, 6.0, (n_prob, 1, n_cols))
             u, s, vt = np.linalg.svd(stack, full_matrices=False)
@@ -785,6 +787,20 @@ class TestLockstepSolver:
                 for alone, stacked in zip(np.linalg.svd(matrix, full_matrices=False),
                                           (u[i], s[i], vt[i])):
                     assert np.array_equal(alone, stacked), (n_prob, n_rows, n_cols, i)
+
+    def test_stacked_qr_gives_each_matrix_its_own_bits(self):
+        # R of the stack of scaled Jacobians, (problems, n, N) in C order
+        # taken as (problems, N, n), at the shapes of a reproduce chunk of 12:
+        # g2 with and without bunching, the decay, the Lorentzian, and the
+        # covariance's 5 columns of g2 with bunching
+        rng = np.random.default_rng(29)
+        for n_prob, n_rows, n_cols in [(12, 1601, 2), (12, 1601, 1), (12, 750, 1), (12, 301, 2),
+                                       (12, 1601, 5)]:
+            stack = (rng.normal(size=(n_prob, n_cols, n_rows)) * 10.0 ** rng.uniform(
+                -6.0, 6.0, (n_prob, n_cols, 1))).transpose(0, 2, 1)
+            r = np.linalg.qr(stack, mode="r")
+            for i, matrix in enumerate(stack):
+                assert np.array_equal(np.linalg.qr(matrix, mode="r"), r[i]), (n_rows, n_cols, i)
 
     def test_batch_fitters_equal_single_fits(self, roundtrip_draws):
         draws = roundtrip_draws[:10]
@@ -795,19 +811,18 @@ class TestLockstepSolver:
             assert fits["polarization"] == fit_polarization(draw["polarization"][0])
 
     def test_summary_does_not_depend_on_the_chunk(self, monkeypatch):
-        # 13 draws: full chunks and partial ones, the shared chunk and the
-        # g2 sub-batch each of 1, 5 and 13
+        # 13 draws: full chunks and partial ones, batches of every kind, g2
+        # included, of 1, 5 and 13
         expected = fit_roundtrip_summary(13)
         for chunk in (1, 5, 13):
-            for g2_chunk in (1, 5, 13):
-                monkeypatch.setattr(reproduce_module, "FIT_CHUNK", chunk)
-                monkeypatch.setattr(reproduce_module, "G2_CHUNK", g2_chunk)
-                assert fit_roundtrip_summary(13) == expected, (chunk, g2_chunk)
+            monkeypatch.setattr(reproduce_module, "FIT_CHUNK", chunk)
+            assert fit_roundtrip_summary(13) == expected, chunk
 
     def test_chunk_fits_stay_within_their_memory_budget(self):
         # the fits of one reproduce chunk, traced after a first untraced
-        # pass: 1.37 MB with numpy 2.4, which sets the chunk sizes; the
-        # budget of 1.72 MB leaves a quarter on top
+        # pass: 1.43 MB with numpy 2.4, set by the g2 fits at the chunk's
+        # full width of 12 (the decay fits reach 1.22 MB); the budget of
+        # 1.72 MB leaves a fifth on top
         rng = np.random.default_rng(RNG_SEED)
         chunk = [fit_roundtrip_draw(rng) for _ in range(reproduce_module.FIT_CHUNK)]
         fit_roundtrip_fits(chunk)
@@ -993,3 +1008,31 @@ def test_evaluations_of_the_first_twelve_draws():
     fits = fit_roundtrip_fits([fit_roundtrip_draw(rng) for _ in range(12)])
     total = sum(fit.n_evaluations for draw in fits for fit in draw.values())
     assert total == 406 and total < 924
+
+
+def test_rounds_and_evaluations_of_a_hundred_draws(monkeypatch):
+    # reproduce's 100 draws of each kind: a round evaluates every problem of
+    # a batch still searching in one basis call, so a batch of one kind
+    # takes the rounds of its longest fit. With the g2 fits six at a time
+    # the same evaluations took 597 rounds, 457 of them g2
+    kinds = {(301, 2): "lorentzian", (750, 1): "decay", (1601, 2): "g2 with bunching",
+             (1601, 1): "g2 plain", (73, 0): "polarization"}
+    rounds, evaluations = collections.Counter(), collections.Counter()
+    solve = lsq.levenberg_marquardt
+
+    def counted(basis, derivatives, x, y, p0, *args):
+        kind = kinds[np.shape(y)[1], np.shape(p0)[1]]
+
+        def counted_basis(*columns_args):
+            rounds[kind] += 1
+            return basis(*columns_args)
+        outcomes = solve(counted_basis, derivatives, x, y, p0, *args)
+        evaluations[kind] += sum(outcome[-1] for outcome in outcomes)
+        return outcomes
+
+    monkeypatch.setattr(lsq, "levenberg_marquardt", counted)
+    fit_roundtrip_summary(100)
+    assert evaluations == {"lorentzian": 507, "decay": 732, "g2 with bunching": 982,
+                           "g2 plain": 975, "polarization": 100}
+    assert rounds == {"lorentzian": 51, "decay": 80, "g2 with bunching": 130, "g2 plain": 124,
+                      "polarization": 9}
