@@ -3,7 +3,8 @@
 Lengths follow the resonance convention: the effective cavity length for
 mode order q at wavelength lam is q*lam/2. Where mirror field leakage
 matters (free spectral range), the effective length optionally includes
-twice the penetration depth.
+twice the penetration depth. ``CavityConfig`` checks only what
+``config.SCHEMA`` does not already guarantee of its pipeline inputs.
 """
 from __future__ import annotations
 
@@ -30,14 +31,6 @@ class CavityConfig:
     max_voltage_v: float = 10.0
 
     def __post_init__(self):
-        if self.longitudinal_order < 1:
-            raise CavityError(f"longitudinal order must be >= 1, got {self.longitudinal_order}")
-        if not (math.isfinite(self.design_wavelength_nm) and self.design_wavelength_nm > 0):
-            raise CavityError(f"design wavelength must be positive and finite, "
-                              f"got {self.design_wavelength_nm}")
-        if not 0.0 < self.mirror_reflectivity < 1.0:
-            raise CavityError(
-                f"mirror reflectivity must be in (0, 1), got {self.mirror_reflectivity}")
         if self.tuning_slope_nm_per_v <= 0:
             raise CavityError(f"tuning slope must be positive, got {self.tuning_slope_nm_per_v}")
         if self.penetration_depth_nm < 0:
@@ -72,8 +65,6 @@ def mode_volume(config: CavityConfig) -> float:
 def finesse(mirror_reflectivity: float) -> float:
     """Finesse of a symmetric two-mirror cavity: pi sqrt(R)/(1-R)."""
     r = mirror_reflectivity
-    if not 0.0 < r < 1.0:
-        raise CavityError(f"reflectivity must be in (0, 1) for a finite finesse, got {r}")
     return math.pi * math.sqrt(r) / (1.0 - r)
 
 

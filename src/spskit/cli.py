@@ -64,10 +64,7 @@ def cmd_mirror(args, scenario: Scenario) -> None:
     cfg = scenario["mirror"]
     out = _outdir(args)
     stack = pipeline.mirror_stack(scenario, cfg["termination"])
-    step = cfg["wl_step_nm"]
-    if not (math.isfinite(step) and step > 0):
-        raise ConfigError(f"[mirror] wl_step_nm must be positive and finite, got {step}")
-    wls = np.arange(cfg["wl_min_nm"], cfg["wl_max_nm"] + 1e-9, step)
+    wls = np.arange(cfg["wl_min_nm"], cfg["wl_max_nm"] + 1e-9, cfg["wl_step_nm"])
     write_csv(out / "mirror_reflectance.csv", scenario,
               ["wavelength_nm", "reflectance"],
               np.column_stack([wls, optics.reflectance(stack, wls)]))

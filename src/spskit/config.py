@@ -4,6 +4,15 @@ whose provenance is recorded alongside the value.
 
 Units are part of key names (``*_nm``, ``*_ps``, ``*_db_per_km``). CLI
 flags override file values which override defaults.
+
+Every key states its domain in ``SCHEMA``: a finite interval for a
+number, written "[low, high]" with "(" or ")" at an open end, and the
+tuple of choices for a string. ``_apply``, which every file value and
+``--set`` value passes through, checks the value against it and raises
+``ConfigError("[section] key ...")``; a NaN lies in no interval. So every
+subcommand rejects every bad key, read or not, and the models that
+``pipeline`` builds from a scenario check only what an interval cannot
+express, such as a relation between two keys.
 """
 from __future__ import annotations
 
@@ -22,94 +31,105 @@ class ConfigError(ValueError):
 class Setting:
     default: object
     kind: type
+    domain: str | tuple[str, ...] | None  # interval, choices, or None for a bool
     provenance: str
     required: bool = False
 
 
+# The count, range and step keys are bounded so that no accepted value
+# makes a subcommand allocate without limit: at most 180,001 mirror
+# wavelengths, a 500 x 500 indistinguishability map, 10,001 QKD sweep rows
+# (about 110 MB at the peak of the intensity search) and a 1,001 x 1,001
+# pixel dose map.
 SCHEMA: dict[str, dict[str, Setting]] = {
     "mirror": {
-        "n_high": Setting(2.135, float, "ellipsometry of sputtered TiO2 at 565 nm"),
-        "n_low": Setting(1.521, float, "ellipsometry of sputtered SiO2 at 565 nm"),
-        "n_substrate": Setting(1.5255, float,
+        "n_high": Setting(2.135, float, "[1, 5]", "ellipsometry of sputtered TiO2 at 565 nm"),
+        "n_low": Setting(1.521, float, "[1, 5]", "ellipsometry of sputtered SiO2 at 565 nm"),
+        "n_substrate": Setting(1.5255, float, "[1, 5]",
                                "inverted from the 4.33% bare glass-air reflection"),
-        "ar_index": Setting(1.390, float, "ellipsometry of MgF2 at 565 nm"),
-        "pairs": Setting(9, int, "deposited mirror period count"),
-        "design_wavelength_nm": Setting(565.0, float, "coating design wavelength"),
-        "termination": Setting("high", str,
+        "ar_index": Setting(1.390, float, "[1, 5]", "ellipsometry of MgF2 at 565 nm"),
+        "pairs": Setting(9, int, "[1, 50]", "deposited mirror period count"),
+        "design_wavelength_nm": Setting(565.0, float, "[200, 2000]", "coating design wavelength"),
+        "termination": Setting("high", str, ("high", "low"),
                                "outermost-layer material; 'high' matches the measured "
                                "reflectivity class, 'low' the deposited termination"),
-        "stopband_threshold": Setting(0.8, float,
+        "stopband_threshold": Setting(0.8, float, "(0, 1]",
                                       "reflectivity level whose band edge matches the "
                                       "504 nm excitation constraint"),
-        "wl_min_nm": Setting(420.0, float, "scan range"),
-        "wl_max_nm": Setting(760.0, float, "scan range"),
-        "wl_step_nm": Setting(0.5, float, "scan step"),
+        "wl_min_nm": Setting(420.0, float, "[200, 2000]", "scan range"),
+        "wl_max_nm": Setting(760.0, float, "[200, 2000]", "scan range"),
+        "wl_step_nm": Setting(0.5, float, "[0.01, 100]", "scan step"),
     },
     "cavity": {
-        "radius_of_curvature_um": Setting(2.7, float, "milled hemisphere radius"),
-        "longitudinal_order": Setting(8, int, "operating mode order"),
-        "wavelength_nm": Setting(565.85, float, "emitter line center"),
-        "mirror_reflectivity": Setting(0.992, float, "measured coating reflectivity"),
-        "effective_mirror_reflectivity": Setting(0.992, float,
+        "radius_of_curvature_um": Setting(2.7, float, "(0, 1000]", "milled hemisphere radius"),
+        "longitudinal_order": Setting(8, int, "[1, 100]", "operating mode order"),
+        "wavelength_nm": Setting(565.85, float, "[200, 2000]", "emitter line center"),
+        "mirror_reflectivity": Setting(0.992, float, "(0, 1)", "measured coating reflectivity"),
+        "effective_mirror_reflectivity": Setting(0.992, float, "(0, 1)",
                                                  "loss-calibrated reflectivity used for the "
                                                  "transfer-matrix cavity"),
-        "include_penetration": Setting(True, bool,
+        "include_penetration": Setting(True, bool, None,
                                        "length convention for the free spectral range"),
     },
     "emitter": {
-        "zpl_wavelength_nm": Setting(565.85, float, "measured line center"),
-        "free_linewidth_nm": Setting(5.76, float, "measured free-space FWHM"),
-        "free_lifetime_ps": Setting(897.0, float, "measured excited-state lifetime"),
-        "cavity_fwhm_nm": Setting(0.224, float, "measured cavity-filtered linewidth"),
-        "mirror_purcell": Setting(1.68, float,
+        "zpl_wavelength_nm": Setting(565.85, float, "[200, 2000]", "measured line center"),
+        "free_linewidth_nm": Setting(5.76, float, "(0, 100]", "measured free-space FWHM"),
+        "free_lifetime_ps": Setting(897.0, float, "[1, 1e6]", "measured excited-state lifetime"),
+        "cavity_fwhm_nm": Setting(0.224, float, "(0, 100]", "measured cavity-filtered linewidth"),
+        "mirror_purcell": Setting(1.68, float, "[0, 100]",
                                   "mirror-induced enhancement, external field-solver input"),
-        "lifetime_ratio": Setting(2.29, float, "measured free-space to cavity lifetime ratio"),
-        "dephasing_rate_hz": Setting(5.41e12, float,
+        "lifetime_ratio": Setting(2.29, float, "(0, 100]",
+                                  "measured free-space to cavity lifetime ratio"),
+        "dephasing_rate_hz": Setting(5.41e12, float, "[0, 1e16]",
                                      "free-space linewidth expressed as a plain frequency"),
-        "map_points": Setting(200, int, "indistinguishability map resolution"),
-        "map_rate_min_hz": Setting(1e6, float, "map axis lower bound"),
-        "map_rate_max_hz": Setting(1e12, float, "map axis upper bound"),
+        "map_points": Setting(200, int, "[2, 500]", "indistinguishability map resolution"),
+        "map_rate_min_hz": Setting(1e6, float, "[1, 1e16]", "map axis lower bound"),
+        "map_rate_max_hz": Setting(1e12, float, "[1, 1e16]", "map axis upper bound"),
     },
     "qkd": {
-        "source_efficiency": Setting(0.513, float, "source quantum efficiency"),
-        "g2_zero": Setting(0.018, float, "measured photon-number purity"),
-        "channel": Setting("fiber", str, "fiber or freespace"),
-        "attenuation_db_per_km": Setting(0.21, float, "reference fiber loss"),
-        "receiver_efficiency": Setting(0.045, float, "reference receiver efficiency"),
-        "dark_count_per_pulse": Setting(1.7e-6, float, "reference dark-count probability"),
-        "misalignment_error": Setting(0.033, float, "reference misalignment error"),
-        "error_correction_inefficiency": Setting(1.22, float, "reference EC inefficiency"),
-        "sifting_factor": Setting(0.5, float, "basis sifting"),
-        "mu_mode": Setting("optimal", str, "per-distance optimization or fixed intensity"),
-        "mu_fixed": Setting(0.5, float, "intensity when mu_mode=fixed"),
-        "sweep_start_km": Setting(0.0, float, "sweep range"),
-        "sweep_stop_km": Setting(100.0, float, "sweep range"),
-        "sweep_step_km": Setting(0.5, float, "sweep step"),
-        "transmit_aperture_m": Setting(0.05, float, "transmitter telescope"),
-        "receive_aperture_m": Setting(0.60, float, "receiver telescope"),
+        "source_efficiency": Setting(0.513, float, "(0, 1]", "source quantum efficiency"),
+        "g2_zero": Setting(0.018, float, "[0, 1]", "measured photon-number purity"),
+        "channel": Setting("fiber", str, ("fiber", "freespace"), "fiber or freespace"),
+        "attenuation_db_per_km": Setting(0.21, float, "(0, 10]", "reference fiber loss"),
+        "receiver_efficiency": Setting(0.045, float, "[0, 1]", "reference receiver efficiency"),
+        "dark_count_per_pulse": Setting(1.7e-6, float, "[0, 1]",
+                                        "reference dark-count probability"),
+        "misalignment_error": Setting(0.033, float, "[0, 1]", "reference misalignment error"),
+        "error_correction_inefficiency": Setting(1.22, float, "[1, 10]",
+                                                 "reference EC inefficiency"),
+        "sifting_factor": Setting(0.5, float, "[0, 1]", "basis sifting"),
+        "mu_mode": Setting("optimal", str, ("fixed", "optimal"),
+                           "per-distance optimization or fixed intensity"),
+        "mu_fixed": Setting(0.5, float, "(0, 10]", "intensity when mu_mode=fixed"),
+        "sweep_start_km": Setting(0.0, float, "[0, 1000]", "sweep range"),
+        "sweep_stop_km": Setting(100.0, float, "[0, 1000]", "sweep range"),
+        "sweep_step_km": Setting(0.5, float, "[0.1, 100]", "sweep step"),
+        "transmit_aperture_m": Setting(0.05, float, "[0.001, 10]", "transmitter telescope"),
+        "receive_aperture_m": Setting(0.60, float, "[0.001, 10]", "receiver telescope"),
         "divergence_model": Setting("gaussian_farfield", str,
+                                    ("gaussian_farfield", "friis", "calibrated"),
                                     "free-space beam spread model"),
-        "calibration_loss_db": Setting(8.82, float,
+        "calibration_loss_db": Setting(8.82, float, "[0, 100]",
                                        "loss pinned to the calibration distance"),
-        "calibration_distance_km": Setting(630.0, float,
+        "calibration_distance_km": Setting(630.0, float, "[1, 100000]",
                                            "distance at which the calibrated model places "
                                            "the pinned loss"),
     },
     "fit": {
-        "scan_range_per_nm": Setting(0.0, float,
+        "scan_range_per_nm": Setting(0.0, float, "[0, 1000]",
                                      "instrument sinc^2 kernel scale; 0 disables the kernel "
                                      "(free parameter, not a reconstructed constant)"),
-        "contaminant_cutoff_nm": Setting(580.0, float,
+        "contaminant_cutoff_nm": Setting(580.0, float, "[200, 2000]",
                                          "emission beyond this is surface contamination"),
     },
     "fab": {
-        "radius_um": Setting(2.7, float, "target hemisphere radius"),
-        "aperture_um": Setting(2.7, float, "milled aperture"),
-        "pitch_nm": Setting(20.0, float, "pixel pitch"),
-        "calibration_nm_per_unit": Setting(None, float,
+        "radius_um": Setting(2.7, float, "(0, 1000]", "target hemisphere radius"),
+        "aperture_um": Setting(2.7, float, "(0, 10]", "milled aperture"),
+        "pitch_nm": Setting(20.0, float, "[10, 1000]", "pixel pitch"),
+        "calibration_nm_per_unit": Setting(None, float, "[0.01, 100]",
                                            "dose-to-depth calibration; must be supplied, "
                                            "never defaulted", required=True),
-        "edge_exclusion_fraction": Setting(0.10, float,
+        "edge_exclusion_fraction": Setting(0.10, float, "[0, 0.5)",
                                            "profile rim fraction excluded from fitting"),
     },
 }
@@ -143,9 +163,9 @@ def default_scenario() -> Scenario:
 
 
 def _coerce(section: str, key: str, raw, kind: type):
-    if isinstance(raw, kind):
-        return raw
     if kind is bool:
+        if isinstance(raw, bool):
+            return raw
         if isinstance(raw, str):
             lowered = raw.strip().lower()
             if lowered in ("1", "true", "yes", "on"):
@@ -153,10 +173,24 @@ def _coerce(section: str, key: str, raw, kind: type):
             if lowered in ("0", "false", "no", "off"):
                 return False
         raise ConfigError(f"[{section}] {key}: expected a boolean, got {raw!r}")
+    # a JSON true is no number, and 9.7 no count
+    if isinstance(raw, bool) or (kind is int and isinstance(raw, float)
+                                 and not raw.is_integer()):
+        raise ConfigError(f"[{section}] {key}: expected {kind.__name__}, got {raw!r}")
     try:
         return kind(raw)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"[{section}] {key}: expected {kind.__name__}, got {raw!r}") from exc
+
+
+def _in_domain(value, domain) -> bool:
+    if domain is None:
+        return True
+    if isinstance(domain, tuple):
+        return value in domain
+    low, high = (float(end) for end in domain[1:-1].split(","))
+    return ((low < value if domain[0] == "(" else low <= value)
+            and (value < high if domain[-1] == ")" else value <= high))
 
 
 def _apply(scenario: Scenario, section: str, key: str, raw) -> None:
@@ -164,7 +198,11 @@ def _apply(scenario: Scenario, section: str, key: str, raw) -> None:
         raise ConfigError(f"unknown config section [{section}]")
     if key not in SCHEMA[section]:
         raise ConfigError(f"unknown key {key!r} in section [{section}]")
-    scenario.sections[section][key] = _coerce(section, key, raw, SCHEMA[section][key].kind)
+    setting = SCHEMA[section][key]
+    value = _coerce(section, key, raw, setting.kind)
+    if not _in_domain(value, setting.domain):
+        raise ConfigError(f"[{section}] {key} must be in {setting.domain}, got {value!r}")
+    scenario.sections[section][key] = value
 
 
 def load_scenario(path: str | Path | None) -> Scenario:

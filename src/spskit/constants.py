@@ -21,8 +21,6 @@ def linewidth_nm_to_hz(fwhm_nm: float, center_nm: float) -> float:
 
 def rate_from_lifetime_ps(lifetime_ps: float) -> float:
     """Emission rate in Hz from an excited-state lifetime in ps."""
-    if lifetime_ps <= 0:
-        raise ValueError(f"lifetime must be positive, got {lifetime_ps} ps")
     return PS_PER_S / lifetime_ps
 
 

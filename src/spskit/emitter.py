@@ -15,7 +15,8 @@ of rates.
 
 Results are plain values: ``purcell_chain`` returns the three numbers of
 the emitter report (effective Q, effective Purcell factor, quantum
-efficiency) as a dict under their report names.
+efficiency) as a dict under their report names. The functions check
+only what ``config.SCHEMA`` does not already guarantee of their inputs.
 """
 from __future__ import annotations
 
@@ -123,10 +124,6 @@ def purcell_chain(
 
 def indistinguishability_free(emission_rate: float, dephasing_rate: float) -> float:
     """Two-photon interference contrast of a dephasing emitter: gamma/(gamma+gamma*)."""
-    if emission_rate <= 0:
-        raise PhotophysicsError("emission rate must be positive")
-    if dephasing_rate < 0:
-        raise PhotophysicsError("dephasing rate must be non-negative")
     return emission_rate / (emission_rate + dephasing_rate)
 
 
@@ -212,9 +209,6 @@ def indistinguishability_map(
     the three-column CSV export. The matrix is one broadcast evaluation of
     the formula of ``indistinguishability_cavity``.
     """
-    if points < 2:
-        raise PhotophysicsError(f"map needs at least 2 points per axis, got {points}")
-    CoupledRates(emission_rate, dephasing_rate, 0.0, 0.0)  # validates the fixed rates
     gs = np.logspace(math.log10(coupling_range[0]), math.log10(coupling_range[1]), points)
     kappas = np.logspace(math.log10(cavity_range[0]), math.log10(cavity_range[1]), points)
     grid = _cavity_indistinguishability(emission_rate, dephasing_rate, kappas[None, :],

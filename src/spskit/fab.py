@@ -7,7 +7,8 @@ import ``specfit``; the dose map loads no fitting module.
 
 Depth-to-color encoding is linear with a required calibration constant
 (depth removed per RGB unit); values overflow blue -> green -> red, so
-the encodable depth ceiling is 765 calibration quanta.
+the encodable depth ceiling is 765 calibration quanta. The dose map
+checks only what ``config.SCHEMA`` does not already guarantee of its inputs.
 """
 from __future__ import annotations
 
@@ -87,12 +88,8 @@ def hemisphere_dose_map(
     center depth exceeds the encodable range, naming the calibration
     that would fit.
     """
-    if radius_um <= 0 or aperture_um <= 0 or pitch_nm <= 0:
-        raise FabError("radius, aperture, and pitch must be positive")
     if aperture_um > 2.0 * radius_um:
         raise FabError(f"aperture {aperture_um} um exceeds sphere diameter {2 * radius_um} um")
-    if calibration_nm_per_unit <= 0:
-        raise FabError("calibration must be positive (depth per RGB unit)")
     radius_nm = radius_um * 1e3
     aperture_nm = aperture_um * 1e3
     across = aperture_nm / pitch_nm

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import ConfigError, Scenario
+from .config import Scenario
 
 
 def mirror_stack(scenario: Scenario, termination: str):
@@ -108,8 +108,6 @@ def qkd_models(scenario: Scenario, channel: str, divergence_model: str | None = 
         misalignment_error=qcfg["misalignment_error"],
         error_correction_inefficiency=qcfg["error_correction_inefficiency"],
         sifting_factor=qcfg["sifting_factor"])
-    if channel not in ("fiber", "freespace"):
-        raise ConfigError(f"[qkd] channel must be 'fiber' or 'freespace', got {channel!r}")
     if channel == "fiber":
         link = qkd.ChannelModel(kind="fiber", attenuation_db_per_km=qcfg["attenuation_db_per_km"])
     else:

@@ -15,6 +15,7 @@ from spskit.cavitymode import (
     spectral_overlap,
     tune,
 )
+from test_config_cli import _assert_validation_error
 
 
 def volume_oracle(rc_nm, q, lam):
@@ -74,9 +75,10 @@ class TestFsrFinesseLinewidth:
     def test_finesse_vanishes_at_zero_reflectivity(self):
         assert finesse(1e-9) < 1e-4
 
-    def test_unit_reflectivity_rejected(self):
-        with pytest.raises(CavityError, match="finite finesse"):
-            finesse(1.0)
+    def test_unit_reflectivity_rejected(self, tmp_path, capsys):
+        _assert_validation_error(
+            ["--outdir", str(tmp_path), "--set", "cavity.mirror_reflectivity=1.0", "cavity"],
+            capsys, "[cavity] mirror_reflectivity")
 
     def test_fsr_chain_for_target_linewidth(self):
         # FSR = linewidth * finesse: 124 MHz at R=99.95% allows ~779 GHz

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ import spskit
 from spskit import cli
 from spskit.cli import CSV_BLOCK_ROWS, main
 from spskit.config import (
+    SCHEMA,
     ConfigError,
     apply_overrides,
     default_scenario,
@@ -71,6 +73,26 @@ class TestConfig:
         path.write_text("[mirror]\npairs = many\n")
         with pytest.raises(ConfigError, match="expected int"):
             load_scenario(path)
+
+    @pytest.mark.parametrize("document, value", [
+        ({"mirror": {"pairs": 9.7}}, "expected int, got 9.7"),
+        ({"mirror": {"pairs": True}}, "expected int, got True"),
+        ({"mirror": {"n_high": True}}, "expected float, got True"),
+        ({"mirror": {"n_high": 10 ** 400}}, "expected float"),
+    ], ids=["fractional-count", "bool-count", "bool-float", "overflowing-int"])
+    def test_json_numbers_keep_their_kind(self, tmp_path, document, value):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(document))
+        key = next(iter(document["mirror"]))
+        with pytest.raises(ConfigError, match=rf"^\[mirror\] {key}: {value}"):
+            load_scenario(path)
+
+    def test_json_integral_float_is_a_count(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"mirror": {"pairs": 10.0, "n_high": 2}}))
+        scenario = load_scenario(path)
+        assert scenario["mirror"]["pairs"] == 10 and type(scenario["mirror"]["pairs"]) is int
+        assert type(scenario["mirror"]["n_high"]) is float
 
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
@@ -144,7 +166,7 @@ class TestCli:
         assert code == 1
         payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert payload["exit_code"] == 1
-        assert payload["message"].startswith("wavelength must be positive and finite")
+        assert payload["message"].startswith("[cavity] wavelength_nm must be in")
 
     def test_cavity_outputs(self, tmp_path):
         code = main(["--outdir", str(tmp_path), "cavity"])
@@ -170,7 +192,7 @@ class TestCli:
     def test_emitter_ignores_the_cavity_keys_it_does_not_read(self, tmp_path):
         # the emitter's mode volume reads only the cavity's radius and order
         bodies = {}
-        for name, sets in (("default", []), ("set", ["--set", "cavity.mirror_reflectivity=1.5"])):
+        for name, sets in (("default", []), ("set", ["--set", "cavity.mirror_reflectivity=0.95"])):
             assert main([*sets, "--set", "emitter.map_points=16", "--outdir",
                          str(tmp_path / name), "emitter"]) == 0
             bodies[name] = json.loads((tmp_path / name / "emitter_report.json").read_text())
@@ -305,25 +327,26 @@ def _assert_validation_error(argv, capsys, match: str) -> None:
 
 
 class TestTypedErrors:
-    @pytest.mark.parametrize("argv", [
-        ["--set", "qkd.sweep_step_km=0", "qkd"],
-        ["qkd", "--sweep", "0:100:0"],
-        ["--set", "qkd.sweep_step_km=-1", "qkd"],
+    @pytest.mark.parametrize("argv, match", [
+        (["--set", "qkd.sweep_step_km=0", "qkd"], "[qkd] sweep_step_km"),
+        (["qkd", "--sweep", "0:100:0"], "sweep step must be positive"),
+        (["--set", "qkd.sweep_step_km=-1", "qkd"], "[qkd] sweep_step_km"),
     ], ids=["set-zero", "sweep-zero", "negative"])
-    def test_sweep_step_must_be_positive(self, tmp_path, capsys, argv):
-        _assert_validation_error(["--outdir", str(tmp_path), *argv], capsys,
-                                 "sweep step must be positive")
+    def test_sweep_step_must_be_positive(self, tmp_path, capsys, argv, match):
+        _assert_validation_error(["--outdir", str(tmp_path), *argv], capsys, match)
         assert not (tmp_path / "qkd_rates.csv").exists()
 
     def test_overflowing_mirror_index(self, tmp_path, capsys):
         _assert_validation_error(
             ["--outdir", str(tmp_path), "--set", "mirror.n_high=1e300", "mirror"], capsys,
-            "spectral curve samples must be finite")
+            "[mirror] n_high")
 
     def test_nan_sweep_step(self, tmp_path, capsys):
         _assert_validation_error(
             ["--outdir", str(tmp_path), "--set", "qkd.sweep_step_km=nan", "qkd"], capsys,
-            "must be finite")
+            "[qkd] sweep_step_km")
+        _assert_validation_error(["--outdir", str(tmp_path), "qkd", "--sweep", "0:100:nan"],
+                                 capsys, "must be finite")
 
     # the cavity computes the penetration depth from the coating; the others
     # changed no output
@@ -335,10 +358,10 @@ class TestTypedErrors:
             ["--outdir", str(tmp_path), "--set", f"{key}=50", "emitter"], capsys, "unknown key")
 
     @pytest.mark.parametrize("setting, match", [
-        ("emitter.free_lifetime_ps=-5", "lifetime must be positive, got -5.0 ps"),
-        ("emitter.free_linewidth_nm=0", "all Purcell inputs must be positive"),
+        ("emitter.free_lifetime_ps=-5", "[emitter] free_lifetime_ps must be in [1, 1e6], got -5.0"),
+        ("emitter.free_linewidth_nm=0", "[emitter] free_linewidth_nm must be in (0, 100], got 0.0"),
         ("emitter.zpl_wavelength_nm=-1",
-         "design wavelength must be positive and finite, got -1.0"),
+         "[emitter] zpl_wavelength_nm must be in [200, 2000], got -1.0"),
     ], ids=["lifetime", "linewidth", "wavelength"])
     def test_non_positive_emitter_input(self, tmp_path, capsys, setting, match):
         _assert_validation_error(
@@ -351,21 +374,20 @@ class TestTypedErrors:
             capsys, "unphysical quantum efficiency -0.1333")
         assert not (tmp_path / "emitter_report.json").exists()
 
-    @pytest.mark.parametrize("argv, shown", [
-        (["--scan-range", "nan"], "nan"),
-        (["--scan-range", "inf"], "inf"),
-        (["--scan-range", "-1"], "-1.0"),
-        (["--set", "fit.scan_range_per_nm=nan"], "nan"),
+    @pytest.mark.parametrize("argv, match", [
+        (["--scan-range", "nan"], "scan range must be positive and finite, got nan"),
+        (["--scan-range", "inf"], "scan range must be positive and finite, got inf"),
+        (["--scan-range", "-1"], "scan range must be positive and finite, got -1.0"),
+        (["--set", "fit.scan_range_per_nm=nan"], "[fit] scan_range_per_nm"),
     ], ids=["nan", "inf", "negative", "set-nan"])
-    def test_bad_scan_range(self, tmp_path, capsys, argv, shown):
+    def test_bad_scan_range(self, tmp_path, capsys, argv, match):
         # bad input, rejected before the fit starts: exit 1, not a failed fit
         x = np.linspace(560.0, 572.0, 301)
         line = tmp_path / "line.csv"
         write_series_csv(line, MeasurementSeries(x, lorentzian(x, 566.0, 0.5, 900.0, 10.0),
                                                  "spectrum"))
         _assert_validation_error(
-            ["--outdir", str(tmp_path), "fit", "--input", str(line), *argv], capsys,
-            f"scan range must be positive and finite, got {shown}")
+            ["--outdir", str(tmp_path), "fit", "--input", str(line), *argv], capsys, match)
         assert not (tmp_path / "fit_report.json").exists()
 
     def test_malformed_sweep(self, tmp_path, capsys):
@@ -375,7 +397,7 @@ class TestTypedErrors:
     def test_unknown_channel(self, tmp_path, capsys):
         _assert_validation_error(
             ["--outdir", str(tmp_path), "--set", "qkd.channel=foo", "qkd"], capsys,
-            "channel must be 'fiber' or 'freespace'")
+            "[qkd] channel must be in ('fiber', 'freespace'), got 'foo'")
 
     @pytest.mark.parametrize("draws", [0, -3])
     def test_reproduce_needs_a_draw(self, tmp_path, capsys, draws):
@@ -389,7 +411,7 @@ class TestTypedErrors:
     def test_map_needs_two_points(self, tmp_path, capsys, points):
         _assert_validation_error(
             ["--outdir", str(tmp_path), "--set", f"emitter.map_points={points}", "emitter"],
-            capsys, "at least 2 points")
+            capsys, "[emitter] map_points")
         assert not (tmp_path / "indistinguishability_map.csv").exists()
 
     def test_one_column_row_names_the_line(self, tmp_path, capsys):
@@ -677,3 +699,154 @@ class TestExitCodes:
                                        "exit_code": code}
         else:
             assert (out, err) == ("", "error: injected failure\n")
+
+
+KEYS = [f"{section}.{key}" for section, keys in SCHEMA.items() for key in keys]
+
+
+def _workloads(monkeypatch):
+    """The benchmark's workload module, read from its file, not edited."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestSchema:
+    @pytest.mark.parametrize("key", KEYS)
+    def test_every_key_states_its_domain(self, key):
+        section, name = key.split(".")
+        setting = SCHEMA[section][name]
+        if setting.kind is bool:
+            assert setting.domain is None
+        elif setting.kind is str:
+            assert isinstance(setting.domain, tuple) and setting.domain
+            assert all(isinstance(choice, str) for choice in setting.domain)
+        else:
+            domain = setting.domain
+            assert domain[0] in "[(" and domain[-1] in "])", domain
+            low, high = (float(end) for end in domain[1:-1].split(","))
+            assert math.isfinite(low) and math.isfinite(high) and low < high, domain
+
+    def test_defaults_and_benchmark_values_lie_in_their_domains(self, monkeypatch):
+        workloads = _workloads(monkeypatch)
+        sets = [f"{section}.{key}={setting.default}" for section, keys in SCHEMA.items()
+                for key, setting in keys.items() if setting.default is not None]
+        sets += [f"{key}={value}" for space in workloads.DESIGN_VARIANTS.values()
+                 for key, values in space.items() for value in values]
+        sets += [item for items in workloads.FIXED_SETS.values() for item in items]
+        for item in sets:
+            apply_overrides(default_scenario(), [item])
+
+
+def _assert_rejected_at_load(argv, capsys, key: str) -> None:
+    """Exit 1 in both error modes with a message that starts with
+    ``[section] key``, no RuntimeWarning, and no output written."""
+    section, name = key.split(".")
+    outdir = Path(argv[argv.index("--outdir") + 1])
+    for mode in ([], ["--error-json"]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([*mode, *argv]) == 1
+        out, err = capsys.readouterr()
+        message = json.loads(out)["message"] if mode else err.removeprefix("error: ")
+        assert message.startswith(f"[{section}] {name}"), message
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not outdir.exists()
+
+
+class TestBoundsAtLoad:
+    # each of these exited 0, or exited 1 with a message naming no key,
+    # while the bounds were checked only where a key was read
+    @pytest.mark.parametrize("setting, command", [
+        ("qkd.attenuation_db_per_km=nan", ["qkd"]),
+        ("qkd.mu_fixed=nan", ["qkd"]),
+        ("cavity.radius_of_curvature_um=nan", ["cavity"]),
+        ("emitter.map_rate_min_hz=nan", ["emitter"]),
+        ("emitter.free_lifetime_ps=-5", ["mirror"]),
+        ("fab.pitch_nm=nan", ["--set", "fab.calibration_nm_per_unit=0.5", "fab"]),
+        ("emitter.cavity_fwhm_nm=inf", ["emitter"]),
+        ("fab.edge_exclusion_fraction=nan", ["fab", "--profile", "profile.csv"]),
+        ("mirror.n_high=1e300", ["mirror"]),
+    ])
+    def test_unchecked_inputs_are_rejected(self, tmp_path, capsys, setting, command):
+        _write_fit_inputs(tmp_path)
+        command = [str(tmp_path / a) if a.endswith(".csv") else a for a in command]
+        _assert_rejected_at_load(["--outdir", str(tmp_path / "out"), "--set", setting,
+                                  *command], capsys, setting.split("=")[0])
+
+    @pytest.mark.parametrize("key", KEYS)
+    def test_non_finite_and_huge_values_are_rejected(self, tmp_path, capsys, key):
+        for value in ("nan", "inf", "-inf", "1e300"):
+            _assert_rejected_at_load(["--outdir", str(tmp_path / "out"), "--set",
+                                      f"{key}={value}", "mirror"], capsys, key)
+
+    # what an interval cannot express stays with the models
+    @pytest.mark.parametrize("sets, command, match", [
+        (["mirror.n_high=1.5"], "mirror", "need n_high > n_low"),
+        (["fab.calibration_nm_per_unit=0.5", "fab.aperture_um=6"], "fab",
+         "exceeds sphere diameter"),
+        (["cavity.longitudinal_order=10"], "cavity", "unstable geometry"),
+        (["qkd.sweep_start_km=50", "qkd.sweep_stop_km=10"], "qkd",
+         "sweep stop must not be below its start"),
+    ], ids=["n_high-below-n_low", "aperture-above-diameter", "unstable-order",
+            "sweep-stop-below-start"])
+    def test_cross_key_checks(self, tmp_path, capsys, sets, command, match):
+        argv = [arg for item in sets for arg in ("--set", item)]
+        _assert_validation_error(["--outdir", str(tmp_path), *argv, command], capsys, match)
+
+
+# the subcommands that read each section's keys
+READERS = {
+    "mirror": [["mirror"], ["cavity"]],
+    "cavity": [["cavity"], ["emitter"]],
+    "emitter": [["emitter"], ["--set", "qkd.channel=freespace", "qkd"]],
+    "qkd": [["qkd"], ["--set", "qkd.channel=freespace", "qkd"],
+            ["--set", "qkd.channel=freespace", "--set", "qkd.divergence_model=calibrated",
+             "qkd"]],
+    "fit": [["fit", "--input", "spectrum.csv"]],
+    "fab": [["--set", "fab.calibration_nm_per_unit=0.5", "fab"],
+            ["fab", "--profile", "profile.csv"]],
+}
+FUZZ_STRINGS = sorted({choice for keys in SCHEMA.values() for s in keys.values()
+                       if s.kind is str for choice in s.domain} | {"", "abc", "true"})
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("fuzz")
+    _write_fit_inputs(folder)
+    return folder
+
+
+class TestSetFuzz:
+    @pytest.mark.parametrize("key", KEYS)
+    @settings(max_examples=4, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(value=st.one_of(st.sampled_from(SPECIAL_FLOATS), st.integers(-2, 60),
+                           st.sampled_from(FUZZ_STRINGS)),
+           error_json=st.booleans())
+    # the edges of every domain that starts at zero, whether open or closed
+    @example(value=5e-324, error_json=False)
+    @example(value=-0.0, error_json=True)
+    def test_every_value_exits_cleanly(self, fuzz_inputs, capsys, key, value, error_json):
+        setting = f"{key}={value}"
+        try:
+            apply_overrides(default_scenario(), [setting])
+        except ConfigError:
+            _assert_rejected_at_load(["--outdir", str(fuzz_inputs / "rejected"), "--set",
+                                      setting, "mirror"], capsys, key)
+            return
+        for reader in READERS[key.split(".")[0]]:
+            reader = [str(fuzz_inputs / a) if a.endswith(".csv") else a for a in reader]
+            argv = [*(["--error-json"] if error_json else []),
+                    "--outdir", str(fuzz_inputs / "out"), *reader, "--set", setting]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(argv)
+            out, err = capsys.readouterr()
+            assert code in (0, 1, 2), argv
+            assert "Traceback" not in out + err
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], argv

@@ -235,11 +235,6 @@ class TestMapAndTypes:
         # kappa = g = 0: nothing is recycled, and 0/0 must not appear
         assert indistinguishability_cavity(CoupledRates(GAMMA, GAMMA_STAR, 0.0, 0.0)) == 1.0
 
-    @pytest.mark.parametrize("points", [0, 1])
-    def test_map_needs_two_points_per_axis(self, points):
-        with pytest.raises(PhotophysicsError, match="at least 2 points"):
-            indistinguishability_map(GAMMA, GAMMA_STAR, points=points)
-
     def test_coupled_rates_validation(self):
         with pytest.raises(PhotophysicsError):
             CoupledRates(0.0, 1.0, 1.0, 1.0)

@@ -26,6 +26,7 @@ from spskit.optics import (
     transmittance,
 )
 from spskit.cli import main
+from test_config_cli import _assert_validation_error
 
 N_H, N_L, N_SUB = 2.135, 1.521, 1.5255
 LAM0 = 565.0
@@ -85,9 +86,10 @@ class TestQuarterWaveStack:
         with pytest.raises(OpticsError, match="n_high > n_low"):
             make_quarter_wave_stack(1.7, 1.7, 1, LAM0)
 
-    def test_zero_pairs_rejected(self):
-        with pytest.raises(OpticsError, match="pairs"):
-            make_quarter_wave_stack(N_H, N_L, 0, LAM0)
+    def test_zero_pairs_rejected(self, tmp_path, capsys):
+        _assert_validation_error(
+            ["--outdir", str(tmp_path), "--set", "mirror.pairs=0", "mirror"], capsys,
+            "[mirror] pairs")
 
     def test_unphysical_index_rejected(self):
         with pytest.raises(OpticsError):
@@ -132,6 +134,12 @@ class TestReflectance:
         refl = reflectance(stack, [400.0, 565.0, 700.0])
         assert refl.shape == (3,)
         assert all(v == pytest.approx(0.0, abs=1e-14) for v in refl)
+
+    def test_overflowing_index_gives_no_finite_spectrum(self):
+        stack = make_quarter_wave_stack(1e300, N_L, 9, LAM0, "high", substrate_index=N_SUB)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(OpticsError, match="spectral curve samples must be finite"):
+            reflectance(stack, np.arange(420.0, 760.0, 0.5))
 
     def test_empty_wavelengths_rejected(self, high_terminated):
         with pytest.raises(OpticsError, match="empty"):

@@ -27,6 +27,7 @@ from spskit.qkd import (
     optimize_mu,
     sweep,
 )
+from test_config_cli import _assert_validation_error
 
 REAL_SPS = SourceModel(kind="real_sps", mean_photons=0.513, g2_zero=0.018)
 WCS = SourceModel(kind="wcs", mean_photons=0.5, mu_mode="optimal")
@@ -180,13 +181,13 @@ class TestChannels:
         assert beam_diameter_m(channel.at_distance(500.0)) > \
             beam_diameter_m(channel.at_distance(50.0))
 
-    def test_validation(self):
-        with pytest.raises(QkdError):
-            ChannelModel(kind="microwave")
+    def test_validation(self, tmp_path, capsys):
         with pytest.raises(QkdError):
             ChannelModel(kind="freespace", divergence_model="calibrated")
-        with pytest.raises(QkdError):
-            ChannelModel(kind="fiber", attenuation_db_per_km=0.0)
+        for key, value in (("channel", "microwave"), ("attenuation_db_per_km", 0.0)):
+            _assert_validation_error(
+                ["--outdir", str(tmp_path), "--set", f"qkd.{key}={value}", "qkd"], capsys,
+                f"[qkd] {key}")
 
 
 class TestKeyRate:
@@ -492,18 +493,17 @@ class TestSweep:
 
 
 class TestValidation:
-    def test_source_model(self):
+    def test_source_model(self, tmp_path, capsys):
         with pytest.raises(QkdError):
             SourceModel(kind="laser")
-        with pytest.raises(QkdError):
-            SourceModel(kind="real_sps", mean_photons=1.2)
-        with pytest.raises(QkdError):
-            SourceModel(kind="real_sps", g2_zero=1.5)
-        with pytest.raises(QkdError):
-            SourceModel(kind="wcs", mean_photons=0.0)
+        for key, value in (("source_efficiency", 1.2), ("g2_zero", 1.5), ("mu_fixed", 0.0)):
+            _assert_validation_error(
+                ["--outdir", str(tmp_path), "--set", f"qkd.{key}={value}", "qkd"], capsys,
+                f"[qkd] {key}")
 
-    def test_detector_model(self):
-        with pytest.raises(QkdError):
-            DetectorModel(error_correction_inefficiency=0.9)
-        with pytest.raises(QkdError):
-            DetectorModel(receiver_efficiency=1.2)
+    def test_detector_model(self, tmp_path, capsys):
+        for key, value in (("error_correction_inefficiency", 0.9),
+                           ("receiver_efficiency", 1.2)):
+            _assert_validation_error(
+                ["--outdir", str(tmp_path), "--set", f"qkd.{key}={value}", "qkd"], capsys,
+                f"[qkd] {key}")
