@@ -23,6 +23,8 @@ from .errors import NumericalError
 VALIDATION_ERRORS = (ValueError, OSError)
 # rows formatted per str.format call; bounds the text held at once
 CSV_BLOCK_ROWS = 2048
+# the sweep rows that the [qkd] keys allow: 0 to 1000 km in steps of 0.1 km
+MAX_SWEEP_ROWS = 10_001
 
 
 def _stamp(scenario: Scenario) -> str:
@@ -62,6 +64,9 @@ def _outdir(args) -> Path:
 def cmd_mirror(args, scenario: Scenario) -> None:
     from . import optics, pipeline
     cfg = scenario["mirror"]
+    if cfg["wl_min_nm"] > cfg["wl_max_nm"]:
+        raise ConfigError(f"[mirror] wl_max_nm must not be below wl_min_nm, got "
+                          f"{cfg['wl_max_nm']:g} < {cfg['wl_min_nm']:g}")
     out = _outdir(args)
     stack = pipeline.mirror_stack(scenario, cfg["termination"])
     wls = np.arange(cfg["wl_min_nm"], cfg["wl_max_nm"] + 1e-9, cfg["wl_step_nm"])
@@ -194,6 +199,10 @@ def cmd_qkd(args, scenario: Scenario) -> None:
     sweep_arg = args.sweep or (f"{qcfg['sweep_start_km']}:{qcfg['sweep_stop_km']}"
                                f":{qcfg['sweep_step_km']}")
     start, stop, step = _sweep_range(sweep_arg)
+    interval = (max(start, 0.5), max(stop, 1.0))
+    if interval[0] >= interval[1]:
+        raise ConfigError(f"sweep {sweep_arg!r} leaves no crossing search interval: its stop "
+                          f"must exceed its start, or lie below 1 km")
     distances = np.arange(start, stop + step / 2, step)
     rows = qkd.sweep(sources, channel, detector, distances)
     columns = ["distance_km", "loss_db", "rate_sps", "rate_ideal", "rate_wcs",
@@ -207,7 +216,7 @@ def cmd_qkd(args, scenario: Scenario) -> None:
     for label, other in (("sps_vs_decoy", sources["decoy"]), ("sps_vs_wcs", sources["wcs"])):
         try:
             crossings[label] = qkd.find_crossing(sources["sps"], other, channel, detector,
-                                                 (max(start, 0.5), max(stop, 1.0)))
+                                                 interval)
         except (qkd.NoCrossingError, qkd.NoPositiveRateError) as exc:
             crossings[label] = {"result": f"no crossing: {exc}"}
     payload = {
@@ -239,6 +248,8 @@ def _sweep_range(text: str) -> tuple[float, float, float]:
         raise ConfigError(f"sweep step must be positive, got {step:g} km")
     if stop < start:
         raise ConfigError(f"sweep stop must not be below its start, got {text!r}")
+    if (stop - start) / step > MAX_SWEEP_ROWS - 1:
+        raise ConfigError(f"sweep must have at most {MAX_SWEEP_ROWS:,} rows, got {text!r}")
     return start, stop, step
 
 

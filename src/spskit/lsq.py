@@ -29,6 +29,13 @@ stopping tests hold anywhere; a problem that stops with such a column
 samples the parameter over decades and restarts from a sample that
 lowers its cost.
 
+Samples that repeat a design point (a correlation's +-tau under a model
+even in tau) may pool into their weighted mean, weighted by sqrt(W), W
+their summed squared weights: J^T J and J^T r stay, and the cost drops
+the constant pure error S = sum w^2 (y - mean)^2 (Draper and Smith,
+Applied Regression Analysis, 3rd ed., 1998, ch. 2). A problem's
+``pure_error`` adds S back to every cost, the covariance's included.
+
 An evaluation is one basis call and coefficient solve at one trial
 point; a problem may spend max_iterations of them. Each problem has its
 own state until it converges or fails; a round evaluates every problem
@@ -49,7 +56,7 @@ import numpy as np
 
 
 def levenberg_marquardt(basis, derivatives, x, y, p0, weights, bounds, max_iterations: int,
-                        step_tolerance: float, constraints=None) -> list:
+                        step_tolerance: float, constraints=None, pure_error=None) -> list:
     """Separable Levenberg-Marquardt fits of one model to B problems in lockstep.
 
     ``basis(x, *theta)`` gives the k columns, each one row per problem or
@@ -60,7 +67,8 @@ def levenberg_marquardt(basis, derivatives, x, y, p0, weights, bounds, max_itera
     start) hold one row per problem; ``x``, ``weights``, each bound of
     ``bounds = (lower, upper)`` on theta and d of ``constraints = (C, d)``,
     for C c >= d with d finite, one row per problem or one for all, or
-    None. Returns per problem (converged, theta, c, cost, evaluations); one
+    None; ``pure_error``, one value per problem or None, is added to each
+    cost. Returns per problem (converged, theta, c, cost, evaluations); one
     out of budget has only its best theta and c, and one whose start has a
     non-finite cost is not converged.
     """
@@ -70,6 +78,7 @@ def levenberg_marquardt(basis, derivatives, x, y, p0, weights, bounds, max_itera
     x = np.asarray(x, dtype=float)
     w = None if weights is None else np.broadcast_to(weights, y.shape)
     yw = y if w is None else y * w
+    pure = np.zeros(n_prob) if pure_error is None else np.asarray(pure_error, dtype=float)
     lo, hi = (np.broadcast_to(np.asarray(b, dtype=float), p.shape)
               for b in ((-np.inf, np.inf) if bounds is None else bounds))
     sets = None  # the active sets of the constraints, for the Jacobian
@@ -117,7 +126,7 @@ def levenberg_marquardt(basis, derivatives, x, y, p0, weights, bounds, max_itera
         c, gram, held = _coefficients(phi, data, None if constraints is None
                                       else (cons, floor[at]))
         res = (c[:, None] @ phi)[:, 0] - data
-        costs = np.vecdot(res, res).tolist()  # each row's res @ res, bit for bit
+        costs = (np.vecdot(res, res) + pure[at]).tolist()  # each row's res @ res, bit for bit
         for k, i in enumerate(idx):
             if outcome[i] is None:
                 calls[i] += 1
@@ -284,24 +293,29 @@ def _jacobian(derivatives, x, w, point, sets) -> np.ndarray:
     return jac
 
 
-def covariance_factors(basis, derivatives, x, y, theta, c, weights) -> np.ndarray:
+def covariance_factors(basis, derivatives, x, y, theta, c, weights, pure_error=None,
+                       samples=None) -> np.ndarray:
     """At solutions (theta, c) for the data y, one row each, a matrix A
     per problem whose A A^T is the covariance of (theta, c): s^2 (J^T J)^+
     for the exact weighted Jacobian J = [sum_k c_k dphi_k/dtheta, Phi],
-    s^2 = |r|^2 / (N - n - k) for the weighted residuals r. A is
-    D^-1 V diag(s/sigma), with J D^-1 = U diag(sigma) V^T and D the column
-    norms; singular values below eps max(N, n + k) sigma_0 are cut, as in
-    scipy's ``curve_fit``. Problems are taken in blocks of at most 2^15
-    Jacobian elements, each as if alone, as the QR copies its input."""
+    s^2 = (|r|^2 + S) / (N - n - k) for the weighted residuals r, S the
+    problem's ``pure_error`` (0 for None) and N ``samples`` (the rows of y
+    for None). A is D^-1 V diag(s/sigma), with J D^-1 = U diag(sigma) V^T
+    and D the column norms; singular values below eps max(N, n + k) sigma_0
+    are cut, as in scipy's ``curve_fit``. Problems are taken in blocks of
+    at most 2^15 Jacobian elements, each as if alone, as the QR copies its
+    input."""
     y, theta, c = (np.asarray(a, dtype=float) for a in (y, theta, c))
     w = None if weights is None else np.broadcast_to(weights, y.shape)
     (n_prob, size), n, m = y.shape, theta.shape[1], theta.shape[1] + c.shape[1]
+    pure = np.zeros(n_prob) if pure_error is None else np.asarray(pure_error, dtype=float)
+    samples = size if samples is None else samples
     rows = max(1, 2 ** 15 // (size * m))
     if n_prob > rows:
         return np.concatenate([covariance_factors(
             basis, derivatives, x if x.ndim == 1 else x[i:i + rows], y[i:i + rows],
-            theta[i:i + rows], c[i:i + rows], None if w is None else w[i:i + rows])
-            for i in range(0, n_prob, rows)])
+            theta[i:i + rows], c[i:i + rows], None if w is None else w[i:i + rows],
+            pure[i:i + rows], samples) for i in range(0, n_prob, rows)])
     jt = np.empty((n_prob, m, size))  # J^T, built in place
     phi = _columns(basis, x, theta, y, out=jt[:, n:])
     _directions(derivatives, x, theta, c, phi, w, None, out=jt[:, :n])
@@ -313,9 +327,9 @@ def covariance_factors(basis, derivatives, x, y, theta, c, weights) -> np.ndarra
     jt /= norms[:, :, None]
     # J D^-1 = Q R: R has its singular values and V, and no factor of N rows is kept
     _, sigma, v_t = np.linalg.svd(np.linalg.qr(jt.transpose(0, 2, 1), mode="r"))
-    kept = sigma > np.finfo(float).eps * max(size, m) * sigma[:, :1]
+    kept = sigma > np.finfo(float).eps * max(samples, m) * sigma[:, :1]
     inverse = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=kept)
-    s = np.sqrt(np.vecdot(res, res) / max(size - m, 1))
+    s = np.sqrt((np.vecdot(res, res) + pure) / max(samples - m, 1))
     return v_t.transpose(0, 2, 1) * (inverse * s[:, None])[:, None] / norms[:, :, None]
 
 

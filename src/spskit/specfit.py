@@ -22,6 +22,7 @@ enough to keep the scale in range, plus the carry between blocks.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from collections.abc import Callable, Sequence
@@ -56,8 +57,9 @@ SERIES_KINDS = ("spectrum", "decay", "correlation", "polarization")
 class MeasurementSeries:
     """A measured (x, y) series; x strictly increasing, y finite.
 
-    x and y are held as read-only float64 copies, but for an x over an
-    immutable bytes buffer, which is shared.
+    x and y are held as read-only float64 copies, but for an x that is
+    the whole of an immutable bytes buffer, which is shared and checked
+    once per buffer.
     """
 
     x: np.ndarray
@@ -66,7 +68,9 @@ class MeasurementSeries:
 
     def __post_init__(self):
         x = self.x
-        if not (isinstance(x, np.ndarray) and isinstance(x.base, bytes) and x.dtype == float):
+        shared = (isinstance(x, np.ndarray) and isinstance(x.base, bytes) and x.dtype == float
+                  and x.strides == (8,) and x.nbytes == len(x.base))
+        if not shared:
             x = np.array(x, dtype=float)
         y = np.array(self.y, dtype=float)
         if x.ndim != 1 or y.ndim != 1:
@@ -75,10 +79,9 @@ class MeasurementSeries:
             raise SeriesError("x and y must have equal length")
         if x.size < 2:
             raise SeriesError("series needs at least two samples")
-        if np.any(np.diff(x) <= 0):
-            raise SeriesError("x must be strictly increasing")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            raise SeriesError("series samples must be finite")
+        problem = _buffer_problem(x.base) if shared else _grid_problem(x)
+        if problem or not np.all(np.isfinite(y)):
+            raise SeriesError(problem or "series samples must be finite")
         if self.kind not in SERIES_KINDS:
             raise SeriesError(f"kind must be one of {SERIES_KINDS}, got {self.kind!r}")
         x.flags.writeable = y.flags.writeable = False
@@ -87,6 +90,19 @@ class MeasurementSeries:
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         return self.x, self.y
+
+
+def _grid_problem(x: np.ndarray) -> str:
+    """What is wrong with a series' x, or "" for nothing."""
+    if np.any(np.diff(x) <= 0):
+        return "x must be strictly increasing"
+    return "" if np.all(np.isfinite(x)) else "series samples must be finite"
+
+
+@functools.lru_cache(maxsize=8)
+def _buffer_problem(buffer: bytes) -> str:
+    """``_grid_problem`` of the float64 grid that fills an immutable buffer."""
+    return _grid_problem(np.frombuffer(buffer))
 
 
 @dataclass
@@ -200,22 +216,25 @@ def _one(outcomes: list):
 
 
 def _run_fit_batch(fit: Separable, x, y, theta0, weights=None, bounds=None,
-                   constraints=None) -> list:
+                   constraints=None, pooled=None) -> list:
     """``lsq.levenberg_marquardt`` fits of one model to B problems: per
     problem its FitResult, or the FitError with the best point seen. The
     uncertainties are those of ``lsq.covariance_factors`` in (theta, c),
-    carried to the named parameters by their Jacobian."""
+    carried to the named parameters by their Jacobian. ``pooled = (S, N)``
+    gives rows pooled from series of N samples, with pure errors S."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.ndim == 2 and (x == x[0]).all():
         x = x[0].copy()  # rows that are all equal reach the model as that one row
+    pure, samples = (None, None) if pooled is None else pooled
     outcomes = lsq.levenberg_marquardt(fit.basis, fit.derivatives, x, y, theta0, weights,
-                                       bounds, MAX_ITERATIONS, STEP_TOLERANCE, constraints)
+                                       bounds, MAX_ITERATIONS, STEP_TOLERANCE, constraints, pure)
     theta, c = (np.array([o[k] for o in outcomes]) for k in (1, 2))
     (params, to_named), ok = fit.params(theta, c), np.array([o[0] for o in outcomes])
     if ok.any():
         factors = lsq.covariance_factors(
             fit.basis, fit.derivatives, x if x.ndim == 1 else x[ok], y[ok], theta[ok], c[ok],
-            None if weights is None else np.broadcast_to(weights, y.shape)[ok])
+            None if weights is None else np.broadcast_to(weights, y.shape)[ok],
+            None if pure is None else pure[ok], samples)
         if to_named is not None:
             factors = to_named[ok] @ factors
         stderr = iter(np.sqrt(np.vecdot(factors, factors)).tolist())
@@ -332,13 +351,23 @@ def fit_lorentzian_batch(spectra, instrument: float | None = None) -> list:
         x, y = series.as_arrays()
         if len(x) < 8:
             raise SeriesError("need at least 8 samples spanning the peak")
-        offset0 = float(np.percentile(y, 10))
+        offset0 = _tenth_percentile(y)
         amp0 = float(y.max() - offset0)
         above = x[y > offset0 + amp0 / 2]
         fwhm0 = float(above[-1] - above[0]) if len(above) >= 2 else (x[-1] - x[0]) / 4
         starts.append((x, y, [float(x[np.argmax(y)]), fwhm0]))
 
     return _run_fit_batch(_lorentzian_model(instrument), *map(np.array, zip(*starts)))
+
+
+def _tenth_percentile(y: np.ndarray) -> float:
+    """``np.percentile(y, 10)`` bit for bit, numpy's linear interpolation,
+    without its ``np.unique``, which imports numpy.ma."""
+    index = (len(y) - 1) * 0.1
+    low = math.floor(index)
+    a, b = np.partition(y, (low, low + 1))[low:low + 2]
+    t = index - low
+    return float(a + (b - a) * t if t < 0.5 else b - (b - a) * (1.0 - t))
 
 
 def _lorentzian_model(instrument: float | None) -> Separable:
@@ -578,6 +607,11 @@ def fit_g2(series: MeasurementSeries, *, tail_fraction: float = 0.25,
     tail average picks up from slow bunching. Raises when the tails hold
     fewer than ``min_tail_points`` samples. g2(0) = 1 - A + B holds
     exactly by construction of the returned fit.
+
+    The model depends on tau only through |tau|, so the fits run on the
+    distinct delays, the samples at each pooled (see module ``lsq``); the
+    residual norms, the model choice and the standard errors are those
+    of the full series.
     """
     return _one(fit_g2_batch([series], tail_fraction=tail_fraction,
                              min_tail_points=min_tail_points))
@@ -585,19 +619,42 @@ def fit_g2(series: MeasurementSeries, *, tail_fraction: float = 0.25,
 
 def fit_g2_batch(correlations, *, tail_fraction: float = 0.25,
                  min_tail_points: int = 8) -> list:
-    """``fit_g2`` of same-length correlations, one lockstep solve per
-    model; a failed fit gives its (first) FitError."""
+    """``fit_g2`` of correlations, one lockstep solve per model and delay
+    grid; a failed fit gives its (first) FitError."""
     tau, y, weights, p0, lower, upper = zip(*(
         _g2_start(s, tail_fraction, min_tail_points) for s in correlations))
-    weights = None if all(w is None for w in weights) else np.array(
-        [np.ones_like(v) if w is None else w for v, w in zip(y, weights)])
-    y, p0, lower, upper = map(np.array, (y, p0, lower, upper))
-    with_bunching = _run_fit_batch(_G2_WITH_BUNCHING, tau, y, p0, weights=weights,
-                                   bounds=(lower, upper), constraints=_G2_BOX)
-    plain = _run_fit_batch(_G2_PLAIN, tau, y, p0[:, :1], weights=weights,
-                           bounds=(lower[:, :1], upper[:, :1]),
-                           constraints=(_G2_BOX[0][:3, :2], _G2_BOX[1][:3]))
-    return [_g2_choose(*fits) for fits in zip(with_bunching, plain, tau)]
+    same = [np.array_equal(t, tau[0]) for t in tau]
+    if not all(same):  # pooling takes one grid
+        fits = [iter(fit_g2_batch([s for s, k in zip(correlations, same) if k == side],
+                                  tail_fraction=tail_fraction, min_tail_points=min_tail_points))
+                for side in (False, True)]
+        return [next(fits[k]) for k in same]
+    delay, y, root, pure = _g2_pool(tau[0], y, weights)
+    p0, lower, upper = map(np.array, (p0, lower, upper))
+    common = {"weights": root, "pooled": (pure, len(tau[0]))}
+    with_bunching = _run_fit_batch(_G2_WITH_BUNCHING, delay, y, p0, bounds=(lower, upper),
+                                   constraints=_G2_BOX, **common)
+    plain = _run_fit_batch(_G2_PLAIN, delay, y, p0[:, :1], bounds=(lower[:, :1], upper[:, :1]),
+                           constraints=(_G2_BOX[0][:3, :2], _G2_BOX[1][:3]), **common)
+    return [_g2_choose(*fits, tau[0]) for fits in zip(with_bunching, plain)]
+
+
+def _g2_pool(tau, y, weights) -> tuple:
+    """The distinct delays |tau| of the grid tau and, per series of y with
+    its weights w (None for 1), the weighted mean of its samples at each,
+    the weights sqrt(W), W the sum of their w^2, and the pure error
+    sum w^2 (y - mean)^2, the part of the series' cost the pooled rows lack."""
+    delay = np.abs(tau)
+    order = np.argsort(delay, kind="stable")
+    delay = delay[order]
+    starts = np.flatnonzero(np.diff(delay, prepend=-1.0))  # each distinct delay's first sample
+    # rows in C order, each sorted alone: their bits do not depend on the batch
+    y = np.array([v[order] for v in y])
+    squares = np.array([np.ones(len(delay)) if w is None else w[order] ** 2 for w in weights])
+    total = np.add.reduceat(squares, starts, axis=1)
+    mean = np.add.reduceat(squares * y, starts, axis=1) / total
+    y -= np.repeat(mean, np.diff(starts, append=len(delay)), axis=1)
+    return delay[starts], mean, np.sqrt(total), np.vecdot(squares, y * y)
 
 
 def _g2_choose(with_bunching, plain, tau):

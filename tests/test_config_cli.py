@@ -336,6 +336,16 @@ class TestTypedErrors:
         _assert_validation_error(["--outdir", str(tmp_path), *argv], capsys, match)
         assert not (tmp_path / "qkd_rates.csv").exists()
 
+    @pytest.mark.parametrize("argv, match", [
+        (["qkd", "--sweep", "5:5:1"], "sweep '5:5:1' leaves no crossing search interval"),
+        (["--set", "qkd.sweep_start_km=5", "--set", "qkd.sweep_stop_km=5", "qkd"],
+         "sweep '5.0:5.0:0.5' leaves no crossing search interval"),
+        (["qkd", "--sweep", "0:1000.1:0.1"], "sweep must have at most 10,001 rows"),
+    ], ids=["one-point-flag", "one-point-set", "too-many-rows"])
+    def test_sweep_is_rejected_before_any_file(self, tmp_path, capsys, argv, match):
+        _assert_validation_error(["--outdir", str(tmp_path), *argv], capsys, match)
+        assert not (tmp_path / "qkd_rates.csv").exists()
+
     def test_overflowing_mirror_index(self, tmp_path, capsys):
         _assert_validation_error(
             ["--outdir", str(tmp_path), "--set", "mirror.n_high=1e300", "mirror"], capsys,
@@ -593,6 +603,12 @@ class TestImportsPerCommand:
         assert "numpy" not in modules
         assert _submodules(modules) == set()
 
+    @pytest.mark.parametrize("argv", [["reproduce", "--draws", "1"],
+                                      ["fit", "--input", "spectrum.csv"]],
+                             ids=["reproduce", "fit-spectrum"])
+    def test_numpy_ma_not_loaded(self, tmp_path, argv):
+        assert "numpy.ma" not in _modules_after(_cli_code(tmp_path, argv))
+
     def test_submodules_load_on_first_use(self):
         modules = _modules_after("import spskit\nassert spskit.qkd.sweep and spskit.errors\n")
         assert _submodules(modules) == {"constants", "errors", "qkd", "search"}
@@ -791,8 +807,10 @@ class TestBoundsAtLoad:
         (["cavity.longitudinal_order=10"], "cavity", "unstable geometry"),
         (["qkd.sweep_start_km=50", "qkd.sweep_stop_km=10"], "qkd",
          "sweep stop must not be below its start"),
+        (["mirror.wl_min_nm=800"], "mirror",
+         "[mirror] wl_max_nm must not be below wl_min_nm, got 760 < 800"),
     ], ids=["n_high-below-n_low", "aperture-above-diameter", "unstable-order",
-            "sweep-stop-below-start"])
+            "sweep-stop-below-start", "wl-max-below-wl-min"])
     def test_cross_key_checks(self, tmp_path, capsys, sets, command, match):
         argv = [arg for item in sets for arg in ("--set", item)]
         _assert_validation_error(["--outdir", str(tmp_path), *argv, command], capsys, match)

@@ -101,6 +101,24 @@ class TestSeriesValidation:
         assert draw["decay"][0].x is draw["decay"][1].x is reproduce_module.DECAY_GRID
         assert draw["correlation"][0].x is reproduce_module.DELAY_GRID
 
+    def test_a_shared_grid_is_checked_once_per_buffer(self, monkeypatch):
+        specfit_module._buffer_problem.cache_clear()
+        checked = []
+        check = specfit_module._grid_problem
+        monkeypatch.setattr(specfit_module, "_grid_problem",
+                            lambda x: checked.append(len(x)) or check(x))
+        grid = np.frombuffer(np.linspace(0.0, 1.0, 5).tobytes())
+        for _ in range(3):
+            assert MeasurementSeries(grid, grid).x is grid
+        part = MeasurementSeries(grid[1:], grid[1:]).x  # part of a buffer: copied and checked
+        assert part is not grid and checked == [5, 4]
+        # a buffer that fails fails every time, with the message of a copied x
+        for bad, match in ((np.array([0.0, 2.0, 1.0]), "strictly increasing"),
+                           (np.array([0.0, 1.0, np.inf]), "must be finite")):
+            for x in (np.frombuffer(bad.tobytes()),) * 2 + (bad,):
+                with pytest.raises(SeriesError, match=match):
+                    MeasurementSeries(x, np.zeros(3))
+
     def test_uniform_grid_allows_csv_rounding_only(self):
         t = np.linspace(0.0, 12288.0, 8192)
         rounded = np.array([float(f"{v:.10g}") for v in t])
@@ -301,6 +319,30 @@ class TestDecayFit:
         assert fit.params["lifetime_ps"] == pytest.approx(897.0, rel=0.03)
 
 
+class TestTenthPercentile:
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.floats(-1e300, 1e300), min_size=8, max_size=300),
+           n=st.integers(8, 8001), seed=st.integers(0, 2 ** 32 - 1),
+           decimals=st.one_of(st.none(), st.integers(0, 2)))
+    def test_same_bits_as_numpy(self, values, n, seed, decimals):
+        # hypothesis's own values, and n random ones, rounded for ties
+        y = np.random.default_rng(seed).normal(100.0, 30.0, n)
+        for data in (np.array(values), y if decimals is None else np.round(y, decimals)):
+            assert specfit_module._tenth_percentile(data) == np.percentile(data, 10)
+
+
+def unpooled_fit_g2(correlation) -> specfit_module.G2Fit:
+    """``fit_g2`` on every sample of the correlation, as before pooling."""
+    tau, y, w, p0, lower, upper = specfit_module._g2_start(correlation, 0.25, 8)
+    cons = specfit_module._G2_BOX
+    fits = [specfit_module._run_fit_batch(
+        model, tau, y[None], [p0[:m]], weights=None if w is None else w[None],
+        bounds=([lower[:m]], [upper[:m]]), constraints=box)[0]
+        for model, m, box in ((specfit_module._G2_WITH_BUNCHING, 2, cons),
+                              (specfit_module._G2_PLAIN, 1, (cons[0][:3, :2], cons[1][:3])))]
+    return specfit_module._g2_choose(*fits, tau)
+
+
 class TestG2Fit:
     def synthetic(self, anti, bunch, t1, t2=6000.0, baseline=140.0, noise=0.0, seed=2):
         rng = np.random.default_rng(seed)
@@ -382,6 +424,36 @@ class TestG2Fit:
                    "normalization": 2.509})
         for name, value in ref.params.items():
             assert got.params[name] == pytest.approx(value, rel=1e-5, abs=1e-4 * stderr[name])
+
+    @settings(max_examples=30, deadline=None)
+    @given(grid=st.sampled_from(["odd", "even", "asymmetric"]), n=st.integers(150, 800),
+           counts=st.booleans(), anti=st.floats(0.6, 1.0), bunch=st.floats(0.0, 0.15),
+           t1=st.floats(300.0, 1200.0), t2=st.floats(4000.0, 9000.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_pooled_fit_is_the_fit_on_every_sample(self, grid, n, counts, anti, bunch, t1, t2,
+                                                   seed):
+        # symmetric grids with and without tau = 0 pool +-tau pairs; the
+        # asymmetric one pools nothing. Counts take Poisson weights.
+        tau = {"odd": np.linspace(-30000.0, 30000.0, 2 * n + 1),
+               "even": np.linspace(-30000.0, 30000.0, 2 * n),
+               "asymmetric": np.linspace(-20000.0, 30000.0, 2 * n)}[grid]
+        rng = np.random.default_rng(seed)
+        clean = g2_model(tau, anti, bunch, t1, t2)
+        y = (rng.poisson(200.0 * clean).astype(float) if counts
+             else clean + rng.uniform(-0.01, 0.01, tau.size))
+        correlation = series(tau, y, "correlation")
+        got, ref = fit_g2(correlation), unpooled_fit_g2(correlation)
+        assert got.model == ref.model
+        for name in G2_PARAMETERS:
+            assert getattr(got, name) == pytest.approx(getattr(ref, name), rel=1e-6), name
+        for name, value in ref.stderr.items():
+            assert got.stderr[name] == pytest.approx(value, rel=1e-4), name
+        # the reported norm is the full series' residual at the fitted values
+        w = specfit_module.poisson_weights(y) if counts else 1.0
+        full = got.normalization * g2_model(tau, got.antibunching_amplitude,
+                                            got.bunching_amplitude, got.antibunching_time_ps,
+                                            got.bunching_time_ps)
+        assert got.residual_norm == pytest.approx(np.linalg.norm(w * (full - y)), rel=1e-9)
 
     def test_short_tails_rejected(self):
         tau = np.linspace(-500.0, 500.0, 9)
@@ -583,8 +655,9 @@ def scipy_polarization(scan) -> tuple:
 
 def one_by_one(run_fit):
     """A stand-in for ``specfit._run_fit_batch`` that solves each problem of
-    the batch alone with ``run_fit``."""
-    def run_batch(fit, x, y, theta0, weights=None, bounds=None, constraints=None):
+    the batch alone with ``run_fit``; a pooled problem's pure error is
+    added to its residual norm."""
+    def run_batch(fit, x, y, theta0, weights=None, bounds=None, constraints=None, pooled=None):
         x, y, theta0 = (np.asarray(v, dtype=float) for v in (x, y, theta0))
         outcomes = []
         for i in range(len(y)):
@@ -593,6 +666,9 @@ def one_by_one(run_fit):
                 np.broadcast_to(np.asarray(b, dtype=float), theta0.shape)[i] for b in bounds)
             outcomes.append(run_fit(fit, x if x.ndim == 1 else x[i], y[i], list(theta0[i]),
                                     w, box))
+            if pooled is not None:
+                outcomes[-1].residual_norm = math.hypot(outcomes[-1].residual_norm,
+                                                        math.sqrt(pooled[0][i]))
         return outcomes
     return run_batch
 
@@ -820,9 +896,9 @@ class TestLockstepSolver:
 
     def test_chunk_fits_stay_within_their_memory_budget(self):
         # the fits of one reproduce chunk, traced after a first untraced
-        # pass: 1.43 MB with numpy 2.4, set by the g2 fits at the chunk's
-        # full width of 12 (the decay fits reach 1.22 MB); the budget of
-        # 1.72 MB leaves a fifth on top
+        # pass: 1.25 MB with numpy 2.4, set by the g2 fits on their 801
+        # distinct delays at the chunk's full width of 12 (the decay fits
+        # reach 1.21 MB); the budget of 1.72 MB leaves a third on top
         rng = np.random.default_rng(RNG_SEED)
         chunk = [fit_roundtrip_draw(rng) for _ in range(reproduce_module.FIT_CHUNK)]
         fit_roundtrip_fits(chunk)
@@ -1007,16 +1083,18 @@ def test_evaluations_of_the_first_twelve_draws():
     rng = np.random.default_rng(RNG_SEED)
     fits = fit_roundtrip_fits([fit_roundtrip_draw(rng) for _ in range(12)])
     total = sum(fit.n_evaluations for draw in fits for fit in draw.values())
-    assert total == 406 and total < 924
+    assert total == 407 and total < 924
 
 
 def test_rounds_and_evaluations_of_a_hundred_draws(monkeypatch):
     # reproduce's 100 draws of each kind: a round evaluates every problem of
     # a batch still searching in one basis call, so a batch of one kind
-    # takes the rounds of its longest fit. With the g2 fits six at a time
-    # the same evaluations took 597 rounds, 457 of them g2
-    kinds = {(301, 2): "lorentzian", (750, 1): "decay", (1601, 2): "g2 with bunching",
-             (1601, 1): "g2 plain", (73, 0): "polarization"}
+    # takes the rounds of its longest fit. The g2 fits run on the 801
+    # distinct delays of the 1,601-sample grid. With the g2 fits six at a
+    # time and on every sample, 3,296 evaluations took 597 rounds, 457 of
+    # them g2
+    kinds = {(301, 2): "lorentzian", (750, 1): "decay", (801, 2): "g2 with bunching",
+             (801, 1): "g2 plain", (73, 0): "polarization"}
     rounds, evaluations = collections.Counter(), collections.Counter()
     solve = lsq.levenberg_marquardt
 
@@ -1032,7 +1110,7 @@ def test_rounds_and_evaluations_of_a_hundred_draws(monkeypatch):
 
     monkeypatch.setattr(lsq, "levenberg_marquardt", counted)
     fit_roundtrip_summary(100)
-    assert evaluations == {"lorentzian": 507, "decay": 732, "g2 with bunching": 982,
+    assert evaluations == {"lorentzian": 507, "decay": 732, "g2 with bunching": 988,
                            "g2 plain": 975, "polarization": 100}
-    assert rounds == {"lorentzian": 51, "decay": 80, "g2 with bunching": 130, "g2 plain": 124,
+    assert rounds == {"lorentzian": 51, "decay": 80, "g2 with bunching": 132, "g2 plain": 124,
                       "polarization": 9}
