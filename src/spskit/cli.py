@@ -31,15 +31,30 @@ def _stamp(scenario: Scenario) -> str:
     return f"spskit {__version__} config={scenario.digest()}"
 
 
-def write_csv(path: Path, scenario: Scenario, columns: list[str], rows: np.ndarray) -> None:
-    """``rows`` is a 2-D float array; each value is written as ``{:.10g}``."""
-    line = ",".join(["{:.10g}"] * rows.shape[1]) + "\n"
+def write_csv(path: Path, scenario: Scenario, columns: list[str], rows: np.ndarray,
+              axes: tuple[np.ndarray, np.ndarray] | None = None) -> None:
+    """``rows`` is a 2-D float array; each value is written as ``{:.10g}``.
+
+    A grid is written with its ``axes`` (x, y) as its two leading columns:
+    row i * len(y) + j is the point (x[i], y[j]), and ``rows`` holds the
+    remaining columns. Each axis value is formatted once, and each x is
+    one str.format call.
+    """
+    cell = "{:.10g}"
+    line = ",".join([cell] * rows.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# {_stamp(scenario)}\n")
         fh.write(",".join(columns) + "\n")
-        for start in range(0, len(rows), CSV_BLOCK_ROWS):
-            block = rows[start:start + CSV_BLOCK_ROWS]
-            fh.write((line * len(block)).format(*block.ravel().tolist()))
+        if axes is None:
+            for start in range(0, len(rows), CSV_BLOCK_ROWS):
+                block = rows[start:start + CSV_BLOCK_ROWS]
+                fh.write((line * len(block)).format(*block.ravel().tolist()))
+        else:
+            xs, ys = ([cell.format(v) + "," for v in axis.tolist()] for axis in axes)
+            tails = [y + line for y in ys]
+            for x, block in zip(xs, rows.reshape(len(xs), -1).tolist()):
+                # x.join puts x before every row but the first
+                fh.write((x + x.join(tails)).format(*block))
 
 
 def write_json(path: Path, scenario: Scenario, payload: dict) -> None:
@@ -132,10 +147,9 @@ def cmd_emitter(args, scenario: Scenario) -> None:
         cavity_range=(ecfg["map_rate_min_hz"], ecfg["map_rate_max_hz"]),
         points=ecfg["map_points"])
     write_json(out / "emitter_report.json", scenario, payload)
-    g_col, kappa_col = np.meshgrid(gs, kappas, indexing="ij")
     write_csv(out / "indistinguishability_map.csv", scenario,
-              ["g_Hz", "kappa_Hz", "indistinguishability"],
-              np.column_stack([g_col.ravel(), kappa_col.ravel(), grid.ravel()]))
+              ["g_Hz", "kappa_Hz", "indistinguishability"], grid.reshape(-1, 1),
+              axes=(gs, kappas))
     print(f"emitter: F_eff {payload['effective_purcell_factor']:.3f}, "
           f"QE {payload['quantum_efficiency']:.3f}, "
           f"I_cav {payload['cavity_indistinguishability']:.3e}")

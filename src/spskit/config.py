@@ -16,7 +16,6 @@ express, such as a relation between two keys.
 """
 from __future__ import annotations
 
-import configparser
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -224,6 +223,7 @@ def load_scenario(path: str | Path | None) -> Scenario:
             for key, value in keys.items():
                 _apply(scenario, section, key, value)
     else:
+        import configparser  # only an INI file needs it
         parser = configparser.ConfigParser(interpolation=None)
         try:
             parser.read_string(text)

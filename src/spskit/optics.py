@@ -16,9 +16,11 @@ the amplitude reflectance is r = (n0 B - C)/(n0 B + C) with
 (B, C) = M (1, n_s).
 
 One kernel, :func:`_transfer_matrix`, evaluates that product for every
-optics entry point. It loops over layers only; each step is elementwise
-over whole numpy arrays of wavelengths (or of thicknesses, for a gap
-scan) and the result is the four matrix elements as arrays. Spectra,
+optics entry point. It loops over runs of a repeated block of layers,
+raising each block to its count by repeated squaring; each step is
+elementwise over whole numpy arrays of wavelengths, and the result is
+the four matrix elements as arrays. A gap scan forms its one layer's
+matrix over an array of thicknesses the same way. Spectra,
 stopband scans and resonance walks are single array calls; the scalar
 functions pass it a single wavelength. Results are plain values: a
 spectrum is a float array, one value per wavelength passed in (strictly
@@ -30,6 +32,7 @@ field is recovered from the entry-face field without a linear solve.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -110,20 +113,79 @@ def _matmul(a, b):
             a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
 
 
+def _layer_matrix(n, d, lam):
+    """Characteristic matrix of one film as (m00, m01, m10, m11)."""
+    delta = 2.0 * np.pi * n * d / lam
+    c, s = np.cos(delta), np.sin(delta)
+    return c, 1j * s / n, 1j * n * s, c
+
+
+def _matrix_power(m, count: int):
+    """``m`` to the power ``count`` >= 1 by repeated squaring."""
+    result = None
+    while True:
+        if count & 1:
+            result = m if result is None else _matmul(result, m)
+        count >>= 1
+        if not count:
+            return result
+        m = _matmul(m, m)
+
+
+@functools.lru_cache(maxsize=64)
+def _runs(layers):
+    """``layers`` as (films, runs): the distinct (index, thickness) films,
+    and the sequence as runs (block, count) of a block of film numbers,
+    one film or a pair, repeated count times. A film repeated is one run;
+    otherwise a pair repeated at least twice is one run; any other film is
+    a run of count 1."""
+    films: dict = {}
+    ids = [films.setdefault(layer, len(films)) for layer in layers]
+    runs = []
+    i = 0
+    while i < len(ids):
+        for period in (1, 2):
+            block = ids[i:i + period]
+            count = 1
+            while ids[i + period * count:i + period * (count + 1)] == block:
+                count += 1
+            if count > 1:
+                break
+        else:
+            period, block = 1, ids[i:i + 1]
+        runs.append((tuple(block), count))
+        i += period * count
+    return tuple(films), tuple(runs)
+
+
 def _transfer_matrix(layers, lam):
     """Characteristic matrix M_1 ... M_m of ``layers`` as (m00, m01, m10, m11).
 
-    ``lam`` and the layer thicknesses may be scalars or arrays; every step
-    works elementwise on their broadcast shape, so the only Python loop is
-    over the layers. Callers validate their inputs first.
+    ``layers`` is a tuple of (index, thickness) scalars; ``lam`` may be
+    a scalar or an array, and every step works elementwise on it. The
+    sequence is read as runs of one repeated block (see :func:`_runs`):
+    each distinct film's matrix is formed once, each block's product once,
+    and a block repeated N times is raised to the N-th power by repeated
+    squaring, in about 2 log2(N) products instead of N - 1. A periodic
+    stack's matrix is the N-th power of its period's (Abeles' theorem;
+    Born & Wolf, *Principles of Optics*, sec. 1.6.5; Yeh, *Optical Waves
+    in Layered Media*, 1988, ch. 6). A stack with no repeats is runs of
+    count 1, and the product is the plain layer-by-layer one. Callers
+    validate their inputs first.
     """
-    shape = np.shape(lam)
-    m = (np.ones(shape, complex), np.zeros(shape, complex),
-         np.zeros(shape, complex), np.ones(shape, complex))
-    for n, d in layers:
-        delta = 2.0 * np.pi * n * d / lam
-        c, s = np.cos(delta), np.sin(delta)
-        m = _matmul(m, (c, 1j * s / n, 1j * n * s, c))
+    films, runs = _runs(layers)
+    if not runs:
+        shape = np.shape(lam)
+        return (np.ones(shape, complex), np.zeros(shape, complex),
+                np.zeros(shape, complex), np.ones(shape, complex))
+    mats = [_layer_matrix(n, d, lam) for n, d in films]
+    m = None
+    for block, count in runs:
+        b = mats[block[0]]
+        for k in block[1:]:
+            b = _matmul(b, mats[k])
+        b = _matrix_power(b, count)
+        m = b if m is None else _matmul(m, b)
     return m
 
 
@@ -426,7 +488,7 @@ def _gap_waves(mirror_a: LayerStack, mirror_b: LayerStack, lam: float):
     n_in = mirror_a.substrate_index
 
     def waves(gap_nm):
-        m = _matmul(_matmul(m_a, _transfer_matrix(((1.0, gap_nm),), lam)), m_b)
+        m = _matmul(_matmul(m_a, _layer_matrix(1.0, gap_nm, lam)), m_b)
         r, _ = _coefficients(m, n_in, mirror_b.substrate_index)
         e, h = 1.0 + r, n_in * (1.0 - r)
         e, h = m_a[3] * e - m_a[1] * h, m_a[0] * h - m_a[2] * e

@@ -634,9 +634,18 @@ class TestImportsPerCommand:
     ], ids=["mirror", "fit-polarization", "fit-decay", "cavity", "emitter", "qkd", "fab",
             "fab-profile"])
     def test_command_loads_only_what_it_runs(self, tmp_path, argv, unused):
-        loaded = _submodules(_modules_after(_cli_code(tmp_path, argv)))
+        modules = _modules_after(_cli_code(tmp_path, argv))
+        loaded = _submodules(modules)
         assert loaded & unused == set()
         assert loaded
+        # only reading an INI file needs configparser
+        assert "configparser" not in modules
+
+    def test_ini_config_loads_configparser(self, tmp_path):
+        ini = tmp_path / "scenario.ini"
+        ini.write_text("[mirror]\npairs = 8\n", encoding="utf-8")
+        assert "configparser" in _modules_after(
+            _cli_code(tmp_path, ["--config", str(ini), "mirror"]))
 
     def test_reproduce_loads_every_module(self, tmp_path):
         loaded = _submodules(_modules_after(_cli_code(tmp_path, ["reproduce", "--draws", "2"])))
@@ -683,6 +692,24 @@ class TestCsvWriter:
         assert lines[1] == ",".join(columns) + "\n"
         assert lines[2:] == [",".join(f"{v:.10g}" for v in row) + "\n"
                              for row in rows.tolist()]
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(values=st.lists(st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats()),
+                           min_size=1, max_size=64),
+           shape=st.tuples(st.integers(1, 40), st.integers(1, 40), st.integers(1, 2)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_grid_is_written_as_its_rows(self, tmp_path, values, shape, seed):
+        nx, ny, n_cols = shape
+        rng = np.random.default_rng(seed)
+        xs, ys = (rng.choice(np.array(values), size=n) for n in (nx, ny))
+        rows = rng.choice(np.array(values), size=(nx * ny, n_cols))
+        x_col, y_col = np.meshgrid(xs, ys, indexing="ij")
+        columns = [f"c{i}" for i in range(n_cols + 2)]
+        cli.write_csv(tmp_path / "rows.csv", default_scenario(), columns,
+                      np.column_stack([x_col.ravel(), y_col.ravel(), rows]))
+        cli.write_csv(tmp_path / "grid.csv", default_scenario(), columns, rows, axes=(xs, ys))
+        assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 NUMERICAL_ERRORS = [("specfit", "FitError"), ("qkd", "NoCrossingError"),
