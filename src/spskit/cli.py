@@ -3,28 +3,27 @@
 Exit codes: 0 success, 1 validation error, 2 numerical failure
 (non-convergence, no crossing, no resonance). ``--error-json`` switches
 error reporting to machine-readable JSON on stdout. Each subcommand
-imports the modules it runs, so a call loads only those.
+reads its inputs, takes every value it writes from ``pipeline`` and
+writes the files. It imports the modules it runs, so a call loads only
+those.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
-from .config import ConfigError, Scenario, apply_overrides, load_scenario, provenance_table
+from . import __version__, pipeline
+from .config import Scenario, apply_overrides, load_scenario, provenance_table
 from .errors import NumericalError
 
 # every module's validation error subclasses ValueError
 VALIDATION_ERRORS = (ValueError, OSError)
 # rows formatted per str.format call; bounds the text held at once
 CSV_BLOCK_ROWS = 2048
-# the sweep rows that the [qkd] keys allow: 0 to 1000 km in steps of 0.1 km
-MAX_SWEEP_ROWS = 10_001
 
 
 def _stamp(scenario: Scenario) -> str:
@@ -77,51 +76,21 @@ def _outdir(args) -> Path:
 # ---------------------------------------------------------------------------
 
 def cmd_mirror(args, scenario: Scenario) -> None:
-    from . import optics, pipeline
-    cfg = scenario["mirror"]
-    if cfg["wl_min_nm"] > cfg["wl_max_nm"]:
-        raise ConfigError(f"[mirror] wl_max_nm must not be below wl_min_nm, got "
-                          f"{cfg['wl_max_nm']:g} < {cfg['wl_min_nm']:g}")
+    lam0 = scenario["mirror"]["design_wavelength_nm"]
+    wls, reflectance, stack, payload = pipeline.mirror(scenario)
     out = _outdir(args)
-    stack = pipeline.mirror_stack(scenario, cfg["termination"])
-    wls = np.arange(cfg["wl_min_nm"], cfg["wl_max_nm"] + 1e-9, cfg["wl_step_nm"])
     write_csv(out / "mirror_reflectance.csv", scenario,
-              ["wavelength_nm", "reflectance"],
-              np.column_stack([wls, optics.reflectance(stack, wls)]))
+              ["wavelength_nm", "reflectance"], np.column_stack([wls, reflectance]))
     (out / "mirror_stack.txt").write_text(
         f"# {_stamp(scenario)}\n" + stack.to_text(), encoding="utf-8")
-
-    band = optics.stopband(stack, cfg["stopband_threshold"],
-                           wavelength_range_nm=(cfg["wl_min_nm"], cfg["wl_max_nm"]),
-                           anchor_nm=cfg["design_wavelength_nm"])
-    lam0 = cfg["design_wavelength_nm"]
-    bare = optics.LayerStack(1.0, (), cfg["n_substrate"])
-    ar = optics.LayerStack(
-        1.0, ((cfg["ar_index"], lam0 / (4 * cfg["ar_index"])),), cfg["n_substrate"])
-    payload = {
-        "reflectance_at_design_wavelength": optics.reflectance_at(stack, lam0),
-        "closed_form_reflectance": optics.quarter_wave_peak_reflectance(
-            cfg["n_high"], cfg["n_low"], cfg["pairs"], cfg["termination"],
-            n_substrate=cfg["n_substrate"]),
-        "stopband_threshold": cfg["stopband_threshold"],
-        "stopband_nm": list(band) if band else None,
-        "analytic_fractional_width": optics.analytic_stopband_fractional_width(
-            cfg["n_high"], cfg["n_low"]),
-        "bare_interface_reflectance": optics.reflectance_at(bare, lam0),
-        "ar_coated_reflectance_at_design": optics.reflectance_at(ar, lam0),
-        "ar_coated_reflectance_band_average": float(np.mean(
-            optics.reflectance(ar, np.arange(450.0, 700.0, 1.0)))),
-        "ar_band_nm": [450.0, 700.0],
-    }
     write_json(out / "mirror_report.json", scenario, payload)
     print(f"mirror: R({lam0:g} nm) = {payload['reflectance_at_design_wavelength']:.4%}, "
           f"stopband {payload['stopband_nm']}")
 
 
 def cmd_cavity(args, scenario: Scenario) -> None:
-    from . import pipeline
-    out = _outdir(args)
     positions, intensity, wls, transmission, payload = pipeline.cavity(scenario)
+    out = _outdir(args)
     write_csv(out / "cavity_field.csv", scenario,
               ["position_nm", "normalized_intensity"],
               np.column_stack([positions, intensity]))
@@ -136,16 +105,9 @@ def cmd_cavity(args, scenario: Scenario) -> None:
 
 
 def cmd_emitter(args, scenario: Scenario) -> None:
-    from . import emitter, pipeline
-    from .constants import rate_from_lifetime_ps
-    ecfg = scenario["emitter"]
-    out = _outdir(args)
     payload = pipeline.emitter(scenario)
-    gs, kappas, grid = emitter.indistinguishability_map(
-        rate_from_lifetime_ps(ecfg["free_lifetime_ps"]), ecfg["dephasing_rate_hz"],
-        coupling_range=(ecfg["map_rate_min_hz"], ecfg["map_rate_max_hz"]),
-        cavity_range=(ecfg["map_rate_min_hz"], ecfg["map_rate_max_hz"]),
-        points=ecfg["map_points"])
+    gs, kappas, grid = pipeline.emitter_map(scenario)
+    out = _outdir(args)
     write_json(out / "emitter_report.json", scenario, payload)
     write_csv(out / "indistinguishability_map.csv", scenario,
               ["g_Hz", "kappa_Hz", "indistinguishability"], grid.reshape(-1, 1),
@@ -157,132 +119,34 @@ def cmd_emitter(args, scenario: Scenario) -> None:
 
 def cmd_fit(args, scenario: Scenario) -> None:
     from . import specfit
-    out = _outdir(args)
     series = specfit.read_series_csv(args.input)
-    fcfg = scenario["fit"]
-    payload: dict = {"input": str(args.input), "kind": series.kind}
-    if series.kind == "spectrum":
-        # an explicit 0 switches the instrument off over the scenario's value
-        scan_range = (fcfg["scan_range_per_nm"] if args.scan_range is None
-                      else args.scan_range) or None
-        fit = specfit.fit_lorentzian(series, scan_range)
-        payload["fit"] = fit.as_dict()
-        payload["zpl_fraction"] = specfit.zpl_fraction(
-            series, fit, default_cutoff_nm=fcfg["contaminant_cutoff_nm"])
-    elif series.kind == "decay":
-        if not args.irf:
-            raise ConfigError("decay fitting requires --irf <csv>")
-        irf = specfit.read_series_csv(args.irf)
-        fit = specfit.fit_decay_with_irf(series, irf)
-        payload["fit"] = fit.as_dict()
-    elif series.kind == "correlation":
-        gfit = specfit.fit_g2(series)
-        payload["fit"] = {
-            "parameters": {
-                "antibunching_amplitude": gfit.antibunching_amplitude,
-                "bunching_amplitude": gfit.bunching_amplitude,
-                "antibunching_time_ps": gfit.antibunching_time_ps,
-                "bunching_time_ps": gfit.bunching_time_ps,
-                "g2_zero": gfit.g2_zero,
-            },
-            "uncertainties": gfit.stderr,
-            "residual_norm": gfit.residual_norm,
-            "model": gfit.model,
-            "residual_norms": gfit.residual_norms,
-            "iterations": gfit.n_evaluations,
-            "converged": gfit.converged,
-        }
-        if args.snr is not None:
-            payload["fit"]["parameters"]["g2_zero_background_corrected"] = (
-                specfit.correct_g2_background(gfit.g2_zero, args.snr))
-    elif series.kind == "polarization":
-        fit = specfit.fit_polarization(series)
-        payload["fit"] = fit.as_dict()
-    else:
-        raise ConfigError(f"no fitter for series kind {series.kind!r}")
-    write_json(out / "fit_report.json", scenario, payload)
+    # only a decay reads its instrument response
+    irf = specfit.read_series_csv(args.irf) if args.irf and series.kind == "decay" else None
+    payload = pipeline.fit(scenario, series, irf, args.scan_range, args.snr)
+    out = _outdir(args)
+    write_json(out / "fit_report.json", scenario, {"input": str(args.input), **payload})
     print(f"fit: {series.kind} -> {out / 'fit_report.json'}")
 
 
 def cmd_qkd(args, scenario: Scenario) -> None:
-    from . import pipeline, qkd
-    qcfg = scenario["qkd"]
+    table, payload = pipeline.qkd(scenario, args.sweep)
     out = _outdir(args)
-    detector, channel, sources = pipeline.qkd_models(
-        scenario, qcfg["channel"], qcfg["divergence_model"])
-    sweep_arg = args.sweep or (f"{qcfg['sweep_start_km']}:{qcfg['sweep_stop_km']}"
-                               f":{qcfg['sweep_step_km']}")
-    start, stop, step = _sweep_range(sweep_arg)
-    interval = (max(start, 0.5), max(stop, 1.0))
-    if interval[0] >= interval[1]:
-        raise ConfigError(f"sweep {sweep_arg!r} leaves no crossing search interval: its stop "
-                          f"must exceed its start, or lie below 1 km")
-    distances = np.arange(start, stop + step / 2, step)
-    rows = qkd.sweep(sources, channel, detector, distances)
-    columns = ["distance_km", "loss_db", "rate_sps", "rate_ideal", "rate_wcs",
-               "rate_decoy", "mu_wcs", "mu_decoy"]
-    # a source at fixed mu has no mu column
-    write_csv(out / "qkd_rates.csv", scenario, columns,
-              np.column_stack([[row.get(c, qcfg["mu_fixed"]) for row in rows]
-                               for c in columns]))
-
-    crossings = {}
-    for label, other in (("sps_vs_decoy", sources["decoy"]), ("sps_vs_wcs", sources["wcs"])):
-        try:
-            crossings[label] = qkd.find_crossing(sources["sps"], other, channel, detector,
-                                                 interval)
-        except (qkd.NoCrossingError, qkd.NoPositiveRateError) as exc:
-            crossings[label] = {"result": f"no crossing: {exc}"}
-    payload = {
-        "channel": qcfg["channel"],
-        "mu_mode": qcfg["mu_mode"],
-        "crossings": crossings,
-        "security_model": qkd.SECURITY_FORMULAS.splitlines(),
-    }
-    if qcfg["channel"] == "freespace" and qcfg["divergence_model"] == "calibrated":
-        payload["calibrated_half_angle_rad"] = channel.divergence_half_angle_rad
-        payload["calibration"] = {
-            "loss_db": qcfg["calibration_loss_db"],
-            "distance_km": qcfg["calibration_distance_km"],
-        }
+    write_csv(out / "qkd_rates.csv", scenario, pipeline.QKD_COLUMNS, table)
     write_json(out / "qkd_crossings.json", scenario, payload)
-    print(f"qkd: {len(rows)} sweep rows -> {out / 'qkd_rates.csv'}; "
-          f"crossings: {crossings}")
-
-
-def _sweep_range(text: str) -> tuple[float, float, float]:
-    """start, stop, step (km) of a ``start:stop:step`` sweep."""
-    try:
-        start, stop, step = (float(v) for v in text.split(":"))
-    except ValueError:
-        raise ConfigError(f"sweep must be start:stop:step in km, got {text!r}") from None
-    if not all(math.isfinite(v) for v in (start, stop, step)):
-        raise ConfigError(f"sweep start, stop and step must be finite, got {text!r}")
-    if step <= 0:
-        raise ConfigError(f"sweep step must be positive, got {step:g} km")
-    if stop < start:
-        raise ConfigError(f"sweep stop must not be below its start, got {text!r}")
-    if (stop - start) / step > MAX_SWEEP_ROWS - 1:
-        raise ConfigError(f"sweep must have at most {MAX_SWEEP_ROWS:,} rows, got {text!r}")
-    return start, stop, step
+    print(f"qkd: {len(table)} sweep rows -> {out / 'qkd_rates.csv'}; "
+          f"crossings: {payload['crossings']}")
 
 
 def cmd_fab(args, scenario: Scenario) -> None:
     from . import fab
-    fcfg = scenario["fab"]
-    out = _outdir(args)
     if args.profile:
         from . import specfit
-        profile = specfit.read_series_csv(args.profile)
-        result = fab.fit_hemisphere_profile(
-            profile, edge_exclusion_fraction=fcfg["edge_exclusion_fraction"])
-        result["classified_ideal_hemisphere"] = bool(result["rms_nm"] < 1.0)
-        write_json(out / "hemisphere_fit.json", scenario, result)
+        result = pipeline.fab(scenario, specfit.read_series_csv(args.profile))
+        write_json(_outdir(args) / "hemisphere_fit.json", scenario, result)
         print(f"fab: radius {result['radius_um']:.4f} um, rms {result['rms_nm']:.3f} nm")
         return
-    calibration = scenario.require("fab", "calibration_nm_per_unit")
-    dose = fab.hemisphere_dose_map(fcfg["radius_um"], fcfg["aperture_um"],
-                                   fcfg["pitch_nm"], calibration)
+    dose = pipeline.fab(scenario)
+    out = _outdir(args)
     fab.write_bmp(out / "dose_map.bmp", dose,
                   metadata={"toolkit_version": __version__,
                             "config_digest": scenario.digest()})
@@ -290,8 +154,8 @@ def cmd_fab(args, scenario: Scenario) -> None:
 
 
 def cmd_reproduce(args, scenario: Scenario) -> None:
-    from .reproduce import run_all
-    report = run_all(scenario, draws=args.draws)
+    from . import reproduce
+    report = reproduce.run_all(scenario, draws=args.draws)
     out = _outdir(args)
     table = report.table()
     (out / "reproduce_table.txt").write_text(

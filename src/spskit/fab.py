@@ -21,6 +21,8 @@ import numpy as np
 
 CHANNEL_CAP = 255
 MAX_UNITS = 3 * CHANNEL_CAP
+# a fitted profile whose rms deviation lies below this classifies as ideal
+IDEAL_RMS_NM = 1.0
 
 
 class FabError(ValueError):
@@ -165,14 +167,15 @@ def fit_hemisphere_profile(
     profile,
     *,
     edge_exclusion_fraction: float = 0.10,
-) -> dict[str, float]:
+) -> dict:
     """Least-squares circle-arc fit of a surface profile, a
     ``MeasurementSeries`` of x in um and z in nm.
 
     Fits (x - x0)^2 + (z - z0)^2 = R^2 by the algebraic (Kasa) least
     squares, after dropping the outermost ``edge_exclusion_fraction`` of
     the lateral extent on each side (milled shapes deviate at the rim).
-    Returns radius_um, center_offset_um, center_height_nm, rms_nm.
+    Returns radius_um, center_offset_um, center_height_nm, rms_nm,
+    n_points and classified_ideal_hemisphere (rms_nm < IDEAL_RMS_NM).
     """
     x_um, z_nm = profile.as_arrays()
     if x_um.size < 10:
@@ -201,12 +204,14 @@ def fit_hemisphere_profile(
         raise FabError("degenerate circle fit: non-positive squared radius")
     radius_nm = math.sqrt(r_sq)
     residuals = np.hypot(x - x0, z - z0) - radius_nm
+    rms_nm = float(np.sqrt(np.mean(residuals ** 2)))
     return {
         "radius_um": radius_nm / 1e3,
         "center_offset_um": x0 / 1e3,
         "center_height_nm": float(z0),
-        "rms_nm": float(np.sqrt(np.mean(residuals ** 2))),
+        "rms_nm": rms_nm,
         "n_points": int(x.size),
+        "classified_ideal_hemisphere": rms_nm < IDEAL_RMS_NM,
     }
 
 

@@ -1,12 +1,20 @@
-"""Scenario to models, shared by the CLI subcommands, which write the
-data, and ``reproduce``, which checks it. Each function imports the
-modules it runs, so a call loads only those.
+"""Scenario to data: every value a CLI subcommand writes is computed
+here, and ``reproduce`` checks the same values by calling the same
+functions. Each function imports the modules it runs, so a call loads
+only those.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .config import Scenario
+from .config import ConfigError, Scenario
+
+# the sweep rows that the [qkd] keys allow: 0 to 1000 km in steps of 0.1 km
+MAX_SWEEP_ROWS = 10_001
+QKD_COLUMNS = ["distance_km", "loss_db", "rate_sps", "rate_ideal", "rate_wcs",
+               "rate_decoy", "mu_wcs", "mu_decoy"]
 
 
 def mirror_stack(scenario: Scenario, termination: str):
@@ -16,6 +24,42 @@ def mirror_stack(scenario: Scenario, termination: str):
     return optics.make_quarter_wave_stack(
         cfg["n_high"], cfg["n_low"], cfg["pairs"], cfg["design_wavelength_nm"],
         termination, substrate_index=cfg["n_substrate"])
+
+
+def mirror(scenario: Scenario) -> tuple:
+    """The scan's wavelengths and reflectance, the stack, and the mirror
+    report."""
+    from . import optics
+    cfg = scenario["mirror"]
+    if cfg["wl_min_nm"] > cfg["wl_max_nm"]:
+        raise ConfigError(f"[mirror] wl_max_nm must not be below wl_min_nm, got "
+                          f"{cfg['wl_max_nm']:g} < {cfg['wl_min_nm']:g}")
+    lam0 = cfg["design_wavelength_nm"]
+    stack = mirror_stack(scenario, cfg["termination"])
+    wls = np.arange(cfg["wl_min_nm"], cfg["wl_max_nm"] + 1e-9, cfg["wl_step_nm"])
+    reflectance = optics.reflectance(stack, wls)
+    band = optics.stopband(stack, cfg["stopband_threshold"],
+                           wavelength_range_nm=(cfg["wl_min_nm"], cfg["wl_max_nm"]),
+                           anchor_nm=lam0)
+    bare = optics.LayerStack(1.0, (), cfg["n_substrate"])
+    ar = optics.LayerStack(
+        1.0, ((cfg["ar_index"], lam0 / (4 * cfg["ar_index"])),), cfg["n_substrate"])
+    report = {
+        "reflectance_at_design_wavelength": optics.reflectance_at(stack, lam0),
+        "closed_form_reflectance": optics.quarter_wave_peak_reflectance(
+            cfg["n_high"], cfg["n_low"], cfg["pairs"], cfg["termination"],
+            n_substrate=cfg["n_substrate"]),
+        "stopband_threshold": cfg["stopband_threshold"],
+        "stopband_nm": list(band) if band else None,
+        "analytic_fractional_width": optics.analytic_stopband_fractional_width(
+            cfg["n_high"], cfg["n_low"]),
+        "bare_interface_reflectance": optics.reflectance_at(bare, lam0),
+        "ar_coated_reflectance_at_design": optics.reflectance_at(ar, lam0),
+        "ar_coated_reflectance_band_average": float(np.mean(
+            optics.reflectance(ar, np.arange(450.0, 700.0, 1.0)))),
+        "ar_band_nm": [450.0, 700.0],
+    }
+    return wls, reflectance, stack, report
 
 
 def cavity(scenario: Scenario) -> tuple:
@@ -97,6 +141,50 @@ def emitter(scenario: Scenario) -> dict:
     }
 
 
+def emitter_map(scenario: Scenario) -> tuple:
+    """The indistinguishability map over the scenario's coupling and
+    cavity rates: the two axes (Hz) and the grid."""
+    from . import emitter
+    from .constants import rate_from_lifetime_ps
+    ecfg = scenario["emitter"]
+    rates = (ecfg["map_rate_min_hz"], ecfg["map_rate_max_hz"])
+    return emitter.indistinguishability_map(
+        rate_from_lifetime_ps(ecfg["free_lifetime_ps"]), ecfg["dephasing_rate_hz"],
+        coupling_range=rates, cavity_range=rates, points=ecfg["map_points"])
+
+
+def fit(scenario: Scenario, series, irf=None, scan_range: float | None = None,
+        snr: float | None = None) -> dict:
+    """The fit report of a measurement ``series``, by its kind: a decay
+    through its instrument response ``irf``, a spectrum through the sinc^2
+    instrument of ``scan_range`` (1/nm; None takes the scenario's, 0 none),
+    a correlation with g2(0) corrected for the background at ``snr``."""
+    from . import specfit
+    fcfg = scenario["fit"]
+    report: dict = {"kind": series.kind}
+    if series.kind == "spectrum":
+        # an explicit 0 switches the instrument off over the scenario's value
+        scan_range = (fcfg["scan_range_per_nm"] if scan_range is None
+                      else scan_range) or None
+        line = specfit.fit_lorentzian(series, scan_range)
+        report["fit"] = line.as_dict()
+        report["zpl_fraction"] = specfit.zpl_fraction(
+            series, line, default_cutoff_nm=fcfg["contaminant_cutoff_nm"])
+    elif series.kind == "decay":
+        if irf is None:
+            raise ConfigError("decay fitting requires --irf <csv>")
+        report["fit"] = specfit.fit_decay_with_irf(series, irf).as_dict()
+    elif series.kind == "correlation":
+        report["fit"] = specfit.fit_g2(series).as_dict()
+        if snr is not None:
+            parameters = report["fit"]["parameters"]
+            parameters["g2_zero_background_corrected"] = specfit.correct_g2_background(
+                parameters["g2_zero"], snr)
+    else:
+        report["fit"] = specfit.fit_polarization(series).as_dict()
+    return report
+
+
 def qkd_models(scenario: Scenario, channel: str, divergence_model: str | None = None) -> tuple:
     """The detector, the ``channel`` link and the sources sps, ideal, wcs
     and decoy; a free-space link spreads by ``divergence_model``."""
@@ -131,3 +219,84 @@ def qkd_models(scenario: Scenario, channel: str, divergence_model: str | None = 
         "decoy": qkd.SourceModel(kind="decoy", mean_photons=qcfg["mu_fixed"], mu_mode=mu_mode),
     }
     return detector, link, sources
+
+
+def qkd_sweep(scenario: Scenario, sweep: str | None = None) -> tuple:
+    """The distances (km) of a ``start:stop:step`` sweep, the scenario's
+    unless ``sweep`` is given, and the crossing search interval it sets:
+    from max(start, 0.5 km) to max(stop, 1 km)."""
+    qcfg = scenario["qkd"]
+    text = sweep or f"{qcfg['sweep_start_km']}:{qcfg['sweep_stop_km']}:{qcfg['sweep_step_km']}"
+    try:
+        start, stop, step = (float(v) for v in text.split(":"))
+    except ValueError:
+        raise ConfigError(f"sweep must be start:stop:step in km, got {text!r}") from None
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ConfigError(f"sweep start, stop and step must be finite, got {text!r}")
+    if step <= 0:
+        raise ConfigError(f"sweep step must be positive, got {step:g} km")
+    if stop < start:
+        raise ConfigError(f"sweep stop must not be below its start, got {text!r}")
+    if (stop - start) / step > MAX_SWEEP_ROWS - 1:
+        raise ConfigError(f"sweep must have at most {MAX_SWEEP_ROWS:,} rows, got {text!r}")
+    interval = (max(start, 0.5), max(stop, 1.0))
+    if interval[0] >= interval[1]:
+        raise ConfigError(f"sweep {text!r} leaves no crossing search interval: its stop "
+                          f"must exceed its start, or lie below 1 km")
+    return np.arange(start, stop + step / 2, step), interval
+
+
+def qkd_crossings(models: tuple, interval: tuple[float, float],
+                  others: tuple[str, ...] = ("decoy", "wcs")) -> dict:
+    """The crossing of the sps source with each of ``others`` in
+    ``interval`` (km), keyed ``sps_vs_<other>``, for the detector, link
+    and sources ``models`` of ``qkd_models``; a pair without one says why."""
+    from . import qkd
+    detector, channel, sources = models
+    crossings = {}
+    for other in others:
+        try:
+            crossings[f"sps_vs_{other}"] = qkd.find_crossing(
+                sources["sps"], sources[other], channel, detector, interval)
+        except (qkd.NoCrossingError, qkd.NoPositiveRateError) as exc:
+            crossings[f"sps_vs_{other}"] = {"result": f"no crossing: {exc}"}
+    return crossings
+
+
+def qkd(scenario: Scenario, sweep: str | None = None) -> tuple:
+    """The sweep's rate table, in ``QKD_COLUMNS``, and the crossing report
+    over the scenario's channel."""
+    from . import qkd
+    qcfg = scenario["qkd"]
+    models = qkd_models(scenario, qcfg["channel"], qcfg["divergence_model"])
+    detector, channel, sources = models
+    distances, interval = qkd_sweep(scenario, sweep)
+    rows = qkd.sweep(sources, channel, detector, distances)
+    # a source at fixed mu has no mu column
+    table = np.column_stack([[row.get(c, qcfg["mu_fixed"]) for row in rows]
+                             for c in QKD_COLUMNS])
+    report = {
+        "channel": qcfg["channel"],
+        "mu_mode": qcfg["mu_mode"],
+        "crossings": qkd_crossings(models, interval),
+        "security_model": qkd.SECURITY_FORMULAS.splitlines(),
+    }
+    if qcfg["channel"] == "freespace" and qcfg["divergence_model"] == "calibrated":
+        report["calibrated_half_angle_rad"] = channel.divergence_half_angle_rad
+        report["calibration"] = {
+            "loss_db": qcfg["calibration_loss_db"],
+            "distance_km": qcfg["calibration_distance_km"],
+        }
+    return table, report
+
+
+def fab(scenario: Scenario, profile=None):
+    """The dose map of the scenario's hemisphere or, given a measured
+    surface ``profile``, the report of its hemisphere fit."""
+    from . import fab
+    fcfg = scenario["fab"]
+    if profile is not None:
+        return fab.fit_hemisphere_profile(
+            profile, edge_exclusion_fraction=fcfg["edge_exclusion_fraction"])
+    return fab.hemisphere_dose_map(fcfg["radius_um"], fcfg["aperture_um"], fcfg["pitch_nm"],
+                                   scenario.require("fab", "calibration_nm_per_unit"))

@@ -1,10 +1,11 @@
 """End-to-end reproduction of the headline numbers the toolkit models.
 
 Each check compares a quantity of the scenario ``spskit reproduce`` loads
-with its target at a pinned tolerance; 1a/1b, 2, 3a, 4, 5a and 6a/6b/6d
-read what ``mirror``, ``cavity`` and ``emitter`` write, through
-``pipeline``. Targets and each check's probe inputs stay literals. All
-randomness is seeded, so two runs produce identical results.
+with its target at a pinned tolerance; 1a/1b/1c, 2, 3a, 4, 5a, 6a/6b/6d
+and 8a read what ``mirror``, ``cavity``, ``emitter`` and ``qkd`` write,
+through the same ``pipeline`` functions. Targets and each check's probe
+inputs stay literals. All randomness is seeded, so two runs produce
+identical results.
 """
 from __future__ import annotations
 
@@ -57,25 +58,22 @@ class ReproductionReport:
 # ---------------------------------------------------------------------------
 
 def check_coating(report: ReproductionReport, scenario: Scenario) -> None:
-    cfg = scenario["mirror"]
-    lam0 = cfg["design_wavelength_nm"]
-    stack = pipeline.mirror_stack(scenario, cfg["termination"])
-    r_tmm = optics.reflectance_at(stack, lam0)
+    """Checks the ``mirror`` subcommand's report."""
+    _, _, stack, mirror = pipeline.mirror(scenario)
+    r_tmm = mirror["reflectance_at_design_wavelength"]
     report.add("1a", "coating reflectance at design wavelength", r_tmm,
                "[0.992, 0.999]", 0.992 <= r_tmm <= 0.999)
 
-    r_closed = optics.quarter_wave_peak_reflectance(
-        cfg["n_high"], cfg["n_low"], cfg["pairs"], cfg["termination"],
-        n_substrate=cfg["n_substrate"])
+    r_closed = mirror["closed_form_reflectance"]
     report.add("1b", "closed-form oracle vs transfer matrix (abs diff)",
                abs(r_tmm - r_closed), "<= 1e-4", abs(r_tmm - r_closed) <= 1e-4)
 
-    band = optics.stopband(stack, 0.8, anchor_nm=lam0)
+    band = mirror["stopband_nm"]
     edge = band[0] if band else math.nan
-    report.add("1c", "stopband lower edge (R >= 0.80 band)", edge,
-               "504 +- 5 nm", band is not None and abs(edge - 504.0) <= 5.0,
+    report.add("1c", f"stopband lower edge (R >= {mirror['stopband_threshold']:.2f} band)",
+               edge, "504 +- 5 nm", band is not None and abs(edge - 504.0) <= 5.0,
                note="0.99-threshold edge documented separately")
-    band99 = optics.stopband(stack, 0.99, anchor_nm=lam0)
+    band99 = optics.stopband(stack, 0.99, anchor_nm=scenario["mirror"]["design_wavelength_nm"])
     if band99:
         report.add("1c'", "stopband lower edge at the 0.99 threshold (informational)",
                    band99[0], "reported only", True,
@@ -284,13 +282,14 @@ def check_fit_roundtrips(report: ReproductionReport, draws: int = 100) -> None:
 
 
 def check_qkd(report: ReproductionReport, scenario: Scenario) -> None:
-    detector, fiber, sources = pipeline.qkd_models(scenario, "fiber")
-    real, decoy = sources["sps"], sources["decoy"]
+    """8a checks the fiber crossing that ``qkd`` writes over the scenario's
+    sweep; 8f searches the same way on a 10-1500 km free-space probe."""
+    models = pipeline.qkd_models(scenario, "fiber")
+    detector, fiber, sources = models
 
-    try:
-        loss = qkd.find_crossing(real, decoy, fiber, detector, (1.0, 120.0))["loss_db"]
-    except qkd.NoCrossingError:
-        loss = math.nan
+    _, interval = pipeline.qkd_sweep(scenario)
+    crossing = pipeline.qkd_crossings(models, interval, ("decoy",))["sps_vs_decoy"]
+    loss = crossing.get("loss_db", math.nan)
     report.add("8a", "fiber crossing loss, real source vs optimized decoy (dB)",
                loss, "8.82 dB +- 15%",
                not math.isnan(loss) and abs(loss - 8.82) <= 0.15 * 8.82,
@@ -310,17 +309,16 @@ def check_qkd(report: ReproductionReport, scenario: Scenario) -> None:
     report.add("8d", "all rates monotone non-increasing in distance",
                0.0 if monotone else 1.0, "monotone", monotone)
 
-    _, space, _ = pipeline.qkd_models(scenario, "freespace", "calibrated")
+    space_models = pipeline.qkd_models(scenario, "freespace", "calibrated")
+    space = space_models[1]
     theta = space.divergence_half_angle_rad
     t630 = qkd.channel_transmittance(space.at_distance(630.0))
     loss630 = -10 * math.log10(t630)
     report.add("8e", "calibrated free-space model: loss at 630 km (dB)",
                loss630, "8.82 dB (calibration contract)", abs(loss630 - 8.82) < 1e-6,
                note=f"calibrated half angle {theta:.4e} rad")
-    try:
-        sloss = qkd.find_crossing(real, decoy, space, detector, (10.0, 1500.0))["loss_db"]
-    except qkd.NoCrossingError:
-        sloss = math.nan
+    crossing = pipeline.qkd_crossings(space_models, (10.0, 1500.0), ("decoy",))["sps_vs_decoy"]
+    sloss = crossing.get("loss_db", math.nan)
     report.add("8f", "free-space crossing loss, real source vs decoy (dB)",
                sloss, "8.82 dB +- 15%",
                not math.isnan(sloss) and abs(sloss - 8.82) <= 0.15 * 8.82,
@@ -351,12 +349,12 @@ def check_fab(report: ReproductionReport, scenario: Scenario) -> None:
 
     rng = np.random.default_rng(RNG_SEED)
     rough = fab.synthetic_hemisphere_profile(2.7, 2.4, 301, roughness_nm=0.5, rng=rng)
-    result = fab.fit_hemisphere_profile(
-        rough, edge_exclusion_fraction=fcfg["edge_exclusion_fraction"])
+    result = pipeline.fab(scenario, rough)
     report.add("9b", "hemisphere radius recovery at 0.5 nm roughness (um)",
                result["radius_um"], "2.7 +- 1%", abs(result["radius_um"] - 2.7) <= 0.027)
-    report.add("9c", "rms deviation classifies as ideal (< 1 nm)",
-               result["rms_nm"], "< 1 nm", result["rms_nm"] < 1.0)
+    report.add("9c", f"rms deviation classifies as ideal (< {fab.IDEAL_RMS_NM:g} nm)",
+               result["rms_nm"], f"< {fab.IDEAL_RMS_NM:g} nm",
+               result["classified_ideal_hemisphere"])
 
 
 def run_all(scenario: Scenario, draws: int = 100) -> ReproductionReport:

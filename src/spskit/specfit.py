@@ -188,6 +188,19 @@ class G2Fit:
     def g2_zero(self) -> float:
         return 1.0 - self.antibunching_amplitude + self.bunching_amplitude
 
+    def as_dict(self) -> dict:
+        return {
+            "parameters": {name: getattr(self, name) for name in (
+                "antibunching_amplitude", "bunching_amplitude", "antibunching_time_ps",
+                "bunching_time_ps", "g2_zero")},
+            "uncertainties": self.stderr,
+            "residual_norm": self.residual_norm,
+            "model": self.model,
+            "residual_norms": self.residual_norms,
+            "iterations": self.n_evaluations,
+            "converged": self.converged,
+        }
+
 
 # ---------------------------------------------------------------------------
 # shared least-squares driver

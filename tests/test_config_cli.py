@@ -1,3 +1,4 @@
+import ast
 import filecmp
 import importlib
 import importlib.util
@@ -25,6 +26,7 @@ from spskit.config import (
     load_scenario,
     provenance_table,
 )
+from spskit.reproduce import ReproductionReport, check_coating, check_qkd
 from spskit.specfit import (
     MeasurementSeries,
     convolve_decay,
@@ -501,6 +503,64 @@ class TestReproduceReadsTheSubcommands:
         xi5 = json.loads((tmp_path / "cavity_report.json").read_text())["penetration_depth_nm"]
         xi = reports["cavity"]["penetration_depth_nm"]
         assert computed["3b"] == abs(xi5 - xi) / xi
+
+
+class TestChecksReadTheWrittenFiles:
+    """1a, 1b, 1c and 8a, each check run on its own, are the values that
+    ``mirror`` and ``qkd`` write under the same ``--set``s, bit for bit."""
+
+    @pytest.mark.parametrize("overrides", [
+        [], ["mirror.pairs=8"], ["qkd.attenuation_db_per_km=0.25"],
+    ], ids=["defaults", "mirror-pairs", "qkd-attenuation"])
+    def test_coating_and_fiber_crossing(self, tmp_path, overrides):
+        sets = [arg for item in overrides for arg in ("--set", item)]
+        for command in ("mirror", "qkd"):
+            assert main([*sets, "--outdir", str(tmp_path), command]) == 0
+        mirror = json.loads((tmp_path / "mirror_report.json").read_text())
+        crossings = json.loads((tmp_path / "qkd_crossings.json").read_text())["crossings"]
+        scenario = default_scenario()
+        apply_overrides(scenario, overrides)
+        report = ReproductionReport()
+        check_coating(report, scenario)
+        check_qkd(report, scenario)
+        computed = {c.cid: c.computed for c in report.checks}
+        reflectance = mirror["reflectance_at_design_wavelength"]
+        assert computed["1a"] == reflectance
+        assert computed["1b"] == abs(reflectance - mirror["closed_form_reflectance"])
+        assert computed["1c"] == mirror["stopband_nm"][0]
+        assert computed["8a"] == crossings["sps_vs_decoy"]["loss_db"]
+
+
+class TestCliOnlyReadsAndWrites:
+    """Every ``cmd_*`` reaches spskit only through ``pipeline`` and these
+    readers and writers, so each value it writes is computed there."""
+
+    IO = {"specfit.read_series_csv", "fab.write_bmp", "reproduce.run_all"}
+
+    def test_commands_call_only_pipeline_and_io(self):
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        top = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+        commands = [node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
+        assert {f.name for f in commands} == {f.__name__ for f in cli.COMMANDS.values()}
+        reached = []
+        for command in commands:
+            body = [node for stmt in command.body for node in ast.walk(stmt)]
+            # local name -> what it names in spskit; a name of a module has no dot
+            names = {alias.asname or alias.name:
+                     alias.name if node.module is None else f"{node.module}.{alias.name}"
+                     for node in top + body if isinstance(node, ast.ImportFrom)
+                     and node.level == 1 for alias in node.names}
+            for node in body:
+                if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                        and "." not in names.get(node.value.id, ".")):
+                    reached.append((command.name, f"{names[node.value.id]}.{node.attr}"))
+                elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id in names):
+                    reached.append((command.name, names[node.func.id]))
+        assert reached
+        assert [(name, target) for name, target in reached
+                if not target.startswith("pipeline.") and target not in self.IO] == []
 
 
 class TestGlobalOptionsAfterSubcommand:
