@@ -10,6 +10,8 @@ cavitymode  Gaussian-mode geometry, FSR/finesse/linewidth, piezo tuning,
 emitter     Purcell enhancement, quantum efficiency, indistinguishability
 specfit     least-squares fitters for spectra, decays, correlations,
             polarization scans
+g2fit       the correlation fit and its background correction, which
+            specfit loads on first use
 lsq         the separable least-squares solver behind them, many fits in lockstep
 search      bracketed searches: bisection and golden-section maximization
 qkd         BB84 key rates for single-photon, weak-coherent, and decoy
@@ -24,7 +26,7 @@ reproduce   the reproduction table, on the scenario the CLI loads
 __version__ = "0.1.0"
 
 _SUBMODULES = ("cavitymode", "cli", "config", "constants", "emitter", "errors", "fab",
-               "lsq", "optics", "pipeline", "qkd", "reproduce", "search", "specfit")
+               "g2fit", "lsq", "optics", "pipeline", "qkd", "reproduce", "search", "specfit")
 
 
 def __getattr__(name: str):

@@ -18,16 +18,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 
 class ConfigError(ValueError):
     """Malformed scenario configuration."""
 
 
-@dataclass(frozen=True)
-class Setting:
+class Setting(NamedTuple):
     default: object
     kind: type
     domain: str | tuple[str, ...] | None  # interval, choices, or None for a bool
@@ -134,11 +133,11 @@ SCHEMA: dict[str, dict[str, Setting]] = {
 }
 
 
-@dataclass
 class Scenario:
     """Resolved configuration: one dict per section plus its digest."""
 
-    sections: dict[str, dict[str, object]] = field(default_factory=dict)
+    def __init__(self, sections: dict[str, dict[str, object]]):
+        self.sections = sections
 
     def __getitem__(self, section: str) -> dict[str, object]:
         return self.sections[section]

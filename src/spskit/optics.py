@@ -173,7 +173,11 @@ def _transfer_matrix(layers, lam):
     count 1, and the product is the plain layer-by-layer one. Callers
     validate their inputs first.
     """
-    films, runs = _runs(layers)
+    return _product(*_runs(layers), lam)
+
+
+def _product(films, runs, lam):
+    """``_transfer_matrix`` of the layers that ``_runs`` reads as (films, runs)."""
     if not runs:
         shape = np.shape(lam)
         return (np.ones(shape, complex), np.zeros(shape, complex),
@@ -361,11 +365,16 @@ def calibrated_lossy_stack(stack: LayerStack, target_reflectance: float, lam: fl
     if target_reflectance == r_ideal:
         return stack
 
-    def with_k(k: float) -> tuple[tuple[complex, float], ...]:
-        return tuple((complex(n.real, n.imag - k), d) for n, d in stack.layers)
+    def with_k(layers, k: float) -> tuple[tuple[complex, float], ...]:
+        return tuple((complex(n.real, n.imag - k), d) for n, d in layers)
+
+    # a uniform shift keeps distinct films distinct, so the lossy stack
+    # has the runs of the lossless one
+    films, runs = _runs(stack.layers)
 
     def refl(k: float) -> float:
-        return _power(with_k(k), stack.ambient_index, stack.substrate_index, lam)[0]
+        m = _product(with_k(films, k), runs, lam)
+        return np.abs(_coefficients(m, stack.ambient_index, stack.substrate_index)[0]) ** 2
 
     hi_k = 1e-6
     while refl(hi_k) > target_reflectance:
@@ -373,7 +382,7 @@ def calibrated_lossy_stack(stack: LayerStack, target_reflectance: float, lam: fl
         if hi_k > 1.0:
             raise OpticsError("could not bracket the extinction for the requested loss")
     k = search.bisect(lambda m: refl(m) > target_reflectance, 0.0, hi_k, tol=1e-16)
-    return LayerStack(stack.ambient_index, with_k(k), stack.substrate_index)
+    return LayerStack(stack.ambient_index, with_k(stack.layers, k), stack.substrate_index)
 
 
 # ---------------------------------------------------------------------------

@@ -273,8 +273,8 @@ def qkd(scenario: Scenario, sweep: str | None = None) -> tuple:
     distances, interval = qkd_sweep(scenario, sweep)
     rows = qkd.sweep(sources, channel, detector, distances)
     # a source at fixed mu has no mu column
-    table = np.column_stack([[row.get(c, qcfg["mu_fixed"]) for row in rows]
-                             for c in QKD_COLUMNS])
+    table = np.column_stack([rows[c] if c in rows.dtype.names else
+                             np.full(len(rows), qcfg["mu_fixed"]) for c in QKD_COLUMNS])
     report = {
         "channel": qcfg["channel"],
         "mu_mode": qcfg["mu_mode"],

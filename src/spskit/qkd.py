@@ -363,28 +363,28 @@ def sweep(
     channel: ChannelModel,
     detector: DetectorModel,
     distances_km,
-) -> list[dict[str, float]]:
-    """Rate sweep rows for CSV export: one row per distance.
+) -> np.ndarray:
+    """Rate sweep table for CSV export: a structured array with one row per
+    distance and one field per column.
 
-    Each row carries the loss in dB, the rate per source label, and the
-    optimized mu for sources that re-optimize per distance (NaN where no
-    intensity gives a positive rate). Each source is one array evaluation
-    over all distances.
+    The columns are the distance, the loss in dB, the rate per source
+    label, and the optimized mu for sources that re-optimize per distance
+    (NaN where no intensity gives a positive rate). Each source is one
+    array evaluation over all distances.
     """
     distances = [float(d) for d in distances_km]
     t = [channel_transmittance(channel.at_distance(d)) for d in distances]
-    columns: dict[str, list[float]] = {
-        "distance_km": distances,
-        "loss_db": [float(transmittance_to_db(v)) for v in t],
-    }
+    columns = {"distance_km": distances, "loss_db": [transmittance_to_db(v) for v in t]}
     for label, src in sources.items():
         if src.optimizes_mu:
-            mu_star, rate = _optimal_mu(src, t, detector)
-            columns[f"rate_{label}"] = rate.tolist()
-            columns[f"mu_{label}"] = mu_star.tolist()
+            mu_star, columns[f"rate_{label}"] = _optimal_mu(src, t, detector)
+            columns[f"mu_{label}"] = mu_star
         else:
-            columns[f"rate_{label}"] = _rates(src, t, detector, src.mean_photons).tolist()
-    return [dict(zip(columns, row)) for row in zip(*columns.values())]
+            columns[f"rate_{label}"] = _rates(src, t, detector, src.mean_photons)
+    table = np.empty(len(distances), dtype=[(name, float) for name in columns])
+    for name, values in columns.items():
+        table[name] = values
+    return table
 
 
 SECURITY_FORMULAS = """\

@@ -305,8 +305,8 @@ def check_qkd(report: ReproductionReport, scenario: Scenario) -> None:
                crossing.get("loss_db", math.nan), target("8.82 dB +- 15%"),
                note="tagged-states bound places it lower; see ledger")
 
-    rows = qkd.sweep(sources, fiber, detector, np.arange(0.0, 200.5, 5.0))
-    rates = {label: np.array([row[f"rate_{label}"] for row in rows]) for label in sources}
+    table = qkd.sweep(sources, fiber, detector, np.arange(0.0, 200.5, 5.0))
+    rates = {label: table[f"rate_{label}"] for label in sources}
     report.add("8b", "real source >= wcs at every sampled distance (worst wcs-sps gap)",
                np.max(rates["wcs"] - rates["sps"]), target("<= 1e-15"),
                note="violated in the narrow band where the tagged bound kills the source")

@@ -680,17 +680,18 @@ class TestImportsPerCommand:
         assert set(spskit._SUBMODULES) == files
 
     @pytest.mark.parametrize("argv, unused", [
-        (["mirror"], {"specfit", "lsq", "qkd", "fab", "emitter", "reproduce"}),
+        (["mirror"], {"specfit", "g2fit", "lsq", "qkd", "fab", "emitter", "reproduce"}),
         (["fit", "--input", "polarization.csv"],
-         {"optics", "qkd", "fab", "emitter", "reproduce", "search"}),
+         {"g2fit", "optics", "qkd", "fab", "emitter", "reproduce", "search"}),
         (["fit", "--input", "decay.csv", "--irf", "irf.csv"],
-         {"optics", "qkd", "fab", "emitter", "reproduce", "search"}),
-        (["cavity"], {"specfit", "lsq", "qkd", "fab", "emitter", "reproduce"}),
-        (["emitter"], {"optics", "specfit", "lsq", "qkd", "fab", "reproduce"}),
-        (["qkd"], {"optics", "specfit", "lsq", "fab", "emitter", "reproduce"}),
+         {"g2fit", "optics", "qkd", "fab", "emitter", "reproduce", "search"}),
+        (["cavity"], {"specfit", "g2fit", "lsq", "qkd", "fab", "emitter", "reproduce"}),
+        (["emitter"], {"optics", "specfit", "g2fit", "lsq", "qkd", "fab", "reproduce"}),
+        (["qkd"], {"optics", "specfit", "g2fit", "lsq", "fab", "emitter", "reproduce"}),
         (["--set", "fab.calibration_nm_per_unit=0.5", "fab"],
-         {"optics", "specfit", "lsq", "qkd", "emitter", "reproduce", "search"}),
-        (["fab", "--profile", "profile.csv"], {"optics", "qkd", "emitter", "reproduce", "search"}),
+         {"optics", "specfit", "g2fit", "lsq", "qkd", "emitter", "reproduce", "search"}),
+        (["fab", "--profile", "profile.csv"],
+         {"g2fit", "optics", "qkd", "emitter", "reproduce", "search"}),
     ], ids=["mirror", "fit-polarization", "fit-decay", "cavity", "emitter", "qkd", "fab",
             "fab-profile"])
     def test_command_loads_only_what_it_runs(self, tmp_path, argv, unused):
@@ -700,6 +701,18 @@ class TestImportsPerCommand:
         assert loaded
         # only reading an INI file needs configparser
         assert "configparser" not in modules
+
+    @pytest.mark.parametrize("argv, g2fit", [
+        (["fit", "--input", "spectrum.csv", "--scan-range", "3.0"], False),
+        (["fit", "--input", "decay.csv", "--irf", "irf.csv"], False),
+        (["fit", "--input", "polarization.csv"], False),
+        (["fit", "--input", "correlation.csv", "--snr", "9"], True),
+    ], ids=["spectrum", "decay", "polarization", "correlation"])
+    def test_fit_builds_no_dataclass_and_only_a_correlation_loads_g2fit(self, tmp_path, argv,
+                                                                        g2fit):
+        modules = _modules_after(_cli_code(tmp_path, argv))
+        assert "dataclasses" not in modules
+        assert ("spskit.g2fit" in modules) == g2fit
 
     def test_ini_config_loads_configparser(self, tmp_path):
         ini = tmp_path / "scenario.ini"

@@ -4,10 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import curve_fit, least_squares
 
+import spskit.g2fit as g2fit_module
 import spskit.reproduce as reproduce_module
 import spskit.specfit as specfit_module
 from spskit import lsq
@@ -135,6 +136,137 @@ class TestSeriesValidation:
         assert back.kind == "decay"
         assert np.allclose(back.x, s.x)
         assert np.allclose(back.y, s.y)
+
+
+def read_line_by_line(path) -> MeasurementSeries:
+    """``read_series_csv`` as a loop over the lines alone: the reference
+    that its one-call parse must match."""
+    kind = "spectrum"
+    xs, ys = [], []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                for token in line[1:].replace(",", " ").split():
+                    if token.startswith("kind="):
+                        kind = token.split("=", 1)[1]
+                continue
+            parts = line.split(",")
+            if len(parts) < 2:
+                raise SeriesError(f"{path}, line {lineno}: expected two comma-separated "
+                                  f"columns, got {line!r}")
+            try:
+                xv = float(parts[0])
+            except ValueError:
+                continue  # header row
+            try:
+                yv = float(parts[1])
+            except ValueError:
+                raise SeriesError(f"{path}, line {lineno}: expected a number in the second "
+                                  f"column, got {line!r}") from None
+            xs.append(xv)
+            ys.append(yv)
+    return MeasurementSeries(xs, ys, kind)
+
+
+def read_outcome(read, path):
+    """The x and y bytes and the kind a reader gives, or its SeriesError text."""
+    try:
+        got = read(path)
+    except SeriesError as exc:
+        return str(exc)
+    return got.x.tobytes(), got.y.tobytes(), got.kind
+
+
+# tokens a CSV field may hold besides a plain number
+ODD_FIELDS = ["1_0", "2_5e3", "nan", "-inf", "Infinity", "", "abc", " 7 ", "\t8", "\xa09",
+              "3\x1c", "\x1f4", "0x10", "+.5", "1e400", "5e-324", "\u0663", "\x00", "#1"]
+# lines that may sit among the rows
+ODD_LINES = ["", "   ", "\x0c", "x,y", "# kind=decay", "# note, kind=correlation", "#kind=",
+             "7", "a,b,c", "1,2,3", ",", "\x1e", "1\x1c,2"]
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV texts near the ones spskit writes: a kind comment and a header,
+    then rows of increasing x, some with padding or a third column; an odd
+    file also has odd fields and lines, and any of three line endings."""
+    odd = draw(st.booleans())
+    number = st.floats(-1e6, 1e6, allow_nan=False).map(lambda v: f"{v:.10g}")
+    field = st.one_of(number, st.sampled_from(ODD_FIELDS)) if odd else number
+    lines = draw(st.lists(st.sampled_from(["# kind=decay", "x,y", "", "# spskit"]), max_size=3))
+    x = np.cumsum(draw(st.lists(st.floats(1e-3, 1e3), max_size=25)))
+    for xv in x.tolist():
+        pad = draw(st.sampled_from(["", " ", "\t"]))
+        tail = draw(st.sampled_from(["", ",3", ",abc", ","]))
+        x_field = draw(field) if odd and draw(st.integers(0, 9)) == 0 else f"{xv:.10g}"
+        lines.append(f"{pad}{x_field}{pad},{pad}{draw(field)}{tail}")
+        if odd and draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(ODD_LINES)))
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"])) if odd else "\n"
+    return ending.join(lines) + draw(st.sampled_from(["", ending]))
+
+
+class TestReadSeriesCsv:
+    """``read_series_csv`` parses the rows in one numpy call and falls back
+    to a line at a time: either way it reads what the line loop reads."""
+
+    CASES = {
+        "kind comment after the header": "x,y\n# kind=decay\n1,2\n2,3\n",
+        "kind comment among the rows": "# kind=decay\nx,y\n1,2\n# kind=correlation\n2,3\n",
+        "blank lines": "# kind=decay\n\nx,y\n\n1,2\n\n2,3\n\n",
+        "white-space line": "x,y\n1,2\n \t\n2,3\n",
+        "CRLF endings": "# kind=polarization\r\nx,y\r\n1,2\r\n\r\n2,3\r\n",
+        "CR endings": "x,y\r1,2\r2,3\r",
+        "header row in the middle": "x,y\n1,2\nx,y\n2,3\n",
+        "third column": "x,y,z\n1,2,3\n2,3,abc\n3,4,\n",
+        "padded fields": "x,y\n 1 , 2 \n\t2,\t3\t\n\xa03,4\xa0\n",
+        "underscored numbers": "x,y\n1_0,2\n2_0,3_5\n",
+        "nan row": "x,y\n1,nan\n2,3\n",
+        "inf row": "x,y\n1,2\ninf,3\n",
+        "one-column row": "x,y\n1,2\n3\n4,5\n",
+        "non-numeric y": "x,y\n1,2\n3,abc\n",
+        "empty y": "x,y\n1,2\n3,\n",
+        "separator in a field": "x,y\n1,2\x1c\n2,3\n",
+        "decreasing x": "x,y\n2,1\n1,2\n",
+        "one row": "# kind=decay\nx,y\n1,2\n",
+        "no rows": "# kind=decay\nx,y\n",
+        "unknown kind": "# kind=sideband\n1,2\n2,3\n",
+        "trailing comment": "x,y\n1,2\n2,3\n# end\n",
+    }
+
+    @pytest.mark.parametrize("text", CASES.values(), ids=CASES.keys())
+    def test_edge_cases_read_as_line_by_line(self, tmp_path, text):
+        path = tmp_path / "series.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert read_outcome(read_series_csv, path) == read_outcome(read_line_by_line, path)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=csv_texts())
+    def test_any_text_reads_as_line_by_line(self, tmp_path, text):
+        path = tmp_path / "series.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert read_outcome(read_series_csv, path) == read_outcome(read_line_by_line, path)
+
+    def test_rows_parse_in_one_call_or_a_line_at_a_time(self, tmp_path, monkeypatch):
+        calls = []
+        loadtxt = np.loadtxt
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[0]))
+            return loadtxt(*args, **kwargs)
+        monkeypatch.setattr(np, "loadtxt", counted)
+        path = tmp_path / "series.csv"
+        write_series_csv(path, series(np.arange(50.0), np.arange(50.0) ** 2, "decay"))
+        # the 50 rows and the empty string after the last line end
+        assert read_series_csv(path).y[-1] == 49.0 ** 2 and calls == [51]
+        path.write_text("x,y\n1,2\nx,y\n2,3\n", encoding="utf-8")
+        with pytest.raises(ValueError):
+            loadtxt(["1,2", "x,y"], delimiter=",", comments=None, usecols=(0, 1))
+        assert read_series_csv(path).x.tolist() == [1.0, 2.0] and calls == [51, 4]
 
 
 class TestLorentzianFit:
@@ -333,14 +465,14 @@ class TestTenthPercentile:
 
 def unpooled_fit_g2(correlation) -> specfit_module.G2Fit:
     """``fit_g2`` on every sample of the correlation, as before pooling."""
-    tau, y, w, p0, lower, upper = specfit_module._g2_start(correlation, 0.25, 8)
-    cons = specfit_module._G2_BOX
+    tau, y, w, p0, lower, upper = g2fit_module._g2_start(correlation, 0.25, 8)
+    cons = g2fit_module._G2_BOX
     fits = [specfit_module._run_fit_batch(
         model, tau, y[None], [p0[:m]], weights=None if w is None else w[None],
         bounds=([lower[:m]], [upper[:m]]), constraints=box)[0]
-        for model, m, box in ((specfit_module._G2_WITH_BUNCHING, 2, cons),
-                              (specfit_module._G2_PLAIN, 1, (cons[0][:3, :2], cons[1][:3])))]
-    return specfit_module._g2_choose(*fits, tau)
+        for model, m, box in ((g2fit_module._G2_WITH_BUNCHING, 2, cons),
+                              (g2fit_module._G2_PLAIN, 1, (cons[0][:3, :2], cons[1][:3])))]
+    return g2fit_module._g2_choose(*fits, tau)
 
 
 class TestG2Fit:
@@ -385,7 +517,7 @@ class TestG2Fit:
         noise = np.random.default_rng(4).uniform(-0.01, 0.01, u.size)
         a, b = (series(tau, g2_model(tau, 0.9, 0.05, 50.0, 6000.0) + noise, "correlation")
                 for tau in grids)
-        starts = [specfit_module._g2_start(s, 0.25, 8)[3] for s in (a, b)]
+        starts = [g2fit_module._g2_start(s, 0.25, 8)[3] for s in (a, b)]
         assert starts[0] == starts[1]
         fit_b = fit_g2_batch([b])
         assert fit_g2_batch([b]) == fit_b
@@ -402,8 +534,8 @@ class TestG2Fit:
         tau = np.linspace(-50000.0, 50000.0, 801)
         y = np.random.default_rng(5).poisson(
             200.0 * g2_model(tau, 0.7, 0.4, 2000.0, 15000.0)).astype(float)
-        fit = specfit_module._G2_PLAIN if plain else specfit_module._G2_WITH_BUNCHING
-        cons = specfit_module._G2_BOX
+        fit = g2fit_module._G2_PLAIN if plain else g2fit_module._G2_WITH_BUNCHING
+        cons = g2fit_module._G2_BOX
         cons = (cons[0][:3, :2], cons[1][:3]) if plain else cons
         m = 1 if plain else 2
 
@@ -588,9 +720,9 @@ def pinv_stderr(jac, residual, names) -> dict[str, float]:
 
 def full_model(fit, m: int):
     """The model of a ``Separable`` in its named parameters, m of them nonlinear."""
-    if fit is specfit_module._G2_WITH_BUNCHING:
+    if fit is g2fit_module._G2_WITH_BUNCHING:
         return lambda tv, anti, bunch, t1, t2, level: level * g2_model(tv, anti, bunch, t1, t2)
-    if fit is specfit_module._G2_PLAIN:
+    if fit is g2fit_module._G2_PLAIN:
         return lambda tv, anti, t1, level: level * g2_model(tv, anti, 0.0, t1, 1.0)
     return lambda x, *p: sum(map(np.multiply, p[m:], fit.basis(x, *p[:m])))
 
@@ -667,8 +799,8 @@ def one_by_one(run_fit):
             outcomes.append(run_fit(fit, x if x.ndim == 1 else x[i], y[i], list(theta0[i]),
                                     w, box))
             if pooled is not None:
-                outcomes[-1].residual_norm = math.hypot(outcomes[-1].residual_norm,
-                                                        math.sqrt(pooled[0][i]))
+                outcomes[-1] = outcomes[-1]._replace(residual_norm=math.hypot(
+                    outcomes[-1].residual_norm, math.sqrt(pooled[0][i])))
         return outcomes
     return run_batch
 
@@ -981,7 +1113,7 @@ class TestJacobians:
     @given(t1=st.floats(50.0, 5000.0), t2=st.floats(500.0, 50000.0), plain=st.booleans())
     def test_g2(self, t1, t2, plain):
         tau = np.linspace(-30000.0, 30000.0, 601)
-        model = specfit_module._G2_PLAIN if plain else specfit_module._G2_WITH_BUNCHING
+        model = g2fit_module._G2_PLAIN if plain else g2fit_module._G2_WITH_BUNCHING
         check_model_slopes(model, tau, [t1] if plain else [t1, t2])
 
     @staticmethod
@@ -1002,7 +1134,7 @@ class TestJacobians:
         y = np.random.default_rng(3).poisson(
             300.0 * g2_model(tau, 0.8, 0.2, 900.0, 8000.0)).astype(float)
         w = specfit_module.poisson_weights(y)
-        model = specfit_module._G2_PLAIN if plain else specfit_module._G2_WITH_BUNCHING
+        model = g2fit_module._G2_PLAIN if plain else g2fit_module._G2_WITH_BUNCHING
         theta = [700.0] if plain else [700.0, 12000.0]
         jac = lsq._jacobian(model.derivatives, tau, w[None],
                             self.point(model, tau, y, w, theta), None)
@@ -1014,7 +1146,7 @@ class TestJacobians:
         # the column of the bunching time is exactly zero
         tau = np.linspace(-30000.0, 30000.0, 601)
         y = 140.0 * g2_model(tau, 0.9, -0.05, 700.0, 6000.0)
-        model, (cons, floor) = specfit_module._G2_WITH_BUNCHING, specfit_module._G2_BOX
+        model, (cons, floor) = g2fit_module._G2_WITH_BUNCHING, g2fit_module._G2_BOX
         point = self.point(model, tau, y, np.ones_like(y), [700.0, 6000.0], (cons, floor[None]))
         assert point[1][0, 2] == 0.0 and point[6][0] >= 0
         jac = lsq._jacobian(model.derivatives, tau, None, point,
@@ -1028,10 +1160,10 @@ def curve_fit_reference(kind, draw) -> tuple:
     series, weights = draw[kind][0], None
     if kind == "correlation":
         g = fit_g2(series)
-        fit = specfit_module._G2_PLAIN if g.model == "plain" else specfit_module._G2_WITH_BUNCHING
+        fit = g2fit_module._G2_PLAIN if g.model == "plain" else g2fit_module._G2_WITH_BUNCHING
         names, model = fit.names, full_model(fit, 1 if g.model == "plain" else 2)
         params, stderr = {k: getattr(g, k) for k in G2_PARAMETERS}, g.stderr
-        weights = specfit_module._g2_start(series, 0.25, 8)[2]
+        weights = g2fit_module._g2_start(series, 0.25, 8)[2]
     else:
         if kind == "decay":
             irf = draw["decay"][1]
