@@ -158,7 +158,7 @@ def fit_g2(series: MeasurementSeries, *, tail_fraction: float = 0.25,
 
 
 def fit_g2_batch(correlations, *, tail_fraction: float = 0.25,
-                 min_tail_points: int = 8) -> list:
+                 min_tail_points: int = 8, uncertainties: bool = True) -> list:
     """``fit_g2`` of correlations, one lockstep solve per model and delay
     grid; a failed fit gives its (first) FitError."""
     tau, y, weights, p0, lower, upper = zip(*(
@@ -166,12 +166,13 @@ def fit_g2_batch(correlations, *, tail_fraction: float = 0.25,
     same = [np.array_equal(t, tau[0]) for t in tau]
     if not all(same):  # pooling takes one grid
         fits = [iter(fit_g2_batch([s for s, k in zip(correlations, same) if k == side],
-                                  tail_fraction=tail_fraction, min_tail_points=min_tail_points))
+                                  tail_fraction=tail_fraction, min_tail_points=min_tail_points,
+                                  uncertainties=uncertainties))
                 for side in (False, True)]
         return [next(fits[k]) for k in same]
     delay, y, root, pure = _g2_pool(tau[0], y, weights)
     p0, lower, upper = map(np.array, (p0, lower, upper))
-    common = {"weights": root, "pooled": (pure, len(tau[0]))}
+    common = {"weights": root, "pooled": (pure, len(tau[0])), "uncertainties": uncertainties}
     with_bunching = specfit._run_fit_batch(_G2_WITH_BUNCHING, delay, y, p0,
                                            bounds=(lower, upper), constraints=_G2_BOX, **common)
     plain = specfit._run_fit_batch(_G2_PLAIN, delay, y, p0[:, :1],

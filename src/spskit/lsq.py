@@ -41,10 +41,11 @@ point; a problem may spend max_iterations of them. Each problem has its
 own state until it converges or fails; a round evaluates every problem
 still searching in one call, so a batch takes the rounds of its longest
 fit. A round costs a few hundred numpy calls whatever the batch's width;
-memory bounds the width, about ten N-vectors per problem within a round
-(columns, residuals, the Jacobian and its projection) and none between
-rounds. Stacked products and decompositions, axis norms and elementwise
-arithmetic give each problem the bits it gets alone.
+memory bounds the width, about eight N-vectors per problem within a
+round beside its data and weights (columns, residuals, the Jacobian, a
+slope; the weighted columns replace the columns once spent) and none
+between rounds. Stacked products and decompositions, axis norms and
+elementwise arithmetic give each problem the bits it gets alone.
 """
 from __future__ import annotations
 
@@ -108,9 +109,9 @@ def levenberg_marquardt(basis, derivatives, x, y, p0, weights, bounds, max_itera
 
     def evaluate(idx, q):
         """The costs at q, one row per problem of idx, and the point (q, c,
-        residuals, columns, weighted columns, their Gram matrices, active
-        sets), None when every problem's budget is spent; such a problem
-        fails instead, with the best point it saw."""
+        residuals, columns, the Gram matrices of the weighted columns,
+        active sets), None when every problem's budget is spent; such a
+        problem fails instead, with the best point it saw."""
         nonlocal rounds
         rounds += 1
         if rounds > max_iterations:  # a round evaluates a problem at most once
@@ -132,7 +133,7 @@ def levenberg_marquardt(basis, derivatives, x, y, p0, weights, bounds, max_itera
                 calls[i] += 1
                 if costs[k] < best_cost[i]:
                     best_cost[i], best_p[i], best_c[i] = costs[k], q[k], c[k]
-        return costs, (q, c, res, cols, phi, gram, held)
+        return costs, (q, c, res, cols, gram, held)
 
     def accept(idx, point):
         """Moves the problems idx to the point's rows: their Jacobians and J^T r."""
@@ -202,8 +203,10 @@ def levenberg_marquardt(basis, derivatives, x, y, p0, weights, bounds, max_itera
             at = rows(idx)
             jac *= (free[at] / scale[at])[:, :, None]
             # R of J D^-1 = Q R has its singular values and V; one QR and
-            # SVD of the stack: each matrix gets the bits it gets alone
-            _, sv[at], vt[at] = np.linalg.svd(np.linalg.qr(jac.transpose(0, 2, 1), mode="r"))
+            # SVD of the stack: each matrix gets the bits it gets alone. A
+            # 1 x 1 R has |R| and V = +-1, whose sign cancels in the step
+            r = np.linalg.qr(jac.transpose(0, 2, 1), mode="r")
+            _, sv[at], vt[at] = (None, np.abs(r[:, 0]), 1.0) if n == 1 else np.linalg.svd(r)
             vg[at] = (vt[at] @ vg[at][:, :, None])[:, :, 0]
         return idx
 
@@ -248,9 +251,10 @@ def levenberg_marquardt(basis, derivatives, x, y, p0, weights, bounds, max_itera
                 retry.append(i)
         if not moved:
             return retry
-        if len(moved) < len(idx):  # the rows of the moved, the columns once
-            cols = point[3][moved_at]  # (phi is cols when unweighted)
-            point = tuple(cols if a is point[3] else a[moved_at] for a in point)
+        if len(moved) < len(idx):  # the rows of the moved, each copy replacing its array
+            point = list(point)
+            for j in range(len(point)):
+                point[j] = point[j][moved_at]
         jac, grad = accept(moved, point)
         del point  # before the QR copies the Jacobian
         for i in stopped.intersection(moved):
@@ -280,8 +284,10 @@ def _jacobian(derivatives, x, w, point, sets) -> np.ndarray:
     (c = t u + e d, ``sets[s]``; all where none is active), G_f their Gram
     matrix and a = (w dPhi/dtheta_j)^T r. v is built in place: the
     projection is one product with Phi for every active set."""
-    q, c, res, cols, phi, gram, held = point
+    q, c, res, cols, gram, held = point
     jac, a = _directions(derivatives, x, q, c, cols, w, res)
+    # the columns are spent: the weighted ones in their place
+    phi = cols if w is None else np.multiply(cols, w[:, None], out=cols)
     rhs = np.vecdot(phi[:, None], jac[:, :, None]) + a  # (problems, n, k)
     proj = np.empty(rhs.shape)  # each problem's G_f^-1 (Phi_f^T v + t^T a) t^T
     active = set(held.tolist())

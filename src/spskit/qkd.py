@@ -151,21 +151,23 @@ def binary_entropy(x):
     return h if h.ndim else float(h)
 
 
-def channel_transmittance(channel: ChannelModel) -> float:
-    """Channel power transmittance in (0, 1]."""
-    d = channel.distance_km
+def channel_transmittance(channel: ChannelModel, distance_km: float | None = None) -> float:
+    """Channel power transmittance in (0, 1] at ``distance_km`` (the channel's for None)."""
+    d = channel.distance_km if distance_km is None else distance_km
+    if d < 0:
+        raise QkdError("distance must be non-negative")
     if d == 0.0:
         return 1.0
     if channel.kind == "fiber":
         return 10.0 ** (-channel.attenuation_db_per_km * d / 10.0)
-    diameter = beam_diameter_m(channel)
+    diameter = beam_diameter_m(channel, d)
     return min(1.0, (channel.receive_aperture_m / diameter) ** 2)
 
 
-def beam_diameter_m(channel: ChannelModel) -> float:
+def beam_diameter_m(channel: ChannelModel, distance_km: float | None = None) -> float:
     """Beam diameter at the receiver under the configured divergence model."""
     lam = channel.wavelength_nm * 1e-9
-    dist = channel.distance_km * 1e3
+    dist = (channel.distance_km if distance_km is None else distance_km) * 1e3
     d_t = channel.transmit_aperture_m
     if channel.divergence_model == "gaussian_farfield":
         waist = d_t / 2.0
@@ -325,7 +327,7 @@ def find_crossing(
         raise QkdError("search interval must satisfy lo < hi")
 
     def diff(distances) -> np.ndarray:
-        t = [channel_transmittance(channel.at_distance(d)) for d in distances]
+        t = [channel_transmittance(channel, d) for d in distances]
         return _effective_rates(source_a, t, detector) - _effective_rates(source_b, t, detector)
 
     grid = np.linspace(lo, hi, grid_points)
@@ -373,7 +375,7 @@ def sweep(
     array evaluation over all distances.
     """
     distances = [float(d) for d in distances_km]
-    t = [channel_transmittance(channel.at_distance(d)) for d in distances]
+    t = [channel_transmittance(channel, d) for d in distances]
     columns = {"distance_km": distances, "loss_db": [transmittance_to_db(v) for v in t]}
     for label, src in sources.items():
         if src.optimizes_mu:

@@ -12,8 +12,10 @@ for given nonlinear parameters theta, with the derivatives of its columns
 in closed form, and is fitted by the variable-projection solver of module
 ``lsq`` (see there what ``n_evaluations`` counts). ``_run_fit_batch``
 solves many problems of one model in lockstep, each with the bits it
-gets alone. The sinc^2 instrument of a Lorentzian fit is given by its
-scan range alone, a float in 1/nm (None for no instrument).
+gets alone; a batch fitter called with ``uncertainties=False`` skips
+them and leaves every ``stderr`` empty. The sinc^2 instrument of a
+Lorentzian fit is given by its scan range alone, a float in 1/nm (None
+for no instrument).
 
 The IRF convolution is the recursion y[n] = a y[n-1] + irf[n],
 a = exp(-dt/tau) (Enderlein and Erdmann, Opt. Commun. 134, 371 (1997)),
@@ -23,6 +25,7 @@ enough to keep the scale in range, plus the carry between blocks.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from collections.abc import Callable, Sequence
@@ -181,12 +184,13 @@ def _one(outcomes: list):
 
 
 def _run_fit_batch(fit: Separable, x, y, theta0, weights=None, bounds=None,
-                   constraints=None, pooled=None) -> list:
+                   constraints=None, pooled=None, uncertainties=True) -> list:
     """``lsq.levenberg_marquardt`` fits of one model to B problems: per
     problem its FitResult, or the FitError with the best point seen. The
     uncertainties are those of ``lsq.covariance_factors`` in (theta, c),
-    carried to the named parameters by their Jacobian. ``pooled = (S, N)``
-    gives rows pooled from series of N samples, with pure errors S."""
+    carried to the named parameters by their Jacobian, or none (an empty
+    ``stderr``) without ``uncertainties``. ``pooled = (S, N)`` gives rows
+    pooled from series of N samples, with pure errors S."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.ndim == 2 and (x == x[0]).all():
         x = x[0].copy()  # rows that are all equal reach the model as that one row
@@ -195,7 +199,8 @@ def _run_fit_batch(fit: Separable, x, y, theta0, weights=None, bounds=None,
                                        bounds, MAX_ITERATIONS, STEP_TOLERANCE, constraints, pure)
     theta, c = (np.array([o[k] for o in outcomes]) for k in (1, 2))
     (params, to_named), ok = fit.params(theta, c), np.array([o[0] for o in outcomes])
-    if ok.any():
+    stderr = itertools.repeat(())
+    if ok.any() and uncertainties:
         factors = lsq.covariance_factors(
             fit.basis, fit.derivatives, x if x.ndim == 1 else x[ok], y[ok], theta[ok], c[ok],
             None if weights is None else np.broadcast_to(weights, y.shape)[ok],
@@ -306,7 +311,8 @@ def fit_lorentzian(series: MeasurementSeries, instrument: float | None = None) -
     return _one(fit_lorentzian_batch([series], instrument))
 
 
-def fit_lorentzian_batch(spectra, instrument: float | None = None) -> list:
+def fit_lorentzian_batch(spectra, instrument: float | None = None, *,
+                         uncertainties: bool = True) -> list:
     """``fit_lorentzian`` of same-length spectra (on one grid, with an
     instrument) in one lockstep solve; a failed fit gives its FitError."""
     if instrument is not None and not (math.isfinite(instrument) and instrument > 0):
@@ -322,7 +328,8 @@ def fit_lorentzian_batch(spectra, instrument: float | None = None) -> list:
         fwhm0 = float(above[-1] - above[0]) if len(above) >= 2 else (x[-1] - x[0]) / 4
         starts.append((x, y, [float(x[np.argmax(y)]), fwhm0]))
 
-    return _run_fit_batch(_lorentzian_model(instrument), *map(np.array, zip(*starts)))
+    return _run_fit_batch(_lorentzian_model(instrument), *map(np.array, zip(*starts)),
+                          uncertainties=uncertainties)
 
 
 def _tenth_percentile(y: np.ndarray) -> float:
@@ -407,12 +414,14 @@ def _recursion(rows: np.ndarray, rate) -> np.ndarray:
 def _decay_blocks(irf: np.ndarray, rate: np.ndarray, block: int) -> np.ndarray:
     """y[n] = a y[n-1] + irf[n] per row, a = exp(-rate), in blocks of ``block``."""
     k, n = irf.shape
-    z = np.zeros((k, -(-n // block) * block))
-    z[:, :n] = irf
-    z = z.reshape(k, -1, block)
+    y = np.zeros((k, -(-n // block) * block))
+    y[:, :n] = irf
+    y = y.reshape(k, -1, block)
     m_rate = np.arange(block) * rate[:, None]
-    # within a block y[j] = a^j sum_{m<=j} a^-m irf[m], then the carry in
-    y = np.exp(-m_rate)[:, None] * np.cumsum(z * np.exp(m_rate)[:, None], axis=-1)
+    # within a block y[j] = a^j sum_{m<=j} a^-m irf[m], in place, then the carry in
+    y *= np.exp(m_rate)[:, None]
+    np.cumsum(y, axis=-1, out=y)
+    y *= np.exp(-m_rate)[:, None]
     carry = np.exp(-(m_rate + rate[:, None]))
     if block < _BLOCK_MAX:
         # a short block has a^block < e^-16, so a block's last value takes
@@ -445,7 +454,7 @@ def fit_decay_with_irf(series: MeasurementSeries, irf: MeasurementSeries) -> Fit
     return _one(fit_decay_with_irf_batch([series], [irf]))
 
 
-def fit_decay_with_irf_batch(decays, irfs) -> list:
+def fit_decay_with_irf_batch(decays, irfs, *, uncertainties: bool = True) -> list:
     """``fit_decay_with_irf`` of decays on one time grid, each with its IRF,
     in one lockstep solve; a failed fit gives its FitError."""
     t = decays[0].x
@@ -456,13 +465,14 @@ def fit_decay_with_irf_batch(decays, irfs) -> list:
             raise SeriesError("a batch of decays needs one time grid")
         y = series.y
         t_irf, y_irf = irf.as_arrays()
-        if len(t_irf) != len(t) or not np.allclose(t_irf, t):
+        if t_irf is not t and (len(t_irf) != len(t) or not np.allclose(t_irf, t)):
             y_irf = np.interp(t, t_irf, y_irf, left=0.0, right=0.0)
         if y_irf.sum() <= 0:
             raise SeriesError("instrument response has no weight on the data grid")
         starts.append((y, y_irf, [max((t[-1] - t[0]) / 5.0, 2 * dt)]))
     y, y_irf, p0 = map(np.array, zip(*starts))
-    outcomes = _run_fit_batch(_decay_model(t, dt), y_irf, y, p0, weights=poisson_weights(y))
+    outcomes = _run_fit_batch(_decay_model(t, dt), y_irf, y, p0, weights=poisson_weights(y),
+                              uncertainties=uncertainties)
     for i, result in enumerate(outcomes):
         if isinstance(result, FitError):
             continue
@@ -528,7 +538,7 @@ def fit_polarization(series: MeasurementSeries) -> FitResult:
     return _one(fit_polarization_batch([series]))
 
 
-def fit_polarization_batch(scans) -> list:
+def fit_polarization_batch(scans, *, uncertainties: bool = True) -> list:
     """``fit_polarization`` of same-length scans in one stacked solve."""
     outcomes, fitted = [], []
     for scan in scans:
@@ -544,7 +554,7 @@ def fit_polarization_batch(scans) -> list:
             fitted.append((theta, y))
     if fitted:
         solved = iter(_run_fit_batch(_COS2, *map(np.array, zip(*fitted)),
-                                     np.empty((len(fitted), 0))))
+                                     np.empty((len(fitted), 0)), uncertainties=uncertainties))
         outcomes = [next(solved) if o is None else o for o in outcomes]
     for result in outcomes:
         a, b = result.params["amplitude"], max(result.params["offset"], 0.0)

@@ -363,6 +363,15 @@ class TestCrossing:
         with pytest.raises(QkdError):
             find_crossing(REAL_SPS, DECOY, FIBER, GYS_DETECTOR, (50.0, 10.0))
 
+    @pytest.mark.parametrize("channel", [FIBER, FREESPACE], ids=["fiber", "freespace"])
+    def test_negative_distance_rejected(self, channel):
+        # sweep and find_crossing build no channel model per distance: the
+        # transmittance itself rejects a negative one
+        with pytest.raises(QkdError, match="non-negative"):
+            sweep({"wcs": WCS}, channel, GYS_DETECTOR, [-1.0, 0.0])
+        with pytest.raises(QkdError, match="non-negative"):
+            find_crossing(REAL_SPS, DECOY, channel, GYS_DETECTOR, (-5.0, 10.0))
+
     @pytest.mark.parametrize("tol_km", [0.0, 1e-15])
     def test_tolerance_below_the_float_spacing_ends(self, monkeypatch, tol_km):
         # floats near 24.5 km are 3.6e-15 km apart: the bisection must stop

@@ -789,7 +789,8 @@ def one_by_one(run_fit):
     """A stand-in for ``specfit._run_fit_batch`` that solves each problem of
     the batch alone with ``run_fit``; a pooled problem's pure error is
     added to its residual norm."""
-    def run_batch(fit, x, y, theta0, weights=None, bounds=None, constraints=None, pooled=None):
+    def run_batch(fit, x, y, theta0, weights=None, bounds=None, constraints=None, pooled=None,
+                  uncertainties=True):
         x, y, theta0 = (np.asarray(v, dtype=float) for v in (x, y, theta0))
         outcomes = []
         for i in range(len(y)):
@@ -1009,6 +1010,12 @@ class TestLockstepSolver:
             r = np.linalg.qr(stack, mode="r")
             for i, matrix in enumerate(stack):
                 assert np.array_equal(np.linalg.qr(matrix, mode="r"), r[i]), (n_rows, n_cols, i)
+            if n_cols == 1:
+                # the solver takes a 1 x 1 R's singular value and V as |R|
+                # and 1 with no SVD: the SVD's own are those, V up to sign
+                _, s, vt = np.linalg.svd(r)
+                assert np.array_equal(s, np.abs(r[:, 0])), n_rows
+                assert np.array_equal(np.abs(vt), np.ones_like(vt)), n_rows
 
     def test_batch_fitters_equal_single_fits(self, roundtrip_draws):
         draws = roundtrip_draws[:10]
@@ -1028,9 +1035,9 @@ class TestLockstepSolver:
 
     def test_chunk_fits_stay_within_their_memory_budget(self):
         # the fits of one reproduce chunk, traced after a first untraced
-        # pass: 1.25 MB with numpy 2.4, set by the g2 fits on their 801
-        # distinct delays at the chunk's full width of 12 (the decay fits
-        # reach 1.21 MB); the budget of 1.72 MB leaves a third on top
+        # pass: 1.39 MB with numpy 2.4, set by the g2 fits on their 801
+        # distinct delays at the chunk's full width of 17 (the decay fits
+        # reach 1.34 MB); the budget of 1.72 MB leaves a fifth on top
         rng = np.random.default_rng(RNG_SEED)
         chunk = [fit_roundtrip_draw(rng) for _ in range(reproduce_module.FIT_CHUNK)]
         fit_roundtrip_fits(chunk)
@@ -1118,13 +1125,13 @@ class TestJacobians:
 
     @staticmethod
     def point(model, x, y, w, theta, constraints=None):
-        """The solver's point at theta: (q, c, residuals, columns, weighted
-        columns, Gram matrices, active sets), one problem."""
+        """The solver's point at theta: (q, c, residuals, columns, Gram
+        matrices of the weighted columns, active sets), one problem."""
         q = np.array([theta], dtype=float)
         cols = lsq._columns(model.basis, x, q, y[None])
         phi = cols * w
         c, gram, held = lsq._coefficients(phi, (y * w)[None], constraints)
-        return q, c, (c[:, None] @ phi)[:, 0] - y * w, cols, phi, gram, held
+        return q, c, (c[:, None] @ phi)[:, 0] - y * w, cols, gram, held
 
     @pytest.mark.parametrize("plain", [False, True])
     def test_solver_jacobian_is_the_derivative_of_the_projected_residual(self, plain):
@@ -1148,7 +1155,7 @@ class TestJacobians:
         y = 140.0 * g2_model(tau, 0.9, -0.05, 700.0, 6000.0)
         model, (cons, floor) = g2fit_module._G2_WITH_BUNCHING, g2fit_module._G2_BOX
         point = self.point(model, tau, y, np.ones_like(y), [700.0, 6000.0], (cons, floor[None]))
-        assert point[1][0, 2] == 0.0 and point[6][0] >= 0
+        assert point[1][0, 2] == 0.0 and point[5][0] >= 0
         jac = lsq._jacobian(model.derivatives, tau, None, point,
                             lsq._active_sets(lsq._rows(cons)))
         assert not jac[0, 1].any() and jac[0, 0].any()
@@ -1198,6 +1205,18 @@ class TestUncertainties:
             for name, ref in zip(names, reference):
                 assert stderr[name] == pytest.approx(ref, rel=1e-4), (kind, name)
 
+    def test_fits_without_uncertainties_equal_the_default_but_for_them(self, roundtrip_draws):
+        def column(kind, i=0):
+            return [draw[kind][i] for draw in roundtrip_draws]
+        for batch, series in ((specfit_module.fit_lorentzian_batch, [column("spectrum")]),
+                              (specfit_module.fit_decay_with_irf_batch,
+                               [column("decay"), column("decay", 1)]),
+                              (fit_g2_batch, [column("correlation")]),
+                              (specfit_module.fit_polarization_batch, [column("polarization")])):
+            for on, off in zip(batch(*series), batch(*series, uncertainties=False), strict=True):
+                assert on.stderr and off.stderr == {}
+                assert off == on._replace(stderr={}), batch.__name__
+
     def test_bunching_time_uncertainty_of_reproduce_draw_28(self):
         # the 28th draw of the reproduction: the unscaled pseudo-inverse
         # gave 0.0025 ps for a bunching time of 9.19 ns
@@ -1219,12 +1238,13 @@ def test_evaluations_of_the_first_twelve_draws():
 
 
 def test_rounds_and_evaluations_of_a_hundred_draws(monkeypatch):
-    # reproduce's 100 draws of each kind: a round evaluates every problem of
-    # a batch still searching in one basis call, so a batch of one kind
-    # takes the rounds of its longest fit. The g2 fits run on the 801
-    # distinct delays of the 1,601-sample grid. With the g2 fits six at a
-    # time and on every sample, 3,296 evaluations took 597 rounds, 457 of
-    # them g2
+    # reproduce's 100 draws of each kind, 17 at a time: a round evaluates
+    # every problem of a batch still searching in one basis call, so a
+    # batch of one kind takes the rounds of its longest fit. The g2 fits
+    # run on the 801 distinct delays of the 1,601-sample grid. With the g2
+    # fits six at a time and on every sample, 3,296 evaluations took 597
+    # rounds, 457 of them g2; 12 at a time the same evaluations took 396.
+    # reproduce reads no uncertainty, so it runs no covariance pass
     kinds = {(301, 2): "lorentzian", (750, 1): "decay", (801, 2): "g2 with bunching",
              (801, 1): "g2 plain", (73, 0): "polarization"}
     rounds, evaluations = collections.Counter(), collections.Counter()
@@ -1240,9 +1260,14 @@ def test_rounds_and_evaluations_of_a_hundred_draws(monkeypatch):
         evaluations[kind] += sum(outcome[-1] for outcome in outcomes)
         return outcomes
 
+    def no_covariance(*args, **kwargs):
+        raise AssertionError("covariance_factors called")
+
     monkeypatch.setattr(lsq, "levenberg_marquardt", counted)
+    monkeypatch.setattr(lsq, "covariance_factors", no_covariance)
     fit_roundtrip_summary(100)
     assert evaluations == {"lorentzian": 507, "decay": 732, "g2 with bunching": 988,
                            "g2 plain": 975, "polarization": 100}
-    assert rounds == {"lorentzian": 51, "decay": 80, "g2 with bunching": 132, "g2 plain": 124,
-                      "polarization": 9}
+    assert rounds == {"lorentzian": 35, "decay": 56, "g2 with bunching": 92, "g2 plain": 87,
+                      "polarization": 6}
+    assert sum(rounds.values()) <= 276
