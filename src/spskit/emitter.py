@@ -21,7 +21,6 @@ only what ``config.SCHEMA`` does not already guarantee of their inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,23 +31,6 @@ TWO_PI = 2.0 * math.pi
 
 class PhotophysicsError(ValueError):
     """Invalid photophysical parameters."""
-
-
-@dataclass(frozen=True)
-class CoupledRates:
-    """Rate quadruple of the emitter-cavity system (one convention throughout)."""
-
-    emission_rate: float
-    dephasing_rate: float
-    cavity_rate: float
-    coupling_rate: float
-
-    def __post_init__(self):
-        if self.emission_rate <= 0:
-            raise PhotophysicsError("emission rate must be positive")
-        for name in ("dephasing_rate", "cavity_rate", "coupling_rate"):
-            if getattr(self, name) < 0:
-                raise PhotophysicsError(f"{name} must be non-negative")
 
 
 def _transfer_rate(gamma, gamma_star, kappa, g):
@@ -127,15 +109,16 @@ def indistinguishability_free(emission_rate: float, dephasing_rate: float) -> fl
     return emission_rate / (emission_rate + dephasing_rate)
 
 
-def indistinguishability_cavity(rates: CoupledRates) -> float:
+def indistinguishability_cavity(emission_rate: float, dephasing_rate: float,
+                                cavity_rate: float, coupling_rate: float) -> float:
     """Indistinguishability of the cavity-coupled emitter (weak coupling).
 
     I = (gamma + kappa R/(kappa + R)) / (gamma + kappa + 2 R) with the
-    transfer rate R = 4 g^2/(kappa + gamma + gamma*). Reduces to
-    gamma/(gamma + kappa) as g -> 0.
+    transfer rate R = 4 g^2/(kappa + gamma + gamma*), the four rates in
+    one convention. Reduces to gamma/(gamma + kappa) as g -> 0.
     """
     return float(_cavity_indistinguishability(
-        rates.emission_rate, rates.dephasing_rate, rates.cavity_rate, rates.coupling_rate))
+        emission_rate, dephasing_rate, cavity_rate, coupling_rate))
 
 
 def kappa_for_target_indistinguishability(
@@ -143,22 +126,19 @@ def kappa_for_target_indistinguishability(
     dephasing_rate: float,
     coupling_rate: float,
     target: float,
-    *,
-    bracket: tuple[float, float] = (1.0, 1e16),
 ) -> float:
     """Cavity rate at which the coupled indistinguishability hits the target.
 
-    Bisection on the monotone-decreasing branch of I(kappa); raises when
-    the bracket does not straddle the target.
+    Bisection on the monotone-decreasing branch of I(kappa) over
+    kappa in [1, 1e16]; raises when that bracket does not straddle the target.
     """
     if not 0.0 < target < 1.0:
         raise PhotophysicsError(f"target must be in (0, 1), got {target}")
 
     def value(kappa: float) -> float:
-        return indistinguishability_cavity(
-            CoupledRates(emission_rate, dephasing_rate, kappa, coupling_rate))
+        return indistinguishability_cavity(emission_rate, dephasing_rate, kappa, coupling_rate)
 
-    lo, hi = bracket
+    lo, hi = 1.0, 1e16
     v_lo, v_hi = value(lo), value(hi)
     if not (v_hi <= target <= v_lo):
         raise PhotophysicsError(

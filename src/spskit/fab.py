@@ -80,25 +80,21 @@ def hemisphere_dose_map(
     aperture_um: float,
     pitch_nm: float,
     calibration_nm_per_unit: float,
-    *,
-    min_pixels_across: int = 50,
 ) -> DoseMap:
     """RGB dose map milling a concave hemisphere cap of the given radius.
 
     The aperture must fit the sphere (aperture <= 2 radius) and be
-    resolved by at least ``min_pixels_across`` pixels. Raises when the
-    center depth exceeds the encodable range, naming the calibration
-    that would fit.
+    resolved by at least 50 pixels. Raises when the center depth exceeds
+    the encodable range, naming the calibration that would fit.
     """
     if aperture_um > 2.0 * radius_um:
         raise FabError(f"aperture {aperture_um} um exceeds sphere diameter {2 * radius_um} um")
     radius_nm = radius_um * 1e3
     aperture_nm = aperture_um * 1e3
     across = aperture_nm / pitch_nm
-    if across < min_pixels_across:
+    if across < 50:
         raise FabError(
-            f"pitch {pitch_nm} nm resolves the aperture by only {across:.0f} px; "
-            f"need >= {min_pixels_across}")
+            f"pitch {pitch_nm} nm resolves the aperture by only {across:.0f} px; need >= 50")
 
     center_depth = hemisphere_depth_nm(np.array([0.0]), radius_nm, aperture_nm)[0]
     max_units = int(round(center_depth / calibration_nm_per_unit))
@@ -220,7 +216,6 @@ def synthetic_hemisphere_profile(
     aperture_um: float,
     n_points: int = 201,
     roughness_nm: float = 0.0,
-    center_offset_um: float = 0.0,
     rng: np.random.Generator | None = None,
 ):
     """Ideal concave cross-section plus optional Gaussian roughness, as a
@@ -233,5 +228,4 @@ def synthetic_hemisphere_profile(
     if roughness_nm > 0:
         rng = rng or np.random.default_rng()
         z = z + rng.normal(0.0, roughness_nm, size=z.shape)
-    x_um = x_nm / 1e3 + center_offset_um
-    return MeasurementSeries(x_um, z)
+    return MeasurementSeries(x_nm / 1e3, z)

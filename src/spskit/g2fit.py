@@ -106,16 +106,16 @@ _G2_BOX = (np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [2.0, -1.0, 0.0],
                      [0.0, 0.0, 1.0], [2.0, 0.0, -1.0]]), np.array([1e-12, 0.0, 0.0, 0.0, 0.0]))
 
 
-def _g2_start(series: MeasurementSeries, tail_fraction: float, min_tail_points: int) -> tuple:
+def _g2_start(series: MeasurementSeries) -> tuple:
     """(tau, y, weights or None, start, lower and upper bounds) of the times
     (t1, t2) of the fit with bunching."""
     tau, y = series.as_arrays()
     span = np.abs(tau).max()
-    tail = np.abs(tau) >= (1.0 - tail_fraction) * span
-    if tail.sum() < min_tail_points:
+    tail = np.abs(tau) >= 0.75 * span
+    if tail.sum() < 8:
         raise SeriesError(
             f"tails too short to normalize: {int(tail.sum())} samples beyond "
-            f"{(1.0 - tail_fraction) * span:.3g}, need {min_tail_points}")
+            f"{0.75 * span:.3g}, need 8")
     baseline0 = float(y[tail].mean())
     if baseline0 <= 0:
         raise SeriesError("tail baseline must be positive to normalize")
@@ -137,39 +137,30 @@ def _g2_start(series: MeasurementSeries, tail_fraction: float, min_tail_points: 
     return tau, y, weights, [t10, math.sqrt(t2_lo * t2_hi)], [1e-9, t2_lo], [np.inf, t2_hi]
 
 
-def fit_g2(series: MeasurementSeries, *, tail_fraction: float = 0.25,
-           min_tail_points: int = 8) -> G2Fit:
+def fit_g2(series: MeasurementSeries) -> G2Fit:
     """Fit the antibunching/bunching correlation model.
 
     The normalization level (raw counts at g2 = 1) is a free fit
-    parameter seeded from the mean of the outermost ``tail_fraction`` of
-    delay samples; fitting it avoids the baseline bias that a pure
-    tail average picks up from slow bunching. Raises when the tails hold
-    fewer than ``min_tail_points`` samples. g2(0) = 1 - A + B holds
-    exactly by construction of the returned fit.
+    parameter seeded from the mean of the delay samples in the outer
+    quarter of the delay span; fitting it avoids the baseline bias that a
+    pure tail average picks up from slow bunching. Raises when those tails
+    hold fewer than 8 samples. g2(0) = 1 - A + B holds exactly by
+    construction of the returned fit.
 
     The model depends on tau only through |tau|, so the fits run on the
     distinct delays, the samples at each pooled (see module ``lsq``); the
     residual norms, the model choice and the standard errors are those
     of the full series.
     """
-    return specfit._one(fit_g2_batch([series], tail_fraction=tail_fraction,
-                                     min_tail_points=min_tail_points))
+    return specfit._one(fit_g2_batch([series]))
 
 
-def fit_g2_batch(correlations, *, tail_fraction: float = 0.25,
-                 min_tail_points: int = 8, uncertainties: bool = True) -> list:
-    """``fit_g2`` of correlations, one lockstep solve per model and delay
-    grid; a failed fit gives its (first) FitError."""
-    tau, y, weights, p0, lower, upper = zip(*(
-        _g2_start(s, tail_fraction, min_tail_points) for s in correlations))
-    same = [np.array_equal(t, tau[0]) for t in tau]
-    if not all(same):  # pooling takes one grid
-        fits = [iter(fit_g2_batch([s for s, k in zip(correlations, same) if k == side],
-                                  tail_fraction=tail_fraction, min_tail_points=min_tail_points,
-                                  uncertainties=uncertainties))
-                for side in (False, True)]
-        return [next(fits[k]) for k in same]
+def fit_g2_batch(correlations, *, uncertainties: bool = True) -> list:
+    """``fit_g2`` of correlations on one delay grid, one lockstep solve per
+    model; a failed fit gives its (first) FitError."""
+    tau, y, weights, p0, lower, upper = zip(*(_g2_start(s) for s in correlations))
+    if not all(np.array_equal(t, tau[0]) for t in tau):  # pooling takes one grid
+        raise SeriesError("a batch of correlations needs one delay grid")
     delay, y, root, pure = _g2_pool(tau[0], y, weights)
     p0, lower, upper = map(np.array, (p0, lower, upper))
     common = {"weights": root, "pooled": (pure, len(tau[0])), "uncertainties": uncertainties}

@@ -268,10 +268,9 @@ def make_quarter_wave_stack(
     design_wavelength_nm: float,
     termination: str = "low",
     *,
-    ambient_index: float = 1.0,
     substrate_index: float = 1.5255,
 ) -> LayerStack:
-    """Build a 2*pairs quarter-wave mirror on a substrate.
+    """Build a 2*pairs quarter-wave mirror between air and a substrate.
 
     ``termination`` selects the material of the outermost layer (the one
     facing the ambient medium): "low" puts the low-index film on top,
@@ -283,7 +282,7 @@ def make_quarter_wave_stack(
     d_low = design_wavelength_nm / (4.0 * n_low)
     pair = ((n_low, d_low), (n_high, d_high)) if termination == "low" else (
         (n_high, d_high), (n_low, d_low))
-    return LayerStack(ambient_index, pair * pairs, substrate_index)
+    return LayerStack(1.0, pair * pairs, substrate_index)
 
 
 def quarter_wave_peak_reflectance(
@@ -292,19 +291,19 @@ def quarter_wave_peak_reflectance(
     pairs: int,
     termination: str = "low",
     *,
-    n_ambient: float = 1.0,
     n_substrate: float = 1.5255,
 ) -> float:
-    """Closed-form design-wavelength reflectance of a 2*pairs quarter-wave mirror.
+    """Closed-form design-wavelength reflectance of a 2*pairs quarter-wave
+    mirror in air.
 
     Each quarter-wave layer maps the load admittance Y to n^2/Y; applying
     the sequence from the substrate outward gives the entrance admittance
-    and R = |(n0 - Y)/(n0 + Y)|^2. Independent of the transfer-matrix
+    and R = |(1 - Y)/(1 + Y)|^2. Independent of the transfer-matrix
     path, used as its oracle.
     """
     ratio = (n_low / n_high) ** (2 * pairs)
     y = n_substrate * ratio if termination == "low" else n_substrate / ratio
-    return float(((n_ambient - y) / (n_ambient + y)) ** 2)
+    return float(((1.0 - y) / (1.0 + y)) ** 2)
 
 
 def analytic_stopband_fractional_width(n_high: float, n_low: float) -> float:
@@ -317,23 +316,19 @@ def stopband(
     threshold_reflectance: float,
     *,
     wavelength_range_nm: tuple[float, float] = (400.0, 800.0),
-    samples: int = 2001,
-    anchor_nm: float | None = None,
+    anchor_nm: float,
 ) -> tuple[float, float] | None:
     """Contiguous wavelength interval around the anchor where R >= threshold.
 
-    Returns (lam_min, lam_max) edges found by bisection refinement, or
-    None when no sample reaches the threshold (explicit "no stopband").
-    The anchor defaults to the wavelength of maximum reflectance.
+    The range is sampled at 2001 wavelengths. Returns (lam_min, lam_max)
+    edges found by bisection refinement, or None when the sample nearest
+    the anchor falls below the threshold (explicit "no stopband").
     """
     lo, hi = wavelength_range_nm
-    wls = _validated_wavelengths(np.linspace(lo, hi, samples))
+    wls = _validated_wavelengths(np.linspace(lo, hi, 2001))
     layers, n0, ns = stack.layers, stack.ambient_index, stack.substrate_index
     refl, _ = _power(layers, n0, ns, wls)
-    if anchor_nm is None:
-        i0 = int(np.argmax(refl))
-    else:
-        i0 = int(np.argmin(np.abs(wls - anchor_nm)))
+    i0 = int(np.argmin(np.abs(wls - anchor_nm)))
     if refl[i0] < threshold_reflectance:
         return None
 
@@ -413,17 +408,16 @@ def cavity_spectrum(
     mirror_b: LayerStack,
     wavelengths_nm,
     *,
-    report_near_nm: float | None = None,
+    report_near_nm: float,
 ) -> tuple[np.ndarray, dict]:
     """Cavity transmission at each wavelength plus a resonance report.
 
     The report is a dict of ``found``, ``center_nm``, ``fwhm_nm``,
     ``quality_factor`` and ``peak_transmission`` for the transmission
-    peak nearest ``report_near_nm`` (default: the global maximum), with
-    FWHM from refined half-max crossings and Q = center/FWHM. With no
-    interior peak in the sampled range ``found`` is False and the other
-    values are NaN; a peak whose transmission stays above half its
-    maximum has NaN FWHM and Q.
+    peak nearest ``report_near_nm``, with FWHM from refined half-max
+    crossings and Q = center/FWHM. With no interior peak in the sampled
+    range ``found`` is False and the other values are NaN; a peak whose
+    transmission stays above half its maximum has NaN FWHM and Q.
     """
     full = _cavity_stack(mirror_a, gap_nm, mirror_b)
     vals = transmittance(full, wavelengths_nm)
@@ -432,10 +426,7 @@ def cavity_spectrum(
     if peaks.size == 0:
         return vals, {"found": False, "center_nm": math.nan, "fwhm_nm": math.nan,
                       "quality_factor": math.nan, "peak_transmission": math.nan}
-    if report_near_nm is None:
-        ipk = peaks[np.argmax(vals[peaks])]
-    else:
-        ipk = peaks[np.argmin(np.abs(wls[peaks] - report_near_nm))]
+    ipk = peaks[np.argmin(np.abs(wls[peaks] - report_near_nm))]
 
     # refine the peak and walk out to the half-max crossings
     def t_of(lam):
@@ -526,15 +517,15 @@ def intracavity_field(mirror_a: LayerStack, gap_nm: float, mirror_b: LayerStack,
     return z, inten / peak
 
 
-def antinode_count(intensity: np.ndarray, min_height: float = 0.5) -> int:
-    """Count standing-wave antinodes (local maxima above ``min_height``).
+def antinode_count(intensity: np.ndarray) -> int:
+    """Count standing-wave antinodes (local maxima above 0.5 of a peak-1 profile).
 
     Boundary samples count when they exceed their single neighbor:
     for a low-index-terminated mirror the outermost antinode sits at
     the mirror surface itself.
     """
     padded = np.concatenate(([-np.inf], intensity, [-np.inf]))
-    peaks = (intensity >= padded[:-2]) & (intensity >= padded[2:]) & (intensity > min_height)
+    peaks = (intensity >= padded[:-2]) & (intensity >= padded[2:]) & (intensity > 0.5)
     return int(np.count_nonzero(peaks))
 
 
@@ -543,14 +534,12 @@ def resonant_gap(
     mirror_b: LayerStack,
     longitudinal_order: int,
     lam: float,
-    *,
-    tol_nm: float = 0.01,
 ) -> float:
     """Physical gap of the mode with ``longitudinal_order`` antinodes.
 
     Scans a one-wavelength bracket around q*lam/2 for local maxima of the
     peak intracavity intensity, refines each by golden-section search to
-    ``tol_nm``, and returns the candidate whose standing-wave profile has
+    0.01 nm, and returns the candidate whose standing-wave profile has
     exactly q antinodes in the gap. Mirror field leakage makes this gap
     smaller than q*lam/2.
     """
@@ -567,7 +556,7 @@ def resonant_gap(
     vals = intensity(grid)
     candidates = []
     for i in _interior_maxima(vals):
-        gap = search.golden_max(intensity, grid[i - 1], grid[i + 1], tol=tol_nm)
+        gap = search.golden_max(intensity, grid[i - 1], grid[i + 1], tol=0.01)
         _, inten = intracavity_field(mirror_a, gap, mirror_b, lam,
                                      samples=max(int(gap / (lam / 50.0)), 200))
         candidates.append((gap, antinode_count(inten)))

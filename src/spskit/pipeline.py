@@ -125,14 +125,13 @@ def emitter(scenario: Scenario) -> dict:
     # the coupled rates take their dephasing from the free-space linewidth,
     # not from dephasing_rate_hz, which the free-space value and the 90 %
     # kappa search read
-    rates = emitter.CoupledRates(
-        gamma, linewidth_nm_to_hz(ecfg["free_linewidth_nm"], zpl), kappa,
-        emitter.coupling_from_purcell(f_eff, kappa, gamma))
+    rates = (gamma, linewidth_nm_to_hz(ecfg["free_linewidth_nm"], zpl), kappa,
+             emitter.coupling_from_purcell(f_eff, kappa, gamma))
     return {
         "mode_volume_lambda3": volume,
         **chain,
         "free_space_indistinguishability": emitter.indistinguishability_free(gamma, gamma_star),
-        "cavity_indistinguishability": emitter.indistinguishability_cavity(rates),
+        "cavity_indistinguishability": emitter.indistinguishability_cavity(*rates),
         "kappa_for_90pct_indistinguishability_hz":
             emitter.kappa_for_target_indistinguishability(gamma, gamma_star, 1e5, 0.9),
         "coupling": emitter.coupling_report(f_eff, kappa, gamma),

@@ -243,30 +243,31 @@ def _rates(source: SourceModel, t, detector: DetectorModel, mu) -> np.ndarray:
 
 # bisection levels of find_crossing per array call, 2^CROSSING_LEVELS - 1 distances
 CROSSING_LEVELS = 5
+# find_crossing bisects until its bracket is this narrow (km)
+CROSSING_TOL_KM = 1e-3
 
 
-def _optimal_mu(source: SourceModel, t, detector: DetectorModel, *,
-                mu_max: float = 1.5, tol: float = 1e-5) -> tuple[np.ndarray, np.ndarray]:
+def _optimal_mu(source: SourceModel, t, detector: DetectorModel) -> tuple[np.ndarray, np.ndarray]:
     """Best pulse intensity and its rate at every transmittance of ``t``.
 
     A log-spaced pre-scan brackets each optimum (the positive region can
     be a narrow sliver at small mu under heavy loss), and golden section
-    refines each bracket to ``tol``. Where the rate is zero on the whole of
-    (0, mu_max] the intensity is NaN and the rate 0.
+    refines each bracket to 1e-5. Where the rate is zero on the whole of
+    (0, 1.5] the intensity is NaN and the rate 0.
     """
     t = np.asarray(t, dtype=float)
 
     def rate_of(mu):
         return _rates(source, t, detector, mu)
 
-    grid = np.logspace(-6, math.log10(mu_max), 120)
+    grid = np.logspace(-6, math.log10(1.5), 120)
     values = _rates(source, t[:, None], detector, grid)
     best = np.argmax(values, axis=1)
     alive = values[np.arange(t.size), best] > 0.0
     lo = np.where(best > 0, grid[best - 1], grid[0] * 0.5)
-    hi = np.where(best < grid.size - 1, grid[np.minimum(best + 1, grid.size - 1)], mu_max)
+    hi = np.where(best < grid.size - 1, grid[np.minimum(best + 1, grid.size - 1)], 1.5)
 
-    mu_star = search.golden_max(rate_of, lo, hi, tol)
+    mu_star = search.golden_max(rate_of, lo, hi, 1e-5)
     return np.where(alive, mu_star, np.nan), np.where(alive, rate_of(mu_star), 0.0)
 
 
@@ -277,8 +278,8 @@ def _effective_rates(source: SourceModel, t, detector: DetectorModel) -> np.ndar
     return _rates(source, t, detector, source.mean_photons)
 
 
-def optimize_mu(source: SourceModel, channel: ChannelModel, detector: DetectorModel,
-                *, mu_max: float = 1.5, tol: float = 1e-5) -> tuple[float, float]:
+def optimize_mu(source: SourceModel, channel: ChannelModel,
+                detector: DetectorModel) -> tuple[float, float]:
     """Best pulse intensity for a wcs/decoy source at this channel point.
 
     The search of ``_optimal_mu`` at one transmittance. Raises
@@ -288,11 +289,10 @@ def optimize_mu(source: SourceModel, channel: ChannelModel, detector: DetectorMo
     """
     if source.kind not in ("wcs", "decoy"):
         raise QkdError("mu optimization applies to wcs/decoy sources only")
-    mu, rate = _optimal_mu(source, [channel_transmittance(channel)], detector,
-                           mu_max=mu_max, tol=tol)
+    mu, rate = _optimal_mu(source, [channel_transmittance(channel)], detector)
     if math.isnan(mu[0]):
         raise NoPositiveRateError(
-            f"no positive rate for {source.kind} on (0, {mu_max}] at this distance")
+            f"no positive rate for {source.kind} on (0, 1.5] at this distance")
     return float(mu[0]), float(rate[0])
 
 
@@ -308,19 +308,16 @@ def find_crossing(
     channel: ChannelModel,
     detector: DetectorModel,
     search_interval_km: tuple[float, float],
-    *,
-    grid_points: int = 200,
-    tol_km: float = 1e-3,
 ) -> dict[str, float]:
     """Distance where the two sources' key rates cross, as a dict of
     ``distance_km``, ``loss_db`` and ``rate`` (source a's rate there).
 
-    Scans the interval for a sign change of rate_a - rate_b (re-optimizing
-    mu per distance for wcs/decoy sources), one array evaluation per
-    source, then bisects to ``tol_km``, or until the bracket's ends are
-    adjacent floats, judging CROSSING_LEVELS levels of midpoints per such
-    call. Raises NoCrossingError when no sign change exists in the
-    interval.
+    Scans 200 points of the interval for a sign change of rate_a - rate_b
+    (re-optimizing mu per distance for wcs/decoy sources), one array
+    evaluation per source, then bisects to CROSSING_TOL_KM (1e-3 km), or
+    until the bracket's ends are adjacent floats, judging CROSSING_LEVELS
+    levels of midpoints per such call. Raises NoCrossingError when no sign
+    change exists in the interval.
     """
     lo, hi = search_interval_km
     if hi <= lo:
@@ -330,7 +327,7 @@ def find_crossing(
         t = [channel_transmittance(channel, d) for d in distances]
         return _effective_rates(source_a, t, detector) - _effective_rates(source_b, t, detector)
 
-    grid = np.linspace(lo, hi, grid_points)
+    grid = np.linspace(lo, hi, 200)
     values = diff(grid).tolist()
     # both rates clamped to zero is equality, not a crossing; bracket the
     # first strict sign change, allowing clamped points in between
@@ -353,7 +350,7 @@ def find_crossing(
         fm = diff(distances)
         return (fm != 0.0) & ((fm > 0) == (fa > 0))
 
-    d_cross = search.bisect(same_side, a, b, tol=tol_km, levels=CROSSING_LEVELS)
+    d_cross = search.bisect(same_side, a, b, tol=CROSSING_TOL_KM, levels=CROSSING_LEVELS)
     ch = channel.at_distance(d_cross)
     t = channel_transmittance(ch)
     return {"distance_km": float(d_cross), "loss_db": float(transmittance_to_db(t)),

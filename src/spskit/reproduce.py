@@ -229,14 +229,14 @@ def fit_roundtrip_draw(rng: np.random.Generator) -> dict:
     }
 
 
-def fit_roundtrip_fits(draws: list[dict], uncertainties: bool = True) -> list[dict]:
-    """Each draw's fits by kind, one lockstep solve per kind, with or
-    without ``uncertainties``; raises the FitError of the first failed
-    fit, in draw order."""
+def fit_roundtrip_fits(draws: list[dict]) -> list[dict]:
+    """Each draw's fits by kind, one lockstep solve per kind, without
+    uncertainties; raises the FitError of the first failed fit, in draw
+    order."""
     def column(kind, i=0):
         return [draw[kind][i] for draw in draws]
 
-    kw = {"uncertainties": uncertainties}
+    kw = {"uncertainties": False}
     fits = {"spectrum": specfit.fit_lorentzian_batch(column("spectrum"), **kw),
             "decay": specfit.fit_decay_with_irf_batch(column("decay"), column("decay", 1), **kw),
             "correlation": specfit.fit_g2_batch(column("correlation"), **kw),
@@ -260,7 +260,7 @@ def fit_roundtrip_summary(draws: int = 100) -> dict[str, float]:
                            "g2_identity", "dop", "background_inverse"], 0.0)
     for first in range(0, draws, FIT_CHUNK):
         chunk = [fit_roundtrip_draw(rng) for _ in range(min(FIT_CHUNK, draws - first))]
-        for draw, fits in zip(chunk, fit_roundtrip_fits(chunk, uncertainties=False)):
+        for draw, fits in zip(chunk, fit_roundtrip_fits(chunk)):
             line, decay, corr, pol = (draw[kind][-1] for kind in
                                       ("spectrum", "decay", "correlation", "polarization"))
             fitted, gfit = fits["spectrum"].params, fits["correlation"]

@@ -575,21 +575,18 @@ def lorentzian_band_area(center: float, fwhm: float, amplitude: float,
                                - math.atan((lo - center) / half))
 
 
-def zpl_fraction(series: MeasurementSeries, line_fit: FitResult | dict,
-                 band: tuple[float, float] | None = None,
+def zpl_fraction(series: MeasurementSeries, line_fit: FitResult,
                  *, default_cutoff_nm: float = 580.0) -> float:
     """Fraction of total band emission carried by the fitted line.
 
     The ratio of the fitted Lorentzian's area to the trapezoid-integrated
-    series over the integration band. The default band runs from the
-    series start to the contaminant cutoff (emission beyond it does not
-    originate from the emitter). Clipped to [0, 1].
+    series over the integration band, which runs from the series start to
+    the contaminant cutoff (emission beyond it does not originate from
+    the emitter). Clipped to [0, 1].
     """
     x, y = series.as_arrays()
-    params = line_fit.params if isinstance(line_fit, FitResult) else dict(line_fit)
-    if band is None:
-        band = (float(x[0]), min(float(x[-1]), default_cutoff_nm))
-    lo, hi = band
+    params = line_fit.params
+    lo, hi = float(x[0]), min(float(x[-1]), default_cutoff_nm)
     if hi <= lo:
         raise SeriesError(f"empty integration band ({lo}, {hi})")
     mask = (x >= lo) & (x <= hi)

@@ -563,6 +563,59 @@ class TestCliOnlyReadsAndWrites:
                 if not target.startswith("pipeline.") and target not in self.IO] == []
 
 
+class TestEveryOptionHasACaller:
+    """Each defaulted parameter of a public spskit function is set by some
+    call inside spskit, so every option is one the CLI or ``reproduce``
+    can reach; a value only tests need is a module constant they patch."""
+
+    # the console entry point reads sys.argv when called with none
+    ENTRY_POINTS = {"cli.main(argv)"}
+
+    def test_every_defaulted_parameter_is_set_by_a_call(self):
+        trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+                 for path in sorted(Path(spskit.__file__).parent.glob("*.py"))}
+        # (module, function, parameter) -> its positional index in a call,
+        # None for a keyword-only one
+        options = {}
+        for module, tree in trees.items():
+            methods = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                       for node in cls.body if isinstance(node, ast.FunctionDef)
+                       and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                   for d in node.decorator_list)}
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                    continue
+                args = node.args
+                positional = args.posonlyargs + args.args
+                bound = 1 if id(node) in methods else 0  # self, cls
+                first = len(positional) - len(args.defaults)
+                for i, arg in enumerate(positional[first:], first):
+                    options[module, node.name, arg.arg] = i - bound
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        options[module, node.name, arg.arg] = None
+        calls = [node for tree in trees.values() for node in ast.walk(tree)
+                 if isinstance(node, ast.Call)]
+
+        def sets(call, function, parameter, index) -> bool:
+            func = call.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name != function:
+                return False
+            if any(k.arg in (parameter, None) for k in call.keywords):  # by keyword, **
+                return True
+            if index is None:
+                return False
+            return (any(isinstance(a, ast.Starred) for a in call.args)  # *
+                    or len(call.args) > index)
+
+        assert options
+        unset = {f"{module}.{function}({parameter})"
+                 for (module, function, parameter), index in options.items()
+                 if not any(sets(call, function, parameter, index) for call in calls)}
+        assert sorted(unset) == sorted(self.ENTRY_POINTS)
+
+
 class TestGlobalOptionsAfterSubcommand:
     def test_readme_fab_example_matches_the_leading_form(self, tmp_path):
         before, after = tmp_path / "before", tmp_path / "after"

@@ -1,6 +1,5 @@
 import json
 import math
-from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +9,6 @@ from hypothesis import strategies as st
 
 from spskit.cli import main
 from spskit.emitter import (
-    CoupledRates,
     PhotophysicsError,
     coupling_from_purcell,
     coupling_report,
@@ -124,10 +122,10 @@ class TestIndistinguishabilityFree:
 class TestIndistinguishabilityCavity:
     def test_weak_coupling_limit_reduces_to_two_rate_form(self):
         kappa = 1.239e8
-        rates = CoupledRates(1.115e9, GAMMA_STAR, kappa, 0.0)
-        assert indistinguishability_cavity(rates) == pytest.approx(
+        rates = (1.115e9, GAMMA_STAR, kappa, 0.0)
+        assert indistinguishability_cavity(*rates) == pytest.approx(
             1.115e9 / (1.115e9 + kappa), rel=1e-12)
-        assert indistinguishability_cavity(rates) == pytest.approx(0.90, abs=5e-3)
+        assert indistinguishability_cavity(*rates) == pytest.approx(0.90, abs=5e-3)
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(min_value=1e6, max_value=1e12),
@@ -135,13 +133,12 @@ class TestIndistinguishabilityCavity:
            st.floats(min_value=1e6, max_value=1e12))
     def test_g_to_zero_property(self, gamma, gamma_star, kappa):
         tiny_g = 1e-6 * kappa
-        with_g = indistinguishability_cavity(
-            CoupledRates(gamma, gamma_star, kappa, tiny_g))
+        with_g = indistinguishability_cavity(gamma, gamma_star, kappa, tiny_g)
         limit = gamma / (gamma + kappa)
         assert with_g == pytest.approx(limit, rel=1e-4)
 
     def test_overdamped_cavity_limit(self):
-        values = [indistinguishability_cavity(CoupledRates(GAMMA, GAMMA_STAR, k, 1e8))
+        values = [indistinguishability_cavity(GAMMA, GAMMA_STAR, k, 1e8)
                   for k in (1e12, 1e14, 1e16)]
         assert all(b < a for a, b in zip(values, values[1:]))
         assert values[-1] < 1e-6
@@ -152,11 +149,11 @@ class TestIndistinguishabilityCavity:
            st.floats(min_value=0.0, max_value=1e13),
            st.floats(min_value=0.0, max_value=1e11))
     def test_bounded(self, gamma, gamma_star, kappa, g):
-        value = indistinguishability_cavity(CoupledRates(gamma, gamma_star, kappa, g))
+        value = indistinguishability_cavity(gamma, gamma_star, kappa, g)
         assert 0.0 <= value <= 1.0
 
     def test_decreasing_in_cavity_rate_small_g(self):
-        values = [indistinguishability_cavity(CoupledRates(GAMMA, GAMMA_STAR, k, 1e5))
+        values = [indistinguishability_cavity(GAMMA, GAMMA_STAR, k, 1e5)
                   for k in (1e7, 1e8, 1e9, 1e10)]
         assert all(b < a for a, b in zip(values, values[1:]))
 
@@ -164,10 +161,10 @@ class TestIndistinguishabilityCavity:
         # the formula is a ratio of rates: angular frequencies give the same value
         _, f_eff = effective_purcell(565.85, 0.224, 5.76, 1.7568)
         kappa = 2.106e11
-        plain = CoupledRates(GAMMA, GAMMA_STAR, kappa, coupling_from_purcell(f_eff, kappa, GAMMA))
-        angular = CoupledRates(*(2.0 * math.pi * rate for rate in astuple(plain)))
-        assert indistinguishability_cavity(plain) == pytest.approx(
-            indistinguishability_cavity(angular), rel=1e-12)
+        plain = (GAMMA, GAMMA_STAR, kappa, coupling_from_purcell(f_eff, kappa, GAMMA))
+        angular = [2.0 * math.pi * rate for rate in plain]
+        assert indistinguishability_cavity(*plain) == pytest.approx(
+            indistinguishability_cavity(*angular), rel=1e-12)
 
 
 class TestKappaThreshold:
@@ -186,9 +183,10 @@ class TestKappaThreshold:
         assert kappa < GAMMA / 500.0
 
     def test_unbracketed_target_rejected(self):
+        # I at the bracket's low end, kappa = 1 Hz, is 1 - 9e-10: a target
+        # above it lies outside the bracket
         with pytest.raises(PhotophysicsError, match="not bracketed"):
-            kappa_for_target_indistinguishability(GAMMA, GAMMA_STAR, 1e5, 0.9,
-                                                  bracket=(1e12, 1e16))
+            kappa_for_target_indistinguishability(GAMMA, GAMMA_STAR, 1e5, 1.0 - 1e-10)
 
 
 class TestCoupling:
@@ -227,16 +225,9 @@ class TestMapAndTypes:
             points=37)
         for i, g in enumerate(gs):
             for j, kappa in enumerate(kappas):
-                scalar = indistinguishability_cavity(
-                    CoupledRates(GAMMA, gamma_star, float(kappa), float(g)))
+                scalar = indistinguishability_cavity(GAMMA, gamma_star, float(kappa), float(g))
                 assert grid[i, j] == scalar, (i, j)
 
     def test_uncoupled_zero_linewidth_cavity_is_the_emitter_alone(self):
         # kappa = g = 0: nothing is recycled, and 0/0 must not appear
-        assert indistinguishability_cavity(CoupledRates(GAMMA, GAMMA_STAR, 0.0, 0.0)) == 1.0
-
-    def test_coupled_rates_validation(self):
-        with pytest.raises(PhotophysicsError):
-            CoupledRates(0.0, 1.0, 1.0, 1.0)
-        with pytest.raises(PhotophysicsError):
-            CoupledRates(1.0, -1.0, 1.0, 1.0)
+        assert indistinguishability_cavity(GAMMA, GAMMA_STAR, 0.0, 0.0) == 1.0

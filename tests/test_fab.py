@@ -147,8 +147,8 @@ class TestProfileFit:
         assert fit["rms_nm"] == pytest.approx(0.0, abs=1e-6)
 
     def test_offset_recovered(self):
-        profile = synthetic_hemisphere_profile(2.7, 2.4, 201, center_offset_um=0.35)
-        fit = fit_hemisphere_profile(profile)
+        x_um, z_nm = synthetic_hemisphere_profile(2.7, 2.4, 201).as_arrays()
+        fit = fit_hemisphere_profile(specfit.MeasurementSeries(x_um + 0.35, z_nm))
         assert fit["center_offset_um"] == pytest.approx(0.35, abs=1e-6)
 
     def test_rough_surface_statistics(self):

@@ -403,10 +403,10 @@ class TestStopband:
         assert band[0] == pytest.approx(504.0, abs=5.0)
 
     def test_threshold_one_gives_no_stopband(self, high_terminated):
-        assert stopband(high_terminated, 1.0) is None
+        assert stopband(high_terminated, 1.0, anchor_nm=LAM0) is None
 
     def test_unreachable_threshold_gives_no_stopband(self, high_terminated):
-        assert stopband(high_terminated, 0.9999) is None
+        assert stopband(high_terminated, 0.9999, anchor_nm=LAM0) is None
 
     def test_fractional_width_matches_analytic_oracle(self, high_terminated):
         # infinite-stack band width in relative frequency, vs the measured
@@ -443,7 +443,8 @@ class TestCavitySpectrum:
     def test_no_resonance_reports_empty(self, low_terminated):
         # probe far outside any resonance of a short cavity
         wls = np.linspace(LAM0 - 0.2, LAM0 + 0.2, 101)
-        _, res = cavity_spectrum(low_terminated, 0.3 * LAM0, low_terminated, wls)
+        _, res = cavity_spectrum(low_terminated, 0.3 * LAM0, low_terminated, wls,
+                                 report_near_nm=LAM0)
         assert res["found"] is False
         for key in ("center_nm", "fwhm_nm", "quality_factor", "peak_transmission"):
             assert np.isnan(res[key]), key
@@ -510,11 +511,12 @@ class TestFieldAndPenetration:
             assert min(intensity) >= 0.0
 
     def test_antinode_count_rule(self):
-        # a sample counts when it is >= both neighbours and above min_height;
+        # a sample counts when it is >= both neighbours and above 0.5;
         # a boundary sample has one neighbour; each plateau sample counts
         intensity = np.array([0.8, 0.3, 0.9, 0.9, 0.1, 0.4, 0.7])
         assert antinode_count(intensity) == 4
-        assert antinode_count(intensity, min_height=0.75) == 3
+        # scaled by 1/1.5, the height 0.75 falls to 0.5: the 0.7 maximum drops out
+        assert antinode_count(intensity / 1.5) == 3
 
     def test_search_failure_reports_bracket(self):
         # index-matched "mirrors" reflect nothing: the intensity is flat in

@@ -385,8 +385,8 @@ class TestCrossing:
             return real_rates(source, t, detector)
 
         monkeypatch.setattr(qkd, "_effective_rates", counted)
-        report = find_crossing(REAL_SPS, DECOY, FIBER, GYS_DETECTOR, (1.0, 120.0),
-                               tol_km=tol_km)
+        monkeypatch.setattr(qkd, "CROSSING_TOL_KM", tol_km)
+        report = find_crossing(REAL_SPS, DECOY, FIBER, GYS_DETECTOR, (1.0, 120.0))
         assert report["distance_km"] == 24.536431234941126
 
 
@@ -444,9 +444,9 @@ class TestCrossingExactness:
         (FREESPACE, DECOY, (10.0, 1500.0)),
     ], ids=["fiber-decoy", "fiber-wcs", "fiber-decoy-far", "space-decoy", "space-wcs",
             "farfield-decoy"])
-    def test_same_bits_as_sequential(self, channel, source_b, interval, tol_km):
-        report = find_crossing(REAL_SPS, source_b, channel, GYS_DETECTOR, interval,
-                               tol_km=tol_km)
+    def test_same_bits_as_sequential(self, monkeypatch, channel, source_b, interval, tol_km):
+        monkeypatch.setattr(qkd, "CROSSING_TOL_KM", tol_km)
+        report = find_crossing(REAL_SPS, source_b, channel, GYS_DETECTOR, interval)
         expected = sequential_crossing(REAL_SPS, source_b, channel, GYS_DETECTOR, interval,
                                        tol_km)
         assert (report["distance_km"], report["loss_db"], report["rate"]) == expected
@@ -466,7 +466,8 @@ class TestCrossingExactness:
             return np.where((t < near) & (t > far), 0.0, real_rates(source, t, detector))
 
         monkeypatch.setattr(qkd, "_effective_rates", clamped)
-        report = find_crossing(*sources, FIBER, GYS_DETECTOR, (1.0, 120.0), tol_km=tol_km)
+        monkeypatch.setattr(qkd, "CROSSING_TOL_KM", tol_km)
+        report = find_crossing(*sources, FIBER, GYS_DETECTOR, (1.0, 120.0))
         expected = sequential_crossing(*sources, FIBER, GYS_DETECTOR, (1.0, 120.0), tol_km)
         assert (report["distance_km"], report["loss_db"], report["rate"]) == expected
         assert report["distance_km"] == pytest.approx(20.0, abs=tol_km)

@@ -465,7 +465,7 @@ class TestTenthPercentile:
 
 def unpooled_fit_g2(correlation) -> specfit_module.G2Fit:
     """``fit_g2`` on every sample of the correlation, as before pooling."""
-    tau, y, w, p0, lower, upper = g2fit_module._g2_start(correlation, 0.25, 8)
+    tau, y, w, p0, lower, upper = g2fit_module._g2_start(correlation)
     cons = g2fit_module._G2_BOX
     fits = [specfit_module._run_fit_batch(
         model, tau, y[None], [p0[:m]], weights=None if w is None else w[None],
@@ -517,14 +517,22 @@ class TestG2Fit:
         noise = np.random.default_rng(4).uniform(-0.01, 0.01, u.size)
         a, b = (series(tau, g2_model(tau, 0.9, 0.05, 50.0, 6000.0) + noise, "correlation")
                 for tau in grids)
-        starts = [g2fit_module._g2_start(s, 0.25, 8)[3] for s in (a, b)]
+        starts = [g2fit_module._g2_start(s)[3] for s in (a, b)]
         assert starts[0] == starts[1]
         fit_b = fit_g2_batch([b])
         assert fit_g2_batch([b]) == fit_b
         fit_a = fit_g2_batch([a])
         assert fit_g2_batch([b]) == fit_b
         assert fit_g2_batch([a]) == fit_a
-        assert fit_g2_batch([a, b]) == fit_a + fit_b
+
+    def test_one_delay_grid_per_batch(self):
+        # pooling takes one grid: two grids of one length and span are
+        # rejected, not fitted apart
+        u = np.linspace(-1.0, 1.0, 1201)
+        a, b = (series(tau, g2_model(tau, 0.9, 0.05, 50.0, 6000.0), "correlation")
+                for tau in (30000.0 * u, 30000.0 * np.sinh(2.0 * u) / np.sinh(2.0)))
+        with pytest.raises(SeriesError, match="one delay grid"):
+            fit_g2_batch([a, b])
 
     @pytest.mark.parametrize("plain", [False, True])
     def test_start_holding_the_antibunching_amplitude_at_zero(self, plain):
@@ -660,8 +668,13 @@ class TestPolarizationFit:
 
 
 class TestZplFraction:
+    @staticmethod
+    def line(params):
+        return FitResult(params, {}, 0.0, 0, True)
+
     def make_spectrum(self, zpl_share=0.632):
-        # line at 565.85 plus a red-shifted band carrying the rest
+        # line at 565.85 plus a red-shifted band carrying the rest, on the
+        # 545-579 nm band that the 580 nm cutoff leaves whole
         x = np.linspace(545.0, 579.0, 681)
         zpl_fwhm = 5.76
         zpl_area_target = 100.0 * zpl_share
@@ -671,11 +684,12 @@ class TestZplFraction:
         psb_area = 100.0 - zpl_area_target
         psb_amp = psb_area / (math.pi * 6.0 / 2.0)
         y = y + lorentzian(x, 573.5, 6.0, psb_amp)
-        return series(x, y), {"center_nm": 565.85, "fwhm_nm": zpl_fwhm, "amplitude": amp}
+        return series(x, y), self.line(
+            {"center_nm": 565.85, "fwhm_nm": zpl_fwhm, "amplitude": amp})
 
     def test_split_spectrum(self):
-        spect, params = self.make_spectrum(0.632)
-        frac = zpl_fraction(spect, params, band=(545.0, 579.0))
+        spect, line = self.make_spectrum(0.632)
+        frac = zpl_fraction(spect, line)
         # both lines lose tail weight outside the band; the split survives
         assert frac == pytest.approx(0.632, abs=0.03)
 
@@ -683,23 +697,26 @@ class TestZplFraction:
         x = np.linspace(500.0, 640.0, 1401)
         amp = 100.0
         y = lorentzian(x, 565.85, 5.76, amp)
-        frac = zpl_fraction(series(x, y), {"center_nm": 565.85, "fwhm_nm": 5.76,
-                                           "amplitude": amp}, band=(500.0, 640.0))
+        frac = zpl_fraction(series(x, y), self.line({"center_nm": 565.85, "fwhm_nm": 5.76,
+                                                     "amplitude": amp}),
+                            default_cutoff_nm=640.0)
         assert frac == pytest.approx(1.0, abs=0.02)
 
     def test_band_excluding_line_is_near_zero(self):
-        spect, params = self.make_spectrum()
-        frac = zpl_fraction(spect, params, band=(572.0, 579.0))
+        spect, line = self.make_spectrum()
+        x, y = spect.as_arrays()
+        frac = zpl_fraction(series(x[x >= 572.0], y[x >= 572.0]), line)
         assert frac < 0.25
 
     def test_empty_band_rejected(self):
-        spect, params = self.make_spectrum()
+        # a cutoff below the series start leaves no band
+        spect, line = self.make_spectrum()
         with pytest.raises(SeriesError, match="empty"):
-            zpl_fraction(spect, params, band=(579.0, 572.0))
+            zpl_fraction(spect, line, default_cutoff_nm=540.0)
 
     def test_default_band_uses_contaminant_cutoff(self):
-        spect, params = self.make_spectrum(0.632)
-        frac = zpl_fraction(spect, params)
+        spect, line = self.make_spectrum(0.632)
+        frac = zpl_fraction(spect, line)
         assert 0.5 < frac < 0.75
 
 
@@ -1019,11 +1036,13 @@ class TestLockstepSolver:
 
     def test_batch_fitters_equal_single_fits(self, roundtrip_draws):
         draws = roundtrip_draws[:10]
+        # the batch fits skip the uncertainties, the one field that differs
         for draw, fits in zip(draws, fit_roundtrip_fits(draws)):
-            assert fits["spectrum"] == fit_lorentzian(draw["spectrum"][0])
-            assert fits["decay"] == fit_decay_with_irf(*draw["decay"][:2])
-            assert fits["correlation"] == fit_g2(draw["correlation"][0])
-            assert fits["polarization"] == fit_polarization(draw["polarization"][0])
+            assert fits["spectrum"] == fit_lorentzian(draw["spectrum"][0])._replace(stderr={})
+            assert fits["decay"] == fit_decay_with_irf(*draw["decay"][:2])._replace(stderr={})
+            assert fits["correlation"] == fit_g2(draw["correlation"][0])._replace(stderr={})
+            assert fits["polarization"] == fit_polarization(
+                draw["polarization"][0])._replace(stderr={})
 
     def test_summary_does_not_depend_on_the_chunk(self, monkeypatch):
         # 13 draws: full chunks and partial ones, batches of every kind, g2
@@ -1034,10 +1053,11 @@ class TestLockstepSolver:
             assert fit_roundtrip_summary(13) == expected, chunk
 
     def test_chunk_fits_stay_within_their_memory_budget(self):
-        # the fits of one reproduce chunk, traced after a first untraced
-        # pass: 1.39 MB with numpy 2.4, set by the g2 fits on their 801
-        # distinct delays at the chunk's full width of 17 (the decay fits
-        # reach 1.34 MB); the budget of 1.72 MB leaves a fifth on top
+        # the fits of one reproduce chunk, without uncertainties as
+        # reproduce runs them, traced after a first untraced pass: 1.38 MB
+        # with numpy 2.4, set by the g2 fits on their 801 distinct delays
+        # at the chunk's full width of 17 (the decay fits reach 1.34 MB);
+        # the budget of 1.72 MB leaves a fifth on top
         rng = np.random.default_rng(RNG_SEED)
         chunk = [fit_roundtrip_draw(rng) for _ in range(reproduce_module.FIT_CHUNK)]
         fit_roundtrip_fits(chunk)
@@ -1170,7 +1190,7 @@ def curve_fit_reference(kind, draw) -> tuple:
         fit = g2fit_module._G2_PLAIN if g.model == "plain" else g2fit_module._G2_WITH_BUNCHING
         names, model = fit.names, full_model(fit, 1 if g.model == "plain" else 2)
         params, stderr = {k: getattr(g, k) for k in G2_PARAMETERS}, g.stderr
-        weights = g2fit_module._g2_start(series, 0.25, 8)[2]
+        weights = g2fit_module._g2_start(series)[2]
     else:
         if kind == "decay":
             irf = draw["decay"][1]
