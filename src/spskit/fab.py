@@ -215,17 +215,13 @@ def synthetic_hemisphere_profile(
     radius_um: float,
     aperture_um: float,
     n_points: int = 201,
-    roughness_nm: float = 0.0,
-    rng: np.random.Generator | None = None,
+    noise_nm: np.ndarray | float = 0.0,
 ):
-    """Ideal concave cross-section plus optional Gaussian roughness, as a
-    ``MeasurementSeries`` of (x_um, z_nm)."""
+    """Ideal concave cross-section plus ``noise_nm``, the caller's draw of
+    n_points heights or one for all, as a ``MeasurementSeries`` of (x_um, z_nm)."""
     from .specfit import MeasurementSeries
     radius_nm = radius_um * 1e3
     aperture_nm = aperture_um * 1e3
     x_nm = np.linspace(-aperture_nm / 2.0, aperture_nm / 2.0, n_points)
-    z = -hemisphere_depth_nm(np.abs(x_nm), radius_nm, aperture_nm)
-    if roughness_nm > 0:
-        rng = rng or np.random.default_rng()
-        z = z + rng.normal(0.0, roughness_nm, size=z.shape)
+    z = noise_nm - hemisphere_depth_nm(np.abs(x_nm), radius_nm, aperture_nm)
     return MeasurementSeries(x_nm / 1e3, z)

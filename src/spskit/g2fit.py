@@ -108,7 +108,9 @@ _G2_BOX = (np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [2.0, -1.0, 0.0],
 
 def _g2_start(series: MeasurementSeries) -> tuple:
     """(tau, y, weights or None, start, lower and upper bounds) of the times
-    (t1, t2) of the fit with bunching."""
+    (t1, t2) of the fit with bunching. t2 starts at the mean of |tau| - 5 t1
+    >= 0 weighted by the excess y / baseline - 1 times the sample spacing,
+    within its bounds; at their geometric mean where that excess sums to <= 0."""
     tau, y = series.as_arrays()
     span = np.abs(tau).max()
     tail = np.abs(tau) >= 0.75 * span
@@ -133,8 +135,12 @@ def _g2_start(series: MeasurementSeries) -> tuple:
     # shift); the term must also earn its keep against the plain model
     t2_lo = min(3.0 * t10, 0.5 * span)
     t2_hi = 2.0 * span
+    far = np.abs(tau) >= 5.0 * t10  # where the dip has decayed below e^-5
+    u, excess = np.abs(tau[far]) - 5.0 * t10, np.gradient(tau)[far] * (yn[far] - 1.0)
+    t2 = float(u @ excess / excess.sum()) if excess.sum() > 0 else math.nan
+    t2 = min(max(t2, t2_lo), t2_hi) if math.isfinite(t2) else math.sqrt(t2_lo * t2_hi)
     weights = poisson_weights(y) if baseline0 > 10.0 else None  # raw counts only
-    return tau, y, weights, [t10, math.sqrt(t2_lo * t2_hi)], [1e-9, t2_lo], [np.inf, t2_hi]
+    return tau, y, weights, [t10, t2], [1e-9, t2_lo], [np.inf, t2_hi]
 
 
 def fit_g2(series: MeasurementSeries) -> G2Fit:

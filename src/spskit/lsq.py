@@ -11,19 +11,22 @@ active sets of that small solve.
 
 The iteration on theta is Moré's MINPACK Levenberg-Marquardt (LNM 630,
 1978) on the Jacobian of the projected residual in closed form, formed
-once per accepted point from its columns and the model's dphi_k/dtheta_j:
-Kaufman's P (sum_k c_k dphi_k/dtheta_j) (BIT 15, 49 (1975)), P projecting
-off the columns the active constraints leave free, plus Golub and
-Pereyra's second term, one dot product more. Parameters are scaled by
-the running maximum of their column norms; the damping grows after a
-rejected step and shrinks after an accepted one with the ratio of actual
-to predicted cost reduction (Nielsen's update in place of MINPACK's
-trust radius). It stops when the relative cost reduction and the
-predicted one both fall below 1e-12, when the scaled step falls below
-``step_tolerance``, or when the scaled gradient vanishes. Each trial
-point is projected into the box of the bounds on theta, and a parameter
-on a bound whose descent direction points out of the box is held for
-that iteration. Where a constraint holds the coefficients of a
+once per accepted point from its columns and the model's
+dphi_k/dtheta_j: Kaufman's P (sum_k c_k dphi_k/dtheta_j) (BIT 15, 49
+(1975)), P projecting off the columns the active constraints leave free,
+plus Golub and Pereyra's second term, one dot product more. Parameters
+are scaled by the running maximum of their column norms; the damping
+grows after a rejected step and shrinks after an accepted one with the
+ratio of actual to predicted cost reduction (Nielsen's update in place
+of MINPACK's trust radius). J^T J lacks the residuals' curvature, so a
+fit of one theta, whose steps would overshoot by a near-fixed share,
+takes the secant slope of J^T r between its last two accepted points
+instead where positive. It stops when the relative cost reduction and
+the predicted one both fall below 1e-12, when the scaled step falls
+below ``step_tolerance``, or when the scaled gradient vanishes. Each
+trial point is projected into the box of the bounds on theta, and a
+parameter on a bound whose descent direction points out of the box is
+held for that iteration. Where a constraint holds the coefficients of a
 parameter's columns at 0, its Jacobian column is exactly zero and the
 stopping tests hold anywhere; a problem that stops with such a column
 samples the parameter over decades and restarts from a sample that
@@ -97,6 +100,7 @@ def levenberg_marquardt(basis, derivatives, x, y, p0, weights, bounds, max_itera
     # gradient, D^-1 J^T r with those entries zeroed
     scale, free, flat = (np.full((n_prob, n), v) for v in (0.0, True, False))
     sv, vt, vg = np.zeros((n_prob, n)), np.zeros((n_prob, n, n)), np.zeros((n_prob, n))
+    pair = np.full((n_prob, 2), np.nan)  # one parameter: the last accepted theta and J^T r
     cost, calls, damping, growth = [0.0] * n_prob, [0] * n_prob, [1e-3] * n_prob, [2.0] * n_prob
     best_cost, best_p, best_c = [math.inf] * n_prob, list(p), [None] * n_prob
     outcome: list = [None] * n_prob
@@ -173,7 +177,7 @@ def levenberg_marquardt(basis, derivatives, x, y, p0, weights, bounds, max_itera
                 finish(i)
         idx = [i for i in idx if outcome[i] is None]
         for i in idx:
-            cost[i], damping[i], growth[i] = found[i][0], 1e-3, 2.0
+            cost[i], damping[i], growth[i], pair[i] = found[i][0], 1e-3, 2.0, np.nan
         return idx and prepare(idx, *accept(idx, tuple(map(np.array,
                                                           zip(*(found[i][1] for i in idx))))))
 
@@ -198,7 +202,7 @@ def levenberg_marquardt(basis, derivatives, x, y, p0, weights, bounds, max_itera
                 finish(i)
         left = [k for k, i in enumerate(idx) if outcome[i] is None and i not in ending]
         if len(left) < len(idx):
-            idx, jac = [idx[k] for k in left], jac[left]
+            idx, jac, grad = [idx[k] for k in left], jac[left], grad[left]
         if idx:
             at = rows(idx)
             jac *= (free[at] / scale[at])[:, :, None]
@@ -207,6 +211,11 @@ def levenberg_marquardt(basis, derivatives, x, y, p0, weights, bounds, max_itera
             # 1 x 1 R has |R| and V = +-1, whose sign cancels in the step
             r = np.linalg.qr(jac.transpose(0, 2, 1), mode="r")
             _, sv[at], vt[at] = (None, np.abs(r[:, 0]), 1.0) if n == 1 else np.linalg.svd(r)
+            if n == 1:  # J^T J <- J^T r's secant slope h where positive, NaN at first
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    h = (grad - pair[at, 1:]) / (p[at] - pair[at, :1])
+                    sv[at] = np.where((h > 0.0) & (h < np.inf), np.sqrt(h) / scale[at], sv[at])
+                pair[at] = np.hstack([p[at], grad])
             vg[at] = (vt[at] @ vg[at][:, :, None])[:, :, 0]
         return idx
 

@@ -350,7 +350,7 @@ def check_fab(report: ReproductionReport, scenario: Scenario) -> None:
                target(f"<= {calibration / 2:g} nm"), note=f"half the {calibration:g} nm quantum")
 
     rng = np.random.default_rng(RNG_SEED)
-    rough = fab.synthetic_hemisphere_profile(2.7, 2.4, 301, roughness_nm=0.5, rng=rng)
+    rough = fab.synthetic_hemisphere_profile(2.7, 2.4, 301, rng.normal(0.0, 0.5, 301))
     result = pipeline.fab(scenario, rough)
     report.add("9b", "hemisphere radius recovery at 0.5 nm roughness (um)",
                result["radius_um"], target("2.7 +- 1%"))

@@ -456,7 +456,10 @@ def fit_decay_with_irf(series: MeasurementSeries, irf: MeasurementSeries) -> Fit
 
 def fit_decay_with_irf_batch(decays, irfs, *, uncertainties: bool = True) -> list:
     """``fit_decay_with_irf`` of decays on one time grid, each with its IRF,
-    in one lockstep solve; a failed fit gives its FitError."""
+    in one lockstep solve; a failed fit gives its FitError. A lifetime starts
+    at the counts' mean delay less the IRF's (Isenberg and Dyson, Biophys. J.
+    9, 1337 (1969)), or at a fifth of the window where that is not positive;
+    at least 2 dt."""
     t = decays[0].x
     dt = _uniform_spacing(t, "decay fitting")
     starts = []
@@ -469,7 +472,9 @@ def fit_decay_with_irf_batch(decays, irfs, *, uncertainties: bool = True) -> lis
             y_irf = np.interp(t, t_irf, y_irf, left=0.0, right=0.0)
         if y_irf.sum() <= 0:
             raise SeriesError("instrument response has no weight on the data grid")
-        starts.append((y, y_irf, [max((t[-1] - t[0]) / 5.0, 2 * dt)]))
+        tau0 = float(t @ y / y.sum() - t @ y_irf / y_irf.sum()) if y.sum() > 0 else 0.0
+        tau0 = tau0 if math.isfinite(tau0) and tau0 > 0 else (t[-1] - t[0]) / 5.0
+        starts.append((y, y_irf, [max(tau0, 2 * dt)]))
     y, y_irf, p0 = map(np.array, zip(*starts))
     outcomes = _run_fit_batch(_decay_model(t, dt), y_irf, y, p0, weights=poisson_weights(y),
                               uncertainties=uncertainties)

@@ -616,6 +616,24 @@ class TestEveryOptionHasACaller:
         assert sorted(unset) == sorted(self.ENTRY_POINTS)
 
 
+class TestEveryGeneratorIsSeeded:
+    """Each ``default_rng`` call inside spskit passes a seed, so no output
+    depends on entropy drawn from the operating system."""
+
+    def test_every_default_rng_call_passes_a_seed(self):
+        calls = [node for path in sorted(Path(spskit.__file__).parent.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Call)
+                 and getattr(node.func, "attr", getattr(node.func, "id", None)) == "default_rng"]
+        assert calls
+
+        def seeded(call) -> bool:
+            seeds = call.args + [k.value for k in call.keywords]
+            return bool(seeds) and not any(isinstance(s, ast.Constant) and s.value is None
+                                           for s in seeds)
+        assert [ast.unparse(call) for call in calls if not seeded(call)] == []
+
+
 class TestGlobalOptionsAfterSubcommand:
     def test_readme_fab_example_matches_the_leading_form(self, tmp_path):
         before, after = tmp_path / "before", tmp_path / "after"

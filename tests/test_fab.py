@@ -153,7 +153,7 @@ class TestProfileFit:
 
     def test_rough_surface_statistics(self):
         rng = np.random.default_rng(123)
-        profile = synthetic_hemisphere_profile(2.7, 2.4, 301, roughness_nm=0.5, rng=rng)
+        profile = synthetic_hemisphere_profile(2.7, 2.4, 301, rng.normal(0.0, 0.5, 301))
         fit = fit_hemisphere_profile(profile)
         assert fit["radius_um"] == pytest.approx(2.7, rel=0.01)
         assert fit["rms_nm"] == pytest.approx(0.5, abs=0.15)
@@ -184,8 +184,8 @@ class TestProfileFit:
         # recorded from the CSV reader and fitter that profiles had before
         # they became measurement series
         gold = json.loads((Path(__file__).parent / "golden_optics.json").read_text())
-        profile = synthetic_hemisphere_profile(2.7, 2.4, 301, roughness_nm=0.5,
-                                               rng=np.random.default_rng(20261018))
+        profile = synthetic_hemisphere_profile(
+            2.7, 2.4, 301, np.random.default_rng(20261018).normal(0.0, 0.5, 301))
         path = tmp_path / "profile.csv"
         path.write_text("x_um,z_nm\n" + "".join(
             f"{x!r},{z!r}\n" for x, z in zip(profile.x.tolist(), profile.y.tolist())))
