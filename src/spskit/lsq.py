@@ -317,20 +317,12 @@ def covariance_factors(basis, derivatives, x, y, theta, c, weights, pure_error=N
     problem's ``pure_error`` (0 for None) and N ``samples`` (the rows of y
     for None). A is D^-1 V diag(s/sigma), with J D^-1 = U diag(sigma) V^T
     and D the column norms; singular values below eps max(N, n + k) sigma_0
-    are cut, as in scipy's ``curve_fit``. Problems are taken in blocks of
-    at most 2^15 Jacobian elements, each as if alone, as the QR copies its
-    input."""
+    are cut, as in scipy's ``curve_fit``."""
     y, theta, c = (np.asarray(a, dtype=float) for a in (y, theta, c))
     w = None if weights is None else np.broadcast_to(weights, y.shape)
     (n_prob, size), n, m = y.shape, theta.shape[1], theta.shape[1] + c.shape[1]
     pure = np.zeros(n_prob) if pure_error is None else np.asarray(pure_error, dtype=float)
     samples = size if samples is None else samples
-    rows = max(1, 2 ** 15 // (size * m))
-    if n_prob > rows:
-        return np.concatenate([covariance_factors(
-            basis, derivatives, x if x.ndim == 1 else x[i:i + rows], y[i:i + rows],
-            theta[i:i + rows], c[i:i + rows], None if w is None else w[i:i + rows],
-            pure[i:i + rows], samples) for i in range(0, n_prob, rows)])
     jt = np.empty((n_prob, m, size))  # J^T, built in place
     phi = _columns(basis, x, theta, y, out=jt[:, n:])
     _directions(derivatives, x, theta, c, phi, w, None, out=jt[:, :n])

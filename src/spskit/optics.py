@@ -20,12 +20,12 @@ optics entry point. It loops over runs of a repeated block of layers,
 raising each block to its count by repeated squaring; each step is
 elementwise over whole numpy arrays of wavelengths, and the result is
 the four matrix elements as arrays. A gap scan forms its one layer's
-matrix over an array of thicknesses the same way. Spectra,
-stopband scans and resonance walks are single array calls; the scalar
-functions pass it a single wavelength. Results are plain values: a
-spectrum is a float array, one value per wavelength passed in (strictly
-increasing); a field profile is a pair of arrays, positions and
-intensities; a resonance report is a dict. Every layer matrix has
+matrix over an array of thicknesses the same way. Spectra and stopband
+scans are single array calls; the scalar functions and the probes of a
+half-maximum crossing pass it a single wavelength. Results are plain
+values: a spectrum is a float array, one value per wavelength passed in
+(strictly increasing); a field profile is a pair of arrays, positions
+and intensities; a resonance report is a dict. Every layer matrix has
 det M = cos^2 + sin^2 = 1, also for complex (absorbing) indices, so every
 product has det 1 and its inverse is [[m11, -m01], [-m10, m00]]: the gap
 field is recovered from the entry-face field without a linear solve.
@@ -396,12 +396,6 @@ def _cavity_stack(mirror_a: LayerStack, gap_nm: float, mirror_b: LayerStack,
     return LayerStack(mirror_a.substrate_index, layers, mirror_b.substrate_index)
 
 
-# The half-maximum walk of cavity_spectrum takes at most _WALK_STEPS steps
-# of one sample spacing, evaluated _WALK_CHUNK points per kernel call.
-_WALK_STEPS = 200000
-_WALK_CHUNK = 512
-
-
 def cavity_spectrum(
     mirror_a: LayerStack,
     gap_nm: float,
@@ -415,7 +409,10 @@ def cavity_spectrum(
     The report is a dict of ``found``, ``center_nm``, ``fwhm_nm``,
     ``quality_factor`` and ``peak_transmission`` for the transmission
     peak nearest ``report_near_nm``, with FWHM from refined half-max
-    crossings and Q = center/FWHM. With no interior peak in the sampled
+    crossings and Q = center/FWHM: each is bisected between the last
+    probe above half the maximum and the first not above it, of probes
+    at the centre -/+ s, 2s, 4s, ... (s the sample spacing) clamped to
+    50 nm beyond the sampled range. With no interior peak in the sampled
     range ``found`` is False and the other values are NaN; a peak whose
     transmission stays above half its maximum has NaN FWHM and Q.
     """
@@ -428,34 +425,25 @@ def cavity_spectrum(
                       "quality_factor": math.nan, "peak_transmission": math.nan}
     ipk = peaks[np.argmin(np.abs(wls[peaks] - report_near_nm))]
 
-    # refine the peak and walk out to the half-max crossings
+    # refine the peak and probe out to the half-max crossings
     def t_of(lam):
         return _power(full.layers, full.ambient_index, full.substrate_index, lam)[1]
 
-    center = search.golden_max(t_of, wls[max(ipk - 1, 0)], wls[min(ipk + 1, len(wls) - 1)],
-                               tol=1e-5)
+    center = search.golden_max(t_of, wls[ipk - 1], wls[ipk + 1], tol=1e-5)
     peak_t = float(t_of(center))
     half = peak_t / 2.0
 
     def half_crossing(direction: int) -> float | None:
-        step = (wls[1] - wls[0]) if len(wls) > 1 else 0.01
-        lam = center
-        for taken in range(0, _WALK_STEPS, _WALK_CHUNK):
-            # the walk lam, lam + step, ... accumulated by repeated addition
-            # (as a one-step-at-a-time walk would), evaluated a chunk at a time
-            steps = np.full(min(_WALK_CHUNK, _WALK_STEPS - taken) + 1, direction * step)
-            steps[0] = lam
-            pts = np.add.accumulate(steps)[1:]
-            # the points are monotone, so those within the bound are a prefix
-            inside = int(np.count_nonzero((pts >= wls[0] - 50) & (pts <= wls[-1] + 50)))
-            below = np.flatnonzero(t_of(pts[:inside]) <= half)
-            if below.size:
-                k = below[0]
-                return search.bisect(lambda m: t_of(m) > half, pts[k - 1] if k else lam, pts[k])
-            if inside < pts.size:
+        edge = wls[0] - 50 if direction < 0 else wls[-1] + 50
+        inner, reach = center, wls[1] - wls[0]
+        while True:
+            last = reach >= abs(edge - center)
+            outer = edge if last else center + direction * reach
+            if t_of(outer) <= half:
+                return search.bisect(lambda m: t_of(m) > half, inner, outer)
+            if last:
                 return None
-            lam = pts[-1]
-        return None
+            inner, reach = outer, 2 * reach
 
     lo = half_crossing(-1)
     hi = half_crossing(+1)

@@ -26,6 +26,7 @@ from spskit.config import (
     load_scenario,
     provenance_table,
 )
+from spskit.constants import SPEED_OF_LIGHT_M_PER_S
 from spskit.reproduce import ReproductionReport, check_coating, check_qkd
 from spskit.specfit import (
     MeasurementSeries,
@@ -179,6 +180,31 @@ class TestCli:
         assert report["antinode_count"] == 8
         assert (tmp_path / "cavity_spectrum.csv").exists()
         assert (tmp_path / "cavity_field.csv").exists()
+
+    def test_penetration_off_gives_the_bare_free_spectral_range(self, tmp_path):
+        # the schema's only boolean, off by --set and by a JSON false alike
+        assert main(["--set", "cavity.include_penetration=off",
+                     "--outdir", str(tmp_path / "set"), "cavity"]) == 0
+        report = json.loads((tmp_path / "set" / "cavity_report.json").read_text())
+        assert report["fsr_hz"] == pytest.approx(SPEED_OF_LIGHT_M_PER_S / (8 * 565.85e-9),
+                                                  rel=1e-12)
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps({"cavity": {"include_penetration": False}}))
+        assert main(["--config", str(config), "--outdir", str(tmp_path / "json"), "cavity"]) == 0
+        assert filecmp.cmp(tmp_path / "set" / "cavity_report.json",
+                           tmp_path / "json" / "cavity_report.json", shallow=False)
+
+    @pytest.mark.parametrize("name, text, match", [
+        ("scenario.json", "[1, 2]", "JSON config must be an object of sections"),
+        ("scenario.json", '{"mirror": 9}', "section [mirror] must map keys to values"),
+        ("scenario.ini", "pairs = 9\n", "malformed INI config"),
+    ], ids=["json-list", "json-section-not-an-object", "ini-without-section"])
+    def test_malformed_config_exits_1(self, tmp_path, capsys, name, text, match):
+        config = tmp_path / name
+        config.write_text(text)
+        _assert_validation_error(
+            ["--config", str(config), "--outdir", str(tmp_path / "out"), "mirror"], capsys, match)
+        assert not (tmp_path / "out").exists()
 
     def test_emitter_outputs(self, tmp_path):
         code = main(["--set", "emitter.map_points=16", "--outdir", str(tmp_path),
@@ -460,6 +486,49 @@ class TestTypedErrors:
         _assert_validation_error(
             ["--outdir", str(tmp_path), "fit", "--input", str(csv),
              "--irf", str(tmp_path / "no_irf.csv")], capsys, "no_irf.csv")
+
+    @pytest.mark.parametrize("case, match", [
+        ("correlation-without-baseline", "tail baseline must be positive"),
+        ("negative-snr", "snr must be non-negative, got -1.0"),
+        ("irf-off-the-decay-grid", "instrument response has no weight on the data grid"),
+        ("one-sample-below-cutoff", "integration band contains fewer than two samples"),
+        ("no-emission-below-cutoff", "no emission inside the integration band"),
+        ("edge-exclusion-leaves-two-points", "edge exclusion left fewer than 10 points"),
+    ])
+    def test_input_the_fit_cannot_use(self, tmp_path, capsys, case, match):
+        _assert_validation_error(["--outdir", str(tmp_path), *_unusable_input(case, tmp_path)],
+                                 capsys, match)
+
+
+def _unusable_input(case: str, folder: Path) -> list[str]:
+    """The arguments after ``--outdir`` of a run on input that ``case``
+    names, with its files written into ``folder``."""
+    def csv(kind, x, y, name="input.csv") -> str:
+        write_series_csv(folder / name, MeasurementSeries(x, y, kind))
+        return str(folder / name)
+
+    tau = np.linspace(-100.0, 100.0, 401)
+    g2 = g2_model(tau, 0.95, 0.0, 5.0, 50.0)
+    if case == "correlation-without-baseline":
+        return ["fit", "--input", csv("correlation", tau, g2 - 1.0)]
+    if case == "negative-snr":
+        return ["fit", "--input", csv("correlation", tau, g2), "--snr", "-1"]
+    if case == "irf-off-the-decay-grid":
+        t = np.arange(0.0, 4000.0, 8.0)
+        irf = csv("decay", t + 10000.0, np.exp(-0.5 * ((t - 400.0) / 40.0) ** 2), "irf.csv")
+        return ["fit", "--input", csv("decay", t, 900.0 * np.exp(-t / 500.0) + 1.0),
+                "--irf", irf]
+    if case == "one-sample-below-cutoff":
+        x = np.linspace(579.8, 600.3, 42)  # 0.5 nm apart, one sample below 580 nm
+        return ["fit", "--input", csv("spectrum", x, lorentzian(x, 590.0, 2.0, 900.0, 10.0))]
+    if case == "no-emission-below-cutoff":
+        x = np.linspace(560.0, 600.0, 401)
+        return ["fit", "--input", csv("spectrum", x, lorentzian(x, 590.0, 1.0, 900.0, -10.0))]
+    x_um = np.linspace(-1.0, 1.0, 12)
+    profile = folder / "profile.csv"
+    profile.write_text("x_um,z_nm\n" + "".join(
+        f"{x:.12g},{1000.0 * math.sqrt(2.7 ** 2 - x ** 2):.12g}\n" for x in x_um))
+    return ["--set", "fab.edge_exclusion_fraction=0.45", "fab", "--profile", str(profile)]
 
 
 class TestReproduceReadsTheSubcommands:

@@ -11,6 +11,7 @@ from spskit.optics import (
     LayerStack,
     OpticsError,
     ResonanceSearchError,
+    amplitude_coefficients,
     analytic_stopband_fractional_width,
     antinode_count,
     calibrated_lossy_stack,
@@ -341,6 +342,25 @@ class TestPeriodicKernel:
         monkeypatch.setattr(optics, "_matmul", counted)
         optics._transfer_matrix(default_cavity().layers, 565.85)
         assert len(calls) == 12
+
+
+class TestAmplitudeCoefficients:
+    @pytest.mark.parametrize("lossy", [False, True], ids=["lossless", "lossy"])
+    def test_powers_of_the_amplitudes_are_the_spectra(self, high_terminated, lossy):
+        stack = calibrated_lossy_stack(high_terminated, 0.992, LAM0) if lossy else high_terminated
+        # both faces, so that the index ratio is 1.5255 and its inverse
+        for face in (stack, stack.reversed()):
+            n0, ns = face.ambient_index.real, face.substrate_index.real
+            for lam in (450.0, LAM0, 700.0):
+                r, t = amplitude_coefficients(face, lam)
+                assert abs(r) ** 2 == pytest.approx(reflectance(face, [lam])[0], rel=1e-12)
+                assert ns / n0 * abs(t) ** 2 == pytest.approx(transmittance(face, [lam])[0],
+                                                              rel=1e-12)
+
+    @pytest.mark.parametrize("lam", [0.0, float("nan")])
+    def test_wavelength_must_be_positive_and_finite(self, high_terminated, lam):
+        with pytest.raises(OpticsError, match="wavelength must be positive and finite"):
+            amplitude_coefficients(high_terminated, lam)
 
 
 class TestStackProperties:
