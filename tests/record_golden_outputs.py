@@ -1,9 +1,17 @@
-"""Re-record ``golden_outputs.json``: what each run in ``RUNS`` writes.
+"""Re-record ``golden_outputs.json``: what each run in ``RUNS`` and
+``FIT_RUNS`` writes.
 
 Each run is one in-process ``cli.main`` call into a fresh output folder.
-Its record is the exit code, stdout with the output folder masked, and
-the sha256 of every file written. ``test_golden_outputs.py`` compares
-the same runs against the file.
+Its record is the exit code, stdout and stderr with the output folder
+masked, the messages of the warnings it raised, and the sha256 of every
+file written. A ``fit`` reads series that ``fit_runs`` writes into an
+input folder; that folder is masked in its output too, in the bytes of
+``fit_report.json`` (whose ``input`` names the series) as in stdout.
+``test_golden_outputs.py`` compares the same runs against the file.
+
+The record holds on the default code paths of numpy and OpenBLAS only:
+the CPU-feature and BLAS-kernel settings of ROADMAP item 12 move the
+``iterations`` of some fits, and with them ``fit_report.json``.
 
 Run from the repository root with ``python tests/record_golden_outputs.py``.
 Re-record only when an output is meant to change, and state every delta
@@ -17,10 +25,16 @@ import io
 import json
 import sys
 import tempfile
+import warnings
 from pathlib import Path
+
+import numpy as np
 
 HERE = Path(__file__).resolve().parent
 GOLDEN_PATH = HERE / "golden_outputs.json"
+sys.path.insert(0, str(HERE.parent / "perfbench"))
+
+import workloads  # noqa: E402  (read only: the fit-batch series generator)
 
 # ``cavity`` at the defaults, the design sweep's 16 order x wavelength
 # variants, and mirror reflectivities whose half-maximum crossings lie
@@ -35,19 +49,50 @@ for _order in (6, 7, 8, 9):
 for _reflectivity in (0.3, 0.5, 0.8, 0.97):
     RUNS[f"cavity R={_reflectivity}"] = (
         "--set", f"cavity.effective_mirror_reflectivity={_reflectivity}", "cavity")
+# every layer in one process, and a validation error in each error mode
+RUNS["reproduce --draws 100"] = ("reproduce", "--draws", "100")
+RUNS["error"] = ("--set", "cavity.wavelength_nm=-1", "cavity")
+RUNS["error --error-json"] = ("--error-json", *RUNS["error"])
+
+# The fit-batch workload's first two fits of each kind at FIT_SEED, named
+# by their input: the largest size of each kind and one drawn below it,
+# one spectrum with --scan-range and one without, one correlation with
+# --snr and one without.
+FIT_SEED = 2800
+FIT_RUNS = [f"fit {i:03d}_{kind}" for i, kind in enumerate(2 * list(workloads.FIT_SIZES))]
 
 
-def outputs(argv, outdir: Path) -> dict:
-    """The record of ``cli.main(["--outdir", outdir, *argv])``."""
+def fit_runs(inputs: Path) -> dict[str, tuple[str, ...]]:
+    """Writes the series of ``FIT_RUNS`` into ``inputs``: each run's argv."""
+    inputs.mkdir(parents=True, exist_ok=True)
+    batch = workloads.fit_batch(np.random.default_rng(FIT_SEED), 2, inputs)
+    return dict(zip(FIT_RUNS, (invocation.args for invocation in batch), strict=True))
+
+
+def outputs(argv, outdir: Path, inputs: Path | None = None) -> dict:
+    """The record of ``cli.main(["--outdir", outdir, *argv])``, with the
+    folder ``inputs`` of its input series masked."""
     from spskit import cli
 
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
+    masks = [(str(outdir), "<outdir>")] + ([] if inputs is None else [(str(inputs), "<inputs>")])
+
+    def masked(text: str) -> str:
+        for path, mask in masks:
+            text = text.replace(path, mask)
+        return text
+
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with (contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr),
+          warnings.catch_warnings(record=True) as caught):
+        warnings.simplefilter("always")
         code = cli.main(["--outdir", str(outdir), *argv])
-    files = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+    # latin-1 maps each byte to one character and back
+    files = {path.name: hashlib.sha256(masked(path.read_bytes().decode("latin-1"))
+                                       .encode("latin-1")).hexdigest()
              for path in sorted(outdir.iterdir())} if outdir.exists() else {}
-    return {"exit_code": code, "stdout": stdout.getvalue().replace(str(outdir), "<outdir>"),
-            "files": files}
+    return {"exit_code": code, "stdout": masked(stdout.getvalue()),
+            "stderr": masked(stderr.getvalue()),
+            "warnings": [masked(str(w.message)) for w in caught], "files": files}
 
 
 def main() -> int:
@@ -55,6 +100,9 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         golden = {name: outputs(argv, Path(tmp) / str(i))
                   for i, (name, argv) in enumerate(RUNS.items())}
+        inputs = Path(tmp) / "inputs"
+        golden.update((name, outputs(argv, Path(tmp) / name, inputs))
+                      for name, argv in fit_runs(inputs).items())
     GOLDEN_PATH.write_text(json.dumps(golden, indent=1) + "\n", encoding="utf-8")
     return 0
 
