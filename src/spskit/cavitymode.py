@@ -14,25 +14,26 @@ from dataclasses import dataclass
 from .constants import NM_PER_M, SPEED_OF_LIGHT_M_PER_S
 
 
+# piezo calibration of the polymer spacer
+TUNING_SLOPE_NM_PER_V = 102.0
+MAX_VOLTAGE_V = 10.0
+
+
 class CavityError(ValueError):
     """Invalid cavity geometry or operating point."""
 
 
 @dataclass(frozen=True)
 class CavityConfig:
-    """Plano-concave cavity geometry and tuning calibration."""
+    """Plano-concave cavity geometry."""
 
     radius_of_curvature_um: float = 2.7
     longitudinal_order: int = 8
     design_wavelength_nm: float = 565.85
     penetration_depth_nm: float = 122.0
     mirror_reflectivity: float = 0.992
-    tuning_slope_nm_per_v: float = 102.0
-    max_voltage_v: float = 10.0
 
     def __post_init__(self):
-        if self.tuning_slope_nm_per_v <= 0:
-            raise CavityError(f"tuning slope must be positive, got {self.tuning_slope_nm_per_v}")
         if self.penetration_depth_nm < 0:
             raise CavityError("penetration depth must be non-negative")
         if self.effective_length_nm >= self.radius_of_curvature_nm:
@@ -76,20 +77,21 @@ def fsr_finesse_linewidth(
     FSR = c/(2 L_eff) with L_eff = q lam/2 plus, by default, twice the
     penetration depth; linewidth = FSR/finesse.
     """
-    length_nm = config.effective_length_nm
-    if include_penetration:
-        length_nm += 2.0 * config.penetration_depth_nm
-    fsr_hz = SPEED_OF_LIGHT_M_PER_S / (2.0 * length_nm / NM_PER_M)
+    fsr_hz = SPEED_OF_LIGHT_M_PER_S / (2.0 * _length_nm(config, include_penetration) / NM_PER_M)
     fin = finesse(config.mirror_reflectivity)
     return fsr_hz, fin, fsr_hz / fin
 
 
 def quality_factor(config: CavityConfig, *, include_penetration: bool = True) -> float:
     """Q = finesse * 2 L_eff / lam; cross-checks the transfer-matrix spectrum."""
+    return (finesse(config.mirror_reflectivity) * 2.0 * _length_nm(config, include_penetration)
+            / config.design_wavelength_nm)
+
+
+def _length_nm(config: CavityConfig, include_penetration: bool) -> float:
+    """L_eff = q lam/2, plus twice the penetration depth where included."""
     length_nm = config.effective_length_nm
-    if include_penetration:
-        length_nm += 2.0 * config.penetration_depth_nm
-    return finesse(config.mirror_reflectivity) * 2.0 * length_nm / config.design_wavelength_nm
+    return length_nm + 2.0 * config.penetration_depth_nm if include_penetration else length_nm
 
 
 def fsr_for_linewidth(target_linewidth_hz: float, mirror_reflectivity: float) -> float:
@@ -107,10 +109,9 @@ def tune(config: CavityConfig, voltage_v: float) -> tuple[float, float]:
     The polymer spacer compresses linearly with drive voltage; on mode q
     a length change dL shifts the resonance by 2 dL / q.
     """
-    if abs(voltage_v) > config.max_voltage_v:
-        raise CavityError(
-            f"voltage {voltage_v} V outside safe range +-{config.max_voltage_v} V")
-    d_length = config.tuning_slope_nm_per_v * voltage_v
+    if abs(voltage_v) > MAX_VOLTAGE_V:
+        raise CavityError(f"voltage {voltage_v} V outside safe range +-{MAX_VOLTAGE_V} V")
+    d_length = TUNING_SLOPE_NM_PER_V * voltage_v
     d_lambda = 2.0 * d_length / config.longitudinal_order
     return d_length, d_lambda
 

@@ -216,7 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--scan-range", type=float, default=None,
                        help="sinc^2 instrument scale in 1/nm, 0 for none (spectrum fitting)")
     p_fit.add_argument("--snr", type=float, default=None,
-                       help="signal-to-noise ratio for background-corrected g2")
+                       help="signal-to-noise ratio for background-corrected g2 "
+                            "(correlation fitting only)")
 
     p_qkd = add("qkd", help="key-rate sweeps and crossing search")
     p_qkd.add_argument("--sweep", help="distance sweep start:stop:step in km")

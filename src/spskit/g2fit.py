@@ -107,7 +107,7 @@ _G2_BOX = (np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [2.0, -1.0, 0.0],
 
 
 def _g2_start(series: MeasurementSeries) -> tuple:
-    """(tau, y, weights or None, start, lower and upper bounds) of the times
+    """(tau, y, weights, start, lower and upper bounds) of the times
     (t1, t2) of the fit with bunching. t2 starts at the mean of |tau| - 5 t1
     >= 0 weighted by the excess y / baseline - 1 times the sample spacing,
     within its bounds; at their geometric mean where that excess sums to <= 0."""
@@ -139,7 +139,7 @@ def _g2_start(series: MeasurementSeries) -> tuple:
     u, excess = np.abs(tau[far]) - 5.0 * t10, np.gradient(tau)[far] * (yn[far] - 1.0)
     t2 = float(u @ excess / excess.sum()) if excess.sum() > 0 else math.nan
     t2 = min(max(t2, t2_lo), t2_hi) if math.isfinite(t2) else math.sqrt(t2_lo * t2_hi)
-    weights = poisson_weights(y) if baseline0 > 10.0 else None  # raw counts only
+    weights = poisson_weights(y) if baseline0 > 10.0 else np.ones(len(y))  # raw counts only
     return tau, y, weights, [t10, t2], [1e-9, t2_lo], [np.inf, t2_hi]
 
 
@@ -180,7 +180,7 @@ def fit_g2_batch(correlations, *, uncertainties: bool = True) -> list:
 
 def _g2_pool(tau, y, weights) -> tuple:
     """The distinct delays |tau| of the grid tau and, per series of y with
-    its weights w (None for 1), the weighted mean of its samples at each,
+    its weights w, the weighted mean of its samples at each,
     the weights sqrt(W), W the sum of their w^2, and the pure error
     sum w^2 (y - mean)^2, the part of the series' cost the pooled rows lack."""
     delay = np.abs(tau)
@@ -189,7 +189,7 @@ def _g2_pool(tau, y, weights) -> tuple:
     starts = np.flatnonzero(np.diff(delay, prepend=-1.0))  # each distinct delay's first sample
     # rows in C order, each sorted alone: their bits do not depend on the batch
     y = np.array([v[order] for v in y])
-    squares = np.array([np.ones(len(delay)) if w is None else w[order] ** 2 for w in weights])
+    squares = np.array([w[order] ** 2 for w in weights])
     total = np.add.reduceat(squares, starts, axis=1)
     mean = np.add.reduceat(squares * y, starts, axis=1) / total
     y -= np.repeat(mean, np.diff(starts, append=len(delay)), axis=1)

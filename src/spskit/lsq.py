@@ -7,7 +7,8 @@ functions of theta, weighted by coefficients c. Variable projection
 Rust, Comput. Optim. Appl. 54, 579 (2013)) solves c exactly at each
 trial theta, here from the weighted k x k normal equations, and iterates
 on theta alone. Linear inequalities C c >= d are met by enumerating the
-active sets of that small solve.
+active sets of that small solve. Each input takes one form: an absent one
+is neutral, weights 1, bounds +-inf, a C of no rows, pure errors 0 (below).
 
 The iteration on theta is Moré's MINPACK Levenberg-Marquardt (LNM 630,
 1978) on the Jacobian of the projected residual in closed form, formed
@@ -60,7 +61,7 @@ import numpy as np
 
 
 def levenberg_marquardt(basis, derivatives, x, y, p0, weights, bounds, max_iterations: int,
-                        step_tolerance: float, constraints=None, pure_error=None) -> list:
+                        step_tolerance: float, constraints, pure_error) -> list:
     """Separable Levenberg-Marquardt fits of one model to B problems in lockstep.
 
     ``basis(x, *theta)`` gives the k columns, each one row per problem or
@@ -70,8 +71,8 @@ def levenberg_marquardt(basis, derivatives, x, y, p0, weights, bounds, max_itera
     theta_j: each theta_j moves one column. ``y`` and ``p0`` (theta's
     start) hold one row per problem; ``x``, ``weights``, each bound of
     ``bounds = (lower, upper)`` on theta and d of ``constraints = (C, d)``,
-    for C c >= d with d finite, one row per problem or one for all, or
-    None; ``pure_error``, one value per problem or None, is added to each
+    for C c >= d with d finite (C may have no rows), one row per problem or
+    one for all; ``pure_error``, one value per problem, is added to each
     cost. Returns per problem (converged, theta, c, cost, evaluations); one
     out of budget has only its best theta and c, and one whose start has a
     non-finite cost is not converged.
@@ -80,16 +81,12 @@ def levenberg_marquardt(basis, derivatives, x, y, p0, weights, bounds, max_itera
     p = np.array(p0, dtype=float)
     n_prob, n = p.shape
     x = np.asarray(x, dtype=float)
-    w = None if weights is None else np.broadcast_to(weights, y.shape)
-    yw = y if w is None else y * w
-    pure = np.zeros(n_prob) if pure_error is None else np.asarray(pure_error, dtype=float)
-    lo, hi = (np.broadcast_to(np.asarray(b, dtype=float), p.shape)
-              for b in ((-np.inf, np.inf) if bounds is None else bounds))
-    sets = None  # the active sets of the constraints, for the Jacobian
-    if constraints is not None:
-        cons = np.asarray(constraints[0], dtype=float)
-        floor = np.broadcast_to(np.asarray(constraints[1], dtype=float), (n_prob, len(cons)))
-        sets = _active_sets(_rows(cons))
+    w = np.broadcast_to(weights, y.shape)
+    yw = y * w
+    lo, hi = (np.broadcast_to(np.asarray(b, dtype=float), p.shape) for b in bounds)
+    cons = np.asarray(constraints[0], dtype=float)
+    floor = np.broadcast_to(np.asarray(constraints[1], dtype=float), (n_prob, len(cons)))
+    sets = _active_sets(_rows(cons))  # for the Jacobian
     ftol = gtol = 1e-12
     p = np.clip(p, lo, hi)
     # arrays for the iteration, one row per problem; Python scalars for the
@@ -127,11 +124,10 @@ def levenberg_marquardt(basis, derivatives, x, y, p0, weights, bounds, max_itera
         at = rows(idx)
         data = yw[at]
         cols = _columns(basis, x if x.ndim == 1 else x[at], q, data)
-        phi = cols if w is None else cols * w[at][:, None]
-        c, gram, held = _coefficients(phi, data, None if constraints is None
-                                      else (cons, floor[at]))
+        phi = cols * w[at][:, None]
+        c, gram, held = _coefficients(phi, data, (cons, floor[at]))
         res = (c[:, None] @ phi)[:, 0] - data
-        costs = (np.vecdot(res, res) + pure[at]).tolist()  # each row's res @ res, bit for bit
+        costs = (np.vecdot(res, res) + pure_error[at]).tolist()  # each res @ res, bit for bit
         for k, i in enumerate(idx):
             if outcome[i] is None:
                 calls[i] += 1
@@ -143,8 +139,7 @@ def levenberg_marquardt(basis, derivatives, x, y, p0, weights, bounds, max_itera
         """Moves the problems idx to the point's rows: their Jacobians and J^T r."""
         at = rows(idx)
         p[at], coef[at] = point[:2]
-        jac = _jacobian(derivatives, x if x.ndim == 1 else x[at], None if w is None else w[at],
-                        point, sets)
+        jac = _jacobian(derivatives, x if x.ndim == 1 else x[at], w[at], point, sets)
         flat[at] = ~jac.any(axis=2)
         return jac, np.vecdot(jac, point[2][:, None])
 
@@ -296,7 +291,7 @@ def _jacobian(derivatives, x, w, point, sets) -> np.ndarray:
     q, c, res, cols, gram, held = point
     jac, a = _directions(derivatives, x, q, c, cols, w, res)
     # the columns are spent: the weighted ones in their place
-    phi = cols if w is None else np.multiply(cols, w[:, None], out=cols)
+    phi = np.multiply(cols, w[:, None], out=cols)
     rhs = np.vecdot(phi[:, None], jac[:, :, None]) + a  # (problems, n, k)
     proj = np.empty(rhs.shape)  # each problem's G_f^-1 (Phi_f^T v + t^T a) t^T
     active = set(held.tolist())
@@ -308,27 +303,23 @@ def _jacobian(derivatives, x, w, point, sets) -> np.ndarray:
     return jac
 
 
-def covariance_factors(basis, derivatives, x, y, theta, c, weights, pure_error=None,
-                       samples=None) -> np.ndarray:
+def covariance_factors(basis, derivatives, x, y, theta, c, weights, pure_error,
+                       samples: int) -> np.ndarray:
     """At solutions (theta, c) for the data y, one row each, a matrix A
     per problem whose A A^T is the covariance of (theta, c): s^2 (J^T J)^+
     for the exact weighted Jacobian J = [sum_k c_k dphi_k/dtheta, Phi],
     s^2 = (|r|^2 + S) / (N - n - k) for the weighted residuals r, S the
-    problem's ``pure_error`` (0 for None) and N ``samples`` (the rows of y
-    for None). A is D^-1 V diag(s/sigma), with J D^-1 = U diag(sigma) V^T
-    and D the column norms; singular values below eps max(N, n + k) sigma_0
-    are cut, as in scipy's ``curve_fit``."""
+    problem's ``pure_error`` and N ``samples``. A is D^-1 V diag(s/sigma),
+    with J D^-1 = U diag(sigma) V^T and D the column norms; singular values
+    below eps max(N, n + k) sigma_0 are cut, as in scipy's ``curve_fit``."""
     y, theta, c = (np.asarray(a, dtype=float) for a in (y, theta, c))
-    w = None if weights is None else np.broadcast_to(weights, y.shape)
+    w = np.broadcast_to(weights, y.shape)
     (n_prob, size), n, m = y.shape, theta.shape[1], theta.shape[1] + c.shape[1]
-    pure = np.zeros(n_prob) if pure_error is None else np.asarray(pure_error, dtype=float)
-    samples = size if samples is None else samples
     jt = np.empty((n_prob, m, size))  # J^T, built in place
     phi = _columns(basis, x, theta, y, out=jt[:, n:])
     _directions(derivatives, x, theta, c, phi, w, None, out=jt[:, :n])
-    if w is not None:
-        phi *= w[:, None]
-    res = (c[:, None] @ phi)[:, 0] - (y if w is None else y * w)
+    phi *= w[:, None]
+    res = (c[:, None] @ phi)[:, 0] - y * w
     norms = np.sqrt(np.vecdot(jt, jt))
     norms[norms == 0.0] = 1.0
     jt /= norms[:, :, None]
@@ -336,7 +327,7 @@ def covariance_factors(basis, derivatives, x, y, theta, c, weights, pure_error=N
     _, sigma, v_t = np.linalg.svd(np.linalg.qr(jt.transpose(0, 2, 1), mode="r"))
     kept = sigma > np.finfo(float).eps * max(samples, m) * sigma[:, :1]
     inverse = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=kept)
-    s = np.sqrt((np.vecdot(res, res) + pure) / max(samples - m, 1))
+    s = np.sqrt((np.vecdot(res, res) + pure_error) / max(samples - m, 1))
     return v_t.transpose(0, 2, 1) * (inverse * s[:, None])[:, None] / norms[:, :, None]
 
 
@@ -352,30 +343,29 @@ def _columns(basis, x, q, like, out=None) -> np.ndarray:
 
 
 def _directions(derivatives, x, q, c, cols, w, r, out=None) -> tuple:
-    """v = sum_k c_k dphi_k/dtheta_j at q for each theta_j, weighted by w
-    (None for none), (problems, n, N), into ``out`` if given, and a
+    """v = sum_k c_k dphi_k/dtheta_j at q for each theta_j, weighted by w,
+    (problems, n, N), into ``out`` if given, and a
     (problems, n, k) holding (w dphi_k/dtheta_j)^T r at [j, k] for the
     weighted residuals r (None for none)."""
     v = np.empty((len(q), q.shape[1], cols.shape[-1])) if out is None else out
     a = np.zeros((len(q), q.shape[1], cols.shape[1]))
     params = q[0] if len(q) == 1 else q.T[:, :, None]
-    rw = r if w is None or r is None else r * w
+    rw = None if r is None else r * w
     j = 0  # no enumerate: its reused result would hold the last slope
     for k, slope in derivatives(x, cols, *params):
         np.multiply(c[:, k, None], slope, out=v[:, j])
         a[:, j, k] = 0.0 if r is None else np.vecdot(slope, rw)
         j += 1
         del slope  # before the next one is made
-    if w is not None:
-        v *= w[:, None]
+    v *= w[:, None]
     return v, a
 
 
-def _coefficients(phi: np.ndarray, y: np.ndarray, constraints=None) -> np.ndarray:
+def _coefficients(phi: np.ndarray, y: np.ndarray, constraints: tuple) -> np.ndarray:
     """Least-squares coefficients, one row per problem, of the columns
     ``phi`` (problems, k, N) for ``y`` (problems, N), by the normal
-    equations; NaN where those are singular. With ``constraints = (C, d)``
-    (d one row per problem) the coefficients meet C c >= d: a problem whose
+    equations; NaN where those are singular. They meet ``constraints =
+    (C, d)``, C c >= d with d one row per problem: a problem whose
     unconstrained solution does not gets ``_constrained``'s. Returns c, the
     Gram matrices and each problem's active set, its index in
     ``_active_sets(C)`` or -1 for none."""
@@ -383,11 +373,10 @@ def _coefficients(phi: np.ndarray, y: np.ndarray, constraints=None) -> np.ndarra
     rhs = np.vecdot(phi, y[:, None])
     c = _solve(gram, rhs)
     held = np.full(len(c), -1)
-    if constraints is not None:
-        cons, floor = constraints
-        out = ~(np.vecdot(c[:, None], cons) >= floor).all(axis=1)  # NaN where singular
-        if out.any():
-            c[out], held[out] = _constrained(gram[out], rhs[out], cons, floor[out])
+    cons, floor = constraints
+    out = ~(np.vecdot(c[:, None], cons) >= floor).all(axis=1)  # NaN where singular
+    if out.any():
+        c[out], held[out] = _constrained(gram[out], rhs[out], cons, floor[out])
     return c, gram, held
 
 
@@ -411,17 +400,17 @@ def _constrained(gram, rhs, cons, floor):
 
 
 def _rows(cons: np.ndarray) -> tuple:  # C as the hashable key of ``_active_sets``
-    return tuple(map(tuple, cons.tolist()))
+    return cons.shape, tuple(cons.ravel().tolist())
 
 
 @functools.lru_cache(maxsize=8)
-def _active_sets(cons: tuple) -> list:
+def _active_sets(key: tuple) -> list:
     """(t, e) for each set of independent rows of C: c = t u + e d meets the
     set's rows with equality for every u. The set's rows are solved for
     pivot coefficients, so a row that bounds one coefficient puts it on
     its bound exactly."""
-    cons = np.array(cons)
-    m, k = cons.shape
+    (m, k), entries = key
+    cons = np.array(entries).reshape(m, k)
     sets = []
     for size in range(1, k + 1):
         for active in itertools.combinations(range(m), size):

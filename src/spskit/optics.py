@@ -222,17 +222,16 @@ def reflectance_at(stack: LayerStack, lam: float) -> float:
 def reflectance(stack: LayerStack, wavelengths_nm) -> np.ndarray:
     """Reflectance R(lam) of the stack at normal incidence, one value per
     wavelength."""
-    return _spectrum(stack, wavelengths_nm, 0)
+    return _spectrum(stack, _validated_wavelengths(wavelengths_nm), 0)
 
 
 def transmittance(stack: LayerStack, wavelengths_nm) -> np.ndarray:
     """Transmittance at each wavelength; for lossless stacks R + T = 1."""
-    return _spectrum(stack, wavelengths_nm, 1)
+    return _spectrum(stack, _validated_wavelengths(wavelengths_nm), 1)
 
 
-def _spectrum(stack: LayerStack, wavelengths_nm, which: int) -> np.ndarray:
-    """R (``which`` 0) or T (1) over strictly increasing wavelengths."""
-    wls = _validated_wavelengths(wavelengths_nm)
+def _spectrum(stack: LayerStack, wls: np.ndarray, which: int) -> np.ndarray:
+    """R (``which`` 0) or T (1) over validated wavelengths that rise strictly."""
     values = _power(stack.layers, stack.ambient_index, stack.substrate_index, wls)[which]
     if not np.all(np.isfinite(values)):
         raise OpticsError("spectral curve samples must be finite")
@@ -417,8 +416,8 @@ def cavity_spectrum(
     transmission stays above half its maximum has NaN FWHM and Q.
     """
     full = _cavity_stack(mirror_a, gap_nm, mirror_b)
-    vals = transmittance(full, wavelengths_nm)
     wls = _validated_wavelengths(wavelengths_nm)
+    vals = _spectrum(full, wls, 1)
     peaks = _interior_maxima(vals)
     if peaks.size == 0:
         return vals, {"found": False, "center_nm": math.nan, "fwhm_nm": math.nan,

@@ -157,8 +157,13 @@ def fit(scenario: Scenario, series, irf=None, scan_range: float | None = None,
     """The fit report of a measurement ``series``, by its kind: a decay
     through its instrument response ``irf``, a spectrum through the sinc^2
     instrument of ``scan_range`` (1/nm; None takes the scenario's, 0 none),
-    a correlation with g2(0) corrected for the background at ``snr``."""
+    a correlation with g2(0) corrected for the background at ``snr``. An
+    ``snr`` on another kind, or one the correction rejects, fails before any fit."""
     from . import specfit
+    if snr is not None:
+        if series.kind != "correlation":
+            raise ConfigError(f"--snr applies to a correlation only, not a {series.kind}")
+        specfit.correct_g2_background(1.0, snr)  # raises on a negative or zero snr
     fcfg = scenario["fit"]
     report: dict = {"kind": series.kind}
     if series.kind == "spectrum":

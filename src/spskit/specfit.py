@@ -190,21 +190,25 @@ def _run_fit_batch(fit: Separable, x, y, theta0, weights=None, bounds=None,
     uncertainties are those of ``lsq.covariance_factors`` in (theta, c),
     carried to the named parameters by their Jacobian, or none (an empty
     ``stderr``) without ``uncertainties``. ``pooled = (S, N)`` gives rows
-    pooled from series of N samples, with pure errors S."""
+    pooled from series of N samples, with pure errors S. A None is taken as
+    weights 1, no bounds, a C c >= d of no rows or no pooling: ``lsq``'s form."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.ndim == 2 and (x == x[0]).all():
         x = x[0].copy()  # rows that are all equal reach the model as that one row
-    pure, samples = (None, None) if pooled is None else pooled
+    weights = np.broadcast_to(1.0 if weights is None else weights, y.shape)
+    if constraints is None:  # C c >= d with no rows, over the k coefficients
+        constraints = (np.zeros((0, len(fit.names) - np.shape(theta0)[1])), np.zeros(0))
+    pure, samples = (np.zeros(len(y)), y.shape[1]) if pooled is None else pooled
     outcomes = lsq.levenberg_marquardt(fit.basis, fit.derivatives, x, y, theta0, weights,
-                                       bounds, MAX_ITERATIONS, STEP_TOLERANCE, constraints, pure)
+                                       (-np.inf, np.inf) if bounds is None else bounds,
+                                       MAX_ITERATIONS, STEP_TOLERANCE, constraints, pure)
     theta, c = (np.array([o[k] for o in outcomes]) for k in (1, 2))
     (params, to_named), ok = fit.params(theta, c), np.array([o[0] for o in outcomes])
     stderr = itertools.repeat(())
     if ok.any() and uncertainties:
         factors = lsq.covariance_factors(
             fit.basis, fit.derivatives, x if x.ndim == 1 else x[ok], y[ok], theta[ok], c[ok],
-            None if weights is None else np.broadcast_to(weights, y.shape)[ok],
-            None if pure is None else pure[ok], samples)
+            weights[ok], pure[ok], samples)
         if to_named is not None:
             factors = to_named[ok] @ factors
         stderr = iter(np.sqrt(np.vecdot(factors, factors)).tolist())

@@ -9,9 +9,11 @@ input folder; that folder is masked in its output too, in the bytes of
 ``fit_report.json`` (whose ``input`` names the series) as in stdout.
 ``test_golden_outputs.py`` compares the same runs against the file.
 
-The record holds on the default code paths of numpy and OpenBLAS only:
-the CPU-feature and BLAS-kernel settings of ROADMAP item 12 move the
-``iterations`` of some fits, and with them ``fit_report.json``.
+The record holds on the default code paths of numpy and OpenBLAS only.
+The CPU-feature and BLAS-kernel settings of ROADMAP item 12 move the last
+bits of fitted values (up to 6e-14 relative in these reports) and may move
+a fit's ``iterations``: under them the ``fit`` runs and ``reproduce``
+write other bytes, while every ``cavity`` run holds.
 
 Run from the repository root with ``python tests/record_golden_outputs.py``.
 Re-record only when an output is meant to change, and state every delta

@@ -27,7 +27,7 @@ def volume_oracle(rc_nm, q, lam):
 
 PAPER_CONFIG = CavityConfig(radius_of_curvature_um=2.7, longitudinal_order=8,
                             design_wavelength_nm=565.85, penetration_depth_nm=122.0,
-                            mirror_reflectivity=0.992, tuning_slope_nm_per_v=102.0)
+                            mirror_reflectivity=0.992)
 
 
 class TestModeVolume:

@@ -499,6 +499,36 @@ class TestTypedErrors:
         _assert_validation_error(["--outdir", str(tmp_path), *_unusable_input(case, tmp_path)],
                                  capsys, match)
 
+    @pytest.mark.parametrize("kind, snr, match", [
+        ("correlation", "-1", "snr must be non-negative, got -1.0"),
+        ("correlation", "0", "snr = 0: correction undefined"),
+        ("spectrum", "40", "--snr applies to a correlation only, not a spectrum"),
+        ("polarization", "40", "--snr applies to a correlation only, not a polarization"),
+    ])
+    def test_snr_is_checked_before_any_fit(self, tmp_path, capsys, monkeypatch, kind, snr, match):
+        from spskit import g2fit, specfit
+        calls = []
+
+        def counted(function):
+            def call(*args, **kwargs):
+                calls.append(function.__name__)
+                return function(*args, **kwargs)
+            return call
+        monkeypatch.setattr(g2fit, "fit_g2_batch", counted(g2fit.fit_g2_batch))
+        monkeypatch.setattr(specfit, "_run_fit_batch", counted(specfit._run_fit_batch))
+        x = {"correlation": np.linspace(-100.0, 100.0, 401),
+             "spectrum": np.linspace(560.0, 572.0, 301),
+             "polarization": np.linspace(0.0, 360.0, 73)}[kind]
+        y = {"correlation": g2_model(x, 0.95, 0.0, 5.0, 50.0),
+             "spectrum": lorentzian(x, 566.0, 0.5, 900.0, 10.0),
+             "polarization": cos2_model(x, 500.0, 30.0, 50.0)}[kind]
+        write_series_csv(tmp_path / "input.csv", MeasurementSeries(x, y, kind))
+        _assert_validation_error(["--outdir", str(tmp_path / "out"), "fit",
+                                  "--input", str(tmp_path / "input.csv"), "--snr", snr],
+                                 capsys, match)
+        assert calls == []
+        assert not (tmp_path / "out").exists()
+
 
 def _unusable_input(case: str, folder: Path) -> list[str]:
     """The arguments after ``--outdir`` of a run on input that ``case``
@@ -639,10 +669,28 @@ class TestEveryOptionHasACaller:
 
     # the console entry point reads sys.argv when called with none
     ENTRY_POINTS = {"cli.main(argv)"}
+    TREES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(spskit.__file__).parent.glob("*.py"))}
+    CALLS = [node for tree in TREES.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
+
+    @staticmethod
+    def sets(call, function, parameter, index) -> bool:
+        """Whether ``call`` is one of ``function`` that passes ``parameter``,
+        by keyword or at its positional ``index`` (None: keyword only)."""
+        func = call.func
+        name = getattr(func, "id", None) or getattr(func, "attr", None)
+        if name != function:
+            return False
+        if any(k.arg in (parameter, None) for k in call.keywords):  # by keyword, **
+            return True
+        if index is None:
+            return False
+        return (any(isinstance(a, ast.Starred) for a in call.args)  # *
+                or len(call.args) > index)
 
     def test_every_defaulted_parameter_is_set_by_a_call(self):
-        trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
-                 for path in sorted(Path(spskit.__file__).parent.glob("*.py"))}
+        trees, sets = self.TREES, self.sets
         # (module, function, parameter) -> its positional index in a call,
         # None for a keyword-only one
         options = {}
@@ -663,26 +711,32 @@ class TestEveryOptionHasACaller:
                 for arg, default in zip(args.kwonlyargs, args.kw_defaults):
                     if default is not None:
                         options[module, node.name, arg.arg] = None
-        calls = [node for tree in trees.values() for node in ast.walk(tree)
-                 if isinstance(node, ast.Call)]
-
-        def sets(call, function, parameter, index) -> bool:
-            func = call.func
-            name = getattr(func, "id", None) or getattr(func, "attr", None)
-            if name != function:
-                return False
-            if any(k.arg in (parameter, None) for k in call.keywords):  # by keyword, **
-                return True
-            if index is None:
-                return False
-            return (any(isinstance(a, ast.Starred) for a in call.args)  # *
-                    or len(call.args) > index)
-
         assert options
         unset = {f"{module}.{function}({parameter})"
                  for (module, function, parameter), index in options.items()
-                 if not any(sets(call, function, parameter, index) for call in calls)}
+                 if not any(sets(call, function, parameter, index) for call in self.CALLS)}
         assert sorted(unset) == sorted(self.ENTRY_POINTS)
+
+    def test_every_dataclass_field_with_a_default_is_set_by_a_call(self):
+        # (module, class, field) -> its positional index in the constructor;
+        # a field(default_factory=...) accumulator is exempt
+        fields = {}
+        for module, tree in self.TREES.items():
+            for cls in ast.walk(tree):
+                if not (isinstance(cls, ast.ClassDef) and any(
+                        "dataclass" in ast.unparse(d) for d in cls.decorator_list)):
+                    continue
+                annotated = [node for node in cls.body if isinstance(node, ast.AnnAssign)]
+                for i, node in enumerate(annotated):
+                    factory = (isinstance(node.value, ast.Call)
+                               and any(k.arg == "default_factory" for k in node.value.keywords))
+                    if node.value is not None and not factory:
+                        fields[module, cls.name, node.target.id] = i
+        assert fields
+        unset = {f"{module}.{cls}.{field}" for (module, cls, field), index in fields.items()
+                 if not any(self.sets(call, cls, field, index)
+                            or self.sets(call, "replace", field, None) for call in self.CALLS)}
+        assert sorted(unset) == []
 
 
 class TestEveryGeneratorIsSeeded:

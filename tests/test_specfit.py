@@ -1095,8 +1095,9 @@ class TestLockstepSolver:
         y = 3.0 * np.exp(-x / 1.5)
         fit = EXP_DECAY
         (outcome,) = lsq.levenberg_marquardt(fit.basis, fit.derivatives, x, y[None], [[1e-4]],
-                                            None, None, specfit_module.MAX_ITERATIONS,
-                                            specfit_module.STEP_TOLERANCE)
+                                            1.0, (-np.inf, np.inf), specfit_module.MAX_ITERATIONS,
+                                            specfit_module.STEP_TOLERANCE,
+                                            (np.zeros((0, 1)), np.zeros(0)), np.zeros(1))
         assert outcome[0] is False
         with pytest.raises(FitError, match="non-finite cost"):
             specfit_module._one(specfit_module._run_fit_batch(fit, x, y[None], [[1e-4]]))
@@ -1252,7 +1253,7 @@ class TestJacobians:
         check_model_slopes(model, tau, [t1] if plain else [t1, t2])
 
     @staticmethod
-    def point(model, x, y, w, theta, constraints=None):
+    def point(model, x, y, w, theta, constraints):
         """The solver's point at theta: (q, c, residuals, columns, Gram
         matrices of the weighted columns, active sets), one problem."""
         q = np.array([theta], dtype=float)
@@ -1271,9 +1272,12 @@ class TestJacobians:
         w = specfit_module.poisson_weights(y)
         model = g2fit_module._G2_PLAIN if plain else g2fit_module._G2_WITH_BUNCHING
         theta = [700.0] if plain else [700.0, 12000.0]
+        # no constraint: C c >= d with no rows
+        cons = (np.zeros((0, len(model.names) - len(theta))), np.zeros((1, 0)))
         jac = lsq._jacobian(model.derivatives, tau, w[None],
-                            self.point(model, tau, y, w, theta), None)
-        assert_central_differences(lambda q: self.point(model, tau, y, w, q)[2][0], theta,
+                            self.point(model, tau, y, w, theta, cons),
+                            lsq._active_sets(lsq._rows(cons[0])))
+        assert_central_differences(lambda q: self.point(model, tau, y, w, q, cons)[2][0], theta,
                                    jac[0])
 
     def test_held_coefficient_gives_an_exactly_zero_column(self):
@@ -1284,7 +1288,7 @@ class TestJacobians:
         model, (cons, floor) = g2fit_module._G2_WITH_BUNCHING, g2fit_module._G2_BOX
         point = self.point(model, tau, y, np.ones_like(y), [700.0, 6000.0], (cons, floor[None]))
         assert point[1][0, 2] == 0.0 and point[5][0] >= 0
-        jac = lsq._jacobian(model.derivatives, tau, None, point,
+        jac = lsq._jacobian(model.derivatives, tau, np.ones((1, len(tau))), point,
                             lsq._active_sets(lsq._rows(cons)))
         assert not jac[0, 1].any() and jac[0, 0].any()
 
