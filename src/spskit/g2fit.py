@@ -230,9 +230,9 @@ def correct_g2_background(g2_value: float, snr: float) -> float:
 
     With rho = SNR/(SNR+1), uncorrelated background mixes the true
     correlation as g2_meas = rho^2 g2 + (1 - rho^2); this inverts that
-    map. snr = 0 leaves the correction undefined and is rejected.
+    map. snr = 0 leaves the correction undefined and is rejected, as is NaN.
     """
-    if snr < 0:
+    if not snr >= 0:
         raise ValueError(f"snr must be non-negative, got {snr}")
     rho = 1.0 if math.isinf(snr) else snr / (snr + 1.0)
     if rho == 0.0:

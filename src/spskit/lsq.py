@@ -7,8 +7,8 @@ functions of theta, weighted by coefficients c. Variable projection
 Rust, Comput. Optim. Appl. 54, 579 (2013)) solves c exactly at each
 trial theta, here from the weighted k x k normal equations, and iterates
 on theta alone. Linear inequalities C c >= d are met by enumerating the
-active sets of that small solve. Each input takes one form: an absent one
-is neutral, weights 1, bounds +-inf, a C of no rows, pure errors 0 (below).
+active sets of that small solve. Each input takes one form; a caller with
+none passes weights 1, bounds +-inf, a C of no rows or pure errors 0.
 
 The iteration on theta is Moré's MINPACK Levenberg-Marquardt (LNM 630,
 1978) on the Jacobian of the projected residual in closed form, formed

@@ -163,7 +163,7 @@ def fit(scenario: Scenario, series, irf=None, scan_range: float | None = None,
     if snr is not None:
         if series.kind != "correlation":
             raise ConfigError(f"--snr applies to a correlation only, not a {series.kind}")
-        specfit.correct_g2_background(1.0, snr)  # raises on a negative or zero snr
+        specfit.correct_g2_background(1.0, snr)  # raises on a negative, zero or NaN snr
     fcfg = scenario["fit"]
     report: dict = {"kind": series.kind}
     if series.kind == "spectrum":

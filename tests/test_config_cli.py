@@ -502,6 +502,7 @@ class TestTypedErrors:
     @pytest.mark.parametrize("kind, snr, match", [
         ("correlation", "-1", "snr must be non-negative, got -1.0"),
         ("correlation", "0", "snr = 0: correction undefined"),
+        ("correlation", "nan", "snr must be non-negative, got nan"),
         ("spectrum", "40", "--snr applies to a correlation only, not a spectrum"),
         ("polarization", "40", "--snr applies to a correlation only, not a polarization"),
     ])
