@@ -10,6 +10,7 @@ those.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
@@ -120,8 +121,9 @@ def cmd_emitter(args, scenario: Scenario) -> None:
 def cmd_fit(args, scenario: Scenario) -> None:
     from . import specfit
     series = specfit.read_series_csv(args.input)
-    # only a decay reads its instrument response
-    irf = specfit.read_series_csv(args.irf) if args.irf and series.kind == "decay" else None
+    pipeline.check_fit_flags(series.kind, irf=args.irf, scan_range=args.scan_range,
+                             snr=args.snr)
+    irf = specfit.read_series_csv(args.irf) if args.irf else None
     payload = pipeline.fit(scenario, series, irf, args.scan_range, args.snr)
     out = _outdir(args)
     write_json(out / "fit_report.json", scenario, {"input": str(args.input), **payload})
@@ -212,9 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = add("fit", help="fit a measurement CSV; kind read from its header")
     p_fit.add_argument("--input", required=True, help="two-column CSV with a kind header")
-    p_fit.add_argument("--irf", help="instrument response CSV (decay fitting)")
+    p_fit.add_argument("--irf", help="instrument response CSV (decay fitting only)")
     p_fit.add_argument("--scan-range", type=float, default=None,
-                       help="sinc^2 instrument scale in 1/nm, 0 for none (spectrum fitting)")
+                       help="sinc^2 instrument scale in 1/nm, 0 for none (spectrum fitting only)")
     p_fit.add_argument("--snr", type=float, default=None,
                        help="signal-to-noise ratio for background-corrected g2 "
                             "(correlation fitting only)")
@@ -270,5 +272,15 @@ def _report_error(args, exc: Exception, code: int) -> None:
         print(f"error: {exc}", file=sys.stderr)
 
 
+def run() -> int:
+    """The process entry (``python -m spskit.cli``, the ``spskit`` script):
+    ``main`` on sys.argv, which closes every file it writes, then
+    ``gc.freeze``, so that the collections at interpreter exit skip the
+    objects still alive."""
+    status = main()
+    gc.freeze()
+    return status
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

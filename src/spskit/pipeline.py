@@ -15,6 +15,8 @@ from .config import ConfigError, Scenario
 MAX_SWEEP_ROWS = 10_001
 QKD_COLUMNS = ["distance_km", "loss_db", "rate_sps", "rate_ideal", "rate_wcs",
                "rate_decoy", "mu_wcs", "mu_decoy"]
+# the series kind that each kind-specific flag of ``fit`` applies to
+FIT_FLAG_KINDS = {"irf": "decay", "scan_range": "spectrum", "snr": "correlation"}
 
 
 def mirror_stack(scenario: Scenario, termination: str):
@@ -152,17 +154,24 @@ def emitter_map(scenario: Scenario) -> tuple:
         coupling_range=rates, cavity_range=rates, points=ecfg["map_points"])
 
 
+def check_fit_flags(kind: str, **flags) -> None:
+    """Rejects a flag of ``FIT_FLAG_KINDS`` that is given for another ``kind``."""
+    for name, value in flags.items():
+        if value is not None and FIT_FLAG_KINDS[name] != kind:
+            raise ConfigError(f"--{name.replace('_', '-')} applies to a "
+                              f"{FIT_FLAG_KINDS[name]} only, not a {kind}")
+
+
 def fit(scenario: Scenario, series, irf=None, scan_range: float | None = None,
         snr: float | None = None) -> dict:
     """The fit report of a measurement ``series``, by its kind: a decay
     through its instrument response ``irf``, a spectrum through the sinc^2
     instrument of ``scan_range`` (1/nm; None takes the scenario's, 0 none),
-    a correlation with g2(0) corrected for the background at ``snr``. An
-    ``snr`` on another kind, or one the correction rejects, fails before any fit."""
+    a correlation with g2(0) corrected for the background at ``snr``. The
+    flags are those ``check_fit_flags`` passed; an ``snr`` the correction
+    rejects fails before any fit."""
     from . import specfit
     if snr is not None:
-        if series.kind != "correlation":
-            raise ConfigError(f"--snr applies to a correlation only, not a {series.kind}")
         specfit.correct_g2_background(1.0, snr)  # raises on a negative, zero or NaN snr
     fcfg = scenario["fit"]
     report: dict = {"kind": series.kind}

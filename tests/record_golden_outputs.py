@@ -7,7 +7,9 @@ masked, the messages of the warnings it raised, and the sha256 of every
 file written. A ``fit`` reads series that ``fit_runs`` writes into an
 input folder; that folder is masked in its output too, in the bytes of
 ``fit_report.json`` (whose ``input`` names the series) as in stdout.
-``test_golden_outputs.py`` compares the same runs against the file.
+``test_golden_outputs.py`` compares the same runs against the file, and
+replays a few as ``python -m spskit.cli`` processes, whose records
+``record`` builds the same way.
 
 The record holds on the default code paths of numpy and OpenBLAS only.
 The CPU-feature and BLAS-kernel settings of ROADMAP item 12 move the last
@@ -76,6 +78,20 @@ def outputs(argv, outdir: Path, inputs: Path | None = None) -> dict:
     folder ``inputs`` of its input series masked."""
     from spskit import cli
 
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with (contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr),
+          warnings.catch_warnings(record=True) as caught):
+        warnings.simplefilter("always")
+        code = cli.main(["--outdir", str(outdir), *argv])
+    return record(code, stdout.getvalue(), stderr.getvalue(),
+                  [str(w.message) for w in caught], outdir, inputs)
+
+
+def record(code: int, stdout: str, stderr: str, warned: list[str], outdir: Path,
+           inputs: Path | None = None) -> dict:
+    """The record of a run that exited with ``code``, printed ``stdout`` and
+    ``stderr``, raised the warnings ``warned`` and wrote into ``outdir``,
+    with ``outdir`` and the folder ``inputs`` of its input series masked."""
     masks = [(str(outdir), "<outdir>")] + ([] if inputs is None else [(str(inputs), "<inputs>")])
 
     def masked(text: str) -> str:
@@ -83,18 +99,12 @@ def outputs(argv, outdir: Path, inputs: Path | None = None) -> dict:
             text = text.replace(path, mask)
         return text
 
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with (contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr),
-          warnings.catch_warnings(record=True) as caught):
-        warnings.simplefilter("always")
-        code = cli.main(["--outdir", str(outdir), *argv])
     # latin-1 maps each byte to one character and back
     files = {path.name: hashlib.sha256(masked(path.read_bytes().decode("latin-1"))
                                        .encode("latin-1")).hexdigest()
              for path in sorted(outdir.iterdir())} if outdir.exists() else {}
-    return {"exit_code": code, "stdout": masked(stdout.getvalue()),
-            "stderr": masked(stderr.getvalue()),
-            "warnings": [masked(str(w.message)) for w in caught], "files": files}
+    return {"exit_code": code, "stdout": masked(stdout), "stderr": masked(stderr),
+            "warnings": [masked(message) for message in warned], "files": files}
 
 
 def main() -> int:

@@ -1,7 +1,10 @@
 import ast
+import contextlib
 import filecmp
+import gc
 import importlib
 import importlib.util
+import io
 import json
 import math
 import os
@@ -507,28 +510,53 @@ class TestTypedErrors:
         ("polarization", "40", "--snr applies to a correlation only, not a polarization"),
     ])
     def test_snr_is_checked_before_any_fit(self, tmp_path, capsys, monkeypatch, kind, snr, match):
-        from spskit import g2fit, specfit
-        calls = []
+        _assert_rejected_before_any_fit(tmp_path, capsys, monkeypatch, kind, ["--snr", snr],
+                                        match)
 
-        def counted(function):
-            def call(*args, **kwargs):
-                calls.append(function.__name__)
-                return function(*args, **kwargs)
-            return call
-        monkeypatch.setattr(g2fit, "fit_g2_batch", counted(g2fit.fit_g2_batch))
-        monkeypatch.setattr(specfit, "_run_fit_batch", counted(specfit._run_fit_batch))
-        x = {"correlation": np.linspace(-100.0, 100.0, 401),
-             "spectrum": np.linspace(560.0, 572.0, 301),
-             "polarization": np.linspace(0.0, 360.0, 73)}[kind]
-        y = {"correlation": g2_model(x, 0.95, 0.0, 5.0, 50.0),
-             "spectrum": lorentzian(x, 566.0, 0.5, 900.0, 10.0),
-             "polarization": cos2_model(x, 500.0, 30.0, 50.0)}[kind]
-        write_series_csv(tmp_path / "input.csv", MeasurementSeries(x, y, kind))
-        _assert_validation_error(["--outdir", str(tmp_path / "out"), "fit",
-                                  "--input", str(tmp_path / "input.csv"), "--snr", snr],
-                                 capsys, match)
-        assert calls == []
-        assert not (tmp_path / "out").exists()
+    @pytest.mark.parametrize("kind, flag, value", [
+        ("correlation", "--scan-range", "-3"),
+        ("decay", "--scan-range", "5"),
+        ("polarization", "--scan-range", "0"),
+        ("spectrum", "--irf", "no_irf.csv"),
+        ("correlation", "--irf", "no_irf.csv"),
+        ("polarization", "--irf", "no_irf.csv"),
+    ])
+    def test_a_flag_on_another_kind_exits_before_the_irf_is_read(self, tmp_path, capsys,
+                                                                 monkeypatch, kind, flag, value):
+        # the --irf file does not exist: the flag is rejected before it is read
+        own = {"--scan-range": "spectrum", "--irf": "decay"}[flag]
+        value = str(tmp_path / value) if flag == "--irf" else value
+        _assert_rejected_before_any_fit(tmp_path, capsys, monkeypatch, kind, [flag, value],
+                                        f"{flag} applies to a {own} only, not a {kind}")
+
+
+def _assert_rejected_before_any_fit(tmp_path, capsys, monkeypatch, kind: str,
+                                    flags: list[str], match: str) -> None:
+    """``fit`` of a ``kind`` series with ``flags`` exits 1 with ``match`` in
+    both error modes, runs no fit and writes no output folder."""
+    from spskit import g2fit, specfit
+    calls = []
+
+    def counted(function):
+        def call(*args, **kwargs):
+            calls.append(function.__name__)
+            return function(*args, **kwargs)
+        return call
+    monkeypatch.setattr(g2fit, "fit_g2_batch", counted(g2fit.fit_g2_batch))
+    monkeypatch.setattr(specfit, "_run_fit_batch", counted(specfit._run_fit_batch))
+    x = {"correlation": np.linspace(-100.0, 100.0, 401),
+         "decay": np.arange(0.0, 4000.0, 8.0),
+         "spectrum": np.linspace(560.0, 572.0, 301),
+         "polarization": np.linspace(0.0, 360.0, 73)}[kind]
+    y = {"correlation": g2_model(x, 0.95, 0.0, 5.0, 50.0),
+         "decay": 900.0 * np.exp(-x / 500.0) + 1.0,
+         "spectrum": lorentzian(x, 566.0, 0.5, 900.0, 10.0),
+         "polarization": cos2_model(x, 500.0, 30.0, 50.0)}[kind]
+    write_series_csv(tmp_path / "input.csv", MeasurementSeries(x, y, kind))
+    _assert_validation_error(["--outdir", str(tmp_path / "out"), "fit",
+                              "--input", str(tmp_path / "input.csv"), *flags], capsys, match)
+    assert calls == []
+    assert not (tmp_path / "out").exists()
 
 
 def _unusable_input(case: str, folder: Path) -> list[str]:
@@ -668,7 +696,8 @@ class TestEveryOptionHasACaller:
     call inside spskit, so every option is one the CLI or ``reproduce``
     can reach; a value only tests need is a module constant they patch."""
 
-    # the console entry point reads sys.argv when called with none
+    # run(), the process entry of python -m spskit.cli and of the spskit
+    # script, calls main with no argv, so main reads sys.argv
     ENTRY_POINTS = {"cli.main(argv)"}
     TREES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(Path(spskit.__file__).parent.glob("*.py"))}
@@ -919,6 +948,70 @@ class TestImportsPerCommand:
         loaded = _submodules(_modules_after(_cli_code(tmp_path, ["reproduce", "--draws", "2"])))
         # cli itself runs as __main__
         assert loaded == set(spskit._SUBMODULES) - {"cli"}
+
+
+class TestProcessEntry:
+    """``cli.run``, the entry of a ``python -m spskit.cli`` process and of the
+    ``spskit`` script, freezes the objects left when ``main`` returns; an
+    in-process ``main`` does not."""
+
+    @pytest.mark.parametrize("argv", [["mirror"], ["--set", "cavity.wavelength_nm=-1", "cavity"]],
+                             ids=["success", "validation-error"])
+    def test_only_the_process_entry_freezes(self, tmp_path, argv):
+        status = main(["--outdir", str(tmp_path / "in-process"), *argv])
+        assert gc.get_freeze_count() == 0
+        script = ("import gc, runpy, sys\n"
+                  f"sys.argv = ['spskit', '--outdir', {str(tmp_path / 'child')!r}, *{argv!r}]\n"
+                  "try:\n"
+                  "    runpy.run_module('spskit.cli', run_name='__main__')\n"
+                  "except SystemExit as exc:\n"
+                  "    print(exc.code, gc.get_freeze_count())\n")
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                text=True, check=False, env=_child_env())
+        assert result.returncode == 0, result.stderr
+        code, frozen = map(int, result.stdout.split()[-2:])
+        assert code == status
+        assert frozen > 0
+
+    @pytest.mark.parametrize("argv", [
+        ["mirror"], ["cavity"], ["emitter"], ["qkd"], ["provenance"],
+        ["--set", "fab.calibration_nm_per_unit=0.5", "fab"],
+        ["fab", "--profile", "profile.csv"],
+        ["fit", "--input", "decay.csv", "--irf", "irf.csv"],
+        ["fit", "--input", "correlation.csv", "--snr", "9"],
+        ["fit", "--input", "spectrum.csv", "--scan-range", "3.0"],
+        ["fit", "--input", "polarization.csv"],
+        ["fit", "--input", "bad.csv"],
+        ["--config", "scenario.ini", "reproduce", "--draws", "2"],
+    ], ids=["mirror", "cavity", "emitter", "qkd", "provenance", "fab", "fab-profile",
+            "fit-decay", "fit-correlation", "fit-spectrum", "fit-polarization",
+            "fit-bad-row", "reproduce-ini"])
+    def test_main_leaves_no_file_for_a_finalizer(self, tmp_path, argv):
+        # the exit freeze would keep an unclosed file from ever being finalized
+        _write_fit_inputs(tmp_path)
+        (tmp_path / "bad.csv").write_text("# kind=spectrum\nx,y\n560,10\n561,abc\n")
+        (tmp_path / "scenario.ini").write_text("[mirror]\npairs = 8\n", encoding="utf-8")
+        argv = [str(tmp_path / a) if a.endswith((".csv", ".ini")) else a for a in argv]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                main(["--outdir", str(tmp_path / "out"), *argv])
+            gc.collect()
+        assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
+
+    def test_the_installed_script_is_the_main_block_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        root = Path(__file__).resolve().parents[1]
+        script = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        block = next(node for node in tree.body if isinstance(node, ast.If)
+                     and ast.unparse(node.test) == "__name__ == '__main__'")
+        exits = [node for node in ast.walk(block) if isinstance(node, ast.Call)
+                 and ast.unparse(node.func) == "sys.exit"]
+        assert len(exits) == 1 and isinstance(exits[0].args[0], ast.Call)
+        entry = exits[0].args[0].func.id
+        assert script["project"]["scripts"]["spskit"] == f"spskit.cli:{entry}"
 
 
 class TestTracedNames:
