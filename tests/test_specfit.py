@@ -1194,11 +1194,11 @@ def columns_at(model, x, theta):
                         np.empty((1, np.shape(x)[-1])))
 
 
-def assert_central_differences(function, theta, analytic, rel=1e-6):
+def assert_central_differences(function, theta, analytic, rel=1e-6, step=1e-7):
     """``analytic`` (n, ...) against central differences of ``function`` at
-    theta, steps 1e-7 |theta_j|, within rel of each derivative's largest value."""
+    theta, steps ``step`` |theta_j|, within rel of each derivative's largest value."""
     for j, got in enumerate(analytic):
-        h = 1e-7 * abs(theta[j])
+        h = step * abs(theta[j])
         up, down = (function(np.add(theta, sign * h * np.eye(len(theta))[j]))
                     for sign in (1.0, -1.0))
         central = (up - down) / (2.0 * h)
@@ -1207,15 +1207,16 @@ def assert_central_differences(function, theta, analytic, rel=1e-6):
         assert np.abs(np.broadcast_to(got, central.shape) - central).max() <= rel * scale, j
 
 
-def check_model_slopes(model, x, theta):
-    """Each theta_j moves its one column k, by the model's dphi_k/dtheta_j."""
+def check_model_slopes(model, x, theta, step=1e-7):
+    """Each theta_j moves its one column k, by the model's dphi_k/dtheta_j,
+    against central differences of steps ``step`` |theta_j|."""
     cols = columns_at(model, x, theta)
     analytic = []
     for k, slope in model.derivatives(x, cols, *theta):
         analytic.append(np.zeros_like(cols[0]))
         analytic[-1][k] = slope
     assert len(analytic) == len(theta)
-    assert_central_differences(lambda q: columns_at(model, x, q)[0], theta, analytic)
+    assert_central_differences(lambda q: columns_at(model, x, q)[0], theta, analytic, step=step)
 
 
 class TestJacobians:
@@ -1236,14 +1237,20 @@ class TestJacobians:
            sign=st.sampled_from([-1, 1]), seed=st.integers(0, 2 ** 32 - 1))
     @example(n=1000, log_ratio=math.log(2.0), sign=1, seed=1)  # blocks of 16 samples
     @example(n=1000, log_ratio=math.log(600.0), sign=-1, seed=2)  # blocks of 256
+    @example(n=21, log_ratio=math.log(5000.0), sign=-1, seed=9)  # window short against tau
     def test_decay(self, n, log_ratio, sign, seed):
         # tau/dt from 0.5 to 5000: the short-block and the 256-block
-        # recursions; the basis takes |lifetime|
+        # recursions; the basis takes |lifetime|. Steps of 1e-5 tau: over a
+        # window short against tau the columns stay near 1 while the slope
+        # falls to ~1e-3/tau, and at 1e-7 tau the rounding of the columns
+        # alone puts the central difference 1.1e-6 of the slope off (the
+        # slope agrees with a 40-digit sum to 2e-16); at 1e-5 tau the
+        # difference is within 1.4e-8 over the whole range
         dt = 16.0
         t = dt * np.arange(n)
         irf = np.random.default_rng(seed).random(n)
         check_model_slopes(specfit_module._decay_model(t, dt), irf,
-                           [sign * dt * math.exp(log_ratio)])
+                           [sign * dt * math.exp(log_ratio)], step=1e-5)
 
     @settings(max_examples=25, deadline=None)
     @given(t1=st.floats(50.0, 5000.0), t2=st.floats(500.0, 50000.0), plain=st.booleans())
