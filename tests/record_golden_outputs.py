@@ -57,6 +57,44 @@ for _reflectivity in (0.3, 0.5, 0.8, 0.97):
 RUNS["reproduce --draws 100"] = ("reproduce", "--draws", "100")
 RUNS["error"] = ("--set", "cavity.wavelength_nm=-1", "cavity")
 RUNS["error --error-json"] = ("--error-json", *RUNS["error"])
+# a numerical failure (exit 2): no first-order resonance, in each error mode
+RUNS["numerical error"] = ("--set", "cavity.longitudinal_order=1", "cavity")
+RUNS["numerical error --error-json"] = ("--error-json", *RUNS["numerical error"])
+
+
+def _set(*assignments: str) -> tuple[str, ...]:
+    return tuple(arg for assignment in assignments for arg in ("--set", assignment))
+
+
+# The other subcommands at their defaults (the dose map has no default
+# calibration; 0.5 nm/unit is the design sweep's), the cheapest and the
+# dearest of their design-sweep variants, and the largest grids that
+# ``config.SCHEMA`` accepts: 180,001 mirror wavelengths, a 500 x 500
+# indistinguishability map, 10,001 QKD sweep rows on each channel and a
+# 1,001 x 1,001 pixel dose map.
+FAB = _set("fab.calibration_nm_per_unit=0.5")
+RUNS["mirror"] = ("mirror",)
+RUNS["emitter"] = ("emitter",)
+RUNS["qkd"] = ("qkd",)
+RUNS["fab"] = (*FAB, "fab")
+RUNS["mirror pairs=6 step=1.0"] = (*_set("mirror.pairs=6", "mirror.wl_step_nm=1.0"), "mirror")
+RUNS["mirror pairs=12 step=0.25"] = (*_set("mirror.pairs=12", "mirror.wl_step_nm=0.25"),
+                                     "mirror")
+for _points in (100, 300, 500):
+    RUNS[f"emitter points={_points}"] = (*_set(f"emitter.map_points={_points}"), "emitter")
+RUNS["qkd fiber step=1.0"] = (*_set("qkd.channel=fiber", "qkd.sweep_step_km=1.0"), "qkd")
+RUNS["qkd freespace step=0.25"] = (*_set("qkd.channel=freespace", "qkd.sweep_step_km=0.25"),
+                                   "qkd")
+for _pitch in (40, 10):
+    RUNS[f"fab pitch={_pitch}"] = (*FAB, *_set(f"fab.pitch_nm={_pitch}"), "fab")
+RUNS["mirror 200-2000 nm step=0.01"] = (
+    *_set("mirror.wl_min_nm=200", "mirror.wl_max_nm=2000", "mirror.wl_step_nm=0.01"), "mirror")
+for _channel in ("fiber", "freespace"):
+    RUNS[f"qkd {_channel} 0-1000 km step=0.1"] = (
+        *_set(f"qkd.channel={_channel}", "qkd.sweep_start_km=0", "qkd.sweep_stop_km=1000",
+              "qkd.sweep_step_km=0.1"), "qkd")
+RUNS["fab 1001 px"] = (*_set("fab.aperture_um=10", "fab.radius_um=10", "fab.pitch_nm=10",
+                             "fab.calibration_nm_per_unit=100"), "fab")
 
 # The fit-batch workload's first two fits of each kind at FIT_SEED, named
 # by their input: the largest size of each kind and one drawn below it,
