@@ -52,9 +52,9 @@ def write_csv(path: Path, scenario: Scenario, columns: list[str], rows: np.ndarr
         else:
             xs, ys = ([cell.format(v) + "," for v in axis.tolist()] for axis in axes)
             tails = [y + line for y in ys]
-            for x, block in zip(xs, rows.reshape(len(xs), -1).tolist()):
+            for x, block in zip(xs, rows.reshape(len(xs), -1)):
                 # x.join puts x before every row but the first
-                fh.write((x + x.join(tails)).format(*block))
+                fh.write((x + x.join(tails)).format(*block.tolist()))
 
 
 def write_json(path: Path, scenario: Scenario, payload: dict) -> None:

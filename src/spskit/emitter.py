@@ -27,6 +27,8 @@ import numpy as np
 from . import search
 
 TWO_PI = 2.0 * math.pi
+# g rows per block of indistinguishability_map
+MAP_BLOCK_ROWS = 64
 
 
 class PhotophysicsError(ValueError):
@@ -186,12 +188,15 @@ def indistinguishability_map(
     """Indistinguishability over a log-spaced (g, kappa) grid.
 
     Returns (g values, kappa values, I matrix[i_g, i_kappa]) suitable for
-    the three-column CSV export. The matrix is one broadcast evaluation of
-    the formula of ``indistinguishability_cavity``.
+    the three-column CSV export. Each block of MAP_BLOCK_ROWS g values is
+    one broadcast evaluation of the formula of ``indistinguishability_cavity``.
     """
     gs = np.logspace(math.log10(coupling_range[0]), math.log10(coupling_range[1]), points)
     kappas = np.logspace(math.log10(cavity_range[0]), math.log10(cavity_range[1]), points)
-    grid = _cavity_indistinguishability(emission_rate, dephasing_rate, kappas[None, :],
-                                        gs[:, None])
+    grid = np.empty((points, points))
+    for start in range(0, points, MAP_BLOCK_ROWS):
+        rows = slice(start, start + MAP_BLOCK_ROWS)
+        grid[rows] = _cavity_indistinguishability(emission_rate, dephasing_rate,
+                                                  kappas[None, :], gs[rows, None])
     return gs, kappas, grid
 

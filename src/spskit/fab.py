@@ -23,6 +23,8 @@ CHANNEL_CAP = 255
 MAX_UNITS = 3 * CHANNEL_CAP
 # a fitted profile whose rms deviation lies below this classifies as ideal
 IDEAL_RMS_NM = 1.0
+# pixel rows per block of hemisphere_dose_map
+DOSE_BLOCK_ROWS = 64
 
 
 class FabError(ValueError):
@@ -71,8 +73,9 @@ def encode_depth_units(units: np.ndarray) -> np.ndarray:
         raise FabError(f"dose units must lie in [0, {MAX_UNITS}]")
     blue = np.minimum(units, CHANNEL_CAP)
     green = np.minimum(units - blue, CHANNEL_CAP)
-    red = units - blue - green
-    return np.stack([red, green, blue], axis=-1).astype(np.uint8)
+    pixels = np.empty(units.shape + (3,), dtype=np.uint8)
+    pixels[..., 0], pixels[..., 1], pixels[..., 2] = units - blue - green, green, blue
+    return pixels
 
 
 def hemisphere_dose_map(
@@ -106,12 +109,15 @@ def hemisphere_dose_map(
 
     half = int(math.ceil(aperture_nm / 2.0 / pitch_nm))
     coords = (np.arange(2 * half + 1) - half) * pitch_nm
-    xx, yy = np.meshgrid(coords, coords)
-    r = np.hypot(xx, yy)
-    depth = hemisphere_depth_nm(r, radius_nm, aperture_nm)
-    units = np.round(depth / calibration_nm_per_unit).astype(np.int64)
+    pixels = np.empty((coords.size, coords.size, 3), dtype=np.uint8)
+    for start in range(0, coords.size, DOSE_BLOCK_ROWS):
+        rows = slice(start, start + DOSE_BLOCK_ROWS)
+        r = np.hypot(coords[None, :], coords[rows, None])  # pixel (y, x) at hypot(x, y)
+        depth = hemisphere_depth_nm(r, radius_nm, aperture_nm)
+        pixels[rows] = encode_depth_units(
+            np.round(depth / calibration_nm_per_unit).astype(np.int64))
     return DoseMap(pitch_nm=pitch_nm, calibration_nm_per_unit=calibration_nm_per_unit,
-                   pixels=encode_depth_units(units))
+                   pixels=pixels)
 
 
 # ---------------------------------------------------------------------------

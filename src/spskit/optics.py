@@ -20,15 +20,16 @@ optics entry point. It loops over runs of a repeated block of layers,
 raising each block to its count by repeated squaring; each step is
 elementwise over whole numpy arrays of wavelengths, and the result is
 the four matrix elements as arrays. A gap scan forms its one layer's
-matrix over an array of thicknesses the same way. Spectra and stopband
-scans are single array calls; the scalar functions and the probes of a
-half-maximum crossing pass it a single wavelength. Results are plain
-values: a spectrum is a float array, one value per wavelength passed in
-(strictly increasing); a field profile is a pair of arrays, positions
-and intensities; a resonance report is a dict. Every layer matrix has
-det M = cos^2 + sin^2 = 1, also for complex (absorbing) indices, so every
-product has det 1 and its inverse is [[m11, -m01], [-m10, m00]]: the gap
-field is recovered from the entry-face field without a linear solve.
+matrix over an array of thicknesses the same way. A spectrum is one
+array call per SPECTRUM_BLOCK wavelengths and a stopband scan one call;
+the scalar functions and the probes of a half-maximum crossing pass it a
+single wavelength. Results are plain values: a spectrum is a float
+array, one value per wavelength passed in (strictly increasing); a field
+profile is a pair of arrays, positions and intensities; a resonance
+report is a dict. Every layer matrix has det M = cos^2 + sin^2 = 1,
+also for complex (absorbing) indices, so every product has det 1 and its
+inverse is [[m11, -m01], [-m10, m00]]: the gap field is recovered from
+the entry-face field without a linear solve.
 """
 from __future__ import annotations
 
@@ -230,9 +231,17 @@ def transmittance(stack: LayerStack, wavelengths_nm) -> np.ndarray:
     return _spectrum(stack, _validated_wavelengths(wavelengths_nm), 1)
 
 
+# wavelengths per _power call of a spectrum, which holds ~20 complex arrays of them
+SPECTRUM_BLOCK = 4096
+
+
 def _spectrum(stack: LayerStack, wls: np.ndarray, which: int) -> np.ndarray:
     """R (``which`` 0) or T (1) over validated wavelengths that rise strictly."""
-    values = _power(stack.layers, stack.ambient_index, stack.substrate_index, wls)[which]
+    values = np.empty(wls.size)
+    for start in range(0, wls.size, SPECTRUM_BLOCK):
+        block = slice(start, start + SPECTRUM_BLOCK)
+        values[block] = _power(stack.layers, stack.ambient_index, stack.substrate_index,
+                               wls[block])[which]
     if not np.all(np.isfinite(values)):
         raise OpticsError("spectral curve samples must be finite")
     if np.any(np.diff(wls) <= 0):

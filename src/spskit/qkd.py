@@ -29,10 +29,10 @@ elementwise on numpy arrays of transmittance and intensity broadcast
 against each other; its branches (clamps, tagged-states cut-offs) are
 masks, not ``if`` statements. ``binary_entropy`` is elementwise too.
 The intensity optimizer ``_optimal_mu`` takes a whole array of
-transmittances: its 120-point log pre-scan is one (n_t x 120) call, and
-``search.golden_max`` refines all brackets in lockstep. ``sweep``, the
-grid scan of ``find_crossing`` and each batch of its bisection levels
-make one such call per source.
+transmittances: its 120-point log pre-scan is one (64 x 120) call per
+block of 64 transmittances, and ``search.golden_max`` refines all
+brackets in lockstep. ``sweep``, the grid scan of ``find_crossing`` and
+each batch of its bisection levels make one optimizer call per source.
 ``optimize_mu`` and ``effective_rate`` are scalar wrappers over the same
 code. Results are plain values: rates are floats or arrays, and
 ``find_crossing`` returns the dict that the crossing report writes.
@@ -245,6 +245,8 @@ def _rates(source: SourceModel, t, detector: DetectorModel, mu) -> np.ndarray:
 CROSSING_LEVELS = 5
 # find_crossing bisects until its bracket is this narrow (km)
 CROSSING_TOL_KM = 1e-3
+# transmittances per block of _optimal_mu's pre-scan, which holds ~12 (block x 120) arrays
+PRESCAN_BLOCK = 64
 
 
 def _optimal_mu(source: SourceModel, t, detector: DetectorModel) -> tuple[np.ndarray, np.ndarray]:
@@ -261,9 +263,13 @@ def _optimal_mu(source: SourceModel, t, detector: DetectorModel) -> tuple[np.nda
         return _rates(source, t, detector, mu)
 
     grid = np.logspace(-6, math.log10(1.5), 120)
-    values = _rates(source, t[:, None], detector, grid)
-    best = np.argmax(values, axis=1)
-    alive = values[np.arange(t.size), best] > 0.0
+    best = np.empty(t.size, dtype=np.intp)
+    alive = np.empty(t.size, dtype=bool)
+    for start in range(0, t.size, PRESCAN_BLOCK):
+        block = slice(start, start + PRESCAN_BLOCK)
+        values = _rates(source, t[block, None], detector, grid)
+        best[block] = np.argmax(values, axis=1)
+        alive[block] = values.max(axis=1) > 0.0
     lo = np.where(best > 0, grid[best - 1], grid[0] * 0.5)
     hi = np.where(best < grid.size - 1, grid[np.minimum(best + 1, grid.size - 1)], 1.5)
 

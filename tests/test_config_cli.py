@@ -2,6 +2,7 @@ import ast
 import contextlib
 import filecmp
 import gc
+import hashlib
 import importlib
 import importlib.util
 import io
@@ -117,6 +118,31 @@ class TestConfig:
         assert a.digest() == b.digest()
         apply_overrides(b, ["mirror.pairs=10"])
         assert a.digest() != b.digest()
+
+    @pytest.mark.parametrize("overrides", [
+        [], ["mirror.pairs=10"],
+        ["qkd.channel=freespace", "fab.calibration_nm_per_unit=0.5", "emitter.map_points=500"],
+    ], ids=["defaults", "pairs", "three-sections"])
+    def test_digest_is_hashlib_sha256_with_or_without_the_builtin_module(self, overrides):
+        # the digest comes from the interpreter's _sha2 or _sha256; a child
+        # that has neither (an import of a None entry raises ImportError)
+        # falls back to hashlib, and all three give hashlib's bytes
+        scenario = default_scenario()
+        apply_overrides(scenario, overrides)
+        payload = json.dumps(scenario.sections, sort_keys=True, default=str).encode()
+        expected = hashlib.sha256(payload).hexdigest()[:16]
+        assert scenario.digest() == expected
+        script = ("import hashlib, sys\n"
+                  "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+                  "from spskit import config\n"
+                  "assert config.sha256 is hashlib.sha256\n"
+                  "scenario = config.default_scenario()\n"
+                  f"config.apply_overrides(scenario, {overrides!r})\n"
+                  "print(scenario.digest())\n")
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                check=False, env=_child_env())
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == expected
 
     def test_required_value_without_default(self):
         scenario = default_scenario()
@@ -916,8 +942,10 @@ class TestImportsPerCommand:
          {"optics", "specfit", "g2fit", "lsq", "qkd", "emitter", "reproduce", "search"}),
         (["fab", "--profile", "profile.csv"],
          {"g2fit", "optics", "qkd", "emitter", "reproduce", "search"}),
+        (["provenance"],
+         {"optics", "specfit", "g2fit", "lsq", "qkd", "fab", "emitter", "reproduce", "search"}),
     ], ids=["mirror", "fit-polarization", "fit-decay", "cavity", "emitter", "qkd", "fab",
-            "fab-profile"])
+            "fab-profile", "provenance"])
     def test_command_loads_only_what_it_runs(self, tmp_path, argv, unused):
         modules = _modules_after(_cli_code(tmp_path, argv))
         loaded = _submodules(modules)
@@ -925,6 +953,9 @@ class TestImportsPerCommand:
         assert loaded
         # only reading an INI file needs configparser
         assert "configparser" not in modules
+        # the config digest takes no OpenSSL; only reproduce loads it, through
+        # numpy.random's use of secrets
+        assert "_hashlib" not in modules
 
     @pytest.mark.parametrize("argv, g2fit", [
         (["fit", "--input", "spectrum.csv", "--scan-range", "3.0"], False),
@@ -937,6 +968,7 @@ class TestImportsPerCommand:
         modules = _modules_after(_cli_code(tmp_path, argv))
         assert "dataclasses" not in modules
         assert ("spskit.g2fit" in modules) == g2fit
+        assert "_hashlib" not in modules
 
     def test_ini_config_loads_configparser(self, tmp_path):
         ini = tmp_path / "scenario.ini"

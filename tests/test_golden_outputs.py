@@ -1,13 +1,18 @@
 """Every run of the output corpus writes what ``golden_outputs.json``
 recorded: the same exit code, stdout, stderr, warnings and file bytes.
 The record holds on the default code paths only (see
-``record_golden_outputs``)."""
+``record_golden_outputs``). The runs of the largest grids also stay
+within a traced memory budget."""
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from spskit import cli
 
 from record_golden_outputs import FIT_RUNS, GOLDEN_PATH, RUNS, fit_runs, outputs, record
 from test_config_cli import _child_env
@@ -57,3 +62,31 @@ def test_the_process_entry_writes_the_record(tmp_path, fit_inputs, name):
     inputs, fits = fit_inputs
     argv, inputs = (RUNS[name], None) if name in RUNS else (fits[name], inputs)
     assert process_outputs(argv, tmp_path / "out", inputs) == GOLDEN[name]
+
+
+# The largest grids that config.SCHEMA accepts, each a cli.main run in
+# process with its files written, traced after a first untraced run:
+# qkd 3.6 MB, emitter 3.7 MB, fab 6.3 MB and mirror 6.0 MB with numpy 2.4,
+# where a kernel over the whole grid at once reaches 109, 12, 91 and 56 MB.
+# Each budget leaves a fifth on top.
+MEMORY_BUDGETS = {
+    "qkd fiber 0-1000 km step=0.1": 4_300_000,
+    "emitter points=500": 4_400_000,
+    "fab 1001 px": 7_600_000,
+    "mirror 200-2000 nm step=0.01": 7_200_000,
+}
+
+
+@pytest.mark.parametrize("name", list(MEMORY_BUDGETS))
+def test_the_largest_grids_stay_within_their_memory_budget(tmp_path, name):
+    argv = ["--outdir", str(tmp_path), *RUNS[name]]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+        tracemalloc.start()
+        try:
+            code = cli.main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < MEMORY_BUDGETS[name], peak

@@ -1163,10 +1163,10 @@ class TestLockstepSolver:
 
     def test_chunk_fits_stay_within_their_memory_budget(self):
         # the fits of one reproduce chunk, without uncertainties as
-        # reproduce runs them, traced after a first untraced pass: 1.38 MB
+        # reproduce runs them, traced after a first untraced pass: 1.60 MB
         # with numpy 2.4, set by the g2 fits on their 801 distinct delays
-        # at the chunk's full width of 17 (the decay fits reach 1.34 MB);
-        # the budget of 1.72 MB leaves a fifth on top
+        # at the chunk's full width of 17 (the decay fits reach 1.33 MB);
+        # the budget of 1.72 MB leaves 7 % on top
         rng = np.random.default_rng(RNG_SEED)
         chunk = [fit_roundtrip_draw(rng) for _ in range(reproduce_module.FIT_CHUNK)]
         fit_roundtrip_fits(chunk)
