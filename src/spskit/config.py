@@ -45,8 +45,8 @@ class Setting(NamedTuple):
 # The count, range and step keys are bounded so that no accepted value
 # makes a subcommand allocate without limit: at most 180,001 mirror
 # wavelengths, a 500 x 500 indistinguishability map, 10,001 QKD sweep rows
-# (a peak of 3.6 MB of traced allocations, run and written) and a
-# 1,001 x 1,001 pixel dose map (6.3 MB).
+# (a run peaks at 3.6 MB of traced allocations) and a 1,001 x 1,001
+# pixel dose map (6.3 MB).
 SCHEMA: dict[str, dict[str, Setting]] = {
     "mirror": {
         "n_high": Setting(2.135, float, "[1, 5]", "ellipsometry of sputtered TiO2 at 565 nm"),

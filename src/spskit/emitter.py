@@ -27,7 +27,7 @@ import numpy as np
 from . import search
 
 TWO_PI = 2.0 * math.pi
-# g rows per block of indistinguishability_map
+# g rows per block of indistinguishability_map; bounds its temporaries
 MAP_BLOCK_ROWS = 64
 
 

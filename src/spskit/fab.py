@@ -23,7 +23,7 @@ CHANNEL_CAP = 255
 MAX_UNITS = 3 * CHANNEL_CAP
 # a fitted profile whose rms deviation lies below this classifies as ideal
 IDEAL_RMS_NM = 1.0
-# pixel rows per block of hemisphere_dose_map
+# pixel rows per block of hemisphere_dose_map; bounds its temporaries
 DOSE_BLOCK_ROWS = 64
 
 
