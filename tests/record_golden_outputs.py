@@ -96,6 +96,17 @@ for _channel in ("fiber", "freespace"):
 RUNS["fab 1001 px"] = (*_set("fab.aperture_um=10", "fab.radius_um=10", "fab.pitch_nm=10",
                              "fab.calibration_nm_per_unit=100"), "fab")
 
+# A geometry past the stability limit, rejected by ``cavity`` and by
+# ``emitter`` in each error mode; free space under the two other
+# divergence models; and the config provenance table.
+for _command in ("cavity", "emitter"):
+    RUNS[f"{_command} unstable"] = (*_set("cavity.radius_of_curvature_um=2"), _command)
+    RUNS[f"{_command} unstable --error-json"] = ("--error-json", *RUNS[f"{_command} unstable"])
+for _model in ("calibrated", "friis"):
+    RUNS[f"qkd freespace {_model}"] = (
+        *_set("qkd.channel=freespace", f"qkd.divergence_model={_model}"), "qkd")
+RUNS["provenance"] = ("provenance",)
+
 # The fit-batch workload's first two fits of each kind at FIT_SEED, named
 # by their input: the largest size of each kind and one drawn below it,
 # one spectrum with --scan-range and one without, one correlation with
