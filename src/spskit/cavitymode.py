@@ -3,13 +3,13 @@
 Lengths follow the resonance convention: the effective cavity length for
 mode order q at wavelength lam is q*lam/2. Where mirror field leakage
 matters (free spectral range), the effective length optionally includes
-twice the penetration depth. ``CavityConfig`` checks only what
-``config.SCHEMA`` does not already guarantee of its pipeline inputs.
+twice the penetration depth. Of what ``config.SCHEMA`` does not guarantee,
+``mode_volume`` checks the stability limit and ``_length_nm`` the penetration depth.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .constants import NM_PER_M, SPEED_OF_LIGHT_M_PER_S
 
@@ -23,8 +23,7 @@ class CavityError(ValueError):
     """Invalid cavity geometry or operating point."""
 
 
-@dataclass(frozen=True)
-class CavityConfig:
+class CavityConfig(NamedTuple):
     """Plano-concave cavity geometry."""
 
     radius_of_curvature_um: float = 2.7
@@ -32,14 +31,6 @@ class CavityConfig:
     design_wavelength_nm: float = 565.85
     penetration_depth_nm: float = 122.0
     mirror_reflectivity: float = 0.992
-
-    def __post_init__(self):
-        if self.penetration_depth_nm < 0:
-            raise CavityError("penetration depth must be non-negative")
-        if self.effective_length_nm >= self.radius_of_curvature_nm:
-            raise CavityError(
-                f"unstable geometry: length {self.effective_length_nm:.1f} nm >= "
-                f"radius of curvature {self.radius_of_curvature_nm:.1f} nm")
 
     @property
     def radius_of_curvature_nm(self) -> float:
@@ -54,11 +45,14 @@ def mode_volume(config: CavityConfig) -> float:
     """Gaussian-mode volume V = (pi/4) w0^2 L in units of lam^3.
 
     The waist obeys w0^2 = (lam/pi) sqrt(L (Rc - L)) with L = q lam/2;
-    the stability requirement 0 < L < Rc is enforced by the config.
+    the stability requirement L < Rc is checked here (CavityError).
     """
     lam = config.design_wavelength_nm
     length = config.effective_length_nm
     rc = config.radius_of_curvature_nm
+    if length >= rc:
+        raise CavityError(f"unstable geometry: length {length:.1f} nm >= "
+                          f"radius of curvature {rc:.1f} nm")
     w0_sq = (lam / math.pi) * math.sqrt(length * (rc - length))
     return (math.pi / 4.0) * w0_sq * length / lam ** 3
 
@@ -90,6 +84,8 @@ def quality_factor(config: CavityConfig, *, include_penetration: bool = True) ->
 
 def _length_nm(config: CavityConfig, include_penetration: bool) -> float:
     """L_eff = q lam/2, plus twice the penetration depth where included."""
+    if config.penetration_depth_nm < 0:
+        raise CavityError("penetration depth must be non-negative")
     length_nm = config.effective_length_nm
     return length_nm + 2.0 * config.penetration_depth_nm if include_penetration else length_nm
 

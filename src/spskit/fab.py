@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +31,7 @@ class FabError(ValueError):
     """Invalid fabrication parameters or degenerate geometry."""
 
 
-@dataclass(frozen=True)
-class DoseMap:
+class DoseMap(NamedTuple):
     """Square RGB dose-rate map, radially symmetric about its center."""
 
     pitch_nm: float

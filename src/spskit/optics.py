@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,28 +55,32 @@ class ResonanceSearchError(NumericalError):
 # domain types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LayerStack:
+class _Stack(NamedTuple):
+    ambient_index: complex
+    layers: tuple[tuple[complex, float], ...]
+    substrate_index: complex
+
+
+class LayerStack(_Stack):
     """An ordered dielectric layer sequence between two semi-infinite media.
 
     ``layers`` holds (refractive_index, thickness_nm) pairs ordered from
-    the ambient side to the substrate side. The sequence may be empty
-    (bare interface). Real parts of all indices must be >= 1 and
-    thicknesses > 0.
+    the ambient side to the substrate side, each stored as (complex,
+    float). The sequence may be empty (bare interface). Real parts of all
+    indices must be >= 1 and thicknesses > 0.
     """
 
-    ambient_index: complex = 1.0
-    layers: tuple[tuple[complex, float], ...] = field(default_factory=tuple)
-    substrate_index: complex = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name, n in (("ambient", self.ambient_index), ("substrate", self.substrate_index)):
+    def __new__(cls, ambient_index: complex = 1.0, layers=(), substrate_index: complex = 1.0):
+        for name, n in (("ambient", ambient_index), ("substrate", substrate_index)):
             _check_index(n, name)
-        object.__setattr__(self, "layers", tuple((complex(n), float(d)) for n, d in self.layers))
-        for i, (n, d) in enumerate(self.layers):
+        layers = tuple((complex(n), float(d)) for n, d in layers)
+        for i, (n, d) in enumerate(layers):
             _check_index(n, f"layer {i}")
             if not math.isfinite(d) or d <= 0:
                 raise OpticsError(f"layer {i}: thickness must be positive and finite, got {d}")
+        return super().__new__(cls, ambient_index, layers, substrate_index)
 
     def reversed(self) -> "LayerStack":
         """The same film seen from the other side (ambient/substrate swapped)."""

@@ -36,13 +36,14 @@ each batch of its bisection levels make one optimizer call per source.
 ``optimize_mu`` and ``effective_rate`` are scalar wrappers over the same
 code. Results are plain values: rates are floats or arrays, and
 ``find_crossing`` returns the dict that the crossing report writes.
-The models check only what ``config.SCHEMA`` does not already guarantee
-of their pipeline inputs: the source kind, distance and calibrated angle.
+What ``config.SCHEMA`` does not guarantee of the pipeline inputs is checked
+where it is read: the source kind in ``_rates``, a negative distance in
+``channel_transmittance`` and ``beam_diameter_m``, the calibrated angle there too.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,8 +72,7 @@ class NoCrossingError(NumericalError):
 # models
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SourceModel:
+class SourceModel(NamedTuple):
     """Photon source: sub-Poissonian (ideal/real) or Poissonian (wcs/decoy).
 
     ``mean_photons`` is the source efficiency (photons per trigger) for
@@ -86,10 +86,6 @@ class SourceModel:
     g2_zero: float = 0.018
     mu_mode: str = "optimal"
 
-    def __post_init__(self):
-        if self.kind not in SOURCE_KINDS:
-            raise QkdError(f"kind must be one of {SOURCE_KINDS}, got {self.kind!r}")
-
     @property
     def optimizes_mu(self) -> bool:
         return self.kind in ("wcs", "decoy") and self.mu_mode == "optimal"
@@ -99,8 +95,7 @@ def ideal_sps() -> SourceModel:
     return SourceModel(kind="ideal_sps", mean_photons=1.0, g2_zero=0.0)
 
 
-@dataclass(frozen=True)
-class ChannelModel:
+class ChannelModel(NamedTuple):
     """Fiber (attenuation in dB/km) or diffraction-limited free-space link."""
 
     kind: str = "fiber"
@@ -112,19 +107,11 @@ class ChannelModel:
     divergence_model: str = "gaussian_farfield"
     divergence_half_angle_rad: float | None = None
 
-    def __post_init__(self):
-        if self.distance_km < 0:
-            raise QkdError("distance must be non-negative")
-        if self.kind == "freespace" and self.divergence_model == "calibrated" and (
-                self.divergence_half_angle_rad is None or self.divergence_half_angle_rad <= 0):
-            raise QkdError("calibrated model needs a positive divergence_half_angle_rad")
-
     def at_distance(self, distance_km: float) -> "ChannelModel":
-        return replace(self, distance_km=distance_km)
+        return self._replace(distance_km=distance_km)
 
 
-@dataclass(frozen=True)
-class DetectorModel:
+class DetectorModel(NamedTuple):
     """Receiver parameters; defaults follow the standard fiber-QKD
     reference experiment (Gobby-Yuan-Shields) and are all overridable."""
 
@@ -168,6 +155,8 @@ def beam_diameter_m(channel: ChannelModel, distance_km: float | None = None) -> 
     """Beam diameter at the receiver under the configured divergence model."""
     lam = channel.wavelength_nm * 1e-9
     dist = (channel.distance_km if distance_km is None else distance_km) * 1e3
+    if dist < 0:
+        raise QkdError("distance must be non-negative")
     d_t = channel.transmit_aperture_m
     if channel.divergence_model == "gaussian_farfield":
         waist = d_t / 2.0
@@ -176,7 +165,10 @@ def beam_diameter_m(channel: ChannelModel, distance_km: float | None = None) -> 
     if channel.divergence_model == "friis":
         # equivalent diameter so (Dr/diameter)^2 = (pi Dt Dr / (4 lam L))^2
         return 4.0 * lam * dist / (math.pi * d_t) if dist > 0 else d_t
-    return d_t + 2.0 * channel.divergence_half_angle_rad * dist
+    angle = channel.divergence_half_angle_rad
+    if angle is None or angle <= 0:
+        raise QkdError("calibrated model needs a positive divergence_half_angle_rad")
+    return d_t + 2.0 * angle * dist
 
 
 def calibrate_divergence_half_angle(
@@ -205,6 +197,8 @@ def calibrate_divergence_half_angle(
 def _rates(source: SourceModel, t, detector: DetectorModel, mu) -> np.ndarray:
     """Secret bits per sent signal at transmittances ``t`` and intensities
     ``mu``, elementwise over their broadcast shape; clamped at zero."""
+    if source.kind not in SOURCE_KINDS:
+        raise QkdError(f"kind must be one of {SOURCE_KINDS}, got {source.kind!r}")
     t = np.asarray(t, dtype=float)
     mu = np.asarray(mu, dtype=float)
     eta = detector.receiver_efficiency

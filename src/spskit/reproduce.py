@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,8 +22,7 @@ from .constants import rate_from_lifetime_ps, transmittance_to_db
 RNG_SEED = 20190565
 
 
-@dataclass(frozen=True)
-class Target:
+class Target(NamedTuple):
     """A check's printed ``text`` and the ``test`` its computed value must pass."""
     text: str
     test: Callable[[float], bool]
@@ -53,8 +52,7 @@ def target(text: str) -> Target:
     return Target(text, lambda x: abs(x - center) <= width)
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     cid: str
     label: str
     computed: float
@@ -68,9 +66,9 @@ class CheckResult:
         return f"[{mark}] {self.cid:<4} {self.label:<58} {self.computed:.6g}  vs {self.target}{note}"
 
 
-@dataclass
 class ReproductionReport:
-    checks: list[CheckResult] = field(default_factory=list)
+    def __init__(self):
+        self.checks: list[CheckResult] = []
 
     def add(self, cid: str, label: str, computed: float, target: Target, note: str = ""):
         self.checks.append(CheckResult(cid, label, float(computed), target.text,

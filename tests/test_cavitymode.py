@@ -53,8 +53,8 @@ class TestModeVolume:
 
     def test_unstable_geometry_rejected(self):
         with pytest.raises(CavityError, match="unstable"):
-            CavityConfig(radius_of_curvature_um=2.0, longitudinal_order=8,
-                         design_wavelength_nm=565.85)
+            mode_volume(CavityConfig(radius_of_curvature_um=2.0, longitudinal_order=8,
+                                     design_wavelength_nm=565.85))
 
     def test_monotone_in_mode_order_below_three_quarters(self):
         # V grows with q while L <= (3/4) Rc, then turns over
@@ -92,6 +92,10 @@ class TestFsrFinesseLinewidth:
         length = 8 * 565.85 / 2.0
         assert fsr_without == pytest.approx(299792458.0 / (2 * length * 1e-9), rel=1e-12)
         assert fsr_with < fsr_without
+
+    def test_negative_penetration_depth_rejected(self):
+        with pytest.raises(CavityError, match="penetration depth must be non-negative"):
+            fsr_finesse_linewidth(CavityConfig(penetration_depth_nm=-1))
 
     def test_quality_factor_cross_checks_transfer_matrix(self):
         # finesse * 2 L_eff / lam with R=0.992, q=8, xi=122 nm

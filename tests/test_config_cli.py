@@ -773,25 +773,22 @@ class TestEveryOptionHasACaller:
                  if not any(sets(call, function, parameter, index) for call in self.CALLS)}
         assert sorted(unset) == sorted(self.ENTRY_POINTS)
 
-    def test_every_dataclass_field_with_a_default_is_set_by_a_call(self):
-        # (module, class, field) -> its positional index in the constructor;
-        # a field(default_factory=...) accumulator is exempt
+    def test_every_record_field_with_a_default_is_set_by_a_call(self):
+        # (module, class, field) -> its positional index in the constructor
         fields = {}
         for module, tree in self.TREES.items():
             for cls in ast.walk(tree):
-                if not (isinstance(cls, ast.ClassDef) and any(
-                        "dataclass" in ast.unparse(d) for d in cls.decorator_list)):
+                if not (isinstance(cls, ast.ClassDef)
+                        and any(ast.unparse(b) == "NamedTuple" for b in cls.bases)):
                     continue
                 annotated = [node for node in cls.body if isinstance(node, ast.AnnAssign)]
                 for i, node in enumerate(annotated):
-                    factory = (isinstance(node.value, ast.Call)
-                               and any(k.arg == "default_factory" for k in node.value.keywords))
-                    if node.value is not None and not factory:
+                    if node.value is not None:
                         fields[module, cls.name, node.target.id] = i
         assert fields
         unset = {f"{module}.{cls}.{field}" for (module, cls, field), index in fields.items()
                  if not any(self.sets(call, cls, field, index)
-                            or self.sets(call, "replace", field, None) for call in self.CALLS)}
+                            or self.sets(call, "_replace", field, None) for call in self.CALLS)}
         assert sorted(unset) == []
 
 
@@ -944,8 +941,9 @@ class TestImportsPerCommand:
          {"g2fit", "optics", "qkd", "emitter", "reproduce", "search"}),
         (["provenance"],
          {"optics", "specfit", "g2fit", "lsq", "qkd", "fab", "emitter", "reproduce", "search"}),
+        (["reproduce", "--draws", "1"], set()),
     ], ids=["mirror", "fit-polarization", "fit-decay", "cavity", "emitter", "qkd", "fab",
-            "fab-profile", "provenance"])
+            "fab-profile", "provenance", "reproduce"])
     def test_command_loads_only_what_it_runs(self, tmp_path, argv, unused):
         modules = _modules_after(_cli_code(tmp_path, argv))
         loaded = _submodules(modules)
@@ -955,7 +953,9 @@ class TestImportsPerCommand:
         assert "configparser" not in modules
         # the config digest takes no OpenSSL; only reproduce loads it, through
         # numpy.random's use of secrets
-        assert "_hashlib" not in modules
+        assert argv[0] == "reproduce" or "_hashlib" not in modules
+        # every record is a NamedTuple
+        assert "dataclasses" not in modules
 
     @pytest.mark.parametrize("argv, g2fit", [
         (["fit", "--input", "spectrum.csv", "--scan-range", "3.0"], False),

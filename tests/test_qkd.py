@@ -182,8 +182,9 @@ class TestChannels:
             beam_diameter_m(channel.at_distance(50.0))
 
     def test_validation(self, tmp_path, capsys):
-        with pytest.raises(QkdError):
-            ChannelModel(kind="freespace", divergence_model="calibrated")
+        with pytest.raises(QkdError, match="calibrated model needs"):
+            channel_transmittance(ChannelModel(kind="freespace", divergence_model="calibrated",
+                                               distance_km=10.0))
         for key, value in (("channel", "microwave"), ("attenuation_db_per_km", 0.0)):
             _assert_validation_error(
                 ["--outdir", str(tmp_path), "--set", f"qkd.{key}={value}", "qkd"], capsys,
@@ -365,10 +366,14 @@ class TestCrossing:
 
     @pytest.mark.parametrize("channel", [FIBER, FREESPACE], ids=["fiber", "freespace"])
     def test_negative_distance_rejected(self, channel):
-        # sweep and find_crossing build no channel model per distance: the
-        # transmittance itself rejects a negative one
+        # a channel model holds any distance: each function that reads one
+        # rejects a negative one
         with pytest.raises(QkdError, match="non-negative"):
             sweep({"wcs": WCS}, channel, GYS_DETECTOR, [-1.0, 0.0])
+        with pytest.raises(QkdError, match="non-negative"):
+            effective_rate(REAL_SPS, channel.at_distance(-1.0), GYS_DETECTOR)
+        with pytest.raises(QkdError, match="non-negative"):
+            beam_diameter_m(channel, -1.0)
         with pytest.raises(QkdError, match="non-negative"):
             find_crossing(REAL_SPS, DECOY, channel, GYS_DETECTOR, (-5.0, 10.0))
 
@@ -504,8 +509,8 @@ class TestSweep:
 
 class TestValidation:
     def test_source_model(self, tmp_path, capsys):
-        with pytest.raises(QkdError):
-            SourceModel(kind="laser")
+        with pytest.raises(QkdError, match="kind must be one of"):
+            effective_rate(SourceModel(kind="laser"), FIBER, GYS_DETECTOR)
         for key, value in (("source_efficiency", 1.2), ("g2_zero", 1.5), ("mu_fixed", 0.0)):
             _assert_validation_error(
                 ["--outdir", str(tmp_path), "--set", f"qkd.{key}={value}", "qkd"], capsys,
