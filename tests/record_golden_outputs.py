@@ -16,8 +16,8 @@ The CPU-feature and BLAS-kernel settings of ROADMAP item 12 move the last
 bits of fitted values (up to 6e-14 relative in these reports) and may move
 a fit's ``iterations``: under them the ``fit`` runs and ``reproduce``
 write other bytes, and with numpy's AVX-512 loops off so do the two
-0-1000 km ``qkd`` grids at 0.1 km (a rate cell in its 10th digit), while
-every ``cavity`` run holds.
+0-1000 km ``qkd`` grids at 0.1 km and free space under ``friis`` (a rate
+cell in its 10th digit), while every ``cavity`` run holds.
 
 Run from the repository root with ``python tests/record_golden_outputs.py``.
 Re-record only when an output is meant to change, and state every delta
