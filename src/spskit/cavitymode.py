@@ -26,15 +26,11 @@ class CavityError(ValueError):
 class CavityConfig(NamedTuple):
     """Plano-concave cavity geometry."""
 
-    radius_of_curvature_um: float = 2.7
-    longitudinal_order: int = 8
-    design_wavelength_nm: float = 565.85
+    radius_of_curvature_um: float
+    longitudinal_order: int
+    design_wavelength_nm: float
+    mirror_reflectivity: float
     penetration_depth_nm: float = 122.0
-    mirror_reflectivity: float = 0.992
-
-    @property
-    def radius_of_curvature_nm(self) -> float:
-        return self.radius_of_curvature_um * 1e3
 
     @property
     def effective_length_nm(self) -> float:
@@ -49,7 +45,7 @@ def mode_volume(config: CavityConfig) -> float:
     """
     lam = config.design_wavelength_nm
     length = config.effective_length_nm
-    rc = config.radius_of_curvature_nm
+    rc = config.radius_of_curvature_um * 1e3
     if length >= rc:
         raise CavityError(f"unstable geometry: length {length:.1f} nm >= "
                           f"radius of curvature {rc:.1f} nm")
@@ -64,19 +60,19 @@ def finesse(mirror_reflectivity: float) -> float:
 
 
 def fsr_finesse_linewidth(
-    config: CavityConfig, *, include_penetration: bool = True
+    config: CavityConfig, *, include_penetration: bool
 ) -> tuple[float, float, float]:
     """(FSR in Hz, finesse, linewidth in Hz) for the configured cavity.
 
-    FSR = c/(2 L_eff) with L_eff = q lam/2 plus, by default, twice the
-    penetration depth; linewidth = FSR/finesse.
+    FSR = c/(2 L_eff) with L_eff = q lam/2, plus twice the penetration
+    depth where ``include_penetration``; linewidth = FSR/finesse.
     """
     fsr_hz = SPEED_OF_LIGHT_M_PER_S / (2.0 * _length_nm(config, include_penetration) / NM_PER_M)
     fin = finesse(config.mirror_reflectivity)
     return fsr_hz, fin, fsr_hz / fin
 
 
-def quality_factor(config: CavityConfig, *, include_penetration: bool = True) -> float:
+def quality_factor(config: CavityConfig, *, include_penetration: bool) -> float:
     """Q = finesse * 2 L_eff / lam; cross-checks the transfer-matrix spectrum."""
     return (finesse(config.mirror_reflectivity) * 2.0 * _length_nm(config, include_penetration)
             / config.design_wavelength_nm)

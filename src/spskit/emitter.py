@@ -181,9 +181,9 @@ def indistinguishability_map(
     emission_rate: float,
     dephasing_rate: float,
     *,
-    coupling_range: tuple[float, float] = (1e6, 1e12),
-    cavity_range: tuple[float, float] = (1e6, 1e12),
-    points: int = 200,
+    coupling_range: tuple[float, float],
+    cavity_range: tuple[float, float],
+    points: int,
 ):
     """Indistinguishability over a log-spaced (g, kappa) grid.
 

@@ -123,7 +123,7 @@ def hemisphere_dose_map(
 # BMP output
 # ---------------------------------------------------------------------------
 
-def write_bmp(path, dose_map: DoseMap, metadata: dict | None = None) -> None:
+def write_bmp(path, dose_map: DoseMap, metadata: dict) -> None:
     """Write the map as an uncompressed 24-bit bottom-up BMP (BGR order,
     rows padded to 4 bytes), plus a JSON sidecar with the calibration.
 
@@ -154,7 +154,7 @@ def write_bmp(path, dose_map: DoseMap, metadata: dict | None = None) -> None:
         "calibration_nm_per_unit": dose_map.calibration_nm_per_unit,
         "channel_fill_order": "blue,green,red",
     }
-    sidecar.update(metadata or {})
+    sidecar.update(metadata)
     with open(str(path) + ".json", "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -167,7 +167,7 @@ def write_bmp(path, dose_map: DoseMap, metadata: dict | None = None) -> None:
 def fit_hemisphere_profile(
     profile,
     *,
-    edge_exclusion_fraction: float = 0.10,
+    edge_exclusion_fraction: float,
 ) -> dict:
     """Least-squares circle-arc fit of a surface profile, a
     ``MeasurementSeries`` of x in um and z in nm.
@@ -219,8 +219,8 @@ def fit_hemisphere_profile(
 def synthetic_hemisphere_profile(
     radius_um: float,
     aperture_um: float,
-    n_points: int = 201,
-    noise_nm: np.ndarray | float = 0.0,
+    n_points: int,
+    noise_nm: np.ndarray | float,
 ):
     """Ideal concave cross-section plus ``noise_nm``, the caller's draw of
     n_points heights or one for all, as a ``MeasurementSeries`` of (x_um, z_nm)."""

@@ -34,7 +34,7 @@ class G2Fit(NamedTuple):
     residual_norms: dict[str, float]
     n_evaluations: int
     converged: bool
-    normalization: float = 1.0
+    normalization: float
 
     @property
     def g2_zero(self) -> float:

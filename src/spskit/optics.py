@@ -278,9 +278,9 @@ def make_quarter_wave_stack(
     n_low: float,
     pairs: int,
     design_wavelength_nm: float,
-    termination: str = "low",
+    termination: str,
     *,
-    substrate_index: float = 1.5255,
+    substrate_index: float,
 ) -> LayerStack:
     """Build a 2*pairs quarter-wave mirror between air and a substrate.
 
@@ -301,9 +301,9 @@ def quarter_wave_peak_reflectance(
     n_high: float,
     n_low: float,
     pairs: int,
-    termination: str = "low",
+    termination: str,
     *,
-    n_substrate: float = 1.5255,
+    n_substrate: float,
 ) -> float:
     """Closed-form design-wavelength reflectance of a 2*pairs quarter-wave
     mirror in air.

@@ -115,7 +115,7 @@ def emitter(scenario: Scenario) -> dict:
     volume = cavitymode.mode_volume(cavitymode.CavityConfig(
         radius_of_curvature_um=ccfg["radius_of_curvature_um"],
         longitudinal_order=ccfg["longitudinal_order"],
-        design_wavelength_nm=zpl))
+        design_wavelength_nm=zpl, mirror_reflectivity=ccfg["mirror_reflectivity"]))
     chain = emitter.purcell_chain(
         zpl, ecfg["cavity_fwhm_nm"], ecfg["free_linewidth_nm"], volume,
         ecfg["lifetime_ratio"], ecfg["mirror_purcell"])
@@ -162,8 +162,8 @@ def check_fit_flags(kind: str, **flags) -> None:
                               f"{FIT_FLAG_KINDS[name]} only, not a {kind}")
 
 
-def fit(scenario: Scenario, series, irf=None, scan_range: float | None = None,
-        snr: float | None = None) -> dict:
+def fit(scenario: Scenario, series, irf, scan_range: float | None,
+        snr: float | None) -> dict:
     """The fit report of a measurement ``series``, by its kind: a decay
     through its instrument response ``irf``, a spectrum through the sinc^2
     instrument of ``scan_range`` (1/nm; None takes the scenario's, 0 none),
@@ -209,28 +209,24 @@ def qkd_models(scenario: Scenario, channel: str, divergence_model: str | None = 
         misalignment_error=qcfg["misalignment_error"],
         error_correction_inefficiency=qcfg["error_correction_inefficiency"],
         sifting_factor=qcfg["sifting_factor"])
-    if channel == "fiber":
-        link = qkd.ChannelModel(kind="fiber", attenuation_db_per_km=qcfg["attenuation_db_per_km"])
-    else:
-        half_angle = None
-        if divergence_model == "calibrated":
-            half_angle = qkd.calibrate_divergence_half_angle(
-                qcfg["transmit_aperture_m"], qcfg["receive_aperture_m"],
-                qcfg["calibration_loss_db"], qcfg["calibration_distance_km"])
-        link = qkd.ChannelModel(
-            kind="freespace", transmit_aperture_m=qcfg["transmit_aperture_m"],
-            receive_aperture_m=qcfg["receive_aperture_m"],
-            wavelength_nm=scenario["emitter"]["zpl_wavelength_nm"],
-            divergence_model=divergence_model, divergence_half_angle_rad=half_angle)
+    half_angle = None
+    if channel == "freespace" and divergence_model == "calibrated":
+        half_angle = qkd.calibrate_divergence_half_angle(
+            qcfg["transmit_aperture_m"], qcfg["receive_aperture_m"],
+            qcfg["calibration_loss_db"], qcfg["calibration_distance_km"])
+    link = qkd.ChannelModel(
+        kind=channel, attenuation_db_per_km=qcfg["attenuation_db_per_km"],
+        transmit_aperture_m=qcfg["transmit_aperture_m"],
+        receive_aperture_m=qcfg["receive_aperture_m"],
+        wavelength_nm=scenario["emitter"]["zpl_wavelength_nm"],
+        divergence_model=divergence_model, divergence_half_angle_rad=half_angle)
 
-    mu_mode = qcfg["mu_mode"]
-    sources = {
-        "sps": qkd.SourceModel(kind="real_sps", mean_photons=qcfg["source_efficiency"],
-                               g2_zero=qcfg["g2_zero"]),
-        "ideal": qkd.ideal_sps(),
-        "wcs": qkd.SourceModel(kind="wcs", mean_photons=qcfg["mu_fixed"], mu_mode=mu_mode),
-        "decoy": qkd.SourceModel(kind="decoy", mean_photons=qcfg["mu_fixed"], mu_mode=mu_mode),
-    }
+    sources = {"sps": qkd.SourceModel(kind="real_sps", mean_photons=qcfg["source_efficiency"],
+                                      g2_zero=qcfg["g2_zero"]),
+               "ideal": qkd.ideal_sps()}
+    for kind in ("wcs", "decoy"):  # the Poissonian sources
+        sources[kind] = qkd.SourceModel(kind=kind, mean_photons=qcfg["mu_fixed"],
+                                        mu_mode=qcfg["mu_mode"])
     return detector, link, sources
 
 
@@ -276,7 +272,7 @@ def qkd_crossings(models: tuple, interval: tuple[float, float],
     return crossings
 
 
-def qkd(scenario: Scenario, sweep: str | None = None) -> tuple:
+def qkd(scenario: Scenario, sweep: str | None) -> tuple:
     """The sweep's rate table, in ``QKD_COLUMNS``, and the crossing report
     over the scenario's channel."""
     from . import qkd

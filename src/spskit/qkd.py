@@ -37,8 +37,9 @@ each batch of its bisection levels make one optimizer call per source.
 code. Results are plain values: rates are floats or arrays, and
 ``find_crossing`` returns the dict that the crossing report writes.
 What ``config.SCHEMA`` does not guarantee of the pipeline inputs is checked
-where it is read: the source kind in ``_rates``, a negative distance in
-``channel_transmittance`` and ``beam_diameter_m``, the calibrated angle there too.
+where it is read: the source kind in ``_rates``, the channel kind in
+``channel_transmittance``, a negative distance there and in ``beam_diameter_m``,
+and the divergence model and the calibrated angle in ``beam_diameter_m``.
 """
 from __future__ import annotations
 
@@ -78,13 +79,14 @@ class SourceModel(NamedTuple):
     ``mean_photons`` is the source efficiency (photons per trigger) for
     the single-photon kinds and the pulse intensity mu for wcs/decoy;
     for the latter ``mu_mode`` selects per-distance optimization or the
-    fixed value.
+    fixed value. Only real_sps reads ``g2_zero`` and only wcs/decoy read
+    ``mu_mode``; another kind leaves each at its neutral default.
     """
 
-    kind: str = "real_sps"
-    mean_photons: float = 0.513
-    g2_zero: float = 0.018
-    mu_mode: str = "optimal"
+    kind: str
+    mean_photons: float
+    g2_zero: float = 0.0
+    mu_mode: str = "fixed"
 
     @property
     def optimizes_mu(self) -> bool:
@@ -92,34 +94,33 @@ class SourceModel(NamedTuple):
 
 
 def ideal_sps() -> SourceModel:
-    return SourceModel(kind="ideal_sps", mean_photons=1.0, g2_zero=0.0)
+    return SourceModel(kind="ideal_sps", mean_photons=1.0)
 
 
 class ChannelModel(NamedTuple):
     """Fiber (attenuation in dB/km) or diffraction-limited free-space link."""
 
-    kind: str = "fiber"
+    kind: str
+    attenuation_db_per_km: float
+    transmit_aperture_m: float
+    receive_aperture_m: float
+    wavelength_nm: float
+    divergence_model: str | None
+    divergence_half_angle_rad: float | None
     distance_km: float = 0.0
-    attenuation_db_per_km: float = 0.21
-    transmit_aperture_m: float = 0.05
-    receive_aperture_m: float = 0.60
-    wavelength_nm: float = 565.85
-    divergence_model: str = "gaussian_farfield"
-    divergence_half_angle_rad: float | None = None
 
     def at_distance(self, distance_km: float) -> "ChannelModel":
         return self._replace(distance_km=distance_km)
 
 
 class DetectorModel(NamedTuple):
-    """Receiver parameters; defaults follow the standard fiber-QKD
-    reference experiment (Gobby-Yuan-Shields) and are all overridable."""
+    """Receiver parameters."""
 
-    receiver_efficiency: float = 0.045
-    dark_count_per_pulse: float = 1.7e-6
-    misalignment_error: float = 0.033
-    error_correction_inefficiency: float = 1.22
-    sifting_factor: float = 0.5
+    receiver_efficiency: float
+    dark_count_per_pulse: float
+    misalignment_error: float
+    error_correction_inefficiency: float
+    sifting_factor: float
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +141,8 @@ def binary_entropy(x):
 
 def channel_transmittance(channel: ChannelModel, distance_km: float | None = None) -> float:
     """Channel power transmittance in (0, 1] at ``distance_km`` (the channel's for None)."""
+    if channel.kind not in ("fiber", "freespace"):
+        raise QkdError(f"channel kind must be 'fiber' or 'freespace', got {channel.kind!r}")
     d = channel.distance_km if distance_km is None else distance_km
     if d < 0:
         raise QkdError("distance must be non-negative")
@@ -151,10 +154,10 @@ def channel_transmittance(channel: ChannelModel, distance_km: float | None = Non
     return min(1.0, (channel.receive_aperture_m / diameter) ** 2)
 
 
-def beam_diameter_m(channel: ChannelModel, distance_km: float | None = None) -> float:
+def beam_diameter_m(channel: ChannelModel, distance_km: float) -> float:
     """Beam diameter at the receiver under the configured divergence model."""
     lam = channel.wavelength_nm * 1e-9
-    dist = (channel.distance_km if distance_km is None else distance_km) * 1e3
+    dist = distance_km * 1e3
     if dist < 0:
         raise QkdError("distance must be non-negative")
     d_t = channel.transmit_aperture_m
@@ -165,6 +168,8 @@ def beam_diameter_m(channel: ChannelModel, distance_km: float | None = None) -> 
     if channel.divergence_model == "friis":
         # equivalent diameter so (Dr/diameter)^2 = (pi Dt Dr / (4 lam L))^2
         return 4.0 * lam * dist / (math.pi * d_t) if dist > 0 else d_t
+    if channel.divergence_model != "calibrated":
+        raise QkdError(f"unknown divergence_model {channel.divergence_model!r}")
     angle = channel.divergence_half_angle_rad
     if angle is None or angle <= 0:
         raise QkdError("calibrated model needs a positive divergence_half_angle_rad")

@@ -58,7 +58,7 @@ class CheckResult(NamedTuple):
     computed: float
     target: str
     passed: bool
-    note: str = ""
+    note: str
 
     def row(self) -> str:
         mark = "PASS" if self.passed else "FAIL"
@@ -235,7 +235,7 @@ def fit_roundtrip_fits(draws: list[dict]) -> list[dict]:
         return [draw[kind][i] for draw in draws]
 
     kw = {"uncertainties": False}
-    fits = {"spectrum": specfit.fit_lorentzian_batch(column("spectrum"), **kw),
+    fits = {"spectrum": specfit.fit_lorentzian_batch(column("spectrum"), None, **kw),
             "decay": specfit.fit_decay_with_irf_batch(column("decay"), column("decay", 1), **kw),
             "correlation": specfit.fit_g2_batch(column("correlation"), **kw),
             "polarization": specfit.fit_polarization_batch(column("polarization"), **kw)}
@@ -251,7 +251,7 @@ def fit_roundtrip_fits(draws: list[dict]) -> list[dict]:
 FIT_CHUNK = 17
 
 
-def fit_roundtrip_summary(draws: int = 100) -> dict[str, float]:
+def fit_roundtrip_summary(draws: int) -> dict[str, float]:
     """Worst-case relative recovery errors over seeded randomized draws."""
     rng = np.random.default_rng(RNG_SEED)
     worst = dict.fromkeys(["lorentzian_center", "lorentzian_fwhm", "lifetime", "g2_antibunching",
@@ -280,7 +280,7 @@ def fit_roundtrip_summary(draws: int = 100) -> dict[str, float]:
     return worst
 
 
-def check_fit_roundtrips(report: ReproductionReport, draws: int = 100) -> None:
+def check_fit_roundtrips(report: ReproductionReport, draws: int) -> None:
     worst = fit_roundtrip_summary(draws)
     for cid, key, label, text in (
             ("7a", "lorentzian_center", f"Lorentzian center error over {draws} draws (FWHM units)",
@@ -356,7 +356,7 @@ def check_fab(report: ReproductionReport, scenario: Scenario) -> None:
                result["rms_nm"], target(f"< {fab.IDEAL_RMS_NM:g} nm"))
 
 
-def run_all(scenario: Scenario, draws: int = 100) -> ReproductionReport:
+def run_all(scenario: Scenario, draws: int) -> ReproductionReport:
     if draws < 1:
         raise ConfigError(f"reproduce needs at least one fit draw, got --draws {draws}")
     report = ReproductionReport()

@@ -242,7 +242,7 @@ def poisson_weights(y: np.ndarray) -> np.ndarray:
 # line shapes and instrument response
 # ---------------------------------------------------------------------------
 
-def lorentzian(x, center, fwhm, amplitude, offset=0.0):
+def lorentzian(x, center, fwhm, amplitude, offset):
     """Peak-height-normalized Lorentzian plus constant offset."""
     half = fwhm / 2.0
     return amplitude * half ** 2 / ((x - center) ** 2 + half ** 2) + offset
@@ -300,22 +300,22 @@ def _lorentzian_slopes(x, line, center, fwhm) -> tuple:
     return slope, slope * u / fwhm
 
 
-def fit_lorentzian(series: MeasurementSeries, instrument: float | None = None) -> FitResult:
+def fit_lorentzian(series: MeasurementSeries, instrument: float | None) -> FitResult:
     """Fit a Lorentzian line, optionally deconvolving the sinc^2 instrument.
 
     Parameters
     ----------
     series : spectrum-kind series with at least 8 samples spanning the peak
-    instrument : optional scan range (1/nm, finite and positive) of the
-        finite-scan kernel; the fitted FWHM is then the deconvolved
-        (physical) linewidth.
+    instrument : scan range (1/nm, finite and positive) of the finite-scan
+        kernel, the fitted FWHM then being the deconvolved (physical)
+        linewidth; or None for no kernel.
 
     Returns parameters center_nm, fwhm_nm, amplitude, offset.
     """
     return _one(fit_lorentzian_batch([series], instrument))
 
 
-def fit_lorentzian_batch(spectra, instrument: float | None = None, *,
+def fit_lorentzian_batch(spectra, instrument: float | None, *,
                          uncertainties: bool = True) -> list:
     """``fit_lorentzian`` of same-length spectra (on one grid, with an
     instrument) in one lockstep solve; a failed fit gives its FitError."""
@@ -585,7 +585,7 @@ def lorentzian_band_area(center: float, fwhm: float, amplitude: float,
 
 
 def zpl_fraction(series: MeasurementSeries, line_fit: FitResult,
-                 *, default_cutoff_nm: float = 580.0) -> float:
+                 *, default_cutoff_nm: float) -> float:
     """Fraction of total band emission carried by the fitted line.
 
     The ratio of the fitted Lorentzian's area to the trapezoid-integrated

@@ -37,7 +37,7 @@ class TestModeVolume:
         assert mode_volume(PAPER_CONFIG) == pytest.approx(1.76, rel=0.03)
 
     def test_shorter_mode(self):
-        cfg = CavityConfig(longitudinal_order=5, design_wavelength_nm=565.85)
+        cfg = PAPER_CONFIG._replace(longitudinal_order=5)
         # independent hand evaluation of the same closed form gives 1.489,
         # not the 1.24 sometimes quoted; the formula is the contract here
         assert mode_volume(cfg) == pytest.approx(volume_oracle(2700.0, 5, 565.85), rel=1e-12)
@@ -47,19 +47,17 @@ class TestModeVolume:
         lam = 565.85
         q = 9
         length = q * lam / 2.0
-        cfg = CavityConfig(radius_of_curvature_um=(length + 2.0) / 1e3,
-                           longitudinal_order=q, design_wavelength_nm=lam)
+        cfg = PAPER_CONFIG._replace(radius_of_curvature_um=(length + 2.0) / 1e3,
+                                    longitudinal_order=q, design_wavelength_nm=lam)
         assert mode_volume(cfg) < 0.3
 
     def test_unstable_geometry_rejected(self):
         with pytest.raises(CavityError, match="unstable"):
-            mode_volume(CavityConfig(radius_of_curvature_um=2.0, longitudinal_order=8,
-                                     design_wavelength_nm=565.85))
+            mode_volume(PAPER_CONFIG._replace(radius_of_curvature_um=2.0))
 
     def test_monotone_in_mode_order_below_three_quarters(self):
         # V grows with q while L <= (3/4) Rc, then turns over
-        volumes = [mode_volume(CavityConfig(longitudinal_order=q,
-                                            design_wavelength_nm=565.85))
+        volumes = [mode_volume(PAPER_CONFIG._replace(longitudinal_order=q))
                    for q in range(1, 8)]
         assert all(b > a for a, b in zip(volumes, volumes[1:]))
 
@@ -95,12 +93,14 @@ class TestFsrFinesseLinewidth:
 
     def test_negative_penetration_depth_rejected(self):
         with pytest.raises(CavityError, match="penetration depth must be non-negative"):
-            fsr_finesse_linewidth(CavityConfig(penetration_depth_nm=-1))
+            fsr_finesse_linewidth(PAPER_CONFIG._replace(penetration_depth_nm=-1),
+                                  include_penetration=True)
 
     def test_quality_factor_cross_checks_transfer_matrix(self):
         # finesse * 2 L_eff / lam with R=0.992, q=8, xi=122 nm
-        assert quality_factor(PAPER_CONFIG) == pytest.approx(3466, rel=3e-3)
-        assert 3.3e3 <= quality_factor(PAPER_CONFIG) <= 3.5e3
+        q = quality_factor(PAPER_CONFIG, include_penetration=True)
+        assert q == pytest.approx(3466, rel=3e-3)
+        assert 3.3e3 <= q <= 3.5e3
 
 
 class TestTuning:

@@ -346,7 +346,7 @@ class TestCli:
 
     def test_fab_profile_fit(self, tmp_path):
         from spskit.fab import synthetic_hemisphere_profile
-        profile = synthetic_hemisphere_profile(2.7, 2.4, 101)
+        profile = synthetic_hemisphere_profile(2.7, 2.4, 101, 0.0)
         csv = tmp_path / "profile.csv"
         with open(csv, "w") as fh:
             fh.write("x_um,z_nm\n")
@@ -718,9 +718,12 @@ class TestCliOnlyReadsAndWrites:
 
 
 class TestEveryOptionHasACaller:
-    """Each defaulted parameter of a public spskit function is set by some
-    call inside spskit, so every option is one the CLI or ``reproduce``
-    can reach; a value only tests need is a module constant they patch."""
+    """One rule for each default of a public spskit function or record
+    field: some call inside spskit sets it and another relies on it. The
+    first makes it an option the CLI or ``reproduce`` can reach; a value
+    only tests need is a module constant they patch. The second keeps it
+    from copying a value that every caller passes, such as a
+    ``config.SCHEMA`` default."""
 
     # run(), the process entry of python -m spskit.cli and of the spskit
     # script, calls main with no argv, so main reads sys.argv
@@ -729,15 +732,51 @@ class TestEveryOptionHasACaller:
              for path in sorted(Path(spskit.__file__).parent.glob("*.py"))}
     CALLS = [node for tree in TREES.values() for node in ast.walk(tree)
              if isinstance(node, ast.Call)]
+    # a record is a class that inherits NamedTuple
+    RECORDS = {cls.name for tree in TREES.values() for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef)
+               and any(ast.unparse(b) == "NamedTuple" for b in cls.bases)}
+
+    @classmethod
+    def defaults(cls) -> list[tuple]:
+        """(module, function or record, parameter or field, index) of each
+        default; the index is its position in a call, None for a keyword-only
+        parameter."""
+        found = []
+        for module, tree in cls.TREES.items():
+            methods = {id(node) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                       for node in c.body if isinstance(node, ast.FunctionDef)
+                       and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                   for d in node.decorator_list)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ClassDef) and node.name in cls.RECORDS:
+                    annotated = [n for n in node.body if isinstance(n, ast.AnnAssign)]
+                    found += [(module, node.name, field.target.id, i)
+                              for i, field in enumerate(annotated) if field.value is not None]
+                if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                    continue
+                args = node.args
+                positional = args.posonlyargs + args.args
+                bound = 1 if id(node) in methods else 0  # self, cls
+                first = len(positional) - len(args.defaults)
+                found += [(module, node.name, arg.arg, i - bound)
+                          for i, arg in enumerate(positional[first:], first)]
+                found += [(module, node.name, arg.arg, None)
+                          for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                          if default is not None]
+        assert found
+        return found
+
+    @classmethod
+    def calls(cls, name: str) -> list:
+        """The calls inside spskit of a function, method or record ``name``."""
+        return [call for call in cls.CALLS
+                if (getattr(call.func, "id", None) or getattr(call.func, "attr", None)) == name]
 
     @staticmethod
-    def sets(call, function, parameter, index) -> bool:
-        """Whether ``call`` is one of ``function`` that passes ``parameter``,
-        by keyword or at its positional ``index`` (None: keyword only)."""
-        func = call.func
-        name = getattr(func, "id", None) or getattr(func, "attr", None)
-        if name != function:
-            return False
+    def sets(call, parameter, index) -> bool:
+        """Whether ``call`` passes ``parameter``, by keyword or at its
+        positional ``index`` (None: keyword only)."""
         if any(k.arg in (parameter, None) for k in call.keywords):  # by keyword, **
             return True
         if index is None:
@@ -746,50 +785,25 @@ class TestEveryOptionHasACaller:
                 or len(call.args) > index)
 
     def test_every_defaulted_parameter_is_set_by_a_call(self):
-        trees, sets = self.TREES, self.sets
-        # (module, function, parameter) -> its positional index in a call,
-        # None for a keyword-only one
-        options = {}
-        for module, tree in trees.items():
-            methods = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
-                       for node in cls.body if isinstance(node, ast.FunctionDef)
-                       and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
-                                   for d in node.decorator_list)}
-            for node in ast.walk(tree):
-                if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
-                    continue
-                args = node.args
-                positional = args.posonlyargs + args.args
-                bound = 1 if id(node) in methods else 0  # self, cls
-                first = len(positional) - len(args.defaults)
-                for i, arg in enumerate(positional[first:], first):
-                    options[module, node.name, arg.arg] = i - bound
-                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
-                    if default is not None:
-                        options[module, node.name, arg.arg] = None
-        assert options
         unset = {f"{module}.{function}({parameter})"
-                 for (module, function, parameter), index in options.items()
-                 if not any(sets(call, function, parameter, index) for call in self.CALLS)}
+                 for module, function, parameter, index in self.defaults()
+                 if function not in self.RECORDS
+                 and not any(self.sets(call, parameter, index) for call in self.calls(function))}
         assert sorted(unset) == sorted(self.ENTRY_POINTS)
 
     def test_every_record_field_with_a_default_is_set_by_a_call(self):
-        # (module, class, field) -> its positional index in the constructor
-        fields = {}
-        for module, tree in self.TREES.items():
-            for cls in ast.walk(tree):
-                if not (isinstance(cls, ast.ClassDef)
-                        and any(ast.unparse(b) == "NamedTuple" for b in cls.bases)):
-                    continue
-                annotated = [node for node in cls.body if isinstance(node, ast.AnnAssign)]
-                for i, node in enumerate(annotated):
-                    if node.value is not None:
-                        fields[module, cls.name, node.target.id] = i
-        assert fields
-        unset = {f"{module}.{cls}.{field}" for (module, cls, field), index in fields.items()
-                 if not any(self.sets(call, cls, field, index)
-                            or self.sets(call, "_replace", field, None) for call in self.CALLS)}
+        unset = {f"{module}.{cls}.{field}" for module, cls, field, index in self.defaults()
+                 if cls in self.RECORDS
+                 and not any(self.sets(call, field, index) for call in self.calls(cls))
+                 and not any(self.sets(call, field, None) for call in self.calls("_replace"))}
         assert sorted(unset) == []
+
+    def test_every_default_is_relied_on_by_a_call(self):
+        # a call that omits the value; a record's _replace keeps what it holds
+        copies = {f"{module}.{name}({parameter})"
+                  for module, name, parameter, index in self.defaults()
+                  if all(self.sets(call, parameter, index) for call in self.calls(name))}
+        assert sorted(copies) == []
 
 
 class TestEveryGeneratorIsSeeded:
@@ -853,7 +867,8 @@ def _write_fit_inputs(folder: Path) -> None:
              "correlation"),
             ("spectrum", x, lorentzian(x, 566.0, 0.5, 900.0, 10.0), "spectrum"),
             ("polarization", theta, cos2_model(theta, 800.0, 30.0, 40.0), "polarization"),
-            ("profile", *synthetic_hemisphere_profile(2.7, 2.4, 101).as_arrays(), "spectrum")]:
+            ("profile", *synthetic_hemisphere_profile(2.7, 2.4, 101, 0.0).as_arrays(),
+             "spectrum")]:
         write_series_csv(folder / f"{name}.csv", MeasurementSeries(tuple(xs), tuple(ys), kind))
 
 

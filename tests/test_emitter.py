@@ -212,7 +212,8 @@ class TestCoupling:
 
 class TestMapAndTypes:
     def test_map_shape_and_monotonicity(self):
-        gs, kappas, grid = indistinguishability_map(GAMMA, GAMMA_STAR, points=12)
+        gs, kappas, grid = indistinguishability_map(
+            GAMMA, GAMMA_STAR, coupling_range=(1e6, 1e12), cavity_range=(1e6, 1e12), points=12)
         assert grid.shape == (12, 12)
         assert np.all((grid >= 0.0) & (grid <= 1.0))
         # small-g rows: indistinguishability falls with cavity linewidth

@@ -122,14 +122,14 @@ class TestBmp:
     def test_write_read_round_trip(self, tmp_path):
         dose = hemisphere_dose_map(2.7, 2.7, 25.0, 0.5)
         path = tmp_path / "map.bmp"
-        write_bmp(path, dose)
+        write_bmp(path, dose, {})
         back = read_bmp(path)
         assert np.array_equal(back, dose.pixels)
 
     def test_header_and_sidecar(self, tmp_path):
         dose = hemisphere_dose_map(2.7, 2.7, 25.0, 0.5)
         path = tmp_path / "map.bmp"
-        write_bmp(path, dose)
+        write_bmp(path, dose, {})
         raw = path.read_bytes()
         assert raw[:2] == b"BM"
         assert len(raw) == int.from_bytes(raw[2:6], "little")
@@ -140,21 +140,22 @@ class TestBmp:
 
 class TestProfileFit:
     def test_noiseless_identity(self):
-        profile = synthetic_hemisphere_profile(2.7, 2.4, 201)
-        fit = fit_hemisphere_profile(profile)
+        profile = synthetic_hemisphere_profile(2.7, 2.4, 201, 0.0)
+        fit = fit_hemisphere_profile(profile, edge_exclusion_fraction=0.10)
         assert fit["radius_um"] == pytest.approx(2.7, rel=1e-6)
         assert fit["center_offset_um"] == pytest.approx(0.0, abs=1e-6)
         assert fit["rms_nm"] == pytest.approx(0.0, abs=1e-6)
 
     def test_offset_recovered(self):
-        x_um, z_nm = synthetic_hemisphere_profile(2.7, 2.4, 201).as_arrays()
-        fit = fit_hemisphere_profile(specfit.MeasurementSeries(x_um + 0.35, z_nm))
+        x_um, z_nm = synthetic_hemisphere_profile(2.7, 2.4, 201, 0.0).as_arrays()
+        fit = fit_hemisphere_profile(specfit.MeasurementSeries(x_um + 0.35, z_nm),
+                                     edge_exclusion_fraction=0.10)
         assert fit["center_offset_um"] == pytest.approx(0.35, abs=1e-6)
 
     def test_rough_surface_statistics(self):
         rng = np.random.default_rng(123)
         profile = synthetic_hemisphere_profile(2.7, 2.4, 301, rng.normal(0.0, 0.5, 301))
-        fit = fit_hemisphere_profile(profile)
+        fit = fit_hemisphere_profile(profile, edge_exclusion_fraction=0.10)
         assert fit["radius_um"] == pytest.approx(2.7, rel=0.01)
         assert fit["rms_nm"] == pytest.approx(0.5, abs=0.15)
         assert fit["rms_nm"] < 1.0  # classifies as ideal
@@ -162,15 +163,15 @@ class TestProfileFit:
     def test_collinear_points_rejected(self):
         profile = specfit.MeasurementSeries(np.linspace(-1.0, 1.0, 20), np.zeros(20))
         with pytest.raises(FabError, match="degenerate|collinear"):
-            fit_hemisphere_profile(profile)
+            fit_hemisphere_profile(profile, edge_exclusion_fraction=0.10)
 
     def test_too_few_points_rejected(self):
-        profile = synthetic_hemisphere_profile(2.7, 2.4, 8)
+        profile = synthetic_hemisphere_profile(2.7, 2.4, 8, 0.0)
         with pytest.raises(FabError, match="10"):
-            fit_hemisphere_profile(profile)
+            fit_hemisphere_profile(profile, edge_exclusion_fraction=0.10)
 
     def test_csv_round_trip(self, tmp_path):
-        profile = synthetic_hemisphere_profile(2.7, 2.4, 51)
+        profile = synthetic_hemisphere_profile(2.7, 2.4, 51, 0.0)
         path = tmp_path / "profile.csv"
         with open(path, "w") as fh:
             fh.write("x_um,z_nm\n")

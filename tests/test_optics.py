@@ -81,12 +81,12 @@ class TestQuarterWaveStack:
         assert low_terminated.layers[0][0].real == N_L
 
     def test_minimal_pair_count(self):
-        stack = make_quarter_wave_stack(N_H, N_L, 1, LAM0)
+        stack = make_quarter_wave_stack(N_H, N_L, 1, LAM0, "low", substrate_index=N_SUB)
         assert len(stack.layers) == 2
 
     def test_degenerate_contrast_rejected(self):
         with pytest.raises(OpticsError, match="n_high > n_low"):
-            make_quarter_wave_stack(1.7, 1.7, 1, LAM0)
+            make_quarter_wave_stack(1.7, 1.7, 1, LAM0, "low", substrate_index=N_SUB)
 
     def test_zero_pairs_rejected(self, tmp_path, capsys):
         _assert_validation_error(
@@ -95,7 +95,7 @@ class TestQuarterWaveStack:
 
     def test_unphysical_index_rejected(self):
         with pytest.raises(OpticsError):
-            make_quarter_wave_stack(N_H, 0.9, 9, LAM0)
+            make_quarter_wave_stack(N_H, 0.9, 9, LAM0, "low", substrate_index=N_SUB)
         with pytest.raises(OpticsError):
             LayerStack(1.0, ((float("nan"), 100.0),), 1.5)
 

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spskit import qkd
+from spskit import pipeline, qkd
 from spskit.cli import main
+from spskit.config import apply_overrides, default_scenario
 from spskit.constants import transmittance_to_db
 from spskit.qkd import (
     ChannelModel,
@@ -32,10 +33,15 @@ from test_config_cli import _assert_validation_error
 REAL_SPS = SourceModel(kind="real_sps", mean_photons=0.513, g2_zero=0.018)
 WCS = SourceModel(kind="wcs", mean_photons=0.5, mu_mode="optimal")
 DECOY = SourceModel(kind="decoy", mean_photons=0.5, mu_mode="optimal")
-FIBER = ChannelModel(kind="fiber", attenuation_db_per_km=0.21)
-FREESPACE = ChannelModel(kind="freespace")
-# the Gobby-Yuan-Shields fiber receiver, which the model's defaults follow
-GYS_DETECTOR = DetectorModel()
+# the links of the default scenario: fiber loss, telescopes and the emitter's line
+FIBER = ChannelModel(kind="fiber", attenuation_db_per_km=0.21, transmit_aperture_m=0.05,
+                     receive_aperture_m=0.60, wavelength_nm=565.85,
+                     divergence_model="gaussian_farfield", divergence_half_angle_rad=None)
+FREESPACE = FIBER._replace(kind="freespace")
+# the Gobby-Yuan-Shields fiber receiver, which the default scenario follows
+GYS_DETECTOR = DetectorModel(receiver_efficiency=0.045, dark_count_per_pulse=1.7e-6,
+                             misalignment_error=0.033, error_correction_inefficiency=1.22,
+                             sifting_factor=0.5)
 
 
 def reference_entropy(x: float) -> float:
@@ -149,11 +155,11 @@ class TestChannels:
         assert -10 * math.log10(t) == pytest.approx(8.82, abs=1e-9)
 
     def test_zero_distance_is_transparent(self):
-        for channel in (FIBER, ChannelModel(kind="freespace")):
+        for channel in (FIBER, FREESPACE):
             assert channel_transmittance(channel.at_distance(0.0)) == 1.0
 
     def test_gaussian_farfield_puts_882_db_near_115_km(self):
-        channel = ChannelModel(kind="freespace", divergence_model="gaussian_farfield")
+        channel = FREESPACE._replace(divergence_model="gaussian_farfield")
         lo, hi = 1.0, 5000.0
         for _ in range(100):
             mid = 0.5 * (lo + hi)
@@ -166,29 +172,38 @@ class TestChannels:
 
     def test_calibrated_model_pins_loss_to_distance(self):
         theta = calibrate_divergence_half_angle(0.05, 0.60, 8.82, 630.0)
-        channel = ChannelModel(kind="freespace", divergence_model="calibrated",
-                               divergence_half_angle_rad=theta)
+        channel = FREESPACE._replace(divergence_model="calibrated",
+                                     divergence_half_angle_rad=theta)
         loss = -10 * math.log10(channel_transmittance(channel.at_distance(630.0)))
         assert loss == pytest.approx(8.82, abs=1e-9)
 
     def test_friis_model_decreases_with_distance(self):
-        channel = ChannelModel(kind="freespace", divergence_model="friis")
+        channel = FREESPACE._replace(divergence_model="friis")
         ts = [channel_transmittance(channel.at_distance(d)) for d in (50, 200, 800)]
         assert ts[0] > ts[1] > ts[2]
 
     def test_beam_spreads_with_distance(self):
-        channel = ChannelModel(kind="freespace")
-        assert beam_diameter_m(channel.at_distance(500.0)) > \
-            beam_diameter_m(channel.at_distance(50.0))
+        assert beam_diameter_m(FREESPACE, 500.0) > beam_diameter_m(FREESPACE, 50.0)
 
     def test_validation(self, tmp_path, capsys):
         with pytest.raises(QkdError, match="calibrated model needs"):
-            channel_transmittance(ChannelModel(kind="freespace", divergence_model="calibrated",
-                                               distance_km=10.0))
+            channel_transmittance(FREESPACE._replace(divergence_model="calibrated",
+                                                     distance_km=10.0))
         for key, value in (("channel", "microwave"), ("attenuation_db_per_km", 0.0)):
             _assert_validation_error(
                 ["--outdir", str(tmp_path), "--set", f"qkd.{key}={value}", "qkd"], capsys,
                 f"[qkd] {key}")
+
+    def test_unknown_kind_and_divergence_model_are_named(self):
+        # a library caller passes what config.SCHEMA's choices keep from the CLI
+        with pytest.raises(QkdError, match="got 'satellite'"):
+            channel_transmittance(FREESPACE._replace(kind="satellite", distance_km=10.0))
+        misspelled = FREESPACE._replace(divergence_model="calibrate",
+                                        divergence_half_angle_rad=1e-5)
+        with pytest.raises(QkdError, match="unknown divergence_model 'calibrate'"):
+            channel_transmittance(misspelled.at_distance(10.0))
+        with pytest.raises(QkdError, match="unknown divergence_model 'calibrate'"):
+            beam_diameter_m(misspelled, 10.0)
 
 
 class TestKeyRate:
@@ -255,8 +270,8 @@ class TestArrayRates:
     @pytest.mark.parametrize("kind", qkd.SOURCE_KINDS)
     def test_dark_channel(self, kind):
         # no link and no dark counts: zero gain, the clamped branch
-        detector = DetectorModel(receiver_efficiency=0.0, dark_count_per_pulse=0.0)
-        source = SourceModel(kind=kind, mean_photons=0.5)
+        detector = GYS_DETECTOR._replace(receiver_efficiency=0.0, dark_count_per_pulse=0.0)
+        source = SourceModel(kind=kind, mean_photons=0.5, g2_zero=0.018, mu_mode="optimal")
         got = qkd._rates(source, np.array([0.5, 1.0]), detector, 0.5)
         assert got.tolist() == [0.0, 0.0]
         assert reference_rate(source, 0.5, detector, 0.5) == 0.0
@@ -355,8 +370,8 @@ class TestCrossing:
         # loss in dB is channel-shape independent
         fiber_report = find_crossing(REAL_SPS, DECOY, FIBER, GYS_DETECTOR, (1.0, 120.0))
         theta = calibrate_divergence_half_angle(0.05, 0.60, 8.82, 630.0)
-        space = ChannelModel(kind="freespace", divergence_model="calibrated",
-                             divergence_half_angle_rad=theta)
+        space = FREESPACE._replace(divergence_model="calibrated",
+                                   divergence_half_angle_rad=theta)
         space_report = find_crossing(REAL_SPS, DECOY, space, GYS_DETECTOR, (10.0, 1500.0))
         assert space_report["loss_db"] == pytest.approx(fiber_report["loss_db"], abs=0.02)
 
@@ -431,8 +446,8 @@ def sequential_crossing(source_a, source_b, channel, detector, interval, tol_km)
             effective_rate(source_a, ch, detector))
 
 
-CALIBRATED_SPACE = ChannelModel(
-    kind="freespace", divergence_model="calibrated",
+CALIBRATED_SPACE = FREESPACE._replace(
+    divergence_model="calibrated",
     divergence_half_angle_rad=calibrate_divergence_half_angle(0.05, 0.60, 8.82, 630.0))
 
 
@@ -510,7 +525,7 @@ class TestSweep:
 class TestValidation:
     def test_source_model(self, tmp_path, capsys):
         with pytest.raises(QkdError, match="kind must be one of"):
-            effective_rate(SourceModel(kind="laser"), FIBER, GYS_DETECTOR)
+            effective_rate(SourceModel(kind="laser", mean_photons=0.513), FIBER, GYS_DETECTOR)
         for key, value in (("source_efficiency", 1.2), ("g2_zero", 1.5), ("mu_fixed", 0.0)):
             _assert_validation_error(
                 ["--outdir", str(tmp_path), "--set", f"qkd.{key}={value}", "qkd"], capsys,
@@ -522,3 +537,42 @@ class TestValidation:
             _assert_validation_error(
                 ["--outdir", str(tmp_path), "--set", f"qkd.{key}={value}", "qkd"], capsys,
                 f"[qkd] {key}")
+
+
+class TestModelsFromTheScenario:
+    """``pipeline.qkd_models`` builds each model from the scenario, with no
+    value of its own."""
+
+    # each key the models read, off its config.SCHEMA default
+    OFF_DEFAULT = {
+        "qkd.source_efficiency": 0.7, "qkd.g2_zero": 0.03, "qkd.attenuation_db_per_km": 0.3,
+        "qkd.receiver_efficiency": 0.1, "qkd.dark_count_per_pulse": 2e-6,
+        "qkd.misalignment_error": 0.02, "qkd.error_correction_inefficiency": 1.1,
+        "qkd.sifting_factor": 0.6, "qkd.mu_mode": "fixed", "qkd.mu_fixed": 0.4,
+        "qkd.transmit_aperture_m": 0.1, "qkd.receive_aperture_m": 1.2,
+        "qkd.calibration_loss_db": 10.0, "qkd.calibration_distance_km": 500.0,
+        "emitter.zpl_wavelength_nm": 600.0,
+    }
+
+    @pytest.mark.parametrize("channel,model", [
+        ("fiber", None), ("freespace", "gaussian_farfield"), ("freespace", "friis"),
+        ("freespace", "calibrated")])
+    def test_every_model_carries_the_scenario_values(self, channel, model):
+        scenario = default_scenario()
+        apply_overrides(scenario, [f"{key}={value}" for key, value in self.OFF_DEFAULT.items()])
+        detector, link, sources = pipeline.qkd_models(scenario, channel, model)
+        assert detector == DetectorModel(
+            receiver_efficiency=0.1, dark_count_per_pulse=2e-6, misalignment_error=0.02,
+            error_correction_inefficiency=1.1, sifting_factor=0.6)
+        half_angle = (calibrate_divergence_half_angle(0.1, 1.2, 10.0, 500.0)
+                      if model == "calibrated" else None)
+        assert link == ChannelModel(
+            kind=channel, attenuation_db_per_km=0.3, transmit_aperture_m=0.1,
+            receive_aperture_m=1.2, wavelength_nm=600.0, divergence_model=model,
+            divergence_half_angle_rad=half_angle)
+        assert sources == {
+            "sps": SourceModel(kind="real_sps", mean_photons=0.7, g2_zero=0.03),
+            "ideal": ideal_sps(),
+            "wcs": SourceModel(kind="wcs", mean_photons=0.4, mu_mode="fixed"),
+            "decoy": SourceModel(kind="decoy", mean_photons=0.4, mu_mode="fixed"),
+        }

@@ -40,7 +40,7 @@ def write_inputs(folder: Path) -> None:
     tau = np.linspace(-20000.0, 20000.0, 801)
     write_csv(folder / "g2.csv", tau, 140.0 * g2_model(tau, 0.9, 0.05, 600.0, 5000.0),
               "correlation")
-    write_csv(folder / "scan.csv", *synthetic_hemisphere_profile(2.7, 2.4, 101).as_arrays())
+    write_csv(folder / "scan.csv", *synthetic_hemisphere_profile(2.7, 2.4, 101, 0.0).as_arrays())
 
 
 def test_readme_lists_commands():

@@ -276,7 +276,7 @@ class TestLorentzianFit:
         x = np.linspace(540, 590, 301)
         y = lorentzian(x, 565.85, 5.76, 1000.0, 20.0)
         y = y + rng.normal(0.0, 10.0, x.size)  # ~1% of peak
-        fit = fit_lorentzian(series(x, y))
+        fit = fit_lorentzian(series(x, y), None)
         assert fit.params["center_nm"] == pytest.approx(565.85, abs=0.05)
         assert fit.params["fwhm_nm"] == pytest.approx(5.76, rel=0.02)
         assert fit.stderr["fwhm_nm"] > 0
@@ -284,7 +284,7 @@ class TestLorentzianFit:
     def test_too_few_samples_rejected(self):
         x = np.linspace(560, 570, 5)
         with pytest.raises(SeriesError, match="8 samples"):
-            fit_lorentzian(series(x, lorentzian(x, 565.0, 2.0, 10.0)))
+            fit_lorentzian(series(x, lorentzian(x, 565.0, 2.0, 10.0, 0.0)), None)
 
     def test_instrument_deconvolution_round_trip(self):
         # a 0.224 nm line behind a finite interferometer scan: fitting with
@@ -299,7 +299,7 @@ class TestLorentzianFit:
         x = np.linspace(565.85 - 3.0, 565.85 + 3.0, 601)
         instrument = 3.0  # scan range, 1/nm
         y = lorentzian_with_instrument(x, 565.85, 0.224, 1000.0, 0.0, instrument)
-        plain = fit_lorentzian(series(x, y))
+        plain = fit_lorentzian(series(x, y), None)
         assert plain.params["fwhm_nm"] > 0.25
 
     def test_delta_like_instrument_matches_plain_fit(self):
@@ -307,7 +307,7 @@ class TestLorentzianFit:
         x = np.linspace(550, 580, 401)
         y = lorentzian(x, 566.0, 4.0, 500.0, 5.0) + rng.normal(0, 2.0, x.size)
         wide = fit_lorentzian(series(x, y), 1e6)
-        plain = fit_lorentzian(series(x, y))
+        plain = fit_lorentzian(series(x, y), None)
         for key in ("center_nm", "fwhm_nm", "amplitude", "offset"):
             assert wide.params[key] == pytest.approx(plain.params[key], rel=1e-6)
 
@@ -326,7 +326,7 @@ class TestLorentzianFit:
         # checked before the sample count: five samples would fail that too
         x = np.linspace(560, 570, 5)
         with pytest.raises(SeriesError, match="scan range must be positive and finite"):
-            fit_lorentzian(series(x, lorentzian(x, 565.0, 2.0, 10.0)), scan_range)
+            fit_lorentzian(series(x, lorentzian(x, 565.0, 2.0, 10.0, 0.0)), scan_range)
 
     def test_nonconvergence_carries_last_iterate(self, monkeypatch):
         monkeypatch.setattr(specfit_module, "MAX_ITERATIONS", 1)
@@ -334,7 +334,7 @@ class TestLorentzianFit:
         x = np.linspace(540, 590, 301)
         y = lorentzian(x, 565.85, 5.76, 1000.0, 20.0) + rng.normal(0, 10.0, x.size)
         with pytest.raises(FitError) as excinfo:
-            fit_lorentzian(series(x, y))
+            fit_lorentzian(series(x, y), None)
         assert "center_nm" in excinfo.value.last_params
 
     @pytest.mark.parametrize("bounds", [None, ([0.0], [np.inf])])
@@ -363,7 +363,7 @@ class TestLorentzianFit:
         rng = np.random.default_rng(11)
         x = np.linspace(540, 590, 301)
         y = lorentzian(x, 565.85, 5.76, 1000.0, 20.0) + rng.normal(0.0, 10.0, x.size)
-        fit = fit_lorentzian(series(x, y))
+        fit = fit_lorentzian(series(x, y), None)
         formatted = fit.as_dict()["formatted"]
         assert "(" in formatted["fwhm_nm"] and formatted["fwhm_nm"].endswith(")")
 
@@ -716,23 +716,23 @@ class TestZplFraction:
         zpl_area_target = 100.0 * zpl_share
         # area of peak-normalized Lorentzian = amplitude * pi * fwhm / 2
         amp = zpl_area_target / (math.pi * zpl_fwhm / 2.0)
-        y = lorentzian(x, 565.85, zpl_fwhm, amp)
+        y = lorentzian(x, 565.85, zpl_fwhm, amp, 0.0)
         psb_area = 100.0 - zpl_area_target
         psb_amp = psb_area / (math.pi * 6.0 / 2.0)
-        y = y + lorentzian(x, 573.5, 6.0, psb_amp)
+        y = y + lorentzian(x, 573.5, 6.0, psb_amp, 0.0)
         return series(x, y), self.line(
             {"center_nm": 565.85, "fwhm_nm": zpl_fwhm, "amplitude": amp})
 
     def test_split_spectrum(self):
         spect, line = self.make_spectrum(0.632)
-        frac = zpl_fraction(spect, line)
+        frac = zpl_fraction(spect, line, default_cutoff_nm=580.0)
         # both lines lose tail weight outside the band; the split survives
         assert frac == pytest.approx(0.632, abs=0.03)
 
     def test_pure_line_is_unity(self):
         x = np.linspace(500.0, 640.0, 1401)
         amp = 100.0
-        y = lorentzian(x, 565.85, 5.76, amp)
+        y = lorentzian(x, 565.85, 5.76, amp, 0.0)
         frac = zpl_fraction(series(x, y), self.line({"center_nm": 565.85, "fwhm_nm": 5.76,
                                                      "amplitude": amp}),
                             default_cutoff_nm=640.0)
@@ -741,7 +741,8 @@ class TestZplFraction:
     def test_band_excluding_line_is_near_zero(self):
         spect, line = self.make_spectrum()
         x, y = spect.as_arrays()
-        frac = zpl_fraction(series(x[x >= 572.0], y[x >= 572.0]), line)
+        frac = zpl_fraction(series(x[x >= 572.0], y[x >= 572.0]), line,
+                            default_cutoff_nm=580.0)
         assert frac < 0.25
 
     def test_empty_band_rejected(self):
@@ -752,7 +753,7 @@ class TestZplFraction:
 
     def test_default_band_uses_contaminant_cutoff(self):
         spect, line = self.make_spectrum(0.632)
-        frac = zpl_fraction(spect, line)
+        frac = zpl_fraction(spect, line, default_cutoff_nm=580.0)
         assert 0.5 < frac < 0.75
 
 
@@ -866,7 +867,7 @@ G2_PARAMETERS = ("antibunching_amplitude", "bunching_amplitude", "antibunching_t
 def fit_draw(kind, draw):
     """Fit one round-trip draw of ``kind``: (parameters, stderr, residual norm, model)."""
     if kind == "spectrum":
-        fit = fit_lorentzian(draw["spectrum"][0])
+        fit = fit_lorentzian(draw["spectrum"][0], None)
     elif kind == "decay":
         fit = fit_decay_with_irf(*draw["decay"][:2])
     elif kind == "polarization":
@@ -1147,7 +1148,8 @@ class TestLockstepSolver:
         draws = roundtrip_draws[:10]
         # the batch fits skip the uncertainties, the one field that differs
         for draw, fits in zip(draws, fit_roundtrip_fits(draws)):
-            assert fits["spectrum"] == fit_lorentzian(draw["spectrum"][0])._replace(stderr={})
+            assert fits["spectrum"] == fit_lorentzian(
+                draw["spectrum"][0], None)._replace(stderr={})
             assert fits["decay"] == fit_decay_with_irf(*draw["decay"][:2])._replace(stderr={})
             assert fits["correlation"] == fit_g2(draw["correlation"][0])._replace(stderr={})
             assert fits["polarization"] == fit_polarization(
@@ -1182,7 +1184,7 @@ class TestLockstepSolver:
         monkeypatch.setattr(specfit_module, "MAX_ITERATIONS", 1)
         rng = np.random.default_rng(RNG_SEED)
         with pytest.raises(FitError) as first:
-            fit_lorentzian(fit_roundtrip_draw(rng)["spectrum"][0])
+            fit_lorentzian(fit_roundtrip_draw(rng)["spectrum"][0], None)
         with pytest.raises(FitError) as excinfo:
             fit_roundtrip_summary(3)
         assert excinfo.value.last_params == first.value.last_params
@@ -1319,7 +1321,7 @@ def curve_fit_reference(kind, draw) -> tuple:
             def model(t, lifetime, amplitude):
                 return amplitude * convolve_decay(t, abs(lifetime), irf.y)
         elif kind == "spectrum":
-            result = fit_lorentzian(series)
+            result = fit_lorentzian(series, None)
             model = full_model(specfit_module._lorentzian_model(None), 2)
         else:
             result, model = fit_polarization(series), cos2_model
@@ -1347,7 +1349,7 @@ class TestUncertainties:
     def test_fits_without_uncertainties_equal_the_default_but_for_them(self, roundtrip_draws):
         def column(kind, i=0):
             return [draw[kind][i] for draw in roundtrip_draws]
-        for batch, series in ((specfit_module.fit_lorentzian_batch, [column("spectrum")]),
+        for batch, series in ((specfit_module.fit_lorentzian_batch, [column("spectrum"), None]),
                               (specfit_module.fit_decay_with_irf_batch,
                                [column("decay"), column("decay", 1)]),
                               (fit_g2_batch, [column("correlation")]),
