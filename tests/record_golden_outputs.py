@@ -109,6 +109,12 @@ for _model in ("calibrated", "friis"):
         *_set("qkd.channel=freespace", f"qkd.divergence_model={_model}"), "qkd")
 RUNS["provenance"] = ("provenance",)
 
+# The Poissonian sources at their fixed intensity, and a free-space
+# receiver smaller than its transmitter, whose 0 km row is a loss too.
+RUNS["qkd mu_mode=fixed"] = (*_set("qkd.mu_mode=fixed"), "qkd")
+RUNS["qkd freespace receive_aperture=0.01"] = (
+    *_set("qkd.channel=freespace", "qkd.receive_aperture_m=0.01"), "qkd")
+
 # The fit-batch workload's first two fits of each kind at FIT_SEED, named
 # by their input: the largest size of each kind and one drawn below it,
 # one spectrum with --scan-range and one without, one correlation with
