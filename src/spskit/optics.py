@@ -396,15 +396,14 @@ def calibrated_lossy_stack(stack: LayerStack, target_reflectance: float, lam: fl
 # two-mirror cavity
 # ---------------------------------------------------------------------------
 
-def _cavity_stack(mirror_a: LayerStack, gap_nm: float, mirror_b: LayerStack,
-                  gap_index: float = 1.0) -> LayerStack:
-    """Full probe structure: substrate_a | reversed(a) | gap | b | substrate_b.
+def _cavity_stack(mirror_a: LayerStack, gap_nm: float, mirror_b: LayerStack) -> LayerStack:
+    """Full probe structure: substrate_a | reversed(a) | air gap | b | substrate_b.
 
     Both mirrors are defined facing the gap (their ambient side); the
     probe enters through mirror A's substrate.
     """
     _check_gaps(gap_nm)
-    layers = tuple(reversed(mirror_a.layers)) + ((gap_index, gap_nm),) + mirror_b.layers
+    layers = tuple(reversed(mirror_a.layers)) + ((1.0, gap_nm),) + mirror_b.layers
     return LayerStack(mirror_a.substrate_index, layers, mirror_b.substrate_index)
 
 

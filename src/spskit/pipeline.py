@@ -182,7 +182,7 @@ def fit(scenario: Scenario, series, irf, scan_range: float | None,
         line = specfit.fit_lorentzian(series, scan_range)
         report["fit"] = line.as_dict()
         report["zpl_fraction"] = specfit.zpl_fraction(
-            series, line, default_cutoff_nm=fcfg["contaminant_cutoff_nm"])
+            series, line, cutoff_nm=fcfg["contaminant_cutoff_nm"])
     elif series.kind == "decay":
         if irf is None:
             raise ConfigError("decay fitting requires --irf <csv>")
@@ -281,9 +281,7 @@ def qkd(scenario: Scenario, sweep: str | None) -> tuple:
     detector, channel, sources = models
     distances, interval = qkd_sweep(scenario, sweep)
     rows = qkd.sweep(sources, channel, detector, distances)
-    # a source at fixed mu has no mu column
-    table = np.column_stack([rows[c] if c in rows.dtype.names else
-                             np.full(len(rows), qcfg["mu_fixed"]) for c in QKD_COLUMNS])
+    table = np.column_stack([rows[c] for c in QKD_COLUMNS])
     report = {
         "channel": qcfg["channel"],
         "mu_mode": qcfg["mu_mode"],

@@ -3,31 +3,19 @@ decoy-state BB84 over fiber and free-space channels.
 
 Security model
 --------------
-Multiphoton emissions are treated as tagged, insecure signals
-(conservative tagged-states bound): with gain Q, error rate E, and
-source multiphoton probability p_m, the untagged fraction is
-Omega = (Q - p_m)/Q and
-
-    rate = q_sift * Q * [Omega (1 - H2(E/Omega)) - f_EC H2(E)]
-
-clamped at zero. The decoy protocol uses the asymptotic single-photon
-yield estimate instead:
-
-    rate = q_sift * [ -Q_mu f_EC H2(E_mu) + mu e^(-mu) Y_1 (1 - H2(e_1)) ]
-
-with Y_1 = Y_0 + t eta and e_1 = (e_0 Y_0 + e_det t eta)/Y_1. Gains are
-Q = Y_0 + mu t eta for sub-Poissonian sources and
-Q = 1 - (1 - Y_0) e^(-mu t eta) for Poissonian pulses; errors are
-E = (e_0 Y_0 + e_det mu t eta)/Q with e_0 = 1/2. The multiphoton
-probability is g2_0 mu^2 / 2 for a sub-Poissonian source and
-1 - e^(-mu)(1 + mu) for Poissonian pulses.
+``SECURITY_FORMULAS`` states each formula, and the crossing report records
+it. The sources without decoy states are rated by the conservative
+tagged-states bound: multiphoton emissions are tagged, insecure signals,
+and only the untagged fraction of the gain yields key. The decoy protocol
+rates the single-photon signals by their asymptotic yield and error
+estimate instead. Every rate is clamped at zero.
 
 Evaluation
 ----------
-The formulas above are written once, in ``_rates``, which works
-elementwise on numpy arrays of transmittance and intensity broadcast
-against each other; its branches (clamps, tagged-states cut-offs) are
-masks, not ``if`` statements. ``binary_entropy`` is elementwise too.
+The formulas are written once, in ``_rates``, which works elementwise on
+numpy arrays of transmittance and intensity broadcast against each
+other; its branches (clamps, tagged-states cut-offs) are masks, not
+``if`` statements. ``binary_entropy`` is elementwise too.
 The intensity optimizer ``_optimal_mu`` takes a whole array of
 transmittances: its 120-point log pre-scan is one (64 x 120) call per
 block of 64 transmittances, and ``search.golden_max`` refines all
@@ -98,7 +86,8 @@ def ideal_sps() -> SourceModel:
 
 
 class ChannelModel(NamedTuple):
-    """Fiber (attenuation in dB/km) or diffraction-limited free-space link."""
+    """Fiber (attenuation in dB/km) or diffraction-limited free-space link;
+    ``channel_transmittance`` takes the distance as its argument."""
 
     kind: str
     attenuation_db_per_km: float
@@ -107,10 +96,6 @@ class ChannelModel(NamedTuple):
     wavelength_nm: float
     divergence_model: str | None
     divergence_half_angle_rad: float | None
-    distance_km: float = 0.0
-
-    def at_distance(self, distance_km: float) -> "ChannelModel":
-        return self._replace(distance_km=distance_km)
 
 
 class DetectorModel(NamedTuple):
@@ -139,19 +124,17 @@ def binary_entropy(x):
     return h if h.ndim else float(h)
 
 
-def channel_transmittance(channel: ChannelModel, distance_km: float | None = None) -> float:
-    """Channel power transmittance in (0, 1] at ``distance_km`` (the channel's for None)."""
+def channel_transmittance(channel: ChannelModel, distance_km: float) -> float:
+    """Channel power transmittance in (0, 1] at ``distance_km``, by the
+    fiber or free-space formula of ``SECURITY_FORMULAS`` at every distance."""
     if channel.kind not in ("fiber", "freespace"):
         raise QkdError(f"channel kind must be 'fiber' or 'freespace', got {channel.kind!r}")
-    d = channel.distance_km if distance_km is None else distance_km
-    if d < 0:
+    if distance_km < 0:
         raise QkdError("distance must be non-negative")
-    if d == 0.0:
-        return 1.0
     if channel.kind == "fiber":
-        return 10.0 ** (-channel.attenuation_db_per_km * d / 10.0)
-    diameter = beam_diameter_m(channel, d)
-    return min(1.0, (channel.receive_aperture_m / diameter) ** 2)
+        return 10.0 ** (-channel.attenuation_db_per_km * distance_km / 10.0)
+    diameter, aperture = beam_diameter_m(channel, distance_km), channel.receive_aperture_m
+    return 1.0 if diameter <= aperture else (aperture / diameter) ** 2
 
 
 def beam_diameter_m(channel: ChannelModel, distance_km: float) -> float:
@@ -167,7 +150,7 @@ def beam_diameter_m(channel: ChannelModel, distance_km: float) -> float:
         return 2.0 * waist * math.sqrt(1.0 + (dist / rayleigh) ** 2)
     if channel.divergence_model == "friis":
         # equivalent diameter so (Dr/diameter)^2 = (pi Dt Dr / (4 lam L))^2
-        return 4.0 * lam * dist / (math.pi * d_t) if dist > 0 else d_t
+        return 4.0 * lam * dist / (math.pi * d_t)
     if channel.divergence_model != "calibrated":
         raise QkdError(f"unknown divergence_model {channel.divergence_model!r}")
     angle = channel.divergence_half_angle_rad
@@ -276,16 +259,19 @@ def _optimal_mu(source: SourceModel, t, detector: DetectorModel) -> tuple[np.nda
     return np.where(alive, mu_star, np.nan), np.where(alive, rate_of(mu_star), 0.0)
 
 
-def _effective_rates(source: SourceModel, t, detector: DetectorModel) -> np.ndarray:
-    """Key rates at transmittances ``t`` with the source's mu policy applied."""
+def _effective_rates(source: SourceModel, t,
+                     detector: DetectorModel) -> tuple[np.ndarray, np.ndarray]:
+    """Intensity and key rate at every transmittance of ``t`` under the
+    source's mu policy: the optimized mu, or ``mean_photons`` when fixed."""
     if source.optimizes_mu:
-        return _optimal_mu(source, t, detector)[1]
-    return _rates(source, t, detector, source.mean_photons)
+        return _optimal_mu(source, t, detector)
+    return (np.full(len(t), source.mean_photons),
+            _rates(source, t, detector, source.mean_photons))
 
 
-def optimize_mu(source: SourceModel, channel: ChannelModel,
-                detector: DetectorModel) -> tuple[float, float]:
-    """Best pulse intensity for a wcs/decoy source at this channel point.
+def optimize_mu(source: SourceModel, channel: ChannelModel, detector: DetectorModel,
+                distance_km: float) -> tuple[float, float]:
+    """Best pulse intensity for a wcs/decoy source at ``distance_km``.
 
     The search of ``_optimal_mu`` at one transmittance. Raises
     NoPositiveRateError when the rate is zero everywhere.
@@ -294,17 +280,18 @@ def optimize_mu(source: SourceModel, channel: ChannelModel,
     """
     if source.kind not in ("wcs", "decoy"):
         raise QkdError("mu optimization applies to wcs/decoy sources only")
-    mu, rate = _optimal_mu(source, [channel_transmittance(channel)], detector)
+    mu, rate = _optimal_mu(source, [channel_transmittance(channel, distance_km)], detector)
     if math.isnan(mu[0]):
         raise NoPositiveRateError(
             f"no positive rate for {source.kind} on (0, 1.5] at this distance")
     return float(mu[0]), float(rate[0])
 
 
-def effective_rate(source: SourceModel, channel: ChannelModel,
-                   detector: DetectorModel) -> float:
-    """Key rate with the source's mu policy applied (optimal or fixed)."""
-    return float(_effective_rates(source, [channel_transmittance(channel)], detector)[0])
+def effective_rate(source: SourceModel, channel: ChannelModel, detector: DetectorModel,
+                   distance_km: float) -> float:
+    """Key rate at ``distance_km`` with the source's mu policy applied."""
+    t = [channel_transmittance(channel, distance_km)]
+    return float(_effective_rates(source, t, detector)[1][0])
 
 
 def find_crossing(
@@ -330,36 +317,29 @@ def find_crossing(
 
     def diff(distances) -> np.ndarray:
         t = [channel_transmittance(channel, d) for d in distances]
-        return _effective_rates(source_a, t, detector) - _effective_rates(source_b, t, detector)
+        return (_effective_rates(source_a, t, detector)[1]
+                - _effective_rates(source_b, t, detector)[1])
 
     grid = np.linspace(lo, hi, 200)
-    values = diff(grid).tolist()
+    values = diff(grid)
     # both rates clamped to zero is equality, not a crossing; bracket the
     # first strict sign change, allowing clamped points in between
-    bracket = None
-    prev = None
-    for i, v in enumerate(values):
-        if v == 0.0:
-            continue
-        if prev is not None and values[prev] * v < 0:
-            bracket = (grid[prev], grid[i], values[prev])
-            break
-        prev = i
-    if bracket is None:
+    nonzero = np.flatnonzero(values)
+    changes = np.flatnonzero(values[nonzero[:-1]] * values[nonzero[1:]] < 0)
+    if changes.size == 0:
         raise NoCrossingError(
             f"no crossing in interval [{lo}, {hi}] km: rate difference keeps one sign")
-
-    a, b, fa = bracket
+    prev, i = nonzero[changes[0]:changes[0] + 2]
+    a, b, fa = grid[prev], grid[i], values[prev]
 
     def same_side(distances) -> np.ndarray:  # a midpoint on a's side of the crossing
         fm = diff(distances)
         return (fm != 0.0) & ((fm > 0) == (fa > 0))
 
     d_cross = search.bisect(same_side, a, b, tol=CROSSING_TOL_KM, levels=CROSSING_LEVELS)
-    ch = channel.at_distance(d_cross)
-    t = channel_transmittance(ch)
+    t = channel_transmittance(channel, d_cross)
     return {"distance_km": float(d_cross), "loss_db": float(transmittance_to_db(t)),
-            "rate": float(effective_rate(source_a, ch, detector))}
+            "rate": float(effective_rate(source_a, channel, detector, d_cross))}
 
 
 def sweep(
@@ -371,20 +351,18 @@ def sweep(
     """Rate sweep table for CSV export: a structured array with one row per
     distance and one field per column.
 
-    The columns are the distance, the loss in dB, the rate per source
-    label, and the optimized mu for sources that re-optimize per distance
-    (NaN where no intensity gives a positive rate). Each source is one
-    array evaluation over all distances.
+    The columns are the distance, the loss in dB of the transmittance in
+    ``SECURITY_FORMULAS``, and per source label its rate and its
+    intensity: the optimized mu for a source that re-optimizes per
+    distance (NaN where no intensity gives a positive rate), else its
+    ``mean_photons``. Each source is one array evaluation over all
+    distances.
     """
     distances = [float(d) for d in distances_km]
     t = [channel_transmittance(channel, d) for d in distances]
     columns = {"distance_km": distances, "loss_db": [transmittance_to_db(v) for v in t]}
     for label, src in sources.items():
-        if src.optimizes_mu:
-            mu_star, columns[f"rate_{label}"] = _optimal_mu(src, t, detector)
-            columns[f"mu_{label}"] = mu_star
-        else:
-            columns[f"rate_{label}"] = _rates(src, t, detector, src.mean_photons)
+        columns[f"mu_{label}"], columns[f"rate_{label}"] = _effective_rates(src, t, detector)
     table = np.empty(len(distances), dtype=[(name, float) for name in columns])
     for name, values in columns.items():
         table[name] = values

@@ -317,7 +317,7 @@ def check_qkd(report: ReproductionReport, scenario: Scenario) -> None:
 
     _, space, _ = space_models = pipeline.qkd_models(scenario, "freespace", "calibrated")
     report.add("8e", "calibrated free-space model: loss at 630 km (dB)",
-               transmittance_to_db(qkd.channel_transmittance(space.at_distance(630.0))),
+               transmittance_to_db(qkd.channel_transmittance(space, 630.0)),
                target("8.82 +- 1e-6 dB"),
                note=f"calibrated half angle {space.divergence_half_angle_rad:.4e} rad")
     crossing = pipeline.qkd_crossings(space_models, (10.0, 1500.0), ("decoy",))["sps_vs_decoy"]
@@ -328,7 +328,7 @@ def check_qkd(report: ReproductionReport, scenario: Scenario) -> None:
     # gaussian-diffraction reference point for the same loss
     _, gauss, _ = pipeline.qkd_models(scenario, "freespace", "gaussian_farfield")
     d_loss = search.bisect(
-        lambda d: transmittance_to_db(qkd.channel_transmittance(gauss.at_distance(d))) < 8.82,
+        lambda d: transmittance_to_db(qkd.channel_transmittance(gauss, d)) < 8.82,
         1.0, 5000.0)
     report.add("8g", "far-field Gaussian model: distance of the 8.82 dB loss (km)",
                d_loss, target("115 +- 10 km"),

@@ -584,18 +584,17 @@ def lorentzian_band_area(center: float, fwhm: float, amplitude: float,
                                - math.atan((lo - center) / half))
 
 
-def zpl_fraction(series: MeasurementSeries, line_fit: FitResult,
-                 *, default_cutoff_nm: float) -> float:
+def zpl_fraction(series: MeasurementSeries, line_fit: FitResult, *, cutoff_nm: float) -> float:
     """Fraction of total band emission carried by the fitted line.
 
     The ratio of the fitted Lorentzian's area to the trapezoid-integrated
     series over the integration band, which runs from the series start to
-    the contaminant cutoff (emission beyond it does not originate from
-    the emitter). Clipped to [0, 1].
+    the contaminant cutoff ``cutoff_nm`` (emission beyond it does not
+    originate from the emitter). Clipped to [0, 1].
     """
     x, y = series.as_arrays()
     params = line_fit.params
-    lo, hi = float(x[0]), min(float(x[-1]), default_cutoff_nm)
+    lo, hi = float(x[0]), min(float(x[-1]), cutoff_nm)
     if hi <= lo:
         raise SeriesError(f"empty integration band ({lo}, {hi})")
     mask = (x >= lo) & (x <= hi)

@@ -150,20 +150,27 @@ class TestBinaryEntropy:
 
 class TestChannels:
     def test_fiber_loss_at_42_km(self):
-        t = channel_transmittance(FIBER.at_distance(42.0))
+        t = channel_transmittance(FIBER, 42.0)
         assert t == pytest.approx(10 ** (-0.882), rel=1e-12)
         assert -10 * math.log10(t) == pytest.approx(8.82, abs=1e-9)
 
     def test_zero_distance_is_transparent(self):
         for channel in (FIBER, FREESPACE):
-            assert channel_transmittance(channel.at_distance(0.0)) == 1.0
+            assert channel_transmittance(channel, 0.0) == 1.0
+
+    @pytest.mark.parametrize("model", ["gaussian_farfield", "friis"])
+    def test_zero_distance_takes_the_formula_of_any_distance(self, model):
+        # a receiver smaller than the transmitter loses light at 0 km too
+        channel = FREESPACE._replace(receive_aperture_m=0.01, divergence_model=model)
+        assert channel_transmittance(channel, 0.0) == pytest.approx(
+            channel_transmittance(channel, 1e-9), rel=1e-6)
 
     def test_gaussian_farfield_puts_882_db_near_115_km(self):
         channel = FREESPACE._replace(divergence_model="gaussian_farfield")
         lo, hi = 1.0, 5000.0
         for _ in range(100):
             mid = 0.5 * (lo + hi)
-            loss = -10 * math.log10(channel_transmittance(channel.at_distance(mid)))
+            loss = -10 * math.log10(channel_transmittance(channel, mid))
             if loss < 8.82:
                 lo = mid
             else:
@@ -174,12 +181,12 @@ class TestChannels:
         theta = calibrate_divergence_half_angle(0.05, 0.60, 8.82, 630.0)
         channel = FREESPACE._replace(divergence_model="calibrated",
                                      divergence_half_angle_rad=theta)
-        loss = -10 * math.log10(channel_transmittance(channel.at_distance(630.0)))
+        loss = -10 * math.log10(channel_transmittance(channel, 630.0))
         assert loss == pytest.approx(8.82, abs=1e-9)
 
     def test_friis_model_decreases_with_distance(self):
         channel = FREESPACE._replace(divergence_model="friis")
-        ts = [channel_transmittance(channel.at_distance(d)) for d in (50, 200, 800)]
+        ts = [channel_transmittance(channel, d) for d in (50, 200, 800)]
         assert ts[0] > ts[1] > ts[2]
 
     def test_beam_spreads_with_distance(self):
@@ -187,8 +194,7 @@ class TestChannels:
 
     def test_validation(self, tmp_path, capsys):
         with pytest.raises(QkdError, match="calibrated model needs"):
-            channel_transmittance(FREESPACE._replace(divergence_model="calibrated",
-                                                     distance_km=10.0))
+            channel_transmittance(FREESPACE._replace(divergence_model="calibrated"), 10.0)
         for key, value in (("channel", "microwave"), ("attenuation_db_per_km", 0.0)):
             _assert_validation_error(
                 ["--outdir", str(tmp_path), "--set", f"qkd.{key}={value}", "qkd"], capsys,
@@ -197,11 +203,11 @@ class TestChannels:
     def test_unknown_kind_and_divergence_model_are_named(self):
         # a library caller passes what config.SCHEMA's choices keep from the CLI
         with pytest.raises(QkdError, match="got 'satellite'"):
-            channel_transmittance(FREESPACE._replace(kind="satellite", distance_km=10.0))
+            channel_transmittance(FREESPACE._replace(kind="satellite"), 10.0)
         misspelled = FREESPACE._replace(divergence_model="calibrate",
                                         divergence_half_angle_rad=1e-5)
         with pytest.raises(QkdError, match="unknown divergence_model 'calibrate'"):
-            channel_transmittance(misspelled.at_distance(10.0))
+            channel_transmittance(misspelled, 10.0)
         with pytest.raises(QkdError, match="unknown divergence_model 'calibrate'"):
             beam_diameter_m(misspelled, 10.0)
 
@@ -211,32 +217,29 @@ class TestKeyRate:
         detector = DetectorModel(receiver_efficiency=1.0, dark_count_per_pulse=0.0,
                                  misalignment_error=0.0,
                                  error_correction_inefficiency=1.0, sifting_factor=0.5)
-        rate = effective_rate(ideal_sps(), FIBER.at_distance(0.0), detector)
+        rate = effective_rate(ideal_sps(), FIBER, detector, 0.0)
         assert rate == pytest.approx(0.5, rel=1e-12)
 
     def test_dark_count_dominated_cutoff(self):
         # deep loss: errors pinned at 1/2 by dark counts, no key
-        assert effective_rate(REAL_SPS, FIBER.at_distance(400.0), GYS_DETECTOR) == 0.0
+        assert effective_rate(REAL_SPS, FIBER, GYS_DETECTOR, 400.0) == 0.0
 
     def test_unit_efficiency_zero_g2_equals_ideal(self):
         tuned = SourceModel(kind="real_sps", mean_photons=1.0, g2_zero=0.0)
         for d in (0.0, 10.0, 30.0, 60.0, 120.0):
-            channel = FIBER.at_distance(d)
-            assert effective_rate(tuned, channel, GYS_DETECTOR) == pytest.approx(
-                effective_rate(ideal_sps(), channel, GYS_DETECTOR), rel=1e-12)
+            assert effective_rate(tuned, FIBER, GYS_DETECTOR, d) == pytest.approx(
+                effective_rate(ideal_sps(), FIBER, GYS_DETECTOR, d), rel=1e-12)
 
     def test_rates_monotone_non_increasing(self):
         distances = np.linspace(0.0, 150.0, 151)
         for source in (REAL_SPS, ideal_sps(), WCS, DECOY):
-            rates = [effective_rate(source, FIBER.at_distance(d), GYS_DETECTOR)
-                     for d in distances]
+            rates = [effective_rate(source, FIBER, GYS_DETECTOR, d) for d in distances]
             assert all(b <= a + 1e-9 for a, b in zip(rates, rates[1:])), source.kind
 
     def test_ideal_dominates_real(self):
         for d in np.linspace(0.0, 150.0, 76):
-            channel = FIBER.at_distance(d)
-            assert effective_rate(ideal_sps(), channel, GYS_DETECTOR) >= \
-                effective_rate(REAL_SPS, channel, GYS_DETECTOR) - 1e-15
+            assert effective_rate(ideal_sps(), FIBER, GYS_DETECTOR, d) >= \
+                effective_rate(REAL_SPS, FIBER, GYS_DETECTOR, d) - 1e-15
 
 
 def _close(a: float, b: float) -> bool:
@@ -277,9 +280,9 @@ class TestArrayRates:
         assert reference_rate(source, 0.5, detector, 0.5) == 0.0
 
     def test_scalar_wrapper_returns_floats(self):
-        rate = effective_rate(REAL_SPS, FIBER.at_distance(20.0), GYS_DETECTOR)
+        rate = effective_rate(REAL_SPS, FIBER, GYS_DETECTOR, 20.0)
         assert type(rate) is float
-        ref = reference_rate(REAL_SPS, channel_transmittance(FIBER.at_distance(20.0)),
+        ref = reference_rate(REAL_SPS, channel_transmittance(FIBER, 20.0),
                              GYS_DETECTOR, REAL_SPS.mean_photons)
         assert _close(rate, ref)
 
@@ -291,7 +294,7 @@ class TestLockstepMu:
         distances = np.arange(0.0, 100.25, 0.5)
         rows = sweep({"wcs": WCS, "decoy": DECOY}, channel, GYS_DETECTOR, distances)
         for row in rows:
-            t = channel_transmittance(channel.at_distance(row["distance_km"]))
+            t = channel_transmittance(channel, row["distance_km"])
             for label, source in (("wcs", WCS), ("decoy", DECOY)):
                 expected = reference_golden_mu(source, t, GYS_DETECTOR)
                 got = row[f"mu_{label}"]
@@ -301,10 +304,10 @@ class TestLockstepMu:
                     assert row[f"rate_{label}"] == 0.0
 
     def test_scalar_optimize_mu_is_the_lockstep_search(self):
-        ts = [channel_transmittance(FIBER.at_distance(d)) for d in (0.0, 17.0, 42.0, 90.0)]
+        ts = [channel_transmittance(FIBER, d) for d in (0.0, 17.0, 42.0, 90.0)]
         mus, rates = qkd._optimal_mu(DECOY, ts, GYS_DETECTOR)
         for d, mu, rate in zip((0.0, 17.0, 42.0, 90.0), mus, rates):
-            assert optimize_mu(DECOY, FIBER.at_distance(d), GYS_DETECTOR) == (mu, rate)
+            assert optimize_mu(DECOY, FIBER, GYS_DETECTOR, d) == (mu, rate)
 
     def test_empty_transmittance_array(self):
         mus, rates = qkd._optimal_mu(WCS, [], GYS_DETECTOR)
@@ -316,39 +319,36 @@ class TestMuOptimization:
     @pytest.mark.parametrize("source,distance", [
         (WCS, 10.0), (WCS, 30.0), (DECOY, 10.0), (DECOY, 42.0)])
     def test_matches_brute_force_grid(self, source, distance):
-        channel = FIBER.at_distance(distance)
-        mu_star, rate_star = optimize_mu(source, channel, GYS_DETECTOR)
+        mu_star, rate_star = optimize_mu(source, FIBER, GYS_DETECTOR, distance)
         grid = np.linspace(1e-6, 1.5, 10000)
-        rates = qkd._rates(source, channel_transmittance(channel), GYS_DETECTOR, grid)
+        rates = qkd._rates(source, channel_transmittance(FIBER, distance), GYS_DETECTOR, grid)
         assert rate_star >= rates.max() - 1e-12
 
     def test_decoy_optimum_insensitive_to_distance(self):
-        mus = [optimize_mu(DECOY, FIBER.at_distance(d), GYS_DETECTOR)[0]
-               for d in (5.0, 25.0, 60.0)]
+        mus = [optimize_mu(DECOY, FIBER, GYS_DETECTOR, d)[0] for d in (5.0, 25.0, 60.0)]
         assert max(mus) - min(mus) < 0.1 * max(mus)
         assert all(0.3 < m < 0.7 for m in mus)
 
     def test_wcs_optimum_tracks_link_transmittance(self):
         # heavier loss pushes the optimal pulse intensity down
-        mus = [optimize_mu(WCS, FIBER.at_distance(d), GYS_DETECTOR)[0]
-               for d in (5.0, 20.0, 35.0)]
+        mus = [optimize_mu(WCS, FIBER, GYS_DETECTOR, d)[0] for d in (5.0, 20.0, 35.0)]
         assert mus[0] > mus[1] > mus[2]
 
     def test_noiseless_decoy_peaks_at_unit_intensity(self):
         detector = DetectorModel(receiver_efficiency=1.0, dark_count_per_pulse=0.0,
                                  misalignment_error=0.0,
                                  error_correction_inefficiency=1.0, sifting_factor=0.5)
-        mu_star, _ = optimize_mu(DECOY, FIBER.at_distance(0.0), detector)
+        mu_star, _ = optimize_mu(DECOY, FIBER, detector, 0.0)
         # rate reduces to mu e^(-mu) Y1: the optimum sits at mu = 1
         assert mu_star == pytest.approx(1.0, abs=1e-3)
 
     def test_no_positive_rate_raises(self):
         with pytest.raises(NoPositiveRateError, match="no positive rate"):
-            optimize_mu(WCS, FIBER.at_distance(300.0), GYS_DETECTOR)
+            optimize_mu(WCS, FIBER, GYS_DETECTOR, 300.0)
 
     def test_sps_sources_rejected(self):
         with pytest.raises(QkdError):
-            optimize_mu(REAL_SPS, FIBER.at_distance(10.0), GYS_DETECTOR)
+            optimize_mu(REAL_SPS, FIBER, GYS_DETECTOR, 10.0)
 
 
 class TestCrossing:
@@ -381,12 +381,11 @@ class TestCrossing:
 
     @pytest.mark.parametrize("channel", [FIBER, FREESPACE], ids=["fiber", "freespace"])
     def test_negative_distance_rejected(self, channel):
-        # a channel model holds any distance: each function that reads one
-        # rejects a negative one
+        # each function that takes a distance rejects a negative one
         with pytest.raises(QkdError, match="non-negative"):
             sweep({"wcs": WCS}, channel, GYS_DETECTOR, [-1.0, 0.0])
         with pytest.raises(QkdError, match="non-negative"):
-            effective_rate(REAL_SPS, channel.at_distance(-1.0), GYS_DETECTOR)
+            effective_rate(REAL_SPS, channel, GYS_DETECTOR, -1.0)
         with pytest.raises(QkdError, match="non-negative"):
             beam_diameter_m(channel, -1.0)
         with pytest.raises(QkdError, match="non-negative"):
@@ -416,9 +415,9 @@ def sequential_crossing(source_a, source_b, channel, detector, interval, tol_km)
     ``effective_rate``: what ``find_crossing`` must reproduce bit for bit."""
     lo, hi = interval
     grid = np.linspace(lo, hi, 200)
-    t = [channel_transmittance(channel.at_distance(d)) for d in grid]
-    values = (qkd._effective_rates(source_a, t, detector)
-              - qkd._effective_rates(source_b, t, detector)).tolist()
+    t = [channel_transmittance(channel, d) for d in grid]
+    values = (qkd._effective_rates(source_a, t, detector)[1]
+              - qkd._effective_rates(source_b, t, detector)[1]).tolist()
     prev = None
     for i, v in enumerate(values):
         if v == 0.0:
@@ -429,8 +428,8 @@ def sequential_crossing(source_a, source_b, channel, detector, interval, tol_km)
         prev = i
 
     def diff(d):
-        ch = channel.at_distance(d)
-        return effective_rate(source_a, ch, detector) - effective_rate(source_b, ch, detector)
+        return (effective_rate(source_a, channel, detector, d)
+                - effective_rate(source_b, channel, detector, d))
 
     fa = diff(a)
     while b - a > tol_km:
@@ -441,9 +440,8 @@ def sequential_crossing(source_a, source_b, channel, detector, interval, tol_km)
         else:
             b = m
     d = 0.5 * (a + b)
-    ch = channel.at_distance(d)
-    return (float(d), transmittance_to_db(channel_transmittance(ch)),
-            effective_rate(source_a, ch, detector))
+    return (float(d), transmittance_to_db(channel_transmittance(channel, d)),
+            effective_rate(source_a, channel, detector, d))
 
 
 CALIBRATED_SPACE = FREESPACE._replace(
@@ -479,11 +477,12 @@ class TestCrossingExactness:
         # crossing: the scan brackets the zeros, and bisection must treat
         # each zero midpoint as the far side, as one step at a time does
         real_rates = qkd._effective_rates
-        near, far = (channel_transmittance(FIBER.at_distance(d)) for d in (20.0, 26.0))
+        near, far = (channel_transmittance(FIBER, d) for d in (20.0, 26.0))
 
         def clamped(source, t, detector):
             t = np.asarray(t, dtype=float)
-            return np.where((t < near) & (t > far), 0.0, real_rates(source, t, detector))
+            mu, rate = real_rates(source, t, detector)
+            return mu, np.where((t < near) & (t > far), 0.0, rate)
 
         monkeypatch.setattr(qkd, "_effective_rates", clamped)
         monkeypatch.setattr(qkd, "CROSSING_TOL_KM", tol_km)
@@ -513,7 +512,7 @@ class TestSweep:
                      np.arange(0.0, 50.5, 10.0))
         assert len(rows) == 6
         assert set(rows.dtype.names) == {"distance_km", "loss_db", "rate_sps", "rate_decoy",
-                                         "mu_decoy"}
+                                         "mu_sps", "mu_decoy"}
         assert rows[1]["loss_db"] == pytest.approx(2.1)
 
     def test_dead_zone_reports_nan_mu(self):
@@ -525,7 +524,8 @@ class TestSweep:
 class TestValidation:
     def test_source_model(self, tmp_path, capsys):
         with pytest.raises(QkdError, match="kind must be one of"):
-            effective_rate(SourceModel(kind="laser", mean_photons=0.513), FIBER, GYS_DETECTOR)
+            effective_rate(SourceModel(kind="laser", mean_photons=0.513), FIBER, GYS_DETECTOR,
+                           0.0)
         for key, value in (("source_efficiency", 1.2), ("g2_zero", 1.5), ("mu_fixed", 0.0)):
             _assert_validation_error(
                 ["--outdir", str(tmp_path), "--set", f"qkd.{key}={value}", "qkd"], capsys,

@@ -725,7 +725,7 @@ class TestZplFraction:
 
     def test_split_spectrum(self):
         spect, line = self.make_spectrum(0.632)
-        frac = zpl_fraction(spect, line, default_cutoff_nm=580.0)
+        frac = zpl_fraction(spect, line, cutoff_nm=580.0)
         # both lines lose tail weight outside the band; the split survives
         assert frac == pytest.approx(0.632, abs=0.03)
 
@@ -735,25 +735,25 @@ class TestZplFraction:
         y = lorentzian(x, 565.85, 5.76, amp, 0.0)
         frac = zpl_fraction(series(x, y), self.line({"center_nm": 565.85, "fwhm_nm": 5.76,
                                                      "amplitude": amp}),
-                            default_cutoff_nm=640.0)
+                            cutoff_nm=640.0)
         assert frac == pytest.approx(1.0, abs=0.02)
 
     def test_band_excluding_line_is_near_zero(self):
         spect, line = self.make_spectrum()
         x, y = spect.as_arrays()
         frac = zpl_fraction(series(x[x >= 572.0], y[x >= 572.0]), line,
-                            default_cutoff_nm=580.0)
+                            cutoff_nm=580.0)
         assert frac < 0.25
 
     def test_empty_band_rejected(self):
         # a cutoff below the series start leaves no band
         spect, line = self.make_spectrum()
         with pytest.raises(SeriesError, match="empty"):
-            zpl_fraction(spect, line, default_cutoff_nm=540.0)
+            zpl_fraction(spect, line, cutoff_nm=540.0)
 
     def test_default_band_uses_contaminant_cutoff(self):
         spect, line = self.make_spectrum(0.632)
-        frac = zpl_fraction(spect, line, default_cutoff_nm=580.0)
+        frac = zpl_fraction(spect, line, cutoff_nm=580.0)
         assert 0.5 < frac < 0.75
 
 
