@@ -19,9 +19,13 @@ write other bytes, and with numpy's AVX-512 loops off so do the two
 0-1000 km ``qkd`` grids at 0.1 km and free space under ``friis`` (a rate
 cell in its 10th digit), while every ``cavity`` run holds.
 
-Run from the repository root with ``python tests/record_golden_outputs.py``.
-Re-record only when an output is meant to change, and state every delta
-in CHANGES.md.
+Run from the repository root with ``python tests/record_golden_outputs.py``
+to re-record every run, or with ``python tests/record_golden_outputs.py
+NAME [NAME ...]`` to re-record only the named ``RUNS`` and ``FIT_RUNS``
+entries: every other record stays as stored, the file keeps the
+``list(RUNS) + FIT_RUNS`` order, and an unknown name exits 1. A run new
+to ``RUNS`` is recorded by naming it. Re-record only when an output is
+meant to change, and state every delta in CHANGES.md.
 """
 from __future__ import annotations
 
@@ -115,6 +119,9 @@ RUNS["qkd mu_mode=fixed"] = (*_set("qkd.mu_mode=fixed"), "qkd")
 RUNS["qkd freespace receive_aperture=0.01"] = (
     *_set("qkd.channel=freespace", "qkd.receive_aperture_m=0.01"), "qkd")
 
+# The free spectral range and Q from the bare length q*lam/2.
+RUNS["cavity include_penetration=off"] = (*_set("cavity.include_penetration=off"), "cavity")
+
 # The fit-batch workload's first two fits of each kind at FIT_SEED, named
 # by their input: the largest size of each kind and one drawn below it,
 # one spectrum with --scan-range and one without, one correlation with
@@ -164,17 +171,25 @@ def record(code: int, stdout: str, stderr: str, warned: list[str], outdir: Path,
             "warnings": [masked(message) for message in warned], "files": files}
 
 
-def main() -> int:
+def main(names: list[str]) -> int:
+    """Re-records the runs named in ``names``, or every run if it is empty."""
     sys.path.insert(0, str(HERE.parent / "src"))
+    unknown = [name for name in names if name not in RUNS and name not in FIT_RUNS]
+    if unknown:
+        print(f"unknown runs: {unknown}", file=sys.stderr)
+        return 1
+    golden = json.loads(GOLDEN_PATH.read_text()) if names else {}
     with tempfile.TemporaryDirectory() as tmp:
-        golden = {name: outputs(argv, Path(tmp) / str(i))
-                  for i, (name, argv) in enumerate(RUNS.items())}
         inputs = Path(tmp) / "inputs"
-        golden.update((name, outputs(argv, Path(tmp) / name, inputs))
-                      for name, argv in fit_runs(inputs).items())
+        runs = {**RUNS, **fit_runs(inputs)}
+        for i, name in enumerate(runs):
+            if not names or name in names:
+                golden[name] = outputs(runs[name], Path(tmp) / str(i),
+                                       inputs if name in FIT_RUNS else None)
+    golden = {name: golden[name] for name in runs}
     GOLDEN_PATH.write_text(json.dumps(golden, indent=1) + "\n", encoding="utf-8")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
