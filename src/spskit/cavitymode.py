@@ -1,15 +1,14 @@
 """Gaussian-mode geometry and tuning of the plano-concave microcavity.
 
-Lengths follow the resonance convention: the effective cavity length for
-mode order q at wavelength lam is q*lam/2. Where mirror field leakage
-matters (free spectral range), the effective length optionally includes
-twice the penetration depth. Of what ``config.SCHEMA`` does not guarantee,
-``mode_volume`` checks the stability limit and ``_length_nm`` the penetration depth.
+Each function takes the plain values it reads. The effective length of
+mode q at wavelength lam is q*lam/2 plus twice the penetration depth xi the
+caller passes; a caller that leaves the mirror leakage out passes 0.0. Of
+what ``config.SCHEMA`` does not guarantee, ``mode_volume`` checks the
+stability limit and ``_length_nm`` the penetration depth.
 """
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 from .constants import NM_PER_M, SPEED_OF_LIGHT_M_PER_S
 
@@ -23,29 +22,16 @@ class CavityError(ValueError):
     """Invalid cavity geometry or operating point."""
 
 
-class CavityConfig(NamedTuple):
-    """Plano-concave cavity geometry."""
-
-    radius_of_curvature_um: float
-    longitudinal_order: int
-    design_wavelength_nm: float
-    mirror_reflectivity: float
-    penetration_depth_nm: float = 122.0
-
-    @property
-    def effective_length_nm(self) -> float:
-        return self.longitudinal_order * self.design_wavelength_nm / 2.0
-
-
-def mode_volume(config: CavityConfig) -> float:
-    """Gaussian-mode volume V = (pi/4) w0^2 L in units of lam^3.
+def mode_volume(radius_of_curvature_um: float, longitudinal_order: int,
+                wavelength_nm: float) -> float:
+    """Gaussian-mode volume V = (pi/4) w0^2 L of mode q at lam, in units of lam^3.
 
     The waist obeys w0^2 = (lam/pi) sqrt(L (Rc - L)) with L = q lam/2;
     the stability requirement L < Rc is checked here (CavityError).
     """
-    lam = config.design_wavelength_nm
-    length = config.effective_length_nm
-    rc = config.radius_of_curvature_um * 1e3
+    lam = wavelength_nm
+    length = _length_nm(longitudinal_order, lam, 0.0)
+    rc = radius_of_curvature_um * 1e3
     if length >= rc:
         raise CavityError(f"unstable geometry: length {length:.1f} nm >= "
                           f"radius of curvature {rc:.1f} nm")
@@ -59,31 +45,29 @@ def finesse(mirror_reflectivity: float) -> float:
     return math.pi * math.sqrt(r) / (1.0 - r)
 
 
-def fsr_finesse_linewidth(
-    config: CavityConfig, *, include_penetration: bool
-) -> tuple[float, float, float]:
-    """(FSR in Hz, finesse, linewidth in Hz) for the configured cavity.
-
-    FSR = c/(2 L_eff) with L_eff = q lam/2, plus twice the penetration
-    depth where ``include_penetration``; linewidth = FSR/finesse.
-    """
-    fsr_hz = SPEED_OF_LIGHT_M_PER_S / (2.0 * _length_nm(config, include_penetration) / NM_PER_M)
-    fin = finesse(config.mirror_reflectivity)
+def fsr_finesse_linewidth(longitudinal_order: int, wavelength_nm: float,
+                          penetration_depth_nm: float,
+                          mirror_reflectivity: float) -> tuple[float, float, float]:
+    """(FSR in Hz, finesse, linewidth in Hz) of mode q at lam: FSR = c/(2 L_eff)
+    with L_eff = q lam/2 + 2 xi, and linewidth = FSR/finesse."""
+    length_nm = _length_nm(longitudinal_order, wavelength_nm, penetration_depth_nm)
+    fsr_hz = SPEED_OF_LIGHT_M_PER_S / (2.0 * length_nm / NM_PER_M)
+    fin = finesse(mirror_reflectivity)
     return fsr_hz, fin, fsr_hz / fin
 
 
-def quality_factor(config: CavityConfig, *, include_penetration: bool) -> float:
+def quality_factor(longitudinal_order: int, wavelength_nm: float,
+                   penetration_depth_nm: float, mirror_reflectivity: float) -> float:
     """Q = finesse * 2 L_eff / lam; cross-checks the transfer-matrix spectrum."""
-    return (finesse(config.mirror_reflectivity) * 2.0 * _length_nm(config, include_penetration)
-            / config.design_wavelength_nm)
+    length_nm = _length_nm(longitudinal_order, wavelength_nm, penetration_depth_nm)
+    return finesse(mirror_reflectivity) * 2.0 * length_nm / wavelength_nm
 
 
-def _length_nm(config: CavityConfig, include_penetration: bool) -> float:
-    """L_eff = q lam/2, plus twice the penetration depth where included."""
-    if config.penetration_depth_nm < 0:
+def _length_nm(q: int, lam: float, xi: float) -> float:
+    """L_eff = q lam/2 + 2 xi."""
+    if xi < 0:
         raise CavityError("penetration depth must be non-negative")
-    length_nm = config.effective_length_nm
-    return length_nm + 2.0 * config.penetration_depth_nm if include_penetration else length_nm
+    return q * lam / 2.0 + 2.0 * xi
 
 
 def fsr_for_linewidth(target_linewidth_hz: float, mirror_reflectivity: float) -> float:
@@ -95,8 +79,8 @@ def fsr_for_linewidth(target_linewidth_hz: float, mirror_reflectivity: float) ->
     return target_linewidth_hz * finesse(mirror_reflectivity)
 
 
-def tune(config: CavityConfig, voltage_v: float) -> tuple[float, float]:
-    """Piezo tuning: (gap change in nm, resonance shift in nm).
+def tune(longitudinal_order: int, voltage_v: float) -> tuple[float, float]:
+    """Piezo tuning of mode q: (gap change in nm, resonance shift in nm).
 
     The polymer spacer compresses linearly with drive voltage; on mode q
     a length change dL shifts the resonance by 2 dL / q.
@@ -104,7 +88,7 @@ def tune(config: CavityConfig, voltage_v: float) -> tuple[float, float]:
     if abs(voltage_v) > MAX_VOLTAGE_V:
         raise CavityError(f"voltage {voltage_v} V outside safe range +-{MAX_VOLTAGE_V} V")
     d_length = TUNING_SLOPE_NM_PER_V * voltage_v
-    d_lambda = 2.0 * d_length / config.longitudinal_order
+    d_lambda = 2.0 * d_length / longitudinal_order
     return d_length, d_lambda
 
 

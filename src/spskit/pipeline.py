@@ -86,21 +86,18 @@ def cavity(scenario: Scenario) -> tuple:
     transmission, resonance = optics.cavity_spectrum(lossy, gap, lossy, wls,
                                                      report_near_nm=lam)
 
-    config = cavitymode.CavityConfig(
-        radius_of_curvature_um=ccfg["radius_of_curvature_um"],
-        longitudinal_order=q, design_wavelength_nm=lam,
-        penetration_depth_nm=xi, mirror_reflectivity=ccfg["mirror_reflectivity"])
-    fsr, fin, linewidth = cavitymode.fsr_finesse_linewidth(
-        config, include_penetration=ccfg["include_penetration"])
+    # the free spectral range and Q read L_eff = q*lam/2 + 2*xi, or the bare length
+    length_args = (q, lam, xi if ccfg["include_penetration"] else 0.0,
+                   ccfg["mirror_reflectivity"])
+    fsr, fin, linewidth = cavitymode.fsr_finesse_linewidth(*length_args)
     report = {
         "resonant_gap_nm": gap,
         "penetration_depth_nm": xi,
         "antinode_count": optics.antinode_count(intensity),
         "resonance": resonance,
-        "mode_volume_lambda3": cavitymode.mode_volume(config),
+        "mode_volume_lambda3": cavitymode.mode_volume(ccfg["radius_of_curvature_um"], q, lam),
         "fsr_hz": fsr, "finesse": fin, "linewidth_hz": linewidth,
-        "airy_quality_factor": cavitymode.quality_factor(
-            config, include_penetration=ccfg["include_penetration"]),
+        "airy_quality_factor": cavitymode.quality_factor(*length_args),
     }
     return positions, intensity, wls, transmission, report
 
@@ -111,11 +108,8 @@ def emitter(scenario: Scenario) -> dict:
     from .constants import linewidth_nm_to_hz, rate_from_lifetime_ps
     ecfg, ccfg = scenario["emitter"], scenario["cavity"]
     zpl = ecfg["zpl_wavelength_nm"]
-    # the mode volume reads the geometry alone
-    volume = cavitymode.mode_volume(cavitymode.CavityConfig(
-        radius_of_curvature_um=ccfg["radius_of_curvature_um"],
-        longitudinal_order=ccfg["longitudinal_order"],
-        design_wavelength_nm=zpl, mirror_reflectivity=ccfg["mirror_reflectivity"]))
+    volume = cavitymode.mode_volume(ccfg["radius_of_curvature_um"],
+                                    ccfg["longitudinal_order"], zpl)
     chain = emitter.purcell_chain(
         zpl, ecfg["cavity_fwhm_nm"], ecfg["free_linewidth_nm"], volume,
         ecfg["lifetime_ratio"], ecfg["mirror_purcell"])

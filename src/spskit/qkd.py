@@ -149,8 +149,9 @@ def beam_diameter_m(channel: ChannelModel, distance_km: float) -> float:
         rayleigh = math.pi * waist ** 2 / lam
         return 2.0 * waist * math.sqrt(1.0 + (dist / rayleigh) ** 2)
     if channel.divergence_model == "friis":
-        # equivalent diameter so (Dr/diameter)^2 = (pi Dt Dr / (4 lam L))^2
-        return 4.0 * lam * dist / (math.pi * d_t)
+        # equivalent diameter so (Dr/diameter)^2 = (pi Dt Dr / (4 lam L))^2,
+        # no narrower than the beam leaving the transmitter
+        return max(4.0 * lam * dist / (math.pi * d_t), d_t)
     if channel.divergence_model != "calibrated":
         raise QkdError(f"unknown divergence_model {channel.divergence_model!r}")
     angle = channel.divergence_half_angle_rad

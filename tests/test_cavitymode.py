@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from spskit.cavitymode import (
-    CavityConfig,
     CavityError,
     finesse,
     fsr_finesse_linewidth,
@@ -15,6 +16,7 @@ from spskit.cavitymode import (
     spectral_overlap,
     tune,
 )
+from spskit.constants import NM_PER_M, SPEED_OF_LIGHT_M_PER_S
 from test_config_cli import _assert_validation_error
 
 
@@ -25,40 +27,37 @@ def volume_oracle(rc_nm, q, lam):
     return (math.pi / 4.0) * w0_sq * length / lam ** 3
 
 
-PAPER_CONFIG = CavityConfig(radius_of_curvature_um=2.7, longitudinal_order=8,
-                            design_wavelength_nm=565.85, penetration_depth_nm=122.0,
-                            mirror_reflectivity=0.992)
+# the paper's cavity: radius of curvature (um), mode order, wavelength (nm),
+# penetration depth (nm) and mirror reflectivity
+RC_UM, Q, LAM, XI, R = 2.7, 8, 565.85, 122.0, 0.992
 
 
 class TestModeVolume:
     def test_paper_geometry(self):
-        assert mode_volume(PAPER_CONFIG) == pytest.approx(
+        assert mode_volume(RC_UM, Q, LAM) == pytest.approx(
             volume_oracle(2700.0, 8, 565.85), rel=1e-12)
-        assert mode_volume(PAPER_CONFIG) == pytest.approx(1.76, rel=0.03)
+        assert mode_volume(RC_UM, Q, LAM) == pytest.approx(1.76, rel=0.03)
 
     def test_shorter_mode(self):
-        cfg = PAPER_CONFIG._replace(longitudinal_order=5)
         # independent hand evaluation of the same closed form gives 1.489,
         # not the 1.24 sometimes quoted; the formula is the contract here
-        assert mode_volume(cfg) == pytest.approx(volume_oracle(2700.0, 5, 565.85), rel=1e-12)
-        assert mode_volume(cfg) == pytest.approx(1.4894, abs=2e-3)
+        volume = mode_volume(RC_UM, 5, LAM)
+        assert volume == pytest.approx(volume_oracle(2700.0, 5, 565.85), rel=1e-12)
+        assert volume == pytest.approx(1.4894, abs=2e-3)
 
     def test_volume_collapses_at_concentric_limit(self):
         lam = 565.85
         q = 9
         length = q * lam / 2.0
-        cfg = PAPER_CONFIG._replace(radius_of_curvature_um=(length + 2.0) / 1e3,
-                                    longitudinal_order=q, design_wavelength_nm=lam)
-        assert mode_volume(cfg) < 0.3
+        assert mode_volume((length + 2.0) / 1e3, q, lam) < 0.3
 
     def test_unstable_geometry_rejected(self):
         with pytest.raises(CavityError, match="unstable"):
-            mode_volume(PAPER_CONFIG._replace(radius_of_curvature_um=2.0))
+            mode_volume(2.0, Q, LAM)
 
     def test_monotone_in_mode_order_below_three_quarters(self):
         # V grows with q while L <= (3/4) Rc, then turns over
-        volumes = [mode_volume(PAPER_CONFIG._replace(longitudinal_order=q))
-                   for q in range(1, 8)]
+        volumes = [mode_volume(RC_UM, q, LAM) for q in range(1, 8)]
         assert all(b > a for a, b in zip(volumes, volumes[1:]))
 
 
@@ -85,44 +84,57 @@ class TestFsrFinesseLinewidth:
         assert fsr == pytest.approx(779e9, rel=0.01)
 
     def test_fsr_uses_effective_length(self):
-        fsr_with, _, _ = fsr_finesse_linewidth(PAPER_CONFIG, include_penetration=True)
-        fsr_without, _, _ = fsr_finesse_linewidth(PAPER_CONFIG, include_penetration=False)
+        fsr_with, _, _ = fsr_finesse_linewidth(Q, LAM, XI, R)
+        fsr_without, _, _ = fsr_finesse_linewidth(Q, LAM, 0.0, R)
         length = 8 * 565.85 / 2.0
         assert fsr_without == pytest.approx(299792458.0 / (2 * length * 1e-9), rel=1e-12)
         assert fsr_with < fsr_without
 
     def test_negative_penetration_depth_rejected(self):
         with pytest.raises(CavityError, match="penetration depth must be non-negative"):
-            fsr_finesse_linewidth(PAPER_CONFIG._replace(penetration_depth_nm=-1),
-                                  include_penetration=True)
+            fsr_finesse_linewidth(Q, LAM, -1, R)
 
     def test_quality_factor_cross_checks_transfer_matrix(self):
         # finesse * 2 L_eff / lam with R=0.992, q=8, xi=122 nm
-        q = quality_factor(PAPER_CONFIG, include_penetration=True)
+        q = quality_factor(Q, LAM, XI, R)
         assert q == pytest.approx(3466, rel=3e-3)
         assert 3.3e3 <= q <= 3.5e3
+
+    @settings(max_examples=200, deadline=None)
+    @given(q=st.integers(1, 100), lam=st.floats(200.0, 2000.0), xi=st.floats(0.0, 500.0),
+           r=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_quality_factor_and_linewidth_read_one_length(self, q, lam, xi, r):
+        # Q = finesse 2 L/lam and linewidth = c/(2 L finesse), so Q * linewidth
+        # is the optical frequency c/lam whatever L, and at xi = 0 the FSR is
+        # c/(q lam)
+        frequency_hz = SPEED_OF_LIGHT_M_PER_S / (lam / NM_PER_M)
+        _, _, linewidth = fsr_finesse_linewidth(q, lam, xi, r)
+        assert quality_factor(q, lam, xi, r) * linewidth == pytest.approx(
+            frequency_hz, rel=1e-12)
+        fsr, _, _ = fsr_finesse_linewidth(q, lam, 0.0, r)
+        assert fsr == pytest.approx(SPEED_OF_LIGHT_M_PER_S / (q * lam / NM_PER_M), rel=1e-12)
 
 
 class TestTuning:
     def test_paper_slope(self):
-        d_len, d_lam = tune(PAPER_CONFIG, 1.0)
+        d_len, d_lam = tune(Q, 1.0)
         assert d_len == pytest.approx(102.0)
         assert d_lam == pytest.approx(2 * 102.0 / 8)
 
     def test_zero_voltage(self):
-        assert tune(PAPER_CONFIG, 0.0) == (0.0, 0.0)
+        assert tune(Q, 0.0) == (0.0, 0.0)
 
     def test_half_voltage(self):
-        assert tune(PAPER_CONFIG, 0.5)[0] == pytest.approx(51.0)
+        assert tune(Q, 0.5)[0] == pytest.approx(51.0)
 
     @pytest.mark.parametrize("v1,v2", [(0.3, 0.4), (1.0, -0.25), (2.0, 3.0)])
     def test_exact_linearity(self, v1, v2):
-        len_sum = tune(PAPER_CONFIG, v1)[0] + tune(PAPER_CONFIG, v2)[0]
-        assert tune(PAPER_CONFIG, v1 + v2)[0] == pytest.approx(len_sum, rel=1e-12)
+        len_sum = tune(Q, v1)[0] + tune(Q, v2)[0]
+        assert tune(Q, v1 + v2)[0] == pytest.approx(len_sum, rel=1e-12)
 
     def test_out_of_range_voltage_rejected(self):
         with pytest.raises(CavityError, match="safe range"):
-            tune(PAPER_CONFIG, 11.0)
+            tune(Q, 11.0)
 
 
 class TestSpectralOverlap:

@@ -165,6 +165,14 @@ class TestChannels:
         assert channel_transmittance(channel, 0.0) == pytest.approx(
             channel_transmittance(channel, 1e-9), rel=1e-6)
 
+    def test_friis_beam_is_no_narrower_than_the_transmitter(self):
+        # within pi Dt Dr / (4 lam) = 0.69 km the far-field diameter is below
+        # Dt, so a receiver smaller than the transmitter catches (Dr/Dt)^2
+        channel = FREESPACE._replace(receive_aperture_m=0.01, divergence_model="friis")
+        for distance in (0.0, 0.5, 0.69):
+            assert channel_transmittance(channel, distance) == pytest.approx(
+                (0.01 / 0.05) ** 2, abs=1e-12)
+
     def test_gaussian_farfield_puts_882_db_near_115_km(self):
         channel = FREESPACE._replace(divergence_model="gaussian_farfield")
         lo, hi = 1.0, 5000.0
