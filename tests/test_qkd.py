@@ -166,8 +166,8 @@ class TestChannels:
             channel_transmittance(channel, 1e-9), rel=1e-6)
 
     def test_friis_beam_is_no_narrower_than_the_transmitter(self):
-        # within pi Dt Dr / (4 lam) = 0.69 km the far-field diameter is below
-        # Dt, so a receiver smaller than the transmitter catches (Dr/Dt)^2
+        # the far-field diameter 4 lam L / (pi Dt) stays below Dr out to
+        # pi Dt Dr / (4 lam) = 0.69 km; floored at Dt, the beam gives (Dr/Dt)^2
         channel = FREESPACE._replace(receive_aperture_m=0.01, divergence_model="friis")
         for distance in (0.0, 0.5, 0.69):
             assert channel_transmittance(channel, distance) == pytest.approx(
