@@ -4,9 +4,10 @@
 Each run is one in-process ``cli.main`` call into a fresh output folder.
 Its record is the exit code, stdout and stderr with the output folder
 masked, the messages of the warnings it raised, and the sha256 of every
-file written. A ``fit`` reads series that ``fit_runs`` writes into an
-input folder; that folder is masked in its output too, in the bytes of
-``fit_report.json`` (whose ``input`` names the series) as in stdout.
+file written. A ``fit`` or ``fab --profile`` reads series that
+``fit_runs`` writes into an input folder; that folder is masked in its
+output too, in the bytes of ``fit_report.json`` (whose ``input`` names
+the series) as in stdout.
 ``test_golden_outputs.py`` compares the same runs against the file, and
 replays a few as ``python -m spskit.cli`` processes, whose records
 ``record`` builds the same way.
@@ -128,13 +129,30 @@ RUNS["cavity include_penetration=off"] = (*_set("cavity.include_penetration=off"
 # --snr and one without.
 FIT_SEED = 2800
 FIT_RUNS = [f"fit {i:03d}_{kind}" for i, kind in enumerate(2 * list(workloads.FIT_SIZES))]
+# Two series written apart from the workload's: the input of "fit
+# 006_spectrum" with CRLF line ends and a comment among its rows, and a
+# hemisphere profile with seeded 1 nm noise for ``fab --profile``.
+FIT_RUNS += ["fit 006_spectrum CRLF with a note", "fab --profile"]
 
 
 def fit_runs(inputs: Path) -> dict[str, tuple[str, ...]]:
     """Writes the series of ``FIT_RUNS`` into ``inputs``: each run's argv."""
+    from spskit.fab import synthetic_hemisphere_profile
+
     inputs.mkdir(parents=True, exist_ok=True)
-    batch = workloads.fit_batch(np.random.default_rng(FIT_SEED), 2, inputs)
-    return dict(zip(FIT_RUNS, (invocation.args for invocation in batch), strict=True))
+    rng = np.random.default_rng(FIT_SEED)
+    argvs = [invocation.args for invocation in workloads.fit_batch(rng, 2, inputs)]
+    spectrum, crlf = inputs / "006_spectrum.csv", inputs / "006_spectrum_crlf.csv"
+    lines = spectrum.read_text(encoding="utf-8").splitlines()
+    lines.insert(len(lines) // 2, "# note: second scan")
+    crlf.write_bytes("".join(line + "\r\n" for line in lines).encode("utf-8"))
+    argvs.append(tuple(str(crlf) if arg == str(spectrum) else arg for arg in argvs[6]))
+    profile = inputs / "profile.csv"
+    x, z = synthetic_hemisphere_profile(2.7, 2.4, 101, rng.normal(0.0, 1.0, 101)).as_arrays()
+    profile.write_text("x_um,z_nm\n" + "".join(f"{a:.10g},{b:.10g}\n" for a, b in zip(x, z)),
+                       encoding="utf-8")
+    argvs.append(("fab", "--profile", str(profile)))
+    return dict(zip(FIT_RUNS, argvs, strict=True))
 
 
 def outputs(argv, outdir: Path, inputs: Path | None = None) -> dict:
