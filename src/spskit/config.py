@@ -211,6 +211,16 @@ def _apply(scenario: Scenario, section: str, key: str, raw) -> None:
     scenario.sections[section][key] = value
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; a repeated key is rejected, as INI rejects one."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ConfigError(f"JSON config repeats the key {key!r}")
+        data[key] = value
+    return data
+
+
 def load_scenario(path: str | Path | None) -> Scenario:
     """Defaults overlaid with an INI or JSON config file (when given)."""
     scenario = default_scenario()
@@ -219,9 +229,9 @@ def load_scenario(path: str | Path | None) -> Scenario:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    text = path.read_text(encoding="utf-8")
+    text = path.read_text(encoding="utf-8-sig")
     if path.suffix.lower() == ".json" or text.lstrip().startswith("{"):
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
         if not isinstance(data, dict):
             raise ConfigError("JSON config must be an object of sections")
         for section, keys in data.items():

@@ -162,10 +162,10 @@ def check_indistinguishability(report: ReproductionReport, scenario: Scenario,
                target("[2.5e-3, 1.1e-2]"), note="coupling rate not measured")
 
 
-# fixed grids over immutable buffers: every draw's series holds these, not copies
-DECAY_GRID, DELAY_GRID, ANGLE_GRID = (np.frombuffer(grid.tobytes()) for grid in (
-    np.arange(0.0, 12000.0, 16.0), np.linspace(-30000.0, 30000.0, 1601),
-    np.linspace(0.0, 360.0, 73)))
+# the fixed grids of every draw's decays, correlations and polarization scans
+DECAY_GRID = np.arange(0.0, 12000.0, 16.0)
+DELAY_GRID = np.linspace(-30000.0, 30000.0, 1601)
+ANGLE_GRID = np.linspace(0.0, 360.0, 73)
 
 
 def fit_roundtrip_draw(rng: np.random.Generator) -> dict:

@@ -24,7 +24,6 @@ enough to keep the scale in range, plus the carry between blocks.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import warnings
@@ -56,30 +55,23 @@ SERIES_KINDS = ("spectrum", "decay", "correlation", "polarization")
 
 
 class MeasurementSeries:
-    """A measured (x, y) series; x strictly increasing, y finite.
-
-    x and y are held as read-only float64 copies, but for an x that is
-    the whole of an immutable bytes buffer, which is shared and checked
-    once per buffer.
-    """
+    """A measured (x, y) series; x strictly increasing, y finite. x and y
+    are held as read-only float64 copies."""
 
     __slots__ = ("x", "y", "kind")
 
     def __init__(self, x, y, kind: str = "spectrum"):
-        shared = (isinstance(x, np.ndarray) and isinstance(x.base, bytes) and x.dtype == float
-                  and x.strides == (8,) and x.nbytes == len(x.base))
-        if not shared:
-            x = np.array(x, dtype=float)
-        y = np.array(y, dtype=float)
+        x, y = np.array(x, dtype=float), np.array(y, dtype=float)
         if x.ndim != 1 or y.ndim != 1:
             raise SeriesError("x and y must be one-dimensional")
         if x.size != y.size:
             raise SeriesError("x and y must have equal length")
         if x.size < 2:
             raise SeriesError("series needs at least two samples")
-        problem = _buffer_problem(x.base) if shared else _grid_problem(x)
-        if problem or not np.all(np.isfinite(y)):
-            raise SeriesError(problem or "series samples must be finite")
+        if (np.diff(x) <= 0).any():
+            raise SeriesError("x must be strictly increasing")
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise SeriesError("series samples must be finite")
         if kind not in SERIES_KINDS:
             raise SeriesError(f"kind must be one of {SERIES_KINDS}, got {kind!r}")
         x.flags.writeable = y.flags.writeable = False
@@ -87,19 +79,6 @@ class MeasurementSeries:
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         return self.x, self.y
-
-
-def _grid_problem(x: np.ndarray) -> str:
-    """What is wrong with a series' x, or "" for nothing."""
-    if np.any(np.diff(x) <= 0):
-        return "x must be strictly increasing"
-    return "" if np.all(np.isfinite(x)) else "series samples must be finite"
-
-
-@functools.lru_cache(maxsize=8)
-def _buffer_problem(buffer: bytes) -> str:
-    """``_grid_problem`` of the float64 grid that fills an immutable buffer."""
-    return _grid_problem(np.frombuffer(buffer))
 
 
 class FitResult(NamedTuple):
@@ -472,7 +451,7 @@ def fit_decay_with_irf_batch(decays, irfs, *, uncertainties: bool = True) -> lis
             raise SeriesError("a batch of decays needs one time grid")
         y = series.y
         t_irf, y_irf = irf.as_arrays()
-        if t_irf is not t and (len(t_irf) != len(t) or not np.allclose(t_irf, t)):
+        if len(t_irf) != len(t) or not np.allclose(t_irf, t):
             y_irf = np.interp(t, t_irf, y_irf, left=0.0, right=0.0)
         if y_irf.sum() <= 0:
             raise SeriesError("instrument response has no weight on the data grid")
@@ -614,19 +593,16 @@ def zpl_fraction(series: MeasurementSeries, line_fit: FitResult, *, cutoff_nm: f
 
 def read_series_csv(path) -> MeasurementSeries:
     """The series of a CSV file of x, y rows (further columns ignored),
-    skipping blank lines, header rows (x no number) and "#" comments, whose
-    last ``kind=...`` token sets the kind. The lines from the first row on
-    parse in one numpy call; where it fails (a comment, header or white
-    space among the rows, or a bad row) a line at a time, naming a bad line.
+    read a line at a time: blank lines, header rows (x no number) and "#"
+    comments are skipped, the last ``kind=...`` token of a comment sets the
+    kind, and a bad row is named by its line. A UTF-8 byte order mark is
+    no part of the first line.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         text = fh.read()
-    lines = text.split("\n")
-    # numpy's parser takes these for white space in a field; float() does not
-    one_call = not any(c in text for c in "\x1c\x1d\x1e\x1f")
     kind = "spectrum"
     xs, ys = [], []
-    for lineno, raw in enumerate(lines, 1):
+    for lineno, raw in enumerate(text.split("\n"), 1):
         line = raw.strip()
         if not line:
             continue
@@ -643,14 +619,6 @@ def read_series_csv(path) -> MeasurementSeries:
             xv = float(parts[0])
         except ValueError:
             continue  # header row
-        if one_call and not xs:
-            try:
-                rows = np.loadtxt(lines[lineno - 1:], delimiter=",", comments=None,
-                                  usecols=(0, 1), ndmin=2)
-            except ValueError:
-                one_call = False
-            else:
-                return MeasurementSeries(rows[:, 0], rows[:, 1], kind)
         try:
             yv = float(parts[1])
         except ValueError:

@@ -101,6 +101,26 @@ class TestConfig:
         assert scenario["mirror"]["pairs"] == 10 and type(scenario["mirror"]["pairs"]) is int
         assert type(scenario["mirror"]["n_high"]) is float
 
+    @pytest.mark.parametrize("name, text", [
+        ("scenario.json", '{"mirror": {"pairs": 11}}'),
+        ("scenario.ini", "[mirror]\npairs = 11\n"),
+    ], ids=["json", "ini"])
+    def test_a_byte_order_mark_is_no_part_of_the_config(self, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert load_scenario(path)["mirror"]["pairs"] == 11
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"mirror": {"pairs": 12}, "mirror": {"pairs": 6}}', "mirror"),
+        ('{"mirror": {"pairs": 12, "pairs": 6}}', "pairs"),
+    ], ids=["section", "key"])
+    def test_a_json_config_that_repeats_a_key_is_rejected(self, tmp_path, capsys, text, key):
+        path = tmp_path / "scenario.json"
+        path.write_text(text, encoding="utf-8")
+        _assert_validation_error(["--outdir", str(tmp_path), "--config", str(path), "mirror"],
+                                 capsys, f"JSON config repeats the key {key!r}")
+        assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
+
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
             load_scenario("/nonexistent/scenario.ini")

@@ -89,32 +89,28 @@ class TestSeriesValidation:
         with pytest.raises(ValueError):
             x[0] = 0.0
 
-    def test_only_an_immutable_grid_is_held_without_a_copy(self):
-        # a read-only view can alias a writeable base: that x is copied
+    def test_x_is_a_read_only_copy_of_the_callers_grid(self):
+        # a read-only view of a writeable base, a grid over a writeable
+        # buffer, and the decay grid of reproduce's draws
         base = np.linspace(0.0, 1.0, 5)
         view = base.view()
         view.flags.writeable = False
-        held = MeasurementSeries(view, base).x
-        base[0] = -1.0
-        assert held[0] == 0.0 and held is not view
-        frozen = np.frombuffer(np.linspace(0.0, 1.0, 5).tobytes())
-        assert MeasurementSeries(frozen, frozen).x is frozen
-        draw = fit_roundtrip_draw(np.random.default_rng(RNG_SEED))
-        assert draw["decay"][0].x is draw["decay"][1].x is reproduce_module.DECAY_GRID
-        assert draw["correlation"][0].x is reproduce_module.DELAY_GRID
+        buffered = np.frombuffer(bytearray(base.tobytes()))
+        decay, irf = fit_roundtrip_draw(np.random.default_rng(RNG_SEED))["decay"][:2]
+        grid = reproduce_module.DECAY_GRID
+        cases = [(base, MeasurementSeries(view, base).x),
+                 (buffered, MeasurementSeries(buffered, base).x), (grid, decay.x), (grid, irf.x)]
+        for caller, held in cases:
+            assert held is not caller and not held.flags.writeable
+            assert held.tobytes() == caller.tobytes()
+        try:
+            for caller, _ in cases:
+                caller[0] = -1.0  # every caller's grid starts at 0
+            assert [held[0] for _, held in cases] == [0.0] * 4
+        finally:
+            grid[0] = 0.0
 
-    def test_a_shared_grid_is_checked_once_per_buffer(self, monkeypatch):
-        specfit_module._buffer_problem.cache_clear()
-        checked = []
-        check = specfit_module._grid_problem
-        monkeypatch.setattr(specfit_module, "_grid_problem",
-                            lambda x: checked.append(len(x)) or check(x))
-        grid = np.frombuffer(np.linspace(0.0, 1.0, 5).tobytes())
-        for _ in range(3):
-            assert MeasurementSeries(grid, grid).x is grid
-        part = MeasurementSeries(grid[1:], grid[1:]).x  # part of a buffer: copied and checked
-        assert part is not grid and checked == [5, 4]
-        # a buffer that fails fails every time, with the message of a copied x
+    def test_a_bad_grid_raises_the_same_message_on_every_call(self):
         for bad, match in ((np.array([0.0, 2.0, 1.0]), "strictly increasing"),
                            (np.array([0.0, 1.0, np.inf]), "must be finite")):
             for x in (np.frombuffer(bad.tobytes()),) * 2 + (bad,):
@@ -140,8 +136,8 @@ class TestSeriesValidation:
 
 
 def read_line_by_line(path) -> MeasurementSeries:
-    """``read_series_csv`` as a loop over the lines alone: the reference
-    that its one-call parse must match."""
+    """``read_series_csv`` as a loop over the lines alone: the reference it
+    must match on a file without a byte order mark."""
     kind = "spectrum"
     xs, ys = [], []
     with open(path, encoding="utf-8") as fh:
@@ -211,8 +207,8 @@ def csv_texts(draw):
 
 
 class TestReadSeriesCsv:
-    """``read_series_csv`` parses the rows in one numpy call and falls back
-    to a line at a time: either way it reads what the line loop reads."""
+    """``read_series_csv`` reads what the line loop reads, and skips a
+    UTF-8 byte order mark."""
 
     CASES = {
         "kind comment after the header": "x,y\n# kind=decay\n1,2\n2,3\n",
@@ -244,6 +240,16 @@ class TestReadSeriesCsv:
         path.write_bytes(text.encode("utf-8"))
         assert read_outcome(read_series_csv, path) == read_outcome(read_line_by_line, path)
 
+    @pytest.mark.parametrize("text, expected", [
+        ("1,10\n2,20\n3,30", ([1.0, 2.0, 3.0], [10.0, 20.0, 30.0], "spectrum")),
+        ("# kind=decay\n1,2\n2,3\n", ([1.0, 2.0], [2.0, 3.0], "decay")),
+    ], ids=["first row", "kind comment"])
+    def test_a_byte_order_mark_is_no_part_of_the_first_line(self, tmp_path, text, expected):
+        path = tmp_path / "series.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        got = read_series_csv(path)
+        assert (got.x.tolist(), got.y.tolist(), got.kind) == expected
+
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(text=csv_texts())
@@ -251,23 +257,6 @@ class TestReadSeriesCsv:
         path = tmp_path / "series.csv"
         path.write_bytes(text.encode("utf-8"))
         assert read_outcome(read_series_csv, path) == read_outcome(read_line_by_line, path)
-
-    def test_rows_parse_in_one_call_or_a_line_at_a_time(self, tmp_path, monkeypatch):
-        calls = []
-        loadtxt = np.loadtxt
-
-        def counted(*args, **kwargs):
-            calls.append(len(args[0]))
-            return loadtxt(*args, **kwargs)
-        monkeypatch.setattr(np, "loadtxt", counted)
-        path = tmp_path / "series.csv"
-        write_series_csv(path, series(np.arange(50.0), np.arange(50.0) ** 2, "decay"))
-        # the 50 rows and the empty string after the last line end
-        assert read_series_csv(path).y[-1] == 49.0 ** 2 and calls == [51]
-        path.write_text("x,y\n1,2\nx,y\n2,3\n", encoding="utf-8")
-        with pytest.raises(ValueError):
-            loadtxt(["1,2", "x,y"], delimiter=",", comments=None, usecols=(0, 1))
-        assert read_series_csv(path).x.tolist() == [1.0, 2.0] and calls == [51, 4]
 
 
 class TestLorentzianFit:
