@@ -129,15 +129,19 @@ RUNS["cavity include_penetration=off"] = (*_set("cavity.include_penetration=off"
 # --snr and one without.
 FIT_SEED = 2800
 FIT_RUNS = [f"fit {i:03d}_{kind}" for i, kind in enumerate(2 * list(workloads.FIT_SIZES))]
-# Two series written apart from the workload's: the input of "fit
-# 006_spectrum" with CRLF line ends and a comment among its rows, and a
-# hemisphere profile with seeded 1 nm noise for ``fab --profile``.
-FIT_RUNS += ["fit 006_spectrum CRLF with a note", "fab --profile"]
+# Three series written apart from the workload's: the input of "fit
+# 006_spectrum" with CRLF line ends and a comment among its rows, a
+# hemisphere profile with seeded 1 nm noise for ``fab --profile``, and a
+# correlation without bunching on the workload's 1,601-delay grid, whose
+# fit selects the plain model.
+FIT_RUNS += ["fit 006_spectrum CRLF with a note", "fab --profile",
+             "fit correlation without bunching"]
 
 
 def fit_runs(inputs: Path) -> dict[str, tuple[str, ...]]:
     """Writes the series of ``FIT_RUNS`` into ``inputs``: each run's argv."""
     from spskit.fab import synthetic_hemisphere_profile
+    from spskit.specfit import g2_model
 
     inputs.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(FIT_SEED)
@@ -152,6 +156,11 @@ def fit_runs(inputs: Path) -> dict[str, tuple[str, ...]]:
     profile.write_text("x_um,z_nm\n" + "".join(f"{a:.10g},{b:.10g}\n" for a, b in zip(x, z)),
                        encoding="utf-8")
     argvs.append(("fab", "--profile", str(profile)))
+    plain = inputs / "plain_correlation.csv"
+    tau = np.linspace(-30000.0, 30000.0, workloads.FIT_SIZES["correlation"][0])
+    workloads.write_series(plain, "correlation", tau, g2_model(tau, 0.8, 0.0, 700.0, 5000.0)
+                           + rng.uniform(-0.01, 0.01, tau.size))
+    argvs.append(("fit", "--input", str(plain)))
     return dict(zip(FIT_RUNS, argvs, strict=True))
 
 
