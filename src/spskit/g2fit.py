@@ -1,57 +1,18 @@
 """Second-order correlation fits, with and without bunching, through
-specfit's lockstep fitting, and the background correction of g2(0).
+specfit's lockstep fitting into one FitResult, and the background
+correction of g2(0).
 ``specfit`` loads this module when one of its names is first read there,
 so a spectrum, decay or polarization fit never compiles it.
 """
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
 from . import specfit
-from .specfit import FitError, MeasurementSeries, Separable, SeriesError, poisson_weights
-
-
-class G2Fit(NamedTuple):
-    """Second-order-correlation fit: g2(tau) = 1 - A exp(-|tau|/t1) + B exp(-|tau|/t2).
-
-    ``normalization`` is the fitted raw-counts level corresponding to
-    g2 = 1; the reported amplitudes refer to the normalized curve.
-    ``model`` names the chosen fit, "with_bunching" or "plain";
-    ``residual_norms`` holds both fits' norms and ``n_evaluations`` their
-    summed residual evaluations.
-    """
-
-    antibunching_amplitude: float
-    bunching_amplitude: float
-    antibunching_time_ps: float
-    bunching_time_ps: float
-    stderr: dict[str, float]
-    residual_norm: float
-    model: str
-    residual_norms: dict[str, float]
-    n_evaluations: int
-    converged: bool
-    normalization: float
-
-    @property
-    def g2_zero(self) -> float:
-        return 1.0 - self.antibunching_amplitude + self.bunching_amplitude
-
-    def as_dict(self) -> dict:
-        return {
-            "parameters": {name: getattr(self, name) for name in (
-                "antibunching_amplitude", "bunching_amplitude", "antibunching_time_ps",
-                "bunching_time_ps", "g2_zero")},
-            "uncertainties": self.stderr,
-            "residual_norm": self.residual_norm,
-            "model": self.model,
-            "residual_norms": self.residual_norms,
-            "iterations": self.n_evaluations,
-            "converged": self.converged,
-        }
+from .specfit import (FitError, FitResult, MeasurementSeries, Separable, SeriesError,
+                      poisson_weights)
 
 
 def _decay(tau, time):
@@ -143,8 +104,9 @@ def _g2_start(series: MeasurementSeries) -> tuple:
     return tau, y, weights, [t10, t2], [1e-9, t2_lo], [np.inf, t2_hi]
 
 
-def fit_g2(series: MeasurementSeries) -> G2Fit:
-    """Fit the antibunching/bunching correlation model.
+def fit_g2(series: MeasurementSeries) -> FitResult:
+    """Fit g2(tau) = 1 - A exp(-|tau|/t1) + B exp(-|tau|/t2) with and
+    without bunching: the FitResult of ``_g2_choose``.
 
     The normalization level (raw counts at g2 = 1) is a free fit
     parameter seeded from the mean of the delay samples in the outer
@@ -196,8 +158,10 @@ def _g2_pool(tau, y, weights) -> tuple:
     return delay[starts], mean, np.sqrt(total), np.vecdot(squares, y * y)
 
 
-def _g2_choose(with_bunching, plain, tau):
-    """The G2Fit of the model the data support, or the first FitError."""
+def _g2_choose(with_bunching, plain, tau) -> FitResult:
+    """The FitResult of the model the data support, named in ``model``, with
+    both norms in ``residual_norms`` and both counts summed; or the first
+    FitError. Without bunching B = 0 at t2 = the delay span."""
     for outcome in (with_bunching, plain):
         if isinstance(outcome, FitError):
             return outcome
@@ -208,21 +172,15 @@ def _g2_choose(with_bunching, plain, tau):
     rss_p = max(plain.residual_norm ** 2, 1e-300)
     use_bunching = n * math.log(rss_w / rss_p) + 4.0 < 0.0
     chosen = with_bunching if use_bunching else plain
-    p = chosen.params
-    return G2Fit(
-        antibunching_amplitude=p["antibunching_amplitude"],
-        bunching_amplitude=p["bunching_amplitude"] if use_bunching else 0.0,
-        antibunching_time_ps=p["antibunching_time_ps"],
-        bunching_time_ps=p["bunching_time_ps"] if use_bunching else np.abs(tau).max(),
-        stderr=chosen.stderr,
-        residual_norm=chosen.residual_norm,
+    params = {"bunching_amplitude": 0.0, "bunching_time_ps": float(np.abs(tau).max()),
+              **chosen.params}
+    params["g2_zero"] = 1.0 - params["antibunching_amplitude"] + params["bunching_amplitude"]
+    return chosen._replace(
+        params=params, n_evaluations=with_bunching.n_evaluations + plain.n_evaluations,
+        converged=with_bunching.converged and plain.converged,
         model="with_bunching" if use_bunching else "plain",
         residual_norms={"with_bunching": with_bunching.residual_norm,
-                        "plain": plain.residual_norm},
-        n_evaluations=with_bunching.n_evaluations + plain.n_evaluations,
-        converged=with_bunching.converged and plain.converged,
-        normalization=p["normalization"],
-    )
+                        "plain": plain.residual_norm})
 
 
 def correct_g2_background(g2_value: float, snr: float) -> float:

@@ -261,7 +261,7 @@ def fit_roundtrip_summary(draws: int) -> dict[str, float]:
         for draw, fits in zip(chunk, fit_roundtrip_fits(chunk)):
             line, decay, corr, pol = (draw[kind][-1] for kind in
                                       ("spectrum", "decay", "correlation", "polarization"))
-            fitted, gfit = fits["spectrum"].params, fits["correlation"]
+            fitted, g2 = fits["spectrum"].params, fits["correlation"].params
             rho, g2_true = draw["background"]
             snr = rho / (1.0 - rho) if rho < 1.0 else math.inf
             mixed = rho ** 2 * g2_true + (1.0 - rho ** 2)
@@ -269,8 +269,9 @@ def fit_roundtrip_summary(draws: int) -> dict[str, float]:
                 abs(fitted["center_nm"] - line["center"]) / line["fwhm"],
                 abs(fitted["fwhm_nm"] - line["fwhm"]) / line["fwhm"],
                 abs(fits["decay"].params["lifetime_ps"] - decay["lifetime"]) / decay["lifetime"],
-                abs(gfit.antibunching_amplitude - corr["anti"]) / corr["anti"],
-                abs(gfit.g2_zero - (1.0 - gfit.antibunching_amplitude + gfit.bunching_amplitude)),
+                abs(g2["antibunching_amplitude"] - corr["anti"]) / corr["anti"],
+                abs(g2["g2_zero"]
+                    - (1.0 - g2["antibunching_amplitude"] + g2["bunching_amplitude"])),
                 abs(fits["polarization"].params["degree_of_polarization"] - pol["dop"])
                 / pol["dop"],
                 abs(specfit.correct_g2_background(mixed, snr) - g2_true))

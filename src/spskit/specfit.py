@@ -82,7 +82,8 @@ class MeasurementSeries:
 
 
 class FitResult(NamedTuple):
-    """Parameters, 1-sigma uncertainties, and diagnostics of one fit."""
+    """Parameters, 1-sigma uncertainties, and diagnostics of one fit; a
+    choice between models names the chosen one and each one's norm."""
 
     params: dict[str, float]
     stderr: dict[str, float]
@@ -90,6 +91,8 @@ class FitResult(NamedTuple):
     n_evaluations: int
     converged: bool
     warnings: Sequence[str] = ()
+    model: str | None = None
+    residual_norms: dict[str, float] | None = None
 
     def formatted(self) -> dict[str, str]:
         """Values with parenthetical uncertainties, e.g. ``897(8)``."""
@@ -101,7 +104,7 @@ class FitResult(NamedTuple):
         return out
 
     def as_dict(self) -> dict:
-        return {
+        out = {
             "parameters": self.params,
             "uncertainties": self.stderr,
             "formatted": self.formatted(),
@@ -110,6 +113,9 @@ class FitResult(NamedTuple):
             "converged": self.converged,
             "warnings": list(self.warnings),
         }
+        if self.model is not None:
+            out.update(model=self.model, residual_norms=self.residual_norms)
+        return out
 
 
 def format_with_uncertainty(value: float, stderr: float) -> str:
@@ -477,7 +483,7 @@ def fit_decay_with_irf_batch(decays, irfs, *, uncertainties: bool = True) -> lis
 # second-order correlation: module g2fit, loaded when first used
 # ---------------------------------------------------------------------------
 
-_G2FIT_NAMES = ("G2Fit", "correct_g2_background", "fit_g2", "fit_g2_batch", "g2_model")
+_G2FIT_NAMES = ("correct_g2_background", "fit_g2", "fit_g2_batch", "g2_model")
 
 
 def __getattr__(name: str):

@@ -299,6 +299,17 @@ class TestCli:
         assert fit["residual_norm"] == fit["residual_norms"]["with_bunching"]
         assert fit["iterations"] > 0 and fit["converged"] is True
 
+    @pytest.mark.parametrize("kind", ["spectrum", "decay", "correlation", "polarization"])
+    def test_every_fit_report_has_one_shape(self, tmp_path, kind):
+        _write_fit_inputs(tmp_path)
+        irf = ["--irf", str(tmp_path / "irf.csv")] if kind == "decay" else []
+        assert main(["--outdir", str(tmp_path), "fit", "--input",
+                     str(tmp_path / f"{kind}.csv"), *irf]) == 0
+        fit = json.loads((tmp_path / "fit_report.json").read_text())["fit"]
+        assert {"parameters", "uncertainties", "formatted", "residual_norm", "iterations",
+                "converged", "warnings"} <= set(fit)
+        assert set(fit["uncertainties"]) <= set(fit["parameters"])
+
     def test_fit_decay_read_back_from_its_own_csv(self, tmp_path):
         # 10 significant digits of 0..12288 in 8192 bins jitter the spacing
         t = np.linspace(0.0, 12288.0, 8192)

@@ -466,7 +466,7 @@ class TestTenthPercentile:
             assert specfit_module._tenth_percentile(data) == np.percentile(data, 10)
 
 
-def unpooled_fit_g2(correlation) -> specfit_module.G2Fit:
+def unpooled_fit_g2(correlation) -> FitResult:
     """``fit_g2`` on every sample of the correlation, as before pooling."""
     tau, y, w, p0, lower, upper = g2fit_module._g2_start(correlation)
     cons = g2fit_module._G2_BOX
@@ -489,26 +489,25 @@ class TestG2Fit:
 
     def test_free_space_dip(self):
         fit = fit_g2(self.synthetic(0.949, 0.0, 837.0, noise=0.004))
-        assert fit.g2_zero == pytest.approx(0.051, abs=0.01)
-        assert fit.antibunching_time_ps == pytest.approx(837.0, rel=0.05)
+        assert fit.params["g2_zero"] == pytest.approx(0.051, abs=0.01)
+        assert fit.params["antibunching_time_ps"] == pytest.approx(837.0, rel=0.05)
 
     def test_cavity_dip(self):
         fit = fit_g2(self.synthetic(0.982, 0.0, 366.0, noise=0.003))
-        assert fit.g2_zero == pytest.approx(0.018, abs=0.01)
+        assert fit.params["g2_zero"] == pytest.approx(0.018, abs=0.01)
 
     def test_perfect_antibunching(self):
         fit = fit_g2(self.synthetic(1.0, 0.0, 500.0))
-        assert fit.g2_zero == pytest.approx(0.0, abs=1e-6)
+        assert fit.params["g2_zero"] == pytest.approx(0.0, abs=1e-6)
 
     def test_identity_holds_exactly(self):
-        fit = fit_g2(self.synthetic(0.9, 0.08, 700.0, noise=0.005))
-        assert fit.g2_zero == 1.0 - fit.antibunching_amplitude + fit.bunching_amplitude
+        p = fit_g2(self.synthetic(0.9, 0.08, 700.0, noise=0.005)).params
+        assert p["g2_zero"] == 1.0 - p["antibunching_amplitude"] + p["bunching_amplitude"]
 
     def test_model_returns_to_unity_at_long_delay(self):
-        fit = fit_g2(self.synthetic(0.9, 0.05, 700.0))
-        far = g2_model(np.array([1e9]), fit.antibunching_amplitude,
-                       fit.bunching_amplitude, fit.antibunching_time_ps,
-                       fit.bunching_time_ps)
+        p = fit_g2(self.synthetic(0.9, 0.05, 700.0)).params
+        far = g2_model(np.array([1e9]), p["antibunching_amplitude"], p["bunching_amplitude"],
+                       p["antibunching_time_ps"], p["bunching_time_ps"])
         assert far[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_successive_batches_on_other_grids_fit_as_alone(self, monkeypatch):
@@ -610,14 +609,15 @@ class TestG2Fit:
         got, ref = fit_g2(correlation), unpooled_fit_g2(correlation)
         assert got.model == ref.model
         for name in G2_PARAMETERS:
-            assert getattr(got, name) == pytest.approx(getattr(ref, name), rel=1e-6), name
+            assert got.params[name] == pytest.approx(ref.params[name], rel=1e-6), name
         for name, value in ref.stderr.items():
             assert got.stderr[name] == pytest.approx(value, rel=1e-4), name
         # the reported norm is the full series' residual at the fitted values
         w = specfit_module.poisson_weights(y) if counts else 1.0
-        full = got.normalization * g2_model(tau, got.antibunching_amplitude,
-                                            got.bunching_amplitude, got.antibunching_time_ps,
-                                            got.bunching_time_ps)
+        p = got.params
+        full = p["normalization"] * g2_model(tau, p["antibunching_amplitude"],
+                                             p["bunching_amplitude"], p["antibunching_time_ps"],
+                                             p["bunching_time_ps"])
         assert got.residual_norm == pytest.approx(np.linalg.norm(w * (full - y)), rel=1e-9)
 
     def test_short_tails_rejected(self):
@@ -862,10 +862,10 @@ def fit_draw(kind, draw):
     elif kind == "polarization":
         fit = fit_polarization(draw["polarization"][0])
     else:
-        g = fit_g2(draw["correlation"][0])
-        return ({k: getattr(g, k) for k in G2_PARAMETERS}, g.stderr, g.residual_norm,
-                g.model)
-    return fit.params, fit.stderr, fit.residual_norm, None
+        fit = fit_g2(draw["correlation"][0])
+        return ({k: fit.params[k] for k in G2_PARAMETERS}, fit.stderr, fit.residual_norm,
+                fit.model)
+    return fit.params, fit.stderr, fit.residual_norm, fit.model
 
 
 @pytest.fixture(scope="module")
@@ -1299,7 +1299,7 @@ def curve_fit_reference(kind, draw) -> tuple:
         g = fit_g2(series)
         fit = g2fit_module._G2_PLAIN if g.model == "plain" else g2fit_module._G2_WITH_BUNCHING
         names, model = fit.names, full_model(fit, 1 if g.model == "plain" else 2)
-        params, stderr = {k: getattr(g, k) for k in G2_PARAMETERS}, g.stderr
+        params, stderr = g.params, g.stderr
         weights = g2fit_module._g2_start(series)[2]
     else:
         if kind == "decay":
@@ -1354,7 +1354,7 @@ class TestUncertainties:
         draw = [fit_roundtrip_draw(rng) for _ in range(28)][-1]
         fit = fit_g2(draw["correlation"][0])
         assert fit.model == "with_bunching"
-        assert fit.bunching_time_ps == pytest.approx(9193.0, rel=1e-3)
+        assert fit.params["bunching_time_ps"] == pytest.approx(9193.0, rel=1e-3)
         assert 1e3 <= fit.stderr["bunching_time_ps"] < 1e4
 
 
