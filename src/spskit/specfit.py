@@ -15,7 +15,7 @@ solves many problems of one model in lockstep, each with the bits it
 gets alone; a batch fitter called with ``uncertainties=False`` skips
 them and leaves every ``stderr`` empty. The sinc^2 instrument of a
 Lorentzian fit is given by its scan range alone, a float in 1/nm (None
-for no instrument).
+for no instrument), and applied as one FFT product, which calls no BLAS.
 
 The IRF convolution is the recursion y[n] = a y[n-1] + irf[n],
 a = exp(-dt/tau) (Enderlein and Erdmann, Opt. Commun. 134, 371 (1997)),
@@ -264,16 +264,19 @@ def lorentzian_with_instrument(x, center, fwhm, amplitude, offset, instrument: f
 
 def _instrument(x: np.ndarray, instrument: float) -> tuple:
     """The grid x padded so edge samples see the full sinc^2 kernel support,
-    and the convolution of curves on it (one per row) cut back to x."""
+    and the convolution of curves on it (one per row) cut back to x, by one
+    FFT product over at least the padded length: its wrap-around reaches no
+    kept sample."""
     dx = _uniform_spacing(x, "instrument convolution")
     kern = _sinc2_kernel(instrument, dx, len(x))
     pad = len(kern) // 2
     x_pad = np.concatenate([
         x[0] + dx * np.arange(-pad, 0), x, x[-1] + dx * np.arange(1, pad + 1)])
+    size, kept = 1 << (len(x_pad) - 1).bit_length(), slice(2 * pad, 2 * pad + len(x))
+    kern_ft = np.fft.rfft(kern, size)
 
     def convolve(clean):
-        conv = [np.convolve(row, kern, mode="same") for row in clean.reshape(-1, len(x_pad))]
-        return np.reshape(conv, clean.shape)[..., pad:pad + len(x)]
+        return np.fft.irfft(np.fft.rfft(clean, size) * kern_ft, size)[..., kept]
     return x_pad, convolve
 
 

@@ -1,6 +1,8 @@
 import collections
 import inspect
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -309,6 +311,47 @@ class TestLorentzianFit:
     def test_kernel_has_unit_weight(self):
         kern = specfit_module._sinc2_kernel(2.5, 0.01, 600)
         assert kern.sum() == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [8, 301, 2990, 8001])
+    @pytest.mark.parametrize("scan_range", [0.05, 3.0, 1e6])
+    def test_convolution_is_the_direct_one(self, n, scan_range):
+        # the kernel on the grid's mean spacing, as the convolution takes it
+        # (x[1] - x[0] of this grid alone moves the result by about 1e-11)
+        x = 560.0 + 0.004 * np.arange(n)
+        x_pad, convolve = specfit_module._instrument(x, scan_range)
+        kern = specfit_module._sinc2_kernel(
+            scan_range, specfit_module._uniform_spacing(x, "reference"), n)
+        pad = len(kern) // 2
+        rows = np.stack([lorentzian(x_pad, x[n // 2] + shift * (x[-1] - x[0]), fwhm, 1.0, 0.0)
+                         for shift, fwhm in ((0.0, 0.05), (0.3, 1.3), (-0.45, 0.2))])
+        direct = np.array([np.convolve(row, kern, mode="same")[pad:pad + n] for row in rows])
+        got = convolve(rows)
+        assert np.abs(got - direct).max() <= 1e-14 * np.abs(direct).max()
+        # a row of the (3, N) stack is the row alone, bit for bit
+        for row, stacked in zip(rows, got):
+            assert np.array_equal(convolve(row), stacked)
+
+    def test_convolution_has_the_same_bits_under_every_blas_kernel(self):
+        # the BLAS kernels of ROADMAP item 12, each set in a child's
+        # environment only: the convolution calls no BLAS routine
+        from test_config_cli import _child_env  # which imports this module
+        code = ("import hashlib\n"
+                "import numpy as np\n"
+                "from spskit import specfit\n"
+                "x = 560.0 + 0.004 * np.arange(2990)\n"
+                "x_pad, convolve = specfit._instrument(x, 0.37)\n"
+                "rows = np.stack([specfit.lorentzian(x_pad, 566.0 + s, 1.3, 1.0, 0.0)\n"
+                "                 for s in (0.0, 0.7)])\n"
+                "print(hashlib.sha256(convolve(rows).tobytes()).hexdigest())\n")
+        digests = []
+        for coretype in (None, "Haswell", "Prescott"):
+            env = _child_env()
+            env.pop("OPENBLAS_CORETYPE", None)
+            if coretype is not None:
+                env["OPENBLAS_CORETYPE"] = coretype
+            digests.append(subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                          text=True, check=True, env=env).stdout)
+        assert len(digests[0]) == 65 and digests[1:] == digests[:1] * 2
 
     @pytest.mark.parametrize("scan_range", [math.nan, math.inf, -1.0, 0.0])
     def test_bad_scan_range_rejected_first(self, scan_range):
