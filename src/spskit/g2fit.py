@@ -1,6 +1,5 @@
-"""Second-order correlation fits, with and without bunching, through
-specfit's lockstep fitting into one FitResult, and the background
-correction of g2(0).
+"""Second-order correlation fits, with and without bunching, into one
+FitResult by specfit's lockstep fitting, and g2(0)'s background correction.
 ``specfit`` loads this module when one of its names is first read there,
 so a spectrum, decay or polarization fit never compiles it.
 """
@@ -11,8 +10,7 @@ import math
 import numpy as np
 
 from . import specfit
-from .specfit import (FitError, FitResult, MeasurementSeries, Separable, SeriesError,
-                      poisson_weights)
+from .specfit import FitError, MeasurementSeries, Separable, SeriesError, poisson_weights
 
 
 def _decay(tau, time):
@@ -104,9 +102,9 @@ def _g2_start(series: MeasurementSeries) -> tuple:
     return tau, y, weights, [t10, t2], [1e-9, t2_lo], [np.inf, t2_hi]
 
 
-def fit_g2(series: MeasurementSeries) -> FitResult:
+def fit_g2(series: MeasurementSeries) -> specfit.FitResult:
     """Fit g2(tau) = 1 - A exp(-|tau|/t1) + B exp(-|tau|/t2) with and
-    without bunching: the FitResult of ``_g2_choose``.
+    without bunching; the FitResult of the model the data support.
 
     The normalization level (raw counts at g2 = 1) is a free fit
     parameter seeded from the mean of the delay samples in the outer
@@ -158,10 +156,9 @@ def _g2_pool(tau, y, weights) -> tuple:
     return delay[starts], mean, np.sqrt(total), np.vecdot(squares, y * y)
 
 
-def _g2_choose(with_bunching, plain, tau) -> FitResult:
-    """The FitResult of the model the data support, named in ``model``, with
-    both norms in ``residual_norms`` and both counts summed; or the first
-    FitError. Without bunching B = 0 at t2 = the delay span."""
+def _g2_choose(with_bunching, plain, tau) -> specfit.FitResult:
+    """The FitResult of the model the data support, with both fits' norms and
+    evaluations, or the first FitError. Without bunching B = 0, t2 = max|tau|."""
     for outcome in (with_bunching, plain):
         if isinstance(outcome, FitError):
             return outcome

