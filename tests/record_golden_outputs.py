@@ -129,13 +129,15 @@ RUNS["cavity include_penetration=off"] = (*_set("cavity.include_penetration=off"
 # --snr and one without.
 FIT_SEED = 2800
 FIT_RUNS = [f"fit {i:03d}_{kind}" for i, kind in enumerate(2 * list(workloads.FIT_SIZES))]
-# Three series written apart from the workload's: the input of "fit
+# Four series written apart from the workload's: the input of "fit
 # 006_spectrum" with CRLF line ends and a comment among its rows, a
-# hemisphere profile with seeded 1 nm noise for ``fab --profile``, and a
+# hemisphere profile with seeded 1 nm noise for ``fab --profile``, a
 # correlation without bunching on the workload's 1,601-delay grid, whose
-# fit selects the plain model.
+# fit selects the plain model, and one of bunching alone on that grid,
+# whose fits hold the antibunching amplitude at its bound 0 by the
+# constrained coefficient solve.
 FIT_RUNS += ["fit 006_spectrum CRLF with a note", "fab --profile",
-             "fit correlation without bunching"]
+             "fit correlation without bunching", "fit correlation of bunching alone"]
 
 
 def fit_runs(inputs: Path) -> dict[str, tuple[str, ...]]:
@@ -161,6 +163,11 @@ def fit_runs(inputs: Path) -> dict[str, tuple[str, ...]]:
     workloads.write_series(plain, "correlation", tau, g2_model(tau, 0.8, 0.0, 700.0, 5000.0)
                            + rng.uniform(-0.01, 0.01, tau.size))
     argvs.append(("fit", "--input", str(plain)))
+    bunching = inputs / "bunching_correlation.csv"
+    workloads.write_series(bunching, "correlation", tau,
+                           1.0 + 0.1 * np.exp(-np.abs(tau) / 2000.0)
+                           + rng.uniform(-0.01, 0.01, tau.size))
+    argvs.append(("fit", "--input", str(bunching)))
     return dict(zip(FIT_RUNS, argvs, strict=True))
 
 
