@@ -564,7 +564,7 @@ def resonant_gap(
             return float(gap)
     raise ResonanceSearchError(
         f"no resonance with {q} antinodes in gap bracket [{lo:.2f}, {hi:.2f}] nm; "
-        f"found maxima {[(round(g, 2), n) for g, n in candidates]}")
+        f"found maxima {[(round(float(g), 2), n) for g, n in candidates]}")
 
 
 def penetration_depth(longitudinal_order: int, lam: float, physical_gap_nm: float) -> float:

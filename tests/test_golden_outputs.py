@@ -24,6 +24,13 @@ def test_the_corpus_records_every_run():
     assert list(GOLDEN) == list(RUNS) + FIT_RUNS
 
 
+def test_no_record_holds_a_numpy_scalar_repr():
+    # numpy 2 prints a float64 scalar as np.float64(285.16) in a message
+    for name in ("numerical error", "numerical error --error-json"):
+        assert "285.16" in json.dumps(GOLDEN[name])
+    assert "np.float64(" not in GOLDEN_PATH.read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("name", list(RUNS))
 def test_run_matches_its_record(tmp_path, name):
     assert outputs(RUNS[name], tmp_path / "out") == GOLDEN[name]
