@@ -173,8 +173,11 @@ def fit_hemisphere_profile(
     ``MeasurementSeries`` of x in um and z in nm.
 
     Fits (x - x0)^2 + (z - z0)^2 = R^2 by the algebraic (Kasa) least
-    squares, after dropping the outermost ``edge_exclusion_fraction`` of
-    the lateral extent on each side (milled shapes deviate at the rim).
+    squares of ``lsq.least_squares``, after dropping the outermost
+    ``edge_exclusion_fraction`` of the lateral extent on each side (milled
+    shapes deviate at the rim). Points whose design matrix
+    [2x, 2z, 1] has rank below 3, as ``numpy.linalg.lstsq`` counts it, are
+    rejected as collinear.
     Returns radius_um, center_offset_um, center_height_nm, rms_nm,
     n_points and classified_ideal_hemisphere (rms_nm < IDEAL_RMS_NM).
     """
@@ -191,13 +194,9 @@ def fit_hemisphere_profile(
         raise FabError("edge exclusion left fewer than 10 points")
 
     # Kasa fit: x^2 + z^2 = 2 x x0 + 2 z z0 + (R^2 - x0^2 - z0^2)
-    design = np.column_stack([2.0 * x, 2.0 * z, np.ones_like(x)])
-    target = x ** 2 + z ** 2
-    try:
-        coef, _res, rank, _sv = np.linalg.lstsq(design, target, rcond=None)
-    except np.linalg.LinAlgError as exc:
-        raise FabError(f"degenerate circle fit: {exc}") from exc
-    if rank < 3:
+    from . import lsq
+    coef = lsq.least_squares(np.stack([2.0 * x, 2.0 * z, np.ones_like(x)]), x ** 2 + z ** 2)
+    if coef is None:
         raise FabError("degenerate circle fit: points are collinear")
     x0, z0, c = coef
     r_sq = c + x0 ** 2 + z0 ** 2

@@ -96,7 +96,7 @@ def _g2_start(series: MeasurementSeries) -> tuple:
     t2_hi = 2.0 * span
     far = np.abs(tau) >= 5.0 * t10  # where the dip has decayed below e^-5
     u, excess = np.abs(tau[far]) - 5.0 * t10, np.gradient(tau)[far] * (yn[far] - 1.0)
-    t2 = float(u @ excess / excess.sum()) if excess.sum() > 0 else math.nan
+    t2 = float((u * excess).sum() / excess.sum()) if excess.sum() > 0 else math.nan
     t2 = min(max(t2, t2_lo), t2_hi) if math.isfinite(t2) else math.sqrt(t2_lo * t2_hi)
     weights = poisson_weights(y) if baseline0 > 10.0 else np.ones(len(y))  # raw counts only
     return tau, y, weights, [t10, t2], [1e-9, t2_lo], [np.inf, t2_hi]
@@ -153,7 +153,7 @@ def _g2_pool(tau, y, weights) -> tuple:
     total = np.add.reduceat(squares, starts, axis=1)
     mean = np.add.reduceat(squares * y, starts, axis=1) / total
     y -= np.repeat(mean, np.diff(starts, append=len(delay)), axis=1)
-    return delay[starts], mean, np.sqrt(total), np.vecdot(squares, y * y)
+    return delay[starts], mean, np.sqrt(total), (squares * (y * y)).sum(axis=1)
 
 
 def _g2_choose(with_bunching, plain, tau) -> specfit.FitResult:

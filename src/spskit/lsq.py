@@ -48,8 +48,17 @@ fit. A round costs a few hundred numpy calls whatever the batch's width;
 memory bounds the width, about eight N-vectors per problem within a
 round beside its data and weights (columns, residuals, the Jacobian, a
 slope; the weighted columns replace the columns once spent) and none
-between rounds. Stacked products and decompositions, axis norms and
-elementwise arithmetic give each problem the bits it gets alone.
+between rounds.
+
+No BLAS or LAPACK routine is called, so no result depends on the CPU
+kernel OpenBLAS picks: every kernel is numpy's elementwise arithmetic,
+pairwise sums and einsum without ``optimize``, and gives each problem of
+a stack the bits it gets alone. The normal equations and the cost are
+summed pairwise; the Jacobian's inner products are einsum's single pass.
+R of the scaled Jacobian comes from modified Gram-Schmidt on its columns
+in place (Björck, Numerical Methods for Least Squares Problems, 1996,
+§2.4), its singular values and V from one-sided Jacobi on that small R,
+and the small symmetric solves from elimination without pivoting.
 """
 from __future__ import annotations
 
@@ -126,8 +135,8 @@ def levenberg_marquardt(basis, derivatives, x, y, p0, weights, bounds, max_itera
         cols = _columns(basis, x if x.ndim == 1 else x[at], q, data)
         phi = cols * w[at][:, None]
         c, gram, held = _coefficients(phi, data, (cons, floor[at]))
-        res = (c[:, None] @ phi)[:, 0] - data
-        costs = (np.vecdot(res, res) + pure_error[at]).tolist()  # each res @ res, bit for bit
+        res = _combine(c, phi) - data
+        costs = (_dot(res, res) + pure_error[at]).tolist()
         for k, i in enumerate(idx):
             if outcome[i] is None:
                 calls[i] += 1
@@ -139,9 +148,9 @@ def levenberg_marquardt(basis, derivatives, x, y, p0, weights, bounds, max_itera
         """Moves the problems idx to the point's rows: their Jacobians and J^T r."""
         at = rows(idx)
         p[at], coef[at] = point[:2]
-        jac = _jacobian(derivatives, x if x.ndim == 1 else x[at], w[at], point, sets)
+        jac, grad = _jacobian(derivatives, x if x.ndim == 1 else x[at], w[at], point, sets)
         flat[at] = ~jac.any(axis=2)
-        return jac, np.vecdot(jac, point[2][:, None])
+        return jac, grad
 
     def finish(i):
         if cost[i] < sampled[i] and flat[i].any():
@@ -178,11 +187,12 @@ def levenberg_marquardt(basis, derivatives, x, y, p0, weights, bounds, max_itera
 
     def prepare(idx, jac, grad):
         """Scale, gradient test and SVD at the new Jacobians of the problems
-        idx, one row each, scaled in place; returns the problems left."""
+        idx, one row each, spent on their R; returns the problems left."""
         if not idx:
             return idx
         at = rows(idx)
-        norms = np.sqrt(np.vecdot(jac, jac))
+        r = _r_factor(jac)  # J = Q R: R's columns have J's norms, and D^-1 scales them
+        norms = np.sqrt(_dot(r, r))
         s = np.maximum(scale[at], norms)
         s[s == 0.0] = 1.0
         scale[at] = s
@@ -197,21 +207,19 @@ def levenberg_marquardt(basis, derivatives, x, y, p0, weights, bounds, max_itera
                 finish(i)
         left = [k for k, i in enumerate(idx) if outcome[i] is None and i not in ending]
         if len(left) < len(idx):
-            idx, jac, grad = [idx[k] for k in left], jac[left], grad[left]
+            idx, r, grad = [idx[k] for k in left], r[left], grad[left]
         if idx:
             at = rows(idx)
-            jac *= (free[at] / scale[at])[:, :, None]
-            # R of J D^-1 = Q R has its singular values and V; one QR and
-            # SVD of the stack: each matrix gets the bits it gets alone. A
+            # J D^-1 = Q (R D^-1) has the singular values and V of R D^-1. A
             # 1 x 1 R has |R| and V = +-1, whose sign cancels in the step
-            r = np.linalg.qr(jac.transpose(0, 2, 1), mode="r")
-            _, sv[at], vt[at] = (None, np.abs(r[:, 0]), 1.0) if n == 1 else np.linalg.svd(r)
+            r *= (free[at] / scale[at])[:, :, None]
+            sv[at], vt[at] = (np.abs(r[:, 0]), 1.0) if n == 1 else _jacobi(r)
             if n == 1:  # J^T J <- J^T r's secant slope h where positive, NaN at first
                 with np.errstate(divide="ignore", invalid="ignore"):
                     h = (grad - pair[at, 1:]) / (p[at] - pair[at, :1])
                     sv[at] = np.where((h > 0.0) & (h < np.inf), np.sqrt(h) / scale[at], sv[at])
                 pair[at] = np.hstack([p[at], grad])
-            vg[at] = (vt[at] @ vg[at][:, :, None])[:, :, 0]
+            vg[at] = _dot(vt[at], vg[at][:, None])
         return idx
 
     def attempt(idx):
@@ -219,18 +227,18 @@ def levenberg_marquardt(basis, derivatives, x, y, p0, weights, bounds, max_itera
         at = rows(idx)
         q, s, v_t, d, g = p[at], sv[at], vt[at], scale[at], vg[at]
         filtered = g / (s * s + np.array([damping[i] for i in idx])[:, None])
-        step = -(v_t.transpose(0, 2, 1) @ filtered[:, :, None])[:, :, 0] * free[at] / d
+        step = -_dot(v_t.transpose(0, 2, 1), filtered[:, None]) * free[at] / d
         trial = np.minimum(np.maximum(q + step, lo[at]), hi[at])  # np.clip, less overhead
         scaled = d * (trial - q)
         # the reduction |r|^2 - |r + J step|^2 = -2 z.vg - |s z|^2 that the
         # linear model predicts, z = V^T D step
-        z = (v_t @ scaled[:, :, None])[:, :, 0]
-        predicted = (-2.0 * np.vecdot(z, g) - np.vecdot(s * z, s * z)).tolist()
+        z = _dot(v_t, scaled[:, None])
+        predicted = (-2.0 * _dot(z, g) - _dot(s * z, s * z)).tolist()
         cost_new, point = evaluate(idx, trial)
         if point is None:
             return []
         # the scaled step and point, each row's norm
-        step_norm, x_norm = (np.sqrt(np.vecdot(v, v)).tolist() for v in (scaled, d * q))
+        step_norm, x_norm = (np.sqrt(_dot(v, v)).tolist() for v in (scaled, d * q))
         retry, moved, moved_at, stopped = [], [], [], set()
         for k, i in enumerate(idx):
             if outcome[i] is not None:  # out of budget
@@ -260,7 +268,7 @@ def levenberg_marquardt(basis, derivatives, x, y, p0, weights, bounds, max_itera
             for j in range(len(point)):
                 point[j] = point[j][moved_at]
         jac, grad = accept(moved, point)
-        del point  # before the QR copies the Jacobian
+        del point  # before R is made
         for i in stopped.intersection(moved):
             finish(i)
         if stopped:
@@ -280,27 +288,36 @@ def levenberg_marquardt(basis, derivatives, x, y, p0, weights, bounds, max_itera
     return outcome
 
 
-def _jacobian(derivatives, x, w, point, sets) -> np.ndarray:
-    """The Jacobians (problems, n, N) of the weighted residuals at a point
-    of ``evaluate`` in ``levenberg_marquardt``, from its columns: each
-    theta_j's v = sum w c_k dphi_k/dtheta_j less Phi_f G_f^-1 (Phi_f^T v +
-    t^T a), with Phi_f = Phi t the columns the active set leaves free
-    (c = t u + e d, ``sets[s]``; all where none is active), G_f their Gram
-    matrix and a = (w dPhi/dtheta_j)^T r. v is built in place: the
-    projection is one product with Phi for every active set."""
+def _jacobian(derivatives, x, w, point, sets) -> tuple:
+    """The Jacobians J (problems, n, N) of the weighted residuals r at a
+    point of ``evaluate`` in ``levenberg_marquardt``, from its columns, and
+    J^T r (problems, n): each theta_j's v = sum w c_k dphi_k/dtheta_j less
+    Phi_f G_f^-1 (Phi_f^T v + t^T a), with Phi_f = Phi t the columns the
+    active set leaves free (c = t u + e d, ``sets[s]``; all where none is
+    active), G_f their Gram matrix and a = (w dPhi/dtheta_j)^T r. v is
+    built in place: the projection is one product with Phi for every
+    active set. r is orthogonal to the free columns, so J^T r = v^T r =
+    sum_k c_k a_k."""
     q, c, res, cols, gram, held = point
     jac, a = _directions(derivatives, x, q, c, cols, w, res)
+    grad = _dot(a, c[:, None])
     # the columns are spent: the weighted ones in their place
     phi = np.multiply(cols, w[:, None], out=cols)
-    rhs = np.vecdot(phi[:, None], jac[:, :, None]) + a  # (problems, n, k)
+    rhs = a  # (problems, n, k) += Phi^T v, an N-vector per problem and theta_j at a time
+    for j in range(len(a[0])):
+        rhs[:, j] += _fused_dot(phi, jac[:, j, None])
     proj = np.empty(rhs.shape)  # each problem's G_f^-1 (Phi_f^T v + t^T a) t^T
     active = set(held.tolist())
     for s in active:
         sel = slice(None) if len(active) == 1 else held == s
-        t = np.eye(len(gram[0])) if s < 0 else sets[s][0]
-        proj[sel] = _solve((t.T @ gram[sel] @ t)[:, None], rhs[sel] @ t) @ t.T
-    jac -= proj @ phi
-    return jac
+        if s < 0:  # every column free: t = I
+            proj[sel] = _solve(gram[sel][:, None], rhs[sel])
+        else:
+            t = sets[s][0]
+            proj[sel] = _mm(_solve(_mm(_mm(t.T, gram[sel]), t)[:, None], _mm(rhs[sel], t)), t.T)
+    for k in range(phi.shape[1]):  # jac -= proj Phi, a column at a time
+        jac -= proj[:, :, k, None] * phi[:, None, k]
+    return jac, grad
 
 
 def covariance_factors(basis, derivatives, x, y, theta, c, weights, pure_error,
@@ -319,16 +336,37 @@ def covariance_factors(basis, derivatives, x, y, theta, c, weights, pure_error,
     phi = _columns(basis, x, theta, y, out=jt[:, n:])
     _directions(derivatives, x, theta, c, phi, w, None, out=jt[:, :n])
     phi *= w[:, None]
-    res = (c[:, None] @ phi)[:, 0] - y * w
-    norms = np.sqrt(np.vecdot(jt, jt))
+    res = _combine(c, phi) - y * w
+    r = _r_factor(jt)  # J = Q R: R has J's column norms, singular values and V
+    norms = np.sqrt(_dot(r, r))
     norms[norms == 0.0] = 1.0
-    jt /= norms[:, :, None]
-    # J D^-1 = Q R: R has its singular values and V, and no factor of N rows is kept
-    _, sigma, v_t = np.linalg.svd(np.linalg.qr(jt.transpose(0, 2, 1), mode="r"))
-    kept = sigma > np.finfo(float).eps * max(samples, m) * sigma[:, :1]
+    sigma, v_t = _jacobi(r / norms[:, :, None])
+    kept = sigma > np.finfo(float).eps * max(samples, m) * sigma.max(axis=1, keepdims=True)
     inverse = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=kept)
-    s = np.sqrt((np.vecdot(res, res) + pure_error) / max(samples - m, 1))
+    s = np.sqrt((_dot(res, res) + pure_error) / max(samples - m, 1))
     return v_t.transpose(0, 2, 1) * (inverse * s[:, None])[:, None] / norms[:, :, None]
+
+
+def least_squares(columns: np.ndarray, target: np.ndarray) -> np.ndarray | None:
+    """The x minimizing |A x - target| for A of the m columns ``columns``
+    (m, N), or None where A's rank is below m as ``numpy.linalg.lstsq``
+    counts it: singular values above eps max(N, m) times the largest.
+    Modified Gram-Schmidt on [A, target] gives R and Q^T target (Björck,
+    BIT 7, 1 (1967)), R x = Q^T target is solved by back substitution, and
+    one correction from the residual r by the seminormal equations
+    R^T R dx = A^T r takes x to the solution of the data as given (Björck,
+    Numerical Methods for Least Squares Problems, 1996, §2.5)."""
+    m, size = columns.shape
+    rt = _r_factor(np.vstack([columns, target])[None])[0]
+    r, qtb = rt[:m, :m], rt[m, :m]  # rows: the columns of R
+    sigma = _jacobi(r[None])[0][0]
+    if (sigma > np.finfo(float).eps * max(size, m) * sigma.max()).sum() < m:
+        return None
+    x = np.zeros(m)
+    for j in reversed(range(m)):
+        x[j] = (qtb[j] - _dot(r[j + 1:, j], x[j + 1:])) / r[j, j]
+    residual = target - _combine(x[None], columns[None])[0]
+    return x + _solve(_dot(r[:, None], r[None]), _dot(columns, residual))
 
 
 def _columns(basis, x, q, like, out=None) -> np.ndarray:
@@ -354,7 +392,7 @@ def _directions(derivatives, x, q, c, cols, w, r, out=None) -> tuple:
     j = 0  # no enumerate: its reused result would hold the last slope
     for k, slope in derivatives(x, cols, *params):
         np.multiply(c[:, k, None], slope, out=v[:, j])
-        a[:, j, k] = 0.0 if r is None else np.vecdot(slope, rw)
+        a[:, j, k] = 0.0 if r is None else _fused_dot(slope, rw)
         j += 1
         del slope  # before the next one is made
     v *= w[:, None]
@@ -369,12 +407,15 @@ def _coefficients(phi: np.ndarray, y: np.ndarray, constraints: tuple) -> np.ndar
     unconstrained solution does not gets ``_constrained``'s. Returns c, the
     Gram matrices and each problem's active set, its index in
     ``_active_sets(C)`` or -1 for none."""
-    gram = np.vecdot(phi[:, :, None], phi[:, None])
-    rhs = np.vecdot(phi, y[:, None])
+    k = phi.shape[1]
+    gram = np.empty((len(phi), k, k))
+    for i in range(k):  # a row at a time: at most k N-vectors per problem
+        gram[:, i, i:] = gram[:, i:, i] = _dot(phi[:, i, None], phi[:, i:])
+    rhs = _dot(phi, y[:, None])
     c = _solve(gram, rhs)
     held = np.full(len(c), -1)
     cons, floor = constraints
-    out = ~(np.vecdot(c[:, None], cons) >= floor).all(axis=1)  # NaN where singular
+    out = ~(_dot(c[:, None], cons) >= floor).all(axis=1)  # NaN where singular
     if out.any():
         c[out], held[out] = _constrained(gram[out], rhs[out], cons, floor[out])
     return c, gram, held
@@ -389,12 +430,11 @@ def _constrained(gram, rhs, cons, floor):
     which = np.full(len(rhs), -1)
     for s, (t, e) in enumerate(_active_sets(_rows(cons))):
         # c = t u + e d meets the active rows for every u
-        cand = np.vecdot(floor[:, None], e)
-        u = _solve(t.T @ gram @ t, np.vecdot((rhs - (gram @ cand[:, :, None])[:, :, 0])[:, None],
-                                             t.T))
-        cand += (t @ u[:, :, None])[:, :, 0]
-        cost = np.vecdot(cand, (gram @ cand[:, :, None])[:, :, 0]) - 2.0 * np.vecdot(rhs, cand)
-        better = (np.vecdot(cand[:, None], cons) >= floor).all(axis=1) & (cost < least)
+        cand = _dot(floor[:, None], e)
+        u = _solve(_mm(_mm(t.T, gram), t), _dot((rhs - _dot(gram, cand[:, None]))[:, None], t.T))
+        cand += _dot(t, u[:, None])
+        cost = _dot(cand, _dot(gram, cand[:, None])) - 2.0 * _dot(rhs, cand)
+        better = (_dot(cand[:, None], cons) >= floor).all(axis=1) & (cost < least)
         best[better], least[better], which[better] = cand[better], cost[better], s
     return best, which
 
@@ -407,34 +447,154 @@ def _rows(cons: np.ndarray) -> tuple:  # C as the hashable key of ``_active_sets
 def _active_sets(key: tuple) -> list:
     """(t, e) for each set of independent rows of C: c = t u + e d meets the
     set's rows with equality for every u. The set's rows are solved for
-    pivot coefficients, so a row that bounds one coefficient puts it on
-    its bound exactly."""
+    the first pivot coefficients that make them invertible, so a row that
+    bounds one coefficient puts it on its bound exactly."""
     (m, k), entries = key
     cons = np.array(entries).reshape(m, k)
     sets = []
     for size in range(1, k + 1):
         for active in itertools.combinations(range(m), size):
             a = cons[list(active)]
-            pivots = next((list(piv) for piv in itertools.combinations(range(k), size)
-                           if np.linalg.det(a[:, piv]) != 0.0), None)
-            if pivots is not None:
-                rest = [j for j in range(k) if j not in pivots]
-                inv = np.linalg.inv(a[:, pivots])
-                t, e = np.eye(k)[:, rest], np.zeros((k, m))
-                t[pivots] = -inv @ a[:, rest]
-                e[np.ix_(pivots, active)] = inv
-                sets.append((t, e))
+            for pivots in map(list, itertools.combinations(range(k), size)):
+                inv = _inverse(a[:, pivots])
+                if inv is not None:
+                    rest = [j for j in range(k) if j not in pivots]
+                    t, e = np.eye(k)[:, rest], np.zeros((k, m))
+                    t[pivots] = -_mm(inv, a[:, rest])
+                    e[np.ix_(pivots, active)] = inv
+                    sets.append((t, e))
+                    break
     return sets
 
 
+def _inverse(a: np.ndarray) -> np.ndarray | None:
+    """The inverse of a small square matrix by Gauss-Jordan elimination with
+    partial pivoting, or None where a pivot is 0."""
+    size = len(a)
+    aug = np.hstack([a, np.eye(size)])
+    for j in range(size):
+        p = j + int(np.abs(aug[j:, j]).argmax())
+        if aug[p, j] == 0.0:
+            return None
+        aug[[j, p]] = aug[[p, j]]
+        aug[j] /= aug[j, j]
+        for i in range(size):
+            if i != j:
+                aug[i] -= aug[i, j] * aug[j]
+    return aug[:, size:]
+
+
+# ---------------------------------------------------------------------------
+# kernels: numpy's own elementwise loops and pairwise sums, no BLAS or LAPACK
+# ---------------------------------------------------------------------------
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum(a * b) over the last axis, broadcast, by numpy's pairwise sum:
+    each row gets the bits it gets alone."""
+    return np.add.reduce(a * b, axis=-1)
+
+
+# einsum sums a row whole only within one of numpy's buffers
+_BUFFER = np.getbufsize()
+
+
+def _fused_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``_dot`` in one pass with no product array, by einsum, for the
+    Jacobian's inner products of N-vectors. Its running sum in two lanes is
+    off by up to N eps relative, where the pairwise sum is off by about
+    log2(N) eps: far below what a step or an R factor needs, but not
+    enough for the normal equations and the cost. A row longer than
+    numpy's buffer is summed a buffer's length at a time, in order, so
+    that each row gets the bits it gets alone."""
+    size = max(a.shape[-1], b.shape[-1])
+    if size <= _BUFFER:
+        return np.einsum("...i,...i->...", a, b)
+    return sum(_fused_dot(a[..., i:i + _BUFFER], b[..., i:i + _BUFFER])
+               for i in range(0, size, _BUFFER))
+
+
+def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The matrix products of stacks of small matrices a and b, broadcast."""
+    return _dot(a[..., :, None, :], np.swapaxes(b, -1, -2)[..., None, :, :])
+
+
+def _combine(c: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """sum_k c_k phi_k, one row per problem of c (problems, k) and the
+    columns phi (problems, k, N)."""
+    return _fused_dot(np.swapaxes(phi, 1, 2), c[:, None])
+
+
+def _r_factor(rows: np.ndarray) -> np.ndarray:
+    """R of the QR factorization of each matrix whose columns are ``rows``
+    (problems, m, N), by modified Gram-Schmidt: its columns, one row each
+    (problems, m, m). The rows are spent: each is made orthogonal to those
+    before it in place. A row in the span of those before it gives a zero
+    or round-off column."""
+    size, m = rows.shape[:2]
+    r = np.zeros((size, m, m))
+    for j in range(m):
+        inner = _fused_dot(rows[:, j, None], rows[:, j:])  # a_j . a_k, k >= j
+        norm = r[:, j, j] = np.sqrt(inner[:, 0])
+        if j + 1 < m:
+            share = np.divide(inner[:, 1:], inner[:, :1], out=np.zeros((size, m - j - 1)),
+                              where=inner[:, :1] > 0.0)  # of a_j in each a_k
+            rows[:, j + 1:] -= share[:, :, None] * rows[:, j, None]
+            r[:, j + 1:, j] = share * norm[:, None]
+    return r
+
+
+def _jacobi(w: np.ndarray) -> tuple:
+    """The singular values (problems, m) and V^T (problems, m, m) of small
+    square matrices whose columns are the rows of ``w``, by one-sided
+    Jacobi (Hestenes, J. SIAM 6, 51 (1958); Demmel and Veselić, SIAM J.
+    Matrix Anal. Appl. 13, 1204 (1992)): a pair of columns whose inner
+    product exceeds m eps times their norms' product is rotated to be
+    orthogonal, sweep after sweep until none does (at most 30 sweeps); the
+    columns' norms are then the singular values, in no order. A problem
+    whose pair is orthogonal enough is rotated by the identity: cos 1, sin 0."""
+    size, m = w.shape[:2]
+    wv = np.empty((size, m, 2 * m))  # [W | V^T]
+    wv[:, :, :m], wv[:, :, m:] = w, np.eye(m)
+    for _ in range(30):
+        rotated = False
+        for p, q in itertools.combinations(range(m), 2):
+            a, b = wv[:, p], wv[:, q]
+            alpha, beta, gamma = _dot(wv[:, [p, q, p], :m], wv[:, [p, q, q], :m]).T
+            sel = np.abs(gamma) > m * np.finfo(float).eps * np.sqrt(alpha * beta)
+            if sel.any():
+                rotated = True
+                # the tangent of the smaller rotation angle, in a form that
+                # cannot overflow; 0 where the pair is orthogonal enough
+                diff = beta - alpha
+                t = np.divide(np.copysign(2.0, diff) * gamma,
+                              np.abs(diff) + np.hypot(diff, 2.0 * gamma),
+                              out=np.zeros(size), where=sel)
+                cos = 1.0 / np.hypot(1.0, t)[:, None]
+                sin = cos * t[:, None]
+                wv[:, p], wv[:, q] = cos * a - sin * b, sin * a + cos * b
+        if not rotated:
+            break
+    return np.sqrt(_dot(wv[:, :, :m], wv[:, :, :m])), wv[:, :, m:]
+
+
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a^-1 b for stacks of small systems a broadcast against b, one vector
-    each: each gets the bits it gets alone, and NaN when singular."""
-    try:
-        return np.linalg.solve(a, b[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        a = np.broadcast_to(a, b.shape + b.shape[-1:])
-        out = np.full(b.shape, np.nan)
-        ok = np.linalg.slogdet(a)[0] != 0.0  # the factorization solve takes
-        out[ok] = np.linalg.solve(a[ok], b[ok][..., None])[..., 0]
-        return out
+    """a^-1 b for stacks of small symmetric positive definite systems a
+    broadcast against b, one vector each, by Gaussian elimination without
+    pivoting (a = L D L^T) and back substitution: each gets the bits it
+    gets alone, and NaN where a pivot is not positive (a singular a)."""
+    m, d = b.shape[-1], b.ndim - 1
+    # copies with the matrix axes first, where plain indexing is cheap
+    lu = np.array(a.transpose(a.ndim - 2, a.ndim - 1, *range(a.ndim - 2)), order="C")
+    x = np.array(b.transpose(d, *range(d)), dtype=float, order="C")
+    for j in range(m):
+        pivot = lu[j, j, ...]
+        pivot[pivot <= 0.0] = np.nan
+        if j + 1 < m:
+            low = lu[j + 1:, j] / pivot
+            lu[j + 1:, j + 1:] -= low[:, None] * lu[j, j + 1:]
+            x[j + 1:] -= low * x[j]
+    for j in range(m - 1, -1, -1):
+        x[j] /= lu[j, j]
+        if j:
+            x[:j] -= lu[:j, j] * x[j]
+    return x.transpose(*range(1, d + 1), 0)

@@ -194,9 +194,9 @@ def _run_fit_batch(fit: Separable, x, y, theta0, weights=None, bounds=None,
         factors = lsq.covariance_factors(
             fit.basis, fit.derivatives, x if x.ndim == 1 else x[ok], y[ok], theta[ok], c[ok],
             weights[ok], pure[ok], samples)
-        if to_named is not None:
-            factors = to_named[ok] @ factors
-        stderr = iter(np.sqrt(np.vecdot(factors, factors)).tolist())
+        if to_named is not None:  # the product, summed in the order of (theta, c)
+            factors = np.add.reduce(to_named[ok][:, :, :, None] * factors[:, None], axis=2)
+        stderr = iter(np.sqrt(np.add.reduce(factors * factors, axis=-1)).tolist())
     results = []
     for (converged, *_, cost, calls), p in zip(outcomes, params):
         named = dict(zip(fit.names, map(float, p)))
@@ -464,7 +464,8 @@ def fit_decay_with_irf_batch(decays, irfs, *, uncertainties: bool = True) -> lis
             y_irf = np.interp(t, t_irf, y_irf, left=0.0, right=0.0)
         if y_irf.sum() <= 0:
             raise SeriesError("instrument response has no weight on the data grid")
-        tau0 = float(t @ y / y.sum() - t @ y_irf / y_irf.sum()) if y.sum() > 0 else 0.0
+        tau0 = (float((t * y).sum() / y.sum() - (t * y_irf).sum() / y_irf.sum())
+                if y.sum() > 0 else 0.0)
         tau0 = tau0 if math.isfinite(tau0) and tau0 > 0 else (t[-1] - t[0]) / 5.0
         starts.append((y, y_irf, [max(tau0, 2 * dt)]))
     y, y_irf, p0 = map(np.array, zip(*starts))

@@ -12,13 +12,13 @@ the series) as in stdout.
 replays a few as ``python -m spskit.cli`` processes, whose records
 ``record`` builds the same way.
 
-The record holds on the default code paths of numpy and OpenBLAS only.
-The CPU-feature and BLAS-kernel settings of ROADMAP item 12 move the last
-bits of fitted values (up to 6e-14 relative in these reports) and may move
-a fit's ``iterations``: under them the ``fit`` runs and ``reproduce``
-write other bytes, and with numpy's AVX-512 loops off so do the two
-0-1000 km ``qkd`` grids at 0.1 km and free space under ``friis`` (a rate
-cell in its 10th digit), while every ``cavity`` run holds.
+No run calls a BLAS or LAPACK routine, so every record holds under each
+OpenBLAS kernel setting of ROADMAP item 12 (``OPENBLAS_CORETYPE``). Only
+numpy's CPU-feature setting moves records: with its AVX-512 loops off,
+``exp``, ``log`` and ``arctan2`` move in their last bits, and so do the
+fits whose models take them and ``reproduce``, the two 0-1000 km ``qkd``
+grids at 0.1 km and free space under ``friis`` (a rate cell in its 10th
+digit), while every ``cavity`` run holds.
 
 Run from the repository root with ``python tests/record_golden_outputs.py``
 to re-record every run, or with ``python tests/record_golden_outputs.py

@@ -948,6 +948,31 @@ class TestLazyScipy:
             assert json.loads((tmp_path / "fit_report.json").read_text())["fit"]["converged"]
 
 
+# numpy names whose float64 work goes to BLAS or LAPACK, whose kernels move
+# the last bits of a result with the CPU they are chosen for (ROADMAP item 12)
+BLAS_NAMES = {"linalg", "vecdot", "dot", "matmul", "inner", "tensordot", "convolve"}
+
+
+def test_no_source_calls_blas_or_lapack():
+    # any such name read as an attribute (np.dot, x.dot) or imported, an
+    # einsum that may hand its work to tensordot, or the @ operator
+    found = []
+    for path in sorted(Path(spskit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {part for a in node.names for part in a.name.split(".")}
+                names |= set((getattr(node, "module", None) or "").split("."))
+            else:
+                names = set()
+            if (names & BLAS_NAMES or isinstance(getattr(node, "op", None), ast.MatMult)
+                    or (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "einsum"
+                        and any(k.arg == "optimize" for k in node.keywords))):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 class TestImportsPerCommand:
     """Which modules a call loads; never how long it takes."""
 
