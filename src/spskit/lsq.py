@@ -53,8 +53,9 @@ between rounds.
 No BLAS or LAPACK routine is called, so no result depends on the CPU
 kernel OpenBLAS picks: every kernel is numpy's elementwise arithmetic,
 pairwise sums and einsum without ``optimize``, and gives each problem of
-a stack the bits it gets alone. The normal equations and the cost are
-summed pairwise; the Jacobian's inner products are einsum's single pass.
+a stack the bits it gets alone. The right side of the normal equations
+and the cost are summed pairwise; the Gram matrix and the Jacobian's
+inner products are einsum's single pass.
 R of the scaled Jacobian comes from modified Gram-Schmidt on its columns
 in place (Björck, Numerical Methods for Least Squares Problems, 1996,
 §2.4), its singular values and V from one-sided Jacobi on that small R,
@@ -409,8 +410,8 @@ def _coefficients(phi: np.ndarray, y: np.ndarray, constraints: tuple) -> np.ndar
     ``_active_sets(C)`` or -1 for none."""
     k = phi.shape[1]
     gram = np.empty((len(phi), k, k))
-    for i in range(k):  # a row at a time: at most k N-vectors per problem
-        gram[:, i, i:] = gram[:, i:, i] = _dot(phi[:, i, None], phi[:, i:])
+    for i in range(k):
+        gram[:, i, i:] = gram[:, i:, i] = _fused_dot(phi[:, i, None], phi[:, i:])
     rhs = _dot(phi, y[:, None])
     c = _solve(gram, rhs)
     held = np.full(len(c), -1)
@@ -499,13 +500,15 @@ _BUFFER = np.getbufsize()
 
 
 def _fused_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``_dot`` in one pass with no product array, by einsum, for the
-    Jacobian's inner products of N-vectors. Its running sum in two lanes is
-    off by up to N eps relative, where the pairwise sum is off by about
-    log2(N) eps: far below what a step or an R factor needs, but not
-    enough for the normal equations and the cost. A row longer than
-    numpy's buffer is summed a buffer's length at a time, in order, so
-    that each row gets the bits it gets alone."""
+    """``_dot`` in one pass with no product array, by einsum, for the Gram
+    matrix and the Jacobian's inner products of N-vectors. Its running sum
+    in two lanes is off by up to N eps relative, where the pairwise sum is
+    off by about log2(N) eps: far below what a step, an R factor or the
+    Gram matrix needs, but not enough for the right side of the normal
+    equations and the cost, which carry the data (with the right side by
+    einsum, a g2 fit from a flat start stops converging). A row longer
+    than numpy's buffer is summed a buffer's length at a time, in order,
+    so that each row gets the bits it gets alone."""
     size = max(a.shape[-1], b.shape[-1])
     if size <= _BUFFER:
         return np.einsum("...i,...i->...", a, b)
