@@ -120,9 +120,9 @@ def levenberg_marquardt(basis, derivatives, x, y, p0, weights, bounds, max_itera
 
     def evaluate(idx, q):
         """The costs at q, one row per problem of idx, and the point (q, c,
-        residuals, columns, the Gram matrices of the weighted columns,
-        active sets), None when every problem's budget is spent; such a
-        problem fails instead, with the best point it saw."""
+        residuals, columns, the Gram matrices of the weighted columns and
+        their factors, active sets), None when every problem's budget is
+        spent; such a problem fails instead, with the best point it saw."""
         nonlocal rounds
         rounds += 1
         if rounds > max_iterations:  # a round evaluates a problem at most once
@@ -135,7 +135,7 @@ def levenberg_marquardt(basis, derivatives, x, y, p0, weights, bounds, max_itera
         data = yw[at]
         cols = _columns(basis, x if x.ndim == 1 else x[at], q, data)
         phi = cols * w[at][:, None]
-        c, gram, held = _coefficients(phi, data, (cons, floor[at]))
+        c, gram, factor, held = _coefficients(phi, data, (cons, floor[at]))
         res = _combine(c, phi) - data
         costs = (_dot(res, res) + pure_error[at]).tolist()
         for k, i in enumerate(idx):
@@ -143,7 +143,7 @@ def levenberg_marquardt(basis, derivatives, x, y, p0, weights, bounds, max_itera
                 calls[i] += 1
                 if costs[k] < best_cost[i]:
                     best_cost[i], best_p[i], best_c[i] = costs[k], q[k], c[k]
-        return costs, (q, c, res, cols, gram, held)
+        return costs, (q, c, res, cols, gram, factor, held)
 
     def accept(idx, point):
         """Moves the problems idx to the point's rows: their Jacobians and J^T r."""
@@ -297,9 +297,10 @@ def _jacobian(derivatives, x, w, point, sets) -> tuple:
     active set leaves free (c = t u + e d, ``sets[s]``; all where none is
     active), G_f their Gram matrix and a = (w dPhi/dtheta_j)^T r. v is
     built in place: the projection is one product with Phi for every
-    active set. r is orthogonal to the free columns, so J^T r = v^T r =
+    active set; with none active, G_f^-1 reuses the factor of G that
+    solved for c. r is orthogonal to the free columns, so J^T r = v^T r =
     sum_k c_k a_k."""
-    q, c, res, cols, gram, held = point
+    q, c, res, cols, gram, factor, held = point
     jac, a = _directions(derivatives, x, q, c, cols, w, res)
     grad = _dot(a, c[:, None])
     # the columns are spent: the weighted ones in their place
@@ -312,7 +313,7 @@ def _jacobian(derivatives, x, w, point, sets) -> tuple:
     for s in active:
         sel = slice(None) if len(active) == 1 else held == s
         if s < 0:  # every column free: t = I
-            proj[sel] = _solve(gram[sel][:, None], rhs[sel])
+            proj[sel] = _substitute(factor[sel][:, None], rhs[sel])
         else:
             t = sets[s][0]
             proj[sel] = _mm(_solve(_mm(_mm(t.T, gram[sel]), t)[:, None], _mm(rhs[sel], t)), t.T)
@@ -406,37 +407,45 @@ def _coefficients(phi: np.ndarray, y: np.ndarray, constraints: tuple) -> np.ndar
     equations; NaN where those are singular. They meet ``constraints =
     (C, d)``, C c >= d with d one row per problem: a problem whose
     unconstrained solution does not gets ``_constrained``'s. Returns c, the
-    Gram matrices and each problem's active set, its index in
-    ``_active_sets(C)`` or -1 for none."""
+    Gram matrices, their ``_eliminate`` factors and each problem's active
+    set, its index in ``_active_sets(C)`` or -1 for none."""
     k = phi.shape[1]
     gram = np.empty((len(phi), k, k))
     for i in range(k):
         gram[:, i, i:] = gram[:, i:, i] = _fused_dot(phi[:, i, None], phi[:, i:])
     rhs = _dot(phi, y[:, None])
-    c = _solve(gram, rhs)
+    factor = _eliminate(gram)
+    c = _substitute(factor, rhs)
     held = np.full(len(c), -1)
     cons, floor = constraints
     out = ~(_dot(c[:, None], cons) >= floor).all(axis=1)  # NaN where singular
     if out.any():
         c[out], held[out] = _constrained(gram[out], rhs[out], cons, floor[out])
-    return c, gram, held
+    return c, gram, factor, held
 
 
 def _constrained(gram, rhs, cons, floor):
     """The least-cost c, one per problem, of the minimizers of
     c^T G c - 2 b^T c that hold an active set of the rows of C c >= d
-    with equality and meet every row, and the index of that set; NaN and
-    -1 where none does."""
-    best, least = np.full(rhs.shape, np.nan), np.full(len(rhs), np.inf)
-    which = np.full(len(rhs), -1)
-    for s, (t, e) in enumerate(_active_sets(_rows(cons))):
+    with equality and meet every row, and the index of that set (the first
+    of equal costs); NaN and -1 where none does. The sets of one size are
+    solved together, along a leading axis."""
+    cands, costs = [], []
+    for _, sets in itertools.groupby(_active_sets(_rows(cons)), lambda te: te[0].shape[1]):
         # c = t u + e d meets the active rows for every u
-        cand = _dot(floor[:, None], e)
-        u = _solve(_mm(_mm(t.T, gram), t), _dot((rhs - _dot(gram, cand[:, None]))[:, None], t.T))
-        cand += _dot(t, u[:, None])
-        cost = _dot(cand, _dot(gram, cand[:, None])) - 2.0 * _dot(rhs, cand)
-        better = (_dot(cand[:, None], cons) >= floor).all(axis=1) & (cost < least)
-        best[better], least[better], which[better] = cand[better], cost[better], s
+        t, e = map(np.stack, zip(*sets))
+        t, tt = t[:, None], np.swapaxes(t, 1, 2)[:, None]
+        cand = _dot(floor[:, None], e[:, None])
+        u = _solve(_mm(_mm(tt, gram), t), _dot((rhs - _dot(gram, cand[:, :, None]))[:, :, None], tt))
+        cand += _dot(t, u[:, :, None])
+        cost = _dot(cand, _dot(gram, cand[:, :, None])) - 2.0 * _dot(rhs, cand)
+        cost[~((_dot(cand[:, :, None], cons) >= floor).all(axis=-1) & (cost < np.inf))] = np.inf
+        cands.append(cand)
+        costs.append(cost)
+    cost, cand, each = np.concatenate(costs), np.concatenate(cands), np.arange(len(rhs))
+    which = cost.argmin(axis=0)
+    best, none = cand[which, each], cost[which, each] == np.inf
+    best[none], which[none] = np.nan, -1
     return best, which
 
 
@@ -582,20 +591,34 @@ def _jacobi(w: np.ndarray) -> tuple:
 
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a^-1 b for stacks of small symmetric positive definite systems a
-    broadcast against b, one vector each, by Gaussian elimination without
-    pivoting (a = L D L^T) and back substitution: each gets the bits it
-    gets alone, and NaN where a pivot is not positive (a singular a)."""
-    m, d = b.shape[-1], b.ndim - 1
-    # copies with the matrix axes first, where plain indexing is cheap
+    broadcast against b, one vector each: ``_substitute`` in ``_eliminate(a)``."""
+    return _substitute(_eliminate(a), b)
+
+
+def _eliminate(a: np.ndarray) -> np.ndarray:
+    """The factor a = L D L^T of each small symmetric matrix of the stack a
+    by Gaussian elimination without pivoting, in a's shape: U = D L^T above
+    the diagonal and D on it, with NaN where a pivot is not positive (a
+    singular a), and the column of each step's multipliers times its pivot
+    below. Each gets the bits it gets alone."""
+    # a copy with the matrix axes first, where plain indexing is cheap
     lu = np.array(a.transpose(a.ndim - 2, a.ndim - 1, *range(a.ndim - 2)), order="C")
-    x = np.array(b.transpose(d, *range(d)), dtype=float, order="C")
-    for j in range(m):
+    for j in range(len(lu)):
         pivot = lu[j, j, ...]
         pivot[pivot <= 0.0] = np.nan
-        if j + 1 < m:
-            low = lu[j + 1:, j] / pivot
-            lu[j + 1:, j + 1:] -= low[:, None] * lu[j, j + 1:]
-            x[j + 1:] -= low * x[j]
+        if j + 1 < len(lu):
+            lu[j + 1:, j + 1:] -= (lu[j + 1:, j] / pivot)[:, None] * lu[j, j + 1:]
+    return lu.transpose(*range(2, a.ndim), 0, 1)
+
+
+def _substitute(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^-1 b for the factors ``_eliminate`` made of a, broadcast against b,
+    one vector each, by forward and back substitution."""
+    lu = factor.transpose(factor.ndim - 2, factor.ndim - 1, *range(factor.ndim - 2))
+    m, d = b.shape[-1], b.ndim - 1
+    x = np.array(b.transpose(d, *range(d)), dtype=float, order="C")
+    for j in range(m - 1):
+        x[j + 1:] -= lu[j + 1:, j] / lu[j, j] * x[j]
     for j in range(m - 1, -1, -1):
         x[j] /= lu[j, j]
         if j:

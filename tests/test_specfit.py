@@ -1403,12 +1403,13 @@ class TestJacobians:
     @staticmethod
     def point(model, x, y, w, theta, constraints):
         """The solver's point at theta: (q, c, residuals, columns, Gram
-        matrices of the weighted columns, active sets), one problem."""
+        matrices of the weighted columns and their factors, active sets),
+        one problem."""
         q = np.array([theta], dtype=float)
         cols = lsq._columns(model.basis, x, q, y[None])
         phi = cols * w
-        c, gram, held = lsq._coefficients(phi, (y * w)[None], constraints)
-        return q, c, (c[:, None] @ phi)[:, 0] - y * w, cols, gram, held
+        c, gram, factor, held = lsq._coefficients(phi, (y * w)[None], constraints)
+        return q, c, (c[:, None] @ phi)[:, 0] - y * w, cols, gram, factor, held
 
     @pytest.mark.parametrize("plain", [False, True])
     def test_solver_jacobian_is_the_derivative_of_the_projected_residual(self, plain):
@@ -1435,7 +1436,7 @@ class TestJacobians:
         y = 140.0 * g2_model(tau, 0.9, -0.05, 700.0, 6000.0)
         model, (cons, floor) = g2fit_module._G2_WITH_BUNCHING, g2fit_module._G2_BOX
         point = self.point(model, tau, y, np.ones_like(y), [700.0, 6000.0], (cons, floor[None]))
-        assert point[1][0, 2] == 0.0 and point[5][0] >= 0
+        assert point[1][0, 2] == 0.0 and point[-1][0] >= 0
         jac, _ = lsq._jacobian(model.derivatives, tau, np.ones((1, len(tau))), point,
                                lsq._active_sets(lsq._rows(cons)))
         assert not jac[0, 1].any() and jac[0, 0].any()
