@@ -4,8 +4,14 @@ Each check compares a quantity of the scenario ``spskit reproduce`` loads
 with its ``Target``, whose pass test is read from the text the table
 prints; 1a/1b/1c, 2, 3a, 4, 5a, 6a/6b/6d and 8a read what ``mirror``,
 ``cavity``, ``emitter`` and ``qkd`` write, through the same ``pipeline``
-functions. Targets and each check's probe inputs stay literals. All
-randomness is seeded, so two runs produce identical results.
+functions. Targets and each check's probe inputs stay literals.
+
+All randomness comes from ``uniforms``, a counter-based SplitMix64
+generator started from ``RNG_SEED`` in np.uint64 arithmetic: the fit
+round trips' series (7a-7g) and check_fab's roughness (9b, 9c). Its
+uniforms have the same bits on every host, numpy and Python, and two runs
+produce identical results. numpy.random, whose distributions keep no
+stream from one release to the next (NEP 19), is not loaded.
 """
 from __future__ import annotations
 
@@ -166,65 +172,157 @@ def check_indistinguishability(report: ReproductionReport, scenario: Scenario,
 DECAY_GRID = np.arange(0.0, 12000.0, 16.0)
 DELAY_GRID = np.linspace(-30000.0, 30000.0, 1601)
 ANGLE_GRID = np.linspace(0.0, 360.0, 73)
+SPECTRUM_SPAN = np.linspace(-6.0, 6.0, 301)  # in FWHM about the line's center
+
+# SplitMix64 (Steele, Lea and Flood, OOPSLA 2014): its increment and the
+# two multipliers of its output function
+_GAMMA, *_MIX = map(np.uint64, (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
+
+# the ranges of a draw's 14 scalars, stream 0 in this order
+_SCALARS = {"center": (520.0, 600.0), "fwhm": (0.5, 12.0), "amp": (50.0, 5000.0),
+            "off": (0.0, 0.1), "lifetime": (200.0, 2000.0), "irf_fwhm": (60.0, 160.0),
+            "irf_center": (300.0, 600.0), "anti": (0.6, 1.0), "bunch": (0.0, 0.15),
+            "t1": (300.0, 1200.0), "t2": (4000.0, 9000.0), "dop": (0.3, 0.98),
+            "axis": (0.0, 180.0), "total": (100.0, 1000.0)}
+
+# The fit draws take the indices below this, within the layout of
+# ``uniforms``; ``check_fab``'s normals take the index at it.
+MAX_DRAWS = 2 ** 31
 
 
-def fit_roundtrip_draw(rng: np.random.Generator) -> dict:
-    """One randomized draw of every fit round trip: each series to fit
-    with the true values it was generated from."""
+def uniforms(draw, stream: int, element) -> np.ndarray:
+    """Doubles in [0, 1), broadcast over the draw and element indices:
+    element j of stream s of draw i is SplitMix64 output number
+    (i << 32 | s << 20 | j) + 1 from ``RNG_SEED``, whose top 53 bits times
+    2^-53 are exact. The arithmetic is np.uint64's alone, so every host,
+    numpy and Python gives the same bits, and a value does not depend on
+    which others are drawn with it."""
+    u64 = np.uint64  # for every operand: a Python int may not be cast alike by every numpy
+    z = (np.asarray(draw, dtype=u64) << u64(32) | u64(stream) << u64(20)
+         | np.asarray(element, dtype=u64)) + u64(1)
+    z = u64(RNG_SEED) + z * _GAMMA
+    z = (z ^ z >> u64(30)) * _MIX[0]
+    z = (z ^ z >> u64(27)) * _MIX[1]
+    return ((z ^ z >> u64(31)) >> u64(11)).astype(float) * 2.0 ** -53
+
+
+def _ranged(draw, stream: int, lo, hi, size: int) -> np.ndarray:
+    """lo + (hi - lo) u for the first ``size`` uniforms of a stream."""
+    return lo + (hi - lo) * uniforms(draw, stream, np.arange(size))
+
+
+def poisson(draw: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """Poisson counts, as floats, of the means (draws, N) >= 0 of the draws
+    ``draw`` (draws, 1). Below a mean of 10 element j inverts its CDF at
+    uniform j of stream 8 (a mean of 0 gives 0); from 10 on it takes
+    Hörmann's transformed rejection with squeeze (PTRS; Insurance Math.
+    Econom. 12, 39 (1993), as numpy's own sampler), whose attempt t reads U
+    and V from element j of streams 9 + 2t and 10 + 2t. Each step works on
+    the elements still pending."""
+    counts = np.zeros(mean.shape)
+    rows, cols = np.nonzero(mean < 10.0)
+    lam, u = mean[rows, cols], uniforms(draw[rows, 0], 8, cols)
+    term = np.exp(-lam)
+    cdf, k = term.copy(), 0
+    left = np.nonzero(u > cdf)[0]
+    while left.size:  # the least k whose CDF reaches u, or where it stops growing
+        k += 1
+        counts[rows[left], cols[left]] = k
+        term[left] = term[left] * lam[left] / k
+        grown = cdf[left] + term[left]
+        more = (u[left] > grown) & (grown > cdf[left])
+        cdf[left] = grown
+        left = left[more]
+
+    rows, cols = np.nonzero(mean >= 10.0)
+    lam = mean[rows, cols]
+    b = 0.931 + 2.53 * np.sqrt(lam)
+    a = -0.059 + 0.02483 * b
+    # per pending element: lam, log lam, b, a, log(1/alpha) and v_r
+    par = np.array([lam, np.log(lam), b, a, np.log(1.1239 + 1.1328 / (b - 3.4)),
+                    0.9277 - 3.6224 / (b - 2.0)])
+    stream = 9
+    while rows.size:
+        lam, log_lam, b, a, log_inv_alpha, v_r = par
+        u = uniforms(draw[rows, 0], stream, cols) - 0.5
+        v = uniforms(draw[rows, 0], stream + 1, cols)
+        us = 0.5 - np.abs(u)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k = np.floor((2.0 * a / us + b) * u + lam + 0.43)
+        done = (us >= 0.07) & (v <= v_r)
+        slow = np.nonzero(~done & (k >= 0.0) & ((us >= 0.013) | (v <= us)))[0]
+        if slow.size:
+            ks = k[slow]
+            with np.errstate(divide="ignore"):
+                lhs = (np.log(v[slow]) + log_inv_alpha[slow]
+                       - np.log(a[slow] / (us[slow] * us[slow]) + b[slow]))
+            log_factorial = np.array(list(map(math.lgamma, (ks + 1.0).tolist())))
+            done[slow] = lhs <= -lam[slow] + ks * log_lam[slow] - log_factorial
+        counts[rows[done], cols[done]] = k[done]
+        rows, cols, par = rows[~done], cols[~done], par[:, ~done]
+        stream += 2
+    return counts
+
+
+def normals(draw: int, size: int) -> np.ndarray:
+    """``size`` standard normal deviates by Box and Muller (Ann. Math.
+    Stat. 29, 610 (1958)): element j of streams 0 and 1 of ``draw`` give
+    the j-th cosine and the j-th sine deviate, every cosine before every
+    sine. The logs, cosines and sines are math's, not numpy's loops."""
+    pairs = zip(*(uniforms(draw, s, np.arange((size + 1) // 2)).tolist() for s in (0, 1)))
+    polar = [(math.sqrt(-2.0 * math.log(1.0 - u)), 2.0 * math.pi * v) for u, v in pairs]
+    return np.array([r * math.cos(phi) for r, phi in polar]
+                    + [r * math.sin(phi) for r, phi in polar])[:size]
+
+
+def fit_roundtrip_draws(indices) -> list[dict]:
+    """The randomized draws of every fit round trip with these indices:
+    each series to fit with the true values it was generated from. A
+    draw's values depend on its index alone (``uniforms``); the draws are
+    made together, one array operation per quantity."""
+    draw = np.array(indices, dtype=np.uint64)[:, None]
+    lo, hi = np.array(list(_SCALARS.values())).T
+    scalars = (lo + (hi - lo) * uniforms(draw, 0, np.arange(len(lo)))).T
+    (center, fwhm, amp, off, lifetime, irf_fwhm, irf_center, anti, bunch, t1, t2, dop, axis,
+     total) = scalars[:, :, None]
+
     # --- Lorentzian line
-    center = rng.uniform(520.0, 600.0)
-    fwhm = rng.uniform(0.5, 12.0)
-    amp = rng.uniform(50.0, 5000.0)
-    off = rng.uniform(0.0, 0.1) * amp
-    x = np.linspace(center - 6 * fwhm, center + 6 * fwhm, 301)
-    y = specfit.lorentzian(x, center, fwhm, amp, off)
-    y = y + rng.uniform(-0.005, 0.005, x.size) * amp
-    spectrum = specfit.MeasurementSeries(x, y)
+    x = center + fwhm * SPECTRUM_SPAN
+    y = specfit.lorentzian(x, center, fwhm, amp, off * amp)
+    y += _ranged(draw, 1, -0.005, 0.005, x.shape[1]) * amp
 
     # --- lifetime decay through a Gaussian instrument response
-    lifetime = rng.uniform(200.0, 2000.0)
     t = DECAY_GRID
-    irf_fwhm = rng.uniform(60.0, 160.0)
-    irf_center = rng.uniform(300.0, 600.0)
     irf = np.exp(-0.5 * ((t - irf_center) / (irf_fwhm / 2.3548)) ** 2)
     clean = 8000.0 * specfit.convolve_decay(t, lifetime, irf)
-    counts = rng.poisson(np.clip(clean, 0.0, None)).astype(float)
-    decay = specfit.MeasurementSeries(t, counts, "decay")
-    irf_series = specfit.MeasurementSeries(t, irf, "decay")
+    counts = poisson(draw, np.clip(clean, 0.0, None))
 
     # --- second-order correlation
-    anti = rng.uniform(0.6, 1.0)
-    bunch = rng.uniform(0.0, 0.15)
-    t1 = rng.uniform(300.0, 1200.0)
-    t2 = rng.uniform(4000.0, 9000.0)
-    tau = DELAY_GRID
-    g2 = specfit.g2_model(tau, anti, bunch, t1, t2)
-    g2 = g2 + rng.uniform(-0.01, 0.01, tau.size)
-    correlation = specfit.MeasurementSeries(tau, g2, "correlation")
+    g2 = specfit.g2_model(DELAY_GRID, anti, bunch, t1, t2)
+    g2 += _ranged(draw, 2, -0.01, 0.01, DELAY_GRID.size)
 
-    # --- polarization scan
-    dop = rng.uniform(0.3, 0.98)
-    axis = rng.uniform(0.0, 180.0)
-    total = rng.uniform(100.0, 1000.0)
-    # dop = a/(a+2b)  ->  b = a (1-dop)/(2 dop)
+    # --- polarization scan: dop = a/(a+2b)  ->  b = a (1-dop)/(2 dop)
     a = total * dop
     b = a * (1.0 - dop) / (2.0 * dop)
-    theta = ANGLE_GRID
-    pol = specfit.cos2_model(theta, a, axis, b)
-    pol = pol + rng.uniform(-0.002, 0.002, theta.size) * (a + b)
-    polarization = specfit.MeasurementSeries(theta, pol, "polarization")
+    pol = specfit.cos2_model(ANGLE_GRID, a, axis, b)
+    pol += _ranged(draw, 3, -0.002, 0.002, ANGLE_GRID.size) * (a + b)
 
     # --- background correction inverts the mixing map
-    rho = rng.uniform(0.05, 1.0)
-    g2_true = rng.uniform(0.0, 1.0)
+    rho, g2_true = _ranged(draw, 4, np.array([0.05, 0.0]), 1.0, 2).T
 
-    return {
-        "spectrum": (spectrum, {"center": center, "fwhm": fwhm}),
-        "decay": (decay, irf_series, {"lifetime": lifetime}),
-        "correlation": (correlation, {"anti": anti}),
-        "polarization": (polarization, {"dop": dop}),
-        "background": (rho, g2_true),
-    }
+    true = dict(zip(_SCALARS, scalars.tolist()))
+    return [{
+        "spectrum": (specfit.MeasurementSeries(x[i], y[i]),
+                     {"center": true["center"][i], "fwhm": true["fwhm"][i]}),
+        "decay": (specfit.MeasurementSeries(t, counts[i], "decay"),
+                  specfit.MeasurementSeries(t, irf[i], "decay"),
+                  {"lifetime": true["lifetime"][i]}),
+        "correlation": (specfit.MeasurementSeries(DELAY_GRID, g2[i], "correlation"),
+                        {"anti": true["anti"][i]}),
+        "polarization": (specfit.MeasurementSeries(ANGLE_GRID, pol[i], "polarization"),
+                         {"dop": true["dop"][i]}),
+        "background": (float(rho[i]), float(g2_true[i])),
+    } for i in range(len(draw))]
 
 
 def fit_roundtrip_fits(draws: list[dict]) -> list[dict]:
@@ -252,12 +350,12 @@ FIT_CHUNK = 17
 
 
 def fit_roundtrip_summary(draws: int) -> dict[str, float]:
-    """Worst-case relative recovery errors over seeded randomized draws."""
-    rng = np.random.default_rng(RNG_SEED)
+    """Worst-case relative recovery errors over the randomized draws 0 to
+    ``draws`` - 1."""
     worst = dict.fromkeys(["lorentzian_center", "lorentzian_fwhm", "lifetime", "g2_antibunching",
                            "g2_identity", "dop", "background_inverse"], 0.0)
     for first in range(0, draws, FIT_CHUNK):
-        chunk = [fit_roundtrip_draw(rng) for _ in range(min(FIT_CHUNK, draws - first))]
+        chunk = fit_roundtrip_draws(range(first, min(first + FIT_CHUNK, draws)))
         for draw, fits in zip(chunk, fit_roundtrip_fits(chunk)):
             line, decay, corr, pol = (draw[kind][-1] for kind in
                                       ("spectrum", "decay", "correlation", "polarization"))
@@ -348,8 +446,7 @@ def check_fab(report: ReproductionReport, scenario: Scenario) -> None:
     report.add("9a", "dose map decode error (nm)", np.max(np.abs(dose.depth_nm() - ideal)),
                target(f"<= {calibration / 2:g} nm"), note=f"half the {calibration:g} nm quantum")
 
-    rng = np.random.default_rng(RNG_SEED)
-    rough = fab.synthetic_hemisphere_profile(2.7, 2.4, 301, rng.normal(0.0, 0.5, 301))
+    rough = fab.synthetic_hemisphere_profile(2.7, 2.4, 301, 0.5 * normals(MAX_DRAWS, 301))
     result = pipeline.fab(scenario, rough)
     report.add("9b", "hemisphere radius recovery at 0.5 nm roughness (um)",
                result["radius_um"], target("2.7 +- 1%"))
@@ -360,6 +457,8 @@ def check_fab(report: ReproductionReport, scenario: Scenario) -> None:
 def run_all(scenario: Scenario, draws: int) -> ReproductionReport:
     if draws < 1:
         raise ConfigError(f"reproduce needs at least one fit draw, got --draws {draws}")
+    if draws > MAX_DRAWS:
+        raise ConfigError(f"reproduce draws at most {MAX_DRAWS} fits, got --draws {draws}")
     report = ReproductionReport()
     check_coating(report, scenario)
     cavity = check_cavity_spectrum(report, scenario)

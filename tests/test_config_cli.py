@@ -505,6 +505,14 @@ class TestTypedErrors:
             f"got --draws {draws}")
         assert not outdir.exists()
 
+    def test_reproduce_draws_fit_the_generators_layout(self, tmp_path, capsys):
+        # a draw index of 2^31 or more would reach check_fab's counters
+        outdir = tmp_path / "out"
+        _assert_validation_error(
+            ["--outdir", str(outdir), "reproduce", "--draws", str(2 ** 31 + 1)], capsys,
+            f"at most {2 ** 31} fits, got --draws {2 ** 31 + 1}")
+        assert not outdir.exists()
+
     @pytest.mark.parametrize("points", [0, 1])
     def test_map_needs_two_points(self, tmp_path, capsys, points):
         _assert_validation_error(
@@ -838,21 +846,23 @@ class TestEveryOptionHasACaller:
 
 
 class TestEveryGeneratorIsSeeded:
-    """Each ``default_rng`` call inside spskit passes a seed, so no output
-    depends on entropy drawn from the operating system."""
+    """spskit's only randomness is ``reproduce``'s counter-based generator,
+    started from ``RNG_SEED``: no module reaches ``numpy.random`` or the
+    ``random`` module, so no output depends on entropy drawn from the
+    operating system or on a numpy release's sampling algorithms."""
 
-    def test_every_default_rng_call_passes_a_seed(self):
-        calls = [node for path in sorted(Path(spskit.__file__).parent.glob("*.py"))
-                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-                 if isinstance(node, ast.Call)
-                 and getattr(node.func, "attr", getattr(node.func, "id", None)) == "default_rng"]
-        assert calls
-
-        def seeded(call) -> bool:
-            seeds = call.args + [k.value for k in call.keywords]
-            return bool(seeds) and not any(isinstance(s, ast.Constant) and s.value is None
-                                           for s in seeds)
-        assert [ast.unparse(call) for call in calls if not seeded(call)] == []
+    def test_no_module_reaches_a_library_generator(self):
+        uses = []
+        for path in sorted(Path(spskit.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                names = ([node.attr] if isinstance(node, ast.Attribute)
+                         else [a.name for a in node.names] + [node.module or ""]
+                         if isinstance(node, ast.ImportFrom)
+                         else [a.name for a in node.names] if isinstance(node, ast.Import)
+                         else [])
+                if any("random" in name.split(".") for name in names):
+                    uses.append(f"{path.name}:{node.lineno}")
+        assert uses == []
 
 
 class TestGlobalOptionsAfterSubcommand:
@@ -1022,9 +1032,10 @@ class TestImportsPerCommand:
         assert loaded
         # only reading an INI file needs configparser
         assert "configparser" not in modules
-        # the config digest takes no OpenSSL; only reproduce loads it, through
-        # numpy.random's use of secrets
-        assert argv[0] == "reproduce" or "_hashlib" not in modules
+        # the config digest takes no OpenSSL, and reproduce draws from its
+        # own generator: no numpy.random, whose use of secrets loads it
+        assert "_hashlib" not in modules
+        assert "numpy.random" not in modules
         # every record is a NamedTuple
         assert "dataclasses" not in modules
 
