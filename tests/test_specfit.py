@@ -1250,6 +1250,45 @@ class TestKernels:
             assert np.array_equal(alone[0], r[i])
             assert all(np.array_equal(x[0], y[i]) for x, y in zip(lsq._jacobi(alone), (sigma, vt)))
 
+    @staticmethod
+    def constrained_one_set_at_a_time(gram, rhs, cons, floor):
+        """``lsq._constrained`` as a loop over the active sets, keeping the
+        first strictly lower cost: the reference for the stacked form."""
+        best, least = np.full(rhs.shape, np.nan), np.full(len(rhs), np.inf)
+        which = np.full(len(rhs), -1)
+        for s, (t, e) in enumerate(lsq._active_sets(lsq._rows(cons))):
+            cand = lsq._dot(floor[:, None], e)
+            u = lsq._solve(lsq._mm(lsq._mm(t.T, gram), t),
+                           lsq._dot((rhs - lsq._dot(gram, cand[:, None]))[:, None], t.T))
+            cand += lsq._dot(t, u[:, None])
+            cost = lsq._dot(cand, lsq._dot(gram, cand[:, None])) - 2.0 * lsq._dot(rhs, cand)
+            better = (lsq._dot(cand[:, None], cons) >= floor).all(axis=1) & (cost < least)
+            best[better], least[better], which[better] = cand[better], cost[better], s
+        return best, which
+
+    @settings(max_examples=60, deadline=None)
+    @given(size=st.integers(1, 8), plain=st.booleans(), singular=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_constrained_sets_of_one_size_solve_together(self, size, plain, singular, seed):
+        # the g2 box's 23 active sets (7 for the plain fit) stacked by size
+        # give each problem the bits and the set of the loop over the sets,
+        # a singular Gram matrix included
+        cons, floor = g2fit_module._G2_BOX
+        if plain:
+            cons, floor = cons[:3, :2], floor[:3]
+        rng = np.random.default_rng(seed)
+        cols = rng.normal(size=(size, cons.shape[1], 40)) * 10.0 ** rng.uniform(
+            -3.0, 3.0, (size, cons.shape[1], 1))
+        if singular:
+            cols[0, -1] = cols[0, 0]
+        gram = np.einsum("pin,pjn->pij", cols, cols)
+        rhs = rng.normal(size=(size, cons.shape[1])) * 10.0 ** rng.uniform(-3.0, 3.0, (size, 1))
+        floor = np.broadcast_to(floor, (size, len(floor)))
+        stacked = lsq._constrained(gram, rhs, cons, floor)
+        looped = self.constrained_one_set_at_a_time(gram, rhs, cons, floor)
+        assert stacked[0].tobytes() == looped[0].tobytes()
+        assert stacked[1].tolist() == looped[1].tolist()
+
     @settings(max_examples=60, deadline=None)
     @given(m=st.integers(0, 5), size=st.integers(1, 4), rhs=st.integers(1, 3),
            singular=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
