@@ -121,8 +121,8 @@ class TestGenerator:
         assert got[:, :, 0].tolist() == expected
 
     def test_a_draw_does_not_depend_on_the_draws_made_with_it(self):
-        alone, together = reproduce.fit_roundtrip_draws(range(5, 9)), \
-            reproduce.fit_roundtrip_draws(range(0, 17))[5:9]
+        alone = reproduce.fit_roundtrip_draws(range(5, 9))
+        together = reproduce.fit_roundtrip_draws(range(0, 17))[5:9]
         for a, b in zip(alone, together, strict=True):
             assert a.keys() == b.keys() and a["background"] == b["background"]
             for kind in ("spectrum", "decay", "correlation", "polarization"):
