@@ -169,15 +169,17 @@ def fit_hemisphere_profile(
     *,
     edge_exclusion_fraction: float,
 ) -> dict:
-    """Least-squares circle-arc fit of a surface profile, a
-    ``MeasurementSeries`` of x in um and z in nm.
+    """Circle-arc fit of a surface profile, a ``MeasurementSeries`` of x in um, z in nm.
 
-    Fits (x - x0)^2 + (z - z0)^2 = R^2 by the algebraic (Kasa) least
-    squares of ``lsq.least_squares``, after dropping the outermost
-    ``edge_exclusion_fraction`` of the lateral extent on each side (milled
-    shapes deviate at the rim). Points whose design matrix
-    [2x, 2z, 1] has rank below 3, as ``numpy.linalg.lstsq`` counts it, are
-    rejected as collinear.
+    Fits (x - x0)^2 + (z - z0)^2 = R^2 by Kasa's algebraic least squares
+    (IEEE Trans. Instrum. Meas. IM-25, 8 (1976)) in closed form, after
+    dropping the outermost ``edge_exclusion_fraction`` of the lateral extent
+    on each side (milled shapes deviate at the rim). On the N points centred
+    at their mean, u^2 + v^2 = 2 a u + 2 b v + c gives c = mean(u^2 + v^2)
+    and (a, b) by Cramer's rule from sums that ``math.fsum`` rounds once.
+    Points whose determinant over sum(uu) sum(vv), sin^2 of the angle
+    between u and v, is at most eps N are rejected as collinear; past that
+    test sum(uu) > 0, so R^2 = a^2 + b^2 + c is positive.
     Returns radius_um, center_offset_um, center_height_nm, rms_nm,
     n_points and classified_ideal_hemisphere (rms_nm < IDEAL_RMS_NM).
     """
@@ -188,29 +190,26 @@ def fit_hemisphere_profile(
     span = x_um[-1] - x_um[0]
     keep = ((x_um >= x_um[0] + edge_exclusion_fraction * span)
             & (x_um <= x_um[-1] - edge_exclusion_fraction * span))
-    x = x_um[keep] * 1e3  # nm
-    z = z_nm[keep]
+    x, z = x_um[keep] * 1e3, z_nm[keep]  # x in nm
     if x.size < 10:
         raise FabError("edge exclusion left fewer than 10 points")
 
-    # Kasa fit: x^2 + z^2 = 2 x x0 + 2 z z0 + (R^2 - x0^2 - z0^2)
-    from . import lsq
-    coef = lsq.least_squares(np.stack([2.0 * x, 2.0 * z, np.ones_like(x)]), x ** 2 + z ** 2)
-    if coef is None:
+    x_mean, z_mean = math.fsum(x.tolist()) / x.size, math.fsum(z.tolist()) / x.size
+    u, v = x - x_mean, z - z_mean
+    s = u * u + v * v
+    suu, svv, suv, sus, svs = (math.fsum(w.tolist()) for w in (u * u, v * v, u * v, u * s, v * s))
+    det = suu * svv - suv * suv
+    if not det > np.finfo(float).eps * x.size * suu * svv:
         raise FabError("degenerate circle fit: points are collinear")
-    x0, z0, c = coef
-    r_sq = c + x0 ** 2 + z0 ** 2
-    if r_sq <= 0:
-        raise FabError("degenerate circle fit: non-positive squared radius")
-    radius_nm = math.sqrt(r_sq)
-    residuals = np.hypot(x - x0, z - z0) - radius_nm
-    rms_nm = float(np.sqrt(np.mean(residuals ** 2)))
+    a, b = (sus * svv - svs * suv) / (2.0 * det), (svs * suu - sus * suv) / (2.0 * det)
+    radius_nm = math.sqrt(a * a + b * b + (suu + svv) / x.size)
+    rms_nm = float(np.sqrt(np.mean((np.hypot(u - a, v - b) - radius_nm) ** 2)))
     return {
         "radius_um": radius_nm / 1e3,
-        "center_offset_um": x0 / 1e3,
-        "center_height_nm": float(z0),
+        "center_offset_um": (x_mean + a) / 1e3,
+        "center_height_nm": z_mean + b,
         "rms_nm": rms_nm,
-        "n_points": int(x.size),
+        "n_points": x.size,
         "classified_ideal_hemisphere": rms_nm < IDEAL_RMS_NM,
     }
 

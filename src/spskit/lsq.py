@@ -218,7 +218,7 @@ def levenberg_marquardt(basis, derivatives, x, y, p0, weights, bounds, max_itera
             if n == 1:  # J^T J <- J^T r's secant slope h where positive, NaN at first
                 with np.errstate(divide="ignore", invalid="ignore"):
                     h = (grad - pair[at, 1:]) / (p[at] - pair[at, :1])
-                    sv[at] = np.where((h > 0.0) & (h < np.inf), np.sqrt(h) / scale[at], sv[at])
+                    sv[at] = _secant_curvature(h, scale[at], sv[at])
                 pair[at] = np.hstack([p[at], grad])
             vg[at] = _dot(vt[at], vg[at][:, None])
         return idx
@@ -289,6 +289,11 @@ def levenberg_marquardt(basis, derivatives, x, y, p0, weights, bounds, max_itera
     return outcome
 
 
+def _secant_curvature(h: np.ndarray, scale: np.ndarray, sv: np.ndarray) -> np.ndarray:
+    """sqrt(h) / scale where the secant slope h is positive and finite, else sv."""
+    return np.where((h > 0.0) & (h < np.inf), np.sqrt(h) / scale, sv)
+
+
 def _jacobian(derivatives, x, w, point, sets) -> tuple:
     """The Jacobians J (problems, n, N) of the weighted residuals r at a
     point of ``evaluate`` in ``levenberg_marquardt``, from its columns, and
@@ -347,28 +352,6 @@ def covariance_factors(basis, derivatives, x, y, theta, c, weights, pure_error,
     inverse = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=kept)
     s = np.sqrt((_dot(res, res) + pure_error) / max(samples - m, 1))
     return v_t.transpose(0, 2, 1) * (inverse * s[:, None])[:, None] / norms[:, :, None]
-
-
-def least_squares(columns: np.ndarray, target: np.ndarray) -> np.ndarray | None:
-    """The x minimizing |A x - target| for A of the m columns ``columns``
-    (m, N), or None where A's rank is below m as ``numpy.linalg.lstsq``
-    counts it: singular values above eps max(N, m) times the largest.
-    Modified Gram-Schmidt on [A, target] gives R and Q^T target (Björck,
-    BIT 7, 1 (1967)), R x = Q^T target is solved by back substitution, and
-    one correction from the residual r by the seminormal equations
-    R^T R dx = A^T r takes x to the solution of the data as given (Björck,
-    Numerical Methods for Least Squares Problems, 1996, §2.5)."""
-    m, size = columns.shape
-    rt = _r_factor(np.vstack([columns, target])[None])[0]
-    r, qtb = rt[:m, :m], rt[m, :m]  # rows: the columns of R
-    sigma = _jacobi(r[None])[0][0]
-    if (sigma > np.finfo(float).eps * max(size, m) * sigma.max()).sum() < m:
-        return None
-    x = np.zeros(m)
-    for j in reversed(range(m)):
-        x[j] = (qtb[j] - _dot(r[j + 1:, j], x[j + 1:])) / r[j, j]
-    residual = target - _combine(x[None], columns[None])[0]
-    return x + _solve(_dot(r[:, None], r[None]), _dot(columns, residual))
 
 
 def _columns(basis, x, q, like, out=None) -> np.ndarray:

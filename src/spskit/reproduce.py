@@ -8,10 +8,11 @@ functions. Targets and each check's probe inputs stay literals.
 
 All randomness comes from ``uniforms``, a counter-based SplitMix64
 generator started from ``RNG_SEED`` in np.uint64 arithmetic: the fit
-round trips' series (7a-7g) and check_fab's roughness (9b, 9c). Its
-uniforms have the same bits on every host, numpy and Python, and two runs
-produce identical results. numpy.random, whose distributions keep no
-stream from one release to the next (NEP 19), is not loaded.
+round trips' series (7a-7g) and check_fab's bounded uniform roughness
+(9b, 9c). Its uniforms have the same bits on every host, numpy and
+Python, and two runs produce identical results. numpy.random, whose
+distributions keep no stream from one release to the next (NEP 19), is
+not loaded.
 """
 from __future__ import annotations
 
@@ -186,7 +187,7 @@ _SCALARS = {"center": (520.0, 600.0), "fwhm": (0.5, 12.0), "amp": (50.0, 5000.0)
             "axis": (0.0, 180.0), "total": (100.0, 1000.0)}
 
 # The fit draws take the indices below this, within the layout of
-# ``uniforms``; ``check_fab``'s normals take the index at it.
+# ``uniforms``; ``check_fab``'s roughness takes the index at it.
 MAX_DRAWS = 2 ** 31
 
 
@@ -262,17 +263,6 @@ def poisson(draw: np.ndarray, mean: np.ndarray) -> np.ndarray:
         rows, cols, par = rows[~done], cols[~done], par[:, ~done]
         stream += 2
     return counts
-
-
-def normals(draw: int, size: int) -> np.ndarray:
-    """``size`` standard normal deviates by Box and Muller (Ann. Math.
-    Stat. 29, 610 (1958)): element j of streams 0 and 1 of ``draw`` give
-    the j-th cosine and the j-th sine deviate, every cosine before every
-    sine. The logs, cosines and sines are math's, not numpy's loops."""
-    pairs = zip(*(uniforms(draw, s, np.arange((size + 1) // 2)).tolist() for s in (0, 1)))
-    polar = [(math.sqrt(-2.0 * math.log(1.0 - u)), 2.0 * math.pi * v) for u, v in pairs]
-    return np.array([r * math.cos(phi) for r, phi in polar]
-                    + [r * math.sin(phi) for r, phi in polar])[:size]
 
 
 def fit_roundtrip_draws(indices) -> list[dict]:
@@ -446,7 +436,8 @@ def check_fab(report: ReproductionReport, scenario: Scenario) -> None:
     report.add("9a", "dose map decode error (nm)", np.max(np.abs(dose.depth_nm() - ideal)),
                target(f"<= {calibration / 2:g} nm"), note=f"half the {calibration:g} nm quantum")
 
-    rough = fab.synthetic_hemisphere_profile(2.7, 2.4, 301, 0.5 * normals(MAX_DRAWS, 301))
+    w = 0.5 * math.sqrt(3.0)  # the half-width of uniform roughness of 0.5 nm rms
+    rough = fab.synthetic_hemisphere_profile(2.7, 2.4, 301, _ranged(MAX_DRAWS, 0, -w, w, 301))
     result = pipeline.fab(scenario, rough)
     report.add("9b", "hemisphere radius recovery at 0.5 nm roughness (um)",
                result["radius_um"], target("2.7 +- 1%"))

@@ -1,12 +1,18 @@
 import json
 import math
 import struct
+import subprocess
+import sys
+from fractions import Fraction
+from operator import mul
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from spskit import specfit
+from spskit import reproduce, specfit
 from spskit.cli import main
 from spskit.fab import (
     FabError,
@@ -138,10 +144,34 @@ class TestBmp:
         assert "blue,green,red" in sidecar
 
 
+def exact_circle(x: np.ndarray, z: np.ndarray) -> tuple:
+    """(x0, z0, R^2) of the least-squares solution of [2x, 2z, 1] (x0, z0, c)
+    = x^2 + z^2, R^2 = c + x0^2 + z0^2, in rational arithmetic: Gaussian
+    elimination on the normal equations."""
+    xs, zs = ([Fraction(t) for t in a.tolist()] for a in (x, z))
+    cols = [[2 * t for t in xs], [2 * t for t in zs], [Fraction(1)] * len(xs)]
+    y = [a * a + b * b for a, b in zip(xs, zs)]
+    m = [[sum(map(mul, ci, cj)) for cj in cols] + [sum(map(mul, ci, y))] for ci in cols]
+    for i in range(3):
+        for j in range(i + 1, 3):
+            m[j] = [a - m[j][i] / m[i][i] * b for a, b in zip(m[j], m[i])]
+    coef = [Fraction(0)] * 3
+    for i in reversed(range(3)):
+        coef[i] = (m[i][3] - sum(m[i][k] * coef[k] for k in range(i + 1, 3))) / m[i][i]
+    x0, z0, c = coef
+    return x0, z0, c + x0 * x0 + z0 * z0
+
+
+def exact_sqrt(value: Fraction) -> Fraction:
+    """sqrt(value) to within 2^-100."""
+    return Fraction(math.isqrt(math.floor(value * 4 ** 100)), 2 ** 100)
+
+
 class TestProfileFit:
     def test_noiseless_identity(self):
         profile = synthetic_hemisphere_profile(2.7, 2.4, 201, 0.0)
         fit = fit_hemisphere_profile(profile, edge_exclusion_fraction=0.10)
+        assert {type(value) for value in fit.values()} <= {float, int, bool}
         assert fit["radius_um"] == pytest.approx(2.7, rel=1e-6)
         assert fit["center_offset_um"] == pytest.approx(0.0, abs=1e-6)
         assert fit["rms_nm"] == pytest.approx(0.0, abs=1e-6)
@@ -197,3 +227,117 @@ class TestProfileFit:
                 assert report[key] == pytest.approx(value, rel=1e-12), key
             else:
                 assert report[key] == value, key
+
+    @pytest.mark.parametrize("radius_um, n_points, noise", [
+        (2.7, 301, "check_fab"), (2.7, 201, "none"), (2.7, 301, "golden"),
+        (50.0, 301, "check_fab")])
+    def test_fit_is_the_exact_solution_to_rounding(self, radius_um, n_points, noise):
+        # check_fab's profile, a noiseless arc, the rough profile of
+        # golden_optics.json and a shallow arc, within the points the 10 %
+        # edge exclusion keeps: x0 within 1e-13 max(|x0|, 1 nm), z0 and R
+        # within 1e-15 relative (measured worst 4.9e-15, 2.2e-16, 2.3e-16)
+        w = 0.5 * math.sqrt(3.0)  # check_fab's 0.5 nm rms of uniform roughness
+        roughness = {"check_fab": reproduce._ranged(reproduce.MAX_DRAWS, 0, -w, w, n_points),
+                     "none": 0.0,
+                     "golden": np.random.default_rng(20261018).normal(0.0, 0.5, n_points)}
+        x_um, z = synthetic_hemisphere_profile(radius_um, 2.4, n_points,
+                                               roughness[noise]).as_arrays()
+        kept = slice(n_points // 10, n_points - n_points // 10)
+        fit = fit_hemisphere_profile(specfit.MeasurementSeries(x_um[kept], z[kept]),
+                                     edge_exclusion_fraction=0.0)
+        x0, z0, r_sq = exact_circle(x_um[kept] * 1e3, z[kept])
+        r = exact_sqrt(r_sq)
+        assert abs(Fraction(fit["center_offset_um"]) * 1000 - x0) <= 1e-13 * max(abs(x0), 1)
+        assert abs(Fraction(fit["center_height_nm"]) - z0) <= 1e-15 * abs(z0)
+        assert abs(Fraction(fit["radius_um"]) * 1000 - r) <= 1e-15 * r
+
+    @settings(max_examples=60, deadline=None)
+    @given(radius_um=st.floats(1.0, 100.0), share=st.floats(0.05, 0.95),
+           n_points=st.integers(10, 400), offset_um=st.floats(-1.0, 1.0),
+           height_nm=st.floats(-1e3, 1e3), noise_nm=st.floats(0.0, 2.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_fit_is_lstsq_of_the_kasa_columns(self, radius_um, share, n_points, offset_um,
+                                              height_nm, noise_nm, seed):
+        # an arc across ``share`` of the diameter: x0, z0 and R within
+        # 1e-13 cond(A) of the largest of them, A = [2x, 2z, 1] (measured
+        # worst 3.7e-15 cond over 3,000 arcs)
+        noise = np.random.default_rng(seed).normal(0.0, noise_nm, n_points)
+        x_um, z = synthetic_hemisphere_profile(radius_um, share * 2.0 * radius_um, n_points,
+                                               height_nm + noise).as_arrays()
+        x_um = x_um + offset_um
+        fit = fit_hemisphere_profile(specfit.MeasurementSeries(x_um, z),
+                                     edge_exclusion_fraction=0.0)
+        x = x_um * 1e3
+        (x0, z0, c), _, _, sv = np.linalg.lstsq(np.stack([2.0 * x, 2.0 * z, np.ones_like(x)], 1),
+                                                x * x + z * z, rcond=None)
+        ref = (x0, z0, math.sqrt(c + x0 * x0 + z0 * z0))
+        got = (fit["center_offset_um"] * 1e3, fit["center_height_nm"], fit["radius_um"] * 1e3)
+        tolerance = 1e-13 * sv[0] / sv[-1] * max(map(abs, ref))
+        for one, other in zip(got, ref):
+            assert abs(one - other) <= tolerance
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_points=st.integers(10, 300), angle=st.floats(1e-3, 1.5),
+           log_share=st.floats(-6.0, 3.0), offset_um=st.floats(-5.0, 5.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(n_points=10, angle=0.3, log_share=0.0, offset_um=0.0, seed=1)
+    def test_nearly_collinear_points_are_rejected_by_the_stated_rule(
+            self, n_points, angle, log_share, offset_um, seed):
+        # points off a line at ``angle`` to x by 10^log_share of eps N in sin^2
+        # of the angle between the centred u and v. The fit raises exactly
+        # where det <= eps N sum(uu) sum(vv) holds of the correctly rounded
+        # sums, and agrees with that rule in exact arithmetic a factor of 2
+        # from the threshold: the rounding of the sums moves det by a few
+        # eps sum(uu) sum(vv), a few N-th of it
+        eps = np.finfo(float).eps
+        t = np.linspace(-2e3, 2e3, n_points)
+        w = np.random.default_rng(seed).normal(size=n_points)
+        w -= w.mean()
+        w -= (w @ t) / (t @ t) * t
+        # det is (t.t) off^2 (w.w) at every angle, sum(uu) sum(vv) about
+        # (t.t)^2 cos^2 sin^2
+        off = math.sqrt(10.0 ** log_share * eps * n_points * (t @ t) / (w @ w)) * abs(
+            math.sin(angle) * math.cos(angle))
+        x_nm = t * math.cos(angle) - off * w * math.sin(angle)
+        z = t * math.sin(angle) + off * w * math.cos(angle)
+        x_um = x_nm / 1e3 + offset_um
+        try:
+            fit_hemisphere_profile(specfit.MeasurementSeries(x_um, z), edge_exclusion_fraction=0.0)
+            raised = False
+        except FabError as err:
+            assert "collinear" in str(err)
+            raised = True
+        x = x_um * 1e3
+        u, v = x - math.fsum(x.tolist()) / n_points, z - math.fsum(z.tolist()) / n_points
+        suu, svv, suv = (math.fsum(p.tolist()) for p in (u * u, v * v, u * v))
+        assert raised == (not suu * svv - suv * suv > eps * n_points * suu * svv)
+        xs, zs = ([Fraction(a) for a in b.tolist()] for b in (x, z))
+        x_mean, z_mean = sum(xs) / n_points, sum(zs) / n_points
+        us, vs = [a - x_mean for a in xs], [b - z_mean for b in zs]
+        suu, svv, suv = (sum(map(mul, a, b)) for a, b in ((us, us), (vs, vs), (us, vs)))
+        share = (suu * svv - suv * suv) / (suu * svv) / (Fraction(eps) * n_points)
+        if share <= 0.5 or share >= 2.0:
+            assert raised == (share <= 0.5)
+
+    def test_fits_have_the_same_bits_with_avx512_loops_off(self):
+        # check_fab's profile and the rough profile of golden_optics.json,
+        # each fitted in a child with numpy's AVX-512 loops on and off
+        from test_config_cli import _child_env
+        code = ("import hashlib, math\n"
+                "import numpy as np\n"
+                "from spskit import fab, reproduce\n"
+                "h = 0.5 * math.sqrt(3.0)\n"
+                "fits = [fab.fit_hemisphere_profile(fab.synthetic_hemisphere_profile(\n"
+                "    2.7, 2.4, 301, noise), edge_exclusion_fraction=0.1) for noise in (\n"
+                "    reproduce._ranged(reproduce.MAX_DRAWS, 0, -h, h, 301),\n"
+                "    np.random.default_rng(20261018).normal(0.0, 0.5, 301))]\n"
+                "print(hashlib.sha256(repr(fits).encode()).hexdigest())\n")
+        digests = set()
+        for features in (None, "X86_V4 AVX512_ICL AVX512_SPR"):
+            env = _child_env()
+            env.pop("NPY_DISABLE_CPU_FEATURES", None)
+            if features is not None:
+                env["NPY_DISABLE_CPU_FEATURES"] = features
+            digests.add(subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                       text=True, check=True, env=env).stdout)
+        assert len(digests) == 1 and len(digests.pop()) == 65

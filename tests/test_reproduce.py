@@ -144,18 +144,3 @@ class TestGenerator:
         assert (counts >= 0.0).all() and (counts == np.floor(counts)).all()
         assert abs(counts.mean() - mean) <= 5.0 * math.sqrt(mean / n)
         assert abs(counts.var(ddof=1) - mean) <= 5.0 * math.sqrt((mean + 2.0 * mean ** 2) / n)
-
-    def test_normal_moments(self):
-        # 20,000 deviates: mean within 5/sqrt(n) of 0, variance within
-        # 5 sqrt(2/n) of 1
-        values = reproduce.normals(7, 20000)
-        assert values.shape == (20000,)
-        assert abs(values.mean()) <= 5.0 / math.sqrt(values.size)
-        assert abs(values.var(ddof=1) - 1.0) <= 5.0 * math.sqrt(2.0 / values.size)
-
-    def test_normals_are_cosines_then_sines(self):
-        u, v = (reproduce.uniforms(3, s, np.arange(2)).tolist() for s in (0, 1))
-        r = [math.sqrt(-2.0 * math.log(1.0 - a)) for a in u]
-        assert reproduce.normals(3, 3).tolist() == [
-            r[0] * math.cos(2.0 * math.pi * v[0]), r[1] * math.cos(2.0 * math.pi * v[1]),
-            r[0] * math.sin(2.0 * math.pi * v[0])]
