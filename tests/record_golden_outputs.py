@@ -135,9 +135,12 @@ FIT_RUNS = [f"fit {i:03d}_{kind}" for i, kind in enumerate(2 * list(workloads.FI
 # correlation without bunching on the workload's 1,601-delay grid, whose
 # fit selects the plain model, and one of bunching alone on that grid,
 # whose fits hold the antibunching amplitude at its bound 0 by the
-# constrained coefficient solve.
+# constrained coefficient solve; and a fast decay, 40 ps on 1,024 bins of
+# 12 ps behind a Gaussian IRF, whose rate dt/tau = 0.3 lies above the
+# workload's 0.06 at most.
 FIT_RUNS += ["fit 006_spectrum CRLF with a note", "fab --profile",
-             "fit correlation without bunching", "fit correlation of bunching alone"]
+             "fit correlation without bunching", "fit correlation of bunching alone",
+             "fit fast decay"]
 
 
 def fit_runs(inputs: Path) -> dict[str, tuple[str, ...]]:
@@ -168,6 +171,13 @@ def fit_runs(inputs: Path) -> dict[str, tuple[str, ...]]:
                            1.0 + 0.1 * np.exp(-np.abs(tau) / 2000.0)
                            + rng.uniform(-0.01, 0.01, tau.size))
     argvs.append(("fit", "--input", str(bunching)))
+    fast, fast_irf = inputs / "fast_decay.csv", inputs / "fast_decay_irf.csv"
+    t = 12.0 * np.arange(1024)
+    irf = np.exp(-0.5 * ((t - 600.0) / (60.0 / 2.3548)) ** 2)
+    clean = 8000.0 * np.convolve(irf / irf.sum(), np.exp(-t / 40.0))[:t.size]
+    workloads.write_series(fast, "decay", t, rng.poisson(clean).astype(float))
+    workloads.write_series(fast_irf, "decay", t, irf)
+    argvs.append(("fit", "--input", str(fast), "--irf", str(fast_irf)))
     return dict(zip(FIT_RUNS, argvs, strict=True))
 
 
