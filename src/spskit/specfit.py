@@ -19,8 +19,9 @@ for no instrument), and applied as one FFT product, which calls no BLAS.
 
 The IRF convolution is the recursion y[n] = a y[n-1] + irf[n],
 a = exp(-dt/tau) (Enderlein and Erdmann, Opt. Commun. 134, 371 (1997)),
-summed in O(N) as a cumulative sum scaled by a^-m within blocks short
-enough to keep the scale in range, plus the carry between blocks.
+summed by doubling (Hillis and Steele, CACM 29, 1170 (1986)) in
+ceil(log2 N) steps y[s:] += a^s y[:-s], s = 1, 2, 4, ..., the same for
+every row of a stack; a non-negative IRF gives only non-negative terms.
 """
 from __future__ import annotations
 
@@ -352,20 +353,15 @@ def _lorentzian_model(instrument: float | None) -> Separable:
 # lifetime decay with instrument response
 # ---------------------------------------------------------------------------
 
-# Each row sums its recursion in blocks of at most _BLOCK_MAX samples,
-# over which the scale a^-m grows by at most e^_BLOCK_EXPONENT.
-_BLOCK_MAX = 256
-_BLOCK_EXPONENT = 32.0
-
-
 def convolve_decay(t: np.ndarray, lifetime, irf_counts: np.ndarray) -> np.ndarray:
     """Discrete convolution of a causal exponential decay with the IRF.
 
     Both are defined on the same uniform grid; the IRF is normalized to
     unit sum so the result keeps the decay's amplitude scale.
     ``irf_counts`` may be a (k, N) stack with ``lifetime`` a (k, 1)
-    column, one decay per row, each as if alone. O(N) per row by the
-    recursion y[n] = a y[n-1] + irf[n], a = exp(-dt/lifetime).
+    column, one decay per row, each as if alone. The recursion
+    y[n] = a y[n-1] + irf[n], a = exp(-dt/lifetime), in ceil(log2 N) array
+    steps.
     """
     t = np.asarray(t, dtype=float)
     irf = np.asarray(irf_counts, dtype=float)
@@ -386,45 +382,14 @@ def _decay_slope(dt: float, lifetime, decay: np.ndarray) -> np.ndarray:
 
 def _recursion(rows: np.ndarray, rate) -> np.ndarray:
     """y[n] = a y[n-1] + rows[n], a = exp(-rate), along the last axis; rate
-    broadcasts against the rows with one value per row."""
-    shape = np.broadcast_shapes(rows.shape, np.shape(rate))
-    rows = np.broadcast_to(rows, shape).reshape(-1, shape[-1])
-    rate = np.broadcast_to(rate, shape[:-1] + (1,)).reshape(-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        octave = np.floor(np.log2(_BLOCK_EXPONENT / rate))
-    # a power of two set by the row's own rate, 1 where its octave is NaN
-    length = np.minimum(2.0 ** np.where(octave > 0.0, np.minimum(octave, math.log2(_BLOCK_MAX)),
-                                        0.0), shape[-1])
-    out, blocks = np.empty(rows.shape), set(length.tolist())
-    for block in blocks:
-        sel = slice(None) if len(blocks) == 1 else length == block  # no copies for one
-        out[sel] = _decay_blocks(rows[sel], rate[sel], int(block))
-    return out.reshape(shape)
-
-
-def _decay_blocks(irf: np.ndarray, rate: np.ndarray, block: int) -> np.ndarray:
-    """y[n] = a y[n-1] + irf[n] per row, a = exp(-rate), in blocks of ``block``."""
-    k, n = irf.shape
-    y = np.zeros((k, -(-n // block) * block))
-    y[:, :n] = irf
-    y = y.reshape(k, -1, block)
-    m_rate = np.arange(block) * rate[:, None]
-    # within a block y[j] = a^j sum_{m<=j} a^-m irf[m], in place, then the carry in
-    y *= np.exp(m_rate)[:, None]
-    np.cumsum(y, axis=-1, out=y)
-    y *= np.exp(-m_rate)[:, None]
-    carry = np.exp(-(m_rate + rate[:, None]))
-    if block < _BLOCK_MAX:
-        # a short block has a^block < e^-16, so a block's last value takes
-        # the last values of two blocks before it, all that passes 2^-69
-        ends = y[:, :, -1].copy()
-        for i in (1, 2):
-            ends[:, i:] += np.exp(-i * block * rate)[:, None] * y[:, :-i, -1]
-        y[:, 1:] += carry[:, None] * ends[:, :-1, None]
-    else:
-        for b in range(1, y.shape[1]):
-            y[:, b] += carry * y[:, b - 1, -1:]
-    return y.reshape(k, -1)[:, :n]
+    broadcasts against the rows with one value per row. Summed by doubling:
+    after the step of span s, y[n] holds rows[n-m] a^m for every m < 2s."""
+    y = np.array(np.broadcast_to(rows, np.broadcast_shapes(np.shape(rows), np.shape(rate))))
+    span = 1
+    while span < y.shape[-1]:
+        y[..., span:] += np.exp(-span * rate) * y[..., :-span]
+        span *= 2
+    return y
 
 
 def _decay_model(t: np.ndarray, dt: float) -> Separable:
