@@ -136,8 +136,8 @@ FIT_RUNS = [f"fit {i:03d}_{kind}" for i, kind in enumerate(2 * list(workloads.FI
 # fit selects the plain model, and one of bunching alone on that grid,
 # whose fits hold the antibunching amplitude at its bound 0 by the
 # constrained coefficient solve; and a fast decay, 40 ps on 1,024 bins of
-# 12 ps behind a Gaussian IRF, whose rate dt/tau = 0.3 lies above the
-# workload's 0.06 at most.
+# 12 ps behind a Gaussian IRF: its dt/tau = 0.3, where the workload's
+# decays reach 0.06 at most.
 FIT_RUNS += ["fit 006_spectrum CRLF with a note", "fab --profile",
              "fit correlation without bunching", "fit correlation of bunching alone",
              "fit fast decay"]

@@ -224,7 +224,7 @@ class TestProfileFit:
         report = json.loads((tmp_path / "hemisphere_fit.json").read_text())
         for key, value in gold["hemisphere_fit"].items():
             if isinstance(value, float):
-                assert report[key] == pytest.approx(value, rel=1e-12), key
+                assert report[key] == pytest.approx(value, rel=1e-12, abs=0), key
             else:
                 assert report[key] == value, key
 
