@@ -4,10 +4,10 @@
 Each run is one in-process ``cli.main`` call into a fresh output folder.
 Its record is the exit code, stdout and stderr with the output folder
 masked, the messages of the warnings it raised, and the sha256 of every
-file written. A ``fit`` or ``fab --profile`` reads series that
-``fit_runs`` writes into an input folder; that folder is masked in its
-output too, in the bytes of ``fit_report.json`` (whose ``input`` names
-the series) as in stdout.
+file written. A ``fit`` or ``fab --profile`` reads series, and a ``qkd
+--config`` its scenario file, that ``fit_runs`` writes into an input
+folder; that folder is masked in its output too, in the bytes of
+``fit_report.json`` (whose ``input`` names the series) as in stdout.
 ``test_golden_outputs.py`` compares the same runs against the file, and
 replays a few as ``python -m spskit.cli`` processes, whose records
 ``record`` builds the same way.
@@ -137,10 +137,11 @@ FIT_RUNS = [f"fit {i:03d}_{kind}" for i, kind in enumerate(2 * list(workloads.FI
 # whose fits hold the antibunching amplitude at its bound 0 by the
 # constrained coefficient solve; and a fast decay, 40 ps on 1,024 bins of
 # 12 ps behind a Gaussian IRF: its dt/tau = 0.3, where the workload's
-# decays reach 0.06 at most.
+# decays reach 0.06 at most. Last, a scenario file in the same folder: free
+# space out to 200 km for an emitter line at 600 nm, which the link reads.
 FIT_RUNS += ["fit 006_spectrum CRLF with a note", "fab --profile",
              "fit correlation without bunching", "fit correlation of bunching alone",
-             "fit fast decay"]
+             "fit fast decay", "qkd --config freespace to 200 km"]
 
 
 def fit_runs(inputs: Path) -> dict[str, tuple[str, ...]]:
@@ -178,6 +179,10 @@ def fit_runs(inputs: Path) -> dict[str, tuple[str, ...]]:
     workloads.write_series(fast, "decay", t, rng.poisson(clean).astype(float))
     workloads.write_series(fast_irf, "decay", t, irf)
     argvs.append(("fit", "--input", str(fast), "--irf", str(fast_irf)))
+    scenario = inputs / "freespace.ini"
+    scenario.write_text("[qkd]\nchannel = freespace\nsweep_stop_km = 200\n\n"
+                        "[emitter]\nzpl_wavelength_nm = 600\n", encoding="utf-8")
+    argvs.append(("--config", str(scenario), "qkd"))
     return dict(zip(FIT_RUNS, argvs, strict=True))
 
 
