@@ -5,7 +5,9 @@ Exit codes: 0 success, 1 validation error, 2 numerical failure
 error reporting to machine-readable JSON on stdout. Each subcommand
 reads its inputs, takes every value it writes from ``pipeline`` and
 writes the files. It imports the modules it runs, so a call loads only
-those.
+those. The scenario comes from ``--config`` (an INI file) and ``--set``
+alone; a subcommand's own flags name its input files and the properties
+of the measurement they hold (``fit --irf``, ``--scan-range``, ``--snr``).
 """
 from __future__ import annotations
 
@@ -131,7 +133,7 @@ def cmd_fit(args, scenario: Scenario) -> None:
 
 
 def cmd_qkd(args, scenario: Scenario) -> None:
-    table, payload = pipeline.qkd(scenario, args.sweep)
+    table, payload = pipeline.qkd(scenario)
     out = _outdir(args)
     write_csv(out / "qkd_rates.csv", scenario, pipeline.QKD_COLUMNS, table)
     write_json(out / "qkd_crossings.json", scenario, payload)
@@ -186,7 +188,7 @@ def _add_global_options(parser: argparse.ArgumentParser, defaults: bool) -> None
         return value if defaults else argparse.SUPPRESS
 
     parser.add_argument("--config", default=default(None),
-                        help="scenario file (INI key=value or JSON)")
+                        help="scenario file: INI [section] headers over key = value lines")
     parser.add_argument("--set", action="append", default=default([]),
                         dest="set" if defaults else "set_after", metavar="SECTION.KEY=VALUE",
                         help="override a config value (repeatable; wins over the file)")
@@ -221,8 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="signal-to-noise ratio for background-corrected g2 "
                             "(correlation fitting only)")
 
-    p_qkd = add("qkd", help="key-rate sweeps and crossing search")
-    p_qkd.add_argument("--sweep", help="distance sweep start:stop:step in km")
+    add("qkd", help="key-rate sweeps and crossing search")
 
     p_fab = add("fab", help="dose-map generation or profile fitting")
     p_fab.add_argument("--profile", help="surface profile measurement CSV (x_um, z_nm) to fit")

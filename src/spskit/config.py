@@ -1,18 +1,20 @@
-"""Scenario configuration: sectioned key=value files (INI style) with a
-JSON alternative, strict schemas (unknown keys rejected), and defaults
-whose provenance is recorded alongside the value.
+"""Scenario configuration: sectioned key=value files (INI style), strict
+schemas (unknown keys rejected), and defaults whose provenance is
+recorded alongside the value.
 
-Units are part of key names (``*_nm``, ``*_ps``, ``*_db_per_km``). CLI
-flags override file values which override defaults.
+Units are part of key names (``*_nm``, ``*_ps``, ``*_db_per_km``).
+``--set`` values override file values which override defaults. A key
+holds a value of the scenario; a property of one measurement, such as a
+fit's instrument scale, is a flag of its subcommand instead.
 
 Every key states its domain in ``SCHEMA``: a finite interval for a
 number, written "[low, high]" with "(" or ")" at an open end, and the
 tuple of choices for a string. ``_apply``, which every file value and
-``--set`` value passes through, checks the value against it and raises
-``ConfigError("[section] key ...")``; a NaN lies in no interval. So every
-subcommand rejects every bad key, read or not, and the models that
-``pipeline`` builds from a scenario check only what an interval cannot
-express, such as a relation between two keys.
+``--set`` value passes through as text, checks the value against it and
+raises ``ConfigError("[section] key ...")``; a NaN lies in no interval.
+So every subcommand rejects every bad key, read or not, and the models
+that ``pipeline`` builds from a scenario check only what an interval
+cannot express, such as a relation between two keys.
 """
 from __future__ import annotations
 
@@ -37,7 +39,7 @@ class ConfigError(ValueError):
 class Setting(NamedTuple):
     default: object
     kind: type
-    domain: str | tuple[str, ...] | None  # interval, choices, or None for a bool
+    domain: str | tuple[str, ...]  # interval or choices
     provenance: str
     required: bool = False
 
@@ -74,8 +76,6 @@ SCHEMA: dict[str, dict[str, Setting]] = {
         "effective_mirror_reflectivity": Setting(0.992, float, "(0, 1)",
                                                  "loss-calibrated reflectivity used for the "
                                                  "transfer-matrix cavity"),
-        "include_penetration": Setting(True, bool, None,
-                                       "length convention for the free spectral range"),
     },
     "emitter": {
         "zpl_wavelength_nm": Setting(565.85, float, "[200, 2000]", "measured line center"),
@@ -122,9 +122,6 @@ SCHEMA: dict[str, dict[str, Setting]] = {
                                            "the pinned loss"),
     },
     "fit": {
-        "scan_range_per_nm": Setting(0.0, float, "[0, 1000]",
-                                     "instrument sinc^2 kernel scale; 0 disables the kernel "
-                                     "(free parameter, not a reconstructed constant)"),
         "contaminant_cutoff_nm": Setting(580.0, float, "[200, 2000]",
                                          "emission beyond this is surface contamination"),
     },
@@ -168,30 +165,7 @@ def default_scenario() -> Scenario:
     return Scenario(sections)
 
 
-def _coerce(section: str, key: str, raw, kind: type):
-    if kind is bool:
-        if isinstance(raw, bool):
-            return raw
-        if isinstance(raw, str):
-            lowered = raw.strip().lower()
-            if lowered in ("1", "true", "yes", "on"):
-                return True
-            if lowered in ("0", "false", "no", "off"):
-                return False
-        raise ConfigError(f"[{section}] {key}: expected a boolean, got {raw!r}")
-    # a JSON true is no number, and 9.7 no count
-    if isinstance(raw, bool) or (kind is int and isinstance(raw, float)
-                                 and not raw.is_integer()):
-        raise ConfigError(f"[{section}] {key}: expected {kind.__name__}, got {raw!r}")
-    try:
-        return kind(raw)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"[{section}] {key}: expected {kind.__name__}, got {raw!r}") from exc
-
-
 def _in_domain(value, domain) -> bool:
-    if domain is None:
-        return True
     if isinstance(domain, tuple):
         return value in domain
     low, high = (float(end) for end in domain[1:-1].split(","))
@@ -199,56 +173,41 @@ def _in_domain(value, domain) -> bool:
             and (value < high if domain[-1] == ")" else value <= high))
 
 
-def _apply(scenario: Scenario, section: str, key: str, raw) -> None:
+def _apply(scenario: Scenario, section: str, key: str, raw: str) -> None:
     if section not in SCHEMA:
         raise ConfigError(f"unknown config section [{section}]")
     if key not in SCHEMA[section]:
         raise ConfigError(f"unknown key {key!r} in section [{section}]")
     setting = SCHEMA[section][key]
-    value = _coerce(section, key, raw, setting.kind)
+    try:
+        value = setting.kind(raw)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {key}: expected {setting.kind.__name__}, "
+                          f"got {raw!r}") from exc
     if not _in_domain(value, setting.domain):
         raise ConfigError(f"[{section}] {key} must be in {setting.domain}, got {value!r}")
     scenario.sections[section][key] = value
 
 
-def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    """A JSON object as a dict; a repeated key is rejected, as INI rejects one."""
-    data = {}
-    for key, value in pairs:
-        if key in data:
-            raise ConfigError(f"JSON config repeats the key {key!r}")
-        data[key] = value
-    return data
-
-
 def load_scenario(path: str | Path | None) -> Scenario:
-    """Defaults overlaid with an INI or JSON config file (when given)."""
+    """Defaults overlaid with an INI config file (when given)."""
     scenario = default_scenario()
     if path is None:
         return scenario
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    text = path.read_text(encoding="utf-8-sig")
-    if path.suffix.lower() == ".json" or text.lstrip().startswith("{"):
-        data = json.loads(text, object_pairs_hook=_unique_keys)
-        if not isinstance(data, dict):
-            raise ConfigError("JSON config must be an object of sections")
-        for section, keys in data.items():
-            if not isinstance(keys, dict):
-                raise ConfigError(f"section [{section}] must map keys to values")
-            for key, value in keys.items():
-                _apply(scenario, section, key, value)
-    else:
-        import configparser  # only an INI file needs it
-        parser = configparser.ConfigParser(interpolation=None)
-        try:
-            parser.read_string(text)
-        except configparser.Error as exc:
-            raise ConfigError(f"malformed INI config: {exc}") from exc
-        for section in parser.sections():
-            for key, value in parser.items(section):
-                _apply(scenario, section, key, value)
+    import configparser  # only a config file needs it
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        parser.read_string(path.read_text(encoding="utf-8-sig"))
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed INI config: {exc}") from exc
+    for section in parser.sections():
+        if section not in SCHEMA:  # also one that sets no key
+            raise ConfigError(f"unknown config section [{section}]")
+        for key, value in parser.items(section):
+            _apply(scenario, section, key, value)
     return scenario
 
 

@@ -5,14 +5,10 @@ only those.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .config import ConfigError, Scenario
 
-# the sweep rows that the [qkd] keys allow: 0 to 1000 km in steps of 0.1 km
-MAX_SWEEP_ROWS = 10_001
 QKD_COLUMNS = ["distance_km", "loss_db", "rate_sps", "rate_ideal", "rate_wcs",
                "rate_decoy", "mu_wcs", "mu_decoy"]
 # the series kind that each kind-specific flag of ``fit`` applies to
@@ -86,9 +82,8 @@ def cavity(scenario: Scenario) -> tuple:
     transmission, resonance = optics.cavity_spectrum(lossy, gap, lossy, wls,
                                                      report_near_nm=lam)
 
-    # the free spectral range and Q read L_eff = q*lam/2 + 2*xi, or the bare length
-    length_args = (q, lam, xi if ccfg["include_penetration"] else 0.0,
-                   ccfg["mirror_reflectivity"])
+    # the free spectral range and Q read L_eff = q*lam/2 + 2*xi
+    length_args = (q, lam, xi, ccfg["mirror_reflectivity"])
     fsr, fin, linewidth = cavitymode.fsr_finesse_linewidth(*length_args)
     report = {
         "resonant_gap_nm": gap,
@@ -160,20 +155,17 @@ def fit(scenario: Scenario, series, irf, scan_range: float | None,
         snr: float | None) -> dict:
     """The fit report of a measurement ``series``, by its kind: a decay
     through its instrument response ``irf``, a spectrum through the sinc^2
-    instrument of ``scan_range`` (1/nm; None takes the scenario's, 0 none),
-    a correlation with g2(0) corrected for the background at ``snr``. The
-    flags are those ``check_fit_flags`` passed; an ``snr`` the correction
-    rejects fails before any fit."""
+    instrument of ``scan_range`` (1/nm; None or 0 for none), a correlation
+    with g2(0) corrected for the background at ``snr``. The flags are those
+    ``check_fit_flags`` passed; an ``snr`` the correction rejects fails
+    before any fit."""
     from . import specfit
     if snr is not None:
         specfit.correct_g2_background(1.0, snr)  # raises on a negative, zero or NaN snr
     fcfg = scenario["fit"]
     report: dict = {"kind": series.kind}
     if series.kind == "spectrum":
-        # an explicit 0 switches the instrument off over the scenario's value
-        scan_range = (fcfg["scan_range_per_nm"] if scan_range is None
-                      else scan_range) or None
-        line = specfit.fit_lorentzian(series, scan_range)
+        line = specfit.fit_lorentzian(series, scan_range or None)
         report["fit"] = line.as_dict()
         report["zpl_fraction"] = specfit.zpl_fraction(
             series, line, cutoff_nm=fcfg["contaminant_cutoff_nm"])
@@ -224,28 +216,18 @@ def qkd_models(scenario: Scenario, channel: str, divergence_model: str | None = 
     return detector, link, sources
 
 
-def qkd_sweep(scenario: Scenario, sweep: str | None = None) -> tuple:
-    """The distances (km) of a ``start:stop:step`` sweep, the scenario's
-    unless ``sweep`` is given, and the crossing search interval it sets:
-    from max(start, 0.5 km) to max(stop, 1 km)."""
+def qkd_sweep(scenario: Scenario) -> tuple:
+    """The distances (km) of the scenario's sweep, and the crossing search
+    interval it sets: from max(start, 0.5 km) to max(stop, 1 km)."""
     qcfg = scenario["qkd"]
-    text = sweep or f"{qcfg['sweep_start_km']}:{qcfg['sweep_stop_km']}:{qcfg['sweep_step_km']}"
-    try:
-        start, stop, step = (float(v) for v in text.split(":"))
-    except ValueError:
-        raise ConfigError(f"sweep must be start:stop:step in km, got {text!r}") from None
-    if not all(math.isfinite(v) for v in (start, stop, step)):
-        raise ConfigError(f"sweep start, stop and step must be finite, got {text!r}")
-    if step <= 0:
-        raise ConfigError(f"sweep step must be positive, got {step:g} km")
+    start, stop, step = qcfg["sweep_start_km"], qcfg["sweep_stop_km"], qcfg["sweep_step_km"]
     if stop < start:
-        raise ConfigError(f"sweep stop must not be below its start, got {text!r}")
-    if (stop - start) / step > MAX_SWEEP_ROWS - 1:
-        raise ConfigError(f"sweep must have at most {MAX_SWEEP_ROWS:,} rows, got {text!r}")
+        raise ConfigError(f"[qkd] sweep_stop_km must not be below sweep_start_km, got "
+                          f"{stop:g} < {start:g}")
     interval = (max(start, 0.5), max(stop, 1.0))
     if interval[0] >= interval[1]:
-        raise ConfigError(f"sweep {text!r} leaves no crossing search interval: its stop "
-                          f"must exceed its start, or lie below 1 km")
+        raise ConfigError(f"[qkd] sweep_stop_km leaves no crossing search interval: it must "
+                          f"exceed sweep_start_km or lie below 1 km, got {stop:g} from {start:g}")
     return np.arange(start, stop + step / 2, step), interval
 
 
@@ -266,14 +248,14 @@ def qkd_crossings(models: tuple, interval: tuple[float, float],
     return crossings
 
 
-def qkd(scenario: Scenario, sweep: str | None) -> tuple:
+def qkd(scenario: Scenario) -> tuple:
     """The sweep's rate table, in ``QKD_COLUMNS``, and the crossing report
     over the scenario's channel."""
     from . import qkd
     qcfg = scenario["qkd"]
     models = qkd_models(scenario, qcfg["channel"], qcfg["divergence_model"])
     detector, channel, sources = models
-    distances, interval = qkd_sweep(scenario, sweep)
+    distances, interval = qkd_sweep(scenario)
     rows = qkd.sweep(sources, channel, detector, distances)
     table = np.column_stack([rows[c] for c in QKD_COLUMNS])
     report = {

@@ -120,9 +120,6 @@ RUNS["qkd mu_mode=fixed"] = (*_set("qkd.mu_mode=fixed"), "qkd")
 RUNS["qkd freespace receive_aperture=0.01"] = (
     *_set("qkd.channel=freespace", "qkd.receive_aperture_m=0.01"), "qkd")
 
-# The free spectral range and Q from the bare length q*lam/2.
-RUNS["cavity include_penetration=off"] = (*_set("cavity.include_penetration=off"), "cavity")
-
 # The fit-batch workload's first two fits of each kind at FIT_SEED, named
 # by their input: the largest size of each kind and one drawn below it,
 # one spectrum with --scan-range and one without, one correlation with

@@ -30,7 +30,6 @@ from spskit.config import (
     load_scenario,
     provenance_table,
 )
-from spskit.constants import SPEED_OF_LIGHT_M_PER_S
 from spskit.reproduce import ReproductionReport, check_coating, check_qkd
 from spskit.specfit import (
     MeasurementSeries,
@@ -57,12 +56,6 @@ class TestConfig:
         # untouched sections keep defaults
         assert scenario["cavity"]["longitudinal_order"] == 8
 
-    def test_json_alternative(self, tmp_path):
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps({"emitter": {"free_lifetime_ps": 900.0}}))
-        scenario = load_scenario(path)
-        assert scenario["emitter"]["free_lifetime_ps"] == 900.0
-
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "scenario.ini"
         path.write_text("[mirror]\nrefractive = 2.0\n")
@@ -81,45 +74,23 @@ class TestConfig:
         with pytest.raises(ConfigError, match="expected int"):
             load_scenario(path)
 
-    @pytest.mark.parametrize("document, value", [
-        ({"mirror": {"pairs": 9.7}}, "expected int, got 9.7"),
-        ({"mirror": {"pairs": True}}, "expected int, got True"),
-        ({"mirror": {"n_high": True}}, "expected float, got True"),
-        ({"mirror": {"n_high": 10 ** 400}}, "expected float"),
-    ], ids=["fractional-count", "bool-count", "bool-float", "overflowing-int"])
-    def test_json_numbers_keep_their_kind(self, tmp_path, document, value):
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(document))
-        key = next(iter(document["mirror"]))
-        with pytest.raises(ConfigError, match=rf"^\[mirror\] {key}: {value}"):
-            load_scenario(path)
-
-    def test_json_integral_float_is_a_count(self, tmp_path):
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps({"mirror": {"pairs": 10.0, "n_high": 2}}))
-        scenario = load_scenario(path)
-        assert scenario["mirror"]["pairs"] == 10 and type(scenario["mirror"]["pairs"]) is int
-        assert type(scenario["mirror"]["n_high"]) is float
-
-    @pytest.mark.parametrize("name, text", [
-        ("scenario.json", '{"mirror": {"pairs": 11}}'),
-        ("scenario.ini", "[mirror]\npairs = 11\n"),
-    ], ids=["json", "ini"])
-    def test_a_byte_order_mark_is_no_part_of_the_config(self, tmp_path, name, text):
-        path = tmp_path / name
+    @pytest.mark.parametrize("text", ["[mirror]\npairs = 11\n"], ids=["ini"])
+    def test_a_byte_order_mark_is_no_part_of_the_config(self, tmp_path, text):
+        path = tmp_path / "scenario.ini"
         path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
         assert load_scenario(path)["mirror"]["pairs"] == 11
 
-    @pytest.mark.parametrize("text, key", [
-        ('{"mirror": {"pairs": 12}, "mirror": {"pairs": 6}}', "mirror"),
-        ('{"mirror": {"pairs": 12, "pairs": 6}}', "pairs"),
+    @pytest.mark.parametrize("text, match", [
+        ("[mirror]\npairs = 12\n[mirror]\npairs = 6\n", "section 'mirror' already exists"),
+        ("[mirror]\npairs = 12\npairs = 6\n",
+         "option 'pairs' in section 'mirror' already exists"),
     ], ids=["section", "key"])
-    def test_a_json_config_that_repeats_a_key_is_rejected(self, tmp_path, capsys, text, key):
-        path = tmp_path / "scenario.json"
+    def test_a_config_that_repeats_a_key_is_rejected(self, tmp_path, capsys, text, match):
+        path = tmp_path / "scenario.ini"
         path.write_text(text, encoding="utf-8")
         _assert_validation_error(["--outdir", str(tmp_path), "--config", str(path), "mirror"],
-                                 capsys, f"JSON config repeats the key {key!r}")
-        assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
+                                 capsys, match)
+        assert [p.name for p in tmp_path.iterdir()] == ["scenario.ini"]
 
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
@@ -230,24 +201,14 @@ class TestCli:
         assert (tmp_path / "cavity_spectrum.csv").exists()
         assert (tmp_path / "cavity_field.csv").exists()
 
-    def test_penetration_off_gives_the_bare_free_spectral_range(self, tmp_path):
-        # the schema's only boolean, off by --set and by a JSON false alike
-        assert main(["--set", "cavity.include_penetration=off",
-                     "--outdir", str(tmp_path / "set"), "cavity"]) == 0
-        report = json.loads((tmp_path / "set" / "cavity_report.json").read_text())
-        assert report["fsr_hz"] == pytest.approx(SPEED_OF_LIGHT_M_PER_S / (8 * 565.85e-9),
-                                                  rel=1e-12)
-        config = tmp_path / "scenario.json"
-        config.write_text(json.dumps({"cavity": {"include_penetration": False}}))
-        assert main(["--config", str(config), "--outdir", str(tmp_path / "json"), "cavity"]) == 0
-        assert filecmp.cmp(tmp_path / "set" / "cavity_report.json",
-                           tmp_path / "json" / "cavity_report.json", shallow=False)
-
+    # a scenario file is INI alone, whatever its name: a JSON object has no
+    # section header, and a JSON list reads as an unknown one that sets no key
     @pytest.mark.parametrize("name, text, match", [
-        ("scenario.json", "[1, 2]", "JSON config must be an object of sections"),
-        ("scenario.json", '{"mirror": 9}', "section [mirror] must map keys to values"),
+        ("scenario.json", '{\n  "mirror": {"pairs": 11}\n}\n', "malformed INI config"),
+        ("scenario.json", "[1, 2]", "unknown config section [1, 2]"),
+        ("scenario.json", '{"mirror": 9}', "malformed INI config"),
         ("scenario.ini", "pairs = 9\n", "malformed INI config"),
-    ], ids=["json-list", "json-section-not-an-object", "ini-without-section"])
+    ], ids=["json-scenario", "json-list", "json-section-not-an-object", "ini-without-section"])
     def test_malformed_config_exits_1(self, tmp_path, capsys, name, text, match):
         config = tmp_path / name
         config.write_text(text)
@@ -329,20 +290,14 @@ class TestCli:
         assert main(["--outdir", str(tmp_path), "fit", "--input", str(tmp_path / "line.csv"),
                      "--scan-range", "2.0"]) == 0
 
-    def test_zero_scan_range_switches_the_scenario_instrument_off(self, tmp_path):
-        # with fit.scan_range_per_nm=2 set, --scan-range 0 writes the fit of
-        # a run with no instrument
+    def test_zero_scan_range_is_no_instrument(self, tmp_path):
+        # --scan-range 0 writes the fit of a run without the flag
         _write_fit_inputs(tmp_path)
-        fits = {}
-        for name, sets, flags in (("none", [], []),
-                                  ("zero", ["--set", "fit.scan_range_per_nm=2"],
-                                   ["--scan-range", "0"]),
-                                  ("scenario", ["--set", "fit.scan_range_per_nm=2"], [])):
-            assert main([*sets, "--outdir", str(tmp_path / name), "fit", "--input",
+        for name, flags in (("none", []), ("zero", ["--scan-range", "0"])):
+            assert main(["--outdir", str(tmp_path / name), "fit", "--input",
                          str(tmp_path / "spectrum.csv"), *flags]) == 0
-            fits[name] = json.loads((tmp_path / name / "fit_report.json").read_text())["fit"]
-        assert fits["zero"] == fits["none"]
-        assert fits["scenario"]["parameters"] != fits["none"]["parameters"]
+        assert filecmp.cmp(tmp_path / "none" / "fit_report.json",
+                           tmp_path / "zero" / "fit_report.json", shallow=False)
 
     def test_fit_decay_requires_irf(self, tmp_path):
         t = np.arange(0.0, 4000.0, 8.0)
@@ -353,7 +308,7 @@ class TestCli:
         assert main(["--outdir", str(tmp_path), "fit", "--input", str(csv)]) == 1
 
     def test_qkd_sweep_row_count(self, tmp_path):
-        code = main(["--outdir", str(tmp_path), "qkd", "--sweep", "0:100:0.5"])
+        code = main(["--outdir", str(tmp_path), "qkd"])
         assert code == 0
         lines = (tmp_path / "qkd_rates.csv").read_text().splitlines()
         # stamp + header + 201 sweep rows
@@ -417,19 +372,17 @@ def _assert_validation_error(argv, capsys, match: str) -> None:
 class TestTypedErrors:
     @pytest.mark.parametrize("argv, match", [
         (["--set", "qkd.sweep_step_km=0", "qkd"], "[qkd] sweep_step_km"),
-        (["qkd", "--sweep", "0:100:0"], "sweep step must be positive"),
         (["--set", "qkd.sweep_step_km=-1", "qkd"], "[qkd] sweep_step_km"),
-    ], ids=["set-zero", "sweep-zero", "negative"])
+    ], ids=["set-zero", "negative"])
     def test_sweep_step_must_be_positive(self, tmp_path, capsys, argv, match):
         _assert_validation_error(["--outdir", str(tmp_path), *argv], capsys, match)
         assert not (tmp_path / "qkd_rates.csv").exists()
 
     @pytest.mark.parametrize("argv, match", [
-        (["qkd", "--sweep", "5:5:1"], "sweep '5:5:1' leaves no crossing search interval"),
         (["--set", "qkd.sweep_start_km=5", "--set", "qkd.sweep_stop_km=5", "qkd"],
-         "sweep '5.0:5.0:0.5' leaves no crossing search interval"),
-        (["qkd", "--sweep", "0:1000.1:0.1"], "sweep must have at most 10,001 rows"),
-    ], ids=["one-point-flag", "one-point-set", "too-many-rows"])
+         "[qkd] sweep_stop_km leaves no crossing search interval: it must exceed "
+         "sweep_start_km or lie below 1 km, got 5 from 5"),
+    ], ids=["one-point-set"])
     def test_sweep_is_rejected_before_any_file(self, tmp_path, capsys, argv, match):
         _assert_validation_error(["--outdir", str(tmp_path), *argv], capsys, match)
         assert not (tmp_path / "qkd_rates.csv").exists()
@@ -443,8 +396,6 @@ class TestTypedErrors:
         _assert_validation_error(
             ["--outdir", str(tmp_path), "--set", "qkd.sweep_step_km=nan", "qkd"], capsys,
             "[qkd] sweep_step_km")
-        _assert_validation_error(["--outdir", str(tmp_path), "qkd", "--sweep", "0:100:nan"],
-                                 capsys, "must be finite")
 
     # the cavity computes the penetration depth from the coating; the others
     # changed no output
@@ -476,8 +427,7 @@ class TestTypedErrors:
         (["--scan-range", "nan"], "scan range must be positive and finite, got nan"),
         (["--scan-range", "inf"], "scan range must be positive and finite, got inf"),
         (["--scan-range", "-1"], "scan range must be positive and finite, got -1.0"),
-        (["--set", "fit.scan_range_per_nm=nan"], "[fit] scan_range_per_nm"),
-    ], ids=["nan", "inf", "negative", "set-nan"])
+    ], ids=["nan", "inf", "negative"])
     def test_bad_scan_range(self, tmp_path, capsys, argv, match):
         # bad input, rejected before the fit starts: exit 1, not a failed fit
         x = np.linspace(560.0, 572.0, 301)
@@ -487,10 +437,6 @@ class TestTypedErrors:
         _assert_validation_error(
             ["--outdir", str(tmp_path), "fit", "--input", str(line), *argv], capsys, match)
         assert not (tmp_path / "fit_report.json").exists()
-
-    def test_malformed_sweep(self, tmp_path, capsys):
-        _assert_validation_error(["--outdir", str(tmp_path), "qkd", "--sweep", "0:100"],
-                                 capsys, "start:stop:step")
 
     def test_unknown_channel(self, tmp_path, capsys):
         _assert_validation_error(
@@ -983,6 +929,22 @@ def test_no_source_calls_blas_or_lapack():
     assert found == []
 
 
+def test_every_imported_name_is_used():
+    # no linter is assumed: a name an import binds (the first part of a
+    # dotted "import a.b") is read somewhere else in its module
+    unused = []
+    for path in sorted(Path(spskit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(
+                    node, "module", None) != "__future__":
+                unused += [f"{path.name}:{node.lineno} {name}" for name in
+                           (alias.asname or alias.name.split(".")[0] for alias in node.names)
+                           if name not in read]
+    assert unused == []
+
+
 class TestImportsPerCommand:
     """Which modules a call loads; never how long it takes."""
 
@@ -1237,9 +1199,7 @@ class TestSchema:
     def test_every_key_states_its_domain(self, key):
         section, name = key.split(".")
         setting = SCHEMA[section][name]
-        if setting.kind is bool:
-            assert setting.domain is None
-        elif setting.kind is str:
+        if setting.kind is str:
             assert isinstance(setting.domain, tuple) and setting.domain
             assert all(isinstance(choice, str) for choice in setting.domain)
         else:
@@ -1247,6 +1207,17 @@ class TestSchema:
             assert domain[0] in "[(" and domain[-1] in "])", domain
             low, high = (float(end) for end in domain[1:-1].split(","))
             assert math.isfinite(low) and math.isfinite(high) and low < high, domain
+
+    def test_every_key_is_read_outside_config(self):
+        # a key is read by its name as a string constant, cfg["n_high"] or
+        # scenario.require("fab", "calibration_nm_per_unit"); one that no
+        # other module names is a key that no model reads
+        named = set()
+        for path in Path(spskit.__file__).parent.glob("*.py"):
+            if path.name != "config.py":
+                named |= {node.value for node in ast.walk(ast.parse(path.read_text("utf-8")))
+                          if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+        assert [key for key in KEYS if key.split(".")[1] not in named] == []
 
     def test_defaults_and_benchmark_values_lie_in_their_domains(self, monkeypatch):
         workloads = _workloads(monkeypatch)
@@ -1308,7 +1279,7 @@ class TestBoundsAtLoad:
          "exceeds sphere diameter"),
         (["cavity.longitudinal_order=10"], "cavity", "unstable geometry"),
         (["qkd.sweep_start_km=50", "qkd.sweep_stop_km=10"], "qkd",
-         "sweep stop must not be below its start"),
+         "[qkd] sweep_stop_km must not be below sweep_start_km, got 10 < 50"),
         (["mirror.wl_min_nm=800"], "mirror",
          "[mirror] wl_max_nm must not be below wl_min_nm, got 760 < 800"),
     ], ids=["n_high-below-n_low", "aperture-above-diameter", "unstable-order",
